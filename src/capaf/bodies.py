@@ -304,7 +304,8 @@ def _interior_candidate_directions(mesh: CapMesh) -> np.ndarray:
     """Mesh-independent coarse sample of directions inside the region.
 
     Built on a fixed level-2 icosphere (n=2) or a fixed angle grid (n=1)
-    so the same seed yields the same field at every mesh level.
+    so the same seed yields the same field at every mesh level.  Read it
+    through `mesh.interior_candidates`, which computes it once per mesh.
     """
     model, omega0 = mesh.model, mesh.omega0
     if mesh.n == 2:
@@ -320,15 +321,23 @@ def _interior_candidate_directions(mesh: CapMesh) -> np.ndarray:
     return cand
 
 
-def _boundary_margin_cos(mesh: CapMesh, center: np.ndarray) -> float:
-    """min (1 - <c, x>) over a fixed dense sample of the region complement."""
+def _region_complement_sample(mesh: CapMesh) -> np.ndarray:
+    """Fixed dense sample of the region complement: level-4 icosphere
+    vertices (n=2) or 2048 angles (n=1) with nonpositive region residual.
+    Read it through `mesh.region_complement`, which computes it once per mesh.
+    """
     model, omega0 = mesh.model, mesh.omega0
     if mesh.n == 2:
         sample = icosphere_vertices(4)
     else:
         phi = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
         sample = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    outside = sample[region_residual(model, omega0, sample) <= 0.0]
+    return sample[region_residual(model, omega0, sample) <= 0.0]
+
+
+def _boundary_margin_cos(mesh: CapMesh, center: np.ndarray) -> float:
+    """min (1 - <c, x>) over a fixed dense sample of the region complement."""
+    outside = mesh.region_complement
     if len(outside) == 0:
         return 2.0
     return float(np.min(1.0 - outside @ center))
@@ -354,7 +363,7 @@ def random_capillary_body(mesh_or_config, seed: int, amplitude: float = 0.15) ->
     nv = np.linalg.norm(v)
     if nv > 0:
         v *= 0.4 * amplitude * (0.5 + 0.5 * rng.random()) / nv
-    cand = _interior_candidate_directions(mesh)
+    cand = mesh.interior_candidates
     n_bumps = int(rng.integers(2, 4)) if amplitude > 0 else 0
     picks = rng.choice(len(cand), size=min(n_bumps, len(cand)), replace=False)
     bump_specs = []

@@ -8,8 +8,10 @@ of Psi(E_d) (resp. -Psi(-E_d), resp. E_d itself) pairing to 1 with E_d.
 
 Meshing: for n = 2 an icosphere is clipped against the region boundary by
 snapping straddling vertices onto {residual = 0} along great circles
-(bisection plus one Newton polish, residual tolerance 1e-12); quadrature is
-vertex-lumped spherical-triangle area, second-order accurate.  For n = 1 the
+(bisection plus one Newton polish, residual tolerance 1e-12), all straddling
+vertices of a mesh in one batch; quadrature is vertex-lumped
+spherical-triangle area, second-order accurate.  Icospheres are built once
+per level and cached, and the cached arrays are read-only.  For n = 1 the
 region is a single arc, subdivided uniformly in angle with trapezoid weights
 (the angular measure is exact).
 
@@ -85,27 +87,39 @@ def _icosahedron():
     return verts, faces
 
 
+_ICOSPHERES = {}
+
+
 def icosphere(level: int):
-    """Subdivided icosahedron projected to the sphere: (verts, faces)."""
-    verts, faces = _icosahedron()
-    verts = [v for v in verts]
-    for _ in range(level):
-        midpoint = {}
-        new_faces = []
+    """Subdivided icosahedron projected to the sphere: (verts, faces).
 
-        def mid(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                m = verts[a] + verts[b]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
+    Built once per level; every caller shares the cached arrays, which are
+    read-only, so copy before modifying.
+    """
+    if level not in _ICOSPHERES:
+        verts, faces = _icosahedron()
+        verts = [v for v in verts]
+        for _ in range(level):
+            midpoint = {}
+            new_faces = []
 
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-        faces = np.asarray(new_faces, dtype=np.int64)
-    return np.asarray(verts), faces
+            def mid(a, b):
+                key = (a, b) if a < b else (b, a)
+                if key not in midpoint:
+                    m = verts[a] + verts[b]
+                    verts.append(m / np.linalg.norm(m))
+                    midpoint[key] = len(verts) - 1
+                return midpoint[key]
+
+            for a, b, c in faces:
+                ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+                new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+            faces = np.asarray(new_faces, dtype=np.int64)
+        verts = np.asarray(verts)
+        verts.setflags(write=False)
+        faces.setflags(write=False)
+        _ICOSPHERES[level] = (verts, faces)
+    return _ICOSPHERES[level]
 
 
 def icosphere_vertices(level: int) -> np.ndarray:
@@ -214,6 +228,8 @@ class CapMesh:
         self._populate_caches()
         self._cap_body = None
         self._q_frame = None
+        self._interior_candidates = None
+        self._region_complement = None
 
     # cache construction -----------------------------------------------------
 
@@ -380,6 +396,26 @@ class CapMesh:
             self._cap_body = make_wulff_cap(self, 1.0)
         return self._cap_body
 
+    @property
+    def interior_candidates(self) -> np.ndarray:
+        """Candidate bump centres for random bodies on this mesh (lazy, read-only)."""
+        if self._interior_candidates is None:
+            from .bodies import _interior_candidate_directions
+
+            self._interior_candidates = _interior_candidate_directions(self)
+            self._interior_candidates.setflags(write=False)
+        return self._interior_candidates
+
+    @property
+    def region_complement(self) -> np.ndarray:
+        """Fixed dense sample of the region complement (lazy, read-only)."""
+        if self._region_complement is None:
+            from .bodies import _region_complement_sample
+
+            self._region_complement = _region_complement_sample(self)
+            self._region_complement.setflags(write=False)
+        return self._region_complement
+
     def cap_support_values(self) -> np.ndarray:
         """Support values of the unit cap body: F(x) + w0 <x, EF>."""
         return self.F_vals + self.omega0 * (self.nodes @ self.EF)
@@ -409,40 +445,54 @@ class CapMesh:
 
 
 def _snap_to_boundary(model, omega0, v_out, v_in, tol):
-    """Root of the region residual along the great circle from v_out to v_in."""
-    ang = float(np.arccos(np.clip(v_out @ v_in, -1.0, 1.0)))
-    if ang < 1e-14:
-        return v_in.copy()
-    axis_a, axis_b = v_out, v_in
+    """Roots of the region residual along the great circles from v_out to v_in.
+
+    Batched over rows: every straddling pair is bisected at once (48 steps),
+    then polished by one Newton step with a finite-difference slope.
+    """
+    # row dots as stacked (1, d) @ (d, 1) products: BLAS dot, as a 1-D `@`
+    # uses, so a batch snaps each row bit for bit as a one-row call does
+    cos = (v_out[:, None, :] @ v_in[:, :, None])[:, 0, 0]
+    ang = np.arccos(np.clip(cos, -1.0, 1.0))
+    points = v_in.copy()
+    live = ang >= 1e-14
+    if not np.any(live):
+        return points
+    axis_a, axis_b, ang = v_out[live], v_in[live], ang[live]
 
     def gamma(t):
-        return (np.sin((1.0 - t) * ang) * axis_a + np.sin(t * ang) * axis_b) / np.sin(ang)
+        return ((np.sin((1.0 - t) * ang)[:, None] * axis_a
+                 + np.sin(t * ang)[:, None] * axis_b) / np.sin(ang)[:, None])
 
     def res(t):
-        return float(region_residual(model, omega0, gamma(t)[None, :])[0])
+        return region_residual(model, omega0, gamma(t))
 
-    lo, hi = 0.0, 1.0
-    r_lo = res(lo)
-    if r_lo > 0:
+    lo, hi = np.zeros(len(ang)), np.ones(len(ang))
+    if np.any(res(lo) > 0):
         raise MeshConstructionError("snap bracketing failed: outside vertex not outside")
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if res(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        below = res(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
     # one Newton polish with a finite-difference slope
     h = 1e-7
-    slope = (res(min(t + h, 1.0)) - res(max(t - h, 0.0))) / (min(t + h, 1.0) - max(t - h, 0.0))
-    if slope != 0.0:
-        t_new = t - res(t) / slope
-        if 0.0 <= t_new <= 1.0 and abs(res(t_new)) <= abs(res(t)):
-            t = t_new
-    point = unit_rows(gamma(t)[None, :])[0]
-    if abs(res(t)) > max(tol * 100.0, 1e-10):
-        raise MeshConstructionError(f"boundary snap residual {res(t):.3e} above tolerance")
-    return point
+    t_up, t_dn = np.minimum(t + h, 1.0), np.maximum(t - h, 0.0)
+    slope = (res(t_up) - res(t_dn)) / (t_up - t_dn)
+    r = res(t)
+    moves = slope != 0.0
+    t_new = t.copy()
+    t_new[moves] = t[moves] - r[moves] / slope[moves]
+    r_new = res(t_new)
+    better = moves & (t_new >= 0.0) & (t_new <= 1.0) & (np.abs(r_new) <= np.abs(r))
+    t = np.where(better, t_new, t)
+    r = np.where(better, r_new, r)
+    worst = int(np.argmax(np.abs(r)))
+    if abs(r[worst]) > max(tol * 100.0, 1e-10):
+        raise MeshConstructionError(f"boundary snap residual {r[worst]:.3e} above tolerance")
+    points[live] = unit_rows(gamma(t))
+    return points
 
 
 def _build_mesh_2d(config: CapConfig) -> CapMesh:
@@ -470,14 +520,15 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
                         cur = neighbor[int(v)]
                         if cur < 0 or r[u] > r[cur] or (r[u] == r[cur] and u < cur):
                             neighbor[int(v)] = int(u)
+    out_idx = np.asarray(sorted(neighbor), dtype=np.int64)
+    in_idx = np.asarray([neighbor[v] for v in out_idx], dtype=np.int64)
+    if np.any(in_idx < 0):
+        v = int(out_idx[np.argmax(in_idx < 0)])
+        raise MeshConstructionError(f"outside vertex {v} has no inside neighbor")
     verts = verts.copy()
     snapped = np.zeros(len(verts), dtype=bool)
-    for v in sorted(neighbor):
-        u = neighbor[v]
-        if u < 0:
-            raise MeshConstructionError(f"outside vertex {v} has no inside neighbor")
-        verts[v] = _snap_to_boundary(model, omega0, verts[v], verts[u], tol_b)
-        snapped[v] = True
+    verts[out_idx] = _snap_to_boundary(model, omega0, verts[out_idx], verts[in_idx], tol_b)
+    snapped[out_idx] = True
 
     # drop unreferenced vertices and reindex
     used = np.unique(faces.flatten())

@@ -106,44 +106,60 @@ def _value_record(suite, name, inputs, value, tolerance) -> CheckRecord:
 def _run_mixdisc(ctx: RunContext):
     tol = ctx.cfg.tolerances
     rng = np.random.default_rng(20240)
+    count = 200
     records = []
     t0 = time.perf_counter()
     worst = {"diag": 0.0, "perm": 0.0, "multi": 0.0, "transform": 0.0,
              "gradient": 0.0, "alexandrov": 0.0}
-    for n in (2, 3):
-        for _ in range(200):
-            def spd():
-                a = rng.normal(size=(n, n))
-                return a @ a.T + 0.3 * np.eye(n)
 
-            mats = [spd() for _ in range(n)]
-            q = mixed_discriminant(mats)
-            scale = max(abs(q), 1e-30)
-            worst["diag"] = max(worst["diag"], abs(
-                mixed_discriminant([mats[0]] * n) - np.linalg.det(mats[0]))
-                / max(abs(np.linalg.det(mats[0])), 1e-30))
-            perm = list(rng.permutation(n))
-            worst["perm"] = max(worst["perm"], abs(
-                mixed_discriminant([mats[p] for p in perm]) - q) / scale)
-            a_alt = spd()
-            al, be = rng.random() + 0.2, rng.random() + 0.2
-            lhs = mixed_discriminant([al * mats[0] + be * a_alt] + mats[1:])
-            rhs = al * q + be * mixed_discriminant([a_alt] + mats[1:])
-            worst["multi"] = max(worst["multi"], abs(lhs - rhs) / max(abs(rhs), 1e-30))
-            bmat = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
-            chk = md_transform_check(mats, bmat)
-            worst["transform"] = max(worst["transform"], chk["relative_error"])
-            grad = mixed_disc_gradient(mats)
-            worst["gradient"] = max(worst["gradient"], abs(
-                float(np.sum(mats[0] * grad)) - q) / scale)
-            rep = fn.InequalityReport.inequality(
-                "alexandrov", mixed_discriminant([mats[0], mats[1]] + mats[2:n])**2,
-                mixed_discriminant([mats[0], mats[0]] + mats[2:n])
-                * mixed_discriminant([mats[1], mats[1]] + mats[2:n]), tol["mixdisc"])
-            worst["alexandrov"] = max(worst["alexandrov"], -rep.relative_gap)
+    def update(key, values):
+        worst[key] = max(worst[key], float(np.max(values)))
+
+    def rel(diff, ref):
+        return np.abs(diff) / np.maximum(np.abs(ref), 1e-30)
+
+    for n in (2, 3):
+        def spd():
+            a = rng.normal(size=(n, n))
+            return a @ a.T + 0.3 * np.eye(n)
+
+        # draw the inputs tuple by tuple (the rng call order fixes them) ...
+        tuples, perms, alts, als, bes, bmats = [], [], [], [], [], []
+        for _ in range(count):
+            tuples.append([spd() for _ in range(n)])
+            perms.append(rng.permutation(n))
+            alts.append(spd())
+            als.append(rng.random() + 0.2)
+            bes.append(rng.random() + 0.2)
+            bmats.append(rng.normal(size=(n, n)) + 2.0 * np.eye(n))
+        # ... then check each identity once on (count, n, n) stacks
+        stack = np.array(tuples)  # (count, n, n, n)
+        mats = list(np.swapaxes(stack, 0, 1))
+        a_alt = np.array(alts)
+        al, be = np.array(als), np.array(bes)
+
+        q = mixed_discriminant(mats)
+        det0 = np.linalg.det(mats[0])
+        update("diag", rel(mixed_discriminant([mats[0]] * n) - det0, det0))
+        permuted = np.swapaxes(stack[np.arange(count)[:, None], np.array(perms)], 0, 1)
+        update("perm", rel(mixed_discriminant(list(permuted)) - q, q))
+        lhs = mixed_discriminant([al[:, None, None] * mats[0] + be[:, None, None] * a_alt]
+                                 + mats[1:])
+        rhs = al * q + be * mixed_discriminant([a_alt] + mats[1:])
+        update("multi", rel(lhs - rhs, rhs))
+        update("transform", md_transform_check(mats, np.array(bmats))["relative_error"])
+        grad = mixed_disc_gradient(mats)
+        update("gradient", rel(np.sum((mats[0] * grad).reshape(count, -1), axis=1) - q, q))
+        q_ab = mixed_discriminant([mats[0], mats[1]] + mats[2:n])
+        q_aa = mixed_discriminant([mats[0], mats[0]] + mats[2:n])
+        q_bb = mixed_discriminant([mats[1], mats[1]] + mats[2:n])
+        update("alexandrov", [
+            -fn.InequalityReport.inequality("alexandrov", lhs_k, rhs_k,
+                                            tol["mixdisc"]).relative_gap
+            for lhs_k, rhs_k in zip(q_ab**2, q_aa * q_bb)])
     dt = time.perf_counter() - t0
     for key, val in sorted(worst.items()):
-        rec = _value_record("mixdisc", key, {"n": [2, 3], "count": 200}, val,
+        rec = _value_record("mixdisc", key, {"n": [2, 3], "count": count}, val,
                             tol["mixdisc"])
         rec.wall_time_s = dt / len(worst)
         records.append(rec)
@@ -564,6 +580,10 @@ def _cmd_study(args) -> int:
         lo, hi = (int(v) for v in args.levels.split(".."))
     except ValueError:
         print("error: --levels expects A..B", file=sys.stderr)
+        return 2
+    if hi < lo:
+        print(f"error: --levels {args.levels} is empty; expects A..B with A <= B",
+              file=sys.stderr)
         return 2
     levels = list(range(lo, hi + 1))
     ctx = RunContext(cfg)

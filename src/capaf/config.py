@@ -194,7 +194,12 @@ def parse_config(path: str) -> SuiteConfig:
         seeds = []
 
     out_dir = os.environ.get("CAPAF_OUT") or get("output", "dir", "capaf-out")
-    jobs = int(os.environ.get("CAPAF_JOBS", "1"))
+    jobs_raw = os.environ.get("CAPAF_JOBS", "1")
+    try:
+        jobs = int(jobs_raw)
+    except ValueError:
+        errors.append(f"CAPAF_JOBS: expected an integer worker count, got {jobs_raw!r}")
+        jobs = 1
 
     if not 0 <= level <= 7:
         errors.append(f"mesh.level: {level} out of range [0, 7]")

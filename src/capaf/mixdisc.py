@@ -171,18 +171,22 @@ def mixed_disc_gradient(mats) -> np.ndarray:
 
 
 def md_transform_check(mats, b_matrix, tol: float = 1e-10) -> dict:
-    """Verify Q(A_1 B, ..., A_n B) = Q(A_1, ..., A_n) det(B)."""
+    """Verify Q(A_1 B, ..., A_n B) = Q(A_1, ..., A_n) det(B).
+
+    Takes one tuple and one B, or (B, n, n) batches of both; a batch gives
+    per-entry lhs, rhs and relative errors, and passes when every entry does.
+    """
     if isinstance(mats, SymMatrixTuple):
         mats = mats.mats
     b_matrix = np.asarray(b_matrix, dtype=float)
-    det_b = float(np.linalg.det(b_matrix))
-    if abs(det_b) < 1e-300:
+    det_b = np.linalg.det(b_matrix)
+    if np.any(np.abs(det_b) < 1e-300):
         raise InvalidInputError("transform matrix must be invertible")
     lhs = mixed_discriminant([np.asarray(a) @ b_matrix for a in mats], route="subset")
     rhs = mixed_discriminant(mats, route="subset") * det_b
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    rel = abs(lhs - rhs) / scale
-    return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "passed": bool(rel <= tol)}
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    rel = np.abs(lhs - rhs) / scale
+    return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "passed": bool(np.all(rel <= tol))}
 
 
 def alexandrov_md_check(a, b, rest=(), tol: float = 1e-12):

@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from capaf.capgeom import (CapConfig, admissible_range, build_cap_mesh,
-                           ef_vector, icosphere, region_residual,
+from capaf.capgeom import (CapConfig, _snap_to_boundary, admissible_range,
+                           build_cap_mesh, ef_vector, icosphere, region_residual,
                            spherical_triangle_areas)
 from capaf.errors import InvalidConfigError
-from capaf.norms import EllipsoidNorm
+from capaf.norms import EllipsoidNorm, unit_rows
 
 
 def test_icosphere_counts():
@@ -16,6 +16,12 @@ def test_icosphere_counts():
         assert len(faces) == 20 * 4**level
         assert len(verts) == 10 * 4**level + 2
         assert np.allclose(np.linalg.norm(verts, axis=1), 1.0, atol=1e-14)
+        again_verts, again_faces = icosphere(level)
+        assert np.array_equal(again_verts, verts) and np.array_equal(again_faces, faces)
+        with pytest.raises(ValueError):
+            verts[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            faces[0, 0] = 0
 
 
 def test_spherical_triangle_octant():
@@ -129,8 +135,52 @@ def test_frame_determinism(model_factory):
     assert np.array_equal(m1.nodes, m2.nodes)
 
 
-def test_boundary_residual_after_snap(mesh_factory):
-    mesh = mesh_factory("ell3", -0.4, 3)
+def _snap_one(model, omega0, v_out, v_in, tol):
+    """One-vertex reference for the batched boundary snap (same arithmetic)."""
+    ang = float(np.arccos(np.clip(v_out @ v_in, -1.0, 1.0)))
+    if ang < 1e-14:
+        return v_in.copy()
+
+    def gamma(t):
+        return (np.sin((1.0 - t) * ang) * v_out + np.sin(t * ang) * v_in) / np.sin(ang)
+
+    def res(t):
+        return float(region_residual(model, omega0, gamma(t)[None, :])[0])
+
+    lo, hi = 0.0, 1.0
+    assert res(lo) <= 0
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        if res(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    h = 1e-7
+    slope = (res(min(t + h, 1.0)) - res(max(t - h, 0.0))) / (min(t + h, 1.0) - max(t - h, 0.0))
+    if slope != 0.0:
+        t_new = t - res(t) / slope
+        if 0.0 <= t_new <= 1.0 and abs(res(t_new)) <= abs(res(t)):
+            t = t_new
+    assert abs(res(t)) <= max(tol * 100.0, 1e-10)
+    return unit_rows(gamma(t)[None, :])[0]
+
+
+def test_snap_batch_matches_one_vertex_reference(model_factory):
+    model = model_factory("ell3")
+    verts, faces = icosphere(3)
+    r = region_residual(model, -0.4, verts)
+    edges = faces[:, [0, 1]]
+    edges = edges[(r[edges[:, 0]] < 0) & (r[edges[:, 1]] > 0)]
+    v_out, v_in = verts[edges[:, 0]], verts[edges[:, 1]]
+    batch = _snap_to_boundary(model, -0.4, v_out, v_in, 1e-12)
+    ref = [_snap_one(model, -0.4, a, b, 1e-12) for a, b in zip(v_out, v_in)]
+    assert len(batch) > 0 and np.array_equal(batch, np.array(ref))
+
+
+@pytest.mark.parametrize("name,omega0", [("ell3", -0.4), ("pert3", -0.35)])
+def test_boundary_residual_after_snap(mesh_factory, name, omega0):
+    mesh = mesh_factory(name, omega0, 3)
     r = region_residual(mesh.model, mesh.omega0, mesh.nodes[mesh.boundary_idx])
     assert np.max(np.abs(r)) < 1e-10
 

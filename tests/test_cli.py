@@ -204,6 +204,10 @@ def test_env_override_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CAPAF_OUT", str(tmp_path / "env-out"))
     cfg = parse_config(write(tmp_path, MINIMAL))
     assert cfg.out_dir == str(tmp_path / "env-out")
+    monkeypatch.setenv("CAPAF_JOBS", "abc")
+    with pytest.raises(InvalidConfigError, match="CAPAF_JOBS"):
+        parse_config(write(tmp_path, MINIMAL))
+    assert main(["verify", "--config", write(tmp_path, MINIMAL)]) == 2
 
 
 # -- other subcommands -------------------------------------------------------------
@@ -246,3 +250,5 @@ def test_study_rejects_unknown_check(tmp_path, capsys):
                  "--levels", "2..3"]) == 2
     assert main(["study", "converge", "--config", path, "--check", "area",
                  "--levels", "oops"]) == 2
+    assert main(["study", "converge", "--config", path, "--check", "area",
+                 "--levels", "5..3"]) == 2

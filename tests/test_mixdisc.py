@@ -104,6 +104,13 @@ def test_transform_law():
         mats = [spd(rng, n) for _ in range(n)]
         b = rng.normal(size=(n, n)) + 2 * np.eye(n)
         assert md_transform_check(mats, b)["relative_error"] < 1e-10
+    # (B, n, n) batches give the per-entry results
+    for n in (2, 3):
+        tuples = [[spd(rng, n) for _ in range(n)] for _ in range(5)]
+        bs = [rng.normal(size=(n, n)) + 2 * np.eye(n) for _ in range(5)]
+        chk = md_transform_check(list(np.swapaxes(np.array(tuples), 0, 1)), np.array(bs))
+        single = [md_transform_check(t, b)["relative_error"] for t, b in zip(tuples, bs)]
+        assert chk["passed"] and np.array_equal(chk["relative_error"], single)
 
 
 def test_transform_rejects_singular():
