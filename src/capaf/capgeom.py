@@ -228,6 +228,7 @@ class CapMesh:
         self._populate_caches()
         self._cap_body = None
         self._q_frame = None
+        self._q_ambient = None
         self._interior_candidates = None
         self._region_complement = None
 
@@ -355,12 +356,6 @@ class CapMesh:
 
     # accessors ---------------------------------------------------------------
 
-    def cap_point(self, i: int) -> np.ndarray:
-        return self.xi[i]
-
-    def gbar_frame(self, i: int) -> np.ndarray:
-        return self.frame[i]
-
     def pullback_area_density(self, i: int) -> float:
         return float(self.detA[i])
 
@@ -383,7 +378,7 @@ class CapMesh:
 
     @property
     def q_ambient(self) -> np.ndarray:
-        if not hasattr(self, "_q_ambient") or self._q_ambient is None:
+        if self._q_ambient is None:
             self._q_ambient = np.asarray(self.model.q_on_wulff(self.psi, self.nodes))
         return self._q_ambient
 

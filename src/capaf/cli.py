@@ -65,13 +65,14 @@ class RunContext:
         return [max(1, top - 2), max(2, top - 1), top]
 
 
+def _report_record(suite, name, inputs, rep) -> CheckRecord:
+    return CheckRecord(suite, name, digest(inputs), rep.lhs, rep.rhs, rep.gap,
+                       rep.relative_gap, rep.tolerance, rep.passed)
+
+
 def _timed_record(suite, name, inputs, fn_check) -> CheckRecord:
     t0 = time.perf_counter()
-    rep = fn_check()
-    dt = time.perf_counter() - t0
-    return CheckRecord(suite, name, digest(inputs), rep.lhs, rep.rhs, rep.gap,
-                       rep.relative_gap, rep.tolerance, rep.passed,
-                       wall_time_s=dt)
+    return _timed_since(t0, _report_record(suite, name, inputs, fn_check()))[0]
 
 
 def _ratio_record(suite, name, inputs, values, min_ratio, floor=0.0,
@@ -98,6 +99,14 @@ def _value_record(suite, name, inputs, value, tolerance) -> CheckRecord:
                        tolerance, bool(value <= tolerance))
 
 
+def _timed_since(t0, *records):
+    """Share the wall time since t0 evenly among the records it produced."""
+    dt = (time.perf_counter() - t0) / len(records)
+    for rec in records:
+        rec.wall_time_s = dt
+    return list(records)
+
+
 # ---------------------------------------------------------------------------
 # suite runners
 # ---------------------------------------------------------------------------
@@ -107,7 +116,6 @@ def _run_mixdisc(ctx: RunContext):
     tol = ctx.cfg.tolerances
     rng = np.random.default_rng(20240)
     count = 200
-    records = []
     t0 = time.perf_counter()
     worst = {"diag": 0.0, "perm": 0.0, "multi": 0.0, "transform": 0.0,
              "gradient": 0.0, "alexandrov": 0.0}
@@ -157,13 +165,9 @@ def _run_mixdisc(ctx: RunContext):
             -fn.InequalityReport.inequality("alexandrov", lhs_k, rhs_k,
                                             tol["mixdisc"]).relative_gap
             for lhs_k, rhs_k in zip(q_ab**2, q_aa * q_bb)])
-    dt = time.perf_counter() - t0
-    for key, val in sorted(worst.items()):
-        rec = _value_record("mixdisc", key, {"n": [2, 3], "count": count}, val,
-                            tol["mixdisc"])
-        rec.wall_time_s = dt / len(worst)
-        records.append(rec)
-    return records
+    return _timed_since(t0, *(
+        _value_record("mixdisc", key, {"n": [2, 3], "count": count}, val, tol["mixdisc"])
+        for key, val in sorted(worst.items())))
 
 
 def _run_routes(ctx: RunContext):
@@ -175,17 +179,16 @@ def _run_routes(ctx: RunContext):
     for seed in cfg.seeds:
         bods = ctx.body_tuple(seed, cfg.n + 1)
         inputs = {"seed": seed, "level": cfg.mesh_level}
-        va = fn.mixed_volume(bods, route="anisotropic")
-        ve = fn.mixed_volume(bods, route="euclidean")
-        vp = fn.mixed_volume(bods, route="polyfit")
-        records.append(_timed_record(
-            "routes", f"aniso-vs-euclid.seed{seed}", inputs,
-            lambda: fn.InequalityReport.identity("aniso-vs-euclid", va.value,
-                                                 ve.value, route_tol)))
-        records.append(_timed_record(
-            "routes", f"polyfit-vs-euclid.seed{seed}", inputs,
-            lambda: fn.InequalityReport.identity("polyfit-vs-euclid", vp.value,
-                                                 ve.value, tol["routes_polyfit"])))
+        t0 = time.perf_counter()
+        va, ve, vp = (fn.mixed_volume(bods, route=r).value
+                      for r in ("anisotropic", "euclidean", "polyfit"))
+        records += _timed_since(
+            t0,
+            _report_record("routes", f"aniso-vs-euclid.seed{seed}", inputs,
+                           fn.InequalityReport.identity("aniso-vs-euclid", va, ve, route_tol)),
+            _report_record("routes", f"polyfit-vs-euclid.seed{seed}", inputs,
+                           fn.InequalityReport.identity("polyfit-vs-euclid", vp, ve,
+                                                        tol["routes_polyfit"])))
         body = bods[0]
         records.append(_timed_record(
             "routes", f"diagonal-consistency.seed{seed}", inputs,
@@ -281,6 +284,7 @@ def _run_minkowski(ctx: RunContext):
     records = []
     tables = {}
     for k in range(cfg.n):
+        t0 = time.perf_counter()
         agg = []
         for level in levels:
             worst = 0.0
@@ -294,7 +298,7 @@ def _run_minkowski(ctx: RunContext):
             rows.append([level, agg[i], agg[i], ratio])
         tables[f"minkowski-k{k}"] = rows
         kind = "check" if cfg.norm.family != "perturbed" else "diagnostic"
-        records.append(_ratio_record(
+        records += _timed_since(t0, _ratio_record(
             "minkowski", f"residual-decay-k{k}", {"levels": levels, "k": k},
             agg, cfg.tolerances["minkowski_ratio"], floor=1e-9, kind=kind))
     return records, tables
@@ -306,6 +310,7 @@ def _run_symmetry(ctx: RunContext):
     records = []
     tables = {}
     swap_agg, trail_agg = [], []
+    t0 = time.perf_counter()
     for level in levels:
         worst_swap, worst_trail = 0.0, 0.0
         for seed in cfg.seeds:
@@ -322,15 +327,14 @@ def _run_symmetry(ctx: RunContext):
         rows.append([level, swap_agg[i], swap_agg[i], ratio])
     tables["symmetry-swap"] = rows
     kind = "check" if cfg.norm.family != "perturbed" else "diagnostic"
-    records.append(_ratio_record("symmetry", "swap-decay",
-                                 {"levels": levels}, swap_agg,
-                                 cfg.tolerances["symmetry_ratio"], floor=1e-12,
-                                 kind=kind))
-    records.append(_value_record("symmetry", "trailing-permutation",
-                                 {"levels": levels}, max(trail_agg),
-                                 cfg.tolerances["symmetry_trailing"]))
+    records += _timed_since(
+        t0,
+        _ratio_record("symmetry", "swap-decay", {"levels": levels}, swap_agg,
+                      cfg.tolerances["symmetry_ratio"], floor=1e-12, kind=kind),
+        _value_record("symmetry", "trailing-permutation", {"levels": levels},
+                      max(trail_agg), cfg.tolerances["symmetry_trailing"]))
     # diagnostic: symmetry on differences of capillary functions (logged only)
-    mesh = ctx.mesh()
+    t0 = time.perf_counter()
     b = ctx.body_tuple(max(cfg.seeds) + 5, cfg.n + 1)
     diff_bodies = [minkowski_combine([b[0]], [1.0])] + b[1:]
     out = fn.symmetry_check(diff_bodies)
@@ -338,7 +342,7 @@ def _run_symmetry(ctx: RunContext):
                       out["swap_deviation"], 0.0, out["swap_deviation"],
                       out["swap_deviation"] / out["scale"], float("nan"), True,
                       kind="diagnostic")
-    records.append(rec)
+    records += _timed_since(t0, rec)
     return records, tables
 
 
@@ -366,6 +370,7 @@ def _run_kernel(ctx: RunContext):
     analytic = cfg.norm.family != "perturbed"
     if analytic:
         for alpha in range(cfg.n):
+            t0 = time.perf_counter()
             decay = []
             for level in levels:
                 val, _ = fn.kernel_tau_intrinsic(ctx.mesh(level), alpha)
@@ -375,29 +380,31 @@ def _run_kernel(ctx: RunContext):
                 ratio = decay[i - 1] / max(decay[i], 1e-300) if i else float("nan")
                 rows.append([level, decay[i], decay[i], ratio])
             tables[f"kernel-E{alpha + 1}"] = rows
-            records.append(_value_record(
-                "kernel", f"tau-max-E{alpha + 1}", {"levels": levels},
-                decay[-1] * (4.0 ** (levels[-1] - 4)),  # normalized to level 4
-                cfg.tolerances["kernel_max"]))
-            records.append(_ratio_record(
-                "kernel", f"tau-decay-E{alpha + 1}", {"levels": levels},
-                decay, cfg.tolerances["kernel_ratio"], floor=1e-11))
+            records += _timed_since(
+                t0,
+                _value_record("kernel", f"tau-max-E{alpha + 1}", {"levels": levels},
+                              decay[-1] * (4.0 ** (levels[-1] - 4)),  # normalized to level 4
+                              cfg.tolerances["kernel_max"]),
+                _ratio_record("kernel", f"tau-decay-E{alpha + 1}", {"levels": levels},
+                              decay, cfg.tolerances["kernel_ratio"], floor=1e-11))
     else:
         for alpha in range(cfg.n):
+            t0 = time.perf_counter()
             val, _ = fn.kernel_tau_intrinsic(ctx.mesh(), alpha)
-            records.append(_value_record(
+            records += _timed_since(t0, _value_record(
                 "kernel", f"tau-max-E{alpha + 1}-fd-smoke",
                 {"level": cfg.mesh_level}, val, 1e-2))
     # generator-route kernels are exactly linear: tau vanishes to FD noise
-    mesh = ctx.mesh()
     from .fields import tau_from_generator
 
+    t0 = time.perf_counter()
+    mesh = ctx.mesh()
     worst = 0.0
     for alpha in range(cfg.n):
         tau, _ = tau_from_generator(mesh, kernel_field(mesh, alpha))
         worst = max(worst, float(np.max(np.abs(tau))))
-    records.append(_value_record("kernel", "generator-route-zero",
-                                 {"level": cfg.mesh_level}, worst, 1e-10))
+    records += _timed_since(t0, _value_record(
+        "kernel", "generator-route-zero", {"level": cfg.mesh_level}, worst, 1e-10))
     return records, tables
 
 
@@ -411,15 +418,17 @@ def _run_operator(ctx: RunContext):
     levels = ctx.study_levels()
     for seed in cfg.seeds:
         inputs = {"seed": seed, "level": cfg.mesh_level}
+        t0 = time.perf_counter()
         trailing = ctx.body_tuple(seed, cfg.n - 1)
         f2 = trailing[0]
         ag = fn.operator_a_apply(f2, trailing)
-        records.append(_value_record(
+        records += _timed_since(t0, _value_record(
             "operator", f"eigenfunction-identity.seed{seed}", inputs,
             float(np.max(np.abs(ag - f2.shat))), tol["operator_eigen"]))
+        t0 = time.perf_counter()
         kern = kernel_field(ctx.mesh(), 0)
         ak = fn.operator_a_apply(kern, trailing)
-        records.append(_value_record(
+        records += _timed_since(t0, _value_record(
             "operator", f"kernel-annihilation.seed{seed}", inputs,
             float(np.max(np.abs(ak))), 1e-8))
         g = ctx.body(seed + 7919).field - ctx.body(seed + 7920).field
@@ -428,6 +437,7 @@ def _run_operator(ctx: RunContext):
             lambda: fn.operator_a_energy_check(g, trailing,
                                                tol=tol["operator_energy"])))
     # self-adjointness decay with refinement (aggregate over seeds)
+    t0 = time.perf_counter()
     devs = []
     for level in levels:
         worst = 0.0
@@ -443,9 +453,8 @@ def _run_operator(ctx: RunContext):
         rows.append([level, devs[i], devs[i], ratio])
     tables["operator-selfadjoint"] = rows
     kind = "check" if cfg.norm.family != "perturbed" else "diagnostic"
-    records.append(_ratio_record("operator", "selfadjoint-decay",
-                                 {"levels": levels}, devs, 2.0, floor=1e-10,
-                                 kind=kind))
+    records += _timed_since(t0, _ratio_record(
+        "operator", "selfadjoint-decay", {"levels": levels}, devs, 2.0, floor=1e-10, kind=kind))
     return records, tables
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fd
 from .capgeom import CapMesh
 from .errors import InvalidInputError
 from .norms import MinkowskiNorm, unit_rows
@@ -245,38 +244,6 @@ class CombinationField(SupportField):
         return a
 
 
-class NumericGeneratorField(SupportField):
-    """Generator built from a function of the unit direction.
-
-    s(x) = |x| * h(x/|x|) with h given numerically; derivatives fall back
-    to central differences with the supplied step.
-    """
-
-    provenance = "numeric"
-
-    def __init__(self, h_on_sphere, dim: int, fd_step: float = 1e-5):
-        self.h = h_on_sphere
-        self.dim = dim
-        self.fd_step = float(fd_step)
-
-    def value(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=-1)
-        out = r * np.asarray(self.h(x / r[:, None]))
-        return out if np.asarray(x).ndim > 1 else out[0]
-
-    def grad(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        g, _ = fd.central_gradient(lambda p: np.asarray(self.value(p)), x, self.fd_step)
-        return g if np.asarray(x).ndim > 1 else g[0]
-
-    def hess(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        h, _ = fd.central_hessian(lambda p: np.asarray(self.value(p)), x, self.fd_step)
-        h = 0.5 * (h + np.swapaxes(h, -1, -2))
-        return h if np.asarray(x).ndim > 1 else h[0]
-
-
 def kernel_field(mesh_or_model, alpha: int) -> LinearField:
     """Horizontal kernel field G(T^-1 xi)(T^-1 xi, E_alpha) as a generator.
 
@@ -336,9 +303,9 @@ def field_values_on_cap(mesh: CapMesh, field: SupportField) -> np.ndarray:
 class CapFieldEvaluator:
     """Evaluate a scalar field at off-node points of the cap.
 
-    ``fn(z, x)`` receives points z on the Wulff shape together with their
-    Gauss preimages x and returns field values; the Gauss preimage is
-    supplied so FD-backed metrics can warm start.
+    ``fn(z, x)`` receives points z on the Wulff shape together with nearby
+    Gauss preimages x and returns field values; the preimages warm start
+    the perturbed metric's dual solve.
     """
 
     def __init__(self, mesh: CapMesh, fn):
@@ -361,17 +328,6 @@ def kernel_evaluator(mesh: CapMesh, alpha: int) -> CapFieldEvaluator:
     def fn(z, x_warm):
         g = np.asarray(model.metric_on_wulff(np.atleast_2d(z), np.atleast_2d(x_warm)))
         return np.einsum("bij,bi,j->b", g, np.atleast_2d(z), e)
-
-    return CapFieldEvaluator(mesh, fn)
-
-
-def generator_evaluator(mesh: CapMesh, field: SupportField) -> CapFieldEvaluator:
-    """Evaluate a generator-backed field anywhere on the Wulff shape."""
-    model = mesh.model
-
-    def fn(z, x_warm):
-        x = np.asarray(model.gauss_preimage(np.atleast_2d(z), np.atleast_2d(x_warm)))
-        return np.asarray(field.value(x)) / np.asarray(model.value(x))
 
     return CapFieldEvaluator(mesh, fn)
 
@@ -406,21 +362,6 @@ def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: floa
     minus = z - step * v_amb + 0.5 * step**2 * acc
     warm = mesh.nodes[idx]
     return (_project_to_wulff(mesh, plus, warm), _project_to_wulff(mesh, minus, warm))
-
-
-def intrinsic_gradient(mesh: CapMesh, ev: CapFieldEvaluator, idx, step: float):
-    """Frame components of the g-ring gradient by central differences."""
-    idx = np.asarray(idx, dtype=np.int64)
-    n = mesh.n
-    out = np.empty((len(idx), n))
-    for k in range(n):
-        vel = np.zeros((len(idx), n))
-        vel[:, k] = 1.0
-        zp, zm = _geodesic_points(mesh, idx, vel, step)
-        fp = ev.at_points(zp, mesh.nodes[idx])
-        fm = ev.at_points(zm, mesh.nodes[idx])
-        out[:, k] = (fp - fm) / (2.0 * step)
-    return out
 
 
 def intrinsic_tau(mesh: CapMesh, ev: CapFieldEvaluator, idx, step: float):

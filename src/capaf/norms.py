@@ -22,8 +22,20 @@ Three families are provided:
 
 Isotropic and ellipsoid derivatives are closed form.  The perturbed family
 defaults to Richardson-extrapolated central differences for its public
-grad/hess (exact formulas are kept alongside as a cross-check), and its
+grad/hess (exact formulas up to third order are kept alongside), and its
 dual norm is computed by a multistart damped Newton ascent on the sphere.
+
+G and Q are closed form for every family.  (1/2) F^2 and (1/2) F0^2 are
+Legendre conjugates (Rockafellar, Convex Analysis, Thm 26.5), so their
+gradient maps are mutually inverse and, at z = D(F^2/2)(x),
+
+    G(z) = [D^2(F^2/2)(x)]^-1 = [DF DF^T + F D^2F]^-1 (x),
+    Q(z) = -G G G : D^3(F^2/2)(x),
+    D^3(F^2/2) = sym_3(DF (x) D^2F) + F D^3F,
+
+where sym_3 sums the three placements of the vector index.  The perturbed
+family finds x by one warm Newton dual solve and evaluates these from its
+exact derivatives.
 """
 
 from __future__ import annotations
@@ -54,6 +66,12 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     """Normalize each row to unit Euclidean length."""
     x = np.asarray(x, dtype=float)
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _sym3(s, v):
+    """Batched s_ab v_c + s_ac v_b + s_bc v_a for symmetric s: (B, d, d, d)."""
+    return (s[:, :, :, None] * v[:, None, None, :] + s[:, :, None, :] * v[:, None, :, None]
+            + s[:, None, :, :] * v[:, :, None, None])
 
 
 def tangent_basis(x: np.ndarray) -> np.ndarray:
@@ -111,21 +129,21 @@ class PerturbTerm:
             raise InvalidInputError("bump width must lie in (0, 2)")
 
     def _profile(self, u):
-        """Return g(u), g'(u), g''(u) elementwise."""
+        """Return g(u) and its first three derivatives elementwise."""
         u = np.asarray(u, dtype=float)
         if self.kind == "linear":
-            return u, np.ones_like(u), np.zeros_like(u)
+            return u, np.ones_like(u), np.zeros_like(u), np.zeros_like(u)
         if self.kind == "quadratic":
-            return u * u, 2.0 * u, np.full_like(u, 2.0)
+            return u * u, 2.0 * u, np.full_like(u, 2.0), np.zeros_like(u)
         s = self.width
         g = np.exp(-(1.0 - u) / s)
-        return g, g / s, g / s**2
+        return g, g / s, g / s**2, g / s**3
 
     def value(self, x):
         x, batched = _rows(x)
         r = np.linalg.norm(x, axis=-1)
         u = x @ np.asarray(self.center) / r
-        g, _, _ = self._profile(u)
+        g = self._profile(u)[0]
         return _unbatch(self.amplitude * r * g, batched)
 
     def grad(self, x):
@@ -134,7 +152,7 @@ class PerturbTerm:
         r = np.linalg.norm(x, axis=-1, keepdims=True)
         xh = x / r
         u = xh @ c
-        g, g1, _ = self._profile(u)
+        g, g1, _, _ = self._profile(u)
         p = c[None, :] - u[:, None] * xh
         out = self.amplitude * (g[:, None] * xh + g1[:, None] * p)
         return _unbatch(out, batched)
@@ -146,11 +164,30 @@ class PerturbTerm:
         r = np.linalg.norm(x, axis=-1)
         xh = x / r[:, None]
         u = xh @ c
-        g, g1, g2 = self._profile(u)
+        g, g1, g2, _ = self._profile(u)
         p = c[None, :] - u[:, None] * xh
         proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
         h = (g - u * g1)[:, None, None] * proj + g2[:, None, None] * p[:, :, None] * p[:, None, :]
         out = self.amplitude * h / r[:, None, None]
+        return _unbatch(out, batched)
+
+    def third(self, x):
+        """Third derivative, (..., d, d, d): hess differentiated term by term."""
+        x, batched = _rows(x)
+        b, d = x.shape
+        c = np.asarray(self.center)
+        r = np.linalg.norm(x, axis=-1)
+        xh = x / r[:, None]
+        u = xh @ c
+        g, g1, g2, g3 = self._profile(u)
+        p = c[None, :] - u[:, None] * xh
+        proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
+        pp = p[:, :, None] * p[:, None, :]
+        t = (-(u * g2)[:, None, None, None] * _sym3(proj, p)
+             - (g - u * g1)[:, None, None, None] * _sym3(proj, xh)
+             - g2[:, None, None, None] * _sym3(pp, xh)
+             + g3[:, None, None, None] * pp[:, :, :, None] * p[:, None, None, :])
+        out = self.amplitude * t / r[:, None, None, None] ** 2
         return _unbatch(out, batched)
 
 
@@ -175,6 +212,10 @@ class MinkowskiNorm:
         raise NotImplementedError
 
     def hess(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def third(self, x) -> np.ndarray:
+        """Third derivative of F, shape (..., d, d, d)."""
         raise NotImplementedError
 
     def _check_nonzero(self, x):
@@ -286,6 +327,13 @@ class IsotropicNorm(MinkowskiNorm):
         h = (np.eye(self.dim)[None] - xh[:, :, None] * xh[:, None, :]) / r[:, None, None]
         return _unbatch(h, batched)
 
+    def third(self, x):
+        x, batched = self._check_nonzero(x)
+        r = np.linalg.norm(x, axis=-1)
+        xh = x / r[:, None]
+        proj = np.eye(self.dim)[None] - xh[:, :, None] * xh[:, None, :]
+        return _unbatch(-_sym3(proj, xh) / r[:, None, None, None] ** 2, batched)
+
     def dual_value(self, xi):
         xi, batched = self._check_nonzero(xi)
         return _unbatch(np.linalg.norm(xi, axis=-1), batched)
@@ -345,6 +393,14 @@ class EllipsoidNorm(MinkowskiNorm):
         h = self.matrix[None] / f[:, None, None] - mx[:, :, None] * mx[:, None, :] / f[:, None, None] ** 3
         return _unbatch(h, batched)
 
+    def third(self, x):
+        x, batched = self._check_nonzero(x)
+        mx = x @ self.matrix
+        f = np.sqrt(np.einsum("bi,bi->b", x, mx))[:, None, None, None]
+        m = np.broadcast_to(self.matrix, (x.shape[0], self.dim, self.dim))
+        mmm = mx[:, :, None, None] * mx[:, None, :, None] * mx[:, None, None, :]
+        return _unbatch(-_sym3(m, mx) / f**3 + 3.0 * mmm / f**5, batched)
+
     def dual_value(self, xi):
         xi, batched = self._check_nonzero(xi)
         return _unbatch(np.sqrt(np.einsum("bi,ij,bj->b", xi, self.matrix_inv, xi)), batched)
@@ -371,8 +427,11 @@ class PerturbedNorm(MinkowskiNorm):
 
     Public grad/hess use Richardson central differences by default
     (``derivatives='fd'``); the closed-form routes stay available as
-    exact_grad/exact_hess for cross-checks.  Construction validates F > 0
-    and A_F > 0 on a dense sphere sample and fails loudly otherwise.
+    exact_grad/exact_hess/exact_third.  The metric G and its derivative Q
+    are always closed form (Legendre duality, see the module docstring),
+    built from the exact derivatives at the Gauss preimage.  Construction
+    validates F > 0 and A_F > 0 on a dense sphere sample and fails loudly
+    otherwise.
     """
 
     family = "perturbed"
@@ -392,26 +451,25 @@ class PerturbedNorm(MinkowskiNorm):
 
     # primal
 
-    def value(self, x):
+    def _summed(self, method, x):
+        """Base plus every term, each evaluated by its ``method``."""
         x, batched = self._check_nonzero(x)
-        v = np.asarray(self.base.value(x), dtype=float).copy()
+        out = np.asarray(getattr(self.base, method)(x), dtype=float).copy()
         for t in self.terms:
-            v += t.value(x)
-        return _unbatch(v, batched)
+            out += getattr(t, method)(x)
+        return _unbatch(out, batched)
+
+    def value(self, x):
+        return self._summed("value", x)
 
     def exact_grad(self, x):
-        x, batched = self._check_nonzero(x)
-        g = np.asarray(self.base.grad(x), dtype=float).copy()
-        for t in self.terms:
-            g += t.grad(x)
-        return _unbatch(g, batched)
+        return self._summed("grad", x)
 
     def exact_hess(self, x):
-        x, batched = self._check_nonzero(x)
-        h = np.asarray(self.base.hess(x), dtype=float).copy()
-        for t in self.terms:
-            h += t.hess(x)
-        return _unbatch(h, batched)
+        return self._summed("hess", x)
+
+    def exact_third(self, x):
+        return self._summed("third", x)
 
     def grad(self, x):
         if self.derivatives == "analytic":
@@ -438,9 +496,7 @@ class PerturbedNorm(MinkowskiNorm):
         if np.any(vals <= 0):
             i = int(np.argmin(vals))
             raise ModelInvalidError(f"perturbed norm non-positive at sample node {i}", node=pts[i])
-        a = np.asarray(self.base.hess(pts)).copy()
-        for t in self.terms:
-            a += t.hess(pts)
+        a = self.exact_hess(pts)
         tb = tangent_basis(pts)
         at = np.einsum("bki,bij,blj->bkl", tb, a, tb)
         ev = np.linalg.eigvalsh(at)
@@ -567,11 +623,24 @@ class PerturbedNorm(MinkowskiNorm):
             _, y = self.dual_value_warm(z, x_warm, return_argmax=True)
         return _unbatch(y, batched)
 
-    # metric / Q by central differences of (1/2) F0^2
+    # metric / Q in closed form by Legendre duality
 
-    def _half_dual_sq(self, pts, warm):
-        val = self.dual_value_warm(pts, warm)
-        return 0.5 * val * val
+    def _legendre_point(self, z, x_warm):
+        """The x with D(F^2/2)(x) = z, by one warm dual ascent from x_warm.
+
+        The ascent gives F0(z) and the unit Gauss preimage y of z; since
+        D(F^2/2)(t y) = t F(y) DF(y) and z = F0(z) DF(y), x = F0(z) y / F(y).
+        """
+        z, _ = self._check_nonzero(z)
+        f0, y = self.dual_value_warm(z, x_warm, return_argmax=True)
+        return y * (f0 / self.value(y))[:, None]
+
+    def _half_sq_derivs(self, x):
+        """F, DF, D^2F and the 0-homogeneous D^2(F^2/2) = DF DF^T + F D^2F."""
+        f = self.value(x)
+        df = self.exact_grad(x)
+        d2f = self.exact_hess(x)
+        return f, df, d2f, df[:, :, None] * df[:, None, :] + f[:, None, None] * d2f
 
     def metric(self, xi):
         xi, batched = _rows(xi)
@@ -580,24 +649,9 @@ class PerturbedNorm(MinkowskiNorm):
         return _unbatch(out, batched)
 
     def metric_on_wulff(self, z, x_warm):
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        x_warm = np.atleast_2d(np.asarray(x_warm, dtype=float))
-        b, d = z.shape
-        h = self.fd_step * float(np.median(np.maximum(1.0, np.linalg.norm(z, axis=-1))))
-        if np.any(np.linalg.norm(z, axis=-1) < 10.0 * h):
-            raise InvalidInputError("metric stencil too close to the origin")
-
-        # central_hessian evaluates stencils in (b*k, d) blocks with the k
-        # shifts of one batch row contiguous; replicate warm starts to match.
-        def fwrap(pts):
-            m = pts.shape[0]
-            if m == b:
-                return self._half_dual_sq(pts, x_warm)
-            warm = np.repeat(x_warm, m // b, axis=0)
-            return self._half_dual_sq(pts, warm)
-
-        hess, _ = fd.central_hessian(fwrap, z, h, richardson=False)
-        return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        """G(z) = [D^2(F^2/2)(x)]^-1 at the Legendre point x of z (batched)."""
+        *_, h = self._half_sq_derivs(self._legendre_point(z, x_warm))
+        return np.linalg.inv(h)
 
     def q_tensor(self, xi):
         xi, batched = _rows(xi)
@@ -606,21 +660,15 @@ class PerturbedNorm(MinkowskiNorm):
         return _unbatch(out, batched)
 
     def q_on_wulff(self, z, x_warm):
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        x_warm = np.atleast_2d(np.asarray(x_warm, dtype=float))
-        b, d = z.shape
-        k = 10.0 * self.fd_step
-        q = np.empty((b, d, d, d))
-        eye = np.eye(d)
-        for c in range(d):
-            gp = self.metric_on_wulff(z + k * eye[c], x_warm)
-            gm = self.metric_on_wulff(z - k * eye[c], x_warm)
-            q[:, :, :, c] = (gp - gm) / (2.0 * k)
-        # enforce total symmetry
-        q = (q + np.transpose(q, (0, 1, 3, 2)) + np.transpose(q, (0, 3, 2, 1))
-             + np.transpose(q, (0, 2, 1, 3)) + np.transpose(q, (0, 2, 3, 1))
-             + np.transpose(q, (0, 3, 1, 2))) / 6.0
-        return q
+        """Q(z) = -G G G : D^3(F^2/2)(x) at the Legendre point x of z (batched).
+
+        Differentiating G(D(F^2/2)(x)) D^2(F^2/2)(x) = I in x gives this.
+        """
+        x = self._legendre_point(z, x_warm)
+        f, df, d2f, h = self._half_sq_derivs(x)
+        g = np.linalg.inv(h)
+        t = _sym3(d2f, df) + f[:, None, None, None] * self.exact_third(x)
+        return -np.einsum("nia,njb,nkc,nabc->nijk", g, g, g, t, optimize=True)
 
     def descriptor(self):
         return {

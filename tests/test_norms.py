@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import capaf.fd as fd
+from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.errors import InvalidInputError, ModelInvalidError
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, PerturbedNorm,
                          PerturbTerm, anisotropy_matrix, cahn_hoffman,
@@ -172,16 +175,17 @@ def test_metric_ellipsoid_constant(model_factory):
 
 
 def test_metric_identity_on_wulff_perturbed(model_factory):
-    model = model_factory("pert3")
-    x = sample_dirs(3, 100, seed=13)
-    psi = np.asarray(model.cahn_hoffman(x))
-    g = np.asarray(model.metric_on_wulff(psi, x))
-    vals = np.einsum("bi,bij,bj->b", psi, g, psi)
-    assert np.max(np.abs(vals - 1.0)) < 1e-6
+    for name in ("pert3", "pert2"):
+        model = model_factory(name)
+        x = sample_dirs(model.dim, 100, seed=13)
+        psi = np.asarray(model.cahn_hoffman(x))
+        g = np.asarray(model.metric_on_wulff(psi, x))
+        vals = np.einsum("bi,bij,bj->b", psi, g, psi)
+        assert np.max(np.abs(vals - 1.0)) < 1e-10
 
 
 def test_metric_tangent_identity_oracle(model_factory):
-    # G(A_F u, A_F v) = <u, A_F v>/F cross-checks the FD metric route
+    # G(A_F u, A_F v) = <u, A_F v>/F cross-checks the metric route
     model = model_factory("pert3")
     x = sample_dirs(3, 30, seed=14)
     tb = tangent_basis(x)
@@ -194,12 +198,13 @@ def test_metric_tangent_identity_oracle(model_factory):
 
 
 def test_q_tensor_radial_contraction_perturbed(model_factory):
-    model = model_factory("pert3")
-    x = sample_dirs(3, 5, seed=15)
-    psi = np.asarray(model.cahn_hoffman(x))
-    q = np.asarray(model.q_on_wulff(psi, x))
-    contraction = np.einsum("bijk,bk->bij", q, psi)
-    assert np.max(np.abs(contraction)) < 5e-4
+    for name in ("pert3", "pert2"):
+        model = model_factory(name)
+        x = sample_dirs(model.dim, 100, seed=15)
+        psi = np.asarray(model.cahn_hoffman(x))
+        q = np.asarray(model.q_on_wulff(psi, x))
+        contraction = np.einsum("bijk,bk->bij", q, psi)
+        assert np.max(np.abs(contraction)) < 1e-9
 
 
 def test_descriptor_roundtrip(model_factory):
@@ -222,3 +227,94 @@ def test_homogeneity_property(t):
     model = EllipsoidNorm(np.array([[1.0, 0.0, 0.2], [0.0, 1.2, 0.0], [0.2, 0.0, 0.9]]))
     x = np.array([0.3, -0.5, 0.81])
     assert float(model.value(t * x)) == pytest.approx(t * float(model.value(x)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# closed-form G and Q of the perturbed family (Legendre duality)
+# ---------------------------------------------------------------------------
+
+
+def fd_newton_metric(model, z, x_warm):
+    """Independent oracle for G: FD Hessian of (1/2) F0^2 over warm Newton solves.
+
+    One unextrapolated central-difference Hessian stencil; every stencil
+    point runs its own warm dual ascent from the matching x_warm row.
+    """
+    b = z.shape[0]
+    h = model.fd_step * float(np.median(np.maximum(1.0, np.linalg.norm(z, axis=-1))))
+
+    def half_dual_sq(pts):
+        warm = np.repeat(x_warm, pts.shape[0] // b, axis=0)
+        val = model.dual_value_warm(pts, warm)
+        return 0.5 * val * val
+
+    hess, _ = fd.central_hessian(half_dual_sq, z, h, richardson=False)
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+
+
+def _wulff_sample(model, count, seed):
+    x = sample_dirs(model.dim, count, seed=seed)
+    return np.asarray(model.cahn_hoffman(x)), x
+
+
+@pytest.mark.parametrize("name", ("pert3", "pert2"))
+def test_closed_form_metric_matches_fd_newton_oracle(model_factory, name):
+    model = model_factory(name)
+    z, x = _wulff_sample(model, 40, seed=17)
+    g = np.asarray(model.metric_on_wulff(z, x))
+    assert np.max(np.abs(g - fd_newton_metric(model, z, x))) < 1e-6
+
+
+@pytest.mark.parametrize("name", ("pert3", "pert2"))
+def test_closed_form_q_matches_metric_differences(model_factory, name):
+    # Q = DG: central differences of the closed-form G in each ambient axis
+    model = model_factory(name)
+    z, x = _wulff_sample(model, 30, seed=18)
+    q = np.asarray(model.q_on_wulff(z, x))
+    k = 1e-5
+    eye = np.eye(model.dim)
+    for c in range(model.dim):
+        dg = (np.asarray(model.metric_on_wulff(z + k * eye[c], x))
+              - np.asarray(model.metric_on_wulff(z - k * eye[c], x))) / (2.0 * k)
+        assert np.max(np.abs(q[..., c] - dg)) < 1e-6
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("kind", ("iso", "ellipsoid", "bump", "linear", "quadratic"))
+def test_third_derivative_matches_hessian_differences(d, kind):
+    if kind == "iso":
+        obj = IsotropicNorm(d)
+    elif kind == "ellipsoid":
+        obj = EllipsoidNorm(np.eye(d) + 0.2 * np.ones((d, d)))
+    else:
+        obj = PerturbTerm(kind, tuple(np.arange(1.0, d + 1.0)), 0.3, 0.7)
+    x = 1.3 * sample_dirs(d, 25, seed=20 + d)
+    k = 1e-5
+    eye = np.eye(d)
+    t = np.asarray(obj.third(x))
+    for c in range(d):
+        dh = (np.asarray(obj.hess(x + k * eye[c])) - np.asarray(obj.hess(x - k * eye[c]))) / (2.0 * k)
+        assert np.max(np.abs(t[..., c] - dh)) < 1e-7
+    assert np.max(np.abs(t - np.swapaxes(t, 1, 3))) < 1e-14
+
+
+def test_perturbed_mesh_metric_avoids_fd_hessian(monkeypatch, model_factory):
+    # the metric and Q caches of a perturbed mesh never difference F0^2
+    calls = {"all": 0, "metric": 0}
+    real = fd.central_hessian
+
+    def counting(*args, **kwargs):
+        calls["all"] += 1
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in ("metric_on_wulff", "q_on_wulff"):
+                calls["metric"] += 1
+                break
+            frame = frame.f_back
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fd, "central_hessian", counting)
+    mesh = build_cap_mesh(CapConfig(2, -0.35, model_factory("pert3"), mesh_level=3))
+    assert mesh.q_frame.shape == (mesh.node_count, 2, 2, 2)
+    assert calls["all"] > 0  # the FD route of F's own Hessian still runs
+    assert calls["metric"] == 0
