@@ -12,8 +12,6 @@ linearly, curvatures are re-derived from the combined tau).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -28,39 +26,28 @@ _BACKTRACK_LIMIT = 20
 
 
 def _sigma_means(kappa: np.ndarray) -> np.ndarray:
-    """Normalized symmetric means H_k = sigma_k(kappa)/binom(n, k), k=0..n+1."""
+    """Normalized symmetric means H_k = sigma_k(kappa)/binom(n, k), k=0..n+1; n in {1, 2}."""
     nn, n = kappa.shape
     h = np.empty((nn, n + 2))
     h[:, 0] = 1.0
     if n == 1:
         h[:, 1] = kappa[:, 0]
-    elif n == 2:
+    else:
         h[:, 1] = 0.5 * (kappa[:, 0] + kappa[:, 1])
         h[:, 2] = kappa[:, 0] * kappa[:, 1]
-    else:
-        for k in range(1, n + 1):
-            from itertools import combinations
-
-            acc = np.zeros(nn)
-            for idx in combinations(range(n), k):
-                acc += np.prod(kappa[:, idx], axis=1)
-            h[:, k] = acc / comb(n, k)
     h[:, n + 1] = 0.0
     return h
 
 
 def _eig_pair(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of W A^{-1} (generalized problem W v = lambda A v)."""
+    """Eigenvalues of W A^{-1} (generalized problem W v = lambda A v), n in {1, 2}."""
     m = np.linalg.solve(a, w)
-    n = m.shape[-1]
-    if n == 1:
+    if m.shape[-1] == 1:
         return m[:, 0, 0][:, None]
-    if n == 2:
-        tr = m[:, 0, 0] + m[:, 1, 1]
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        disc = np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
-        return np.stack([tr / 2.0 - disc, tr / 2.0 + disc], axis=-1)
-    return np.sort(np.linalg.eigvals(m).real, axis=-1)
+    tr = m[:, 0, 0] + m[:, 1, 1]
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    disc = np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
+    return np.stack([tr / 2.0 - disc, tr / 2.0 + disc], axis=-1)
 
 
 class CapillaryBody:
@@ -83,15 +70,22 @@ class CapillaryBody:
         self.X = np.asarray(self.field.grad(x))
         hess = np.asarray(self.field.hess(x))
         self.W = np.einsum("bki,bij,blj->bkl", mesh.tb, hess, mesh.tb)
-        self.detW = np.linalg.det(self.W) if mesh.n > 1 else self.W[:, 0, 0].copy()
         self.tau, self.tau_asym = tau_from_generator(mesh, self.field)
+        self.anchor = np.asarray(self.field.anchor, dtype=float)
+        self._derive()
+
+    def _derive(self):
+        """Caches that follow from s, shat, X, W, tau and anchor: det W, the
+        radii and curvatures, the anchored support and the convex and
+        capillary flags."""
+        mesh = self.mesh
+        self.detW = np.linalg.det(self.W) if mesh.n > 1 else self.W[:, 0, 0].copy()
         radii = np.linalg.eigvalsh(self.tau)
         self.tau_eigs = radii
         with np.errstate(divide="ignore"):
             self.kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
         self.H = _sigma_means(self.kappa)
-        self.anchor = np.asarray(self.field.anchor, dtype=float)
-        self.shat_anchored = (self.s - x @ self.anchor) / mesh.F_vals
+        self.shat_anchored = (self.s - mesh.nodes @ self.anchor) / mesh.F_vals
         w_ev = np.linalg.eigvalsh(self.W)
         self.min_w_eig = float(np.min(w_ev[:, 0]))
         self.min_tau_eig = float(np.min(radii[:, 0]))
@@ -129,9 +123,6 @@ class CapillaryBody:
         vals = self.shat / so
         return vals if i is None else vals[i]
 
-    def tau_matrix(self, i: int) -> np.ndarray:
-        return self.tau[i]
-
     def tau_eigs_secondary(self) -> np.ndarray:
         """Radii via the Euclidean route: eigenvalues of W A_F^{-1}."""
         return _eig_pair(self.W, self.mesh.A)
@@ -150,17 +141,12 @@ class CapillaryBody:
         <X, E_d> (both vanish together for capillary bodies), and ok is
         False when the co-normal is numerically vertical-degenerate.
         """
-        mesh = self.mesh
-        loop = list(mesh.boundary_loop)
+        loop = list(self.mesh.boundary_loop)
         if i not in loop:
             raise InvalidInputError(f"node {i} is not a boundary node")
         b = loop.index(i)
-        if not mesh.conormal_ok[b]:
-            return 0.0, float(self.X[i, -1]), False
-        grad_shat = self.X[i] - self.shat[i] * mesh.psi[i]
-        lhs = grad_shat @ mesh.G[i] @ mesh.muF[b]
-        rhs = self.mesh.omega0 * self.shat[i] / (mesh.F_vals[i] * mesh.mu[b, -1])
-        return float(lhs - rhs), float(self.X[i, -1]), True
+        res, euclid, ok = self.robin_residuals()
+        return float(res[b]), float(euclid[b]), bool(ok[b])
 
     def robin_residuals(self):
         """(residuals, euclid, ok_mask) across the ordered boundary loop."""
@@ -269,22 +255,8 @@ def minkowski_combine(bodies, lambdas) -> CapillaryBody:
     out.W = lincomb("W")
     out.tau = lincomb("tau")
     out.anchor = lincomb("anchor")
-    out.detW = np.linalg.det(out.W) if mesh.n > 1 else out.W[:, 0, 0].copy()
     out.tau_asym = np.max(np.abs(out.tau - np.swapaxes(out.tau, 1, 2)), axis=(1, 2))
-    radii = np.linalg.eigvalsh(out.tau)
-    out.tau_eigs = radii
-    with np.errstate(divide="ignore"):
-        out.kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
-    out.H = _sigma_means(out.kappa)
-    out.shat_anchored = (out.s - mesh.nodes @ out.anchor) / mesh.F_vals
-    w_ev = np.linalg.eigvalsh(out.W)
-    out.min_w_eig = float(np.min(w_ev[:, 0]))
-    out.min_tau_eig = float(np.min(radii[:, 0]))
-    out.convex = bool(out.min_w_eig > 0 and out.min_tau_eig > 0)
-    bd = mesh.boundary_idx
-    out.boundary_plane_dev = float(np.max(np.abs(out.X[bd, -1]))) if len(bd) else 0.0
-    out.capillary = bool(out.boundary_plane_dev <= 1e-6 * max(1.0, float(np.max(np.abs(out.s))))
-                         and float(np.min(out.X[:, -1])) >= -1e-9)
+    out._derive()
     out._validate()
     return out
 
@@ -402,7 +374,14 @@ def random_capillary_body(mesh_or_config, seed: int, amplitude: float = 0.15) ->
 
 
 def rebind(body: CapillaryBody, mesh: CapMesh) -> CapillaryBody:
-    """Same support field evaluated on another mesh (convergence studies)."""
+    """Same support field evaluated on another mesh (convergence studies).
+
+    On the body's own mesh the caches would come out bit for bit the same,
+    so the validated body itself is returned.
+    """
+    if mesh is body.mesh:
+        body._validate()
+        return body
     return CapillaryBody(mesh, body.field, dict(body.provenance))
 
 

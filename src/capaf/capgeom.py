@@ -200,9 +200,6 @@ class CapConfig:
     def dim(self) -> int:
         return self.n + 1
 
-    def with_level(self, level: int) -> "CapConfig":
-        return CapConfig(self.n, self.omega0, self.norm, level, dict(self.tolerances))
-
 
 # ---------------------------------------------------------------------------
 # mesh

@@ -6,19 +6,24 @@ Subcommands:
   body gen --config P --seed K --out FILE
   study converge --config P --check NAME --levels A..B [--out DIR]
 
+Suites run one after another; --jobs and CAPAF_JOBS are accepted and do
+nothing.  The decay suites (minkowski, symmetry, kernel, operator) and
+`study converge` share one per-level function per check, each the worst
+case over the config's seeds, and one convergence-table builder.
+
 Exit codes: 0 all checks passed, 1 some check failed (or a body could not
 be generated), 2 usage or configuration error.  Identical configs produce
-byte-identical numeric report fields, independently of --jobs; per-record
-wall times (JSON only) are the single exception.
+byte-identical numeric report fields; per-record wall times (JSON only)
+are the single exception.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,8 +32,8 @@ from .bodies import (make_wulff_cap, minkowski_combine, random_capillary_body,
                      rebind, translate_horizontal)
 from .capgeom import build_cap_mesh
 from .config import SUITE_NAMES, SuiteConfig, parse_config
-from .errors import CapafError, GenerationError, InvalidConfigError
-from .fields import kernel_field
+from .errors import CapafError, GenerationError, InvalidConfigError, InvalidInputError
+from .fields import kernel_field, tau_from_generator
 from .mixdisc import (mixed_discriminant, mixed_disc_gradient,
                       md_transform_check)
 from .report import CheckRecord, RunReport, digest, emit_report
@@ -41,7 +46,12 @@ class RunContext:
         self.cfg = cfg
         self._meshes = {}
         self._bodies = {}
-        self.generation_failures = []
+        self._rebound = {}
+
+    @property
+    def analytic(self) -> bool:
+        """False for the FD-backed (perturbed) norm family."""
+        return self.cfg.norm.family != "perturbed"
 
     def mesh(self, level=None):
         level = self.cfg.mesh_level if level is None else level
@@ -57,8 +67,18 @@ class RunContext:
                                                       self.cfg.amplitude)
         return self._bodies[key]
 
-    def body_tuple(self, seed, count, level=None):
-        return [self.body(seed * 101 + j, level) for j in range(count)]
+    def body_tuple(self, seed, count):
+        return [self.body(seed * 101 + j) for j in range(count)]
+
+    def study_body(self, seed, level, top):
+        """Body `seed`, generated on the level-`top` mesh, rebound onto `level`."""
+        key = (seed, level, top)
+        if key not in self._rebound:
+            self._rebound[key] = rebind(self.body(seed, top), self.mesh(level))
+        return self._rebound[key]
+
+    def study_tuple(self, seed, count, level, top):
+        return [self.study_body(seed * 101 + j, level, top) for j in range(count)]
 
     def study_levels(self):
         top = self.cfg.mesh_level
@@ -75,18 +95,33 @@ def _timed_record(suite, name, inputs, fn_check) -> CheckRecord:
     return _timed_since(t0, _report_record(suite, name, inputs, fn_check()))[0]
 
 
-def _ratio_record(suite, name, inputs, values, min_ratio, floor=0.0,
-                  kind="check") -> CheckRecord:
-    """Record asserting that `values` decrease by >= min_ratio per step.
+def _ratios(values):
+    """Decay ratios prev / cur between consecutive levels."""
+    return [prev / max(cur, 1e-300) for prev, cur in zip(values, values[1:])]
+
+
+def _decay_rows(levels, values, residuals=None):
+    """Convergence-table rows [level, value, residual, ratio].
+
+    The residual defaults to the value; the ratio is the previous level's
+    residual over this one (nan on the first level).
+    """
+    residuals = values if residuals is None else residuals
+    ratios = [float("nan")] + _ratios(residuals)
+    return [[level, values[i], residuals[i], ratios[i]] for i, level in enumerate(levels)]
+
+
+def _decay_record(ctx, suite, name, inputs, values, min_ratio, floor) -> CheckRecord:
+    """Record asserting that `values` decrease by >= min_ratio per level.
 
     Decay assertions only make sense above the scheme's noise floor; FD-
-    backed norms run them as diagnostics (kind="diagnostic") because their
-    signed defects live near the floor and can cross zero.
+    backed norms run them as diagnostics because their signed defects live
+    near the floor and can cross zero.
     """
     vals = [float(v) for v in values]
-    ratios = [vals[i] / max(vals[i + 1], 1e-300) for i in range(len(vals) - 1)]
-    worst = min(ratios)
+    worst = min(_ratios(vals))
     passed = worst >= min_ratio or vals[-1] <= floor
+    kind = "check" if ctx.analytic else "diagnostic"
     return CheckRecord(suite, name, digest(inputs), worst, min_ratio,
                        worst - min_ratio, worst / min_ratio - 1.0, min_ratio,
                        bool(passed) or kind != "check", kind=kind)
@@ -105,6 +140,45 @@ def _timed_since(t0, *records):
     for rec in records:
         rec.wall_time_s = dt
     return list(records)
+
+
+# ---------------------------------------------------------------------------
+# per-level checks, shared by the decay suites and `study converge`; bodies
+# are generated on the level-`top` mesh and rebound onto `level`
+# ---------------------------------------------------------------------------
+
+
+def _worst(values):
+    """Largest of `values`, folded from 0.0 (so 0.0 when there are none)."""
+    return max([0.0, *values])
+
+
+def _minkowski_residual(ctx, level, top, k):
+    """|Residual of the capillary Minkowski formula of order k|."""
+    return _worst(abs(fn.minkowski_formula_residual(ctx.study_body(seed, level, top), k))
+                  for seed in ctx.cfg.seeds)
+
+
+def _symmetry_deviations(ctx, level, top):
+    """(swap, trailing-permutation) deviations of the slot form over its scale."""
+    outs = [fn.symmetry_check(ctx.study_tuple(seed, ctx.cfg.n + 1, level, top))
+            for seed in ctx.cfg.seeds]
+    return (_worst(o["swap_deviation"] / o["scale"] for o in outs),
+            _worst(o["trailing_deviation"] / o["scale"] for o in outs))
+
+
+def _kernel_tau(ctx, level, alpha):
+    """Largest intrinsic-route tau entry of the kernel field E_{alpha+1}."""
+    return fn.kernel_tau_intrinsic(ctx.mesh(level), alpha)[0]
+
+
+def _selfadjoint_deviation(ctx, level, top):
+    """|<f, A g> - <g, A f>| for the operator A of the trailing bodies."""
+    def deviation(bods):
+        return fn.operator_selfadjoint_deviation(bods[0], bods[1], bods[2:])
+
+    return _worst(deviation(ctx.study_tuple(seed, ctx.cfg.n + 1, level, top))
+                  for seed in ctx.cfg.seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +247,7 @@ def _run_mixdisc(ctx: RunContext):
 def _run_routes(ctx: RunContext):
     cfg = ctx.cfg
     tol = cfg.tolerances
-    analytic = cfg.norm.family != "perturbed"
-    route_tol = tol["routes_analytic"] if analytic else tol["routes_fd"]
+    route_tol = tol["routes_analytic"] if ctx.analytic else tol["routes_fd"]
     records = []
     for seed in cfg.seeds:
         bods = ctx.body_tuple(seed, cfg.n + 1)
@@ -251,15 +324,13 @@ def _run_chain(ctx: RunContext):
         others = ctx.body_tuple(seed, n + 1)
         for m in range(2, n + 2):
             trailing = others[2:2 + (n + 1 - m)]
-            for i in range(0, m - 1):
-                for j in range(i + 1, m):
-                    for k in range(j + 1, m + 1):
-                        records.append(_timed_record(
-                            "chain", f"gen-m{m}-i{i}-j{j}-k{k}.seed{seed}", inputs,
-                            lambda m=m, i=i, j=j, k=k, trailing=trailing:
-                            fn.generalized_chain_check(
-                                others[0], others[1], trailing, m, i, j, k,
-                                tol=tol["chain_gap"])))
+            for i, j, k in itertools.combinations(range(m + 1), 3):
+                records.append(_timed_record(
+                    "chain", f"gen-m{m}-i{i}-j{j}-k{k}.seed{seed}", inputs,
+                    lambda m=m, i=i, j=j, k=k, trailing=trailing:
+                    fn.generalized_chain_check(
+                        others[0], others[1], trailing, m, i, j, k,
+                        tol=tol["chain_gap"])))
     wulff = make_wulff_cap(mesh, 1.3)
     records.append(_timed_record(
         "chain", "wulff-equality", {"r0": 1.3},
@@ -285,52 +356,25 @@ def _run_minkowski(ctx: RunContext):
     tables = {}
     for k in range(cfg.n):
         t0 = time.perf_counter()
-        agg = []
-        for level in levels:
-            worst = 0.0
-            for seed in cfg.seeds:
-                body = rebind(ctx.body(seed, levels[-1]), ctx.mesh(level))
-                worst = max(worst, abs(fn.minkowski_formula_residual(body, k)))
-            agg.append(worst)
-        rows = []
-        for i, level in enumerate(levels):
-            ratio = agg[i - 1] / max(agg[i], 1e-300) if i else float("nan")
-            rows.append([level, agg[i], agg[i], ratio])
-        tables[f"minkowski-k{k}"] = rows
-        kind = "check" if cfg.norm.family != "perturbed" else "diagnostic"
-        records += _timed_since(t0, _ratio_record(
-            "minkowski", f"residual-decay-k{k}", {"levels": levels, "k": k},
-            agg, cfg.tolerances["minkowski_ratio"], floor=1e-9, kind=kind))
+        agg = [_minkowski_residual(ctx, level, levels[-1], k) for level in levels]
+        tables[f"minkowski-k{k}"] = _decay_rows(levels, agg)
+        records += _timed_since(t0, _decay_record(
+            ctx, "minkowski", f"residual-decay-k{k}", {"levels": levels, "k": k},
+            agg, cfg.tolerances["minkowski_ratio"], floor=1e-9))
     return records, tables
 
 
 def _run_symmetry(ctx: RunContext):
     cfg = ctx.cfg
     levels = ctx.study_levels()
-    records = []
-    tables = {}
-    swap_agg, trail_agg = [], []
     t0 = time.perf_counter()
-    for level in levels:
-        worst_swap, worst_trail = 0.0, 0.0
-        for seed in cfg.seeds:
-            fine = ctx.body_tuple(seed, cfg.n + 1, levels[-1])
-            bods = [rebind(b, ctx.mesh(level)) for b in fine]
-            out = fn.symmetry_check(bods)
-            worst_swap = max(worst_swap, out["swap_deviation"] / out["scale"])
-            worst_trail = max(worst_trail, out["trailing_deviation"] / out["scale"])
-        swap_agg.append(worst_swap)
-        trail_agg.append(worst_trail)
-    rows = []
-    for i, level in enumerate(levels):
-        ratio = swap_agg[i - 1] / max(swap_agg[i], 1e-300) if i else float("nan")
-        rows.append([level, swap_agg[i], swap_agg[i], ratio])
-    tables["symmetry-swap"] = rows
-    kind = "check" if cfg.norm.family != "perturbed" else "diagnostic"
-    records += _timed_since(
+    swap_agg, trail_agg = zip(*(_symmetry_deviations(ctx, level, levels[-1])
+                                for level in levels))
+    tables = {"symmetry-swap": _decay_rows(levels, swap_agg)}
+    records = _timed_since(
         t0,
-        _ratio_record("symmetry", "swap-decay", {"levels": levels}, swap_agg,
-                      cfg.tolerances["symmetry_ratio"], floor=1e-12, kind=kind),
+        _decay_record(ctx, "symmetry", "swap-decay", {"levels": levels}, swap_agg,
+                      cfg.tolerances["symmetry_ratio"], floor=1e-12),
         _value_record("symmetry", "trailing-permutation", {"levels": levels},
                       max(trail_agg), cfg.tolerances["symmetry_trailing"]))
     # diagnostic: symmetry on differences of capillary functions (logged only)
@@ -367,42 +411,30 @@ def _run_kernel(ctx: RunContext):
     levels = ctx.study_levels()
     records = []
     tables = {}
-    analytic = cfg.norm.family != "perturbed"
-    if analytic:
+    if ctx.analytic:
         for alpha in range(cfg.n):
             t0 = time.perf_counter()
-            decay = []
-            for level in levels:
-                val, _ = fn.kernel_tau_intrinsic(ctx.mesh(level), alpha)
-                decay.append(val)
-            rows = []
-            for i, level in enumerate(levels):
-                ratio = decay[i - 1] / max(decay[i], 1e-300) if i else float("nan")
-                rows.append([level, decay[i], decay[i], ratio])
-            tables[f"kernel-E{alpha + 1}"] = rows
+            decay = [_kernel_tau(ctx, level, alpha) for level in levels]
+            tables[f"kernel-E{alpha + 1}"] = _decay_rows(levels, decay)
             records += _timed_since(
                 t0,
                 _value_record("kernel", f"tau-max-E{alpha + 1}", {"levels": levels},
                               decay[-1] * (4.0 ** (levels[-1] - 4)),  # normalized to level 4
                               cfg.tolerances["kernel_max"]),
-                _ratio_record("kernel", f"tau-decay-E{alpha + 1}", {"levels": levels},
+                _decay_record(ctx, "kernel", f"tau-decay-E{alpha + 1}", {"levels": levels},
                               decay, cfg.tolerances["kernel_ratio"], floor=1e-11))
     else:
         for alpha in range(cfg.n):
             t0 = time.perf_counter()
-            val, _ = fn.kernel_tau_intrinsic(ctx.mesh(), alpha)
+            val = _kernel_tau(ctx, cfg.mesh_level, alpha)
             records += _timed_since(t0, _value_record(
                 "kernel", f"tau-max-E{alpha + 1}-fd-smoke",
                 {"level": cfg.mesh_level}, val, 1e-2))
     # generator-route kernels are exactly linear: tau vanishes to FD noise
-    from .fields import tau_from_generator
-
     t0 = time.perf_counter()
     mesh = ctx.mesh()
-    worst = 0.0
-    for alpha in range(cfg.n):
-        tau, _ = tau_from_generator(mesh, kernel_field(mesh, alpha))
-        worst = max(worst, float(np.max(np.abs(tau))))
+    taus = (tau_from_generator(mesh, kernel_field(mesh, alpha))[0] for alpha in range(cfg.n))
+    worst = _worst(float(np.max(np.abs(tau))) for tau in taus)
     records += _timed_since(t0, _value_record(
         "kernel", "generator-route-zero", {"level": cfg.mesh_level}, worst, 1e-10))
     return records, tables
@@ -412,9 +444,8 @@ def _run_operator(ctx: RunContext):
     cfg = ctx.cfg
     tol = cfg.tolerances
     records = []
-    tables = {}
     if cfg.n < 2:
-        return records, tables
+        return records, {}
     levels = ctx.study_levels()
     for seed in cfg.seeds:
         inputs = {"seed": seed, "level": cfg.mesh_level}
@@ -438,24 +469,10 @@ def _run_operator(ctx: RunContext):
                                                tol=tol["operator_energy"])))
     # self-adjointness decay with refinement (aggregate over seeds)
     t0 = time.perf_counter()
-    devs = []
-    for level in levels:
-        worst = 0.0
-        for seed in cfg.seeds:
-            fine = ctx.body_tuple(seed, cfg.n + 1, levels[-1])
-            bods = [rebind(b, ctx.mesh(level)) for b in fine]
-            worst = max(worst, fn.operator_selfadjoint_deviation(
-                bods[0], bods[1], bods[2:] if cfg.n > 2 else [bods[2]]))
-        devs.append(worst)
-    rows = []
-    for i, level in enumerate(levels):
-        ratio = devs[i - 1] / max(devs[i], 1e-300) if i else float("nan")
-        rows.append([level, devs[i], devs[i], ratio])
-    tables["operator-selfadjoint"] = rows
-    kind = "check" if cfg.norm.family != "perturbed" else "diagnostic"
-    records += _timed_since(t0, _ratio_record(
-        "operator", "selfadjoint-decay", {"levels": levels}, devs, 2.0, floor=1e-10, kind=kind))
-    return records, tables
+    devs = [_selfadjoint_deviation(ctx, level, levels[-1]) for level in levels]
+    records += _timed_since(t0, _decay_record(
+        ctx, "operator", "selfadjoint-decay", {"levels": levels}, devs, 2.0, floor=1e-10))
+    return records, {"operator-selfadjoint": _decay_rows(levels, devs)}
 
 
 SUITE_RUNNERS = {
@@ -472,34 +489,19 @@ SUITE_RUNNERS = {
 
 
 def run_suite(cfg: SuiteConfig) -> RunReport:
-    """Run the selected suites and assemble the report."""
+    """Run the selected suites, one after another, and assemble the report."""
     ctx = RunContext(cfg)
     report = RunReport(config_echo=cfg.echo())
-    suites = [s for s in SUITE_RUNNERS if s in cfg.suites]
-
-    def run_one(name):
+    for name in SUITE_RUNNERS:
+        if name not in cfg.suites:
+            continue
         try:
             out = SUITE_RUNNERS[name](ctx)
         except GenerationError as exc:
-            rec = CheckRecord(name, "generation-failure", digest(str(exc)),
-                              float("nan"), float("nan"), float("nan"),
-                              float("nan"), float("nan"), False)
-            return [rec], {}
-        if isinstance(out, tuple):
-            return out
-        return out, {}
-
-    if cfg.jobs > 1:
-        # warm the shared mesh caches serially first: runners mutate ctx
-        for level in ctx.study_levels():
-            if any(s in suites for s in ("minkowski", "symmetry", "kernel", "operator")):
-                ctx.mesh(level)
-        ctx.mesh()
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_one, suites))
-    else:
-        results = [run_one(s) for s in suites]
-    for (records, tables) in results:
+            out = [CheckRecord(name, "generation-failure", digest(str(exc)),
+                               float("nan"), float("nan"), float("nan"),
+                               float("nan"), float("nan"), False)]
+        records, tables = out if isinstance(out, tuple) else (out, {})
         report.records.extend(records)
         report.convergence.update(tables)
     report.records.sort(key=lambda r: (r.suite, r.name))
@@ -515,15 +517,12 @@ def _cmd_verify(args) -> int:
     cfg = parse_config(args.config)
     if args.suite:
         if args.suite not in SUITE_NAMES:
-            print(f"error: unknown suite {args.suite!r}; valid: {', '.join(SUITE_NAMES)}",
-                  file=sys.stderr)
-            return 2
+            raise InvalidInputError(
+                f"unknown suite {args.suite!r}; valid: {', '.join(SUITE_NAMES)}")
         cfg.suites = ([s for s in SUITE_NAMES if s != "all"]
                       if args.suite == "all" else [args.suite])
     if args.out:
         cfg.out_dir = args.out
-    if args.jobs:
-        cfg.jobs = args.jobs
     report = run_suite(cfg)
     paths = emit_report(report, cfg.out_dir)
     s = report.summary
@@ -558,11 +557,7 @@ def _cmd_mesh_info(args) -> int:
 def _cmd_body_gen(args) -> int:
     cfg = parse_config(args.config)
     mesh = build_cap_mesh(cfg.cap_config())
-    try:
-        body = random_capillary_body(mesh, args.seed, cfg.amplitude)
-    except GenerationError as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return 1
+    body = random_capillary_body(mesh, args.seed, cfg.amplitude)
     res, euc, ok = body.robin_residuals()
     print(f"seed {args.seed}: min W eig {body.min_w_eig!r}, min tau eig "
           f"{body.min_tau_eig!r}, min s_hat {float(np.min(body.shat))!r}")
@@ -575,82 +570,55 @@ def _cmd_body_gen(args) -> int:
     return 0
 
 
-STUDY_CHECKS = ("minkowski", "symmetry", "kernel", "divergence", "area",
-                "operator_adjoint")
+def _divergence_residual(ctx, level, top):
+    """Divergence identity residual of body seeds[0] against body seeds[0] + 1."""
+    seed = ctx.cfg.seeds[0]
+    trailing = [ctx.study_body(seed + 1, level, top)] * (ctx.cfg.n - 1)
+    return fn.divergence_identity_check(ctx.study_body(seed, level, top),
+                                        trailing)["max_residual"]
+
+
+# study check -> per-level value (ctx, level, top); minkowski and kernel take
+# the worst order / kernel field, symmetry the swap deviation
+STUDIES = {
+    "minkowski": lambda ctx, level, top: max(
+        _minkowski_residual(ctx, level, top, k) for k in range(ctx.cfg.n)),
+    "symmetry": lambda ctx, level, top: _symmetry_deviations(ctx, level, top)[0],
+    "kernel": lambda ctx, level, top: max(
+        _kernel_tau(ctx, level, alpha) for alpha in range(ctx.cfg.n)),
+    "divergence": _divergence_residual,
+    "area": lambda ctx, level, top: abs(ctx.mesh(level).sigma_total),
+    "operator_adjoint": _selfadjoint_deviation,
+}
 
 
 def _cmd_study(args) -> int:
     cfg = parse_config(args.config)
-    if args.check not in STUDY_CHECKS:
-        print(f"error: unknown check {args.check!r}; valid: {', '.join(STUDY_CHECKS)}",
-              file=sys.stderr)
-        return 2
+    if args.check not in STUDIES:
+        raise InvalidInputError(f"unknown check {args.check!r}; valid: {', '.join(STUDIES)}")
     try:
         lo, hi = (int(v) for v in args.levels.split(".."))
     except ValueError:
-        print("error: --levels expects A..B", file=sys.stderr)
-        return 2
+        raise InvalidInputError("--levels expects A..B") from None
     if hi < lo:
-        print(f"error: --levels {args.levels} is empty; expects A..B with A <= B",
-              file=sys.stderr)
-        return 2
+        raise InvalidInputError(f"--levels {args.levels} is empty; expects A..B with A <= B")
+    if args.check == "operator_adjoint" and cfg.n < 2:
+        raise InvalidInputError("operator study needs n >= 2")
     levels = list(range(lo, hi + 1))
     ctx = RunContext(cfg)
-    values = []
-    for level in levels:
-        mesh = ctx.mesh(level)
-        if args.check == "area":
-            val = abs(mesh.sigma_total)
-            # self-convergence: difference to the next level, filled later
-            values.append(val)
-        elif args.check == "kernel":
-            val = max(fn.kernel_tau_intrinsic(mesh, alpha)[0] for alpha in range(cfg.n))
-            values.append(val)
-        elif args.check == "minkowski":
-            worst = 0.0
-            for seed in cfg.seeds:
-                body = rebind(ctx.body(seed, levels[-1]), mesh)
-                for k in range(cfg.n):
-                    worst = max(worst, abs(fn.minkowski_formula_residual(body, k)))
-            values.append(worst)
-        elif args.check == "symmetry":
-            worst = 0.0
-            for seed in cfg.seeds:
-                bods = [rebind(b, mesh) for b in ctx.body_tuple(seed, cfg.n + 1, levels[-1])]
-                out = fn.symmetry_check(bods)
-                worst = max(worst, out["swap_deviation"] / out["scale"])
-            values.append(worst)
-        elif args.check == "divergence":
-            b1 = rebind(ctx.body(cfg.seeds[0], levels[-1]), mesh)
-            trailing = [rebind(ctx.body(cfg.seeds[0] + 1, levels[-1]), mesh)
-                        for _ in range(cfg.n - 1)]
-            values.append(fn.divergence_identity_check(b1, trailing)["max_residual"])
-        elif args.check == "operator_adjoint":
-            if cfg.n < 2:
-                print("error: operator study needs n >= 2", file=sys.stderr)
-                return 2
-            bods = [rebind(b, mesh) for b in ctx.body_tuple(cfg.seeds[0], cfg.n + 1, levels[-1])]
-            values.append(fn.operator_selfadjoint_deviation(bods[0], bods[1], [bods[2]]))
+    values = [STUDIES[args.check](ctx, level, hi) for level in levels]
+    residuals = None
     if args.check == "area":
         # Richardson self-convergence of the region measure
-        residuals = [abs(values[i] - values[-1]) for i in range(len(values) - 1)] + [float("nan")]
-    else:
-        residuals = values
-    print("level,value,residual,ratio")
-    rows = []
-    for i, level in enumerate(levels):
-        ratio = (residuals[i - 1] / residuals[i]
-                 if i and residuals[i] and residuals[i] == residuals[i] else float("nan"))
-        rows.append([level, values[i], residuals[i], ratio])
-        print(f"{level},{values[i]!r},{residuals[i]!r},{ratio!r}")
+        residuals = [abs(v - values[-1]) for v in values[:-1]] + [float("nan")]
+    lines = ["level,value,residual,ratio"]
+    lines += [",".join(map(repr, row)) for row in _decay_rows(levels, values, residuals)]
+    print("\n".join(lines))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"study-{args.check}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("level,value,residual,ratio\n")
-            for row in rows:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+            fh.write("\n".join(lines) + "\n")
         print(f"table written to {path}")
     return 0
 
@@ -691,23 +659,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"verify": _cmd_verify, "mesh": _cmd_mesh_info, "body": _cmd_body_gen,
+                "study": _cmd_study}
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "mesh":
-            return _cmd_mesh_info(args)
-        if args.command == "body":
-            return _cmd_body_gen(args)
-        if args.command == "study":
-            return _cmd_study(args)
+        return commands[args.command](args)
     except InvalidConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
+    except GenerationError as exc:
+        print(f"generation failed: {exc}", file=sys.stderr)
+        return 1
     except CapafError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ class SuiteConfig:
     suites: list
     out_dir: str
     amplitude: float = 0.15
-    jobs: int = 1
 
     def cap_config(self, level: int | None = None) -> CapConfig:
         return CapConfig(self.n, self.omega0, self.norm,
@@ -194,12 +193,12 @@ def parse_config(path: str) -> SuiteConfig:
         seeds = []
 
     out_dir = os.environ.get("CAPAF_OUT") or get("output", "dir", "capaf-out")
+    # CAPAF_JOBS is accepted and ignored (suites run serially), but must be an integer
     jobs_raw = os.environ.get("CAPAF_JOBS", "1")
     try:
-        jobs = int(jobs_raw)
+        int(jobs_raw)
     except ValueError:
         errors.append(f"CAPAF_JOBS: expected an integer worker count, got {jobs_raw!r}")
-        jobs = 1
 
     if not 0 <= level <= 7:
         errors.append(f"mesh.level: {level} out of range [0, 7]")
@@ -208,5 +207,4 @@ def parse_config(path: str) -> SuiteConfig:
         raise InvalidConfigError("; ".join(errors), errors=errors)
     return SuiteConfig(n=n, omega0=omega0, norm=norm, mesh_level=level,
                        fd_step=fd_step, tolerances=tolerances, seeds=seeds,
-                       suites=suites, out_dir=out_dir, amplitude=amplitude,
-                       jobs=jobs)
+                       suites=suites, out_dir=out_dir, amplitude=amplitude)

@@ -12,6 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 
+def _extrapolate(stencil, h: float, b: int, richardson: bool):
+    """Richardson combination of stencil(h) and stencil(h/2) and the
+    step-halving discrepancy per row (zeros when richardson=False)."""
+    d_h = stencil(h)
+    if not richardson:
+        return d_h, np.zeros(b)
+    d_h2 = stencil(h / 2.0)
+    return (4.0 * d_h2 - d_h) / 3.0, np.max(np.abs(d_h2 - d_h).reshape(b, -1), axis=-1)
+
+
 def central_gradient(f, x: np.ndarray, h: float, richardson: bool = True):
     """Gradient of f at each row of x.
 
@@ -27,13 +37,7 @@ def central_gradient(f, x: np.ndarray, h: float, richardson: bool = True):
         vals = f(pts.reshape(-1, d)).reshape(b, 2 * d)
         return (vals[:, :d] - vals[:, d:]) / (2.0 * step)
 
-    g_h = diff(h)
-    if not richardson:
-        return g_h, np.zeros(b)
-    g_h2 = diff(h / 2.0)
-    grad = (4.0 * g_h2 - g_h) / 3.0
-    err = np.max(np.abs(g_h2 - g_h), axis=-1)
-    return grad, err
+    return _extrapolate(diff, h, b, richardson)
 
 
 def central_hessian(f, x: np.ndarray, h: float, richardson: bool = True):
@@ -66,10 +70,4 @@ def central_hessian(f, x: np.ndarray, h: float, richardson: bool = True):
                 out[:, c, a] = val
         return out
 
-    h_h = hess_at(h)
-    if not richardson:
-        return h_h, np.zeros(b)
-    h_h2 = hess_at(h / 2.0)
-    hess = (4.0 * h_h2 - h_h) / 3.0
-    err = np.max(np.abs(h_h2 - h_h).reshape(b, -1), axis=-1)
-    return hess, err
+    return _extrapolate(hess_at, h, b, richardson)

@@ -201,10 +201,6 @@ class SphericalBumpField(SupportField):
         out = self.amplitude * h / r[:, None, None]
         return out if np.asarray(x).ndim > 1 else out[0]
 
-    def support_radius_cos(self) -> float:
-        """Support is {<x^, c> >= 1 - width}; returns 1 - width."""
-        return 1.0 - self.width
-
 
 class CombinationField(SupportField):
     """Linear combination of support fields (Minkowski combinations)."""

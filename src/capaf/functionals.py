@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .capgeom import CapMesh
 from .errors import ConvexityViolationError, InvalidInputError
 from .fields import (SupportField, field_values_on_cap, intrinsic_tau,
                      tau_from_generator)
-from .mixdisc import mixed_discriminant_batch
+from .mixdisc import mixed_disc_gradient, mixed_discriminant_batch
 
 _GUARD = 1e-30
 
@@ -71,12 +71,9 @@ class InequalityReport:
 
     @staticmethod
     def identity(name, lhs, rhs, tol, notes=None):
-        lhs, rhs = float(lhs), float(rhs)
-        gap = lhs - rhs
-        scale = max(abs(lhs), abs(rhs), _GUARD)
-        return InequalityReport(name, lhs, rhs, gap, gap / scale, tol,
-                                bool(abs(gap) <= tol * scale), True, "identity",
-                                notes or {})
+        rep = InequalityReport.inequality(name, lhs, rhs, tol, True, notes)
+        rep.mode = "identity"
+        return rep
 
 
 @dataclass
@@ -188,18 +185,10 @@ def _mv_polyfit(bodies) -> tuple:
     """
     mesh = _require_shared_mesh(bodies)
     n1 = mesh.n + 1
-    distinct = []
-    index = []
-    for b in bodies:
-        for k, db in enumerate(distinct):
-            if db is b:
-                index.append(k)
-                break
-        else:
-            distinct.append(b)
-            index.append(len(distinct) - 1)
+    distinct = list({id(b): b for b in bodies}.values())
     m = len(distinct)
-    alpha_target = tuple(sorted(index))
+    target = tuple(sorted(next(k for k, db in enumerate(distinct) if db is b)
+                          for b in bodies))
     monomials = sorted(set(itertools.combinations_with_replacement(range(m), n1)))
     ncoef = len(monomials)
     grid_axis = (0.5, 1.0, 1.5, 2.0)
@@ -212,22 +201,12 @@ def _mv_polyfit(bodies) -> tuple:
     a = np.empty((len(picked), ncoef))
     y = np.empty(len(picked))
     for r, lam in enumerate(picked):
-        for c, mono in enumerate(monomials):
-            val = 1.0
-            for v in mono:
-                val *= lam[v]
-            a[r, c] = val
+        a[r] = [prod(lam[v] for v in mono) for mono in monomials]
         y[r] = volume_of_combination(distinct, lam)
     coef, res, rank, sv = np.linalg.lstsq(a, y, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    target = tuple(sorted(alpha_target))
     c_idx = monomials.index(target)
-    counts = [target.count(v) for v in range(m)]
-    multinom = 1.0
-    tot = n1
-    for cnt in counts:
-        multinom *= comb(tot, cnt)
-        tot -= cnt
+    multinom = factorial(n1) / prod(factorial(target.count(v)) for v in range(m))
     resid = float(np.sqrt(res[0])) if len(np.atleast_1d(res)) else 0.0
     return float(coef[c_idx] / multinom), cond, resid
 
@@ -409,6 +388,22 @@ def steiner_check(body: CapillaryBody, t_grid=None, tol: float = 1e-4) -> Inequa
 # ---------------------------------------------------------------------------
 
 
+def _stencil_safe_interior(mesh: CapMesh, margin: float):
+    """Interior nodes farther than `margin` (arc length) from every boundary
+    node, and the count of interior nodes left out."""
+    interior = mesh.interior_idx
+    if len(mesh.boundary_idx):
+        bx = mesh.nodes[mesh.boundary_idx]
+        dots = mesh.nodes[interior] @ bx.T
+        arc = np.arccos(np.clip(np.max(dots, axis=1), -1.0, 1.0))
+        ok = arc > margin
+    else:
+        ok = np.ones(len(interior), dtype=bool)
+    if not np.any(ok):
+        raise InvalidInputError("no interior nodes clear the stencil margin")
+    return interior[ok], int(np.sum(~ok))
+
+
 def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int,
                          step: float):
     """tau of a body at geodesic offsets, in first-order transported frames.
@@ -465,42 +460,23 @@ def divergence_identity_check(f1_body: CapillaryBody, trailing, step: float | No
         raise InvalidInputError(f"need n-1 = {n - 1} trailing bodies")
     if step is None:
         step = 0.2 * 0.5**mesh.config.mesh_level
-    # stencil-safe interior nodes
-    interior = mesh.interior_idx
-    if len(mesh.boundary_idx):
-        bx = mesh.nodes[mesh.boundary_idx]
-        dots = mesh.nodes[interior] @ bx.T
-        arc = np.arccos(np.clip(np.max(dots, axis=1), -1.0, 1.0))
-        ok = arc > 3.0 * step
-    else:
-        ok = np.ones(len(interior), dtype=bool)
-    idx = interior[ok]
-    skipped = int(np.sum(~ok))
-    if len(idx) == 0:
-        raise InvalidInputError("no interior nodes clear the stencil margin")
+    idx, skipped = _stencil_safe_interior(mesh, 3.0 * step)
 
     grad_f1 = np.einsum("bkd,bde,be->bk", mesh.frame[idx], mesh.G[idx], f1_body.X[idx])
-
-    def q_grad_matrix(taus):
-        if n == 1:
-            return np.ones((len(idx), 1, 1))
-        a2 = taus[0]
-        tr = np.trace(a2, axis1=-2, axis2=-1)
-        return 0.5 * (tr[:, None, None] * np.eye(2)[None] - np.swapaxes(a2, -1, -2))
-
-    qij = q_grad_matrix([b.tau[idx] for b in trailing])
+    # Q^{ij} = dQ/d(tau_1)_{ij}; Q is linear in tau_1, so f1 only fixes the shape
+    head = [f1_body.tau[idx]]
+    taus = [b.tau[idx] for b in trailing]
+    qij = mixed_disc_gradient(head + taus)
 
     # grad_m of Q^{ij}: multilinear in each trailing tau, so substitute the
-    # transported-frame derivative of each tau in its slot (n = 2: one slot)
+    # transported-frame derivative of each tau in its slot
     dq = np.zeros((len(idx), n, n, n))  # (node, m, i, j)
     for m_dir in range(n):
         for t_i, b in enumerate(trailing):
             tp, tm = _tau_form_at_offsets(mesh, b, idx, m_dir, step)
-            dtau = (tp - tm) / (2.0 * step)
-            if n == 2:
-                tr = np.trace(dtau, axis1=-2, axis2=-1)
-                dq[:, m_dir] += 0.5 * (tr[:, None, None] * np.eye(2)[None]
-                                       - np.swapaxes(dtau, -1, -2))
+            slots = list(taus)
+            slots[t_i] = (tp - tm) / (2.0 * step)
+            dq[:, m_dir] += mixed_disc_gradient(head + slots)
     qf = mesh.q_frame[idx]
     # term1 = sum_ij (grad_j Q^{ij}) grad_i f1
     div_q = np.einsum("bjij->bi", dq)
@@ -700,16 +676,7 @@ def kernel_tau_intrinsic(mesh: CapMesh, alpha: int, step: float | None = None,
 
     if step is None:
         step = 0.3 * 0.5**mesh.config.mesh_level
-    interior = mesh.interior_idx
-    if len(mesh.boundary_idx):
-        bx = mesh.nodes[mesh.boundary_idx]
-        dots = mesh.nodes[interior] @ bx.T
-        arc = np.arccos(np.clip(np.max(dots, axis=1), -1.0, 1.0))
-        idx = interior[arc > margin_factor * step]
-    else:
-        idx = interior
-    if len(idx) == 0:
-        raise InvalidInputError("no interior nodes clear the stencil margin")
+    idx, _ = _stencil_safe_interior(mesh, margin_factor * step)
     ev = kernel_evaluator(mesh, alpha)
     tau, _ = intrinsic_tau(mesh, ev, idx, step)
     return float(np.max(np.abs(tau))), {"checked": int(len(idx)), "step": step}

@@ -59,17 +59,15 @@ class RunReport:
     def all_passed(self) -> bool:
         return self.summary["failed"] == 0
 
-    def to_json(self, include_wall_time: bool = True) -> str:
+    def to_json(self) -> str:
         records = []
         for r in sorted(self.records, key=lambda r: (r.suite, r.name)):
             item = {
                 "suite": r.suite, "name": r.name, "inputs_digest": r.inputs_digest,
                 "lhs": r.lhs, "rhs": r.rhs, "gap": r.gap,
                 "relative_gap": r.relative_gap, "tolerance": r.tolerance,
-                "passed": r.passed, "kind": r.kind,
+                "passed": r.passed, "kind": r.kind, "wall_time_s": r.wall_time_s,
             }
-            if include_wall_time:
-                item["wall_time_s"] = r.wall_time_s
             records.append(item)
         payload = {
             "tool": {"name": "capaf", "version": TOOL_VERSION},

@@ -311,6 +311,22 @@ def test_rebind_preserves_field(body_factory, mesh_factory):
     assert fine.convex and fine.capillary
 
 
+def test_rebind_onto_own_mesh_returns_the_body(body_factory, mesh_factory):
+    from capaf.bodies import CapillaryBody
+
+    body = body_factory("ell3", -0.4, 3, seed=15)
+    assert rebind(body, body.mesh) is body
+    fresh = CapillaryBody(body.mesh, body.field, body.provenance)
+    for attr in ("s", "X", "W", "tau", "H", "shat_anchored"):
+        assert np.array_equal(getattr(fresh, attr), getattr(body, attr)), attr
+    mesh = mesh_factory("ell3", -0.4, 3)
+    concave = body_from_field(mesh, -1.0 * mesh.cap_body.field, validate=False)
+    with pytest.raises(ConvexityViolationError):
+        rebind(concave, mesh)
+    with pytest.raises(ConvexityViolationError):
+        rebind(concave, mesh_factory("ell3", -0.4, 2))
+
+
 def test_record_roundtrip_fields(body_factory):
     body = body_factory("pert3", -0.35, 3, seed=16)
     rec = body.record()

@@ -252,3 +252,102 @@ def test_study_rejects_unknown_check(tmp_path, capsys):
                  "--levels", "oops"]) == 2
     assert main(["study", "converge", "--config", path, "--check", "area",
                  "--levels", "5..3"]) == 2
+
+
+STUDY = ELLIPSOID.replace("level = 2", "level = 3").replace("run = mixdisc",
+                                                           "run = minkowski symmetry operator")
+HALFDISK = """
+[geometry]
+n = 1
+omega0 = 0.0
+
+[norm]
+family = isotropic
+
+[mesh]
+level = 3
+
+[seeds]
+seeds = 1 2
+"""
+
+
+def _study_table(out):
+    lines = out.strip().splitlines()
+    assert lines[0] == "level,value,residual,ratio"
+    return {int(row.split(",")[0]): float(row.split(",")[1]) for row in lines[1:]}
+
+
+@pytest.mark.parametrize("check", ["minkowski", "symmetry", "kernel", "divergence",
+                                   "area", "operator_adjoint"])
+def test_study_converge_every_check(tmp_path, capsys, check):
+    path = write(tmp_path, ELLIPSOID)
+    out = tmp_path / "study"
+    assert main(["study", "converge", "--config", path, "--check", check,
+                 "--levels", "2..3", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    table = (out / f"study-{check}.csv").read_text()
+    assert printed.startswith(table)
+    values = _study_table(table)
+    assert sorted(values) == [2, 3]
+    assert all(np.isfinite(v) and v >= 0.0 for v in values.values())
+
+
+def test_study_operator_needs_two_dimensions(tmp_path, capsys):
+    path = write(tmp_path, HALFDISK)
+    assert main(["study", "converge", "--config", path, "--check", "operator_adjoint",
+                 "--levels", "2..3"]) == 2
+    assert "needs n >= 2" in capsys.readouterr().err
+
+
+def test_study_values_match_verify_tables(tmp_path, capsys):
+    """`study converge` and the verify decay suites share one per-level path."""
+    path = write(tmp_path, STUDY)
+    out = tmp_path / "verify"
+    main(["verify", "--config", path, "--out", str(out)])
+    tables = {}
+    for row in (out / "convergence.csv").read_text().splitlines()[1:]:
+        name, level, value = row.split(",")[:3]
+        tables.setdefault(name, {})[int(level)] = float(value)
+    capsys.readouterr()
+    top = parse_config(path).mesh_level
+    expected = {
+        "minkowski": {lvl: max(tables["minkowski-k0"][lvl], tables["minkowski-k1"][lvl])
+                      for lvl in tables["minkowski-k0"]},
+        "symmetry": tables["symmetry-swap"],
+        "operator_adjoint": tables["operator-selfadjoint"],
+    }
+    for check, table in expected.items():
+        assert sorted(table) == [1, 2, top]
+        assert main(["study", "converge", "--config", path, "--check", check,
+                     "--levels", f"1..{top}"]) == 0
+        assert _study_table(capsys.readouterr().out) == table, check
+
+
+def test_decay_suites_rebind_each_body_once_per_level(tmp_path, monkeypatch):
+    import capaf.cli as cli
+
+    made = []
+    real_rebind = cli.rebind
+
+    def counting(body, mesh):
+        out = real_rebind(body, mesh)
+        if out is not body:
+            made.append((body.provenance["seed"], mesh.config.mesh_level))
+        return out
+
+    monkeypatch.setattr(cli, "rebind", counting)
+    cfg = parse_config(write(tmp_path, STUDY))
+    cli.run_suite(cfg)
+    seeds = set(cfg.seeds) | {s * 101 + j for s in cfg.seeds for j in range(cfg.n + 1)}
+    assert sorted(made) == sorted((s, lvl) for s in seeds for lvl in (1, 2))
+
+
+def test_generation_failure_exits_1(tmp_path, capsys):
+    text = MINIMAL.replace("omega0 = 0.0", "omega0 = -0.99")
+    path = write(tmp_path, text)
+    assert main(["study", "converge", "--config", path, "--check", "symmetry",
+                 "--levels", "2..3"]) == 1
+    assert "generation failed: random body generation exhausted" in capsys.readouterr().err
+    assert main(["body", "gen", "--config", path, "--seed", "1"]) == 1
+    assert "generation failed" in capsys.readouterr().err
