@@ -104,10 +104,12 @@ def _decay_rows(levels, values, residuals=None):
     """Convergence-table rows [level, value, residual, ratio].
 
     The residual defaults to the value; the ratio is the previous level's
-    residual over this one (nan on the first level).
+    residual over this one (nan on the first level, and wherever this
+    residual is exactly 0, where no decay rate can be read).
     """
     residuals = values if residuals is None else residuals
-    ratios = [float("nan")] + _ratios(residuals)
+    ratios = [float("nan")] + [r if cur != 0 else float("nan")
+                               for r, cur in zip(_ratios(residuals), residuals[1:])]
     return [[level, values[i], residuals[i], ratios[i]] for i, level in enumerate(levels)]
 
 

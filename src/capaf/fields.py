@@ -15,16 +15,23 @@ Two curvature-radii routes live here:
 * the intrinsic route: tau = (covariant Hessian) + f g - Q(., ., grad f)/2
   evaluated by second differences along quadratic geodesic Taylor curves
   re-projected onto the cap, with a caller-chosen step (tied to the mesh
-  level in convergence studies).
+  level in convergence studies).  The field enters as a plain function
+  fn(z, x_warm) of Wulff-shape points z and nearby Gauss preimages x_warm
+  (kernel_evaluator builds the kernel field's).
+
+Support fields take one point (d,) or a batch (B, d) and answer in kind;
+the bump field shares its zonal derivative chain with the norm layer.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from .capgeom import CapMesh
 from .errors import InvalidInputError
-from .norms import MinkowskiNorm, unit_rows
+from .norms import MinkowskiNorm, _rows, _unbatch, _zonal, unit_rows
 
 TAU_FD_STEP = 1e-4
 
@@ -36,8 +43,6 @@ TAU_FD_STEP = 1e-4
 
 class SupportField:
     """1-homogeneous scalar field with gradient and Hessian access."""
-
-    provenance = "generic"
 
     def value(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -66,8 +71,6 @@ class SupportField:
 class WulffCapField(SupportField):
     """Support field of a capillary Wulff cap: s(x) = r0 (F(x) + w0 <E, x>)."""
 
-    provenance = "wulff-cap"
-
     def __init__(self, model: MinkowskiNorm, omega0: float, r0: float, e_vec, ef_vec):
         if r0 <= 0:
             raise InvalidInputError("Wulff cap radius must be positive")
@@ -84,16 +87,16 @@ class WulffCapField(SupportField):
         self._anchor[-1] = 0.0
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.r0 * np.asarray(self.model.value(x)) + x @ self._shift
+        x, batched = _rows(x)
+        return _unbatch(self.r0 * np.asarray(self.model.value(x)) + x @ self._shift, batched)
 
     def grad(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        g = self.r0 * np.asarray(self.model.grad(x)) + self._shift[None, :]
-        return g if np.asarray(x).ndim > 1 else g[0]
+        x, batched = _rows(x)
+        return _unbatch(self.r0 * np.asarray(self.model.grad(x)) + self._shift[None, :], batched)
 
     def hess(self, x):
-        return self.r0 * np.asarray(self.model.hess(x))
+        x, batched = _rows(x)
+        return _unbatch(self.r0 * np.asarray(self.model.hess(x)), batched)
 
     @property
     def anchor(self):
@@ -103,25 +106,21 @@ class WulffCapField(SupportField):
 class LinearField(SupportField):
     """s(x) = <v, x>; the horizontal part of v is the tracked anchor."""
 
-    provenance = "translation"
-
     def __init__(self, v):
         self.v = np.asarray(v, dtype=float)
         self.dim = len(self.v)
 
     def value(self, x):
-        return np.asarray(x, dtype=float) @ self.v
+        x, batched = _rows(x)
+        return _unbatch(x @ self.v, batched)
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.v.copy()
-        return np.broadcast_to(self.v, x.shape).copy()
+        x, batched = _rows(x)
+        return _unbatch(np.broadcast_to(self.v, x.shape).copy(), batched)
 
     def hess(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        h = np.zeros((x.shape[0], self.dim, self.dim))
-        return h if np.asarray(x).ndim > 1 else h[0]
+        x, batched = _rows(x)
+        return _unbatch(np.zeros((x.shape[0], self.dim, self.dim)), batched)
 
     @property
     def anchor(self):
@@ -143,7 +142,6 @@ class SphericalBumpField(SupportField):
     untouched.
     """
 
-    provenance = "bump"
     _POW = 6
 
     def __init__(self, center, width: float, amplitude: float):
@@ -170,42 +168,20 @@ class SphericalBumpField(SupportField):
         return g, g1, g2
 
     def value(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=-1)
-        u = x @ self.center / r
-        g, _, _ = self._profile(u)
-        out = self.amplitude * r * g
-        return out if np.asarray(x).ndim > 1 else out[0]
+        x, batched = _rows(x)
+        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 0), batched)
 
     def grad(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        xh = x / r
-        u = xh @ self.center
-        g, g1, _ = self._profile(u)
-        p = self.center[None, :] - u[:, None] * xh
-        out = self.amplitude * (g[:, None] * xh + g1[:, None] * p)
-        return out if np.asarray(x).ndim > 1 else out[0]
+        x, batched = _rows(x)
+        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 1), batched)
 
     def hess(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        b, d = x.shape
-        r = np.linalg.norm(x, axis=-1)
-        xh = x / r[:, None]
-        u = xh @ self.center
-        g, g1, g2 = self._profile(u)
-        p = self.center[None, :] - u[:, None] * xh
-        proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
-        h = ((g - u * g1)[:, None, None] * proj
-             + g2[:, None, None] * p[:, :, None] * p[:, None, :])
-        out = self.amplitude * h / r[:, None, None]
-        return out if np.asarray(x).ndim > 1 else out[0]
+        x, batched = _rows(x)
+        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 2), batched)
 
 
 class CombinationField(SupportField):
     """Linear combination of support fields (Minkowski combinations)."""
-
-    provenance = "combination"
 
     def __init__(self, fields, coeffs):
         if len(fields) != len(coeffs) or not fields:
@@ -214,23 +190,21 @@ class CombinationField(SupportField):
         self.coeffs = [float(c) for c in coeffs]
         self.dim = fields[0].dim
 
-    def value(self, x):
-        out = self.coeffs[0] * np.asarray(self.fields[0].value(x), dtype=float)
+    def _weighted(self, method, x):
+        """c0 f0 + c1 f1 + ..., summed left to right, of each field's ``method``."""
+        out = self.coeffs[0] * np.asarray(getattr(self.fields[0], method)(x), dtype=float)
         for f, c in zip(self.fields[1:], self.coeffs[1:]):
-            out = out + c * np.asarray(f.value(x))
+            out = out + c * np.asarray(getattr(f, method)(x))
         return out
+
+    def value(self, x):
+        return self._weighted("value", x)
 
     def grad(self, x):
-        out = self.coeffs[0] * np.asarray(self.fields[0].grad(x), dtype=float)
-        for f, c in zip(self.fields[1:], self.coeffs[1:]):
-            out = out + c * np.asarray(f.grad(x))
-        return out
+        return self._weighted("grad", x)
 
     def hess(self, x):
-        out = self.coeffs[0] * np.asarray(self.fields[0].hess(x), dtype=float)
-        for f, c in zip(self.fields[1:], self.coeffs[1:]):
-            out = out + c * np.asarray(f.hess(x))
-        return out
+        return self._weighted("hess", x)
 
     @property
     def anchor(self):
@@ -296,27 +270,13 @@ def field_values_on_cap(mesh: CapMesh, field: SupportField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class CapFieldEvaluator:
-    """Evaluate a scalar field at off-node points of the cap.
+def kernel_evaluator(mesh: CapMesh, alpha: int):
+    """Kernel field via the metric form G(z)(z, E_alpha), not the identity.
 
-    ``fn(z, x)`` receives points z on the Wulff shape together with nearby
-    Gauss preimages x and returns field values; the preimages warm start
-    the perturbed metric's dual solve.
+    Returns ``fn(z, x_warm)``: the field at points z on the Wulff shape,
+    given nearby Gauss preimages x_warm that warm start the metric's dual
+    solve.
     """
-
-    def __init__(self, mesh: CapMesh, fn):
-        self.mesh = mesh
-        self.fn = fn
-
-    def at_nodes(self, idx) -> np.ndarray:
-        return np.asarray(self.fn(self.mesh.psi[idx], self.mesh.nodes[idx]))
-
-    def at_points(self, z, x_warm) -> np.ndarray:
-        return np.asarray(self.fn(z, x_warm))
-
-
-def kernel_evaluator(mesh: CapMesh, alpha: int) -> CapFieldEvaluator:
-    """Kernel field via the metric form G(z)(z, E_alpha), not the identity."""
     model = mesh.model
     e = np.zeros(mesh.dim)
     e[alpha] = 1.0
@@ -325,16 +285,12 @@ def kernel_evaluator(mesh: CapMesh, alpha: int) -> CapFieldEvaluator:
         g = np.asarray(model.metric_on_wulff(np.atleast_2d(z), np.atleast_2d(x_warm)))
         return np.einsum("bij,bi,j->b", g, np.atleast_2d(z), e)
 
-    return CapFieldEvaluator(mesh, fn)
+    return fn
 
 
 def _project_to_wulff(mesh: CapMesh, pts: np.ndarray, x_warm: np.ndarray) -> np.ndarray:
     """Radially rescale points (in Wulff coordinates) onto {F0 = 1}."""
-    model = mesh.model
-    if hasattr(model, "dual_value_warm"):
-        f0 = np.asarray(model.dual_value_warm(pts, x_warm))
-    else:
-        f0 = np.asarray(model.dual_value(pts))
+    f0 = np.asarray(mesh.model.dual_value(pts, x_warm))
     return pts / f0[:, None]
 
 
@@ -360,43 +316,34 @@ def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: floa
     return (_project_to_wulff(mesh, plus, warm), _project_to_wulff(mesh, minus, warm))
 
 
-def intrinsic_tau(mesh: CapMesh, ev: CapFieldEvaluator, idx, step: float):
+def intrinsic_tau(mesh: CapMesh, fn, idx, step: float):
     """Radii matrix via the intrinsic formula tau = Hess + f g - Q(grad)/2.
 
-    Covariant second derivatives come from geodesic second differences;
-    off-diagonal entries by polarization along e_i + e_j.
+    ``fn(z, x_warm)`` evaluates the field at points z on the Wulff shape
+    (see kernel_evaluator).  Covariant second derivatives come from geodesic
+    second differences; off-diagonal entries by polarization along e_i + e_j.
     """
     idx = np.asarray(idx, dtype=np.int64)
     k = len(idx)
     n = mesh.n
-    f0 = ev.at_nodes(idx)
+    warm = mesh.nodes[idx]
+    f0 = np.asarray(fn(mesh.psi[idx], warm))
     grad = np.empty((k, n))
     hess = np.empty((k, n, n))
     second = {}
-    for i in range(n):
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
         vel = np.zeros((k, n))
-        vel[:, i] = 1.0
+        vel[:, [i, j]] = 1.0
         zp, zm = _geodesic_points(mesh, idx, vel, step)
-        fp = ev.at_points(zp, mesh.nodes[idx])
-        fm = ev.at_points(zm, mesh.nodes[idx])
-        grad[:, i] = (fp - fm) / (2.0 * step)
-        second[(i, i)] = (fp - 2.0 * f0 + fm) / step**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            vel = np.zeros((k, n))
-            vel[:, i] = 1.0
-            vel[:, j] = 1.0
-            zp, zm = _geodesic_points(mesh, idx, vel, step)
-            fp = ev.at_points(zp, mesh.nodes[idx])
-            fm = ev.at_points(zm, mesh.nodes[idx])
-            second[(i, j)] = (fp - 2.0 * f0 + fm) / step**2
-    for i in range(n):
-        hess[:, i, i] = second[(i, i)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = 0.5 * (second[(i, j)] - second[(i, i)] - second[(j, j)])
-            hess[:, i, j] = val
-            hess[:, j, i] = val
+        fp = np.asarray(fn(zp, warm))
+        fm = np.asarray(fn(zm, warm))
+        if i == j:
+            grad[:, i] = (fp - fm) / (2.0 * step)
+        second[i, j] = (fp - 2.0 * f0 + fm) / step**2
+    for i, j in second:
+        val = second[i, j] if i == j else 0.5 * (second[i, j] - second[i, i] - second[j, j])
+        hess[:, i, j] = val
+        hess[:, j, i] = val
     qf = mesh.q_frame[idx]
     qgrad = np.einsum("bijk,bk->bij", qf, grad)
     tau = hess + f0[:, None, None] * np.eye(n)[None] - 0.5 * qgrad

@@ -32,7 +32,7 @@ import numpy as np
 from .bodies import CapillaryBody
 from .capgeom import CapMesh
 from .errors import ConvexityViolationError, InvalidInputError
-from .fields import (SupportField, field_values_on_cap, intrinsic_tau,
+from .fields import (SupportField, field_values_on_cap, intrinsic_tau, kernel_evaluator,
                      tau_from_generator)
 from .mixdisc import mixed_disc_gradient, mixed_discriminant_batch
 
@@ -104,6 +104,14 @@ def _require_shared_mesh(bodies) -> CapMesh:
     return mesh
 
 
+def _require_full_tuple(bodies) -> CapMesh:
+    """The shared mesh of exactly n + 1 bodies (a mixed-volume argument list)."""
+    mesh = _require_shared_mesh(bodies)
+    if len(bodies) != mesh.n + 1:
+        raise InvalidInputError(f"need n+1 = {mesh.n + 1} bodies, got {len(bodies)}")
+    return mesh
+
+
 def volume(body: CapillaryBody) -> float:
     """|K| = (1/(n+1)) int s det W over the region (anchored support)."""
     mesh = body.mesh
@@ -152,23 +160,15 @@ def hull_volume_oracle(body: CapillaryBody, n_samples: int = 12000, seed: int = 
 # ---------------------------------------------------------------------------
 
 
-def _q_of(mats_list, mesh):
-    """Batched mixed discriminant of per-node matrix stacks."""
-    if mesh.n == 1:
-        out = mats_list[0][:, 0, 0].copy()
-        return out
-    return mixed_discriminant_batch(mats_list)
-
-
 def _mv_slot(bodies, slot: int, route: str) -> float:
     """Raw single-slot mixed volume with bodies[slot] as the multiplier."""
     mesh = bodies[0].mesh
     others = [b for k, b in enumerate(bodies) if k != slot]
     if route == "anisotropic":
-        q = _q_of([b.tau for b in others], mesh)
+        q = mixed_discriminant_batch([b.tau for b in others])
         vals = bodies[slot].shat_anchored * q * mesh.F_vals * mesh.detA
     elif route == "euclidean":
-        q = _q_of([b.W for b in others], mesh)
+        q = mixed_discriminant_batch([b.W for b in others])
         vals = (bodies[slot].shat_anchored * mesh.F_vals) * q
     else:
         raise InvalidInputError(f"unknown slot route {route!r}")
@@ -219,9 +219,7 @@ def mixed_volume(bodies, route: str = "anisotropic", symmetrize: bool = True) ->
     Alexandrov-Fenchel checks second order in the quadrature defect.
     """
     bodies = list(bodies)
-    mesh = _require_shared_mesh(bodies)
-    if len(bodies) != mesh.n + 1:
-        raise InvalidInputError(f"need n+1 = {mesh.n + 1} bodies, got {len(bodies)}")
+    mesh = _require_full_tuple(bodies)
     level = mesh.config.mesh_level
     if route == "polyfit":
         value, cond, resid = _mv_polyfit(bodies)
@@ -244,8 +242,8 @@ def mixed_volume_value(bodies, route="anisotropic", symmetrize=True) -> float:
 def integrand_identity_defect(bodies) -> float:
     """max_i |Q(tau_...) det A_F - Q(W_...)| / scale (pointwise route link)."""
     mesh = _require_shared_mesh(bodies)
-    q_tau = _q_of([b.tau for b in bodies], mesh) * mesh.detA
-    q_w = _q_of([b.W for b in bodies], mesh)
+    q_tau = mixed_discriminant_batch([b.tau for b in bodies]) * mesh.detA
+    q_w = mixed_discriminant_batch([b.W for b in bodies])
     scale = max(float(np.max(np.abs(q_w))), _GUARD)
     return float(np.max(np.abs(q_tau - q_w))) / scale
 
@@ -259,9 +257,7 @@ def symmetry_check(bodies) -> dict:
     roundoff.
     """
     bodies = list(bodies)
-    mesh = _require_shared_mesh(bodies)
-    if len(bodies) != mesh.n + 1:
-        raise InvalidInputError(f"need n+1 = {mesh.n + 1} bodies")
+    _require_full_tuple(bodies)
     v01 = _mv_slot(bodies, 0, "anisotropic")
     swapped = [bodies[1], bodies[0]] + bodies[2:]
     v10 = _mv_slot(swapped, 0, "anisotropic")
@@ -509,7 +505,7 @@ def operator_weights(trailing) -> np.ndarray:
         raise InvalidInputError("the operator needs at least one trailing body")
     mesh = _require_shared_mesh(trailing)
     f2 = trailing[0]
-    denom = _q_of([f2.tau] + [b.tau for b in trailing], mesh)
+    denom = mixed_discriminant_batch([f2.tau] + [b.tau for b in trailing])
     if np.any(denom <= 0):
         raise ConvexityViolationError("operator weight denominator not positive")
     return mesh.weights * mesh.detA * mesh.F_vals * denom / ((mesh.n + 1) * f2.shat)
@@ -530,8 +526,8 @@ def operator_a_apply(f, trailing):
         raise InvalidInputError(f"need n-1 = {mesh.n - 1} trailing bodies")
     f2 = trailing[0]
     tau_f, _ = _tau_and_values(mesh, f)
-    num = _q_of([tau_f] + [b.tau for b in trailing], mesh)
-    den = _q_of([f2.tau] + [b.tau for b in trailing], mesh)
+    num = mixed_discriminant_batch([tau_f] + [b.tau for b in trailing])
+    den = mixed_discriminant_batch([f2.tau] + [b.tau for b in trailing])
     if np.any(den <= 0):
         raise ConvexityViolationError("operator denominator not positive at some node")
     return f2.shat * num / den
@@ -585,9 +581,7 @@ def af_inequality_check(bodies, tol: float = 1e-8, equality_expected: bool = Fal
                         route: str = "anisotropic") -> InequalityReport:
     """V(K1,K2,rest)^2 >= V(K1,K1,rest) V(K2,K2,rest)."""
     bodies = list(bodies)
-    mesh = _require_shared_mesh(bodies)
-    if len(bodies) != mesh.n + 1:
-        raise InvalidInputError(f"need n+1 = {mesh.n + 1} bodies")
+    _require_full_tuple(bodies)
     k1, k2, rest = bodies[0], bodies[1], bodies[2:]
     v12 = mixed_volume_value([k1, k2] + rest, route=route)
     v11 = mixed_volume_value([k1, k1] + rest, route=route)
@@ -672,11 +666,8 @@ def kernel_tau_intrinsic(mesh: CapMesh, alpha: int, step: float | None = None,
     Exactly zero in the continuum; the discrete value decays with the
     stencil (tied to the mesh level by default).  Returns (max_entry, info).
     """
-    from .fields import intrinsic_tau, kernel_evaluator
-
     if step is None:
         step = 0.3 * 0.5**mesh.config.mesh_level
     idx, _ = _stencil_safe_interior(mesh, margin_factor * step)
-    ev = kernel_evaluator(mesh, alpha)
-    tau, _ = intrinsic_tau(mesh, ev, idx, step)
+    tau, _ = intrinsic_tau(mesh, kernel_evaluator(mesh, alpha), idx, step)
     return float(np.max(np.abs(tau))), {"checked": int(len(idx)), "step": step}

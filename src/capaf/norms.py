@@ -22,8 +22,12 @@ Three families are provided:
 
 Isotropic and ellipsoid derivatives are closed form.  The perturbed family
 defaults to Richardson-extrapolated central differences for its public
-grad/hess (exact formulas up to third order are kept alongside), and its
-dual norm is computed by a multistart damped Newton ascent on the sphere.
+grad/hess (exact formulas up to third order are kept alongside).  Every
+family evaluates its dual norm as dual_value(xi, x_warm=None); the
+perturbed family runs a damped Newton ascent on the sphere, from multiple
+coarse starts, or from the approximate Gauss preimages x_warm when given
+(the other families ignore x_warm).  The zonal terms' derivative chain,
+_zonal, is shared with the bump support fields of fields.py.
 
 G and Q are closed form for every family.  (1/2) F^2 and (1/2) F0^2 are
 Legendre conjugates (Rockafellar, Convex Analysis, Thm 26.5), so their
@@ -99,6 +103,37 @@ def tangent_basis(x: np.ndarray) -> np.ndarray:
     return out if batched else out[0]
 
 
+def _zonal(x, center, amplitude, profile, order):
+    """Derivative of the given order (0-3) of a |x| g(<x^, c>) at rows x (B, d).
+
+    ``profile(u)`` returns g(u), g'(u), ... up to at least that order.  The
+    zonal perturbation terms of F and the bump support fields share this.
+    """
+    c = np.asarray(center)
+    r = np.linalg.norm(x, axis=-1)
+    if order == 0:
+        return amplitude * r * profile(x @ c / r)[0]
+    d = x.shape[1]
+    xh = x / r[:, None]
+    u = xh @ c
+    prof = profile(u)
+    g, g1 = prof[0], prof[1]
+    p = c[None, :] - u[:, None] * xh
+    if order == 1:
+        return amplitude * (g[:, None] * xh + g1[:, None] * p)
+    g2 = prof[2]
+    proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
+    if order == 2:
+        h = (g - u * g1)[:, None, None] * proj + g2[:, None, None] * p[:, :, None] * p[:, None, :]
+        return amplitude * h / r[:, None, None]
+    pp = p[:, :, None] * p[:, None, :]
+    t = (-(u * g2)[:, None, None, None] * _sym3(proj, p)
+         - (g - u * g1)[:, None, None, None] * _sym3(proj, xh)
+         - g2[:, None, None, None] * _sym3(pp, xh)
+         + prof[3][:, None, None, None] * pp[:, :, :, None] * p[:, None, None, :])
+    return amplitude * t / r[:, None, None, None] ** 2
+
+
 # ---------------------------------------------------------------------------
 # perturbation terms
 # ---------------------------------------------------------------------------
@@ -141,54 +176,20 @@ class PerturbTerm:
 
     def value(self, x):
         x, batched = _rows(x)
-        r = np.linalg.norm(x, axis=-1)
-        u = x @ np.asarray(self.center) / r
-        g = self._profile(u)[0]
-        return _unbatch(self.amplitude * r * g, batched)
+        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 0), batched)
 
     def grad(self, x):
         x, batched = _rows(x)
-        c = np.asarray(self.center)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        xh = x / r
-        u = xh @ c
-        g, g1, _, _ = self._profile(u)
-        p = c[None, :] - u[:, None] * xh
-        out = self.amplitude * (g[:, None] * xh + g1[:, None] * p)
-        return _unbatch(out, batched)
+        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 1), batched)
 
     def hess(self, x):
         x, batched = _rows(x)
-        b, d = x.shape
-        c = np.asarray(self.center)
-        r = np.linalg.norm(x, axis=-1)
-        xh = x / r[:, None]
-        u = xh @ c
-        g, g1, g2, _ = self._profile(u)
-        p = c[None, :] - u[:, None] * xh
-        proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
-        h = (g - u * g1)[:, None, None] * proj + g2[:, None, None] * p[:, :, None] * p[:, None, :]
-        out = self.amplitude * h / r[:, None, None]
-        return _unbatch(out, batched)
+        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 2), batched)
 
     def third(self, x):
         """Third derivative, (..., d, d, d): hess differentiated term by term."""
         x, batched = _rows(x)
-        b, d = x.shape
-        c = np.asarray(self.center)
-        r = np.linalg.norm(x, axis=-1)
-        xh = x / r[:, None]
-        u = xh @ c
-        g, g1, g2, g3 = self._profile(u)
-        p = c[None, :] - u[:, None] * xh
-        proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
-        pp = p[:, :, None] * p[:, None, :]
-        t = (-(u * g2)[:, None, None, None] * _sym3(proj, p)
-             - (g - u * g1)[:, None, None, None] * _sym3(proj, xh)
-             - g2[:, None, None, None] * _sym3(pp, xh)
-             + g3[:, None, None, None] * pp[:, :, :, None] * p[:, None, None, :])
-        out = self.amplitude * t / r[:, None, None, None] ** 2
-        return _unbatch(out, batched)
+        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 3), batched)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,8 @@ class MinkowskiNorm:
 
     # -- dual side -----------------------------------------------------------
 
-    def dual_value(self, xi) -> np.ndarray:
+    def dual_value(self, xi, x_warm=None) -> np.ndarray:
+        """F0(xi); ``x_warm`` (approximate Gauss preimages) may speed it up."""
         raise NotImplementedError
 
     def metric(self, xi) -> np.ndarray:
@@ -334,7 +336,7 @@ class IsotropicNorm(MinkowskiNorm):
         proj = np.eye(self.dim)[None] - xh[:, :, None] * xh[:, None, :]
         return _unbatch(-_sym3(proj, xh) / r[:, None, None, None] ** 2, batched)
 
-    def dual_value(self, xi):
+    def dual_value(self, xi, x_warm=None):
         xi, batched = self._check_nonzero(xi)
         return _unbatch(np.linalg.norm(xi, axis=-1), batched)
 
@@ -401,7 +403,7 @@ class EllipsoidNorm(MinkowskiNorm):
         mmm = mx[:, :, None, None] * mx[:, None, :, None] * mx[:, None, None, :]
         return _unbatch(-_sym3(m, mx) / f**3 + 3.0 * mmm / f**5, batched)
 
-    def dual_value(self, xi):
+    def dual_value(self, xi, x_warm=None):
         xi, batched = self._check_nonzero(xi)
         return _unbatch(np.sqrt(np.einsum("bi,ij,bj->b", xi, self.matrix_inv, xi)), batched)
 
@@ -571,56 +573,47 @@ class PerturbedNorm(MinkowskiNorm):
             y = np.where(active[:, None], ynew, y)
         return y, res
 
-    def dual_value(self, xi, return_argmax: bool = False):
+    def dual_value(self, xi, x_warm=None, return_argmax: bool = False):
+        """F0(xi) by damped Newton ascent, optionally with the maximizer.
+
+        Without ``x_warm`` the ascent runs from the best three of the coarse
+        starts; with it (one row, or one row per xi) a single warm ascent
+        runs from there to a tighter tolerance.
+        """
         xi, batched = self._check_nonzero(xi)
-        tol = 1e-10
-        starts = self._coarse_starts()
-        vals = np.stack([self._phi(np.broadcast_to(s, xi.shape).copy(), xi) for s in starts], axis=0)
-        order = np.argsort(-vals, axis=0)
-        best_y = None
-        best_phi = np.full(xi.shape[0], -np.inf)
-        for rank in range(3):
-            y0 = starts[order[rank]]
-            y, res = self._newton_ascend(y0.copy(), xi, tol)
-            phi = self._phi(y, xi)
-            take = phi > best_phi
-            best_phi = np.where(take, phi, best_phi)
-            best_y = y if best_y is None else np.where(take[:, None], y, best_y)
-        yf, res = self._newton_ascend(best_y, xi, tol, max_iter=10)
+        if x_warm is None:
+            what = "dual-norm ascent"
+            tol = 1e-10
+            starts = self._coarse_starts()
+            vals = np.stack([self._phi(np.broadcast_to(s, xi.shape).copy(), xi) for s in starts], axis=0)
+            order = np.argsort(-vals, axis=0)
+            best_y = None
+            best_phi = np.full(xi.shape[0], -np.inf)
+            for rank in range(3):
+                y0 = starts[order[rank]]
+                y, res = self._newton_ascend(y0.copy(), xi, tol)
+                phi = self._phi(y, xi)
+                take = phi > best_phi
+                best_phi = np.where(take, phi, best_phi)
+                best_y = y if best_y is None else np.where(take[:, None], y, best_y)
+            yf, res = self._newton_ascend(best_y, xi, tol, max_iter=10)
+        else:
+            what = "warm dual ascent"
+            y0 = np.atleast_2d(np.asarray(x_warm, dtype=float))
+            if y0.shape[0] == 1 and xi.shape[0] > 1:
+                y0 = np.broadcast_to(y0, xi.shape).copy()
+            yf, res = self._newton_ascend(unit_rows(y0), xi, 1e-12, max_iter=30)
         phi = self._phi(yf, xi)
         if np.any(res > 1e-6):
-            raise NumericError(
-                "dual-norm ascent did not converge",
-                best_value=float(np.max(phi)),
-                residual=float(np.max(res)),
-            )
+            raise NumericError(f"{what} did not converge",
+                               best_value=float(np.max(phi)), residual=float(np.max(res)))
         if return_argmax:
             return _unbatch(phi, batched), _unbatch(yf, batched)
         return _unbatch(phi, batched)
 
-    def dual_value_warm(self, xi, y0, return_argmax: bool = False):
-        """Batched dual values with a warm-start maximizer per row."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        y0 = np.atleast_2d(np.asarray(y0, dtype=float))
-        if y0.shape[0] == 1 and xi.shape[0] > 1:
-            y0 = np.broadcast_to(y0, xi.shape).copy()
-        y, res = self._newton_ascend(unit_rows(y0), xi, 1e-12, max_iter=30)
-        phi = self._phi(y, xi)
-        if np.any(res > 1e-6):
-            raise NumericError("warm dual ascent did not converge",
-                               best_value=float(np.max(phi)), residual=float(np.max(res)))
-        if return_argmax:
-            return phi, y
-        return phi
-
     def gauss_preimage(self, z, x_warm=None):
         z, batched = self._check_nonzero(z)
-        if x_warm is None:
-            _, y = self.dual_value(z, return_argmax=True)
-            y = np.atleast_2d(y)
-        else:
-            x_warm = np.atleast_2d(np.asarray(x_warm, dtype=float))
-            _, y = self.dual_value_warm(z, x_warm, return_argmax=True)
+        _, y = self.dual_value(z, x_warm, return_argmax=True)
         return _unbatch(y, batched)
 
     # metric / Q in closed form by Legendre duality
@@ -632,7 +625,7 @@ class PerturbedNorm(MinkowskiNorm):
         D(F^2/2)(t y) = t F(y) DF(y) and z = F0(z) DF(y), x = F0(z) y / F(y).
         """
         z, _ = self._check_nonzero(z)
-        f0, y = self.dual_value_warm(z, x_warm, return_argmax=True)
+        f0, y = self.dual_value(z, x_warm, return_argmax=True)
         return y * (f0 / self.value(y))[:, None]
 
     def _half_sq_derivs(self, x):

@@ -18,6 +18,32 @@ def _tol(name, analytic, fallback):
     return analytic if name != "pert3" else fallback
 
 
+# -- support fields -------------------------------------------------------------
+
+
+def _support_fields(model):
+    ef = np.array([0.0, 0.0, 1.0])
+    cap = WulffCapField(model, -0.3, 1.2, ef, ef)
+    lin = LinearField(np.array([0.1, -0.2, 0.3]))
+    bump = SphericalBumpField(np.array([0.1, 0.0, 1.0]), 0.9, 0.05)
+    return {"wulff": cap, "linear": lin, "bump": bump,
+            "combination": CombinationField([cap, bump, lin], [1.0, 0.5, -2.0])}
+
+
+@pytest.mark.parametrize("kind", ["wulff", "linear", "bump", "combination"])
+@pytest.mark.parametrize("name", ["ell3", "pert3"])
+def test_support_field_single_point_matches_batch_row(model_factory, name, kind):
+    field = _support_fields(model_factory(name))[kind]
+    pts = np.array([[0.05, 0.1, 0.99], [0.3, -0.2, 0.9], [-0.5, 0.4, 0.7]])
+    d = pts.shape[1]
+    for method, shape in (("value", ()), ("grad", (d,)), ("hess", (d, d))):
+        one = np.asarray(getattr(field, method)(pts[0]))
+        batch = np.asarray(getattr(field, method)(pts))
+        assert one.shape == shape, method
+        assert batch.shape == (len(pts),) + shape, method
+        assert np.array_equal(one, batch[0]), method
+
+
 # -- Wulff caps ---------------------------------------------------------------
 
 

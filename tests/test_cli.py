@@ -244,6 +244,18 @@ def test_study_converge(tmp_path, capsys):
     assert len(table) == 4
 
 
+def test_study_ratio_is_nan_at_zero_residual(tmp_path, capsys):
+    """The hemisphere's area self-converges to roundoff: its L3 residual is
+    exactly 0, where the table must not print a decay ratio of ~1e284."""
+    path = write(tmp_path, MINIMAL)
+    assert main(["study", "converge", "--config", path, "--check", "area",
+                 "--levels", "2..4"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["2", "3", "4"]
+    assert float(rows[1][2]) == 0.0
+    assert all(np.isnan(float(r[3])) for r in rows)
+
+
 def test_study_rejects_unknown_check(tmp_path, capsys):
     path = write(tmp_path, ELLIPSOID)
     assert main(["study", "converge", "--config", path, "--check", "bogus",

@@ -245,7 +245,7 @@ def fd_newton_metric(model, z, x_warm):
 
     def half_dual_sq(pts):
         warm = np.repeat(x_warm, pts.shape[0] // b, axis=0)
-        val = model.dual_value_warm(pts, warm)
+        val = model.dual_value(pts, warm)
         return 0.5 * val * val
 
     hess, _ = fd.central_hessian(half_dual_sq, z, h, richardson=False)
