@@ -4,9 +4,10 @@ A body is a support field plus per-node caches on one mesh: boundary
 positions X = Ds, the Euclidean radii matrix W = D^2 s restricted to the
 node tangent basis, the anisotropic radii matrix tau in the g-ring frame,
 and the anisotropic principal curvatures and normalized symmetric means.
-The support field is the single source of truth; everything else is a
-derived view, which keeps Minkowski combinations exact (caches combine
-linearly, curvatures are re-derived from the combined tau).
+The support field is the single source of truth, and s, X, W and the
+generator-route tau are linear in it.  So every constructor builds through
+CapillaryBody: Wulff-cap parts of the mesh's own norm read the mesh's F
+caches, and only the rest of the field is evaluated, once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ from .fields import (CombinationField, LinearField, SphericalBumpField,
                      SupportField, WulffCapField, tau_from_generator)
 
 _BACKTRACK_LIMIT = 20
+
+
+def _leaves(field: SupportField, weight: float):
+    """(leaf, weight) pairs of a field, nested combinations multiplied out."""
+    if not isinstance(field, CombinationField):
+        return [(field, weight)]
+    return [pair for f, c in zip(field.fields, field.coeffs)
+            for pair in _leaves(f, weight * c)]
 
 
 def _sigma_means(kappa: np.ndarray) -> np.ndarray:
@@ -63,29 +72,39 @@ class CapillaryBody:
             self._validate()
 
     def _populate(self):
+        """Every cache, linear in the support field: a Wulff-cap leaf of the
+        mesh's norm reads the mesh's F, DF, A_F and cap_tau; the other leaves
+        are evaluated together, once.  Raw radii matrices are summed before
+        they are symmetrized, so tau_asym is the whole body's asymmetry."""
         mesh = self.mesh
         x = mesh.nodes
-        self.s = np.asarray(self.field.value(x))
+        caps, rest = [], []
+        for leaf, w in _leaves(self.field, 1.0):
+            own_cap = isinstance(leaf, WulffCapField) and leaf.model is mesh.model
+            (caps if own_cap else rest).append((leaf, w))
+        parts = []  # (s, X, W, raw tau) of each summand
+        for cap, w in caps:
+            r, shift = w * cap.r0, w * cap.shift
+            parts.append((r * mesh.F_vals + x @ shift, r * mesh.psi + shift,
+                          r * mesh.A, r * mesh.cap_tau))
+        if rest:
+            field = CombinationField([f for f, _ in rest], [w for _, w in rest])
+            hess = np.asarray(field.hess(x))
+            parts.append((np.asarray(field.value(x)), np.asarray(field.grad(x)),
+                          np.einsum("bki,bij,blj->bkl", mesh.tb, hess, mesh.tb),
+                          tau_from_generator(mesh, field)[1]))
+        self.s, self.X, self.W, raw = (sum(col[1:], col[0]) for col in zip(*parts))
+        self.tau_asym = np.max(np.abs(raw - np.swapaxes(raw, 1, 2)), axis=(1, 2))
+        self.tau = 0.5 * (raw + np.swapaxes(raw, 1, 2))
         self.shat = self.s / mesh.F_vals
-        self.X = np.asarray(self.field.grad(x))
-        hess = np.asarray(self.field.hess(x))
-        self.W = np.einsum("bki,bij,blj->bkl", mesh.tb, hess, mesh.tb)
-        self.tau, self.tau_asym = tau_from_generator(mesh, self.field)
         self.anchor = np.asarray(self.field.anchor, dtype=float)
-        self._derive()
-
-    def _derive(self):
-        """Caches that follow from s, shat, X, W, tau and anchor: det W, the
-        radii and curvatures, the anchored support and the convex and
-        capillary flags."""
-        mesh = self.mesh
         self.detW = np.linalg.det(self.W) if mesh.n > 1 else self.W[:, 0, 0].copy()
         radii = np.linalg.eigvalsh(self.tau)
         self.tau_eigs = radii
         with np.errstate(divide="ignore"):
             self.kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
         self.H = _sigma_means(self.kappa)
-        self.shat_anchored = (self.s - mesh.nodes @ self.anchor) / mesh.F_vals
+        self.shat_anchored = (self.s - x @ self.anchor) / mesh.F_vals
         w_ev = np.linalg.eigvalsh(self.W)
         self.min_w_eig = float(np.min(w_ev[:, 0]))
         self.min_tau_eig = float(np.min(radii[:, 0]))
@@ -119,8 +138,7 @@ class CapillaryBody:
 
     def u_bar(self, i=None) -> np.ndarray:
         """Alternative normalization s_hat / s_hat_o (read-only diagnostic)."""
-        so = self.mesh.cap_support_values() / self.mesh.F_vals
-        vals = self.shat / so
+        vals = self.shat / self.mesh.cap_body.shat
         return vals if i is None else vals[i]
 
     def tau_eigs_secondary(self) -> np.ndarray:
@@ -219,11 +237,7 @@ def body_from_field(mesh: CapMesh, field: SupportField, provenance=None,
 
 
 def minkowski_combine(bodies, lambdas) -> CapillaryBody:
-    """Body with support field sum_i lambda_i s_i (nonnegative weights).
-
-    Caches combine linearly (bitwise-exact for a singleton combination);
-    curvatures are re-derived from the combined radii matrix.
-    """
+    """Body with support field sum_i lambda_i s_i (nonnegative weights)."""
     bodies = list(bodies)
     lambdas = [float(v) for v in lambdas]
     if not bodies or len(bodies) != len(lambdas):
@@ -238,27 +252,7 @@ def minkowski_combine(bodies, lambdas) -> CapillaryBody:
     field = CombinationField([b.field for b in bodies], lambdas)
     prov = {"kind": "combination", "weights": lambdas,
             "parts": [b.provenance.get("kind", "?") for b in bodies]}
-    out = CapillaryBody.__new__(CapillaryBody)
-    out.mesh = mesh
-    out.field = field
-    out.provenance = prov
-
-    def lincomb(attr):
-        acc = lambdas[0] * getattr(bodies[0], attr)
-        for b, lam in zip(bodies[1:], lambdas[1:]):
-            acc = acc + lam * getattr(b, attr)
-        return acc
-
-    out.s = lincomb("s")
-    out.shat = lincomb("shat")
-    out.X = lincomb("X")
-    out.W = lincomb("W")
-    out.tau = lincomb("tau")
-    out.anchor = lincomb("anchor")
-    out.tau_asym = np.max(np.abs(out.tau - np.swapaxes(out.tau, 1, 2)), axis=(1, 2))
-    out._derive()
-    out._validate()
-    return out
+    return CapillaryBody(mesh, field, prov)
 
 
 def translate_horizontal(body: CapillaryBody, v) -> CapillaryBody:
@@ -353,14 +347,10 @@ def random_capillary_body(mesh_or_config, seed: int, amplitude: float = 0.15) ->
     last_err = "no attempts"
     for _ in range(_BACKTRACK_LIMIT + 1):
         parts = [WulffCapField(mesh.model, mesh.omega0, 1.0, mesh.EF, mesh.EF)]
-        coeffs = [1.0]
         if np.linalg.norm(v) > 0:
             parts.append(LinearField(v * scale))
-            coeffs.append(1.0)
-        for center, width, amp in bump_specs:
-            parts.append(SphericalBumpField(center, width, amp * scale))
-            coeffs.append(1.0)
-        field = CombinationField(parts, coeffs)
+        parts += [SphericalBumpField(c, w, amp * scale) for c, w, amp in bump_specs]
+        field = CombinationField(parts, [1.0] * len(parts))
         body = CapillaryBody(mesh, field,
                              {"kind": "random", "seed": int(seed), "amplitude": amplitude,
                               "backtrack_scale": scale},

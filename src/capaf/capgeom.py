@@ -224,6 +224,7 @@ class CapMesh:
         self.diagnostics = dict(diagnostics)
         self._populate_caches()
         self._cap_body = None
+        self._cap_tau = None
         self._q_frame = None
         self._q_ambient = None
         self._interior_candidates = None
@@ -389,6 +390,17 @@ class CapMesh:
         return self._cap_body
 
     @property
+    def cap_tau(self) -> np.ndarray:
+        """Raw generator-route radii of the unit Wulff cap (lazy, read-only):
+        those of F itself, as a translation leaves radii unchanged."""
+        if self._cap_tau is None:
+            from .fields import tau_from_generator
+
+            self._cap_tau = tau_from_generator(self, self.model)[1]
+            self._cap_tau.setflags(write=False)
+        return self._cap_tau
+
+    @property
     def interior_candidates(self) -> np.ndarray:
         """Candidate bump centres for random bodies on this mesh (lazy, read-only)."""
         if self._interior_candidates is None:
@@ -407,10 +419,6 @@ class CapMesh:
             self._region_complement = _region_complement_sample(self)
             self._region_complement.setflags(write=False)
         return self._region_complement
-
-    def cap_support_values(self) -> np.ndarray:
-        """Support values of the unit cap body: F(x) + w0 <x, EF>."""
-        return self.F_vals + self.omega0 * (self.nodes @ self.EF)
 
     def same_mesh(self, other: "CapMesh") -> bool:
         return self is other

@@ -82,17 +82,17 @@ class WulffCapField(SupportField):
         self.r0 = float(r0)
         self.e_vec = e_vec
         self.dim = model.dim
-        self._shift = self.r0 * self.omega0 * e_vec
+        self.shift = self.r0 * self.omega0 * e_vec
         self._anchor = self.r0 * self.omega0 * (e_vec - np.asarray(ef_vec, dtype=float))
         self._anchor[-1] = 0.0
 
     def value(self, x):
         x, batched = _rows(x)
-        return _unbatch(self.r0 * np.asarray(self.model.value(x)) + x @ self._shift, batched)
+        return _unbatch(self.r0 * np.asarray(self.model.value(x)) + x @ self.shift, batched)
 
     def grad(self, x):
         x, batched = _rows(x)
-        return _unbatch(self.r0 * np.asarray(self.model.grad(x)) + self._shift[None, :], batched)
+        return _unbatch(self.r0 * np.asarray(self.model.grad(x)) + self.shift[None, :], batched)
 
     def hess(self, x):
         x, batched = _rows(x)
@@ -167,17 +167,23 @@ class SphericalBumpField(SupportField):
         g2 = np.where(inside, d2g / self.width**2, zero)
         return g, g1, g2
 
-    def value(self, x):
+    def _at(self, x, order):
+        """The zonal chain on the rows within reach of the support cap (a 1e-9
+        margin in the cosine), exact zeros elsewhere: most rows miss a bump."""
         x, batched = _rows(x)
-        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 0), batched)
+        live = x @ self.center > (1.0 - self.width - 1e-9) * np.linalg.norm(x, axis=-1)
+        out = np.zeros((len(x),) + (self.dim,) * order)
+        out[live] = _zonal(x[live], self.center, self.amplitude, self._profile, order)
+        return _unbatch(out, batched)
+
+    def value(self, x):
+        return self._at(x, 0)
 
     def grad(self, x):
-        x, batched = _rows(x)
-        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 1), batched)
+        return self._at(x, 1)
 
     def hess(self, x):
-        x, batched = _rows(x)
-        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 2), batched)
+        return self._at(x, 2)
 
 
 class CombinationField(SupportField):
@@ -237,7 +243,8 @@ def tau_from_generator(mesh: CapMesh, field: SupportField, step: float = TAU_FD_
     tau_kl = G(D_{e_k} X, e_l): the boundary map X = Ds is differentiated
     along parameter great circles with velocity A_F^{-1} e_k (chain rule
     through d Psi = A_F), by central differences of the field gradient.
-    Returns (tau_symmetrized, asymmetry) with shapes (N, n, n) and (N,).
+    Returns (tau_symmetrized, tau_raw), both (N, n, n).  The route is linear
+    in the field, so bodies sum raw parts and symmetrize once.
     """
     x = mesh.nodes
     nn, d = x.shape
@@ -256,13 +263,7 @@ def tau_from_generator(mesh: CapMesh, field: SupportField, step: float = TAU_FD_
     gm = grads[nn * n:].reshape(nn, n, d)
     dx = speed[..., None] * (gp - gm) / (2.0 * step)  # (N, n=k, d)
     tau = np.einsum("bkd,bde,ble->bkl", dx, mesh.G, mesh.frame)
-    asym = np.max(np.abs(tau - np.swapaxes(tau, 1, 2)), axis=(1, 2))
-    return 0.5 * (tau + np.swapaxes(tau, 1, 2)), asym
-
-
-def field_values_on_cap(mesh: CapMesh, field: SupportField) -> np.ndarray:
-    """f(xi_i) = s(x_i)/F(x_i) for the field's generator s."""
-    return np.asarray(field.value(mesh.nodes)) / mesh.F_vals
+    return 0.5 * (tau + np.swapaxes(tau, 1, 2)), tau
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ import numpy as np
 from .bodies import CapillaryBody
 from .capgeom import CapMesh
 from .errors import ConvexityViolationError, InvalidInputError
-from .fields import (SupportField, field_values_on_cap, intrinsic_tau, kernel_evaluator,
-                     tau_from_generator)
+from .fields import SupportField, intrinsic_tau, kernel_evaluator, tau_from_generator
 from .mixdisc import mixed_disc_gradient, mixed_discriminant_batch
 
 _GUARD = 1e-30
@@ -293,7 +292,7 @@ def quermassintegral(body: CapillaryBody, k: int) -> float:
         raise InvalidInputError(f"k={k} outside [0, {n + 1}]")
     if k == 0:
         return volume(body)
-    weight = mesh.cap_support_values()  # F + w0 <x, EF>
+    weight = mesh.cap_body.s  # F + w0 <x, EF>
     vals = body.H[:, k - 1] * weight * body.detW
     return float(np.sum(mesh.weights * vals) / (n + 1))
 
@@ -494,8 +493,7 @@ def _tau_and_values(mesh, f):
     if isinstance(f, CapillaryBody):
         return f.tau, f.shat
     if isinstance(f, SupportField):
-        tau, _ = tau_from_generator(mesh, f)
-        return tau, field_values_on_cap(mesh, f)
+        return tau_from_generator(mesh, f)[0], np.asarray(f.value(mesh.nodes)) / mesh.F_vals
     raise InvalidInputError("expected a CapillaryBody or SupportField")
 
 

@@ -473,22 +473,23 @@ class PerturbedNorm(MinkowskiNorm):
     def exact_third(self, x):
         return self._summed("third", x)
 
+    def _fd_steps(self, x):
+        """FD step fd_step * max(1, max_k |x_k|) per row, so no row depends on
+        its batch; unlike |x|, max_k |x_k| does not round above 1 on unit x."""
+        return self.fd_step * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+
     def grad(self, x):
         if self.derivatives == "analytic":
             return self.exact_grad(x)
         x, batched = self._check_nonzero(x)
-        scale = np.maximum(1.0, np.linalg.norm(x, axis=-1))
-        h = self.fd_step * float(np.median(scale))
-        g, _ = fd.central_gradient(lambda p: np.asarray(self.value(p)), x, h)
+        g, _ = fd.central_gradient(lambda p: np.asarray(self.value(p)), x, self._fd_steps(x))
         return _unbatch(g, batched)
 
     def hess(self, x):
         if self.derivatives == "analytic":
             return self.exact_hess(x)
         x, batched = self._check_nonzero(x)
-        scale = np.maximum(1.0, np.linalg.norm(x, axis=-1))
-        h = self.fd_step * float(np.median(scale))
-        hess, _ = fd.central_hessian(lambda p: np.asarray(self.value(p)), x, h)
+        hess, _ = fd.central_hessian(lambda p: np.asarray(self.value(p)), x, self._fd_steps(x))
         hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
         return _unbatch(hess, batched)
 

@@ -309,7 +309,7 @@ def test_combine_wulff_caps(mesh_factory):
     tot = minkowski_combine([c1, c2], [1.0, 1.0])
     c3 = make_wulff_cap(mesh, 3.0)
     assert np.max(np.abs(tot.s - c3.s)) < 1e-12
-    assert np.max(np.abs(tot.tau - c3.tau)) < 1e-7
+    assert np.max(np.abs(tot.tau - c3.tau)) < 1e-12
 
 
 def test_combine_support_linearity(body_factory):
@@ -317,6 +317,17 @@ def test_combine_support_linearity(body_factory):
     b2 = body_factory("ell3", -0.4, 3, seed=14)
     combo = minkowski_combine([b1, b2], [0.7, 1.4])
     assert np.max(np.abs(combo.shat - 0.7 * b1.shat - 1.4 * b2.shat)) < 1e-14
+
+
+def test_combination_tau_asym_is_the_summed_raw_asymmetry(body_factory):
+    # the radii matrices are symmetrized after summing, not before
+    b1 = body_factory("ell3", -0.4, 3, seed=13)
+    b2 = body_factory("ell3", -0.4, 3, seed=14)
+    combo = minkowski_combine([b1, b2], [0.7, 1.4])
+    _, raw = tau_from_generator(combo.mesh, combo.field)
+    direct = np.max(np.abs(raw - np.swapaxes(raw, 1, 2)), axis=(1, 2))
+    assert np.max(combo.tau_asym) > 0.0
+    assert np.max(np.abs(combo.tau_asym - direct)) < 1e-10
 
 
 def test_combine_validation(body_factory, mesh_factory):
@@ -370,3 +381,61 @@ def test_body_record_bitwise_roundtrip(body_factory):
     assert np.array_equal(clone.s, body.s)
     assert np.array_equal(clone.tau, body.tau)
     assert np.array_equal(clone.X, body.X)
+
+
+# -- one construction, linear in the support field -----------------------------
+
+
+def _linearity_cases(body_factory, mesh_factory, name, w0):
+    mesh = mesh_factory(name, w0, 3)
+    body = body_factory(name, w0, 3, seed=21)
+    other = body_factory(name, w0, 3, seed=22)
+    e_vec = mesh.EF + np.array([0.1, -0.05, 0.0])
+    return {
+        "random": body,
+        "translated": translate_horizontal(body, np.array([0.05, -0.03, 0.0])),
+        "combined": minkowski_combine([body, other], [0.7, 1.4]),
+        "rebound": rebind(body_factory(name, w0, 2, seed=21), mesh),
+        "wulff-cap": make_wulff_cap(mesh, 1.4, e_vec),
+    }
+
+
+@pytest.mark.parametrize("name,w0", [("ell3", -0.4), ("pert3", -0.35)])
+def test_body_caches_match_direct_evaluation(body_factory, mesh_factory, name, w0):
+    # caches built from the mesh's own F caches equal evaluating the field
+    for kind, body in _linearity_cases(body_factory, mesh_factory, name, w0).items():
+        mesh, field = body.mesh, body.field
+        x = mesh.nodes
+        w = np.einsum("bki,bij,blj->bkl", mesh.tb, field.hess(x), mesh.tb)
+        tau, raw = tau_from_generator(mesh, field)
+        asym = np.max(np.abs(raw - np.swapaxes(raw, 1, 2)), axis=(1, 2))
+        assert np.max(np.abs(body.s - field.value(x))) < 1e-14, kind
+        assert np.max(np.abs(body.X - field.grad(x))) < 1e-14, kind
+        assert np.max(np.abs(body.W - w)) < 1e-14, kind
+        assert np.max(np.abs(body.tau - tau)) < 1e-10, kind
+        assert np.max(np.abs(body.tau_asym - asym)) < 1e-10, kind
+
+
+def test_body_construction_skips_norm_fd_once_cap_exists(monkeypatch, mesh_factory):
+    # the Wulff-cap part of every body comes from the mesh, not from F's FD
+    import capaf.fd as fd
+
+    mesh = mesh_factory("pert3", -0.35, 3)
+    coarse = random_capillary_body(mesh_factory("pert3", -0.35, 2), 31)
+    other = random_capillary_body(mesh, 32)
+    assert mesh.cap_body.convex
+    calls = []
+
+    def counting(real):
+        def wrapped(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for fn in ("central_gradient", "central_hessian"):
+        monkeypatch.setattr(fd, fn, counting(getattr(fd, fn)))
+    body = random_capillary_body(mesh, 33)
+    moved = translate_horizontal(body, np.array([0.04, 0.02, 0.0]))
+    minkowski_combine([body, moved, other], [0.5, 1.0, 0.25])
+    rebind(coarse, mesh)
+    assert calls == []

@@ -363,3 +363,23 @@ def test_generation_failure_exits_1(tmp_path, capsys):
     assert "generation failed: random body generation exhausted" in capsys.readouterr().err
     assert main(["body", "gen", "--config", path, "--seed", "1"]) == 1
     assert "generation failed" in capsys.readouterr().err
+
+
+# -- shipped configs --------------------------------------------------------------
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED_CHECKS = {"ellipsoid.ini": 76, "perturbed.ini": 70,
+                  "isotropic_hemisphere.ini": 76, "halfdisk_n1.ini": 45}
+
+
+def test_every_shipped_config_is_covered():
+    assert sorted(f for f in os.listdir(CONFIGS) if f.endswith(".ini")) == sorted(SHIPPED_CHECKS)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CHECKS))
+def test_shipped_config_verifies(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert main(["verify", "--config", os.path.join(CONFIGS, name), "--out", str(out)]) == 0
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert summary["total"] == summary["passed"] == SHIPPED_CHECKS[name]
+    assert summary["failed"] == 0

@@ -120,6 +120,16 @@ def test_perturbed_fd_hessian_step_halving(model_factory):
     assert errs[1] / errs[2] > 3.0
 
 
+def test_perturbed_fd_row_independent_of_batch(model_factory):
+    # each row takes its own FD step, so its companions cannot move it
+    model = model_factory("pert3")
+    x = np.array([0.05, 0.1, 0.99])
+    batch = np.stack([x, 3.0 * unit_rows(np.array([1.0, -0.5, 0.3])),
+                      np.array([0.0, 0.0, -3.0])])
+    assert np.array_equal(model.grad(x), model.grad(batch)[0])
+    assert np.array_equal(model.hess(x), model.hess(batch)[0])
+
+
 def test_perturbed_validation_rejects_wild_amplitude():
     with pytest.raises(ModelInvalidError):
         PerturbedNorm(IsotropicNorm(3),
