@@ -20,7 +20,10 @@ determinant (the pullback density from the cap to S), the cap point xi, the
 ambient metric G at T^{-1} xi, and a G-orthonormal tangent frame.  At
 boundary nodes the frame's last vector is aligned with A_F(nu) mu, mu being
 the Euclidean outward co-normal, and the first vectors span the boundary
-tangent.
+tangent.  Lazy caches, computed once per mesh on first use (arrays
+read-only): q_frame, cap_body and cap_tau, generator_stencil,
+interior_candidates and region_complement.  The intrinsic kernel route's
+stencil is per call and not cached, since cached meshes would keep it alive.
 """
 
 from __future__ import annotations
@@ -222,13 +225,8 @@ class CapMesh:
         self.is_boundary = is_boundary
         self.boundary_loop = boundary_loop
         self.diagnostics = dict(diagnostics)
+        self._caches = {}
         self._populate_caches()
-        self._cap_body = None
-        self._cap_tau = None
-        self._q_frame = None
-        self._q_ambient = None
-        self._interior_candidates = None
-        self._region_complement = None
 
     # cache construction -----------------------------------------------------
 
@@ -365,60 +363,59 @@ class CapMesh:
     def sigma_total(self) -> float:
         return float(np.sum(self.weights))
 
+    def _lazy(self, name: str, make):
+        """Cache `name`, made by make() on first use; its arrays are read-only."""
+        if name not in self._caches:
+            value = make()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            self._caches[name] = value
+        return self._caches[name]
+
     @property
     def q_frame(self) -> np.ndarray:
         """Q contracted against the frame at every node: (N, n, n, n)."""
-        if self._q_frame is None:
-            q = self.q_ambient
-            self._q_frame = np.einsum(
-                "bijk,bpi,bqj,brk->bpqr", q, self.frame, self.frame, self.frame)
-        return self._q_frame
-
-    @property
-    def q_ambient(self) -> np.ndarray:
-        if self._q_ambient is None:
-            self._q_ambient = np.asarray(self.model.q_on_wulff(self.psi, self.nodes))
-        return self._q_ambient
+        return self._lazy("q_frame", lambda: np.einsum(
+            "bijk,bpi,bqj,brk->bpqr", self.model.q_on_wulff(self.psi, self.nodes),
+            self.frame, self.frame, self.frame))
 
     @property
     def cap_body(self):
-        """Unit Wulff-cap body on this mesh (lazy)."""
-        if self._cap_body is None:
-            from .bodies import make_wulff_cap
+        """Unit Wulff-cap body on this mesh."""
+        from .bodies import make_wulff_cap
 
-            self._cap_body = make_wulff_cap(self, 1.0)
-        return self._cap_body
+        return self._lazy("cap_body", lambda: make_wulff_cap(self, 1.0))
 
     @property
     def cap_tau(self) -> np.ndarray:
-        """Raw generator-route radii of the unit Wulff cap (lazy, read-only):
-        those of F itself, as a translation leaves radii unchanged."""
-        if self._cap_tau is None:
-            from .fields import tau_from_generator
+        """Raw generator-route radii of the unit Wulff cap: those of F itself,
+        as a translation leaves radii unchanged."""
+        from .fields import tau_from_generator
 
-            self._cap_tau = tau_from_generator(self, self.model)[1]
-            self._cap_tau.setflags(write=False)
-        return self._cap_tau
+        return self._lazy("cap_tau", lambda: tau_from_generator(self, self.model)[1])
+
+    @property
+    def generator_stencil(self):
+        """Generator-route stencil: the great-circle points (2 n N, d) and the
+        parameter speeds (N, n) at TAU_FD_STEP."""
+        from .fields import _generator_stencil
+
+        return self._lazy("generator_stencil", lambda: _generator_stencil(self))
 
     @property
     def interior_candidates(self) -> np.ndarray:
-        """Candidate bump centres for random bodies on this mesh (lazy, read-only)."""
-        if self._interior_candidates is None:
-            from .bodies import _interior_candidate_directions
+        """Candidate bump centres for random bodies on this mesh."""
+        from .bodies import _interior_candidate_directions
 
-            self._interior_candidates = _interior_candidate_directions(self)
-            self._interior_candidates.setflags(write=False)
-        return self._interior_candidates
+        return self._lazy("interior_candidates", lambda: _interior_candidate_directions(self))
 
     @property
     def region_complement(self) -> np.ndarray:
-        """Fixed dense sample of the region complement (lazy, read-only)."""
-        if self._region_complement is None:
-            from .bodies import _region_complement_sample
+        """Fixed dense sample of the region complement."""
+        from .bodies import _region_complement_sample
 
-            self._region_complement = _region_complement_sample(self)
-            self._region_complement.setflags(write=False)
-        return self._region_complement
+        return self._lazy("region_complement", lambda: _region_complement_sample(self))
 
     def same_mesh(self, other: "CapMesh") -> bool:
         return self is other

@@ -169,9 +169,9 @@ def _symmetry_deviations(ctx, level, top):
             _worst(o["trailing_deviation"] / o["scale"] for o in outs))
 
 
-def _kernel_tau(ctx, level, alpha):
-    """Largest intrinsic-route tau entry of the kernel field E_{alpha+1}."""
-    return fn.kernel_tau_intrinsic(ctx.mesh(level), alpha)[0]
+def _kernel_tau(ctx, level):
+    """Largest intrinsic-route tau entry of each kernel field E_1..E_n."""
+    return fn.kernel_tau_intrinsic(ctx.mesh(level))[0]
 
 
 def _selfadjoint_deviation(ctx, level, top):
@@ -413,25 +413,22 @@ def _run_kernel(ctx: RunContext):
     levels = ctx.study_levels()
     records = []
     tables = {}
+    t0 = time.perf_counter()
     if ctx.analytic:
-        for alpha in range(cfg.n):
-            t0 = time.perf_counter()
-            decay = [_kernel_tau(ctx, level, alpha) for level in levels]
+        per_level = [_kernel_tau(ctx, level) for level in levels]
+        for alpha, decay in enumerate(zip(*per_level)):
             tables[f"kernel-E{alpha + 1}"] = _decay_rows(levels, decay)
-            records += _timed_since(
-                t0,
+            records += [
                 _value_record("kernel", f"tau-max-E{alpha + 1}", {"levels": levels},
                               decay[-1] * (4.0 ** (levels[-1] - 4)),  # normalized to level 4
                               cfg.tolerances["kernel_max"]),
                 _decay_record(ctx, "kernel", f"tau-decay-E{alpha + 1}", {"levels": levels},
-                              decay, cfg.tolerances["kernel_ratio"], floor=1e-11))
+                              decay, cfg.tolerances["kernel_ratio"], floor=1e-11)]
     else:
-        for alpha in range(cfg.n):
-            t0 = time.perf_counter()
-            val = _kernel_tau(ctx, cfg.mesh_level, alpha)
-            records += _timed_since(t0, _value_record(
-                "kernel", f"tau-max-E{alpha + 1}-fd-smoke",
-                {"level": cfg.mesh_level}, val, 1e-2))
+        records += [_value_record("kernel", f"tau-max-E{alpha + 1}-fd-smoke",
+                                  {"level": cfg.mesh_level}, val, 1e-2)
+                    for alpha, val in enumerate(_kernel_tau(ctx, cfg.mesh_level))]
+    records = _timed_since(t0, *records)
     # generator-route kernels are exactly linear: tau vanishes to FD noise
     t0 = time.perf_counter()
     mesh = ctx.mesh()
@@ -586,8 +583,7 @@ STUDIES = {
     "minkowski": lambda ctx, level, top: max(
         _minkowski_residual(ctx, level, top, k) for k in range(ctx.cfg.n)),
     "symmetry": lambda ctx, level, top: _symmetry_deviations(ctx, level, top)[0],
-    "kernel": lambda ctx, level, top: max(
-        _kernel_tau(ctx, level, alpha) for alpha in range(ctx.cfg.n)),
+    "kernel": lambda ctx, level, top: max(_kernel_tau(ctx, level)),
     "divergence": _divergence_residual,
     "area": lambda ctx, level, top: abs(ctx.mesh(level).sigma_total),
     "operator_adjoint": _selfadjoint_deviation,

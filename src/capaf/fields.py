@@ -11,13 +11,14 @@ Two curvature-radii routes live here:
 
 * the generator route: tau_kl = G(D_{e_k} X, e_l) with X = Ds and the
   derivative taken by central differences along parameter great circles
-  (step 1e-4), mapped through the chain rule d(xi) = A_F dx; and
+  (step 1e-4, on a stencil cached per mesh), mapped through the chain rule
+  d(xi) = A_F dx; and
 * the intrinsic route: tau = (covariant Hessian) + f g - Q(., ., grad f)/2
   evaluated by second differences along quadratic geodesic Taylor curves
   re-projected onto the cap, with a caller-chosen step (tied to the mesh
-  level in convergence studies).  The field enters as a plain function
-  fn(z, x_warm) of Wulff-shape points z and nearby Gauss preimages x_warm
-  (kernel_evaluator builds the kernel field's).
+  level in convergence studies).  The fields enter as one plain function
+  fn(z, g) of Wulff-shape points z and the metric there, one column per
+  field (kernel_evaluator builds the kernel fields').
 
 Support fields take one point (d,) or a batch (B, d) and answer in kind;
 the bump field shares its zonal derivative chain with the norm layer.
@@ -237,31 +238,38 @@ def kernel_field(mesh_or_model, alpha: int) -> LinearField:
 # ---------------------------------------------------------------------------
 
 
-def tau_from_generator(mesh: CapMesh, field: SupportField, step: float = TAU_FD_STEP):
-    """Radii matrices in the g-ring orthonormal frame at every node.
-
-    tau_kl = G(D_{e_k} X, e_l): the boundary map X = Ds is differentiated
-    along parameter great circles with velocity A_F^{-1} e_k (chain rule
-    through d Psi = A_F), by central differences of the field gradient.
-    Returns (tau_symmetrized, tau_raw), both (N, n, n).  The route is linear
-    in the field, so bodies sum raw parts and symmetrize once.
-    """
+def _generator_stencil(mesh: CapMesh):
+    """Mesh-only part of the generator route, read through the mesh's
+    `generator_stencil`: the great-circle points (2 n N, d), plus rows then
+    minus rows, and the parameter speeds |A_F^-1 e_k| (N, n)."""
     x = mesh.nodes
-    nn, d = x.shape
-    n = mesh.n
     # frame vectors in tangent coordinates, then parameter velocities
     e_t = np.einsum("bkd,bnd->bkn", mesh.frame, mesh.tb)  # (N, n, n)
     v_t = np.linalg.solve(mesh.A, np.swapaxes(e_t, 1, 2))  # columns: A^-1 e_k
     v_amb = np.einsum("bnk,bnd->bkd", v_t, mesh.tb)  # (N, n, d)
     speed = np.linalg.norm(v_amb, axis=-1)
     u = v_amb / speed[..., None]
-    xp = np.cos(step) * x[:, None, :] + np.sin(step) * u
-    xm = np.cos(step) * x[:, None, :] - np.sin(step) * u
-    pts = np.concatenate([xp.reshape(-1, d), xm.reshape(-1, d)], axis=0)
+    xp = np.cos(TAU_FD_STEP) * x[:, None, :] + np.sin(TAU_FD_STEP) * u
+    xm = np.cos(TAU_FD_STEP) * x[:, None, :] - np.sin(TAU_FD_STEP) * u
+    return np.concatenate([xp, xm]).reshape(-1, x.shape[1]), speed
+
+
+def tau_from_generator(mesh: CapMesh, field: SupportField):
+    """Radii matrices in the g-ring orthonormal frame at every node.
+
+    tau_kl = G(D_{e_k} X, e_l): the boundary map X = Ds is differentiated
+    along parameter great circles with velocity A_F^{-1} e_k (chain rule
+    through d Psi = A_F), by central differences of the field gradient at
+    the mesh's cached stencil (`mesh.generator_stencil`, step TAU_FD_STEP).
+    Returns (tau_symmetrized, tau_raw), both (N, n, n).  The route is linear
+    in the field, so bodies sum raw parts and symmetrize once.
+    """
+    pts, speed = mesh.generator_stencil
+    nn, n = speed.shape
     grads = np.asarray(field.grad(pts))
-    gp = grads[: nn * n].reshape(nn, n, d)
-    gm = grads[nn * n:].reshape(nn, n, d)
-    dx = speed[..., None] * (gp - gm) / (2.0 * step)  # (N, n=k, d)
+    gp = grads[: nn * n].reshape(nn, n, -1)
+    gm = grads[nn * n:].reshape(nn, n, -1)
+    dx = speed[..., None] * (gp - gm) / (2.0 * TAU_FD_STEP)  # (N, n=k, d)
     tau = np.einsum("bkd,bde,ble->bkl", dx, mesh.G, mesh.frame)
     return 0.5 * (tau + np.swapaxes(tau, 1, 2)), tau
 
@@ -271,28 +279,11 @@ def tau_from_generator(mesh: CapMesh, field: SupportField, step: float = TAU_FD_
 # ---------------------------------------------------------------------------
 
 
-def kernel_evaluator(mesh: CapMesh, alpha: int):
-    """Kernel field via the metric form G(z)(z, E_alpha), not the identity.
-
-    Returns ``fn(z, x_warm)``: the field at points z on the Wulff shape,
-    given nearby Gauss preimages x_warm that warm start the metric's dual
-    solve.
-    """
-    model = mesh.model
-    e = np.zeros(mesh.dim)
-    e[alpha] = 1.0
-
-    def fn(z, x_warm):
-        g = np.asarray(model.metric_on_wulff(np.atleast_2d(z), np.atleast_2d(x_warm)))
-        return np.einsum("bij,bi,j->b", g, np.atleast_2d(z), e)
-
-    return fn
-
-
-def _project_to_wulff(mesh: CapMesh, pts: np.ndarray, x_warm: np.ndarray) -> np.ndarray:
-    """Radially rescale points (in Wulff coordinates) onto {F0 = 1}."""
-    f0 = np.asarray(mesh.model.dual_value(pts, x_warm))
-    return pts / f0[:, None]
+def kernel_evaluator(mesh: CapMesh):
+    """The horizontal kernel fields via the metric form G(z)(z, E_alpha), not
+    the identity: ``fn(z, g)`` gives every field E_1..E_n at points z on the
+    Wulff shape, given the metric g = G(z) there, as columns (K, n)."""
+    return lambda z, g: np.einsum("bij,bi->bj", g, z)[:, : mesh.n]
 
 
 def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: float):
@@ -302,7 +293,10 @@ def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: floa
     acceleration of a g-ring geodesic in ambient coordinates is
     -g(v, v) z - (1/2) Q(v, v, e_l) e_l, from the Gauss formula with unit
     anisotropic curvature; the O(t^3) defect is odd in t, so symmetric
-    differences stay second-order after re-projection.
+    differences stay second-order after re-projection, a radial rescaling
+    onto {F0 = 1}.  Returns ((z_plus, x_plus), (z_minus, x_minus)): the
+    maximizer x of <x, p>/F(x) in the projection's dual solve does not move
+    when p is scaled, so it is the projected point's Gauss preimage.
     """
     z = mesh.psi[idx]
     fr = mesh.frame[idx]
@@ -313,39 +307,39 @@ def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: floa
     acc = -vnorm2[:, None] * z - 0.5 * np.einsum("bl,bld->bd", qvv, fr)
     plus = z + step * v_amb + 0.5 * step**2 * acc
     minus = z - step * v_amb + 0.5 * step**2 * acc
-    warm = mesh.nodes[idx]
-    return (_project_to_wulff(mesh, plus, warm), _project_to_wulff(mesh, minus, warm))
+    solves = (mesh.model.dual_value(p, mesh.nodes[idx], return_argmax=True) for p in (plus, minus))
+    return tuple((p / f0[:, None], x) for p, (f0, x) in zip((plus, minus), solves))
 
 
 def intrinsic_tau(mesh: CapMesh, fn, idx, step: float):
-    """Radii matrix via the intrinsic formula tau = Hess + f g - Q(grad)/2.
+    """Radii matrices via the intrinsic formula tau = Hess + f g - Q(grad)/2.
 
-    ``fn(z, x_warm)`` evaluates the field at points z on the Wulff shape
-    (see kernel_evaluator).  Covariant second derivatives come from geodesic
-    second differences; off-diagonal entries by polarization along e_i + e_j.
+    ``fn(z, g)`` evaluates m fields at Wulff-shape points z with metric g
+    there, as columns (K, m) (see kernel_evaluator); one stencil serves all.
+    g is the mesh's G at the nodes; an off-node point costs one projection
+    solve, whose maximizer starts the metric's solve at its answer.
+    Covariant second derivatives come from geodesic second differences;
+    off-diagonal entries by polarization along e_i + e_j.  Returns (tau,
+    grad), shapes (K, m, n, n) and (K, m, n).
     """
     idx = np.asarray(idx, dtype=np.int64)
-    k = len(idx)
     n = mesh.n
-    warm = mesh.nodes[idx]
-    f0 = np.asarray(fn(mesh.psi[idx], warm))
-    grad = np.empty((k, n))
-    hess = np.empty((k, n, n))
+    f0 = fn(mesh.psi[idx], mesh.G[idx])
+    grad = np.empty(f0.shape + (n,))
+    hess = np.empty(f0.shape + (n, n))
     second = {}
     for i, j in itertools.combinations_with_replacement(range(n), 2):
-        vel = np.zeros((k, n))
+        vel = np.zeros((len(idx), n))
         vel[:, [i, j]] = 1.0
-        zp, zm = _geodesic_points(mesh, idx, vel, step)
-        fp = np.asarray(fn(zp, warm))
-        fm = np.asarray(fn(zm, warm))
+        fp, fm = (fn(z, mesh.model.metric_on_wulff(z, x))
+                  for z, x in _geodesic_points(mesh, idx, vel, step))
         if i == j:
-            grad[:, i] = (fp - fm) / (2.0 * step)
+            grad[..., i] = (fp - fm) / (2.0 * step)
         second[i, j] = (fp - 2.0 * f0 + fm) / step**2
     for i, j in second:
         val = second[i, j] if i == j else 0.5 * (second[i, j] - second[i, i] - second[j, j])
-        hess[:, i, j] = val
-        hess[:, j, i] = val
-    qf = mesh.q_frame[idx]
-    qgrad = np.einsum("bijk,bk->bij", qf, grad)
-    tau = hess + f0[:, None, None] * np.eye(n)[None] - 0.5 * qgrad
-    return 0.5 * (tau + np.swapaxes(tau, 1, 2)), grad
+        hess[..., i, j] = val
+        hess[..., j, i] = val
+    qgrad = np.einsum("bijk,bmk->bmij", mesh.q_frame[idx], grad)
+    tau = hess + f0[..., None, None] * np.eye(n) - 0.5 * qgrad
+    return 0.5 * (tau + np.swapaxes(tau, -1, -2)), grad

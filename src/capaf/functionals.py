@@ -30,10 +30,11 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .bodies import CapillaryBody
-from .capgeom import CapMesh
+from .capgeom import CapMesh, region_residual
 from .errors import ConvexityViolationError, InvalidInputError
-from .fields import SupportField, intrinsic_tau, kernel_evaluator, tau_from_generator
+from .fields import SupportField, _geodesic_points, intrinsic_tau, kernel_evaluator
 from .mixdisc import mixed_disc_gradient, mixed_discriminant_batch
+from .norms import tangent_basis
 
 _GUARD = 1e-30
 
@@ -140,8 +141,6 @@ def hull_volume_oracle(body: CapillaryBody, n_samples: int = 12000, seed: int = 
     while sum(len(a) for a in batch) < need:
         cand = rng.normal(size=(4 * need, d))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        from .capgeom import region_residual
-
         keep = cand[region_residual(mesh.model, mesh.omega0, cand) > 0]
         batch.append(keep)
         if not len(keep):
@@ -403,22 +402,19 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
                          step: float):
     """tau of a body at geodesic offsets, in first-order transported frames.
 
-    Returns (tau_plus, tau_minus) with shape (K, n, n).
+    Each point's Gauss preimage comes from its projection solve, so the
+    metric's solve starts at its answer.  Returns (tau_plus, tau_minus),
+    each (K, n, n).
     """
-    from .fields import _geodesic_points
-    from .norms import tangent_basis as tb_of
-
     n, model = mesh.n, mesh.model
     idx = np.asarray(idx, dtype=np.int64)
     k = len(idx)
     vel = np.zeros((k, n))
     vel[:, direction] = 1.0
-    zp, zm = _geodesic_points(mesh, idx, vel, step)
     out = []
-    for zs, sgn in ((zp, 1.0), (zm, -1.0)):
-        x_new = np.asarray(model.gauss_preimage(zs, mesh.nodes[idx]))
+    for (zs, x_new), sgn in zip(_geodesic_points(mesh, idx, vel, step), (1.0, -1.0)):
         g_new = np.asarray(model.metric_on_wulff(zs, x_new))
-        tb_new = tb_of(x_new)
+        tb_new = tangent_basis(x_new)
         a_new = np.asarray(model.anisotropy_matrix(x_new, basis=tb_new))
         hess = np.asarray(body.field.hess(x_new))
         # first-order parallel transport along e_direction
@@ -490,23 +486,46 @@ def divergence_identity_check(f1_body: CapillaryBody, trailing, step: float | No
 
 
 def _tau_and_values(mesh, f):
+    """Radii matrices and nodal values s/F of an operator test function: a
+    body's caches, or those of a bare support field built as an unvalidated
+    body (so its Wulff-cap leaves read the mesh's F caches, not F's FD)."""
+    if isinstance(f, SupportField):
+        f = CapillaryBody(mesh, f, {"kind": "operator-test-field"}, validate=False)
     if isinstance(f, CapillaryBody):
         return f.tau, f.shat
-    if isinstance(f, SupportField):
-        return tau_from_generator(mesh, f)[0], np.asarray(f.value(mesh.nodes)) / mesh.F_vals
     raise InvalidInputError("expected a CapillaryBody or SupportField")
+
+
+def _operator_mesh(trailing) -> CapMesh:
+    """The shared mesh of the trailing bodies f_2, ..., f_n (n >= 2)."""
+    if not trailing:
+        raise InvalidInputError("the operator needs n >= 2 and trailing bodies")
+    mesh = _require_shared_mesh(trailing)
+    if mesh.n < 2:
+        raise InvalidInputError("the operator needs n >= 2")
+    if len(trailing) != mesh.n - 1:
+        raise InvalidInputError(f"need n-1 = {mesh.n - 1} trailing bodies")
+    return mesh
 
 
 def operator_weights(trailing) -> np.ndarray:
     """L^2 weights d omega = Q(tau_2, tau_2, tau_3, ...)/((n+1) f_2) F dmu."""
-    if not trailing:
-        raise InvalidInputError("the operator needs at least one trailing body")
-    mesh = _require_shared_mesh(trailing)
+    mesh = _operator_mesh(trailing)
     f2 = trailing[0]
     denom = mixed_discriminant_batch([f2.tau] + [b.tau for b in trailing])
     if np.any(denom <= 0):
         raise ConvexityViolationError("operator weight denominator not positive")
     return mesh.weights * mesh.detA * mesh.F_vals * denom / ((mesh.n + 1) * f2.shat)
+
+
+def _apply_to_tau(tau_f, trailing):
+    """Nodal values of A f from the radii matrices of f."""
+    f2 = trailing[0]
+    num = mixed_discriminant_batch([tau_f] + [b.tau for b in trailing])
+    den = mixed_discriminant_batch([f2.tau] + [b.tau for b in trailing])
+    if np.any(den <= 0):
+        raise ConvexityViolationError("operator denominator not positive at some node")
+    return f2.shat * num / den
 
 
 def operator_a_apply(f, trailing):
@@ -515,20 +534,7 @@ def operator_a_apply(f, trailing):
     ``trailing`` lists the bodies f_2, ..., f_n (n - 1 of them); requires
     n >= 2.  Returns the nodal values of A f.
     """
-    if not trailing:
-        raise InvalidInputError("the operator needs n >= 2 and trailing bodies")
-    mesh = _require_shared_mesh(trailing)
-    if mesh.n < 2:
-        raise InvalidInputError("the operator needs n >= 2")
-    if len(trailing) != mesh.n - 1:
-        raise InvalidInputError(f"need n-1 = {mesh.n - 1} trailing bodies")
-    f2 = trailing[0]
-    tau_f, _ = _tau_and_values(mesh, f)
-    num = mixed_discriminant_batch([tau_f] + [b.tau for b in trailing])
-    den = mixed_discriminant_batch([f2.tau] + [b.tau for b in trailing])
-    if np.any(den <= 0):
-        raise ConvexityViolationError("operator denominator not positive at some node")
-    return f2.shat * num / den
+    return _apply_to_tau(_tau_and_values(_operator_mesh(trailing), f)[0], trailing)
 
 
 def operator_inner(f_vals, g_vals, omega) -> float:
@@ -545,9 +551,8 @@ def operator_a_energy_check(g, trailing, tol: float = 1e-6) -> InequalityReport:
     scale: for tiny test functions max(|lhs|, |rhs|) is meaninglessly
     small while the defect is measured in absolute form units).
     """
-    mesh = _require_shared_mesh(trailing)
-    _, g_vals = _tau_and_values(mesh, g)
-    ag = operator_a_apply(g, trailing)
+    tau_g, g_vals = _tau_and_values(_operator_mesh(trailing), g)
+    ag = _apply_to_tau(tau_g, trailing)
     om = operator_weights(trailing)
     lhs = operator_inner(ag, ag, om)
     rhs = operator_inner(g_vals, ag, om)
@@ -562,12 +567,12 @@ def operator_a_energy_check(g, trailing, tol: float = 1e-6) -> InequalityReport:
 
 def operator_selfadjoint_deviation(f, g, trailing) -> float:
     """|<f, A g> - <g, A f>| (vanishes at the quadrature's order)."""
-    mesh = _require_shared_mesh(trailing)
-    _, f_vals = _tau_and_values(mesh, f)
-    _, g_vals = _tau_and_values(mesh, g)
+    mesh = _operator_mesh(trailing)
+    tau_f, f_vals = _tau_and_values(mesh, f)
+    tau_g, g_vals = _tau_and_values(mesh, g)
     om = operator_weights(trailing)
-    return abs(operator_inner(f_vals, operator_a_apply(g, trailing), om)
-               - operator_inner(g_vals, operator_a_apply(f, trailing), om))
+    return abs(operator_inner(f_vals, _apply_to_tau(tau_g, trailing), om)
+               - operator_inner(g_vals, _apply_to_tau(tau_f, trailing), om))
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +662,19 @@ def generalized_chain_check(k0: CapillaryBody, k1: CapillaryBody, trailing,
 # ---------------------------------------------------------------------------
 
 
-def kernel_tau_intrinsic(mesh: CapMesh, alpha: int, step: float | None = None,
+def kernel_tau_intrinsic(mesh: CapMesh, alpha: int | None = None, step: float | None = None,
                          margin_factor: float = 3.0):
-    """Intrinsic-route tau of the horizontal kernel field, interior nodes.
+    """Intrinsic-route tau of the horizontal kernel fields, interior nodes.
 
     Exactly zero in the continuum; the discrete value decays with the
-    stencil (tied to the mesh level by default).  Returns (max_entry, info).
+    stencil (tied to the mesh level by default).  Every field E_1..E_n
+    comes out of one pass over one stencil.  Returns (max_entry, info):
+    the largest |tau| entry of E_{alpha+1}, or with alpha None the list of
+    them for every field.
     """
     if step is None:
         step = 0.3 * 0.5**mesh.config.mesh_level
     idx, _ = _stencil_safe_interior(mesh, margin_factor * step)
-    tau, _ = intrinsic_tau(mesh, kernel_evaluator(mesh, alpha), idx, step)
-    return float(np.max(np.abs(tau))), {"checked": int(len(idx)), "step": step}
+    tau, _ = intrinsic_tau(mesh, kernel_evaluator(mesh), idx, step)
+    maxima = [float(v) for v in np.max(np.abs(tau), axis=(0, 2, 3))]
+    return (maxima if alpha is None else maxima[alpha]), {"checked": int(len(idx)), "step": step}

@@ -23,11 +23,13 @@ Three families are provided:
 Isotropic and ellipsoid derivatives are closed form.  The perturbed family
 defaults to Richardson-extrapolated central differences for its public
 grad/hess (exact formulas up to third order are kept alongside).  Every
-family evaluates its dual norm as dual_value(xi, x_warm=None); the
+family evaluates its dual norm, and on request the maximizer (the Gauss
+preimage), as dual_value(xi, x_warm=None, return_argmax=False); the
 perturbed family runs a damped Newton ascent on the sphere, from multiple
 coarse starts, or from the approximate Gauss preimages x_warm when given
-(the other families ignore x_warm).  The zonal terms' derivative chain,
-_zonal, is shared with the bump support fields of fields.py.
+(the other families ignore x_warm), and stops at once from an exact one.
+The zonal terms' derivative chain, _zonal, is shared with the bump support
+fields of fields.py.
 
 G and Q are closed form for every family.  (1/2) F^2 and (1/2) F0^2 are
 Legendre conjugates (Rockafellar, Convex Analysis, Thm 26.5), so their
@@ -260,8 +262,17 @@ class MinkowskiNorm:
 
     # -- dual side -----------------------------------------------------------
 
-    def dual_value(self, xi, x_warm=None) -> np.ndarray:
-        """F0(xi); ``x_warm`` (approximate Gauss preimages) may speed it up."""
+    def dual_value(self, xi, x_warm=None, return_argmax: bool = False):
+        """F0(xi) in closed form (``x_warm`` is ignored), optionally with the
+        maximizer: the Gauss preimage of the projected point xi / F0(xi)."""
+        xi, batched = self._check_nonzero(xi)
+        f0 = self._dual(xi)
+        if return_argmax:
+            return _unbatch(f0, batched), _unbatch(self.gauss_preimage(xi / f0[:, None]), batched)
+        return _unbatch(f0, batched)
+
+    def _dual(self, xi) -> np.ndarray:
+        """F0 at nonzero rows xi (B, d)."""
         raise NotImplementedError
 
     def metric(self, xi) -> np.ndarray:
@@ -280,8 +291,9 @@ class MinkowskiNorm:
         return self.q_tensor(z)
 
     def gauss_preimage(self, z, x_warm=None) -> np.ndarray:
-        """Unit x with DF(x) parallel to z (inverse Cahn-Hoffman direction)."""
-        raise NotImplementedError
+        """Unit x with DF(x) parallel to z (inverse Cahn-Hoffman direction):
+        the dual solve's maximizer; closed-form families override it."""
+        return self.dual_value(z, x_warm, return_argmax=True)[1]
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -336,9 +348,8 @@ class IsotropicNorm(MinkowskiNorm):
         proj = np.eye(self.dim)[None] - xh[:, :, None] * xh[:, None, :]
         return _unbatch(-_sym3(proj, xh) / r[:, None, None, None] ** 2, batched)
 
-    def dual_value(self, xi, x_warm=None):
-        xi, batched = self._check_nonzero(xi)
-        return _unbatch(np.linalg.norm(xi, axis=-1), batched)
+    def _dual(self, xi):
+        return np.linalg.norm(xi, axis=-1)
 
     def metric(self, xi):
         xi, batched = _rows(xi)
@@ -403,9 +414,8 @@ class EllipsoidNorm(MinkowskiNorm):
         mmm = mx[:, :, None, None] * mx[:, None, :, None] * mx[:, None, None, :]
         return _unbatch(-_sym3(m, mx) / f**3 + 3.0 * mmm / f**5, batched)
 
-    def dual_value(self, xi, x_warm=None):
-        xi, batched = self._check_nonzero(xi)
-        return _unbatch(np.sqrt(np.einsum("bi,ij,bj->b", xi, self.matrix_inv, xi)), batched)
+    def _dual(self, xi):
+        return np.sqrt(np.einsum("bi,ij,bj->b", xi, self.matrix_inv, xi))
 
     def metric(self, xi):
         xi, batched = _rows(xi)
@@ -530,48 +540,49 @@ class PerturbedNorm(MinkowskiNorm):
         return np.einsum("bi,bi->b", y, xi) / self.value(y)
 
     def _newton_ascend(self, y, xi, tol, max_iter=60):
-        """Damped Newton on the sphere, batched; returns (y, residual)."""
-        b, d = y.shape
+        """Damped Newton on the sphere, batched, stepping only the rows still
+        above tol (gathered, then scattered back); returns (y, residual)."""
+        y = y.copy()
         scale = np.linalg.norm(xi, axis=-1)
-        res = np.full(b, np.inf)
+        res = np.full(len(y), np.inf)
+        live = np.arange(len(y))
         for _ in range(max_iter):
-            f = np.asarray(self.value(y))
-            df = np.asarray(self.exact_grad(y))
-            num = np.einsum("bi,bi->b", y, xi)
-            gam = num / f  # current phi
-            grad_phi = xi / f[:, None] - gam[:, None] * df / f[:, None]
-            tb = tangent_basis(y)
+            yl, xl = y[live], xi[live]
+            f = np.asarray(self.value(yl))
+            df = np.asarray(self.exact_grad(yl))
+            gam = np.einsum("bi,bi->b", yl, xl) / f  # current phi
+            grad_phi = xl / f[:, None] - gam[:, None] * df / f[:, None]
+            tb = tangent_basis(yl)
             gt = np.einsum("bki,bi->bk", tb, grad_phi)
-            res = np.linalg.norm(gt, axis=-1) / np.maximum(scale, _EPS)
-            active = res > tol
+            res[live] = np.linalg.norm(gt, axis=-1) / np.maximum(scale[live], _EPS)
+            active = res[live] > tol
             if not np.any(active):
                 break
-            d2f = np.asarray(self.exact_hess(y))
+            live = live[active]
+            yl, xl, f, df, gam, tb, gt = (a[active] for a in (yl, xl, f, df, gam, tb, gt))
+            d2f = np.asarray(self.exact_hess(yl))
             h = (
-                -(xi[:, :, None] * df[:, None, :] + df[:, :, None] * xi[:, None, :]) / f[:, None, None] ** 2
+                -(xl[:, :, None] * df[:, None, :] + df[:, :, None] * xl[:, None, :]) / f[:, None, None] ** 2
                 - gam[:, None, None] * d2f / f[:, None, None]
                 + 2.0 * gam[:, None, None] * df[:, :, None] * df[:, None, :] / f[:, None, None] ** 2
             )
             ht = np.einsum("bki,bij,blj->bkl", tb, h, tb)
-            n = d - 1
-            reg = 1e-12 * np.eye(n)
+            reg = 1e-12 * np.eye(y.shape[1] - 1)
             try:
                 step = np.linalg.solve(-(ht - reg), gt[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 step = gt
             # damping: backtrack until phi does not decrease
-            phi0 = gam
-            t = np.ones(b)
-            ynew = y.copy()
+            t = np.ones(len(live))
+            ynew = yl.copy()
             for _ in range(30):
-                cand = unit_rows(y + np.einsum("bk,bkd->bd", t[:, None] * step, tb))
-                phic = self._phi(cand, xi)
-                ok = (phic >= phi0 - 1e-15) | ~active
+                cand = unit_rows(yl + np.einsum("bk,bkd->bd", t[:, None] * step, tb))
+                ok = self._phi(cand, xl) >= gam - 1e-15
                 ynew = np.where(ok[:, None], cand, ynew)
                 if np.all(ok):
                     break
                 t = np.where(ok, t, t * 0.5)
-            y = np.where(active[:, None], ynew, y)
+            y[live] = ynew
         return y, res
 
     def dual_value(self, xi, x_warm=None, return_argmax: bool = False):
@@ -612,11 +623,6 @@ class PerturbedNorm(MinkowskiNorm):
             return _unbatch(phi, batched), _unbatch(yf, batched)
         return _unbatch(phi, batched)
 
-    def gauss_preimage(self, z, x_warm=None):
-        z, batched = self._check_nonzero(z)
-        _, y = self.dual_value(z, x_warm, return_argmax=True)
-        return _unbatch(y, batched)
-
     # metric / Q in closed form by Legendre duality
 
     def _legendre_point(self, z, x_warm):
@@ -638,9 +644,7 @@ class PerturbedNorm(MinkowskiNorm):
 
     def metric(self, xi):
         xi, batched = _rows(xi)
-        _, y = self.dual_value(xi, return_argmax=True)
-        out = self.metric_on_wulff(xi, np.atleast_2d(y))
-        return _unbatch(out, batched)
+        return _unbatch(self.metric_on_wulff(xi, self.gauss_preimage(xi)), batched)
 
     def metric_on_wulff(self, z, x_warm):
         """G(z) = [D^2(F^2/2)(x)]^-1 at the Legendre point x of z (batched)."""
@@ -649,9 +653,7 @@ class PerturbedNorm(MinkowskiNorm):
 
     def q_tensor(self, xi):
         xi, batched = _rows(xi)
-        _, y = self.dual_value(xi, return_argmax=True)
-        out = self.q_on_wulff(xi, np.atleast_2d(y))
-        return _unbatch(out, batched)
+        return _unbatch(self.q_on_wulff(xi, self.gauss_preimage(xi)), batched)
 
     def q_on_wulff(self, z, x_warm):
         """Q(z) = -G G G : D^3(F^2/2)(x) at the Legendre point x of z (batched).

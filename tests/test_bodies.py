@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import capaf.functionals as fn
 from capaf.bodies import (body_from_field, make_wulff_cap, minkowski_combine,
                           random_capillary_body, rebind, translate_horizontal)
 from capaf.errors import (ConvexityViolationError, GenerationError,
@@ -10,6 +11,8 @@ from capaf.errors import (ConvexityViolationError, GenerationError,
 from capaf.fields import (CombinationField, LinearField, SphericalBumpField,
                           WulffCapField, intrinsic_tau, kernel_evaluator,
                           kernel_field, tau_from_generator)
+from capaf.capgeom import CapConfig, build_cap_mesh
+from capaf.norms import PerturbedNorm, unit_rows
 
 CASES = [("iso3", 0.0), ("ell3", -0.4), ("pert3", -0.35)]
 
@@ -256,10 +259,60 @@ def test_kernel_tau_generator_route(mesh_factory, name, w0):
 
 def test_kernel_tau_intrinsic_route(mesh_factory):
     mesh = mesh_factory("ell3", -0.4, 3)
-    ev = kernel_evaluator(mesh, 0)
+    ev = kernel_evaluator(mesh)
     idx = mesh.interior_idx[:50]
     tau, _ = intrinsic_tau(mesh, ev, idx, step=0.02)
-    assert np.max(np.abs(tau)) < 5e-4
+    assert np.max(np.abs(tau[:, 0])) < 5e-4
+
+
+def test_kernel_pass_matches_per_field_route(mesh_factory):
+    # one pass over every kernel field gives, bit for bit, what one pass per
+    # field gives with the metric evaluated afresh at every stencil point
+    mesh = mesh_factory("ell3", -0.4, 3)
+    idx = mesh.interior_idx[:80]
+    tau, grad = intrinsic_tau(mesh, kernel_evaluator(mesh), idx, step=0.05)
+    assert tau.shape == (len(idx), 2, 2, 2) and grad.shape == (len(idx), 2, 2)
+    for alpha in range(2):
+        e = np.eye(3)[alpha]
+
+        def single(z, g):
+            g = mesh.model.metric_on_wulff(z, None)
+            return np.einsum("bij,bi,j->b", g, z, e)[:, None]
+
+        tau_a, grad_a = intrinsic_tau(mesh, single, idx, step=0.05)
+        assert np.array_equal(tau_a[:, 0], tau[:, alpha])
+        assert np.array_equal(grad_a[:, 0], grad[:, alpha])
+    maxima, _ = fn.kernel_tau_intrinsic(mesh)
+    assert maxima == [fn.kernel_tau_intrinsic(mesh, alpha)[0] for alpha in range(2)]
+
+
+def test_kernel_pass_solves_once_per_stencil_point(monkeypatch, mesh_factory):
+    # n(n+1) projection solves from the nodes; every metric solve starts at
+    # its point's exact maximizer (no Newton step), and none is at a node
+    mesh = mesh_factory("pert3", -0.35, 3)
+    mesh.q_frame  # the mesh's own lazy solves are not part of the pass
+    real = PerturbedNorm.dual_value
+    calls = []
+
+    def recording(self, xi, x_warm=None, return_argmax=False):
+        phi, y = real(self, xi, x_warm, return_argmax=True)
+        calls.append((np.asarray(xi), np.asarray(x_warm), phi, y))
+        return (phi, y) if return_argmax else phi
+
+    monkeypatch.setattr(PerturbedNorm, "dual_value", recording)
+    fn.kernel_tau_intrinsic(mesh)
+    n = mesh.n
+    node_rows = {tuple(r) for r in mesh.nodes}
+    psi_rows = {tuple(r) for r in mesh.psi}
+    projections = [c for c in calls if all(tuple(r) in node_rows for r in c[1])]
+    metric = [c for c in calls if not any(tuple(r) in node_rows for r in c[1])]
+    assert len(projections) == n * (n + 1)
+    assert len(projections) + len(metric) == len(calls)
+    for xi, warm, _, y in metric:
+        assert not any(tuple(r) in psi_rows for r in xi)
+        assert np.array_equal(y, unit_rows(warm))
+        assert any(np.array_equal(warm, p_y) and np.array_equal(xi, p_xi / p_phi[:, None])
+                   for p_xi, _, p_phi, p_y in projections)
 
 
 def test_cap_support_tau_is_identity(mesh_factory):
@@ -417,7 +470,8 @@ def test_body_caches_match_direct_evaluation(body_factory, mesh_factory, name, w
 
 
 def test_body_construction_skips_norm_fd_once_cap_exists(monkeypatch, mesh_factory):
-    # the Wulff-cap part of every body comes from the mesh, not from F's FD
+    # the Wulff-cap part of every body, and of every bare operator test
+    # field, comes from the mesh, not from F's FD
     import capaf.fd as fd
 
     mesh = mesh_factory("pert3", -0.35, 3)
@@ -432,10 +486,55 @@ def test_body_construction_skips_norm_fd_once_cap_exists(monkeypatch, mesh_facto
             return real(*args, **kwargs)
         return wrapped
 
-    for fn in ("central_gradient", "central_hessian"):
-        monkeypatch.setattr(fd, fn, counting(getattr(fd, fn)))
+    for name in ("central_gradient", "central_hessian"):
+        monkeypatch.setattr(fd, name, counting(getattr(fd, name)))
     body = random_capillary_body(mesh, 33)
     moved = translate_horizontal(body, np.array([0.04, 0.02, 0.0]))
     minkowski_combine([body, moved, other], [0.5, 1.0, 0.25])
     rebind(coarse, mesh)
     assert calls == []
+    g = body.field - other.field
+    h = moved.field - other.field
+    fn.operator_a_apply(g, [other])
+    fn.operator_a_energy_check(g, [other])
+    fn.operator_selfadjoint_deviation(g, h, [other])
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,w0", [("ell3", -0.4), ("pert3", -0.35)])
+def test_operator_test_field_is_built_as_a_body(body_factory, mesh_factory, name, w0):
+    # a bare field difference gets the caches of a body built from it, and
+    # they match differentiating the whole field directly
+    mesh = mesh_factory(name, w0, 3)
+    field = body_factory(name, w0, 3, 41).field - body_factory(name, w0, 3, 42).field
+    tau, vals = fn._tau_and_values(mesh, field)
+    body = body_from_field(mesh, field, validate=False)
+    assert np.max(np.abs(tau - body.tau)) <= 1e-14
+    assert np.max(np.abs(vals - body.shat)) <= 1e-14
+    assert np.max(np.abs(tau - tau_from_generator(mesh, field)[0])) < 1e-10
+    assert np.max(np.abs(vals - field.value(mesh.nodes) / mesh.F_vals)) < 1e-14
+
+
+def test_generator_stencil_is_computed_once_per_mesh(monkeypatch, model_factory):
+    import capaf.fields as fields
+
+    mesh = build_cap_mesh(CapConfig(2, -0.35, model_factory("pert3"), mesh_level=2))
+    made = []
+    real = fields._generator_stencil
+
+    def counting(m):
+        made.append(m)
+        return real(m)
+
+    monkeypatch.setattr(fields, "_generator_stencil", counting)
+    lin = LinearField(np.array([0.1, -0.2, 0.0]))
+    first = tau_from_generator(mesh, lin)[1]
+    random_capillary_body(mesh, 5)
+    assert np.array_equal(tau_from_generator(mesh, lin)[1], first)
+    assert made == [mesh]
+    pts, speed = mesh.generator_stencil
+    assert pts.shape == (2 * 2 * mesh.node_count, 3) and speed.shape == (mesh.node_count, 2)
+    for a in (pts, speed):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0

@@ -314,7 +314,7 @@ def test_study_operator_needs_two_dimensions(tmp_path, capsys):
 
 def test_study_values_match_verify_tables(tmp_path, capsys):
     """`study converge` and the verify decay suites share one per-level path."""
-    path = write(tmp_path, STUDY)
+    path = write(tmp_path, STUDY.replace("symmetry operator", "symmetry operator kernel"))
     out = tmp_path / "verify"
     main(["verify", "--config", path, "--out", str(out)])
     tables = {}
@@ -328,6 +328,8 @@ def test_study_values_match_verify_tables(tmp_path, capsys):
                       for lvl in tables["minkowski-k0"]},
         "symmetry": tables["symmetry-swap"],
         "operator_adjoint": tables["operator-selfadjoint"],
+        "kernel": {lvl: max(tables["kernel-E1"][lvl], tables["kernel-E2"][lvl])
+                   for lvl in tables["kernel-E1"]},
     }
     for check, table in expected.items():
         assert sorted(table) == [1, 2, top]

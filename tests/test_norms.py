@@ -130,6 +130,26 @@ def test_perturbed_fd_row_independent_of_batch(model_factory):
     assert np.array_equal(model.hess(x), model.hess(batch)[0])
 
 
+@pytest.mark.parametrize("name", ["pert3", "pert2"])
+def test_newton_batch_rows_match_solo_solves(model_factory, name):
+    # a converged row is not stepped again, and the rows still ascending step
+    # as they would alone: the batch equals the two solo solves bit for bit
+    model = model_factory(name)
+    d = model.dim
+    xi = np.array([[0.2, -0.1, 1.1], [-0.5, 0.3, 0.8]])[:, -d:]
+    y0, _ = model._newton_ascend(unit_rows(xi[:1]), xi[:1], 1e-12)
+    warm = np.vstack([y0, unit_rows(xi[1:])])
+    y, res = model._newton_ascend(warm, xi, 1e-12)
+    solo = [model._newton_ascend(warm[i:i + 1], xi[i:i + 1], 1e-12) for i in range(2)]
+    assert np.array_equal(y, np.vstack([s[0] for s in solo]))
+    assert np.array_equal(res, np.concatenate([s[1] for s in solo]))
+    assert np.array_equal(y[0], warm[0]) and not np.array_equal(y[1], warm[1])
+    phi, arg = model.dual_value(xi, warm, return_argmax=True)
+    for i in range(2):
+        phi_i, arg_i = model.dual_value(xi[i:i + 1], warm[i:i + 1], return_argmax=True)
+        assert phi[i] == phi_i[0] and np.array_equal(arg[i], arg_i[0])
+
+
 def test_perturbed_validation_rejects_wild_amplitude():
     with pytest.raises(ModelInvalidError):
         PerturbedNorm(IsotropicNorm(3),
