@@ -209,21 +209,12 @@ class CapillaryBody:
 # ---------------------------------------------------------------------------
 
 
-def _as_mesh(mesh_or_config) -> CapMesh:
-    if isinstance(mesh_or_config, CapMesh):
-        return mesh_or_config
-    if isinstance(mesh_or_config, CapConfig):
-        return build_cap_mesh(mesh_or_config)
-    raise InvalidInputError("expected a CapMesh or CapConfig")
-
-
-def make_wulff_cap(mesh_or_config, r0: float, e_vec=None) -> CapillaryBody:
+def make_wulff_cap(mesh: CapMesh, r0: float, e_vec=None) -> CapillaryBody:
     """Capillary Wulff cap of radius r0: support r0 (F(x) + w0 <E, x>).
 
     E defaults to EF; any E with <E, E_d> = 1 keeps the boundary condition
     and horizontally shifts the body.
     """
-    mesh = _as_mesh(mesh_or_config)
     ef = mesh.EF
     e_vec = ef if e_vec is None else np.asarray(e_vec, dtype=float)
     field = WulffCapField(mesh.model, mesh.omega0, r0, e_vec, ef)
@@ -309,7 +300,7 @@ def _boundary_margin_cos(mesh: CapMesh, center: np.ndarray) -> float:
     return float(np.min(1.0 - outside @ center))
 
 
-def random_capillary_body(mesh_or_config, seed: int, amplitude: float = 0.15) -> CapillaryBody:
+def random_capillary_body(mesh: CapMesh, seed: int, amplitude: float = 0.15) -> CapillaryBody:
     """Reproducible random capillary convex body.
 
     Unit Wulff cap, plus a random horizontal translation, plus smooth bumps
@@ -318,10 +309,12 @@ def random_capillary_body(mesh_or_config, seed: int, amplitude: float = 0.15) ->
     curvature perturbation is O(amplitude).  The whole perturbation is
     halved (up to 20 times) until the body is strictly convex with positive
     radii and positive capillary support; exhaustion raises GenerationError.
+    The seed must be a nonnegative integer.
     """
+    if seed < 0:
+        raise InvalidInputError(f"seed {seed} is negative; seeds are nonnegative integers")
     if amplitude < 0:
         raise InvalidInputError("amplitude must be nonnegative")
-    mesh = _as_mesh(mesh_or_config)
     rng = np.random.default_rng(seed)
     d = mesh.dim
     v = rng.normal(size=d)

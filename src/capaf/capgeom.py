@@ -42,12 +42,9 @@ DEFAULT_TOLERANCES = {
     "frame_orthonormal": 1e-10,
     "boundary_plane": 1e-9,
     "mixdisc": 1e-10,
-    "mixdisc_exact": 1e-12,
     "routes_analytic": 1e-8,
     "routes_fd": 1e-5,
     "routes_polyfit": 1e-4,
-    "wulff_tau": 1e-6,
-    "wulff_querm": 1e-5,
     "kernel_max": 1e-4,
     "kernel_ratio": 2.0,
     "minkowski_ratio": 2.0,
@@ -60,11 +57,6 @@ DEFAULT_TOLERANCES = {
     "chain_equality": 1e-6,
     "operator_eigen": 1e-8,
     "operator_energy": 1e-6,
-    "robin": 1e-8,
-    "hull_volume": 5e-3,
-    "divergence": 1e-3,
-    "support_two_route": 1e-8,
-    "support_two_route_fd": 1e-5,
 }
 
 
@@ -231,13 +223,15 @@ class CapMesh:
     # cache construction -----------------------------------------------------
 
     def _populate_caches(self):
-        model, cfg = self.model, self.config
+        model = self.model
         x = self.nodes
         self.EF = ef_vector(model, self.omega0)
         self.F_vals = np.asarray(model.value(x))
         self.psi = np.asarray(model.cahn_hoffman(x))
         self.tb = tangent_basis(x)
-        self.A = np.asarray(model.anisotropy_matrix(x, basis=self.tb))
+        # one D^2F serves A_F here and the co-normals in _boundary_geometry
+        hess = np.asarray(model.hess(x))
+        self.A = np.einsum("bki,bij,blj->bkl", self.tb, hess, self.tb)
         ev = np.linalg.eigvalsh(self.A)
         if np.any(ev[..., 0] <= 0):
             bad = int(np.argmin(ev[..., 0]))
@@ -249,11 +243,12 @@ class CapMesh:
         self.G = np.asarray(model.metric_on_wulff(self.psi, x))
         self.interior_idx = np.flatnonzero(~self.is_boundary)
         self.boundary_idx = np.asarray(self.boundary_loop, dtype=np.int64)
-        self._boundary_geometry()
+        self._boundary_geometry(hess[self.boundary_idx])
         self._build_frames()
         self._check_invariants()
 
-    def _boundary_geometry(self):
+    def _boundary_geometry(self, hess_b):
+        """Co-normals mu and A_F(nu) mu, from D^2F at the boundary loop."""
         loop = self.boundary_loop
         nb = len(loop)
         d = self.dim
@@ -266,7 +261,6 @@ class CapMesh:
             return
         x_b = self.nodes[loop]
         xi_b = self.xi[loop]
-        hess_b = np.asarray(self.model.hess(x_b))
         if self.n == 2:
             nxt = np.roll(np.arange(nb), -1)
             prv = np.roll(np.arange(nb), 1)
@@ -344,7 +338,7 @@ class CapMesh:
         if np.any(plane > tol["boundary_plane"]):
             raise MeshConstructionError(
                 f"boundary cap point off the support plane by {np.max(plane):.3e}")
-        r = region_residual(self.model, self.omega0, self.nodes)
+        r = self.psi[:, -1] + self.omega0  # the region residual, as psi = DF
         interior_bad = r[self.interior_idx] <= 0
         if np.any(interior_bad):
             raise MeshConstructionError("interior node with nonpositive region residual")

@@ -63,8 +63,7 @@ class RunContext:
         level = self.cfg.mesh_level if level is None else level
         key = (seed, level)
         if key not in self._bodies:
-            self._bodies[key] = random_capillary_body(self.mesh(level), seed,
-                                                      self.cfg.amplitude)
+            self._bodies[key] = random_capillary_body(self.mesh(level), seed)
         return self._bodies[key]
 
     def body_tuple(self, seed, count):
@@ -556,7 +555,7 @@ def _cmd_mesh_info(args) -> int:
 def _cmd_body_gen(args) -> int:
     cfg = parse_config(args.config)
     mesh = build_cap_mesh(cfg.cap_config())
-    body = random_capillary_body(mesh, args.seed, cfg.amplitude)
+    body = random_capillary_body(mesh, args.seed)
     res, euc, ok = body.robin_residuals()
     print(f"seed {args.seed}: min W eig {body.min_w_eig!r}, min tau eig "
           f"{body.min_tau_eig!r}, min s_hat {float(np.min(body.shat))!r}")

@@ -3,13 +3,15 @@
 INI-style configuration with sections [geometry], [norm], [mesh],
 [numerics], [suites], [seeds], [output]; see the repository README for the
 full key reference.  Parsing is whole-file: every problem found is
-collected and reported together, not just the first one.
+collected and reported together, not just the first one.  An unknown
+section or key is one such problem; [DEFAULT] is an unknown section.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
+from fnmatch import fnmatchcase
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,17 @@ from .norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm,
 SUITE_NAMES = ("af", "chain", "minkowski", "steiner", "symmetry", "mixdisc",
                "kernel", "operator", "routes", "all")
 
+# the keys of each section, as patterns: only termK and tol_<name> use a *
+SECTION_KEYS = {
+    "geometry": ("n", "omega0"),
+    "norm": ("family", "matrix", "base", "base_matrix", "term*"),
+    "mesh": ("level",),
+    "numerics": ("tol_*",),
+    "suites": ("run",),
+    "seeds": ("seeds",),
+    "output": ("dir",),
+}
+
 
 @dataclass
 class SuiteConfig:
@@ -31,12 +44,10 @@ class SuiteConfig:
     omega0: float
     norm: MinkowskiNorm
     mesh_level: int
-    fd_step: float
     tolerances: dict
     seeds: list
     suites: list
     out_dir: str
-    amplitude: float = 0.15
 
     def cap_config(self, level: int | None = None) -> CapConfig:
         return CapConfig(self.n, self.omega0, self.norm,
@@ -49,11 +60,9 @@ class SuiteConfig:
             "omega0": self.omega0,
             "norm": self.norm.descriptor(),
             "mesh_level": self.mesh_level,
-            "fd_step": self.fd_step,
             "tolerances": dict(sorted(self.tolerances.items())),
             "seeds": list(self.seeds),
             "suites": list(self.suites),
-            "amplitude": self.amplitude,
         }
 
 
@@ -61,7 +70,22 @@ def _parse_floats(text: str) -> list:
     return [float(v) for v in text.replace(",", " ").split()]
 
 
-def _build_norm(section, dim: int, fd_step: float, errors: list) -> MinkowskiNorm | None:
+def _unknown_keys(parser) -> list:
+    """One error per unknown section and per unknown key of a known one."""
+    errors = []
+    for name in parser.sections():
+        if name not in SECTION_KEYS:
+            keys = ", ".join(parser[name])
+            errors.append(f"{name}: unknown section{f' (keys {keys} not read)' if keys else ''}; "
+                          f"valid sections: {', '.join(SECTION_KEYS)}")
+            continue
+        errors += [f"{name}.{key}: unknown key; valid keys: {', '.join(SECTION_KEYS[name])}"
+                   for key in parser[name]
+                   if not any(fnmatchcase(key, pat) for pat in SECTION_KEYS[name])]
+    return errors
+
+
+def _build_norm(section, dim: int, errors: list) -> MinkowskiNorm | None:
     family = section.get("family", "").strip().lower()
     if family == "isotropic":
         return IsotropicNorm(dim)
@@ -103,9 +127,8 @@ def _build_norm(section, dim: int, fd_step: float, errors: list) -> MinkowskiNor
                 errors.append(f"norm.{key}: {exc}")
         if errors:
             return None
-        deriv = section.get("derivatives", "fd").strip().lower()
         try:
-            return PerturbedNorm(base, terms, fd_step=fd_step, derivatives=deriv)
+            return PerturbedNorm(base, terms)
         except Exception as exc:  # noqa: BLE001
             errors.append(f"norm: {exc}")
             return None
@@ -119,13 +142,15 @@ def parse_config(path: str) -> SuiteConfig:
     full list of problems on failure."""
     if not os.path.exists(path):
         raise InvalidConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # no section header can be empty, so [DEFAULT] reads as an ordinary
+    # section and its keys reach no other section
+    parser = configparser.ConfigParser(default_section="")
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise InvalidConfigError(f"config syntax: {exc}") from exc
 
-    errors: list = []
+    errors = _unknown_keys(parser)
 
     def get(section, key, default=None, cast=str):
         if section not in parser or key not in parser[section]:
@@ -139,8 +164,6 @@ def parse_config(path: str) -> SuiteConfig:
     n = get("geometry", "n", 2, int)
     omega0 = get("geometry", "omega0", 0.0, float)
     level = get("mesh", "level", 3, int)
-    fd_step = get("numerics", "fd_step", 1e-4, float)
-    amplitude = get("numerics", "amplitude", 0.15, float)
 
     if n not in (1, 2):
         errors.append(f"geometry.n: {n} unsupported (meshing restricted to n in {{1, 2}})")
@@ -149,7 +172,7 @@ def parse_config(path: str) -> SuiteConfig:
     if "norm" not in parser:
         errors.append("norm: missing [norm] section")
     elif n in (1, 2):
-        norm = _build_norm(parser["norm"], n + 1, fd_step, errors)
+        norm = _build_norm(parser["norm"], n + 1, errors)
     else:
         family = parser["norm"].get("family", "").strip().lower()
         if family not in ("isotropic", "ellipsoid", "perturbed"):
@@ -190,7 +213,11 @@ def parse_config(path: str) -> SuiteConfig:
         seeds = [int(v) for v in seeds_raw.replace(",", " ").split()]
     except ValueError as exc:
         errors.append(f"seeds.seeds: {exc}")
-        seeds = []
+    else:
+        if not seeds:
+            errors.append("seeds.seeds: no seeds given")
+        errors += [f"seeds.seeds: seed {s} is negative; seeds are nonnegative integers"
+                   for s in seeds if s < 0]
 
     out_dir = os.environ.get("CAPAF_OUT") or get("output", "dir", "capaf-out")
     # CAPAF_JOBS is accepted and ignored (suites run serially), but must be an integer
@@ -206,5 +233,5 @@ def parse_config(path: str) -> SuiteConfig:
     if errors:
         raise InvalidConfigError("; ".join(errors), errors=errors)
     return SuiteConfig(n=n, omega0=omega0, norm=norm, mesh_level=level,
-                       fd_step=fd_step, tolerances=tolerances, seeds=seeds,
-                       suites=suites, out_dir=out_dir, amplitude=amplitude)
+                       tolerances=tolerances, seeds=seeds, suites=suites,
+                       out_dir=out_dir)

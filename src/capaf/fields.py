@@ -221,14 +221,13 @@ class CombinationField(SupportField):
         return a
 
 
-def kernel_field(mesh_or_model, alpha: int) -> LinearField:
+def kernel_field(mesh: CapMesh, alpha: int) -> LinearField:
     """Horizontal kernel field G(T^-1 xi)(T^-1 xi, E_alpha) as a generator.
 
     The identity G(z)(z, Y) = <Y, x>/F(x) at z = DF(x) makes the generator
     exactly linear: s(x) = <x, E_alpha>.
     """
-    model = mesh_or_model.model if isinstance(mesh_or_model, CapMesh) else mesh_or_model
-    v = np.zeros(model.dim)
+    v = np.zeros(mesh.dim)
     v[alpha] = 1.0
     return LinearField(v)
 

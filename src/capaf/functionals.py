@@ -12,9 +12,9 @@ Mixed volumes are evaluated by three routes:
 
 The first two agree pointwise (mixed discriminants transform by det under
 the frame change, absorbing det A_F), the third by polynomiality of the
-volume.  By default mixed volumes are slot-symmetrized (averaged over
-which argument occupies the multiplier slot); the raw single-slot form is
-what symmetry_check measures.
+volume.  The integral routes are slot-symmetrized (averaged over which
+argument occupies the multiplier slot); the raw single-slot form is what
+symmetry_check measures.
 
 Volume and the multiplier slot integrate the anchored support
 s - <anchor, x>, the tracked horizontal translate; this is the same value
@@ -56,7 +56,6 @@ class InequalityReport:
     tolerance: float
     passed: bool
     equality_expected: bool = False
-    mode: str = "inequality"
     notes: dict = field(default_factory=dict)
 
     @staticmethod
@@ -67,13 +66,11 @@ class InequalityReport:
         rel = gap / scale
         ok = abs(gap) <= tol * scale if equality_expected else gap >= -tol * scale
         return InequalityReport(name, lhs, rhs, gap, rel, tol, bool(ok),
-                                equality_expected, "inequality", notes or {})
+                                equality_expected, notes or {})
 
     @staticmethod
     def identity(name, lhs, rhs, tol, notes=None):
-        rep = InequalityReport.inequality(name, lhs, rhs, tol, True, notes)
-        rep.mode = "identity"
-        return rep
+        return InequalityReport.inequality(name, lhs, rhs, tol, True, notes)
 
 
 @dataclass
@@ -209,11 +206,11 @@ def _mv_polyfit(bodies) -> tuple:
     return float(coef[c_idx] / multinom), cond, resid
 
 
-def mixed_volume(bodies, route: str = "anisotropic", symmetrize: bool = True) -> MixedVolumeResult:
+def mixed_volume(bodies, route: str = "anisotropic") -> MixedVolumeResult:
     """V(K_0, ..., K_n) by the requested route.
 
-    symmetrize averages the integral routes over the multiplier slot, which
-    both reduces quadrature error and makes equality cases of the
+    The integral routes average over the multiplier slot, which both
+    reduces quadrature error and makes equality cases of the
     Alexandrov-Fenchel checks second order in the quadrature defect.
     """
     bodies = list(bodies)
@@ -225,16 +222,16 @@ def mixed_volume(bodies, route: str = "anisotropic", symmetrize: bool = True) ->
                                  max(resid, cond * 1e-16 * abs(value)))
     if route not in ("anisotropic", "euclidean"):
         raise InvalidInputError(f"unknown route {route!r}")
-    slots = range(len(bodies)) if symmetrize else [0]
-    vals = [_mv_slot(bodies, s, route) for s in slots]
+    vals = [_mv_slot(bodies, s, route) for s in range(len(bodies))]
     value = float(np.mean(vals))
-    spread = float(np.max(np.abs(np.asarray(vals) - value))) if len(vals) > 1 else 0.0
+    spread = float(np.max(np.abs(np.asarray(vals) - value)))
     tag = "anisotropic-integral" if route == "anisotropic" else "euclidean-integral"
     return MixedVolumeResult(value, tag, level, spread)
 
 
-def mixed_volume_value(bodies, route="anisotropic", symmetrize=True) -> float:
-    return mixed_volume(bodies, route=route, symmetrize=symmetrize).value
+def mixed_volume_value(bodies) -> float:
+    """The anisotropic-route mixed volume V(K_0, ..., K_n)."""
+    return mixed_volume(bodies).value
 
 
 def integrand_identity_defect(bodies) -> float:
@@ -436,21 +433,20 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
     return out[0], out[1]
 
 
-def divergence_identity_check(f1_body: CapillaryBody, trailing, step: float | None = None):
+def divergence_identity_check(f1_body: CapillaryBody, trailing):
     """Pointwise divergence identity for the mixed-discriminant gradient.
 
     Evaluates sum_j grad_j Q^{ij} grad_i f1 - (1/2) Q^{ij} grad_i f1 Q_jkk
-    + (1/2) Q^{ij} grad_l f1 Q_ijl at interior nodes (stencil-safe margin);
-    returns a dict with the max residual relative to the field scale and
-    the skipped-node count.
+    + (1/2) Q^{ij} grad_l f1 Q_ijl at interior nodes (stencil-safe margin),
+    with the geodesic stencil step 0.2 * 2^-level; returns a dict with the
+    max residual relative to the field scale and the skipped-node count.
     """
     mesh = f1_body.mesh
     n = mesh.n
     trailing = list(trailing)
     if len(trailing) != n - 1:
         raise InvalidInputError(f"need n-1 = {n - 1} trailing bodies")
-    if step is None:
-        step = 0.2 * 0.5**mesh.config.mesh_level
+    step = 0.2 * 0.5**mesh.config.mesh_level
     idx, skipped = _stencil_safe_interior(mesh, 3.0 * step)
 
     grad_f1 = np.einsum("bkd,bde,be->bk", mesh.frame[idx], mesh.G[idx], f1_body.X[idx])
@@ -561,8 +557,7 @@ def operator_a_energy_check(g, trailing, tol: float = 1e-6) -> InequalityReport:
     scale = max(abs(lhs), abs(rhs), mass, _GUARD)
     return InequalityReport(
         "operator-energy", float(lhs), float(rhs), float(gap), gap / scale,
-        tol, bool(gap >= -tol * scale), False, "inequality",
-        {"omega_mass": mass})
+        tol, bool(gap >= -tol * scale), False, {"omega_mass": mass})
 
 
 def operator_selfadjoint_deviation(f, g, trailing) -> float:
@@ -580,15 +575,15 @@ def operator_selfadjoint_deviation(f, g, trailing) -> float:
 # ---------------------------------------------------------------------------
 
 
-def af_inequality_check(bodies, tol: float = 1e-8, equality_expected: bool = False,
-                        route: str = "anisotropic") -> InequalityReport:
+def af_inequality_check(bodies, tol: float = 1e-8,
+                        equality_expected: bool = False) -> InequalityReport:
     """V(K1,K2,rest)^2 >= V(K1,K1,rest) V(K2,K2,rest)."""
     bodies = list(bodies)
     _require_full_tuple(bodies)
     k1, k2, rest = bodies[0], bodies[1], bodies[2:]
-    v12 = mixed_volume_value([k1, k2] + rest, route=route)
-    v11 = mixed_volume_value([k1, k1] + rest, route=route)
-    v22 = mixed_volume_value([k2, k2] + rest, route=route)
+    v12 = mixed_volume_value([k1, k2] + rest)
+    v11 = mixed_volume_value([k1, k1] + rest)
+    v22 = mixed_volume_value([k2, k2] + rest)
     return InequalityReport.inequality(
         "alexandrov-fenchel", v12 * v12, v11 * v22, tol,
         equality_expected=equality_expected,
@@ -662,19 +657,17 @@ def generalized_chain_check(k0: CapillaryBody, k1: CapillaryBody, trailing,
 # ---------------------------------------------------------------------------
 
 
-def kernel_tau_intrinsic(mesh: CapMesh, alpha: int | None = None, step: float | None = None,
-                         margin_factor: float = 3.0):
+def kernel_tau_intrinsic(mesh: CapMesh, alpha: int | None = None):
     """Intrinsic-route tau of the horizontal kernel fields, interior nodes.
 
     Exactly zero in the continuum; the discrete value decays with the
-    stencil (tied to the mesh level by default).  Every field E_1..E_n
-    comes out of one pass over one stencil.  Returns (max_entry, info):
-    the largest |tau| entry of E_{alpha+1}, or with alpha None the list of
-    them for every field.
+    stencil step 0.3 * 2^-level.  Every field E_1..E_n comes out of one
+    pass over one stencil.  Returns (max_entry, info): the largest |tau|
+    entry of E_{alpha+1}, or with alpha None the list of them for every
+    field.
     """
-    if step is None:
-        step = 0.3 * 0.5**mesh.config.mesh_level
-    idx, _ = _stencil_safe_interior(mesh, margin_factor * step)
+    step = 0.3 * 0.5**mesh.config.mesh_level
+    idx, _ = _stencil_safe_interior(mesh, 3.0 * step)
     tau, _ = intrinsic_tau(mesh, kernel_evaluator(mesh), idx, step)
     maxima = [float(v) for v in np.max(np.abs(tau), axis=(0, 2, 3))]
     return (maxima if alpha is None else maxima[alpha]), {"checked": int(len(idx)), "step": step}

@@ -21,8 +21,8 @@ Three families are provided:
 * perturbed      base family plus smooth zonal terms a * |x| * g(<x^, c>)
 
 Isotropic and ellipsoid derivatives are closed form.  The perturbed family
-defaults to Richardson-extrapolated central differences for its public
-grad/hess (exact formulas up to third order are kept alongside).  Every
+takes its public grad/hess from Richardson-extrapolated central differences
+(exact formulas up to third order are kept alongside).  Every
 family evaluates its dual norm, and on request the maximizer (the Gauss
 preimage), as dual_value(xi, x_warm=None, return_argmax=False); the
 perturbed family runs a damped Newton ascent on the sphere, from multiple
@@ -204,7 +204,6 @@ class MinkowskiNorm:
 
     family = "abstract"
     dim: int
-    fd_step: float = 1e-4
 
     # -- primal side --------------------------------------------------------
 
@@ -437,9 +436,9 @@ class EllipsoidNorm(MinkowskiNorm):
 class PerturbedNorm(MinkowskiNorm):
     """Base family plus smooth zonal terms.
 
-    Public grad/hess use Richardson central differences by default
-    (``derivatives='fd'``); the closed-form routes stay available as
-    exact_grad/exact_hess/exact_third.  The metric G and its derivative Q
+    Public grad/hess are Richardson central differences with step fd_step
+    (scaled per row, see _fd_steps); the closed-form routes stay available
+    as exact_grad/exact_hess/exact_third.  The metric G and its derivative Q
     are always closed form (Legendre duality, see the module docstring),
     built from the exact derivatives at the Gauss preimage.  Construction
     validates F > 0 and A_F > 0 on a dense sphere sample and fails loudly
@@ -447,19 +446,14 @@ class PerturbedNorm(MinkowskiNorm):
     """
 
     family = "perturbed"
+    fd_step = 1e-4
 
-    def __init__(self, base: MinkowskiNorm, terms, fd_step: float = 1e-4,
-                 derivatives: str = "fd", validate: bool = True):
-        if derivatives not in ("fd", "analytic"):
-            raise InvalidInputError("derivatives must be 'fd' or 'analytic'")
+    def __init__(self, base: MinkowskiNorm, terms):
         self.base = base
         self.terms = tuple(terms)
         self.dim = base.dim
-        self.fd_step = float(fd_step)
-        self.derivatives = derivatives
         self._dual_starts = None
-        if validate:
-            self.validate()
+        self.validate()
 
     # primal
 
@@ -489,15 +483,11 @@ class PerturbedNorm(MinkowskiNorm):
         return self.fd_step * np.maximum(1.0, np.max(np.abs(x), axis=-1))
 
     def grad(self, x):
-        if self.derivatives == "analytic":
-            return self.exact_grad(x)
         x, batched = self._check_nonzero(x)
         g, _ = fd.central_gradient(lambda p: np.asarray(self.value(p)), x, self._fd_steps(x))
         return _unbatch(g, batched)
 
     def hess(self, x):
-        if self.derivatives == "analytic":
-            return self.exact_hess(x)
         x, batched = self._check_nonzero(x)
         hess, _ = fd.central_hessian(lambda p: np.asarray(self.value(p)), x, self._fd_steps(x))
         hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
@@ -670,8 +660,6 @@ class PerturbedNorm(MinkowskiNorm):
         return {
             "family": "perturbed",
             "base": self.base.descriptor(),
-            "fd_step": self.fd_step,
-            "derivatives": self.derivatives,
             "terms": [
                 {"kind": t.kind, "center": list(t.center), "width": t.width, "amplitude": t.amplitude}
                 for t in self.terms
@@ -690,8 +678,7 @@ def norm_from_descriptor(desc: dict) -> MinkowskiNorm:
         base = norm_from_descriptor(desc["base"])
         terms = [PerturbTerm(t["kind"], tuple(t["center"]), float(t["width"]), float(t["amplitude"]))
                  for t in desc["terms"]]
-        return PerturbedNorm(base, terms, fd_step=float(desc.get("fd_step", 1e-4)),
-                             derivatives=desc.get("derivatives", "fd"))
+        return PerturbedNorm(base, terms)
     raise InvalidInputError(f"unknown norm family {fam!r}")
 
 

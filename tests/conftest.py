@@ -50,12 +50,10 @@ def mesh_for(name: str, omega0: float, level: int, n: int = 2):
     return _MESHES[key]
 
 
-def body_for(name: str, omega0: float, level: int, seed: int,
-             amplitude: float = 0.15, n: int = 2):
-    key = (name, omega0, level, seed, amplitude, n)
+def body_for(name: str, omega0: float, level: int, seed: int, n: int = 2):
+    key = (name, omega0, level, seed, n)
     if key not in _BODIES:
-        _BODIES[key] = random_capillary_body(
-            mesh_for(name, omega0, level, n), seed, amplitude)
+        _BODIES[key] = random_capillary_body(mesh_for(name, omega0, level, n), seed)
     return _BODIES[key]
 
 

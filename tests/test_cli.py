@@ -51,7 +51,7 @@ def write(tmp_path, text, name="cfg.ini"):
 def test_parse_minimal_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL))
     assert cfg.n == 2 and cfg.omega0 == 0.0
-    assert cfg.mesh_level == 3 and cfg.fd_step == 1e-4
+    assert cfg.mesh_level == 3
     assert cfg.seeds == [1, 2, 3]
     assert "all" not in cfg.suites and "af" in cfg.suites and "mixdisc" in cfg.suites
 
@@ -101,6 +101,48 @@ def test_parse_tolerance_overrides(tmp_path):
     bad = MINIMAL + "\n[numerics]\ntol_nonsense = 1\n"
     with pytest.raises(InvalidConfigError):
         parse_config(write(tmp_path, bad))
+
+
+def test_parse_names_every_unknown_key(tmp_path, capsys):
+    """Typos and keys nothing reads are errors, not silent defaults."""
+    text = (ELLIPSOID.replace("omega0 =", "omega =").replace("level =", "levle =")
+            + "\n[numerics]\nfd_step = 1e-4\n")
+    path = write(tmp_path, text)
+    with pytest.raises(InvalidConfigError) as err:
+        parse_config(path)
+    errors = err.value.errors
+    assert len(errors) == 3
+    for key, error in zip(("geometry.omega", "mesh.levle", "numerics.fd_step"), errors):
+        assert error.startswith(key + ": unknown key")
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("unknown key") == 3
+
+
+def test_parse_rejects_unknown_and_default_sections(tmp_path):
+    text = "[DEFAULT]\nlevel = 2\n" + MINIMAL + "\n[extra]\n"
+    with pytest.raises(InvalidConfigError) as err:
+        parse_config(write(tmp_path, text))
+    errors = err.value.errors
+    assert len(errors) == 2
+    assert errors[0].startswith("DEFAULT: unknown section (keys level not read)")
+    assert errors[1].startswith("extra: unknown section;")
+
+
+@pytest.mark.parametrize("seeds", ["", "-3", "1 -2"])
+@pytest.mark.parametrize("suite", ["af", "chain", "symmetry"])
+def test_seeds_must_be_a_nonempty_nonnegative_list(tmp_path, capsys, seeds, suite):
+    path = write(tmp_path, ELLIPSOID.replace("seeds = 1 2", f"seeds = {seeds}"))
+    assert main(["verify", "--config", path, "--suite", suite,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: seeds.seeds: " in err
+    assert ("no seeds given" if not seeds else "is negative") in err
+
+
+def test_body_gen_rejects_negative_seed(tmp_path, capsys):
+    path = write(tmp_path, ELLIPSOID)
+    assert main(["body", "gen", "--config", path, "--seed", "-2"]) == 2
+    assert "error: seed -2 is negative" in capsys.readouterr().err
 
 
 def test_parse_perturbed_terms(tmp_path):
@@ -385,3 +427,40 @@ def test_shipped_config_verifies(tmp_path, capsys, name):
     summary = json.loads((out / "report.json").read_text())["summary"]
     assert summary["total"] == summary["passed"] == SHIPPED_CHECKS[name]
     assert summary["failed"] == 0
+
+
+class _ReadLog(dict):
+    """A tolerance table that notes in `seen` every name read from it."""
+
+    def __init__(self, table, seen):
+        super().__init__(table)
+        self.seen = seen
+
+    def __getitem__(self, name):
+        self.seen.add(name)
+        return super().__getitem__(name)
+
+
+def test_every_tolerance_has_a_reader(monkeypatch):
+    """Every suite, on an analytic and on the perturbed config at level 2,
+    reads each tolerance name between them: routes_fd is read only on the
+    perturbed norm and kernel_* only on analytic ones."""
+    import capaf.cli as cli
+    from capaf.capgeom import DEFAULT_TOLERANCES
+    from capaf.config import SuiteConfig
+
+    seen = set()
+    cap_config = SuiteConfig.cap_config
+
+    def logged_cap_config(self, level=None):
+        cap = cap_config(self, level)
+        cap.tolerances = _ReadLog(cap.tolerances, seen)
+        return cap
+
+    monkeypatch.setattr(SuiteConfig, "cap_config", logged_cap_config)
+    for name in ("ellipsoid.ini", "perturbed.ini"):
+        cfg = parse_config(os.path.join(CONFIGS, name))
+        cfg.mesh_level = 2
+        cfg.tolerances = _ReadLog(cfg.tolerances, seen)
+        cli.run_suite(cfg)
+    assert sorted(set(DEFAULT_TOLERANCES) - seen) == []
