@@ -7,9 +7,8 @@ formula, kernel characterization, the associated elliptic operator, and
 the Alexandrov-Fenchel inequalities with their equality cases.
 """
 
-from .bodies import (CapillaryBody, body_from_field, make_wulff_cap,
-                     minkowski_combine, random_capillary_body, rebind,
-                     translate_horizontal)
+from .bodies import (CapillaryBody, make_wulff_cap, minkowski_combine,
+                     random_capillary_body, rebind, translate_horizontal)
 from .capgeom import (CapConfig, CapMesh, admissible_range, build_cap_mesh,
                       ef_vector, icosphere, region_residual)
 from .config import SuiteConfig, parse_config
@@ -29,8 +28,7 @@ from .mixdisc import (SymMatrixTuple, alexandrov_md_check,
                       md_transform_check, mixed_disc_gradient,
                       mixed_discriminant)
 from .norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm,
-                    PerturbedNorm, PerturbTerm, anisotropy_matrix,
-                    cahn_hoffman, dual_norm, eval_norm, metric_g, q_tensor)
+                    PerturbedNorm, PerturbTerm)
 from .report import RunReport, emit_report
 
 __version__ = "0.1.0"

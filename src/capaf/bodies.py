@@ -110,7 +110,7 @@ class CapillaryBody:
         self.min_tau_eig = float(np.min(radii[:, 0]))
         self.convex = bool(self.min_w_eig > 0 and self.min_tau_eig > 0)
         bd = mesh.boundary_idx
-        self.boundary_plane_dev = float(np.max(np.abs(self.X[bd, -1]))) if len(bd) else 0.0
+        self.boundary_plane_dev = float(np.max(np.abs(self.X[bd, -1])))
         halfspace_min = float(np.min(self.X[:, -1]))
         self.capillary = bool(self.boundary_plane_dev <= 1e-6 * max(1.0, float(np.max(np.abs(self.s))))
                               and halfspace_min >= -1e-9)
@@ -127,19 +127,14 @@ class CapillaryBody:
 
     # ------------------------------------------------------------------ views
 
-    def capillary_support(self, i=None) -> np.ndarray:
-        """s_hat(xi_i) = s(x_i)/F(x_i)."""
-        return self.shat if i is None else self.shat[i]
+    def capillary_support_metric_form(self) -> np.ndarray:
+        """The capillary support s_hat = s/F at every node through
+        G(T^-1 xi)(X, T^-1 xi); a second route to shat."""
+        return np.einsum("bi,bij,bj->b", self.X, self.mesh.G, self.mesh.psi)
 
-    def capillary_support_metric_form(self, i=None) -> np.ndarray:
-        """Same value through G(T^-1 xi)(X, T^-1 xi); a second route."""
-        vals = np.einsum("bi,bij,bj->b", self.X, self.mesh.G, self.mesh.psi)
-        return vals if i is None else vals[i]
-
-    def u_bar(self, i=None) -> np.ndarray:
+    def u_bar(self) -> np.ndarray:
         """Alternative normalization s_hat / s_hat_o (read-only diagnostic)."""
-        vals = self.shat / self.mesh.cap_body.shat
-        return vals if i is None else vals[i]
+        return self.shat / self.mesh.cap_body.shat
 
     def tau_eigs_secondary(self) -> np.ndarray:
         """Radii via the Euclidean route: eigenvalues of W A_F^{-1}."""
@@ -185,9 +180,6 @@ class CapillaryBody:
         recon = grad_amb + self.shat[:, None] * mesh.psi
         return float(np.max(np.abs(recon - self.X)))
 
-    def scale_estimate(self) -> float:
-        return float(np.max(np.abs(self.s)))
-
     # -------------------------------------------------------------- serialize
 
     def record(self) -> dict:
@@ -222,11 +214,6 @@ def make_wulff_cap(mesh: CapMesh, r0: float, e_vec=None) -> CapillaryBody:
     return CapillaryBody(mesh, field, prov)
 
 
-def body_from_field(mesh: CapMesh, field: SupportField, provenance=None,
-                    validate: bool = True) -> CapillaryBody:
-    return CapillaryBody(mesh, field, provenance or {"kind": "custom"}, validate=validate)
-
-
 def minkowski_combine(bodies, lambdas) -> CapillaryBody:
     """Body with support field sum_i lambda_i s_i (nonnegative weights)."""
     bodies = list(bodies)
@@ -238,7 +225,7 @@ def minkowski_combine(bodies, lambdas) -> CapillaryBody:
     if sum(lambdas) <= 0:
         raise InvalidInputError("weights must not all vanish")
     mesh = bodies[0].mesh
-    if any(not mesh.same_mesh(b.mesh) for b in bodies):
+    if any(b.mesh is not mesh for b in bodies):
         raise InvalidInputError("all bodies must share one mesh")
     field = CombinationField([b.field for b in bodies], lambdas)
     prov = {"kind": "combination", "weights": lambdas,
@@ -368,21 +355,19 @@ def rebind(body: CapillaryBody, mesh: CapMesh) -> CapillaryBody:
     return CapillaryBody(mesh, body.field, dict(body.provenance))
 
 
-def body_from_record(record, mesh: CapMesh | None = None) -> CapillaryBody:
+def body_from_record(record) -> CapillaryBody:
     """Reconstruct a body from its serialized record.
 
     Construction is deterministic, so replaying the recorded provenance on
-    an equal mesh reproduces every cache bit for bit.
+    a mesh built from the recorded config reproduces every cache bit for bit.
     """
     from .norms import norm_from_descriptor
 
     if isinstance(record, str):
         record = json.loads(record)
-    if mesh is None:
-        cfg = CapConfig(int(record["n"]), float(record["omega0"]),
-                        norm_from_descriptor(record["norm"]),
-                        int(record["mesh_level"]))
-        mesh = build_cap_mesh(cfg)
+    mesh = build_cap_mesh(CapConfig(int(record["n"]), float(record["omega0"]),
+                                    norm_from_descriptor(record["norm"]),
+                                    int(record["mesh_level"])))
     prov = record["provenance"]
     kind = prov.get("kind")
     if kind == "wulff-cap":

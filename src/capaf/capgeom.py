@@ -85,32 +85,35 @@ def _icosahedron():
 _ICOSPHERES = {}
 
 
+def _subdivide(verts, faces):
+    """Split every face into four at its normalized edge midpoints."""
+    verts = list(verts)
+    midpoint = {}
+    new_faces = []
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in midpoint:
+            m = verts[a] + verts[b]
+            verts.append(m / np.linalg.norm(m))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    for a, b, c in faces:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+    return np.asarray(verts), np.asarray(new_faces, dtype=np.int64)
+
+
 def icosphere(level: int):
     """Subdivided icosahedron projected to the sphere: (verts, faces).
 
-    Built once per level; every caller shares the cached arrays, which are
-    read-only, so copy before modifying.
+    Built once per level, by subdividing the cached level below; every
+    caller shares the cached arrays, which are read-only, so copy before
+    modifying.
     """
     if level not in _ICOSPHERES:
-        verts, faces = _icosahedron()
-        verts = [v for v in verts]
-        for _ in range(level):
-            midpoint = {}
-            new_faces = []
-
-            def mid(a, b):
-                key = (a, b) if a < b else (b, a)
-                if key not in midpoint:
-                    m = verts[a] + verts[b]
-                    verts.append(m / np.linalg.norm(m))
-                    midpoint[key] = len(verts) - 1
-                return midpoint[key]
-
-            for a, b, c in faces:
-                ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-                new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-            faces = np.asarray(new_faces, dtype=np.int64)
-        verts = np.asarray(verts)
+        verts, faces = _subdivide(*icosphere(level - 1)) if level > 0 else _icosahedron()
         verts.setflags(write=False)
         faces.setflags(write=False)
         _ICOSPHERES[level] = (verts, faces)
@@ -248,25 +251,17 @@ class CapMesh:
         self._check_invariants()
 
     def _boundary_geometry(self, hess_b):
-        """Co-normals mu and A_F(nu) mu, from D^2F at the boundary loop."""
+        """Co-normals mu and A_F(nu) mu, from D^2F at the boundary loop
+        (never empty: both mesh builders fail on a region without one)."""
         loop = self.boundary_loop
-        nb = len(loop)
-        d = self.dim
-        self.mu = np.zeros((nb, d))
-        self.muF = np.zeros((nb, d))
-        self.c_normalizer = np.zeros(nb)
-        self.conormal_ok = np.ones(nb, dtype=bool)
-        self.boundary_arc_weights = np.zeros(nb)
-        if nb == 0:
-            return
         x_b = self.nodes[loop]
         xi_b = self.xi[loop]
         if self.n == 2:
-            nxt = np.roll(np.arange(nb), -1)
-            prv = np.roll(np.arange(nb), 1)
+            nxt = np.roll(np.arange(len(loop)), -1)
+            prv = np.roll(np.arange(len(loop)), 1)
             # the boundary curve lies in the floor plane, so its tangent is
             # exactly perpendicular to both the Gauss direction and E_3
-            e3 = np.zeros(d)
+            e3 = np.zeros(self.dim)
             e3[-1] = 1.0
             t_hat = unit_rows(np.cross(x_b, np.broadcast_to(e3, x_b.shape)))
             chord = xi_b[nxt] - xi_b[prv]
@@ -275,8 +270,6 @@ class CapMesh:
             mu = np.cross(x_b, t_hat)
             sign = np.where(mu[:, -1] > 0, -1.0, 1.0)
             mu = unit_rows(mu) * sign[:, None]
-            seg = np.linalg.norm(xi_b[nxt] - xi_b, axis=-1)
-            self.boundary_arc_weights = 0.5 * (seg + seg[prv])
             self.boundary_tangent = t_hat
         else:
             # two endpoints; co-normal is the outward curve tangent
@@ -284,14 +277,10 @@ class CapMesh:
             dxi = np.einsum("bij,bj->bi", hess_b, t)
             mu = unit_rows(dxi)
             mu[0] = -mu[0]  # first endpoint: outward means decreasing angle
-            self.boundary_arc_weights = np.ones(nb)
             self.boundary_tangent = None
         self.mu = mu
         self.conormal_ok = np.abs(mu[:, -1]) > 1e-8
         self.muF = np.einsum("bij,bj->bi", hess_b, mu)
-        g_b = self.G[loop]
-        qn = np.einsum("bi,bij,bj->b", self.muF, g_b, self.muF)
-        self.c_normalizer = 1.0 / np.sqrt(np.maximum(qn, 1e-300))
 
     def _build_frames(self):
         g = self.G
@@ -313,18 +302,17 @@ class CapMesh:
             w = u2 - gdot(e1, u2)[:, None] * e1
             frame[:, 1] = w / np.sqrt(gdot(w, w))[:, None]
         loop = self.boundary_loop
-        if len(loop):
-            if n == 2:
-                t_hat = self.boundary_tangent
-                eb1 = t_hat / np.sqrt(gdot_at(loop, t_hat, t_hat))[:, None]
-                w = self.muF - gdot_at(loop, eb1, self.muF)[:, None] * eb1
-                eb2 = w / np.sqrt(gdot_at(loop, w, w))[:, None]
-                frame[loop, 0] = eb1
-                frame[loop, 1] = eb2
-            else:
-                sgn = np.sign(np.einsum("bi,bi->b", frame[loop, 0], self.muF))
-                sgn[sgn == 0] = 1.0
-                frame[loop, 0] = frame[loop, 0] * sgn[:, None]
+        if n == 2:
+            t_hat = self.boundary_tangent
+            eb1 = t_hat / np.sqrt(gdot_at(loop, t_hat, t_hat))[:, None]
+            w = self.muF - gdot_at(loop, eb1, self.muF)[:, None] * eb1
+            eb2 = w / np.sqrt(gdot_at(loop, w, w))[:, None]
+            frame[loop, 0] = eb1
+            frame[loop, 1] = eb2
+        else:
+            sgn = np.sign(np.einsum("bi,bi->b", frame[loop, 0], self.muF))
+            sgn[sgn == 0] = 1.0
+            frame[loop, 0] = frame[loop, 0] * sgn[:, None]
         self.frame = frame
 
     def _check_invariants(self):
@@ -334,7 +322,7 @@ class CapMesh:
         if dev > tol["frame_orthonormal"]:
             raise NumericError(f"frame orthonormality defect {dev:.3e}", residual=dev)
         self.frame_orthonormal_defect = float(dev)
-        plane = np.abs(self.xi[self.boundary_idx, -1]) if len(self.boundary_idx) else np.zeros(1)
+        plane = np.abs(self.xi[self.boundary_idx, -1])
         if np.any(plane > tol["boundary_plane"]):
             raise MeshConstructionError(
                 f"boundary cap point off the support plane by {np.max(plane):.3e}")
@@ -345,9 +333,6 @@ class CapMesh:
         self.region_residuals = r
 
     # accessors ---------------------------------------------------------------
-
-    def pullback_area_density(self, i: int) -> float:
-        return float(self.detA[i])
 
     @property
     def node_count(self) -> int:
@@ -410,9 +395,6 @@ class CapMesh:
         from .bodies import _region_complement_sample
 
         return self._lazy("region_complement", lambda: _region_complement_sample(self))
-
-    def same_mesh(self, other: "CapMesh") -> bool:
-        return self is other
 
     def dump_table(self) -> str:
         """Plain-text node table: node_index, x, tag, w, xi, detA_F."""

@@ -4,7 +4,8 @@ INI-style configuration with sections [geometry], [norm], [mesh],
 [numerics], [suites], [seeds], [output]; see the repository README for the
 full key reference.  Parsing is whole-file: every problem found is
 collected and reported together, not just the first one.  An unknown
-section or key is one such problem; [DEFAULT] is an unknown section.
+section or key is one such problem; [DEFAULT] is an unknown section.  So
+is a [norm] key that the chosen family does not read, and a repeated seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import configparser
 import os
 from fnmatch import fnmatchcase
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +25,17 @@ from .norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm,
 SUITE_NAMES = ("af", "chain", "minkowski", "steiner", "symmetry", "mixdisc",
                "kernel", "operator", "routes", "all")
 
+# the [norm] keys each family reads, as patterns (termK uses a *)
+NORM_KEYS = {
+    "isotropic": ("family",),
+    "ellipsoid": ("family", "matrix"),
+    "perturbed": ("family", "base", "base_matrix", "term*"),
+}
+
 # the keys of each section, as patterns: only termK and tol_<name> use a *
 SECTION_KEYS = {
     "geometry": ("n", "omega0"),
-    "norm": ("family", "matrix", "base", "base_matrix", "term*"),
+    "norm": tuple(dict.fromkeys(k for keys in NORM_KEYS.values() for k in keys)),
     "mesh": ("level",),
     "numerics": ("tol_*",),
     "suites": ("run",),
@@ -70,6 +78,10 @@ def _parse_floats(text: str) -> list:
     return [float(v) for v in text.replace(",", " ").split()]
 
 
+def _matches(key: str, patterns) -> bool:
+    return any(fnmatchcase(key, pat) for pat in patterns)
+
+
 def _unknown_keys(parser) -> list:
     """One error per unknown section and per unknown key of a known one."""
     errors = []
@@ -80,13 +92,26 @@ def _unknown_keys(parser) -> list:
                           f"valid sections: {', '.join(SECTION_KEYS)}")
             continue
         errors += [f"{name}.{key}: unknown key; valid keys: {', '.join(SECTION_KEYS[name])}"
-                   for key in parser[name]
-                   if not any(fnmatchcase(key, pat) for pat in SECTION_KEYS[name])]
+                   for key in parser[name] if not _matches(key, SECTION_KEYS[name])]
     return errors
 
 
-def _build_norm(section, dim: int, errors: list) -> MinkowskiNorm | None:
+def _build_norm(section, dim: int | None, errors: list) -> MinkowskiNorm | None:
+    """The [norm] model, or None with its problems added to errors; a valid
+    key the family does not read is one.  dim None checks only the keys."""
     family = section.get("family", "").strip().lower()
+    if family not in NORM_KEYS:
+        errors.append(f"norm.family: unknown family {family!r} "
+                      "(expected isotropic, ellipsoid, or perturbed)")
+        return None
+    base_name = section.get("base", "isotropic").strip().lower()
+    read = [k for k in NORM_KEYS[family] if k != "base_matrix" or base_name != "isotropic"]
+    # an unknown key is _unknown_keys' to report
+    errors += [f"norm.{key}: not read by family {family!r}; its keys: {', '.join(read)}"
+               for key in section
+               if _matches(key, SECTION_KEYS["norm"]) and not _matches(key, read)]
+    if dim is None:
+        return None
     if family == "isotropic":
         return IsotropicNorm(dim)
     if family == "ellipsoid":
@@ -98,43 +123,38 @@ def _build_norm(section, dim: int, errors: list) -> MinkowskiNorm | None:
         except Exception as exc:  # noqa: BLE001 - aggregated into error list
             errors.append(f"norm.matrix: {exc}")
             return None
-    if family == "perturbed":
-        base_name = section.get("base", "isotropic").strip().lower()
-        if base_name == "isotropic":
-            base = IsotropicNorm(dim)
-        elif base_name == "ellipsoid":
-            try:
-                base = EllipsoidNorm(np.asarray(
-                    _parse_floats(section.get("base_matrix", "")), dtype=float).reshape(dim, dim))
-            except Exception as exc:  # noqa: BLE001
-                errors.append(f"norm.base_matrix: {exc}")
-                return None
-        else:
-            errors.append(f"norm.base: unknown base family {base_name!r}")
-            return None
-        terms = []
-        for key in sorted(k for k in section if k.startswith("term")):
-            parts = section[key].split()
-            if len(parts) != dim + 3:
-                errors.append(f"norm.{key}: expected 'kind cx ... width amplitude' "
-                              f"({dim + 3} fields), got {len(parts)}")
-                continue
-            try:
-                terms.append(PerturbTerm(parts[0],
-                                         tuple(float(v) for v in parts[1:1 + dim]),
-                                         float(parts[-2]), float(parts[-1])))
-            except Exception as exc:  # noqa: BLE001
-                errors.append(f"norm.{key}: {exc}")
-        if errors:
-            return None
+    if base_name == "isotropic":
+        base = IsotropicNorm(dim)
+    elif base_name == "ellipsoid":
         try:
-            return PerturbedNorm(base, terms)
+            base = EllipsoidNorm(np.asarray(
+                _parse_floats(section.get("base_matrix", "")), dtype=float).reshape(dim, dim))
         except Exception as exc:  # noqa: BLE001
-            errors.append(f"norm: {exc}")
+            errors.append(f"norm.base_matrix: {exc}")
             return None
-    errors.append(f"norm.family: unknown family {family!r} "
-                  "(expected isotropic, ellipsoid, or perturbed)")
-    return None
+    else:
+        errors.append(f"norm.base: unknown base family {base_name!r}")
+        return None
+    terms = []
+    for key in sorted(k for k in section if k.startswith("term")):
+        parts = section[key].split()
+        if len(parts) != dim + 3:
+            errors.append(f"norm.{key}: expected 'kind cx ... width amplitude' "
+                          f"({dim + 3} fields), got {len(parts)}")
+            continue
+        try:
+            terms.append(PerturbTerm(parts[0],
+                                     tuple(float(v) for v in parts[1:1 + dim]),
+                                     float(parts[-2]), float(parts[-1])))
+        except Exception as exc:  # noqa: BLE001
+            errors.append(f"norm.{key}: {exc}")
+    if errors:
+        return None
+    try:
+        return PerturbedNorm(base, terms)
+    except Exception as exc:  # noqa: BLE001
+        errors.append(f"norm: {exc}")
+        return None
 
 
 def parse_config(path: str) -> SuiteConfig:
@@ -171,13 +191,8 @@ def parse_config(path: str) -> SuiteConfig:
     norm = None
     if "norm" not in parser:
         errors.append("norm: missing [norm] section")
-    elif n in (1, 2):
-        norm = _build_norm(parser["norm"], n + 1, errors)
     else:
-        family = parser["norm"].get("family", "").strip().lower()
-        if family not in ("isotropic", "ellipsoid", "perturbed"):
-            errors.append(f"norm.family: unknown family {family!r} "
-                          "(expected isotropic, ellipsoid, or perturbed)")
+        norm = _build_norm(parser["norm"], n + 1 if n in (1, 2) else None, errors)
 
     if norm is not None:
         lo, hi = admissible_range(norm)
@@ -218,6 +233,8 @@ def parse_config(path: str) -> SuiteConfig:
             errors.append("seeds.seeds: no seeds given")
         errors += [f"seeds.seeds: seed {s} is negative; seeds are nonnegative integers"
                    for s in seeds if s < 0]
+        errors += [f"seeds.seeds: seed {s} is repeated; each seed runs once"
+                   for s in sorted({s for s in seeds if seeds.count(s) > 1})]
 
     out_dir = os.environ.get("CAPAF_OUT") or get("output", "dir", "capaf-out")
     # CAPAF_JOBS is accepted and ignored (suites run serially), but must be an integer

@@ -81,7 +81,6 @@ class WulffCapField(SupportField):
         self.model = model
         self.omega0 = float(omega0)
         self.r0 = float(r0)
-        self.e_vec = e_vec
         self.dim = model.dim
         self.shift = self.r0 * self.omega0 * e_vec
         self._anchor = self.r0 * self.omega0 * (e_vec - np.asarray(ef_vec, dtype=float))

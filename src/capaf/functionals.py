@@ -96,7 +96,7 @@ class MixedVolumeResult:
 def _require_shared_mesh(bodies) -> CapMesh:
     mesh = bodies[0].mesh
     for b in bodies[1:]:
-        if not mesh.same_mesh(b.mesh):
+        if b.mesh is not mesh:
             raise InvalidInputError("bodies must share one mesh")
     return mesh
 
@@ -125,15 +125,15 @@ def volume_of_combination(bodies, lambdas) -> float:
     return float(np.sum(mesh.weights * s * detw) / (mesh.n + 1))
 
 
-def hull_volume_oracle(body: CapillaryBody, n_samples: int = 12000, seed: int = 0) -> float:
-    """Convex-hull volume of sampled boundary points (independent route)."""
+def hull_volume_oracle(body: CapillaryBody, seed: int = 0) -> float:
+    """Convex-hull volume of 12000 sampled boundary points (independent route)."""
     from scipy.spatial import ConvexHull
 
     mesh = body.mesh
     rng = np.random.default_rng(seed)
     pts = [body.X - body.anchor[None, :]]
     d = mesh.dim
-    need = max(0, n_samples - len(pts[0]))
+    need = max(0, 12000 - len(pts[0]))
     batch = []
     while sum(len(a) for a in batch) < need:
         cand = rng.normal(size=(4 * need, d))

@@ -170,11 +170,12 @@ def mixed_disc_gradient(mats) -> np.ndarray:
     return out if batched else out[0]
 
 
-def md_transform_check(mats, b_matrix, tol: float = 1e-10) -> dict:
+def md_transform_check(mats, b_matrix) -> dict:
     """Verify Q(A_1 B, ..., A_n B) = Q(A_1, ..., A_n) det(B).
 
     Takes one tuple and one B, or (B, n, n) batches of both; a batch gives
-    per-entry lhs, rhs and relative errors, and passes when every entry does.
+    per-entry lhs, rhs and relative errors, and passes when every entry does
+    (relative error at most 1e-10).
     """
     if isinstance(mats, SymMatrixTuple):
         mats = mats.mats
@@ -186,14 +187,14 @@ def md_transform_check(mats, b_matrix, tol: float = 1e-10) -> dict:
     rhs = mixed_discriminant(mats, route="subset") * det_b
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
     rel = np.abs(lhs - rhs) / scale
-    return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "passed": bool(np.all(rel <= tol))}
+    return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "passed": bool(np.all(rel <= 1e-10))}
 
 
-def alexandrov_md_check(a, b, rest=(), tol: float = 1e-12):
+def alexandrov_md_check(a, b, rest=()):
     """Alexandrov's mixed discriminant inequality as an InequalityReport.
 
     Q(A, B, rest)^2 >= Q(A, A, rest) Q(B, B, rest) for symmetric A and
-    positive definite B and rest; equality iff A = c B.
+    positive definite B and rest, to tolerance 1e-12; equality iff A = c B.
     """
     from .functionals import InequalityReport
 
@@ -208,7 +209,7 @@ def alexandrov_md_check(a, b, rest=(), tol: float = 1e-12):
     # equality detection: is A proportional to B?
     scale_ab = np.sum(a * b) / max(np.sum(b * b), 1e-300)
     prop = float(np.max(np.abs(a - scale_ab * b))) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
-    return InequalityReport.inequality("alexandrov-mixed-discriminant", lhs, rhs, tol,
+    return InequalityReport.inequality("alexandrov-mixed-discriminant", lhs, rhs, 1e-12,
                                        equality_expected=prop)
 
 

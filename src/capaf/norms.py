@@ -226,35 +226,30 @@ class MinkowskiNorm:
             raise InvalidInputError("norm evaluated at the zero vector")
         return x, batched
 
-    def cahn_hoffman(self, x, on_nonunit: str = "normalize") -> np.ndarray:
-        """Gradient map DF at unit x; parametrizes the Wulff shape.
+    def cahn_hoffman(self, x) -> np.ndarray:
+        """Gradient map DF at x / |x|; parametrizes the Wulff shape.
 
+        Input off the unit sphere (by more than 1e-12) is normalized first.
         Equals F(x) x + (spherical gradient of F) for unit x.
         """
         x, batched = _rows(x)
         r = np.linalg.norm(x, axis=-1)
-        off = np.abs(r - 1.0) > 1e-12
-        if np.any(off):
-            if on_nonunit == "reject":
-                raise InvalidInputError("cahn_hoffman requires unit input")
+        if np.any(np.abs(r - 1.0) > 1e-12):
             x = x / r[:, None]
         return _unbatch(self.grad(x), batched)
 
     def anisotropy_matrix(self, x, basis: np.ndarray | None = None) -> np.ndarray:
         """Tangent restriction of the Hessian of F at unit x.
 
-        ``basis`` is an orthonormal tangent basis with shape (..., n, d);
-        when omitted the deterministic coordinate-seeded basis is used.
+        ``basis`` is an orthonormal tangent basis shaped like the input: (n, d)
+        for one point, (B, n, d) for a batch; when omitted the deterministic
+        coordinate-seeded basis is used.
         """
         x, batched = _rows(x)
         if basis is None:
             basis = tangent_basis(x)
-        else:
-            basis = np.asarray(basis, dtype=float)
-            if not batched:
-                basis = basis[None]
-            elif basis.ndim == 2:
-                basis = np.broadcast_to(basis, (x.shape[0],) + basis.shape)
+        elif not batched:
+            basis = np.asarray(basis, dtype=float)[None]
         h = self.hess(x)
         a = np.einsum("bki,bij,blj->bkl", basis, h, basis)
         return _unbatch(a, batched)
@@ -289,10 +284,10 @@ class MinkowskiNorm:
     def q_on_wulff(self, z, x_warm) -> np.ndarray:
         return self.q_tensor(z)
 
-    def gauss_preimage(self, z, x_warm=None) -> np.ndarray:
+    def gauss_preimage(self, z) -> np.ndarray:
         """Unit x with DF(x) parallel to z (inverse Cahn-Hoffman direction):
         the dual solve's maximizer; closed-form families override it."""
-        return self.dual_value(z, x_warm, return_argmax=True)[1]
+        return self.dual_value(z, return_argmax=True)[1]
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -304,10 +299,9 @@ class MinkowskiNorm:
         phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
-    def anisotropy_condition(self, sample: np.ndarray | None = None) -> float:
-        """Max condition number of A_F over a sphere sample (degeneracy gauge)."""
-        pts = self.validation_sample() if sample is None else np.atleast_2d(sample)
-        a = self.anisotropy_matrix(pts)
+    def anisotropy_condition(self) -> float:
+        """Max condition number of A_F over the validation sample (degeneracy gauge)."""
+        a = self.anisotropy_matrix(self.validation_sample())
         ev = np.linalg.eigvalsh(a)
         if np.any(ev[:, 0] <= 0):
             return float("inf")
@@ -359,7 +353,7 @@ class IsotropicNorm(MinkowskiNorm):
         xi, batched = _rows(xi)
         return _unbatch(np.zeros((xi.shape[0],) + (self.dim,) * 3), batched)
 
-    def gauss_preimage(self, z, x_warm=None):
+    def gauss_preimage(self, z):
         z, batched = self._check_nonzero(z)
         return _unbatch(unit_rows(z), batched)
 
@@ -425,7 +419,7 @@ class EllipsoidNorm(MinkowskiNorm):
         xi, batched = _rows(xi)
         return _unbatch(np.zeros((xi.shape[0],) + (self.dim,) * 3), batched)
 
-    def gauss_preimage(self, z, x_warm=None):
+    def gauss_preimage(self, z):
         z, batched = self._check_nonzero(z)
         return _unbatch(unit_rows(z @ self.matrix_inv), batched)
 
@@ -680,32 +674,3 @@ def norm_from_descriptor(desc: dict) -> MinkowskiNorm:
                  for t in desc["terms"]]
         return PerturbedNorm(base, terms)
     raise InvalidInputError(f"unknown norm family {fam!r}")
-
-
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-# ---------------------------------------------------------------------------
-
-
-def eval_norm(model: MinkowskiNorm, x) -> np.ndarray:
-    return model.value(x)
-
-
-def cahn_hoffman(model: MinkowskiNorm, x, on_nonunit="normalize") -> np.ndarray:
-    return model.cahn_hoffman(x, on_nonunit=on_nonunit)
-
-
-def anisotropy_matrix(model: MinkowskiNorm, x, basis=None) -> np.ndarray:
-    return model.anisotropy_matrix(x, basis=basis)
-
-
-def dual_norm(model: MinkowskiNorm, xi) -> np.ndarray:
-    return model.dual_value(xi)
-
-
-def metric_g(model: MinkowskiNorm, xi) -> np.ndarray:
-    return model.metric(xi)
-
-
-def q_tensor(model: MinkowskiNorm, xi) -> np.ndarray:
-    return model.q_tensor(xi)

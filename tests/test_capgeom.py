@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -193,7 +196,7 @@ def test_pullback_density_values(mesh_factory):
     mesh = build_cap_mesh(CapConfig(2, 0.0, model, 2))
     i = int(np.argmax(mesh.nodes[:, 2]))
     assert mesh.nodes[i, 2] == pytest.approx(1.0)
-    assert mesh.pullback_area_density(i) == pytest.approx(0.25, rel=1e-12)
+    assert mesh.detA[i] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_pullback_density_geometric_oracle(mesh_factory):
@@ -236,3 +239,22 @@ def test_dump_table_format(mesh_factory):
     assert len(lines) == mesh.node_count + 1
     fields = lines[1].split()
     assert fields[4] in ("interior", "boundary")
+
+
+def test_mesh_and_body_state_has_a_reader():
+    """Every attribute a CapMesh or CapillaryBody assigns on self is read
+    somewhere in the package, the tests or the benchmark (which reads
+    mesh.diagnostics): state nothing reads is waste on every build."""
+    root = Path(__file__).resolve().parents[1]
+    files = [p for d in ("src/capaf", "tests", "perfbench") for p in (root / d).rglob("*.py")]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+    read = {n.attr for t in trees.values() for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    for module, cls in (("capgeom.py", "CapMesh"), ("bodies.py", "CapillaryBody")):
+        tree = trees[root / "src/capaf" / module]
+        body = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls)
+        assigned = {n.attr for n in ast.walk(body)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"}
+        assert len(assigned) > 10, cls
+        assert assigned <= read, f"{cls} assigns unread {sorted(assigned - read)}"

@@ -118,6 +118,27 @@ def test_parse_names_every_unknown_key(tmp_path, capsys):
     assert capsys.readouterr().err.count("unknown key") == 3
 
 
+@pytest.mark.parametrize("family,extra,stray", [
+    ("isotropic", "matrix = 4 0 0  0 1 0  0 0 1\nbase = ellipsoid\nterm1 = linear 1 0 0 0 0.1",
+     ("matrix", "base", "term1")),
+    ("ellipsoid", "matrix = 1 0 0  0 1 0  0 0 1\nbase_matrix = 1 0 0  0 1 0  0 0 1",
+     ("base_matrix",)),
+    ("perturbed", "base = isotropic\nbase_matrix = 1 0 0  0 1 0  0 0 1\nmatrix = 1",
+     ("base_matrix", "matrix")),
+], ids=("isotropic", "ellipsoid", "perturbed"))
+def test_parse_rejects_norm_keys_the_family_does_not_read(tmp_path, capsys, family, extra, stray):
+    text = MINIMAL.replace("family = isotropic", f"family = {family}\n{extra}")
+    path = write(tmp_path, text)
+    with pytest.raises(InvalidConfigError) as err:
+        parse_config(path)
+    errors = err.value.errors
+    assert len(errors) == len(stray)
+    for key, error in zip(stray, errors):
+        assert error.startswith(f"norm.{key}: not read by family {family!r}")
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("not read by family") == len(stray)
+
+
 def test_parse_rejects_unknown_and_default_sections(tmp_path):
     text = "[DEFAULT]\nlevel = 2\n" + MINIMAL + "\n[extra]\n"
     with pytest.raises(InvalidConfigError) as err:
@@ -128,7 +149,7 @@ def test_parse_rejects_unknown_and_default_sections(tmp_path):
     assert errors[1].startswith("extra: unknown section;")
 
 
-@pytest.mark.parametrize("seeds", ["", "-3", "1 -2"])
+@pytest.mark.parametrize("seeds", ["", "-3", "1 -2", "2 1 2"])
 @pytest.mark.parametrize("suite", ["af", "chain", "symmetry"])
 def test_seeds_must_be_a_nonempty_nonnegative_list(tmp_path, capsys, seeds, suite):
     path = write(tmp_path, ELLIPSOID.replace("seeds = 1 2", f"seeds = {seeds}"))
@@ -136,7 +157,7 @@ def test_seeds_must_be_a_nonempty_nonnegative_list(tmp_path, capsys, seeds, suit
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error: seeds.seeds: " in err
-    assert ("no seeds given" if not seeds else "is negative") in err
+    assert {"": "no seeds given", "2 1 2": "seed 2 is repeated"}.get(seeds, "is negative") in err
 
 
 def test_body_gen_rejects_negative_seed(tmp_path, capsys):

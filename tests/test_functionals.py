@@ -32,7 +32,7 @@ def test_halfdisk_volume(mesh_factory):
 def test_volume_hull_oracle(body_factory):
     body = body_factory("ell3", -0.4, 4, seed=3)
     v = fn.volume(body)
-    hull = fn.hull_volume_oracle(body, n_samples=12000, seed=1)
+    hull = fn.hull_volume_oracle(body, seed=1)
     assert abs(hull - v) / v < 5e-3
 
 

@@ -12,9 +12,8 @@ import capaf.fd as fd
 from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.errors import InvalidInputError, ModelInvalidError
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, PerturbedNorm,
-                         PerturbTerm, anisotropy_matrix, cahn_hoffman,
-                         dual_norm, eval_norm, metric_g, norm_from_descriptor,
-                         q_tensor, tangent_basis, unit_rows)
+                         PerturbTerm, norm_from_descriptor, tangent_basis,
+                         unit_rows)
 
 MODELS = ("iso3", "ell3", "pert3")
 
@@ -25,11 +24,11 @@ def sample_dirs(dim, count, seed=0):
 
 
 def test_eval_norm_unit_isotropic(model_factory):
-    assert eval_norm(model_factory("iso3"), np.array([0.0, 0.0, 1.0])) == 1.0
+    assert model_factory("iso3").value(np.array([0.0, 0.0, 1.0])) == 1.0
 
 
 def test_eval_norm_ellipsoid_axis(model_factory):
-    assert eval_norm(model_factory("ell3diag"), np.array([0.0, 0.0, 1.0])) == pytest.approx(2.0)
+    assert model_factory("ell3diag").value(np.array([0.0, 0.0, 1.0])) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -43,26 +42,24 @@ def test_homogeneity(model_factory, name):
 
 def test_zero_vector_rejected(model_factory):
     with pytest.raises(InvalidInputError):
-        eval_norm(model_factory("iso3"), np.zeros(3))
+        model_factory("iso3").value(np.zeros(3))
     with pytest.raises(InvalidInputError):
-        dual_norm(model_factory("ell3"), np.zeros(3))
+        model_factory("ell3").dual_value(np.zeros(3))
 
 
 def test_cahn_hoffman_isotropic_identity(model_factory):
     x = sample_dirs(3, 10, seed=2)
-    psi = cahn_hoffman(model_factory("iso3"), x)
+    psi = model_factory("iso3").cahn_hoffman(x)
     assert np.max(np.abs(psi - x)) < 1e-14
 
 
 def test_cahn_hoffman_ellipsoid_axis(model_factory):
-    psi = cahn_hoffman(model_factory("ell3diag"), np.array([0.0, 0.0, 1.0]))
+    psi = model_factory("ell3diag").cahn_hoffman(np.array([0.0, 0.0, 1.0]))
     assert np.allclose(psi, [0.0, 0.0, 2.0], atol=1e-14)
 
 
 def test_cahn_hoffman_nonunit_flag(model_factory):
     model = model_factory("ell3")
-    with pytest.raises(InvalidInputError):
-        model.cahn_hoffman(np.array([0.0, 0.0, 2.0]), on_nonunit="reject")
     a = model.cahn_hoffman(np.array([0.0, 0.0, 2.0]))
     b = model.cahn_hoffman(np.array([0.0, 0.0, 1.0]))
     assert np.allclose(a, b)
@@ -88,13 +85,13 @@ def test_wulff_membership(model_factory, name):
 
 
 def test_anisotropy_isotropic_identity(model_factory):
-    a = anisotropy_matrix(model_factory("iso3"), sample_dirs(3, 5, seed=5))
+    a = model_factory("iso3").anisotropy_matrix(sample_dirs(3, 5, seed=5))
     assert np.max(np.abs(a - np.eye(2))) < 1e-13
 
 
 def test_anisotropy_ellipsoid_axis(model_factory):
     basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    a = anisotropy_matrix(model_factory("ell3diag"), np.array([0.0, 0.0, 1.0]), basis=basis)
+    a = model_factory("ell3diag").anisotropy_matrix(np.array([0.0, 0.0, 1.0]), basis=basis)
     assert np.allclose(a, 0.5 * np.eye(2), atol=1e-13)
 
 
@@ -157,7 +154,7 @@ def test_perturbed_validation_rejects_wild_amplitude():
 
 
 def test_dual_norm_isotropic():
-    assert dual_norm(IsotropicNorm(3), np.array([3.0, 4.0, 0.0])) == pytest.approx(5.0)
+    assert IsotropicNorm(3).dual_value(np.array([3.0, 4.0, 0.0])) == pytest.approx(5.0)
 
 
 def test_dual_norm_ellipsoid_vs_numeric_sup(model_factory):
@@ -179,7 +176,7 @@ def test_dual_norm_ellipsoid_vs_numeric_sup(model_factory):
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 600})
     numeric_sup = -res.fun
     assert numeric_sup == pytest.approx(0.5, abs=1e-8)
-    assert dual_norm(model, xi) == pytest.approx(numeric_sup, abs=1e-8)
+    assert model.dual_value(xi) == pytest.approx(numeric_sup, abs=1e-8)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -192,15 +189,15 @@ def test_dual_homogeneity(model_factory, name):
 
 
 def test_metric_isotropic_identity(model_factory):
-    g = metric_g(model_factory("iso3"), sample_dirs(3, 4, seed=10))
+    g = model_factory("iso3").metric(sample_dirs(3, 4, seed=10))
     assert np.max(np.abs(g - np.eye(3))) < 1e-14
 
 
 def test_metric_ellipsoid_constant(model_factory):
     model = model_factory("ell3diag")
-    g = np.asarray(metric_g(model, 2.0 * sample_dirs(3, 6, seed=11)))
+    g = np.asarray(model.metric(2.0 * sample_dirs(3, 6, seed=11)))
     assert np.max(np.abs(g - np.diag([1.0, 1.0, 0.25]))) < 1e-13
-    q = np.asarray(q_tensor(model, sample_dirs(3, 3, seed=12)))
+    q = np.asarray(model.q_tensor(sample_dirs(3, 3, seed=12)))
     assert np.max(np.abs(q)) == 0.0
 
 
@@ -225,6 +222,21 @@ def test_metric_tangent_identity_oracle(model_factory):
     au = np.einsum("bkl,bld->bkd", a, tb)
     lhs = np.einsum("bkd,bde,ble->bkl", au, g, au)
     assert np.max(np.abs(lhs - a / f[:, None, None])) < 1e-5
+
+
+def test_perturbed_metric_and_q_off_the_wulff_shape(model_factory):
+    # G(xi) and Q(xi) at arbitrary xi take the cold multistart Gauss preimage
+    for name in ("pert3", "pert2"):
+        model = model_factory(name)
+        x = sample_dirs(model.dim, 20, seed=17)
+        z = np.asarray(model.cahn_hoffman(x))
+        g = np.asarray(model.metric(z))
+        assert np.max(np.abs(g - np.asarray(model.metric_on_wulff(z, x)))) < 1e-10
+        assert np.max(np.abs(np.asarray(model.metric(z[0])) - g[0])) < 1e-10
+        q = np.asarray(model.q_tensor(z))
+        for t in (0.4, 2.5):
+            assert np.max(np.abs(np.asarray(model.metric(t * z)) - g)) < 1e-10
+            assert np.max(np.abs(t * np.asarray(model.q_tensor(t * z)) - q)) < 1e-10
 
 
 def test_q_tensor_radial_contraction_perturbed(model_factory):
