@@ -154,10 +154,10 @@ class CapillaryBody:
         <X, E_d> (both vanish together for capillary bodies), and ok is
         False when the co-normal is numerically vertical-degenerate.
         """
-        loop = list(self.mesh.boundary_loop)
-        if i not in loop:
+        at = np.flatnonzero(self.mesh.boundary_loop == i)
+        if len(at) == 0:
             raise InvalidInputError(f"node {i} is not a boundary node")
-        b = loop.index(i)
+        b = int(at[0])
         res, euclid, ok = self.robin_residuals()
         return float(res[b]), float(euclid[b]), bool(ok[b])
 

@@ -11,9 +11,11 @@ snapping straddling vertices onto {residual = 0} along great circles
 (bisection plus one Newton polish, residual tolerance 1e-12), all straddling
 vertices of a mesh in one batch; quadrature is vertex-lumped
 spherical-triangle area, second-order accurate.  Icospheres are built once
-per level and cached, and the cached arrays are read-only.  For n = 1 the
-region is a single arc, subdivided uniformly in angle with trapezoid weights
-(the angular measure is exact).
+per level and cached, and the cached arrays are read-only.  Subdivision,
+the choice of snap partners and the boundary edge count are whole-array
+operations; only the walk along the boundary loop is a Python loop.  For
+n = 1 the region is a single arc, subdivided uniformly in angle with
+trapezoid weights (the angular measure is exact).
 
 Every node carries caches: Psi(x), the anisotropy matrix and its
 determinant (the pullback density from the cap to S), the cap point xi, the
@@ -86,23 +88,27 @@ _ICOSPHERES = {}
 
 
 def _subdivide(verts, faces):
-    """Split every face into four at its normalized edge midpoints."""
-    verts = list(verts)
-    midpoint = {}
-    new_faces = []
+    """Split every face into four at its normalized edge midpoints.
 
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            m = verts[a] + verts[b]
-            verts.append(m / np.linalg.norm(m))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-    return np.asarray(verts), np.asarray(new_faces, dtype=np.int64)
+    Midpoints are numbered in order of first appearance, each face's edges
+    taken as ab, bc, ca; the new faces of face abc are [a, ab, ca],
+    [b, bc, ab], [c, ca, bc], [ab, bc, ca].
+    """
+    edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = np.min(edges, axis=1) * len(verts) + np.max(edges, axis=1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    mid = (len(verts) + rank[inverse]).reshape(-1, 3)
+    ends = edges[first[order]]
+    m = verts[ends[:, 0]] + verts[ends[:, 1]]
+    # stacked (1, 3) @ (3, 1) dots round as the 1-D np.linalg.norm(m) does
+    m = m / np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0])
+    a, b, c = faces.T
+    ab, bc, ca = mid.T
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.concatenate([verts, m]), new_faces.reshape(-1, 3)
 
 
 def icosphere(level: int):
@@ -481,30 +487,26 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     if len(faces) == 0:
         raise MeshConstructionError("empty parameter region")
 
-    # snap outside vertices used by kept faces toward their best inside neighbor
-    used_out = np.unique(faces.flatten())
-    used_out = used_out[outside[used_out]]
-    neighbor = {int(v): -1 for v in used_out}
-    for a, b, c in faces:
-        for v in (a, b, c):
-            if outside[v]:
-                for u in (a, b, c):
-                    if inside[u]:
-                        cur = neighbor[int(v)]
-                        if cur < 0 or r[u] > r[cur] or (r[u] == r[cur] and u < cur):
-                            neighbor[int(v)] = int(u)
-    out_idx = np.asarray(sorted(neighbor), dtype=np.int64)
-    in_idx = np.asarray([neighbor[v] for v in out_idx], dtype=np.int64)
-    if np.any(in_idx < 0):
-        v = int(out_idx[np.argmax(in_idx < 0)])
-        raise MeshConstructionError(f"outside vertex {v} has no inside neighbor")
+    # snap each outside vertex of a kept face toward its face-mate inside
+    # with the largest residual, the lowest index on a tie (every kept face
+    # has an inside vertex, so every such outside vertex has one)
+    pair_v = faces[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
+    pair_u = faces[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
+    mates = outside[pair_v] & inside[pair_u]
+    pair_v, pair_u = pair_v[mates], pair_u[mates]
+    order = np.lexsort((pair_u, -r[pair_u], pair_v))
+    pair_v, pair_u = pair_v[order], pair_u[order]
+    best = np.r_[True, pair_v[1:] != pair_v[:-1]]
+    out_idx, in_idx = pair_v[best], pair_u[best]
     verts = verts.copy()
     snapped = np.zeros(len(verts), dtype=bool)
     verts[out_idx] = _snap_to_boundary(model, omega0, verts[out_idx], verts[in_idx], tol_b)
     snapped[out_idx] = True
 
     # drop unreferenced vertices and reindex
-    used = np.unique(faces.flatten())
+    in_kept = np.zeros(len(verts), dtype=bool)
+    in_kept[faces] = True
+    used = np.flatnonzero(in_kept)
     remap = -np.ones(len(verts), dtype=np.int64)
     remap[used] = np.arange(len(used))
     nodes = verts[used]
@@ -532,17 +534,18 @@ def _walk_boundary(cells, is_boundary, nodes):
     """Ordered boundary loop (counterclockwise seen from +E3)."""
     from collections import defaultdict
 
-    count = defaultdict(int)
-    for a, b, c in cells:
-        for e in ((a, b), (b, c), (a, c)):
-            count[(min(e), max(e))] += 1
-    edges = [e for e, k in count.items() if k == 1]
-    if not edges:
+    # edges seen once, in order of first appearance (ab, bc, ac per cell)
+    e = cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)
+    lo, hi = np.min(e, axis=1), np.max(e, axis=1)
+    _, first, count = np.unique(lo * len(nodes) + hi, return_index=True,
+                                return_counts=True)
+    once = np.sort(first[count == 1])
+    if len(once) == 0:
         raise MeshConstructionError("no boundary edges found")
+    if not np.all(is_boundary[lo[once]] & is_boundary[hi[once]]):
+        raise MeshConstructionError("boundary edge with interior endpoint")
     adj = defaultdict(list)
-    for a, b in edges:
-        if not (is_boundary[a] and is_boundary[b]):
-            raise MeshConstructionError("boundary edge with interior endpoint")
+    for a, b in zip(lo[once].tolist(), hi[once].tolist()):
         adj[a].append(b)
         adj[b].append(a)
     for v, nb in adj.items():

@@ -299,14 +299,6 @@ class MinkowskiNorm:
         phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
-    def anisotropy_condition(self) -> float:
-        """Max condition number of A_F over the validation sample (degeneracy gauge)."""
-        a = self.anisotropy_matrix(self.validation_sample())
-        ev = np.linalg.eigvalsh(a)
-        if np.any(ev[:, 0] <= 0):
-            return float("inf")
-        return float(np.max(ev[:, -1] / ev[:, 0]))
-
     def descriptor(self) -> dict:
         raise NotImplementedError
 

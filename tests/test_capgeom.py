@@ -1,30 +1,143 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from capaf.capgeom import (CapConfig, _snap_to_boundary, admissible_range,
-                           build_cap_mesh, ef_vector, icosphere, region_residual,
-                           spherical_triangle_areas)
-from capaf.errors import InvalidConfigError
+from capaf import capgeom
+from capaf.capgeom import (CapConfig, _icosahedron, _snap_to_boundary, _subdivide,
+                           _walk_boundary, admissible_range, build_cap_mesh, ef_vector,
+                           icosphere, region_residual, spherical_triangle_areas)
+from capaf.config import parse_config
+from capaf.errors import InvalidConfigError, MeshConstructionError
 from capaf.norms import EllipsoidNorm, unit_rows
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-def test_icosphere_counts():
-    for level in (0, 1, 2):
-        verts, faces = icosphere(level)
-        assert len(faces) == 20 * 4**level
-        assert len(verts) == 10 * 4**level + 2
-        assert np.allclose(np.linalg.norm(verts, axis=1), 1.0, atol=1e-14)
-        again_verts, again_faces = icosphere(level)
-        assert np.array_equal(again_verts, verts) and np.array_equal(again_faces, faces)
-        with pytest.raises(ValueError):
-            verts[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            faces[0, 0] = 0
+
+def test_icosphere_counts(monkeypatch):
+    cached = {level: icosphere(level) for level in range(6)}
+    for order in (range(6), range(5, -1, -1), (3, 0, 5, 1, 4, 2)):
+        monkeypatch.setattr(capgeom, "_ICOSPHERES", {})
+        for level in order:
+            verts, faces = icosphere(level)
+            assert len(faces) == 20 * 4**level
+            assert len(verts) == 10 * 4**level + 2
+            assert np.allclose(np.linalg.norm(verts, axis=1), 1.0, atol=1e-14)
+            again_verts, again_faces = icosphere(level)
+            assert again_verts is verts and again_faces is faces
+            assert verts.tobytes() == cached[level][0].tobytes()
+            assert faces.tobytes() == cached[level][1].tobytes()
+            with pytest.raises(ValueError):
+                verts[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                faces[0, 0] = 0
+
+
+def _subdivide_reference(verts, faces):
+    """Scalar reference for _subdivide: one dict lookup and one
+    np.linalg.norm per edge midpoint, in face order."""
+    verts = list(verts)
+    midpoint = {}
+    new_faces = []
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in midpoint:
+            m = verts[a] + verts[b]
+            verts.append(m / np.linalg.norm(m))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    for a, b, c in faces:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+    return np.asarray(verts), np.asarray(new_faces, dtype=np.int64)
+
+
+def test_subdivide_matches_scalar_reference():
+    verts, faces = _icosahedron()
+    for level in range(5):
+        got_verts, got_faces = _subdivide(verts, faces)
+        verts, faces = _subdivide_reference(verts, faces)
+        assert got_verts.dtype == verts.dtype and got_faces.dtype == faces.dtype
+        assert got_verts.shape == verts.shape and got_faces.shape == faces.shape
+        assert got_verts.tobytes() == verts.tobytes(), level
+        assert got_faces.tobytes() == faces.tobytes(), level
+
+
+# sha256 of icosphere(L) vertex and face bytes (float64, int64), recorded
+# with the scalar subdivision on x86-64, numpy 2.4: every mesh, and so every
+# report, starts from these arrays
+ICOSPHERE_SHA256 = {
+    0: ("25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
+        "3db7a1822c9b623934e2e4740412c5fbeb065c97b1d30344bad8fa21007c31dc"),
+    1: ("06c7f0252260d8fc7aee150c52687730f6e6b5155419da81ee280e48c7b5a6a0",
+        "e0cdbcb335bade58be14276c1a7faf8c7b2b9d10522ca0de92c2bd6db7443d1e"),
+    2: ("7de701b5e82e6ee7720d5b5c3cbaba8ceec2aa1e2f7901e80eea82c2254f27c0",
+        "b749ec47113ac6dd2fa5788272bee48303d83020354a7b3516876ae6685c404a"),
+    3: ("e30eeaa5b2391204db18ad30d68443f2573f17187b99a8a2149acb61dc3f8d88",
+        "52ba19c5cda73d335f2e29108333509a800acd29026ae2e6c65c32ec3dd5394b"),
+    4: ("0ad2d3b64249546dacbf5ec693366050a9b2b396f11f7b1786beda06a3a1b218",
+        "1d19353ebb1a280dd705a884e8db6ef144348417dd5324e62326249995dddb35"),
+    5: ("530009fc2d21f6622caac7c547696baca4ab1eb07a25eab7ae06dc0c6f9c9503",
+        "6bf33a7fc9429eef8639fd65852d853d10c4399075ba2e6a3789cf2ac7743fd9"),
+    6: ("80e495ce10778f367a8d8c531a49599fc2c73803c42e5384ff9d3b23d1151bff",
+        "f1fe5dd3aa14ecb18bf1a52f1ef643afff5b90f9688e1c603e127179164e67ae"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(ICOSPHERE_SHA256))
+def test_icosphere_pinned_bit_for_bit(level):
+    verts, faces = icosphere(level)
+    assert verts.dtype == np.float64 and faces.dtype == np.int64
+    assert (hashlib.sha256(verts.tobytes()).hexdigest(),
+            hashlib.sha256(faces.tobytes()).hexdigest()) == ICOSPHERE_SHA256[level]
+
+
+def _fan(clockwise):
+    """Six rim nodes 1..6 around an interior hub 0, with cells (0, i, i+1)."""
+    theta = np.arange(6) * np.pi / 3.0 * (-1.0 if clockwise else 1.0)
+    rim = np.stack([np.cos(theta), np.sin(theta), np.zeros(6)], axis=1)
+    nodes = np.vstack([[0.0, 0.0, 1.0], rim])
+    cells = np.array([[0, i, i % 6 + 1] for i in range(1, 7)], dtype=np.int64)
+    return cells, np.arange(7) > 0, nodes
+
+
+def test_walk_boundary_fan():
+    # the walk starts at the lowest boundary node and leaves along its first
+    # boundary edge; a clockwise walk is reversed, so it then ends there
+    assert _walk_boundary(*_fan(clockwise=False)).tolist() == [1, 2, 3, 4, 5, 6]
+    assert _walk_boundary(*_fan(clockwise=True)).tolist() == [6, 5, 4, 3, 2, 1]
+
+
+@pytest.mark.parametrize("cells,is_boundary,message", [
+    ([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], [True] * 4, "no boundary edges found"),
+    ([[0, 1, 2], [3, 4, 5]], [True] * 6, "did not close into a single loop"),
+    ([[0, 1, 2], [0, 3, 4]], [True] * 5, "boundary node 0 has degree 4"),
+    ([[0, 1, 2]], [True, True, False], "boundary edge with interior endpoint"),
+], ids=["closed", "two-triangles", "bow-tie", "interior-endpoint"])
+def test_walk_boundary_rejects_a_broken_boundary(cells, is_boundary, message):
+    nodes = np.zeros((len(is_boundary), 3))
+    with pytest.raises(MeshConstructionError, match=message):
+        _walk_boundary(np.array(cells, dtype=np.int64), np.array(is_boundary), nodes)
+
+
+@pytest.mark.parametrize("name", ["isotropic_hemisphere.ini", "ellipsoid.ini"])
+def test_mesh_levels_0_to_7(name):
+    cfg = parse_config(str(CONFIGS / name))
+    meshes = [build_cap_mesh(cfg.cap_config(level)) for level in range(8)]
+    counts = [m.node_count for m in meshes]
+    assert all(a < b for a, b in zip(counts, counts[1:])), counts
+    sigma = np.array([m.sigma_total for m in meshes])
+    if name == "isotropic_hemisphere.ini":
+        assert np.max(np.abs(sigma - 2.0 * np.pi)) <= 1e-12
+    else:
+        steps = np.abs(np.diff(sigma))
+        assert np.all(steps[1:] < steps[:-1]), steps
 
 
 def test_spherical_triangle_octant():

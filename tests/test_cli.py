@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -448,6 +450,29 @@ def test_shipped_config_verifies(tmp_path, capsys, name):
     summary = json.loads((out / "report.json").read_text())["summary"]
     assert summary["total"] == summary["passed"] == SHIPPED_CHECKS[name]
     assert summary["failed"] == 0
+
+
+def test_no_capaf_process_imports_numpy_ma(tmp_path):
+    """numpy.ma costs about 20-40 ms and 3.5 MB to import, and np.unique
+    without optional outputs imports it on first use: no capaf step may."""
+    path = os.path.join(CONFIGS, "perturbed.ini")
+    script = "\n".join([
+        "import sys",
+        "from capaf.capgeom import build_cap_mesh",
+        "from capaf.cli import main",
+        "from capaf.config import parse_config",
+        f"build_cap_mesh(parse_config({path!r}).cap_config())",
+        f"assert main(['verify', '--config', {path!r}, '--suite', 'mixdisc',"
+        f" '--out', {str(tmp_path)!r}]) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 class _ReadLog(dict):

@@ -258,8 +258,8 @@ def test_descriptor_roundtrip(model_factory):
                            rtol=0, atol=0)
 
 
-def test_anisotropy_condition_diagnostic(model_factory):
-    cond = model_factory("ell3").anisotropy_condition()
+def test_anisotropy_condition_diagnostic(mesh_factory):
+    cond = mesh_factory("ell3", -0.4, 3).anisotropy_condition
     assert 1.0 < cond < 10.0
 
 
