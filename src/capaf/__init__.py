@@ -7,6 +7,10 @@ formula, kernel characterization, the associated elliptic operator, and
 the Alexandrov-Fenchel inequalities with their equality cases.
 """
 
+# No runtime path differences F any more; fd stays loaded for its two
+# readers: the tests' finite-difference oracle, and the traced benchmark
+# (perfbench/layers.py), whose install() looks up sys.modules["capaf.fd"].
+from . import fd  # noqa: F401
 from .bodies import (CapillaryBody, make_wulff_cap, minkowski_combine,
                      random_capillary_body, rebind, translate_horizontal)
 from .capgeom import (CapConfig, CapMesh, admissible_range, build_cap_mesh,

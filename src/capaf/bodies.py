@@ -295,7 +295,9 @@ def random_capillary_body(mesh: CapMesh, seed: int, amplitude: float = 0.15) -> 
     condition is exact).  Bump amplitudes are scaled by width^2 so the
     curvature perturbation is O(amplitude).  The whole perturbation is
     halved (up to 20 times) until the body is strictly convex with positive
-    radii and positive capillary support; exhaustion raises GenerationError.
+    radii and capillary support shat above 5% of the unit cap's own minimum
+    (which falls towards 0 near the ends of the w0 interval); exhaustion
+    raises GenerationError.
     The seed must be a nonnegative integer.
     """
     if seed < 0:
@@ -323,6 +325,8 @@ def random_capillary_body(mesh: CapMesh, seed: int, amplitude: float = 0.15) -> 
         amp *= width**2 / 8.0
         bump_specs.append((center, width, amp))
 
+    cap_shat = 1.0 + mesh.omega0 * (mesh.nodes @ mesh.EF) / mesh.F_vals
+    shat_floor = 0.05 * float(np.min(cap_shat))
     scale = 1.0
     last_err = "no attempts"
     for _ in range(_BACKTRACK_LIMIT + 1):
@@ -335,7 +339,7 @@ def random_capillary_body(mesh: CapMesh, seed: int, amplitude: float = 0.15) -> 
                              {"kind": "random", "seed": int(seed), "amplitude": amplitude,
                               "backtrack_scale": scale},
                              validate=False)
-        if body.convex and body.capillary and float(np.min(body.shat)) > 0.05:
+        if body.convex and body.capillary and float(np.min(body.shat)) > shat_floor:
             return body
         last_err = (f"minW={body.min_w_eig:.2e} minTau={body.min_tau_eig:.2e} "
                     f"minShat={float(np.min(body.shat)):.2e}")

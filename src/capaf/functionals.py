@@ -484,7 +484,7 @@ def divergence_identity_check(f1_body: CapillaryBody, trailing):
 def _tau_and_values(mesh, f):
     """Radii matrices and nodal values s/F of an operator test function: a
     body's caches, or those of a bare support field built as an unvalidated
-    body (so its Wulff-cap leaves read the mesh's F caches, not F's FD)."""
+    body (so its Wulff-cap leaves read the mesh's F caches)."""
     if isinstance(f, SupportField):
         f = CapillaryBody(mesh, f, {"kind": "operator-test-field"}, validate=False)
     if isinstance(f, CapillaryBody):

@@ -20,11 +20,10 @@ Three families are provided:
 * ellipsoid      F(x) = sqrt(<x, Mx>)   (M symmetric positive definite)
 * perturbed      base family plus smooth zonal terms a * |x| * g(<x^, c>)
 
-Isotropic and ellipsoid derivatives are closed form.  The perturbed family
-takes its public grad/hess from Richardson-extrapolated central differences
-(exact formulas up to third order are kept alongside).  Every
-family evaluates its dual norm, and on request the maximizer (the Gauss
-preimage), as dual_value(xi, x_warm=None, return_argmax=False); the
+Every family's derivatives of F, up to third order, are closed form (the
+perturbed family sums its base's and its terms'), so no path differences F.
+Every family evaluates its dual norm, and on request the maximizer (the
+Gauss preimage), as dual_value(xi, x_warm=None, return_argmax=False); the
 perturbed family runs a damped Newton ascent on the sphere, from multiple
 coarse starts, or from the approximate Gauss preimages x_warm when given
 (the other families ignore x_warm), and stops at once from an exact one.
@@ -50,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd
 from .errors import InvalidInputError, ModelInvalidError, NumericError
 
 _EPS = 1e-14
@@ -422,17 +420,15 @@ class EllipsoidNorm(MinkowskiNorm):
 class PerturbedNorm(MinkowskiNorm):
     """Base family plus smooth zonal terms.
 
-    Public grad/hess are Richardson central differences with step fd_step
-    (scaled per row, see _fd_steps); the closed-form routes stay available
-    as exact_grad/exact_hess/exact_third.  The metric G and its derivative Q
-    are always closed form (Legendre duality, see the module docstring),
-    built from the exact derivatives at the Gauss preimage.  Construction
-    validates F > 0 and A_F > 0 on a dense sphere sample and fails loudly
-    otherwise.
+    grad/hess are the closed-form sums of the base's and the terms'
+    derivatives, as are exact_grad/exact_hess/exact_third, which the dual
+    solve, the validation and G/Q call.  The metric G and its derivative Q
+    are closed form too (Legendre duality, see the module docstring), built
+    from those derivatives at the Gauss preimage.  Construction validates
+    F > 0 and A_F > 0 on a dense sphere sample and fails loudly otherwise.
     """
 
     family = "perturbed"
-    fd_step = 1e-4
 
     def __init__(self, base: MinkowskiNorm, terms):
         self.base = base
@@ -454,6 +450,12 @@ class PerturbedNorm(MinkowskiNorm):
     def value(self, x):
         return self._summed("value", x)
 
+    def grad(self, x):
+        return self._summed("grad", x)
+
+    def hess(self, x):
+        return self._summed("hess", x)
+
     def exact_grad(self, x):
         return self._summed("grad", x)
 
@@ -462,22 +464,6 @@ class PerturbedNorm(MinkowskiNorm):
 
     def exact_third(self, x):
         return self._summed("third", x)
-
-    def _fd_steps(self, x):
-        """FD step fd_step * max(1, max_k |x_k|) per row, so no row depends on
-        its batch; unlike |x|, max_k |x_k| does not round above 1 on unit x."""
-        return self.fd_step * np.maximum(1.0, np.max(np.abs(x), axis=-1))
-
-    def grad(self, x):
-        x, batched = self._check_nonzero(x)
-        g, _ = fd.central_gradient(lambda p: np.asarray(self.value(p)), x, self._fd_steps(x))
-        return _unbatch(g, batched)
-
-    def hess(self, x):
-        x, batched = self._check_nonzero(x)
-        hess, _ = fd.central_hessian(lambda p: np.asarray(self.value(p)), x, self._fd_steps(x))
-        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-        return _unbatch(hess, batched)
 
     def validate(self):
         pts = self.validation_sample()

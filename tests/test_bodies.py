@@ -153,6 +153,18 @@ def test_generation_error_reported(mesh_factory):
         random_capillary_body(mesh, 3, amplitude=1e9)
 
 
+@pytest.mark.parametrize("w0", (-0.98, 0.98))
+def test_random_body_near_interval_ends(mesh_factory, w0):
+    # the unit cap's own min shat is 0.020 at w0 = -0.98 and 0.040 at 0.98,
+    # so the generator's support floor scales with it
+    mesh = mesh_factory("iso3", w0, 4)
+    floor = 0.05 * float(np.min(mesh.cap_body.shat))
+    for seed in (1, 2, 3):
+        body = random_capillary_body(mesh, seed)
+        assert body.convex and body.capillary
+        assert float(np.min(body.shat)) > floor
+
+
 # -- support values -----------------------------------------------------------
 
 
@@ -471,9 +483,7 @@ def test_body_caches_match_direct_evaluation(body_factory, mesh_factory, name, w
 
 def test_body_construction_skips_norm_fd_once_cap_exists(monkeypatch, mesh_factory):
     # the Wulff-cap part of every body, and of every bare operator test
-    # field, comes from the mesh, not from F's FD
-    import capaf.fd as fd
-
+    # field, comes from the mesh, not from F's derivatives
     mesh = mesh_factory("pert3", -0.35, 3)
     coarse = random_capillary_body(mesh_factory("pert3", -0.35, 2), 31)
     other = random_capillary_body(mesh, 32)
@@ -486,8 +496,8 @@ def test_body_construction_skips_norm_fd_once_cap_exists(monkeypatch, mesh_facto
             return real(*args, **kwargs)
         return wrapped
 
-    for name in ("central_gradient", "central_hessian"):
-        monkeypatch.setattr(fd, name, counting(getattr(fd, name)))
+    for name in ("grad", "hess"):
+        monkeypatch.setattr(PerturbedNorm, name, counting(getattr(PerturbedNorm, name)))
     body = random_capillary_body(mesh, 33)
     moved = translate_horizontal(body, np.array([0.04, 0.02, 0.0]))
     minkowski_combine([body, moved, other], [0.5, 1.0, 0.25])

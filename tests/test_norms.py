@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,14 +115,29 @@ def test_perturbed_fd_hessian_step_halving(model_factory):
     assert errs[1] / errs[2] > 3.0
 
 
-def test_perturbed_fd_row_independent_of_batch(model_factory):
-    # each row takes its own FD step, so its companions cannot move it
+def test_perturbed_derivatives_row_independent_of_batch(model_factory):
+    # the closed-form sums work row by row, so no companion can move a row
     model = model_factory("pert3")
     x = np.array([0.05, 0.1, 0.99])
     batch = np.stack([x, 3.0 * unit_rows(np.array([1.0, -0.5, 0.3])),
                       np.array([0.0, 0.0, -3.0])])
     assert np.array_equal(model.grad(x), model.grad(batch)[0])
     assert np.array_equal(model.hess(x), model.hess(batch)[0])
+
+
+@pytest.mark.parametrize("name", ("pert3", "pert2"))
+def test_perturbed_derivatives_match_fd_oracle(model_factory, name):
+    # capaf.fd, Richardson-extrapolated central differences of F, is the oracle
+    model = model_factory(name)
+    x = sample_dirs(model.dim, 40, seed=8)
+
+    def f(p):
+        return np.asarray(model.value(p))
+
+    g, _ = fd.central_gradient(f, x, 1e-4)
+    h, _ = fd.central_hessian(f, x, 1e-4)
+    assert np.max(np.abs(np.asarray(model.grad(x)) - g)) < 1e-8
+    assert np.max(np.abs(np.asarray(model.hess(x)) - h)) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["pert3", "pert2"])
@@ -283,7 +296,8 @@ def fd_newton_metric(model, z, x_warm):
     point runs its own warm dual ascent from the matching x_warm row.
     """
     b = z.shape[0]
-    h = model.fd_step * float(np.median(np.maximum(1.0, np.linalg.norm(z, axis=-1))))
+    h0 = 1e-4
+    h = h0 * float(np.median(np.maximum(1.0, np.linalg.norm(z, axis=-1))))
 
     def half_dual_sq(pts):
         warm = np.repeat(x_warm, pts.shape[0] // b, axis=0)
@@ -340,23 +354,19 @@ def test_third_derivative_matches_hessian_differences(d, kind):
     assert np.max(np.abs(t - np.swapaxes(t, 1, 3))) < 1e-14
 
 
-def test_perturbed_mesh_metric_avoids_fd_hessian(monkeypatch, model_factory):
-    # the metric and Q caches of a perturbed mesh never difference F0^2
-    calls = {"all": 0, "metric": 0}
-    real = fd.central_hessian
+def test_perturbed_mesh_never_differences_f(monkeypatch, model_factory):
+    # F's derivatives, G and Q at the nodes and the boundary snaps are all
+    # closed form: building a perturbed mesh runs no finite difference
+    calls = []
 
-    def counting(*args, **kwargs):
-        calls["all"] += 1
-        frame = sys._getframe(1)
-        while frame is not None:
-            if frame.f_code.co_name in ("metric_on_wulff", "q_on_wulff"):
-                calls["metric"] += 1
-                break
-            frame = frame.f_back
-        return real(*args, **kwargs)
+    def counting(real):
+        def wrapped(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(fd, "central_hessian", counting)
+    for name in ("central_gradient", "central_hessian"):
+        monkeypatch.setattr(fd, name, counting(getattr(fd, name)))
     mesh = build_cap_mesh(CapConfig(2, -0.35, model_factory("pert3"), mesh_level=3))
     assert mesh.q_frame.shape == (mesh.node_count, 2, 2, 2)
-    assert calls["all"] > 0  # the FD route of F's own Hessian still runs
-    assert calls["metric"] == 0
+    assert calls == []
