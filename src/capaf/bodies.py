@@ -21,7 +21,7 @@ from .capgeom import (CapConfig, CapMesh, build_cap_mesh,
 from .errors import (ConvexityViolationError, GenerationError,
                      InvalidInputError)
 from .fields import (CombinationField, LinearField, SphericalBumpField,
-                     SupportField, WulffCapField, tau_from_generator)
+                     SupportField, WulffCapField, radii_form)
 
 _BACKTRACK_LIMIT = 20
 
@@ -74,8 +74,10 @@ class CapillaryBody:
     def _populate(self):
         """Every cache, linear in the support field: a Wulff-cap leaf of the
         mesh's norm reads the mesh's F, DF, A_F and cap_tau; the other leaves
-        are evaluated together, once.  Raw radii matrices are summed before
-        they are symmetrized, so tau_asym is the whole body's asymmetry."""
+        are evaluated together, once, and their Hessian gives both W and the
+        raw radii.  Raw radii matrices are summed before they are
+        symmetrized, so tau_asym is the whole body's asymmetry: round-off,
+        as the closed form is symmetric."""
         mesh = self.mesh
         x = mesh.nodes
         caps, rest = [], []
@@ -92,7 +94,7 @@ class CapillaryBody:
             hess = np.asarray(field.hess(x))
             parts.append((np.asarray(field.value(x)), np.asarray(field.grad(x)),
                           np.einsum("bki,bij,blj->bkl", mesh.tb, hess, mesh.tb),
-                          tau_from_generator(mesh, field)[1]))
+                          radii_form(hess, mesh.frame, mesh.G, mesh.tb, mesh.A)))
         self.s, self.X, self.W, raw = (sum(col[1:], col[0]) for col in zip(*parts))
         self.tau_asym = np.max(np.abs(raw - np.swapaxes(raw, 1, 2)), axis=(1, 2))
         self.tau = 0.5 * (raw + np.swapaxes(raw, 1, 2))

@@ -23,9 +23,9 @@ ambient metric G at T^{-1} xi, and a G-orthonormal tangent frame.  At
 boundary nodes the frame's last vector is aligned with A_F(nu) mu, mu being
 the Euclidean outward co-normal, and the first vectors span the boundary
 tangent.  Lazy caches, computed once per mesh on first use (arrays
-read-only): q_frame, cap_body and cap_tau, generator_stencil,
-interior_candidates and region_complement.  The intrinsic kernel route's
-stencil is per call and not cached, since cached meshes would keep it alive.
+read-only): q_frame, cap_body and cap_tau, interior_candidates and
+region_complement.  The intrinsic kernel route's stencil is per call and not
+cached, since cached meshes would keep it alive.
 """
 
 from __future__ import annotations
@@ -379,14 +379,6 @@ class CapMesh:
         from .fields import tau_from_generator
 
         return self._lazy("cap_tau", lambda: tau_from_generator(self, self.model)[1])
-
-    @property
-    def generator_stencil(self):
-        """Generator-route stencil: the great-circle points (2 n N, d) and the
-        parameter speeds (N, n) at TAU_FD_STEP."""
-        from .fields import _generator_stencil
-
-        return self._lazy("generator_stencil", lambda: _generator_stencil(self))
 
     @property
     def interior_candidates(self) -> np.ndarray:

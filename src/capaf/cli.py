@@ -432,7 +432,7 @@ def _run_kernel(ctx: RunContext):
                                   {"level": cfg.mesh_level}, val, 1e-2)
                     for alpha, val in enumerate(_kernel_tau(ctx, cfg.mesh_level))]
     records = _timed_since(t0, *records)
-    # generator-route kernels are exactly linear: tau vanishes to FD noise
+    # generator-route kernels are exactly linear: their Hessian, so tau, is 0
     t0 = time.perf_counter()
     mesh = ctx.mesh()
     taus = (tau_from_generator(mesh, kernel_field(mesh, alpha))[0] for alpha in range(cfg.n))

@@ -9,10 +9,10 @@ the derivative of the boundary map vanishes identically).
 
 Two curvature-radii routes live here:
 
-* the generator route: tau_kl = G(D_{e_k} X, e_l) with X = Ds and the
-  derivative taken by central differences along parameter great circles
-  (step 1e-4, on a stencil cached per mesh), mapped through the chain rule
-  d(xi) = A_F dx; and
+* the generator route: tau_kl = G(D_{e_k} X, e_l) with X = Ds, in closed
+  form from the field's Hessian: the parameter velocity of e_k is
+  v_k = A_F^{-1} e_k (chain rule d(xi) = A_F dx), so D_{e_k} X = D^2 s v_k;
+  and
 * the intrinsic route: tau = (covariant Hessian) + f g - Q(., ., grad f)/2
   evaluated by second differences along quadratic geodesic Taylor curves
   re-projected onto the cap, with a caller-chosen step (tied to the mesh
@@ -33,8 +33,6 @@ import numpy as np
 from .capgeom import CapMesh
 from .errors import InvalidInputError
 from .norms import MinkowskiNorm, _rows, _unbatch, _zonal, unit_rows
-
-TAU_FD_STEP = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -236,39 +234,26 @@ def kernel_field(mesh: CapMesh, alpha: int) -> LinearField:
 # ---------------------------------------------------------------------------
 
 
-def _generator_stencil(mesh: CapMesh):
-    """Mesh-only part of the generator route, read through the mesh's
-    `generator_stencil`: the great-circle points (2 n N, d), plus rows then
-    minus rows, and the parameter speeds |A_F^-1 e_k| (N, n)."""
-    x = mesh.nodes
-    # frame vectors in tangent coordinates, then parameter velocities
-    e_t = np.einsum("bkd,bnd->bkn", mesh.frame, mesh.tb)  # (N, n, n)
-    v_t = np.linalg.solve(mesh.A, np.swapaxes(e_t, 1, 2))  # columns: A^-1 e_k
-    v_amb = np.einsum("bnk,bnd->bkd", v_t, mesh.tb)  # (N, n, d)
-    speed = np.linalg.norm(v_amb, axis=-1)
-    u = v_amb / speed[..., None]
-    xp = np.cos(TAU_FD_STEP) * x[:, None, :] + np.sin(TAU_FD_STEP) * u
-    xm = np.cos(TAU_FD_STEP) * x[:, None, :] - np.sin(TAU_FD_STEP) * u
-    return np.concatenate([xp, xm]).reshape(-1, x.shape[1]), speed
+def radii_form(hess, frame, g, tb, a):
+    """Raw radii matrices tau_kl = G(D^2 s . v_k, e_l), (K, n, n).
+
+    hess is D^2 s at K points, frame the frame vectors e_k there (K, n, d),
+    g the metric G, tb the tangent basis and a the anisotropy matrix A_F in
+    it; v_k = A_F^{-1} e_k is the ambient parameter velocity of e_k.
+    """
+    v_t = np.linalg.solve(a, tb @ np.swapaxes(frame, 1, 2))  # columns: A^-1 e_k
+    vel = np.swapaxes(tb, 1, 2) @ v_t  # columns: v_k
+    return np.swapaxes(frame @ (g @ (hess @ vel)), 1, 2)
 
 
 def tau_from_generator(mesh: CapMesh, field: SupportField):
     """Radii matrices in the g-ring orthonormal frame at every node.
 
-    tau_kl = G(D_{e_k} X, e_l): the boundary map X = Ds is differentiated
-    along parameter great circles with velocity A_F^{-1} e_k (chain rule
-    through d Psi = A_F), by central differences of the field gradient at
-    the mesh's cached stencil (`mesh.generator_stencil`, step TAU_FD_STEP).
-    Returns (tau_symmetrized, tau_raw), both (N, n, n).  The route is linear
-    in the field, so bodies sum raw parts and symmetrize once.
+    The field's Hessian at the nodes through `radii_form`.  Returns
+    (tau_symmetrized, tau_raw), both (N, n, n).  The route is linear in the
+    field, so bodies sum raw parts and symmetrize once.
     """
-    pts, speed = mesh.generator_stencil
-    nn, n = speed.shape
-    grads = np.asarray(field.grad(pts))
-    gp = grads[: nn * n].reshape(nn, n, -1)
-    gm = grads[nn * n:].reshape(nn, n, -1)
-    dx = speed[..., None] * (gp - gm) / (2.0 * TAU_FD_STEP)  # (N, n=k, d)
-    tau = np.einsum("bkd,bde,ble->bkl", dx, mesh.G, mesh.frame)
+    tau = radii_form(np.asarray(field.hess(mesh.nodes)), mesh.frame, mesh.G, mesh.tb, mesh.A)
     return 0.5 * (tau + np.swapaxes(tau, 1, 2)), tau
 
 

@@ -32,7 +32,8 @@ import numpy as np
 from .bodies import CapillaryBody
 from .capgeom import CapMesh, region_residual
 from .errors import ConvexityViolationError, InvalidInputError
-from .fields import SupportField, _geodesic_points, intrinsic_tau, kernel_evaluator
+from .fields import (SupportField, _geodesic_points, intrinsic_tau, kernel_evaluator,
+                     radii_form)
 from .mixdisc import mixed_disc_gradient, mixed_discriminant_batch
 from .norms import tangent_basis
 
@@ -391,13 +392,17 @@ def _stencil_safe_interior(mesh: CapMesh, margin: float):
     else:
         ok = np.ones(len(interior), dtype=bool)
     if not np.any(ok):
-        raise InvalidInputError("no interior nodes clear the stencil margin")
+        raise InvalidInputError(
+            f"no interior nodes clear the stencil margin {margin:.3g} (arc length) from "
+            f"the boundary at mesh level {mesh.config.mesh_level}, omega0 = {mesh.omega0:g}; "
+            f"the cap is too thin for this level, and a finer mesh level helps")
     return interior[ok], int(np.sum(~ok))
 
 
 def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int,
                          step: float):
-    """tau of a body at geodesic offsets, in first-order transported frames.
+    """tau of a body at geodesic offsets, in first-order transported frames
+    (`radii_form` with the metric, basis and A_F at the offset points).
 
     Each point's Gauss preimage comes from its projection solve, so the
     metric's solve starts at its answer.  Returns (tau_plus, tau_minus),
@@ -423,13 +428,7 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
         # project G-orthogonally onto the tangent space at the new point
         gz = np.einsum("bkd,bde,be->bk", e_t, g_new, zs)
         e_t = e_t - gz[..., None] * zs[:, None, :]
-        # tau(U, V) = G(D^2 s . A^{-1} U, V)
-        u_coords = np.einsum("bkd,bnd->bkn", e_t, tb_new)
-        w_coords = np.linalg.solve(a_new, np.swapaxes(u_coords, 1, 2))
-        w_amb = np.einsum("bnk,bnd->bkd", w_coords, tb_new)
-        dx = np.einsum("bde,bke->bkd", hess, w_amb)
-        tau = np.einsum("bkd,bde,ble->bkl", dx, g_new, e_t)
-        out.append(tau)
+        out.append(radii_form(hess, e_t, g_new, tb_new, a_new))
     return out[0], out[1]
 
 

@@ -420,12 +420,12 @@ class EllipsoidNorm(MinkowskiNorm):
 class PerturbedNorm(MinkowskiNorm):
     """Base family plus smooth zonal terms.
 
-    grad/hess are the closed-form sums of the base's and the terms'
-    derivatives, as are exact_grad/exact_hess/exact_third, which the dual
-    solve, the validation and G/Q call.  The metric G and its derivative Q
-    are closed form too (Legendre duality, see the module docstring), built
-    from those derivatives at the Gauss preimage.  Construction validates
-    F > 0 and A_F > 0 on a dense sphere sample and fails loudly otherwise.
+    grad/hess/third are the closed-form sums of the base's and the terms'
+    derivatives; the dual solve, the validation and G/Q call them too.  The
+    metric G and its derivative Q are closed form too (Legendre duality, see
+    the module docstring), built from those derivatives at the Gauss
+    preimage.  Construction validates F > 0 and A_F > 0 on a dense sphere
+    sample and fails loudly otherwise.
     """
 
     family = "perturbed"
@@ -456,13 +456,7 @@ class PerturbedNorm(MinkowskiNorm):
     def hess(self, x):
         return self._summed("hess", x)
 
-    def exact_grad(self, x):
-        return self._summed("grad", x)
-
-    def exact_hess(self, x):
-        return self._summed("hess", x)
-
-    def exact_third(self, x):
+    def third(self, x):
         return self._summed("third", x)
 
     def validate(self):
@@ -471,7 +465,7 @@ class PerturbedNorm(MinkowskiNorm):
         if np.any(vals <= 0):
             i = int(np.argmin(vals))
             raise ModelInvalidError(f"perturbed norm non-positive at sample node {i}", node=pts[i])
-        a = self.exact_hess(pts)
+        a = self.hess(pts)
         tb = tangent_basis(pts)
         at = np.einsum("bki,bij,blj->bkl", tb, a, tb)
         ev = np.linalg.eigvalsh(at)
@@ -511,7 +505,7 @@ class PerturbedNorm(MinkowskiNorm):
         for _ in range(max_iter):
             yl, xl = y[live], xi[live]
             f = np.asarray(self.value(yl))
-            df = np.asarray(self.exact_grad(yl))
+            df = np.asarray(self.grad(yl))
             gam = np.einsum("bi,bi->b", yl, xl) / f  # current phi
             grad_phi = xl / f[:, None] - gam[:, None] * df / f[:, None]
             tb = tangent_basis(yl)
@@ -522,7 +516,7 @@ class PerturbedNorm(MinkowskiNorm):
                 break
             live = live[active]
             yl, xl, f, df, gam, tb, gt = (a[active] for a in (yl, xl, f, df, gam, tb, gt))
-            d2f = np.asarray(self.exact_hess(yl))
+            d2f = np.asarray(self.hess(yl))
             h = (
                 -(xl[:, :, None] * df[:, None, :] + df[:, :, None] * xl[:, None, :]) / f[:, None, None] ** 2
                 - gam[:, None, None] * d2f / f[:, None, None]
@@ -600,8 +594,8 @@ class PerturbedNorm(MinkowskiNorm):
     def _half_sq_derivs(self, x):
         """F, DF, D^2F and the 0-homogeneous D^2(F^2/2) = DF DF^T + F D^2F."""
         f = self.value(x)
-        df = self.exact_grad(x)
-        d2f = self.exact_hess(x)
+        df = self.grad(x)
+        d2f = self.hess(x)
         return f, df, d2f, df[:, :, None] * df[:, None, :] + f[:, None, None] * d2f
 
     def metric(self, xi):
@@ -625,7 +619,7 @@ class PerturbedNorm(MinkowskiNorm):
         x = self._legendre_point(z, x_warm)
         f, df, d2f, h = self._half_sq_derivs(x)
         g = np.linalg.inv(h)
-        t = _sym3(d2f, df) + f[:, None, None, None] * self.exact_third(x)
+        t = _sym3(d2f, df) + f[:, None, None, None] * self.third(x)
         return -np.einsum("nia,njb,nkc,nabc->nijk", g, g, g, t, optimize=True)
 
     def descriptor(self):

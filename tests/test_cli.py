@@ -223,6 +223,18 @@ def test_exit_code_failure(tmp_path):
     assert code == 1
 
 
+def test_thin_cap_stencil_error_names_the_limit(tmp_path, capsys):
+    # near the lower end of the w0 interval the kernel study's coarse levels
+    # leave no node clear of the boundary: a documented error, not a traceback
+    path = write(tmp_path, MINIMAL.replace("omega0 = 0.0", "omega0 = -0.99"))
+    assert main(["verify", "--config", path, "--suite", "kernel",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    for part in ("stencil margin 0.45", "mesh level 1", "omega0 = -0.99",
+                 "a finer mesh level helps"):
+        assert part in err, part
+
+
 # -- report artifacts -------------------------------------------------------------
 
 
@@ -452,7 +464,9 @@ def test_every_shipped_config_is_covered():
 @pytest.mark.parametrize("name", sorted(SHIPPED_CHECKS))
 def test_shipped_config_verifies(tmp_path, monkeypatch, name):
     """Every shipped config passes every check, and every derivative its
-    run takes is closed form: capaf.fd's differences are made to raise."""
+    run takes is closed form: capaf.fd's differences are made to raise.
+    The radii are closed form too, so the routes that compare volumes
+    through tau agree to round-off."""
     import capaf.fd as fd
 
     def refuse(*args, **kwargs):
@@ -462,9 +476,15 @@ def test_shipped_config_verifies(tmp_path, monkeypatch, name):
         monkeypatch.setattr(fd, fd_name, refuse)
     out = tmp_path / "out"
     assert main(["verify", "--config", os.path.join(CONFIGS, name), "--out", str(out)]) == 0
-    summary = json.loads((out / "report.json").read_text())["summary"]
+    report = json.loads((out / "report.json").read_text())
+    summary = report["summary"]
     assert summary["total"] == summary["passed"] == SHIPPED_CHECKS[name]
     assert summary["failed"] == 0
+    routes = [r for r in report["records"] if r["suite"] == "routes"
+              and r["name"].startswith(("aniso-vs-euclid.", "diagonal-consistency."))]
+    assert routes
+    for r in routes:
+        assert abs(r["relative_gap"]) <= 1e-12, r["name"]
 
 
 def _fresh_python(script):

@@ -105,7 +105,7 @@ def test_perturbed_fd_hessian_step_halving(model_factory):
     # central differences converge at second order toward the closed form
     model = model_factory("pert3")
     x = sample_dirs(3, 10, seed=7)
-    exact = np.asarray(model.exact_hess(x))
+    exact = np.asarray(model.hess(x))
     errs = []
     for h in (4e-3, 2e-3, 1e-3):
         approx, _ = fd.central_hessian(lambda p: np.asarray(model.value(p)), x, h,
@@ -336,12 +336,14 @@ def test_closed_form_q_matches_metric_differences(model_factory, name):
 
 
 @pytest.mark.parametrize("d", (2, 3))
-@pytest.mark.parametrize("kind", ("iso", "ellipsoid", "bump", "linear", "quadratic"))
-def test_third_derivative_matches_hessian_differences(d, kind):
+@pytest.mark.parametrize("kind", ("iso", "ellipsoid", "perturbed", "bump", "linear", "quadratic"))
+def test_third_derivative_matches_hessian_differences(model_factory, d, kind):
     if kind == "iso":
         obj = IsotropicNorm(d)
     elif kind == "ellipsoid":
         obj = EllipsoidNorm(np.eye(d) + 0.2 * np.ones((d, d)))
+    elif kind == "perturbed":
+        obj = model_factory(f"pert{d}")
     else:
         obj = PerturbTerm(kind, tuple(np.arange(1.0, d + 1.0)), 0.3, 0.7)
     x = 1.3 * sample_dirs(d, 25, seed=20 + d)
