@@ -249,7 +249,7 @@ class CapMesh:
         self.detA = np.linalg.det(self.A) if self.n > 1 else self.A[:, 0, 0].copy()
         self.anisotropy_condition = float(np.max(ev[..., -1] / ev[..., 0]))
         self.xi = self.psi + self.omega0 * self.EF
-        self.G = np.asarray(model.metric_on_wulff(self.psi, x))
+        self.G = np.asarray(model.metric_on_wulff(x))
         self.interior_idx = np.flatnonzero(~self.is_boundary)
         self.boundary_idx = np.asarray(self.boundary_loop, dtype=np.int64)
         self._boundary_geometry(hess[self.boundary_idx])
@@ -362,7 +362,7 @@ class CapMesh:
     def q_frame(self) -> np.ndarray:
         """Q contracted against the frame at every node: (N, n, n, n)."""
         return self._lazy("q_frame", lambda: np.einsum(
-            "bijk,bpi,bqj,brk->bpqr", self.model.q_on_wulff(self.psi, self.nodes),
+            "bijk,bpi,bqj,brk->bpqr", self.model.q_on_wulff(self.nodes),
             self.frame, self.frame, self.frame))
 
     @property
@@ -419,7 +419,8 @@ def _snap_to_boundary(model, omega0, v_out, v_in, tol):
     """Roots of the region residual along the great circles from v_out to v_in.
 
     Batched over rows: every straddling pair is bisected at once (48 steps),
-    then polished by one Newton step with a finite-difference slope.
+    then polished by one Newton step with the closed-form slope
+    <D^2F(gamma) gamma', E_d> of the residual along the circle.
     """
     # row dots as stacked (1, d) @ (d, 1) products: BLAS dot, as a 1-D `@`
     # uses, so a batch snaps each row bit for bit as a one-row call does
@@ -447,10 +448,10 @@ def _snap_to_boundary(model, omega0, v_out, v_in, tol):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
-    # one Newton polish with a finite-difference slope
-    h = 1e-7
-    t_up, t_dn = np.minimum(t + h, 1.0), np.maximum(t - h, 0.0)
-    slope = (res(t_up) - res(t_dn)) / (t_up - t_dn)
+    velocity = ang[:, None] * (np.cos(t * ang)[:, None] * axis_b
+                               - np.cos((1.0 - t) * ang)[:, None] * axis_a) / np.sin(ang)[:, None]
+    d2f_last = np.asarray(model.hess(gamma(t)))[:, -1]
+    slope = (d2f_last[:, None, :] @ velocity[:, :, None])[:, 0, 0]
     r = res(t)
     moves = slope != 0.0
     t_new = t.copy()

@@ -98,33 +98,36 @@ def _timed_record(suite, name, inputs, fn_check) -> CheckRecord:
 
 
 def _ratios(values):
-    """Decay ratios prev / cur between consecutive levels."""
-    return [prev / max(cur, 1e-300) for prev, cur in zip(values, values[1:])]
+    """Decay ratios prev / cur between consecutive levels; None where either
+    side is exactly 0, as such a pair carries no decay information."""
+    return [prev / max(cur, 1e-300) if prev != 0 and cur != 0 else None
+            for prev, cur in zip(values, values[1:])]
 
 
 def _decay_rows(levels, values, residuals=None):
     """Convergence-table rows [level, value, residual, ratio].
 
     The residual defaults to the value; the ratio is the previous level's
-    residual over this one (nan on the first level, and wherever this
-    residual is exactly 0, where no decay rate can be read).
+    residual over this one, nan on the first level and wherever `_ratios`
+    can read no decay rate.
     """
     residuals = values if residuals is None else residuals
-    ratios = [float("nan")] + [r if cur != 0 else float("nan")
-                               for r, cur in zip(_ratios(residuals), residuals[1:])]
+    ratios = [float("nan")] + [float("nan") if r is None else r for r in _ratios(residuals)]
     return [[level, values[i], residuals[i], ratios[i]] for i, level in enumerate(levels)]
 
 
 def _decay_record(ctx, suite, name, inputs, values, min_ratio, floor) -> CheckRecord:
     """Record asserting that `values` decrease by >= min_ratio per level.
 
-    Decay assertions only make sense above the scheme's noise floor.  On
+    Decay assertions only make sense above the scheme's noise floor.  A
+    pair of levels with an exact 0 on either side is skipped (see
+    `_ratios`); with no ratio left, only the floor can pass the record.  On
     the perturbed norm they are logged as diagnostics (see
     RunContext.analytic): its derivatives are closed form, but the
     benchmark pins its run at 70 checks.
     """
     vals = [float(v) for v in values]
-    worst = min(_ratios(vals))
+    worst = min((r for r in _ratios(vals) if r is not None), default=float("nan"))
     passed = worst >= min_ratio or vals[-1] <= floor
     kind = "check" if ctx.analytic else "diagnostic"
     return CheckRecord(suite, name, digest(inputs), worst, min_ratio,

@@ -300,7 +300,7 @@ def intrinsic_tau(mesh: CapMesh, fn, idx, step: float):
     ``fn(z, g)`` evaluates m fields at Wulff-shape points z with metric g
     there, as columns (K, m) (see kernel_evaluator); one stencil serves all.
     g is the mesh's G at the nodes; an off-node point costs one projection
-    solve, whose maximizer starts the metric's solve at its answer.
+    solve, whose maximizer is the Gauss preimage the metric is read at.
     Covariant second derivatives come from geodesic second differences;
     off-diagonal entries by polarization along e_i + e_j.  Returns (tau,
     grad), shapes (K, m, n, n) and (K, m, n).
@@ -314,7 +314,7 @@ def intrinsic_tau(mesh: CapMesh, fn, idx, step: float):
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         vel = np.zeros((len(idx), n))
         vel[:, [i, j]] = 1.0
-        fp, fm = (fn(z, mesh.model.metric_on_wulff(z, x))
+        fp, fm = (fn(z, mesh.model.metric_on_wulff(x))
                   for z, x in _geodesic_points(mesh, idx, vel, step))
         if i == j:
             grad[..., i] = (fp - fm) / (2.0 * step)

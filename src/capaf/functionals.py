@@ -404,9 +404,9 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
     """tau of a body at geodesic offsets, in first-order transported frames
     (`radii_form` with the metric, basis and A_F at the offset points).
 
-    Each point's Gauss preimage comes from its projection solve, so the
-    metric's solve starts at its answer.  Returns (tau_plus, tau_minus),
-    each (K, n, n).
+    Each point's Gauss preimage comes from its projection solve, and the
+    metric, basis, A_F and Hessian are all read there.  Returns (tau_plus,
+    tau_minus), each (K, n, n).
     """
     n, model = mesh.n, mesh.model
     idx = np.asarray(idx, dtype=np.int64)
@@ -415,7 +415,7 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
     vel[:, direction] = 1.0
     out = []
     for (zs, x_new), sgn in zip(_geodesic_points(mesh, idx, vel, step), (1.0, -1.0)):
-        g_new = np.asarray(model.metric_on_wulff(zs, x_new))
+        g_new = np.asarray(model.metric_on_wulff(x_new))
         tb_new = tangent_basis(x_new)
         a_new = np.asarray(model.anisotropy_matrix(x_new, basis=tb_new))
         hess = np.asarray(body.field.hess(x_new))

@@ -27,20 +27,26 @@ Gauss preimage), as dual_value(xi, x_warm=None, return_argmax=False); the
 perturbed family runs a damped Newton ascent on the sphere, from multiple
 coarse starts, or from the approximate Gauss preimages x_warm when given
 (the other families ignore x_warm), and stops at once from an exact one.
+The warm start serves the projections of off-mesh stencil points onto the
+Wulff shape, whose maximizer is then the projected point's preimage.
 The zonal terms' derivative chain, _zonal, is shared with the bump support
 fields of fields.py.
 
 G and Q are closed form for every family.  (1/2) F^2 and (1/2) F0^2 are
 Legendre conjugates (Rockafellar, Convex Analysis, Thm 26.5), so their
-gradient maps are mutually inverse and, at z = D(F^2/2)(x),
+gradient maps are mutually inverse: at the Wulff point z = DF(x) of unit x,
+whose Legendre point is x / F(x),
 
     G(z) = [D^2(F^2/2)(x)]^-1 = [DF DF^T + F D^2F]^-1 (x),
-    Q(z) = -G G G : D^3(F^2/2)(x),
+    Q(z) = -G G G : F(x) D^3(F^2/2)(x),
     D^3(F^2/2) = sym_3(DF (x) D^2F) + F D^3F,
 
-where sym_3 sums the three placements of the vector index.  The perturbed
-family finds x by one warm Newton dual solve and evaluates these from its
-exact derivatives.
+where sym_3 sums the three placements of the vector index and the factor
+F(x) is the (-1)-homogeneity of D^3(F^2/2).  metric_on_wulff(x) and
+q_on_wulff(x) take the Gauss preimage x, which every caller already holds
+(the mesh nodes, or a projection solve's maximizer), and solve nothing; the
+isotropic and ellipsoid families return their constant G and Q = 0.
+metric(xi) and q_tensor(xi) at an arbitrary xi find the preimage first.
 """
 
 from __future__ import annotations
@@ -268,19 +274,41 @@ class MinkowskiNorm:
         raise NotImplementedError
 
     def metric(self, xi) -> np.ndarray:
-        """G(xi): Hessian of (1/2) F0^2, shape (..., d, d)."""
-        raise NotImplementedError
+        """G(xi): Hessian of (1/2) F0^2, shape (..., d, d); 0-homogeneous."""
+        xi, batched = self._check_nonzero(xi)
+        return _unbatch(self.metric_on_wulff(self.gauss_preimage(xi)), batched)
 
     def q_tensor(self, xi) -> np.ndarray:
-        """Q(xi): third derivative of (1/2) F0^2, shape (..., d, d, d)."""
-        raise NotImplementedError
+        """Q(xi): third derivative of (1/2) F0^2, shape (..., d, d, d);
+        (-1)-homogeneous, so Q(xi) = Q(xi / F0(xi)) / F0(xi)."""
+        xi, batched = self._check_nonzero(xi)
+        f0, x = self.dual_value(xi, return_argmax=True)
+        return _unbatch(self.q_on_wulff(x) / f0[:, None, None, None], batched)
 
-    def metric_on_wulff(self, z, x_warm) -> np.ndarray:
-        """G at points z = DF(x_warm) on the Wulff shape (batched)."""
-        return self.metric(z)
+    def _half_sq_derivs(self, x):
+        """F, DF, D^2F and the 0-homogeneous D^2(F^2/2) = DF DF^T + F D^2F."""
+        f = self.value(x)
+        df = self.grad(x)
+        d2f = self.hess(x)
+        return f, df, d2f, df[:, :, None] * df[:, None, :] + f[:, None, None] * d2f
 
-    def q_on_wulff(self, z, x_warm) -> np.ndarray:
-        return self.q_tensor(z)
+    def metric_on_wulff(self, x) -> np.ndarray:
+        """G at the Wulff points DF(x) of Gauss preimages x (B, d):
+        [D^2(F^2/2)(x)]^-1, 0-homogeneous in x."""
+        *_, h = self._half_sq_derivs(x)
+        return np.linalg.inv(h)
+
+    def q_on_wulff(self, x) -> np.ndarray:
+        """Q at the Wulff points DF(x) of Gauss preimages x (B, d):
+        -G G G : F(x) D^3(F^2/2)(x), 0-homogeneous in x.
+
+        Differentiating G(D(F^2/2)(y)) D^2(F^2/2)(y) = I in y gives
+        -G G G : D^3(F^2/2)(y) at the Legendre point y = x / F(x).
+        """
+        f, df, d2f, h = self._half_sq_derivs(x)
+        g = np.linalg.inv(h)
+        t = f[:, None, None, None] * (_sym3(d2f, df) + f[:, None, None, None] * self.third(x))
+        return -np.einsum("nia,njb,nkc,nabc->nijk", g, g, g, t, optimize=True)
 
     def gauss_preimage(self, z) -> np.ndarray:
         """Unit x with DF(x) parallel to z (inverse Cahn-Hoffman direction):
@@ -334,14 +362,11 @@ class IsotropicNorm(MinkowskiNorm):
     def _dual(self, xi):
         return np.linalg.norm(xi, axis=-1)
 
-    def metric(self, xi):
-        xi, batched = _rows(xi)
-        g = np.broadcast_to(np.eye(self.dim), (xi.shape[0], self.dim, self.dim)).copy()
-        return _unbatch(g, batched)
+    def metric_on_wulff(self, x):
+        return np.broadcast_to(np.eye(self.dim), (len(x), self.dim, self.dim)).copy()
 
-    def q_tensor(self, xi):
-        xi, batched = _rows(xi)
-        return _unbatch(np.zeros((xi.shape[0],) + (self.dim,) * 3), batched)
+    def q_on_wulff(self, x):
+        return np.zeros((len(x),) + (self.dim,) * 3)
 
     def gauss_preimage(self, z):
         z, batched = self._check_nonzero(z)
@@ -400,14 +425,11 @@ class EllipsoidNorm(MinkowskiNorm):
     def _dual(self, xi):
         return np.sqrt(np.einsum("bi,ij,bj->b", xi, self.matrix_inv, xi))
 
-    def metric(self, xi):
-        xi, batched = _rows(xi)
-        g = np.broadcast_to(self.matrix_inv, (xi.shape[0], self.dim, self.dim)).copy()
-        return _unbatch(g, batched)
+    def metric_on_wulff(self, x):
+        return np.broadcast_to(self.matrix_inv, (len(x), self.dim, self.dim)).copy()
 
-    def q_tensor(self, xi):
-        xi, batched = _rows(xi)
-        return _unbatch(np.zeros((xi.shape[0],) + (self.dim,) * 3), batched)
+    def q_on_wulff(self, x):
+        return np.zeros((len(x),) + (self.dim,) * 3)
 
     def gauss_preimage(self, z):
         z, batched = self._check_nonzero(z)
@@ -421,11 +443,10 @@ class PerturbedNorm(MinkowskiNorm):
     """Base family plus smooth zonal terms.
 
     grad/hess/third are the closed-form sums of the base's and the terms'
-    derivatives; the dual solve, the validation and G/Q call them too.  The
-    metric G and its derivative Q are closed form too (Legendre duality, see
-    the module docstring), built from those derivatives at the Gauss
-    preimage.  Construction validates F > 0 and A_F > 0 on a dense sphere
-    sample and fails loudly otherwise.
+    derivatives; the dual solve, the validation and the base class's G/Q
+    (Legendre duality at a known Gauss preimage, see the module docstring)
+    call them too.  Construction validates F > 0 and A_F > 0 on a dense
+    sphere sample and fails loudly otherwise.
     """
 
     family = "perturbed"
@@ -578,49 +599,6 @@ class PerturbedNorm(MinkowskiNorm):
         if return_argmax:
             return _unbatch(phi, batched), _unbatch(yf, batched)
         return _unbatch(phi, batched)
-
-    # metric / Q in closed form by Legendre duality
-
-    def _legendre_point(self, z, x_warm):
-        """The x with D(F^2/2)(x) = z, by one warm dual ascent from x_warm.
-
-        The ascent gives F0(z) and the unit Gauss preimage y of z; since
-        D(F^2/2)(t y) = t F(y) DF(y) and z = F0(z) DF(y), x = F0(z) y / F(y).
-        """
-        z, _ = self._check_nonzero(z)
-        f0, y = self.dual_value(z, x_warm, return_argmax=True)
-        return y * (f0 / self.value(y))[:, None]
-
-    def _half_sq_derivs(self, x):
-        """F, DF, D^2F and the 0-homogeneous D^2(F^2/2) = DF DF^T + F D^2F."""
-        f = self.value(x)
-        df = self.grad(x)
-        d2f = self.hess(x)
-        return f, df, d2f, df[:, :, None] * df[:, None, :] + f[:, None, None] * d2f
-
-    def metric(self, xi):
-        xi, batched = _rows(xi)
-        return _unbatch(self.metric_on_wulff(xi, self.gauss_preimage(xi)), batched)
-
-    def metric_on_wulff(self, z, x_warm):
-        """G(z) = [D^2(F^2/2)(x)]^-1 at the Legendre point x of z (batched)."""
-        *_, h = self._half_sq_derivs(self._legendre_point(z, x_warm))
-        return np.linalg.inv(h)
-
-    def q_tensor(self, xi):
-        xi, batched = _rows(xi)
-        return _unbatch(self.q_on_wulff(xi, self.gauss_preimage(xi)), batched)
-
-    def q_on_wulff(self, z, x_warm):
-        """Q(z) = -G G G : D^3(F^2/2)(x) at the Legendre point x of z (batched).
-
-        Differentiating G(D(F^2/2)(x)) D^2(F^2/2)(x) = I in x gives this.
-        """
-        x = self._legendre_point(z, x_warm)
-        f, df, d2f, h = self._half_sq_derivs(x)
-        g = np.linalg.inv(h)
-        t = _sym3(d2f, df) + f[:, None, None, None] * self.third(x)
-        return -np.einsum("nia,njb,nkc,nabc->nijk", g, g, g, t, optimize=True)
 
     def descriptor(self):
         return {

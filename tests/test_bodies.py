@@ -6,12 +6,13 @@ import pytest
 import capaf.functionals as fn
 from capaf.bodies import (CapillaryBody, make_wulff_cap, minkowski_combine,
                           random_capillary_body, rebind, translate_horizontal)
+from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.errors import (ConvexityViolationError, GenerationError,
                           InvalidInputError)
 from capaf.fields import (CombinationField, LinearField, SphericalBumpField,
                           WulffCapField, intrinsic_tau, kernel_evaluator,
                           kernel_field, tau_from_generator)
-from capaf.norms import PerturbedNorm, unit_rows
+from capaf.norms import PerturbedNorm
 
 CASES = [("iso3", 0.0), ("ell3", -0.4), ("pert3", -0.35)]
 
@@ -287,7 +288,7 @@ def test_kernel_pass_matches_per_field_route(mesh_factory):
         e = np.eye(3)[alpha]
 
         def single(z, g):
-            g = mesh.model.metric_on_wulff(z, None)
+            g = mesh.model.metric(z)
             return np.einsum("bij,bi,j->b", g, z, e)[:, None]
 
         tau_a, grad_a = intrinsic_tau(mesh, single, idx, step=0.05)
@@ -297,33 +298,38 @@ def test_kernel_pass_matches_per_field_route(mesh_factory):
     assert maxima == [fn.kernel_tau_intrinsic(mesh, alpha)[0] for alpha in range(2)]
 
 
-def test_kernel_pass_solves_once_per_stencil_point(monkeypatch, mesh_factory):
-    # n(n+1) projection solves from the nodes; every metric solve starts at
-    # its point's exact maximizer (no Newton step), and none is at a node
-    mesh = mesh_factory("pert3", -0.35, 3)
-    mesh.q_frame  # the mesh's own lazy solves are not part of the pass
+def _record_dual_solves(monkeypatch):
+    """Every PerturbedNorm.dual_value call from now on, as (xi, x_warm)."""
     real = PerturbedNorm.dual_value
     calls = []
 
     def recording(self, xi, x_warm=None, return_argmax=False):
-        phi, y = real(self, xi, x_warm, return_argmax=True)
-        calls.append((np.asarray(xi), np.asarray(x_warm), phi, y))
-        return (phi, y) if return_argmax else phi
+        calls.append((np.asarray(xi), None if x_warm is None else np.asarray(x_warm)))
+        return real(self, xi, x_warm, return_argmax)
 
     monkeypatch.setattr(PerturbedNorm, "dual_value", recording)
+    return calls
+
+
+def test_mesh_reads_g_and_q_at_its_nodes_without_a_solve(monkeypatch, model_factory):
+    # the nodes are the Gauss preimages of the mesh's Wulff points
+    calls = _record_dual_solves(monkeypatch)
+    mesh = build_cap_mesh(CapConfig(2, -0.35, model_factory("pert3"), 3))
+    mesh.q_frame
+    assert calls == []
+
+
+def test_kernel_pass_solves_once_per_stencil_point(monkeypatch, mesh_factory):
+    # n(n+1) projection solves, warm from the nodes; the metric at each
+    # projected point is read at the projection's maximizer, with no solve
+    mesh = mesh_factory("pert3", -0.35, 3)
+    calls = _record_dual_solves(monkeypatch)
     fn.kernel_tau_intrinsic(mesh)
     n = mesh.n
     node_rows = {tuple(r) for r in mesh.nodes}
-    psi_rows = {tuple(r) for r in mesh.psi}
-    projections = [c for c in calls if all(tuple(r) in node_rows for r in c[1])]
-    metric = [c for c in calls if not any(tuple(r) in node_rows for r in c[1])]
-    assert len(projections) == n * (n + 1)
-    assert len(projections) + len(metric) == len(calls)
-    for xi, warm, _, y in metric:
-        assert not any(tuple(r) in psi_rows for r in xi)
-        assert np.array_equal(y, unit_rows(warm))
-        assert any(np.array_equal(warm, p_y) and np.array_equal(xi, p_xi / p_phi[:, None])
-                   for p_xi, _, p_phi, p_y in projections)
+    assert len(calls) == n * (n + 1)
+    for _, warm in calls:
+        assert warm is not None and all(tuple(r) in node_rows for r in warm)
 
 
 def test_cap_support_tau_is_identity(mesh_factory):

@@ -235,6 +235,38 @@ def test_thin_cap_stencil_error_names_the_limit(tmp_path, capsys):
         assert part in err, part
 
 
+def test_thin_cap_kernel_decay_skips_the_exact_zero(tmp_path):
+    # at level 5 the L3 study mesh checks only the pole, where the kernel tau
+    # is exactly 0: that level pair shows no ratio, and the check reads L4->L5
+    path = write(tmp_path, MINIMAL.replace("omega0 = 0.0", "omega0 = -0.99")
+                 + "\n[mesh]\nlevel = 5\n")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", path, "--suite", "kernel", "--out", str(out)]) == 0
+    records = {r[1]: r for r in (line.split(",") for line in
+                                 (out / "records.csv").read_text().splitlines()[1:])}
+    for alpha in (1, 2):
+        rec = records[f"tau-decay-E{alpha}"]
+        assert rec[-2] == "True" and float(rec[3]) == pytest.approx(2.66, abs=0.01)
+    rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+    for check in ("kernel-E1", "kernel-E2"):
+        (_, l3, _, r3), (_, _, _, r4), _ = [r[1:] for r in rows if r[0] == check]
+        assert float(l3) == 0.0 and np.isnan(float(r3)) and np.isnan(float(r4))
+
+
+@pytest.mark.parametrize("values,passed", [
+    ([0.0, 1e-3, 4e-4], True),   # the 0 pair is skipped; 2.5 >= 2
+    ([0.0, 1e-3, 9e-4], False),  # every readable ratio must still reach 2
+    ([1e-3, 0.0, 1e-3], False),  # no ratio to read, and above the floor
+    ([1e-3, 0.0, 1e-12], True),  # no ratio to read, below the floor
+])
+def test_decay_record_skips_pairs_with_an_exact_zero(values, passed):
+    from capaf.cli import _decay_record
+
+    ctx = type("Ctx", (), {"analytic": True})()
+    rec = _decay_record(ctx, "kernel", "decay", {}, values, 2.0, floor=1e-11)
+    assert rec.passed is passed
+
+
 # -- report artifacts -------------------------------------------------------------
 
 
@@ -504,6 +536,42 @@ def test_import_loads_fd_module():
     `import capaf.cli`; ROADMAP item F removes both that lookup and the
     import that keeps it working."""
     assert _fresh_python("import sys\nimport capaf.cli\nprint('capaf.fd' in sys.modules)") == "True"
+
+
+def test_benchmark_layer_groups_name_capaf_definitions():
+    """Every group the traced benchmark's metrics and hooks read
+    (perfbench/layers.py) names a public function, method or property that
+    its capaf module defines, or a suite runner: a rename in capaf would
+    otherwise zero a benchmark metric without failing tier-1."""
+    import importlib
+    import importlib.util
+    import inspect
+
+    import capaf.cli
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layers.py")
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+
+    def defined(layer, name):
+        mod = importlib.import_module(f"capaf.{layer}")
+        obj = vars(mod).get(name)
+        if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
+            return True
+        return any(isinstance(vars(cls).get(name), (property, staticmethod))
+                   or inspect.isfunction(vars(cls).get(name))
+                   for cls in vars(mod).values()
+                   if inspect.isclass(cls) and cls.__module__ == mod.__name__)
+
+    groups = layers.referenced_groups()
+    assert "norms.metric_on_wulff" in groups and "norms.q_on_wulff" in groups
+    for group in sorted(groups):
+        layer, name = group.split(".", 1)
+        if layer == "cli" and name.startswith("suite."):
+            assert name[len("suite."):] in capaf.cli.SUITE_RUNNERS, group
+        else:
+            assert defined(layer, name), group
 
 
 def test_no_capaf_process_imports_numpy_ma(tmp_path):

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 import capaf.fd as fd
 from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.errors import InvalidInputError, ModelInvalidError
-from capaf.norms import (EllipsoidNorm, IsotropicNorm, PerturbedNorm,
+from capaf.norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm, PerturbedNorm,
                          PerturbTerm, norm_from_descriptor, tangent_basis,
                          unit_rows)
 
@@ -214,12 +214,24 @@ def test_metric_ellipsoid_constant(model_factory):
     assert np.max(np.abs(q)) == 0.0
 
 
+@pytest.mark.parametrize("name", ("iso2", "iso3", "ell2", "ell3"))
+def test_legendre_route_reproduces_the_constant_metric(model_factory, name):
+    # the base class's G and Q at the Gauss preimages, against the family's
+    # constant G and Q = 0
+    model = model_factory(name)
+    x = sample_dirs(model.dim, 50, seed=19)
+    g = np.asarray(model.metric_on_wulff(x))
+    q = np.asarray(model.q_on_wulff(x))
+    assert np.max(np.abs(MinkowskiNorm.metric_on_wulff(model, x) - g)) < 1e-14
+    assert np.max(np.abs(MinkowskiNorm.q_on_wulff(model, x) - q)) < 1e-14
+
+
 def test_metric_identity_on_wulff_perturbed(model_factory):
     for name in ("pert3", "pert2"):
         model = model_factory(name)
         x = sample_dirs(model.dim, 100, seed=13)
         psi = np.asarray(model.cahn_hoffman(x))
-        g = np.asarray(model.metric_on_wulff(psi, x))
+        g = np.asarray(model.metric_on_wulff(x))
         vals = np.einsum("bi,bij,bj->b", psi, g, psi)
         assert np.max(np.abs(vals - 1.0)) < 1e-10
 
@@ -230,7 +242,7 @@ def test_metric_tangent_identity_oracle(model_factory):
     x = sample_dirs(3, 30, seed=14)
     tb = tangent_basis(x)
     a = np.asarray(model.anisotropy_matrix(x, basis=tb))
-    g = np.asarray(model.metric_on_wulff(np.asarray(model.cahn_hoffman(x)), x))
+    g = np.asarray(model.metric_on_wulff(x))
     f = np.asarray(model.value(x))
     au = np.einsum("bkl,bld->bkd", a, tb)
     lhs = np.einsum("bkd,bde,ble->bkl", au, g, au)
@@ -244,7 +256,7 @@ def test_perturbed_metric_and_q_off_the_wulff_shape(model_factory):
         x = sample_dirs(model.dim, 20, seed=17)
         z = np.asarray(model.cahn_hoffman(x))
         g = np.asarray(model.metric(z))
-        assert np.max(np.abs(g - np.asarray(model.metric_on_wulff(z, x)))) < 1e-10
+        assert np.max(np.abs(g - np.asarray(model.metric_on_wulff(x)))) < 1e-10
         assert np.max(np.abs(np.asarray(model.metric(z[0])) - g[0])) < 1e-10
         q = np.asarray(model.q_tensor(z))
         for t in (0.4, 2.5):
@@ -257,7 +269,7 @@ def test_q_tensor_radial_contraction_perturbed(model_factory):
         model = model_factory(name)
         x = sample_dirs(model.dim, 100, seed=15)
         psi = np.asarray(model.cahn_hoffman(x))
-        q = np.asarray(model.q_on_wulff(psi, x))
+        q = np.asarray(model.q_on_wulff(x))
         contraction = np.einsum("bijk,bk->bij", q, psi)
         assert np.max(np.abs(contraction)) < 1e-9
 
@@ -317,21 +329,22 @@ def _wulff_sample(model, count, seed):
 def test_closed_form_metric_matches_fd_newton_oracle(model_factory, name):
     model = model_factory(name)
     z, x = _wulff_sample(model, 40, seed=17)
-    g = np.asarray(model.metric_on_wulff(z, x))
+    g = np.asarray(model.metric_on_wulff(x))
     assert np.max(np.abs(g - fd_newton_metric(model, z, x))) < 1e-6
 
 
 @pytest.mark.parametrize("name", ("pert3", "pert2"))
 def test_closed_form_q_matches_metric_differences(model_factory, name):
-    # Q = DG: central differences of the closed-form G in each ambient axis
+    # Q = DG: central differences of the closed-form G in each ambient axis,
+    # each off-shape point taking its own Gauss preimage
     model = model_factory(name)
     z, x = _wulff_sample(model, 30, seed=18)
-    q = np.asarray(model.q_on_wulff(z, x))
+    q = np.asarray(model.q_on_wulff(x))
     k = 1e-5
     eye = np.eye(model.dim)
     for c in range(model.dim):
-        dg = (np.asarray(model.metric_on_wulff(z + k * eye[c], x))
-              - np.asarray(model.metric_on_wulff(z - k * eye[c], x))) / (2.0 * k)
+        dg = (np.asarray(model.metric(z + k * eye[c]))
+              - np.asarray(model.metric(z - k * eye[c]))) / (2.0 * k)
         assert np.max(np.abs(q[..., c] - dg)) < 1e-6
 
 
