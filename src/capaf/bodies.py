@@ -16,8 +16,10 @@ import json
 
 import numpy as np
 
-from .capgeom import (CapConfig, CapMesh, build_cap_mesh,
-                      icosphere_vertices, region_residual)
+from .capgeom import CapConfig, CapMesh, build_cap_mesh
+# not called here: perfbench's self-test checks that its tracer also wraps a
+# capgeom function imported by value, through this name
+from .capgeom import icosphere_vertices  # noqa: F401
 from .errors import (ConvexityViolationError, GenerationError,
                      InvalidInputError)
 from .fields import (CombinationField, LinearField, SphericalBumpField,
@@ -94,7 +96,7 @@ class CapillaryBody:
             hess = np.asarray(field.hess(x))
             parts.append((np.asarray(field.value(x)), np.asarray(field.grad(x)),
                           np.einsum("bki,bij,blj->bkl", mesh.tb, hess, mesh.tb),
-                          radii_form(hess, mesh.frame, mesh.G, mesh.tb, mesh.A)))
+                          radii_form(hess, mesh.frame, mesh.G, mesh.vel)))
         self.s, self.X, self.W, raw = (sum(col[1:], col[0]) for col in zip(*parts))
         self.tau_asym = np.max(np.abs(raw - np.swapaxes(raw, 1, 2)), axis=(1, 2))
         self.tau = 0.5 * (raw + np.swapaxes(raw, 1, 2))
@@ -244,41 +246,6 @@ def translate_horizontal(body: CapillaryBody, v) -> CapillaryBody:
     prov = dict(body.provenance)
     prov["translated_by"] = list(map(float, v))
     return CapillaryBody(body.mesh, field, prov)
-
-
-def _interior_candidate_directions(mesh: CapMesh) -> np.ndarray:
-    """Mesh-independent coarse sample of directions inside the region.
-
-    Built on a fixed level-2 icosphere (n=2) or a fixed angle grid (n=1)
-    so the same seed yields the same field at every mesh level.  Read it
-    through `mesh.interior_candidates`, which computes it once per mesh.
-    """
-    model, omega0 = mesh.model, mesh.omega0
-    if mesh.n == 2:
-        sample = icosphere_vertices(2)
-    else:
-        phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        sample = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    r = region_residual(model, omega0, sample)
-    cut = 0.45 * float(np.max(r))
-    cand = sample[r > cut]
-    if len(cand) == 0:
-        cand = sample[np.argmax(r)][None, :]
-    return cand
-
-
-def _region_complement_sample(mesh: CapMesh) -> np.ndarray:
-    """Fixed dense sample of the region complement: level-4 icosphere
-    vertices (n=2) or 2048 angles (n=1) with nonpositive region residual.
-    Read it through `mesh.region_complement`, which computes it once per mesh.
-    """
-    model, omega0 = mesh.model, mesh.omega0
-    if mesh.n == 2:
-        sample = icosphere_vertices(4)
-    else:
-        phi = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-        sample = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    return sample[region_residual(model, omega0, sample) <= 0.0]
 
 
 def _boundary_margin_cos(mesh: CapMesh, center: np.ndarray) -> float:

@@ -19,13 +19,14 @@ trapezoid weights (the angular measure is exact).
 
 Every node carries caches: Psi(x), the anisotropy matrix and its
 determinant (the pullback density from the cap to S), the cap point xi, the
-ambient metric G at T^{-1} xi, and a G-orthonormal tangent frame.  At
-boundary nodes the frame's last vector is aligned with A_F(nu) mu, mu being
-the Euclidean outward co-normal, and the first vectors span the boundary
-tangent.  Lazy caches, computed once per mesh on first use (arrays
-read-only): q_frame, cap_body and cap_tau, interior_candidates and
-region_complement.  The intrinsic kernel route's stencil is per call and not
-cached, since cached meshes would keep it alive.
+ambient metric G at T^{-1} xi, a G-orthonormal tangent frame, and the
+frame's parameter velocities A_F^{-1} e_k.  At boundary nodes the frame's
+last vector is aligned with A_F(nu) mu, mu being the Euclidean outward
+co-normal, and the first vectors span the boundary tangent.  Lazy caches,
+computed once per mesh on first use (arrays read-only): q_frame, cap_body
+and cap_tau, interior_candidates and region_complement.  The intrinsic
+kernel route's stencil is per call and not cached, since cached meshes would
+keep it alive.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ DEFAULT_TOLERANCES = {
     "boundary_plane": 1e-9,
     "mixdisc": 1e-10,
     "routes_analytic": 1e-8,
-    "routes_fd": 1e-5,
     "routes_polyfit": 1e-4,
     "kernel_max": 1e-4,
     "kernel_ratio": 2.0,
@@ -165,6 +165,16 @@ def admissible_range(model: MinkowskiNorm):
     return -float(model.value(e)), float(model.value(-e))
 
 
+def parameter_velocities(frame, tb, a) -> np.ndarray:
+    """Ambient parameter velocities v_k = A_F^{-1} e_k of the frame vectors
+    e_k (K, n, d), as columns (K, d, n): the chain rule d(xi) = A_F dx.
+
+    tb is the tangent basis and a the anisotropy matrix A_F in it.
+    """
+    v_t = np.linalg.solve(a, tb @ np.swapaxes(frame, 1, 2))  # columns: A^-1 e_k
+    return np.swapaxes(tb, 1, 2) @ v_t
+
+
 def region_residual(model: MinkowskiNorm, omega0: float, x) -> np.ndarray:
     """<DF(x), E_d> + omega0; nonnegative exactly on the parameter region."""
     g = np.asarray(model.grad(np.asarray(x, dtype=float)))
@@ -254,6 +264,7 @@ class CapMesh:
         self.boundary_idx = np.asarray(self.boundary_loop, dtype=np.int64)
         self._boundary_geometry(hess[self.boundary_idx])
         self._build_frames()
+        self.vel = parameter_velocities(self.frame, self.tb, self.A)
         self._check_invariants()
 
     def _boundary_geometry(self, hess_b):
@@ -383,15 +394,11 @@ class CapMesh:
     @property
     def interior_candidates(self) -> np.ndarray:
         """Candidate bump centres for random bodies on this mesh."""
-        from .bodies import _interior_candidate_directions
-
         return self._lazy("interior_candidates", lambda: _interior_candidate_directions(self))
 
     @property
     def region_complement(self) -> np.ndarray:
         """Fixed dense sample of the region complement."""
-        from .bodies import _region_complement_sample
-
         return self._lazy("region_complement", lambda: _region_complement_sample(self))
 
     def dump_table(self) -> str:
@@ -408,6 +415,41 @@ class CapMesh:
             buf.write(f"{i} {xs} {tag} {float(self.weights[i])!r} {xis} "
                       f"{float(self.detA[i])!r}\n")
         return buf.getvalue()
+
+
+def _interior_candidate_directions(mesh: CapMesh) -> np.ndarray:
+    """Mesh-independent coarse sample of directions inside the region.
+
+    Built on a fixed level-2 icosphere (n=2) or a fixed angle grid (n=1)
+    so the same seed yields the same random body at every mesh level.  It
+    makes the lazy `CapMesh.interior_candidates`.
+    """
+    model, omega0 = mesh.model, mesh.omega0
+    if mesh.n == 2:
+        sample = icosphere_vertices(2)
+    else:
+        phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+        sample = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    r = region_residual(model, omega0, sample)
+    cut = 0.45 * float(np.max(r))
+    cand = sample[r > cut]
+    if len(cand) == 0:
+        cand = sample[np.argmax(r)][None, :]
+    return cand
+
+
+def _region_complement_sample(mesh: CapMesh) -> np.ndarray:
+    """Fixed dense sample of the region complement: level-4 icosphere
+    vertices (n=2) or 2048 angles (n=1) with nonpositive region residual.
+    It makes the lazy `CapMesh.region_complement`.
+    """
+    model, omega0 = mesh.model, mesh.omega0
+    if mesh.n == 2:
+        sample = icosphere_vertices(4)
+    else:
+        phi = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+        sample = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    return sample[region_residual(model, omega0, sample) <= 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,9 @@ class RunContext:
     @property
     def analytic(self) -> bool:
         """False for the perturbed norm family.  Its derivatives are closed
-        form too, but its decay records stay diagnostics, its routes
-        tolerance `routes_fd` and its kernel check a smoke test, because the
-        benchmark (perfbench/run.py) pins `verify-perturbed` at 70 checks."""
+        form too, but its decay records stay diagnostics and its kernel check
+        a smoke test, because the benchmark (perfbench/run.py) pins
+        `verify-perturbed` at 70 checks."""
         return self.cfg.norm.family != "perturbed"
 
     def mesh(self, level=None):
@@ -255,7 +255,7 @@ def _run_mixdisc(ctx: RunContext):
 def _run_routes(ctx: RunContext):
     cfg = ctx.cfg
     tol = cfg.tolerances
-    route_tol = tol["routes_analytic"] if ctx.analytic else tol["routes_fd"]
+    route_tol = tol["routes_analytic"]
     records = []
     for seed in cfg.seeds:
         bods = ctx.body_tuple(seed, cfg.n + 1)

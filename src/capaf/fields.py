@@ -20,8 +20,11 @@ Two curvature-radii routes live here:
   fn(z, g) of Wulff-shape points z and the metric there, one column per
   field (kernel_evaluator builds the kernel fields').
 
-Support fields take one point (d,) or a batch (B, d) and answer in kind;
-the bump field shares its zonal derivative chain with the norm layer.
+Support fields take one point (d,) or a batch (B, d) and answer in kind.
+SupportField owns that contract once, for value/grad/hess; each field
+computes its derivatives of order 0-2 in one method, _derivative(x, order),
+on rows (B, d), and a combination sums its parts' _derivative.  The bump
+field shares its zonal derivative chain with the norm layer.
 """
 
 from __future__ import annotations
@@ -41,15 +44,27 @@ from .norms import MinkowskiNorm, _rows, _unbatch, _zonal, unit_rows
 
 
 class SupportField:
-    """1-homogeneous scalar field with gradient and Hessian access."""
+    """1-homogeneous scalar field with gradient and Hessian access.
+
+    Subclasses implement ``_derivative(x, order)`` on rows x (B, d) for
+    order 0-2; value/grad/hess take one point (d,) or a batch (B, d) and
+    answer in kind.
+    """
 
     def value(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._at(x, 0)
 
     def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._at(x, 1)
 
     def hess(self, x) -> np.ndarray:
+        return self._at(x, 2)
+
+    def _at(self, x, order):
+        x, batched = _rows(x)
+        return _unbatch(self._derivative(x, order), batched)
+
+    def _derivative(self, x, order) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -84,17 +99,12 @@ class WulffCapField(SupportField):
         self._anchor = self.r0 * self.omega0 * (e_vec - np.asarray(ef_vec, dtype=float))
         self._anchor[-1] = 0.0
 
-    def value(self, x):
-        x, batched = _rows(x)
-        return _unbatch(self.r0 * np.asarray(self.model.value(x)) + x @ self.shift, batched)
-
-    def grad(self, x):
-        x, batched = _rows(x)
-        return _unbatch(self.r0 * np.asarray(self.model.grad(x)) + self.shift[None, :], batched)
-
-    def hess(self, x):
-        x, batched = _rows(x)
-        return _unbatch(self.r0 * np.asarray(self.model.hess(x)), batched)
+    def _derivative(self, x, order):
+        if order == 0:
+            return self.r0 * self.model.value(x) + x @ self.shift
+        if order == 1:
+            return self.r0 * self.model.grad(x) + self.shift[None, :]
+        return self.r0 * self.model.hess(x)
 
     @property
     def anchor(self):
@@ -108,17 +118,12 @@ class LinearField(SupportField):
         self.v = np.asarray(v, dtype=float)
         self.dim = len(self.v)
 
-    def value(self, x):
-        x, batched = _rows(x)
-        return _unbatch(x @ self.v, batched)
-
-    def grad(self, x):
-        x, batched = _rows(x)
-        return _unbatch(np.broadcast_to(self.v, x.shape).copy(), batched)
-
-    def hess(self, x):
-        x, batched = _rows(x)
-        return _unbatch(np.zeros((x.shape[0], self.dim, self.dim)), batched)
+    def _derivative(self, x, order):
+        if order == 0:
+            return x @ self.v
+        if order == 1:
+            return np.broadcast_to(self.v, x.shape).copy()
+        return np.zeros((x.shape[0], self.dim, self.dim))
 
     @property
     def anchor(self):
@@ -165,23 +170,13 @@ class SphericalBumpField(SupportField):
         g2 = np.where(inside, d2g / self.width**2, zero)
         return g, g1, g2
 
-    def _at(self, x, order):
+    def _derivative(self, x, order):
         """The zonal chain on the rows within reach of the support cap (a 1e-9
         margin in the cosine), exact zeros elsewhere: most rows miss a bump."""
-        x, batched = _rows(x)
         live = x @ self.center > (1.0 - self.width - 1e-9) * np.linalg.norm(x, axis=-1)
         out = np.zeros((len(x),) + (self.dim,) * order)
         out[live] = _zonal(x[live], self.center, self.amplitude, self._profile, order)
-        return _unbatch(out, batched)
-
-    def value(self, x):
-        return self._at(x, 0)
-
-    def grad(self, x):
-        return self._at(x, 1)
-
-    def hess(self, x):
-        return self._at(x, 2)
+        return out
 
 
 class CombinationField(SupportField):
@@ -194,21 +189,12 @@ class CombinationField(SupportField):
         self.coeffs = [float(c) for c in coeffs]
         self.dim = fields[0].dim
 
-    def _weighted(self, method, x):
-        """c0 f0 + c1 f1 + ..., summed left to right, of each field's ``method``."""
-        out = self.coeffs[0] * np.asarray(getattr(self.fields[0], method)(x), dtype=float)
+    def _derivative(self, x, order):
+        """c0 f0 + c1 f1 + ..., summed left to right in place."""
+        out = self.coeffs[0] * self.fields[0]._derivative(x, order)
         for f, c in zip(self.fields[1:], self.coeffs[1:]):
-            out = out + c * np.asarray(getattr(f, method)(x))
+            out += c * f._derivative(x, order)
         return out
-
-    def value(self, x):
-        return self._weighted("value", x)
-
-    def grad(self, x):
-        return self._weighted("grad", x)
-
-    def hess(self, x):
-        return self._weighted("hess", x)
 
     @property
     def anchor(self):
@@ -234,15 +220,13 @@ def kernel_field(mesh: CapMesh, alpha: int) -> LinearField:
 # ---------------------------------------------------------------------------
 
 
-def radii_form(hess, frame, g, tb, a):
+def radii_form(hess, frame, g, vel):
     """Raw radii matrices tau_kl = G(D^2 s . v_k, e_l), (K, n, n).
 
     hess is D^2 s at K points, frame the frame vectors e_k there (K, n, d),
-    g the metric G, tb the tangent basis and a the anisotropy matrix A_F in
-    it; v_k = A_F^{-1} e_k is the ambient parameter velocity of e_k.
+    g the metric G and vel the parameter velocities v_k = A_F^{-1} e_k as
+    columns (K, d, n) (see `capgeom.parameter_velocities`).
     """
-    v_t = np.linalg.solve(a, tb @ np.swapaxes(frame, 1, 2))  # columns: A^-1 e_k
-    vel = np.swapaxes(tb, 1, 2) @ v_t  # columns: v_k
     return np.swapaxes(frame @ (g @ (hess @ vel)), 1, 2)
 
 
@@ -253,7 +237,7 @@ def tau_from_generator(mesh: CapMesh, field: SupportField):
     (tau_symmetrized, tau_raw), both (N, n, n).  The route is linear in the
     field, so bodies sum raw parts and symmetrize once.
     """
-    tau = radii_form(np.asarray(field.hess(mesh.nodes)), mesh.frame, mesh.G, mesh.tb, mesh.A)
+    tau = radii_form(np.asarray(field.hess(mesh.nodes)), mesh.frame, mesh.G, mesh.vel)
     return 0.5 * (tau + np.swapaxes(tau, 1, 2)), tau
 
 

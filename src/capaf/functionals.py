@@ -30,7 +30,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .bodies import CapillaryBody
-from .capgeom import CapMesh, region_residual
+from .capgeom import CapMesh, parameter_velocities, region_residual
 from .errors import ConvexityViolationError, InvalidInputError
 from .fields import (SupportField, _geodesic_points, intrinsic_tau, kernel_evaluator,
                      radii_form)
@@ -402,11 +402,11 @@ def _stencil_safe_interior(mesh: CapMesh, margin: float):
 def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int,
                          step: float):
     """tau of a body at geodesic offsets, in first-order transported frames
-    (`radii_form` with the metric, basis and A_F at the offset points).
+    (`radii_form` with the metric and the velocities at the offset points).
 
     Each point's Gauss preimage comes from its projection solve, and the
-    metric, basis, A_F and Hessian are all read there.  Returns (tau_plus,
-    tau_minus), each (K, n, n).
+    metric, basis, A_F (so the velocities) and Hessian are all read there.
+    Returns (tau_plus, tau_minus), each (K, n, n).
     """
     n, model = mesh.n, mesh.model
     idx = np.asarray(idx, dtype=np.int64)
@@ -428,7 +428,7 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
         # project G-orthogonally onto the tangent space at the new point
         gz = np.einsum("bkd,bde,be->bk", e_t, g_new, zs)
         e_t = e_t - gz[..., None] * zs[:, None, :]
-        out.append(radii_form(hess, e_t, g_new, tb_new, a_new))
+        out.append(radii_form(hess, e_t, g_new, parameter_velocities(e_t, tb_new, a_new)))
     return out[0], out[1]
 
 

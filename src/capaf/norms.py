@@ -20,8 +20,12 @@ Three families are provided:
 * ellipsoid      F(x) = sqrt(<x, Mx>)   (M symmetric positive definite)
 * perturbed      base family plus smooth zonal terms a * |x| * g(<x^, c>)
 
-Every family's derivatives of F, up to third order, are closed form (the
-perturbed family sums its base's and its terms'), so no path differences F.
+F and each zonal term are homogeneous functions of one shape: a private
+base defines value/grad/hess/third, which take one point (d,) or a batch
+(B, d) and reject the zero vector, and each class computes its derivatives
+of order 0-3 in one method, _derivative(x, order), on nonzero rows (B, d).
+Every family's derivatives are closed form (the perturbed family sums its
+base's and its terms' _derivative), so no path differences F.
 Every family evaluates its dual norm, and on request the maximizer (the
 Gauss preimage), as dual_value(xi, x_warm=None, return_argmax=False); the
 perturbed family runs a damped Newton ascent on the sphere, from multiple
@@ -141,6 +145,46 @@ def _zonal(x, center, amplitude, profile, order):
 
 
 # ---------------------------------------------------------------------------
+# homogeneous functions: one derivative method each
+# ---------------------------------------------------------------------------
+
+
+class _Homogeneous:
+    """A homogeneous function on R^d minus the origin, with derivatives to order 3.
+
+    Subclasses implement ``_derivative(x, order)`` on nonzero rows x (B, d)
+    for order 0-3; value/grad/hess/third take one point (d,) or a batch
+    (B, d), reject the zero vector and answer in kind.
+    """
+
+    def value(self, x) -> np.ndarray:
+        return self._at(x, 0)
+
+    def grad(self, x) -> np.ndarray:
+        return self._at(x, 1)
+
+    def hess(self, x) -> np.ndarray:
+        return self._at(x, 2)
+
+    def third(self, x) -> np.ndarray:
+        """Third derivative, shape (..., d, d, d)."""
+        return self._at(x, 3)
+
+    def _at(self, x, order):
+        x, batched = self._check_nonzero(x)
+        return _unbatch(self._derivative(x, order), batched)
+
+    def _derivative(self, x, order) -> np.ndarray:
+        raise NotImplementedError
+
+    def _check_nonzero(self, x):
+        x, batched = _rows(x)
+        if np.any(np.linalg.norm(x, axis=-1) < _EPS):
+            raise InvalidInputError("norm evaluated at the zero vector")
+        return x, batched
+
+
+# ---------------------------------------------------------------------------
 # perturbation terms
 # ---------------------------------------------------------------------------
 
@@ -148,7 +192,7 @@ _TERM_KINDS = ("bump", "linear", "quadratic")
 
 
 @dataclass(frozen=True)
-class PerturbTerm:
+class PerturbTerm(_Homogeneous):
     """One zonal perturbation a * |x| * g(u), u = <x/|x|, center>.
 
     kind 'bump' is the smooth localized profile g(u) = exp(-(1 - u)/width)
@@ -180,22 +224,8 @@ class PerturbTerm:
         g = np.exp(-(1.0 - u) / s)
         return g, g / s, g / s**2, g / s**3
 
-    def value(self, x):
-        x, batched = _rows(x)
-        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 0), batched)
-
-    def grad(self, x):
-        x, batched = _rows(x)
-        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 1), batched)
-
-    def hess(self, x):
-        x, batched = _rows(x)
-        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 2), batched)
-
-    def third(self, x):
-        """Third derivative, (..., d, d, d): hess differentiated term by term."""
-        x, batched = _rows(x)
-        return _unbatch(_zonal(x, self.center, self.amplitude, self._profile, 3), batched)
+    def _derivative(self, x, order):
+        return _zonal(x, self.center, self.amplitude, self._profile, order)
 
 
 # ---------------------------------------------------------------------------
@@ -203,32 +233,14 @@ class PerturbTerm:
 # ---------------------------------------------------------------------------
 
 
-class MinkowskiNorm:
-    """Base class; subclasses implement value/grad/hess and the dual side."""
+class MinkowskiNorm(_Homogeneous):
+    """Base class; subclasses implement F's ``_derivative(x, order)`` (order
+    0-3, behind the shared value/grad/hess/third) and the dual side."""
 
     family = "abstract"
     dim: int
 
     # -- primal side --------------------------------------------------------
-
-    def value(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def hess(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def third(self, x) -> np.ndarray:
-        """Third derivative of F, shape (..., d, d, d)."""
-        raise NotImplementedError
-
-    def _check_nonzero(self, x):
-        x, batched = _rows(x)
-        if np.any(np.linalg.norm(x, axis=-1) < _EPS):
-            raise InvalidInputError("norm evaluated at the zero vector")
-        return x, batched
 
     def cahn_hoffman(self, x) -> np.ndarray:
         """Gradient map DF at x / |x|; parametrizes the Wulff shape.
@@ -337,27 +349,17 @@ class IsotropicNorm(MinkowskiNorm):
     def __init__(self, dim: int = 3):
         self.dim = dim
 
-    def value(self, x):
-        x, batched = self._check_nonzero(x)
-        return _unbatch(np.linalg.norm(x, axis=-1), batched)
-
-    def grad(self, x):
-        x, batched = self._check_nonzero(x)
-        return _unbatch(unit_rows(x), batched)
-
-    def hess(self, x):
-        x, batched = self._check_nonzero(x)
-        r = np.linalg.norm(x, axis=-1)
-        xh = x / r[:, None]
-        h = (np.eye(self.dim)[None] - xh[:, :, None] * xh[:, None, :]) / r[:, None, None]
-        return _unbatch(h, batched)
-
-    def third(self, x):
-        x, batched = self._check_nonzero(x)
+    def _derivative(self, x, order):
+        if order == 0:
+            return np.linalg.norm(x, axis=-1)
+        if order == 1:
+            return unit_rows(x)
         r = np.linalg.norm(x, axis=-1)
         xh = x / r[:, None]
         proj = np.eye(self.dim)[None] - xh[:, :, None] * xh[:, None, :]
-        return _unbatch(-_sym3(proj, xh) / r[:, None, None, None] ** 2, batched)
+        if order == 2:
+            return proj / r[:, None, None]
+        return -_sym3(proj, xh) / r[:, None, None, None] ** 2
 
     def _dual(self, xi):
         return np.linalg.norm(xi, axis=-1)
@@ -397,30 +399,19 @@ class EllipsoidNorm(MinkowskiNorm):
         self.matrix_inv = np.linalg.inv(self.matrix)
         self.dim = m.shape[0]
 
-    def value(self, x):
-        x, batched = self._check_nonzero(x)
-        return _unbatch(np.sqrt(np.einsum("bi,ij,bj->b", x, self.matrix, x)), batched)
-
-    def grad(self, x):
-        x, batched = self._check_nonzero(x)
+    def _derivative(self, x, order):
+        if order == 0:
+            return np.sqrt(np.einsum("bi,ij,bj->b", x, self.matrix, x))
         mx = x @ self.matrix
         f = np.sqrt(np.einsum("bi,bi->b", x, mx))
-        return _unbatch(mx / f[:, None], batched)
-
-    def hess(self, x):
-        x, batched = self._check_nonzero(x)
-        mx = x @ self.matrix
-        f = np.sqrt(np.einsum("bi,bi->b", x, mx))
-        h = self.matrix[None] / f[:, None, None] - mx[:, :, None] * mx[:, None, :] / f[:, None, None] ** 3
-        return _unbatch(h, batched)
-
-    def third(self, x):
-        x, batched = self._check_nonzero(x)
-        mx = x @ self.matrix
-        f = np.sqrt(np.einsum("bi,bi->b", x, mx))[:, None, None, None]
+        if order == 1:
+            return mx / f[:, None]
+        if order == 2:
+            return self.matrix[None] / f[:, None, None] - mx[:, :, None] * mx[:, None, :] / f[:, None, None] ** 3
+        f = f[:, None, None, None]
         m = np.broadcast_to(self.matrix, (x.shape[0], self.dim, self.dim))
         mmm = mx[:, :, None, None] * mx[:, None, :, None] * mx[:, None, None, :]
-        return _unbatch(-_sym3(m, mx) / f**3 + 3.0 * mmm / f**5, batched)
+        return -_sym3(m, mx) / f**3 + 3.0 * mmm / f**5
 
     def _dual(self, xi):
         return np.sqrt(np.einsum("bi,ij,bj->b", xi, self.matrix_inv, xi))
@@ -442,10 +433,10 @@ class EllipsoidNorm(MinkowskiNorm):
 class PerturbedNorm(MinkowskiNorm):
     """Base family plus smooth zonal terms.
 
-    grad/hess/third are the closed-form sums of the base's and the terms'
-    derivatives; the dual solve, the validation and the base class's G/Q
-    (Legendre duality at a known Gauss preimage, see the module docstring)
-    call them too.  Construction validates F > 0 and A_F > 0 on a dense
+    Every derivative of F is the closed-form sum of the base's and the
+    terms' ``_derivative``; the dual solve, the validation and the base
+    class's G/Q (Legendre duality at a known Gauss preimage, see the module
+    docstring) read them through value/grad/hess/third.  Construction validates F > 0 and A_F > 0 on a dense
     sphere sample and fails loudly otherwise.
     """
 
@@ -460,25 +451,13 @@ class PerturbedNorm(MinkowskiNorm):
 
     # primal
 
-    def _summed(self, method, x):
-        """Base plus every term, each evaluated by its ``method``."""
-        x, batched = self._check_nonzero(x)
-        out = np.asarray(getattr(self.base, method)(x), dtype=float).copy()
+    def _derivative(self, x, order):
+        """The base's derivative plus every term's, summed in order, in place
+        (every family's _derivative returns a fresh array)."""
+        out = self.base._derivative(x, order)
         for t in self.terms:
-            out += getattr(t, method)(x)
-        return _unbatch(out, batched)
-
-    def value(self, x):
-        return self._summed("value", x)
-
-    def grad(self, x):
-        return self._summed("grad", x)
-
-    def hess(self, x):
-        return self._summed("hess", x)
-
-    def third(self, x):
-        return self._summed("third", x)
+            out += t._derivative(x, order)
+        return out
 
     def validate(self):
         pts = self.validation_sample()

@@ -319,6 +319,26 @@ def test_mesh_reads_g_and_q_at_its_nodes_without_a_solve(monkeypatch, model_fact
     assert calls == []
 
 
+def test_bodies_on_one_mesh_reuse_its_parameter_velocities(monkeypatch, model_factory):
+    # v_k = A_F^-1 e_k depends on the mesh alone: one solve at build time
+    import capaf.capgeom as capgeom
+
+    real = capgeom.parameter_velocities
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(capgeom, "parameter_velocities", counting)
+    mesh = build_cap_mesh(CapConfig(2, -0.35, model_factory("pert3"), 3))
+    assert len(calls) == 1
+    bodies = [random_capillary_body(mesh, seed) for seed in (1, 2, 3)]
+    minkowski_combine(bodies, [0.5, 0.3, 0.2])
+    translate_horizontal(bodies[0], np.array([0.05, 0.0, 0.0]))
+    assert len(calls) == 1
+
+
 def test_kernel_pass_solves_once_per_stencil_point(monkeypatch, mesh_factory):
     # n(n+1) projection solves, warm from the nodes; the metric at each
     # projected point is read at the projection's maximizer, with no solve

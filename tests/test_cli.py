@@ -101,9 +101,11 @@ def test_parse_tolerance_overrides(tmp_path):
     text = MINIMAL + "\n[numerics]\ntol_af_gap = 1e-7\n"
     cfg = parse_config(write(tmp_path, text))
     assert cfg.tolerances["af_gap"] == 1e-7
-    bad = MINIMAL + "\n[numerics]\ntol_nonsense = 1\n"
-    with pytest.raises(InvalidConfigError):
-        parse_config(write(tmp_path, bad))
+    # routes_fd went with the perturbed family's finite differences
+    for name in ("tol_nonsense", "tol_routes_fd"):
+        bad = MINIMAL + f"\n[numerics]\n{name} = 1\n"
+        with pytest.raises(InvalidConfigError, match="unknown tolerance name"):
+            parse_config(write(tmp_path, bad))
 
 
 def test_parse_names_every_unknown_key(tmp_path, capsys):
@@ -498,7 +500,7 @@ def test_shipped_config_verifies(tmp_path, monkeypatch, name):
     """Every shipped config passes every check, and every derivative its
     run takes is closed form: capaf.fd's differences are made to raise.
     The radii are closed form too, so the routes that compare volumes
-    through tau agree to round-off."""
+    through tau agree to round-off, at `routes_analytic` on every family."""
     import capaf.fd as fd
 
     def refuse(*args, **kwargs):
@@ -515,8 +517,10 @@ def test_shipped_config_verifies(tmp_path, monkeypatch, name):
     routes = [r for r in report["records"] if r["suite"] == "routes"
               and r["name"].startswith(("aniso-vs-euclid.", "diagonal-consistency."))]
     assert routes
+    route_tol = parse_config(os.path.join(CONFIGS, name)).tolerances["routes_analytic"]
     for r in routes:
         assert abs(r["relative_gap"]) <= 1e-12, r["name"]
+        assert r["tolerance"] == route_tol, r["name"]
 
 
 def _fresh_python(script):
@@ -605,8 +609,8 @@ class _ReadLog(dict):
 
 def test_every_tolerance_has_a_reader(monkeypatch):
     """Every suite, on an analytic and on the perturbed config at level 2,
-    reads each tolerance name between them: routes_fd is read only on the
-    perturbed norm and kernel_* only on analytic ones."""
+    reads each tolerance name between them: kernel_* is read only on the
+    analytic ones."""
     import capaf.cli as cli
     from capaf.capgeom import DEFAULT_TOLERANCES
     from capaf.config import SuiteConfig

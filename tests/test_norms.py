@@ -43,6 +43,13 @@ def test_zero_vector_rejected(model_factory):
         model_factory("iso3").value(np.zeros(3))
     with pytest.raises(InvalidInputError):
         model_factory("ell3").dual_value(np.zeros(3))
+    with pytest.raises(InvalidInputError):
+        model_factory("pert3").hess(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    # a zonal term shares the norms' point/batch contract, zero check included
+    term = PerturbTerm("bump", (0.0, 0.0, 1.0), 0.3, 0.05)
+    for method in (term.value, term.grad, term.hess, term.third):
+        with pytest.raises(InvalidInputError):
+            method(np.zeros(3))
 
 
 def test_cahn_hoffman_isotropic_identity(model_factory):
@@ -116,13 +123,56 @@ def test_perturbed_fd_hessian_step_halving(model_factory):
 
 
 def test_perturbed_derivatives_row_independent_of_batch(model_factory):
-    # the closed-form sums work row by row, so no companion can move a row
-    model = model_factory("pert3")
-    x = np.array([0.05, 0.1, 0.99])
-    batch = np.stack([x, 3.0 * unit_rows(np.array([1.0, -0.5, 0.3])),
-                      np.array([0.0, 0.0, -3.0])])
-    assert np.array_equal(model.grad(x), model.grad(batch)[0])
-    assert np.array_equal(model.hess(x), model.hess(batch)[0])
+    # every derivative, of every norm family and zonal term kind, works row
+    # by row: no companion can move a row, and one point (d,) answers with
+    # the shape of a batch row
+    terms = [(PerturbTerm(kind, (0.3, 0.2, 0.93), 0.3, 0.05), 3)
+             for kind in ("bump", "linear", "quadratic")]
+    norms = [(model_factory(name), model_factory(name).dim)
+             for name in ("iso3", "ell3", "pert2", "pert3")]
+    for func, d in norms + terms:
+        x = np.array([0.05, 0.1, 0.99])[-d:]
+        batch = np.stack([x, 3.0 * unit_rows(np.array([1.0, -0.5, 0.3])[:d]), -3.0 * np.eye(d)[-1]])
+        for order, method in enumerate((func.value, func.grad, func.hess, func.third)):
+            one, rows = np.asarray(method(x)), np.asarray(method(batch))
+            assert one.shape == (d,) * order, (func, order)
+            assert rows.shape == (len(batch),) + (d,) * order, (func, order)
+            assert np.array_equal(one, rows[0]), (func, order)
+
+
+def test_each_homogeneous_function_has_one_derivative_method():
+    """Only the two bases define the public derivative methods; every
+    concrete norm, zonal term and support field computes its derivatives in
+    one `_derivative(x, order)`, and the composites sum their parts'
+    `_derivative`, never a part's public method."""
+    import ast
+    import inspect
+    import textwrap
+
+    import capaf.fields as fields
+    import capaf.norms as norms
+
+    public = {"value", "grad", "hess", "third"}
+    bases = {norms._Homogeneous: public, fields.SupportField: public - {"third"}}
+    abstract = set(bases) | {norms.MinkowskiNorm}
+    concrete = set()
+    for mod in (norms, fields):
+        for cls in vars(mod).values():
+            if not (inspect.isclass(cls) and cls.__module__ == mod.__name__
+                    and issubclass(cls, tuple(bases))):
+                continue
+            assert public & set(vars(cls)) == bases.get(cls, set()), cls.__name__
+            if cls not in abstract:
+                assert "_derivative" in vars(cls), cls.__name__
+                concrete.add(cls.__name__)
+    assert concrete == {"IsotropicNorm", "EllipsoidNorm", "PerturbedNorm", "PerturbTerm",
+                        "WulffCapField", "LinearField", "SphericalBumpField",
+                        "CombinationField"}
+    for cls in (norms.PerturbedNorm, fields.CombinationField):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls._derivative)))
+        called = {n.func.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+        assert called & public == set(), cls.__name__
 
 
 @pytest.mark.parametrize("name", ("pert3", "pert2"))
