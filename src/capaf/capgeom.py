@@ -614,27 +614,20 @@ def _build_mesh_1d(config: CapConfig) -> CapMesh:
         pts = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         return region_residual(model, omega0, pts)
 
+    # scan for sign changes, then bisect every bracket at once for 60 steps
     m0 = 4096
     phis = np.linspace(0.0, 2.0 * np.pi, m0, endpoint=False)
     rv = res(phis)
-    roots = []
-    for i in range(m0):
-        a = phis[i]
-        ra, rb = rv[i], rv[(i + 1) % m0]
-        if ra == 0.0:
-            roots.append(a)
-        elif ra * rb < 0:
-            lo, hi = a, a + (2.0 * np.pi / m0)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if res(mid)[0] * ra > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
+    bracket = rv * np.roll(rv, -1) < 0
+    ra, lo = rv[bracket], phis[bracket]
+    hi = lo + (2.0 * np.pi / m0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = res(mid) * ra > 0
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    roots = sorted(np.concatenate([phis[rv == 0.0], 0.5 * (lo + hi)]).tolist())
     if len(roots) < 2:
         raise MeshConstructionError(f"expected two region boundary angles, found {len(roots)}")
-    roots = sorted(roots)
     # pick the arc (cyclically) whose midpoint lies inside the region
     best = None
     for i in range(len(roots)):

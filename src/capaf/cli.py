@@ -9,7 +9,12 @@ Subcommands:
 Suites run one after another; --jobs and CAPAF_JOBS are accepted and do
 nothing.  The decay suites (minkowski, symmetry, kernel, operator) and
 `study converge` share one per-level function per check, each the worst
-case over the config's seeds, and one convergence-table builder.
+case over the config's seeds, and one convergence-table builder.  A
+`RunContext` owns the study schedule, the strictly increasing mesh levels
+every decay study visits: max(1, L-2)..L for `verify` at config level L
+(just 0 at L0), exactly A..B for `study converge --levels A..B`.  It
+generates every random body on the last of them and rebinds it onto the
+others.
 
 Exit codes: 0 all checks passed, 1 some check failed (or a body could not
 be generated), 2 usage or configuration error.  Identical configs produce
@@ -40,10 +45,18 @@ from .report import CheckRecord, RunReport, digest, emit_report
 
 
 class RunContext:
-    """Lazy caches shared by the suite runners of one verification run."""
+    """Lazy caches shared by the suite runners of one run, and its study
+    schedule `levels` (see the module docstring), whose last level is the
+    default mesh."""
 
-    def __init__(self, cfg: SuiteConfig):
+    def __init__(self, cfg: SuiteConfig, levels=None):
+        if levels is None:
+            levels = list(range(max(1, cfg.mesh_level - 2), cfg.mesh_level + 1)) or [0]
+        elif levels[0] < 0 or levels[-1] > 7:
+            raise InvalidInputError(
+                f"--levels {levels[0]}..{levels[-1]} reaches outside the mesh levels [0, 7]")
         self.cfg = cfg
+        self.levels = levels
         self._meshes = {}
         self._bodies = {}
         self._rebound = {}
@@ -57,34 +70,29 @@ class RunContext:
         return self.cfg.norm.family != "perturbed"
 
     def mesh(self, level=None):
-        level = self.cfg.mesh_level if level is None else level
+        level = self.levels[-1] if level is None else level
         if level not in self._meshes:
             self._meshes[level] = build_cap_mesh(self.cfg.cap_config(level))
         return self._meshes[level]
 
-    def body(self, seed, level=None):
-        level = self.cfg.mesh_level if level is None else level
-        key = (seed, level)
-        if key not in self._bodies:
-            self._bodies[key] = random_capillary_body(self.mesh(level), seed)
-        return self._bodies[key]
+    def body(self, seed):
+        """Random body `seed`, generated on the default mesh."""
+        if seed not in self._bodies:
+            self._bodies[seed] = random_capillary_body(self.mesh(), seed)
+        return self._bodies[seed]
 
     def body_tuple(self, seed, count):
         return [self.body(seed * 101 + j) for j in range(count)]
 
-    def study_body(self, seed, level, top):
-        """Body `seed`, generated on the level-`top` mesh, rebound onto `level`."""
-        key = (seed, level, top)
+    def study_body(self, seed, level):
+        """Body `seed` rebound onto the level-`level` mesh."""
+        key = (seed, level)
         if key not in self._rebound:
-            self._rebound[key] = rebind(self.body(seed, top), self.mesh(level))
+            self._rebound[key] = rebind(self.body(seed), self.mesh(level))
         return self._rebound[key]
 
-    def study_tuple(self, seed, count, level, top):
-        return [self.study_body(seed * 101 + j, level, top) for j in range(count)]
-
-    def study_levels(self):
-        top = self.cfg.mesh_level
-        return [max(1, top - 2), max(2, top - 1), top]
+    def study_tuple(self, seed, count, level):
+        return [self.study_body(seed * 101 + j, level) for j in range(count)]
 
 
 def _report_record(suite, name, inputs, rep) -> CheckRecord:
@@ -152,7 +160,7 @@ def _timed_since(t0, *records):
 
 # ---------------------------------------------------------------------------
 # per-level checks, shared by the decay suites and `study converge`; bodies
-# are generated on the level-`top` mesh and rebound onto `level`
+# are generated on the context's last study level and rebound onto `level`
 # ---------------------------------------------------------------------------
 
 
@@ -161,15 +169,15 @@ def _worst(values):
     return max([0.0, *values])
 
 
-def _minkowski_residual(ctx, level, top, k):
+def _minkowski_residual(ctx, level, k):
     """|Residual of the capillary Minkowski formula of order k|."""
-    return _worst(abs(fn.minkowski_formula_residual(ctx.study_body(seed, level, top), k))
+    return _worst(abs(fn.minkowski_formula_residual(ctx.study_body(seed, level), k))
                   for seed in ctx.cfg.seeds)
 
 
-def _symmetry_deviations(ctx, level, top):
+def _symmetry_deviations(ctx, level):
     """(swap, trailing-permutation) deviations of the slot form over its scale."""
-    outs = [fn.symmetry_check(ctx.study_tuple(seed, ctx.cfg.n + 1, level, top))
+    outs = [fn.symmetry_check(ctx.study_tuple(seed, ctx.cfg.n + 1, level))
             for seed in ctx.cfg.seeds]
     return (_worst(o["swap_deviation"] / o["scale"] for o in outs),
             _worst(o["trailing_deviation"] / o["scale"] for o in outs))
@@ -180,12 +188,12 @@ def _kernel_tau(ctx, level):
     return fn.kernel_tau_intrinsic(ctx.mesh(level))[0]
 
 
-def _selfadjoint_deviation(ctx, level, top):
+def _selfadjoint_deviation(ctx, level):
     """|<f, A g> - <g, A f>| for the operator A of the trailing bodies."""
     def deviation(bods):
         return fn.operator_selfadjoint_deviation(bods[0], bods[1], bods[2:])
 
-    return _worst(deviation(ctx.study_tuple(seed, ctx.cfg.n + 1, level, top))
+    return _worst(deviation(ctx.study_tuple(seed, ctx.cfg.n + 1, level))
                   for seed in ctx.cfg.seeds)
 
 
@@ -359,12 +367,12 @@ def _run_chain(ctx: RunContext):
 
 def _run_minkowski(ctx: RunContext):
     cfg = ctx.cfg
-    levels = ctx.study_levels()
+    levels = ctx.levels
     records = []
     tables = {}
     for k in range(cfg.n):
         t0 = time.perf_counter()
-        agg = [_minkowski_residual(ctx, level, levels[-1], k) for level in levels]
+        agg = [_minkowski_residual(ctx, level, k) for level in levels]
         tables[f"minkowski-k{k}"] = _decay_rows(levels, agg)
         records += _timed_since(t0, _decay_record(
             ctx, "minkowski", f"residual-decay-k{k}", {"levels": levels, "k": k},
@@ -374,10 +382,9 @@ def _run_minkowski(ctx: RunContext):
 
 def _run_symmetry(ctx: RunContext):
     cfg = ctx.cfg
-    levels = ctx.study_levels()
+    levels = ctx.levels
     t0 = time.perf_counter()
-    swap_agg, trail_agg = zip(*(_symmetry_deviations(ctx, level, levels[-1])
-                                for level in levels))
+    swap_agg, trail_agg = zip(*(_symmetry_deviations(ctx, level) for level in levels))
     tables = {"symmetry-swap": _decay_rows(levels, swap_agg)}
     records = _timed_since(
         t0,
@@ -416,7 +423,7 @@ def _run_steiner(ctx: RunContext):
 
 def _run_kernel(ctx: RunContext):
     cfg = ctx.cfg
-    levels = ctx.study_levels()
+    levels = ctx.levels
     records = []
     tables = {}
     t0 = time.perf_counter()
@@ -451,7 +458,7 @@ def _run_operator(ctx: RunContext):
     records = []
     if cfg.n < 2:
         return records, {}
-    levels = ctx.study_levels()
+    levels = ctx.levels
     for seed in cfg.seeds:
         inputs = {"seed": seed, "level": cfg.mesh_level}
         t0 = time.perf_counter()
@@ -474,7 +481,7 @@ def _run_operator(ctx: RunContext):
                                                tol=tol["operator_energy"])))
     # self-adjointness decay with refinement (aggregate over seeds)
     t0 = time.perf_counter()
-    devs = [_selfadjoint_deviation(ctx, level, levels[-1]) for level in levels]
+    devs = [_selfadjoint_deviation(ctx, level) for level in levels]
     records += _timed_since(t0, _decay_record(
         ctx, "operator", "selfadjoint-decay", {"levels": levels}, devs, 2.0, floor=1e-10))
     return records, {"operator-selfadjoint": _decay_rows(levels, devs)}
@@ -575,23 +582,23 @@ def _cmd_body_gen(args) -> int:
     return 0
 
 
-def _divergence_residual(ctx, level, top):
+def _divergence_residual(ctx, level):
     """Divergence identity residual of body seeds[0] against body seeds[0] + 1."""
     seed = ctx.cfg.seeds[0]
-    trailing = [ctx.study_body(seed + 1, level, top)] * (ctx.cfg.n - 1)
-    return fn.divergence_identity_check(ctx.study_body(seed, level, top),
+    trailing = [ctx.study_body(seed + 1, level)] * (ctx.cfg.n - 1)
+    return fn.divergence_identity_check(ctx.study_body(seed, level),
                                         trailing)["max_residual"]
 
 
-# study check -> per-level value (ctx, level, top); minkowski and kernel take
-# the worst order / kernel field, symmetry the swap deviation
+# study check -> per-level value (ctx, level); minkowski and kernel take the
+# worst order / kernel field, symmetry the swap deviation
 STUDIES = {
-    "minkowski": lambda ctx, level, top: max(
-        _minkowski_residual(ctx, level, top, k) for k in range(ctx.cfg.n)),
-    "symmetry": lambda ctx, level, top: _symmetry_deviations(ctx, level, top)[0],
-    "kernel": lambda ctx, level, top: max(_kernel_tau(ctx, level)),
+    "minkowski": lambda ctx, level: max(
+        _minkowski_residual(ctx, level, k) for k in range(ctx.cfg.n)),
+    "symmetry": lambda ctx, level: _symmetry_deviations(ctx, level)[0],
+    "kernel": lambda ctx, level: max(_kernel_tau(ctx, level)),
     "divergence": _divergence_residual,
-    "area": lambda ctx, level, top: abs(ctx.mesh(level).sigma_total),
+    "area": lambda ctx, level: abs(ctx.mesh(level).sigma_total),
     "operator_adjoint": _selfadjoint_deviation,
 }
 
@@ -608,15 +615,14 @@ def _cmd_study(args) -> int:
         raise InvalidInputError(f"--levels {args.levels} is empty; expects A..B with A <= B")
     if args.check == "operator_adjoint" and cfg.n < 2:
         raise InvalidInputError("operator study needs n >= 2")
-    levels = list(range(lo, hi + 1))
-    ctx = RunContext(cfg)
-    values = [STUDIES[args.check](ctx, level, hi) for level in levels]
+    ctx = RunContext(cfg, list(range(lo, hi + 1)))
+    values = [STUDIES[args.check](ctx, level) for level in ctx.levels]
     residuals = None
     if args.check == "area":
         # Richardson self-convergence of the region measure
         residuals = [abs(v - values[-1]) for v in values[:-1]] + [float("nan")]
     lines = ["level,value,residual,ratio"]
-    lines += [",".join(map(repr, row)) for row in _decay_rows(levels, values, residuals)]
+    lines += [",".join(map(repr, row)) for row in _decay_rows(ctx.levels, values, residuals)]
     print("\n".join(lines))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

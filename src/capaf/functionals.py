@@ -263,10 +263,9 @@ def symmetry_check(bodies) -> dict:
     trail_dev = 0.0
     tail = bodies[1:]
     if len(tail) > 1:
-        base = _mv_slot(bodies, 0, "anisotropic")
         for perm in itertools.permutations(range(len(tail))):
             arranged = [bodies[0]] + [tail[p] for p in perm]
-            trail_dev = max(trail_dev, abs(_mv_slot(arranged, 0, "anisotropic") - base))
+            trail_dev = max(trail_dev, abs(_mv_slot(arranged, 0, "anisotropic") - v01))
     return {"swap_deviation": swap_dev, "trailing_deviation": trail_dev,
             "scale": scale, "value": v01}
 
@@ -503,24 +502,29 @@ def _operator_mesh(trailing) -> CapMesh:
     return mesh
 
 
-def operator_weights(trailing) -> np.ndarray:
-    """L^2 weights d omega = Q(tau_2, tau_2, tau_3, ...)/((n+1) f_2) F dmu."""
+def _operator_frame(trailing):
+    """(mesh, Q(tau_2, tau_2, tau_3, ...), L^2 weights) of the trailing bodies.
+
+    The denominator Q is computed and checked positive once per call of the
+    public operator functions; `_apply_to_tau` and the weights share it.
+    """
     mesh = _operator_mesh(trailing)
     f2 = trailing[0]
-    denom = mixed_discriminant_batch([f2.tau] + [b.tau for b in trailing])
-    if np.any(denom <= 0):
-        raise ConvexityViolationError("operator weight denominator not positive")
-    return mesh.weights * mesh.detA * mesh.F_vals * denom / ((mesh.n + 1) * f2.shat)
-
-
-def _apply_to_tau(tau_f, trailing):
-    """Nodal values of A f from the radii matrices of f."""
-    f2 = trailing[0]
-    num = mixed_discriminant_batch([tau_f] + [b.tau for b in trailing])
     den = mixed_discriminant_batch([f2.tau] + [b.tau for b in trailing])
     if np.any(den <= 0):
         raise ConvexityViolationError("operator denominator not positive at some node")
-    return f2.shat * num / den
+    return mesh, den, mesh.weights * mesh.detA * mesh.F_vals * den / ((mesh.n + 1) * f2.shat)
+
+
+def operator_weights(trailing) -> np.ndarray:
+    """L^2 weights d omega = Q(tau_2, tau_2, tau_3, ...)/((n+1) f_2) F dmu."""
+    return _operator_frame(trailing)[2]
+
+
+def _apply_to_tau(tau_f, trailing, den):
+    """Nodal values of A f from the radii matrices of f, over the denominator den."""
+    num = mixed_discriminant_batch([tau_f] + [b.tau for b in trailing])
+    return trailing[0].shat * num / den
 
 
 def operator_a_apply(f, trailing):
@@ -529,7 +533,8 @@ def operator_a_apply(f, trailing):
     ``trailing`` lists the bodies f_2, ..., f_n (n - 1 of them); requires
     n >= 2.  Returns the nodal values of A f.
     """
-    return _apply_to_tau(_tau_and_values(_operator_mesh(trailing), f)[0], trailing)
+    mesh, den, _ = _operator_frame(trailing)
+    return _apply_to_tau(_tau_and_values(mesh, f)[0], trailing, den)
 
 
 def operator_inner(f_vals, g_vals, omega) -> float:
@@ -546,9 +551,9 @@ def operator_a_energy_check(g, trailing, tol: float = 1e-6) -> InequalityReport:
     scale: for tiny test functions max(|lhs|, |rhs|) is meaninglessly
     small while the defect is measured in absolute form units).
     """
-    tau_g, g_vals = _tau_and_values(_operator_mesh(trailing), g)
-    ag = _apply_to_tau(tau_g, trailing)
-    om = operator_weights(trailing)
+    mesh, den, om = _operator_frame(trailing)
+    tau_g, g_vals = _tau_and_values(mesh, g)
+    ag = _apply_to_tau(tau_g, trailing, den)
     lhs = operator_inner(ag, ag, om)
     rhs = operator_inner(g_vals, ag, om)
     mass = float(np.sum(om))
@@ -561,12 +566,11 @@ def operator_a_energy_check(g, trailing, tol: float = 1e-6) -> InequalityReport:
 
 def operator_selfadjoint_deviation(f, g, trailing) -> float:
     """|<f, A g> - <g, A f>| (vanishes at the quadrature's order)."""
-    mesh = _operator_mesh(trailing)
+    mesh, den, om = _operator_frame(trailing)
     tau_f, f_vals = _tau_and_values(mesh, f)
     tau_g, g_vals = _tau_and_values(mesh, g)
-    om = operator_weights(trailing)
-    return abs(operator_inner(f_vals, _apply_to_tau(tau_g, trailing), om)
-               - operator_inner(g_vals, _apply_to_tau(tau_f, trailing), om))
+    return abs(operator_inner(f_vals, _apply_to_tau(tau_g, trailing, den), om)
+               - operator_inner(g_vals, _apply_to_tau(tau_f, trailing, den), om))
 
 
 # ---------------------------------------------------------------------------

@@ -286,13 +286,20 @@ class MinkowskiNorm(_Homogeneous):
         raise NotImplementedError
 
     def metric(self, xi) -> np.ndarray:
-        """G(xi): Hessian of (1/2) F0^2, shape (..., d, d); 0-homogeneous."""
+        """G(xi): Hessian of (1/2) F0^2, shape (..., d, d); 0-homogeneous.
+
+        Public off-shape API: it solves for the Gauss preimage of xi.  No
+        capaf run path calls it; they hold the preimage and call
+        `metric_on_wulff`."""
         xi, batched = self._check_nonzero(xi)
         return _unbatch(self.metric_on_wulff(self.gauss_preimage(xi)), batched)
 
     def q_tensor(self, xi) -> np.ndarray:
         """Q(xi): third derivative of (1/2) F0^2, shape (..., d, d, d);
-        (-1)-homogeneous, so Q(xi) = Q(xi / F0(xi)) / F0(xi)."""
+        (-1)-homogeneous, so Q(xi) = Q(xi / F0(xi)) / F0(xi).
+
+        Public off-shape API, like `metric`: no capaf run path calls it; they
+        hold the preimage and call `q_on_wulff`."""
         xi, batched = self._check_nonzero(xi)
         f0, x = self.dual_value(xi, return_argmax=True)
         return _unbatch(self.q_on_wulff(x) / f0[:, None, None, None], batched)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 TOOL_VERSION = "0.1.0"
 
@@ -59,25 +59,6 @@ class RunReport:
     def all_passed(self) -> bool:
         return self.summary["failed"] == 0
 
-    def to_json(self) -> str:
-        records = []
-        for r in sorted(self.records, key=lambda r: (r.suite, r.name)):
-            item = {
-                "suite": r.suite, "name": r.name, "inputs_digest": r.inputs_digest,
-                "lhs": r.lhs, "rhs": r.rhs, "gap": r.gap,
-                "relative_gap": r.relative_gap, "tolerance": r.tolerance,
-                "passed": r.passed, "kind": r.kind, "wall_time_s": r.wall_time_s,
-            }
-            records.append(item)
-        payload = {
-            "tool": {"name": "capaf", "version": TOOL_VERSION},
-            "config": self.config_echo,
-            "records": records,
-            "summary": self.summary,
-            "convergence": {k: v for k, v in sorted(self.convergence.items())},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def digest(obj) -> str:
     """Short deterministic digest of check inputs."""
@@ -88,29 +69,33 @@ def digest(obj) -> str:
 def emit_report(report: RunReport, out_dir: str) -> dict:
     """Write report.json plus flat tables; returns the path map."""
     os.makedirs(out_dir, exist_ok=True)
+    records = sorted(report.records, key=lambda r: (r.suite, r.name))
+    payload = {
+        "tool": {"name": "capaf", "version": TOOL_VERSION},
+        "config": report.config_echo,
+        "records": [asdict(r) for r in records],
+        "summary": report.summary,
+        "convergence": report.convergence,
+    }
+    def table(header, lines):
+        return "".join(f"{line}\n" for line in [header, *lines])
+
+    files = {
+        "json": ("report.json", json.dumps(payload, indent=2, sort_keys=True)),
+        "records": ("records.csv", table(
+            "suite,name,inputs_digest,lhs,rhs,gap,relative_gap,tolerance,passed,kind",
+            (",".join(r.row()) for r in records))),
+        "gaps": ("gaps.csv", table(
+            "check,gap", (f"{r.suite}.{r.name},{r.gap!r}" for r in records))),
+        "convergence": ("convergence.csv", table(
+            "check,level,value,residual,ratio",
+            (f"{name},{level},{value!r},{residual!r},{ratio!r}"
+             for name, rows in sorted(report.convergence.items())
+             for level, value, residual, ratio in rows))),
+    }
     paths = {}
-
-    paths["json"] = os.path.join(out_dir, "report.json")
-    with open(paths["json"], "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-
-    paths["records"] = os.path.join(out_dir, "records.csv")
-    with open(paths["records"], "w", encoding="utf-8") as fh:
-        fh.write("suite,name,inputs_digest,lhs,rhs,gap,relative_gap,tolerance,passed,kind\n")
-        for r in sorted(report.records, key=lambda r: (r.suite, r.name)):
-            fh.write(",".join(r.row()) + "\n")
-
-    paths["gaps"] = os.path.join(out_dir, "gaps.csv")
-    with open(paths["gaps"], "w", encoding="utf-8") as fh:
-        fh.write("check,gap\n")
-        for r in sorted(report.records, key=lambda r: (r.suite, r.name)):
-            fh.write(f"{r.suite}.{r.name},{r.gap!r}\n")
-
-    paths["convergence"] = os.path.join(out_dir, "convergence.csv")
-    with open(paths["convergence"], "w", encoding="utf-8") as fh:
-        fh.write("check,level,value,residual,ratio\n")
-        for name, rows in sorted(report.convergence.items()):
-            for row in rows:
-                level, value, residual, ratio = row
-                fh.write(f"{name},{level},{value!r},{residual!r},{ratio!r}\n")
+    for key, (name, text) in files.items():
+        paths[key] = os.path.join(out_dir, name)
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            fh.write(text)
     return paths

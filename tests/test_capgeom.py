@@ -98,6 +98,51 @@ def test_icosphere_pinned_bit_for_bit(level):
             hashlib.sha256(faces.tobytes()).hexdigest()) == ICOSPHERE_SHA256[level]
 
 
+# sha256 of the n = 1 arc mesh's node and weight bytes (float64) at levels
+# L0-L7, recorded with the scalar root scan and bisection on x86-64, numpy 2.4
+ARC_MESH_SHA256 = {
+    ("iso2", 0.0): [
+        "04e98f8da68f8c47872efda5e87c278d71cccdc89371f1c30a75cbced1d39bb7",
+        "8874be0b3aedc11a8c0bef639db79902b2b758d47f92854530029c65e051e254",
+        "b9741db73c5ad63cb5398859d11b5fa5f3ce37ccc90234c5621bcce59edda790",
+        "b60369d5cf0a7e6f73049f552c5d7c712656550e319e009601867b58b5170c75",
+        "00e612ef2e294db773083e74d96ad99704eef1dc6c086050bd164cdae63763d3",
+        "a92ae22ed64168d42d1a97d28e73fa5a33e09a58aabe3b5441c4f5e406318fce",
+        "50dc5e85ac836e1ea3c4948356cb87a8aca3eab69c323d8f300a0a80e898bed1",
+        "54df0f338df7aacef417ce41ae5d47ec0a1f228cad43212d6275bcf3cf37a8d7",
+    ],
+    ("ell2", 0.3): [
+        "eb33c508b8c90a641488d0e4028db5f884af1d5df72613dbfe3c005271b05523",
+        "618664ace497402917f828df62cbd8ecbb1e12f4371f8e9dd9471565cfd1f9c1",
+        "253bc71f2f97bf8fffd697b6d35b5956995eeecc64bdd64252ff62825dc6fc1d",
+        "12864cd35c1419e6bc536277b896c0dcb0281a33865ab977af2660afb17e4323",
+        "6aaec5322a658e4cab1bc7a60aca59623209fe4d97fceee598a62a2beb111491",
+        "24d52fb08ae6b524dfc52b545ff672a4395d88031254901a00e38e46bed17c71",
+        "48815b9a5960e930ea9262c446706b93788b4342f96134aff4d335a38f6a8fc9",
+        "ebe7c2a033655229490093622052114f2f96a1769d6099c6bffc3f6d92fdf201",
+    ],
+    ("pert2", -0.2): [
+        "e75c590d504fb85a99e8af3edbc5e09b2e7fa278a56cd3e8c220dd893a592529",
+        "3738d236f25e32f1b95064fd4966e1aaf57f8baea247efe505e317f5c21a61f0",
+        "f8302ab4a70b8b70b74fbb0fa92ee313c3bb3bc0b0b498c5a472d729d9f0bc89",
+        "e4837876f064a70ff94fc2af5e3310e269566e97240ab6f6e4cf2aa877786712",
+        "750bb2db68ae47321185c8d3f88aea90558e95f0958112681864d650fac781ee",
+        "294ed420081185fa857f1f6b25a998025b5c9905732abebc9a9206de3593ceff",
+        "2288dc5d85a801021944ab305dfae4d40d9f41104ae8da4d2461af1c96571db1",
+        "1d78939301bbdc7e9467bbe998b9760ceb7b5e9eedd5e66f754e0f99d3dd197d",
+    ],
+}
+
+
+@pytest.mark.parametrize("name,w0", sorted(ARC_MESH_SHA256))
+def test_arc_mesh_pinned_bit_for_bit(mesh_factory, name, w0):
+    got = []
+    for level in range(8):
+        mesh = mesh_factory(name, w0, level, n=1)
+        got.append(hashlib.sha256(mesh.nodes.tobytes() + mesh.weights.tobytes()).hexdigest())
+    assert got == ARC_MESH_SHA256[(name, w0)]
+
+
 def _fan(clockwise):
     """Six rim nodes 1..6 around an interior hub 0, with cells (0, i, i+1)."""
     theta = np.arange(6) * np.pi / 3.0 * (-1.0 if clockwise else 1.0)

@@ -378,6 +378,33 @@ def test_study_rejects_unknown_check(tmp_path, capsys):
                  "--levels", "5..3"]) == 2
 
 
+@pytest.mark.parametrize("levels", ["6..8", "-1..2"])
+def test_study_levels_out_of_range_fail_before_any_mesh(tmp_path, capsys, monkeypatch, levels):
+    import capaf.cli as cli
+
+    def refuse(config):
+        raise AssertionError(f"built the level-{config.mesh_level} mesh")
+
+    monkeypatch.setattr(cli, "build_cap_mesh", refuse)
+    path = write(tmp_path, ELLIPSOID)
+    assert main(["study", "converge", "--config", path, "--check", "kernel",
+                 f"--levels={levels}"]) == 2
+    err = capsys.readouterr().err
+    assert "--levels" in err and "[0, 7]" in err
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_verify_schedule_rises_to_the_config_level(tmp_path, monkeypatch, level):
+    """No decay study compares a level with itself or with a coarser one."""
+    import capaf.cli as cli
+
+    monkeypatch.setattr(cli, "build_cap_mesh", None)  # the schedule builds no mesh
+    cfg = parse_config(write(tmp_path, ELLIPSOID.replace("level = 2", f"level = {level}")))
+    levels = cli.RunContext(cfg).levels
+    assert all(a < b for a, b in zip(levels, levels[1:])), levels
+    assert levels[-1] == level and len(levels) == min(max(level, 1), 3)
+
+
 STUDY = ELLIPSOID.replace("level = 2", "level = 3").replace("run = mixdisc",
                                                            "run = minkowski symmetry operator")
 HALFDISK = """
@@ -521,6 +548,36 @@ def test_shipped_config_verifies(tmp_path, monkeypatch, name):
     for r in routes:
         assert abs(r["relative_gap"]) <= 1e-12, r["name"]
         assert r["tolerance"] == route_tol, r["name"]
+
+
+def _shipped_at_level_2(tmp_path, name, suites="all"):
+    text = open(os.path.join(CONFIGS, name), encoding="utf-8").read()
+    return write(tmp_path, text.replace("level = 4", "level = 2")
+                 .replace("run = all", f"run = {suites}"), name)
+
+
+def _convergence_levels(out):
+    tables = {}
+    for row in (out / "convergence.csv").read_text().splitlines()[1:]:
+        name, level = row.split(",")[:2]
+        tables.setdefault(name, []).append(int(level))
+    return tables
+
+
+def test_halfdisk_verifies_at_level_2(tmp_path):
+    # L1 -> L2 is the one decay pair; the old schedule [1, 2, 2] read a 1.0 ratio
+    out = tmp_path / "out"
+    assert main(["verify", "--config", _shipped_at_level_2(tmp_path, "halfdisk_n1.ini"),
+                 "--out", str(out)]) == 0
+    assert set(map(tuple, _convergence_levels(out).values())) == {(1, 2)}
+
+
+def test_ellipsoid_at_level_2_studies_levels_1_and_2(tmp_path):
+    out = tmp_path / "out"
+    main(["verify", "--config", _shipped_at_level_2(
+        tmp_path, "ellipsoid.ini", "minkowski symmetry kernel operator"), "--out", str(out)])
+    tables = _convergence_levels(out)
+    assert len(tables) == 6 and set(map(tuple, tables.values())) == {(1, 2)}
 
 
 def _fresh_python(script):

@@ -118,6 +118,15 @@ def test_symmetry_trailing_roundoff(body_factory):
     assert out["trailing_deviation"] / out["scale"] < 1e-12
 
 
+def test_symmetry_check_evaluates_each_slot_form_once(body_factory, monkeypatch):
+    # v01, v10 and the two trailing permutations; v01 is the permutation base
+    calls = []
+    real = fn._mv_slot
+    monkeypatch.setattr(fn, "_mv_slot", lambda *a: calls.append(a) or real(*a))
+    fn.symmetry_check([body_factory("ell3", -0.4, 3, seed=s) for s in (7, 8, 9)])
+    assert len(calls) == 4
+
+
 def test_symmetry_swap_converges(body_factory, mesh_factory):
     fine = [body_factory("ell3", -0.4, 4, seed=s) for s in (7, 8, 9)]
     devs = []
@@ -285,6 +294,19 @@ def test_operator_energy_inequality(body_factory):
         assert rep.passed
     rep_eq = fn.operator_a_energy_check(f2, [f2], tol=1e-10)
     assert abs(rep_eq.gap) <= 1e-10 * max(abs(rep_eq.lhs), abs(rep_eq.rhs))
+
+
+def test_operator_computes_its_denominator_once(body_factory, monkeypatch):
+    # Q(tau_2, tau_2, ...) once per call, shared by the weights and A f
+    bods = [body_factory("ell3", -0.4, 3, seed=s) for s in (31, 32, 33)]
+    calls = []
+    real = fn.mixed_discriminant_batch
+    monkeypatch.setattr(fn, "mixed_discriminant_batch",
+                        lambda mats: calls.append(mats) or real(mats))
+    fn.operator_a_energy_check(bods[0].field - bods[1].field, [bods[2]])
+    assert len(calls) == 2
+    fn.operator_selfadjoint_deviation(bods[0], bods[1], [bods[2]])
+    assert len(calls) == 2 + 3
 
 
 def test_operator_weighted_symmetry_vs_mixed_volume(body_factory):
