@@ -7,7 +7,7 @@ and the anisotropic principal curvatures and normalized symmetric means.
 The support field is the single source of truth, and s, X, W and the
 generator-route tau are linear in it.  So every constructor builds through
 CapillaryBody: Wulff-cap parts of the mesh's own norm read the mesh's F
-caches, and only the rest of the field is evaluated, once.
+caches, and only the rest of the field is evaluated, in one jet.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class CapillaryBody:
     def _populate(self):
         """Every cache, linear in the support field: a Wulff-cap leaf of the
         mesh's norm reads the mesh's F, DF, A_F and cap_tau; the other leaves
-        are evaluated together, once, and their Hessian gives both W and the
-        raw radii.  Raw radii matrices are summed before they are
+        are evaluated together, in one jet, and its Hessian gives both W and
+        the raw radii.  Raw radii matrices are summed before they are
         symmetrized, so tau_asym is the whole body's asymmetry: round-off,
         as the closed form is symmetric."""
         mesh = self.mesh
@@ -93,9 +93,8 @@ class CapillaryBody:
                           r * mesh.A, r * mesh.cap_tau))
         if rest:
             field = CombinationField([f for f, _ in rest], [w for _, w in rest])
-            hess = np.asarray(field.hess(x))
-            parts.append((np.asarray(field.value(x)), np.asarray(field.grad(x)),
-                          np.einsum("bki,bij,blj->bkl", mesh.tb, hess, mesh.tb),
+            s, ds, hess = field.jet(x, 2)
+            parts.append((s, ds, np.einsum("bki,bij,blj->bkl", mesh.tb, hess, mesh.tb),
                           radii_form(hess, mesh.frame, mesh.G, mesh.vel)))
         self.s, self.X, self.W, raw = (sum(col[1:], col[0]) for col in zip(*parts))
         self.tau_asym = np.max(np.abs(raw - np.swapaxes(raw, 1, 2)), axis=(1, 2))
@@ -103,13 +102,12 @@ class CapillaryBody:
         self.shat = self.s / mesh.F_vals
         self.anchor = np.asarray(self.field.anchor, dtype=float)
         self.detW = np.linalg.det(self.W) if mesh.n > 1 else self.W[:, 0, 0].copy()
-        radii = np.linalg.eigvalsh(self.tau)
-        self.tau_eigs = radii
+        radii = self.tau_eigs = np.linalg.eigvalsh(self.tau)
+        w_ev = np.linalg.eigvalsh(self.W)
         with np.errstate(divide="ignore"):
             self.kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
         self.H = _sigma_means(self.kappa)
         self.shat_anchored = (self.s - x @ self.anchor) / mesh.F_vals
-        w_ev = np.linalg.eigvalsh(self.W)
         self.min_w_eig = float(np.min(w_ev[:, 0]))
         self.min_tau_eig = float(np.min(radii[:, 0]))
         self.convex = bool(self.min_w_eig > 0 and self.min_tau_eig > 0)

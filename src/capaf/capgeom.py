@@ -17,16 +17,16 @@ operations; only the walk along the boundary loop is a Python loop.  For
 n = 1 the region is a single arc, subdivided uniformly in angle with
 trapezoid weights (the angular measure is exact).
 
-Every node carries caches: Psi(x), the anisotropy matrix and its
-determinant (the pullback density from the cap to S), the cap point xi, the
-ambient metric G at T^{-1} xi, a G-orthonormal tangent frame, and the
-frame's parameter velocities A_F^{-1} e_k.  At boundary nodes the frame's
-last vector is aligned with A_F(nu) mu, mu being the Euclidean outward
-co-normal, and the first vectors span the boundary tangent.  Lazy caches,
-computed once per mesh on first use (arrays read-only): q_frame, cap_body
-and cap_tau, interior_candidates and region_complement.  The intrinsic
-kernel route's stencil is per call and not cached, since cached meshes would
-keep it alive.
+Every node carries caches, read from one jet [F, DF, D^2F] there: Psi(x),
+the anisotropy matrix and its determinant (the pullback density from the
+cap to S), the cap point xi, the ambient metric G at T^{-1} xi, a
+G-orthonormal tangent frame, and the frame's parameter velocities
+A_F^{-1} e_k.  At boundary nodes the frame's last vector is aligned with
+A_F(nu) mu, mu being the Euclidean outward co-normal, and the first vectors
+span the boundary tangent.  Lazy caches, computed once per mesh on first
+use (arrays read-only): q_frame, cap_body and cap_tau, interior_candidates
+and region_complement.  The intrinsic kernel route's stencil is per call and
+not cached, since cached meshes would keep it alive.
 """
 
 from __future__ import annotations
@@ -245,11 +245,9 @@ class CapMesh:
         model = self.model
         x = self.nodes
         self.EF = ef_vector(model, self.omega0)
-        self.F_vals = np.asarray(model.value(x))
-        self.psi = np.asarray(model.cahn_hoffman(x))
+        # one jet at the unit nodes (so DF is Psi): D^2F serves A_F, G, mu
+        self.F_vals, self.psi, hess = jet = model.jet(x, 2)
         self.tb = tangent_basis(x)
-        # one D^2F serves A_F here and the co-normals in _boundary_geometry
-        hess = np.asarray(model.hess(x))
         self.A = np.einsum("bki,bij,blj->bkl", self.tb, hess, self.tb)
         ev = np.linalg.eigvalsh(self.A)
         if np.any(ev[..., 0] <= 0):
@@ -259,7 +257,7 @@ class CapMesh:
         self.detA = np.linalg.det(self.A) if self.n > 1 else self.A[:, 0, 0].copy()
         self.anisotropy_condition = float(np.max(ev[..., -1] / ev[..., 0]))
         self.xi = self.psi + self.omega0 * self.EF
-        self.G = np.asarray(model.metric_on_wulff(x))
+        self.G = model.metric_from_jet(jet)
         self.interior_idx = np.flatnonzero(~self.is_boundary)
         self.boundary_idx = np.asarray(self.boundary_loop, dtype=np.int64)
         self._boundary_geometry(hess[self.boundary_idx])

@@ -21,10 +21,10 @@ Two curvature-radii routes live here:
   field (kernel_evaluator builds the kernel fields').
 
 Support fields take one point (d,) or a batch (B, d) and answer in kind.
-SupportField owns that contract once, for value/grad/hess; each field
-computes its derivatives of order 0-2 in one method, _derivative(x, order),
-on rows (B, d), and a combination sums its parts' _derivative.  The bump
-field shares its zonal derivative chain with the norm layer.
+SupportField owns that contract once, for jet/value/grad/hess; each field
+computes the jet [s, ..., D^order s] (order 0-2) in one method,
+_derivative(x, order), on rows (B, d), and a combination sums its parts'
+jets.  The bump field shares its zonal derivative chain with the norm layer.
 """
 
 from __future__ import annotations
@@ -46,25 +46,26 @@ from .norms import MinkowskiNorm, _rows, _unbatch, _zonal, unit_rows
 class SupportField:
     """1-homogeneous scalar field with gradient and Hessian access.
 
-    Subclasses implement ``_derivative(x, order)`` on rows x (B, d) for
-    order 0-2; value/grad/hess take one point (d,) or a batch (B, d) and
-    answer in kind.
+    Subclasses implement ``_derivative(x, order)`` on rows x (B, d): the
+    jet [D^0, ..., D^order] (order 0-2) of fresh arrays.  jet/value/grad/
+    hess take one point (d,) or a batch (B, d) and answer in kind.
     """
 
     def value(self, x) -> np.ndarray:
-        return self._at(x, 0)
+        return self.jet(x, 0)[-1]
 
     def grad(self, x) -> np.ndarray:
-        return self._at(x, 1)
+        return self.jet(x, 1)[-1]
 
     def hess(self, x) -> np.ndarray:
-        return self._at(x, 2)
+        return self.jet(x, 2)[-1]
 
-    def _at(self, x, order):
+    def jet(self, x, order) -> list:
+        """[value, grad, ...] up to the given order, evaluated together."""
         x, batched = _rows(x)
-        return _unbatch(self._derivative(x, order), batched)
+        return [_unbatch(a, batched) for a in self._derivative(x, order)]
 
-    def _derivative(self, x, order) -> np.ndarray:
+    def _derivative(self, x, order) -> list:
         raise NotImplementedError
 
     @property
@@ -100,11 +101,11 @@ class WulffCapField(SupportField):
         self._anchor[-1] = 0.0
 
     def _derivative(self, x, order):
-        if order == 0:
-            return self.r0 * self.model.value(x) + x @ self.shift
-        if order == 1:
-            return self.r0 * self.model.grad(x) + self.shift[None, :]
-        return self.r0 * self.model.hess(x)
+        jet = [self.r0 * f for f in self.model.jet(x, order)]
+        jet[0] += x @ self.shift
+        if order > 0:
+            jet[1] += self.shift[None, :]
+        return jet
 
     @property
     def anchor(self):
@@ -119,11 +120,8 @@ class LinearField(SupportField):
         self.dim = len(self.v)
 
     def _derivative(self, x, order):
-        if order == 0:
-            return x @ self.v
-        if order == 1:
-            return np.broadcast_to(self.v, x.shape).copy()
-        return np.zeros((x.shape[0], self.dim, self.dim))
+        return [x @ self.v, np.broadcast_to(self.v, x.shape).copy(),
+                np.zeros((x.shape[0], self.dim, self.dim))][:order + 1]
 
     @property
     def anchor(self):
@@ -174,9 +172,10 @@ class SphericalBumpField(SupportField):
         """The zonal chain on the rows within reach of the support cap (a 1e-9
         margin in the cosine), exact zeros elsewhere: most rows miss a bump."""
         live = x @ self.center > (1.0 - self.width - 1e-9) * np.linalg.norm(x, axis=-1)
-        out = np.zeros((len(x),) + (self.dim,) * order)
-        out[live] = _zonal(x[live], self.center, self.amplitude, self._profile, order)
-        return out
+        jet = [np.zeros((len(x),) + (self.dim,) * k) for k in range(order + 1)]
+        for out, part in zip(jet, _zonal(x[live], self.center, self.amplitude, self._profile, order)):
+            out[live] = part
+        return jet
 
 
 class CombinationField(SupportField):
@@ -190,11 +189,12 @@ class CombinationField(SupportField):
         self.dim = fields[0].dim
 
     def _derivative(self, x, order):
-        """c0 f0 + c1 f1 + ..., summed left to right in place."""
-        out = self.coeffs[0] * self.fields[0]._derivative(x, order)
+        """c0 f0 + c1 f1 + ..., each order summed left to right in place."""
+        jet = [self.coeffs[0] * a for a in self.fields[0]._derivative(x, order)]
         for f, c in zip(self.fields[1:], self.coeffs[1:]):
-            out += c * f._derivative(x, order)
-        return out
+            for acc, part in zip(jet, f._derivative(x, order)):
+                acc += c * part
+        return jet
 
     @property
     def anchor(self):

@@ -21,11 +21,12 @@ Three families are provided:
 * perturbed      base family plus smooth zonal terms a * |x| * g(<x^, c>)
 
 F and each zonal term are homogeneous functions of one shape: a private
-base defines value/grad/hess/third, which take one point (d,) or a batch
-(B, d) and reject the zero vector, and each class computes its derivatives
-of order 0-3 in one method, _derivative(x, order), on nonzero rows (B, d).
+base defines jet/value/grad/hess/third, which take one point (d,) or a
+batch (B, d) and reject the zero vector, and each class computes the jet
+[D^0, ..., D^order] (order 0-3) in one pass, _derivative(x, order), on
+nonzero rows (B, d); value/grad/hess/third are its last entry.
 Every family's derivatives are closed form (the perturbed family sums its
-base's and its terms' _derivative), so no path differences F.
+base's and its terms' jets), so no path differences F.
 Every family evaluates its dual norm, and on request the maximizer (the
 Gauss preimage), as dual_value(xi, x_warm=None, return_argmax=False); the
 perturbed family runs a damped Newton ascent on the sphere, from multiple
@@ -48,8 +49,9 @@ whose Legendre point is x / F(x),
 where sym_3 sums the three placements of the vector index and the factor
 F(x) is the (-1)-homogeneity of D^3(F^2/2).  metric_on_wulff(x) and
 q_on_wulff(x) take the Gauss preimage x, which every caller already holds
-(the mesh nodes, or a projection solve's maximizer), and solve nothing; the
-isotropic and ellipsoid families return their constant G and Q = 0.
+(the mesh nodes, or a projection solve's maximizer), and solve nothing
+(metric_from_jet reads G from a jet already held); the isotropic and
+ellipsoid families return their constant G and Q = 0.
 metric(xi) and q_tensor(xi) at an arbitrary xi find the preimage first.
 """
 
@@ -114,34 +116,36 @@ def tangent_basis(x: np.ndarray) -> np.ndarray:
 
 
 def _zonal(x, center, amplitude, profile, order):
-    """Derivative of the given order (0-3) of a |x| g(<x^, c>) at rows x (B, d).
+    """Jet [D^0, ..., D^order] (order 0-3) of a |x| g(<x^, c>) at rows x (B, d).
 
-    ``profile(u)`` returns g(u), g'(u), ... up to at least that order.  The
-    zonal perturbation terms of F and the bump support fields share this.
+    ``profile(u)`` returns g(u), g'(u), ... up to at least that order; the
+    value keeps its own u = x @ c / r, so its bits do not depend on the
+    order.  The zonal perturbation terms of F and the bump fields share this.
     """
     c = np.asarray(center)
     r = np.linalg.norm(x, axis=-1)
+    jet = [amplitude * r * profile(x @ c / r)[0]]
     if order == 0:
-        return amplitude * r * profile(x @ c / r)[0]
+        return jet
     d = x.shape[1]
     xh = x / r[:, None]
     u = xh @ c
     prof = profile(u)
     g, g1 = prof[0], prof[1]
     p = c[None, :] - u[:, None] * xh
-    if order == 1:
-        return amplitude * (g[:, None] * xh + g1[:, None] * p)
-    g2 = prof[2]
-    proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
-    if order == 2:
+    jet.append(amplitude * (g[:, None] * xh + g1[:, None] * p))
+    if order > 1:
+        g2, pp = prof[2], p[:, :, None] * p[:, None, :]
+        proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
         h = (g - u * g1)[:, None, None] * proj + g2[:, None, None] * p[:, :, None] * p[:, None, :]
-        return amplitude * h / r[:, None, None]
-    pp = p[:, :, None] * p[:, None, :]
-    t = (-(u * g2)[:, None, None, None] * _sym3(proj, p)
-         - (g - u * g1)[:, None, None, None] * _sym3(proj, xh)
-         - g2[:, None, None, None] * _sym3(pp, xh)
-         + prof[3][:, None, None, None] * pp[:, :, :, None] * p[:, None, None, :])
-    return amplitude * t / r[:, None, None, None] ** 2
+        jet.append(amplitude * h / r[:, None, None])
+    if order > 2:
+        t = (-(u * g2)[:, None, None, None] * _sym3(proj, p)
+             - (g - u * g1)[:, None, None, None] * _sym3(proj, xh)
+             - g2[:, None, None, None] * _sym3(pp, xh)
+             + prof[3][:, None, None, None] * pp[:, :, :, None] * p[:, None, None, :])
+        jet.append(amplitude * t / r[:, None, None, None] ** 2)
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +156,31 @@ def _zonal(x, center, amplitude, profile, order):
 class _Homogeneous:
     """A homogeneous function on R^d minus the origin, with derivatives to order 3.
 
-    Subclasses implement ``_derivative(x, order)`` on nonzero rows x (B, d)
-    for order 0-3; value/grad/hess/third take one point (d,) or a batch
-    (B, d), reject the zero vector and answer in kind.
+    Subclasses implement ``_derivative(x, order)`` on nonzero rows x (B, d):
+    the jet [D^0, ..., D^order] (order 0-3) of fresh arrays, in one pass.
+    jet/value/grad/hess/third take one point (d,) or a batch (B, d), reject
+    the zero vector and answer in kind.
     """
 
     def value(self, x) -> np.ndarray:
-        return self._at(x, 0)
+        return self.jet(x, 0)[-1]
 
     def grad(self, x) -> np.ndarray:
-        return self._at(x, 1)
+        return self.jet(x, 1)[-1]
 
     def hess(self, x) -> np.ndarray:
-        return self._at(x, 2)
+        return self.jet(x, 2)[-1]
 
     def third(self, x) -> np.ndarray:
         """Third derivative, shape (..., d, d, d)."""
-        return self._at(x, 3)
+        return self.jet(x, 3)[-1]
 
-    def _at(self, x, order):
+    def jet(self, x, order) -> list:
+        """[value, grad, ...] up to the given order, evaluated together."""
         x, batched = self._check_nonzero(x)
-        return _unbatch(self._derivative(x, order), batched)
+        return [_unbatch(a, batched) for a in self._derivative(x, order)]
 
-    def _derivative(self, x, order) -> np.ndarray:
+    def _derivative(self, x, order) -> list:
         raise NotImplementedError
 
     def _check_nonzero(self, x):
@@ -304,18 +310,15 @@ class MinkowskiNorm(_Homogeneous):
         f0, x = self.dual_value(xi, return_argmax=True)
         return _unbatch(self.q_on_wulff(x) / f0[:, None, None, None], batched)
 
-    def _half_sq_derivs(self, x):
-        """F, DF, D^2F and the 0-homogeneous D^2(F^2/2) = DF DF^T + F D^2F."""
-        f = self.value(x)
-        df = self.grad(x)
-        d2f = self.hess(x)
-        return f, df, d2f, df[:, :, None] * df[:, None, :] + f[:, None, None] * d2f
-
     def metric_on_wulff(self, x) -> np.ndarray:
-        """G at the Wulff points DF(x) of Gauss preimages x (B, d):
-        [D^2(F^2/2)(x)]^-1, 0-homogeneous in x."""
-        *_, h = self._half_sq_derivs(x)
-        return np.linalg.inv(h)
+        """G at the Wulff points DF(x) of Gauss preimages x (B, d)."""
+        return MinkowskiNorm.metric_from_jet(self, self.jet(x, 2))
+
+    def metric_from_jet(self, jet) -> np.ndarray:
+        """G from the jet [F, DF, D^2F, ...] at Gauss preimages (B, d):
+        [D^2(F^2/2)]^-1 = [DF DF^T + F D^2F]^-1, 0-homogeneous."""
+        f, df, d2f = jet[:3]
+        return np.linalg.inv(df[:, :, None] * df[:, None, :] + f[:, None, None] * d2f)
 
     def q_on_wulff(self, x) -> np.ndarray:
         """Q at the Wulff points DF(x) of Gauss preimages x (B, d):
@@ -324,9 +327,10 @@ class MinkowskiNorm(_Homogeneous):
         Differentiating G(D(F^2/2)(y)) D^2(F^2/2)(y) = I in y gives
         -G G G : D^3(F^2/2)(y) at the Legendre point y = x / F(x).
         """
-        f, df, d2f, h = self._half_sq_derivs(x)
-        g = np.linalg.inv(h)
-        t = f[:, None, None, None] * (_sym3(d2f, df) + f[:, None, None, None] * self.third(x))
+        jet = self.jet(x, 3)
+        f, df, d2f, d3f = jet
+        g = MinkowskiNorm.metric_from_jet(self, jet)
+        t = f[:, None, None, None] * (_sym3(d2f, df) + f[:, None, None, None] * d3f)
         return -np.einsum("nia,njb,nkc,nabc->nijk", g, g, g, t, optimize=True)
 
     def gauss_preimage(self, z) -> np.ndarray:
@@ -357,22 +361,24 @@ class IsotropicNorm(MinkowskiNorm):
         self.dim = dim
 
     def _derivative(self, x, order):
-        if order == 0:
-            return np.linalg.norm(x, axis=-1)
-        if order == 1:
-            return unit_rows(x)
         r = np.linalg.norm(x, axis=-1)
         xh = x / r[:, None]
-        proj = np.eye(self.dim)[None] - xh[:, :, None] * xh[:, None, :]
-        if order == 2:
-            return proj / r[:, None, None]
-        return -_sym3(proj, xh) / r[:, None, None, None] ** 2
+        jet = [r, xh][:order + 1]
+        if order > 1:
+            proj = np.eye(self.dim)[None] - xh[:, :, None] * xh[:, None, :]
+            jet.append(proj / r[:, None, None])
+        if order > 2:
+            jet.append(-_sym3(proj, xh) / r[:, None, None, None] ** 2)
+        return jet
 
     def _dual(self, xi):
         return np.linalg.norm(xi, axis=-1)
 
     def metric_on_wulff(self, x):
         return np.broadcast_to(np.eye(self.dim), (len(x), self.dim, self.dim)).copy()
+
+    def metric_from_jet(self, jet):
+        return self.metric_on_wulff(jet[0])
 
     def q_on_wulff(self, x):
         return np.zeros((len(x),) + (self.dim,) * 3)
@@ -407,24 +413,30 @@ class EllipsoidNorm(MinkowskiNorm):
         self.dim = m.shape[0]
 
     def _derivative(self, x, order):
+        jet = [np.sqrt(np.einsum("bi,ij,bj->b", x, self.matrix, x))]  # its own contraction
         if order == 0:
-            return np.sqrt(np.einsum("bi,ij,bj->b", x, self.matrix, x))
+            return jet
         mx = x @ self.matrix
         f = np.sqrt(np.einsum("bi,bi->b", x, mx))
-        if order == 1:
-            return mx / f[:, None]
-        if order == 2:
-            return self.matrix[None] / f[:, None, None] - mx[:, :, None] * mx[:, None, :] / f[:, None, None] ** 3
-        f = f[:, None, None, None]
-        m = np.broadcast_to(self.matrix, (x.shape[0], self.dim, self.dim))
-        mmm = mx[:, :, None, None] * mx[:, None, :, None] * mx[:, None, None, :]
-        return -_sym3(m, mx) / f**3 + 3.0 * mmm / f**5
+        jet.append(mx / f[:, None])
+        if order > 1:
+            jet.append(self.matrix[None] / f[:, None, None]
+                       - mx[:, :, None] * mx[:, None, :] / f[:, None, None] ** 3)
+        if order > 2:
+            f = f[:, None, None, None]
+            m = np.broadcast_to(self.matrix, (x.shape[0], self.dim, self.dim))
+            mmm = mx[:, :, None, None] * mx[:, None, :, None] * mx[:, None, None, :]
+            jet.append(-_sym3(m, mx) / f**3 + 3.0 * mmm / f**5)
+        return jet
 
     def _dual(self, xi):
         return np.sqrt(np.einsum("bi,ij,bj->b", xi, self.matrix_inv, xi))
 
     def metric_on_wulff(self, x):
         return np.broadcast_to(self.matrix_inv, (len(x), self.dim, self.dim)).copy()
+
+    def metric_from_jet(self, jet):
+        return self.metric_on_wulff(jet[0])
 
     def q_on_wulff(self, x):
         return np.zeros((len(x),) + (self.dim,) * 3)
@@ -441,10 +453,10 @@ class PerturbedNorm(MinkowskiNorm):
     """Base family plus smooth zonal terms.
 
     Every derivative of F is the closed-form sum of the base's and the
-    terms' ``_derivative``; the dual solve, the validation and the base
-    class's G/Q (Legendre duality at a known Gauss preimage, see the module
-    docstring) read them through value/grad/hess/third.  Construction validates F > 0 and A_F > 0 on a dense
-    sphere sample and fails loudly otherwise.
+    terms' jets; the dual solve, the validation and the base class's G/Q
+    (Legendre duality at a known Gauss preimage, see the module docstring)
+    read them through jet.  Construction validates F > 0 and A_F > 0 on a
+    dense sphere sample and fails loudly otherwise.
     """
 
     family = "perturbed"
@@ -459,23 +471,22 @@ class PerturbedNorm(MinkowskiNorm):
     # primal
 
     def _derivative(self, x, order):
-        """The base's derivative plus every term's, summed in order, in place
-        (every family's _derivative returns a fresh array)."""
-        out = self.base._derivative(x, order)
+        """The base's jet plus every term's, each order summed in order, in
+        place (every jet holds fresh arrays)."""
+        jet = self.base._derivative(x, order)
         for t in self.terms:
-            out += t._derivative(x, order)
-        return out
+            for acc, part in zip(jet, t._derivative(x, order)):
+                acc += part
+        return jet
 
     def validate(self):
         pts = self.validation_sample()
-        vals = np.asarray(self.value(pts))
+        vals, _, d2f = self.jet(pts, 2)
         if np.any(vals <= 0):
             i = int(np.argmin(vals))
             raise ModelInvalidError(f"perturbed norm non-positive at sample node {i}", node=pts[i])
-        a = self.hess(pts)
         tb = tangent_basis(pts)
-        at = np.einsum("bki,bij,blj->bkl", tb, a, tb)
-        ev = np.linalg.eigvalsh(at)
+        ev = np.linalg.eigvalsh(np.einsum("bki,bij,blj->bkl", tb, d2f, tb))
         if np.any(ev[:, 0] <= 0):
             i = int(np.argmin(ev[:, 0]))
             raise ModelInvalidError(
@@ -511,8 +522,7 @@ class PerturbedNorm(MinkowskiNorm):
         live = np.arange(len(y))
         for _ in range(max_iter):
             yl, xl = y[live], xi[live]
-            f = np.asarray(self.value(yl))
-            df = np.asarray(self.grad(yl))
+            f, df = self.jet(yl, 1)
             gam = np.einsum("bi,bi->b", yl, xl) / f  # current phi
             grad_phi = xl / f[:, None] - gam[:, None] * df / f[:, None]
             tb = tangent_basis(yl)

@@ -47,6 +47,48 @@ def test_support_field_single_point_matches_batch_row(model_factory, name, kind)
         assert np.array_equal(one, batch[0]), method
 
 
+def test_support_field_jets_do_not_depend_on_the_order_asked_for(model_factory):
+    # _derivative(x, k)[j] is bit for bit the same for every k >= j, and the
+    # public jet and value/grad/hess return those very entries; the bump's
+    # support misses some rows, and the combination nests another
+    fields = _support_fields(model_factory("pert3"))
+    bump = SphericalBumpField(np.array([0.1, 0.0, 1.0]), 0.3, 0.05)
+    nested = CombinationField([fields["combination"], bump, fields["linear"]], [0.5, 2.0, -1.0])
+    x = np.random.default_rng(5).normal(size=(40, 3))
+    x[:20] = np.array([0.1, 0.0, 1.0]) + 0.2 * x[:20]
+    live = x @ bump.center > 0.7 * np.linalg.norm(x, axis=-1)
+    assert 0 < np.sum(live) < len(x)
+    for field in list(fields.values()) + [bump, nested]:
+        jets = [field._derivative(x, k) for k in range(3)]
+        for k, jet in enumerate(jets):
+            assert len(jet) == k + 1
+            for j in range(k + 1):
+                assert np.array_equal(jet[j], jets[2][j]), (field, k, j)
+        public = field.jet(x, 2)
+        for j, method in enumerate((field.value, field.grad, field.hess)):
+            assert np.array_equal(public[j], jets[2][j]), (field, j)
+            assert np.array_equal(np.asarray(method(x)), jets[2][j]), (field, j)
+    assert np.all(bump.value(x[~live]) == 0.0) and np.any(bump.value(x[live]) != 0.0)
+
+
+def test_body_evaluates_each_non_cap_leaf_once(monkeypatch, mesh_factory):
+    # s, Ds and D^2s of the leaves that are not the mesh's own Wulff cap come
+    # from one jet; the cap leaf reads the mesh's caches
+    mesh = mesh_factory("pert3", -0.35, 3)
+    field = CombinationField([random_capillary_body(mesh, 2).field,
+                              LinearField(np.array([0.05, -0.02, 0.0]))], [1.0, 1.0])
+    leaves = field.fields[0].fields + field.fields[1:]
+    assert isinstance(leaves[0], WulffCapField) and len(leaves) >= 4
+    calls = {id(leaf): 0 for leaf in leaves}
+    for leaf in leaves:
+        def counting(x, order, real=leaf._derivative, key=id(leaf)):
+            calls[key] += 1
+            return real(x, order)
+        monkeypatch.setattr(leaf, "_derivative", counting)
+    CapillaryBody(mesh, field, {"kind": "test"}, validate=False)
+    assert [calls[id(leaf)] for leaf in leaves] == [0] + [1] * (len(leaves) - 1)
+
+
 # -- Wulff caps ---------------------------------------------------------------
 
 

@@ -140,6 +140,28 @@ def test_perturbed_derivatives_row_independent_of_batch(model_factory):
             assert np.array_equal(one, rows[0]), (func, order)
 
 
+@pytest.mark.parametrize("name", ("iso3", "iso2", "ell3", "ell2", "pert3", "pert2",
+                                  "bump", "linear", "quadratic"))
+def test_jet_entries_do_not_depend_on_the_order_asked_for(model_factory, name):
+    # _derivative(x, k)[j] is bit for bit the same for every k >= j, and the
+    # public jet and single-order methods return those very entries
+    func = (model_factory(name) if name not in ("bump", "linear", "quadratic")
+            else PerturbTerm(name, (0.3, 0.2, 0.93), 0.3, 0.05))
+    d = func.dim if hasattr(func, "dim") else len(func.center)
+    x = np.random.default_rng(4).normal(size=(17, d)) * np.logspace(-2, 2, 17)[:, None]
+    jets = [func._derivative(x, k) for k in range(4)]
+    for k, jet in enumerate(jets):
+        assert len(jet) == k + 1
+        for j in range(k + 1):
+            assert jet[j].shape == (len(x),) + (d,) * j
+            assert np.array_equal(jet[j], jets[3][j]), (k, j)
+    public = func.jet(x, 3)
+    for j, method in enumerate((func.value, func.grad, func.hess, func.third)):
+        assert np.array_equal(public[j], jets[3][j]), j
+        assert np.array_equal(np.asarray(method(x)), jets[3][j]), j
+        assert np.array_equal(func.jet(x[0], 3)[j], np.asarray(method(x[0]))), j
+
+
 def test_each_homogeneous_function_has_one_derivative_method():
     """Only the two bases define the public derivative methods; every
     concrete norm, zonal term and support field computes its derivatives in
@@ -435,3 +457,19 @@ def test_perturbed_mesh_never_differences_f(monkeypatch, model_factory):
     mesh = build_cap_mesh(CapConfig(2, -0.35, model_factory("pert3"), mesh_level=3))
     assert mesh.q_frame.shape == (mesh.node_count, 2, 2, 2)
     assert calls == []
+
+
+def test_mesh_evaluates_f_at_its_nodes_in_one_jet(monkeypatch, model_factory):
+    # F, DF, D^2F and G at the nodes all come from one jet of F's chain:
+    # one pass through the perturbed norm and each of its terms
+    model = model_factory("pert3")
+    seen = []
+    for cls in (PerturbedNorm, PerturbTerm):
+        def recording(self, x, order, real=cls._derivative, name=cls.__name__):
+            seen.append((name, np.array(x), order))
+            return real(self, x, order)
+        monkeypatch.setattr(cls, "_derivative", recording)
+    mesh = build_cap_mesh(CapConfig(2, -0.35, model, mesh_level=3))
+    at_nodes = [(name, order) for name, x, order in seen
+                if x.shape == mesh.nodes.shape and np.array_equal(x, mesh.nodes)]
+    assert at_nodes == [("PerturbedNorm", 2)] + [("PerturbTerm", 2)] * len(model.terms)
