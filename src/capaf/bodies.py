@@ -7,7 +7,8 @@ and the anisotropic principal curvatures and normalized symmetric means.
 The support field is the single source of truth, and s, X, W and the
 generator-route tau are linear in it.  So every constructor builds through
 CapillaryBody: Wulff-cap parts of the mesh's own norm read the mesh's F
-caches, and only the rest of the field is evaluated, in one jet.
+caches, and only the rest of the field is evaluated, in one jet.  The
+spectra of W and tau and det W are closed form (norms.sym_eig_det).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (ConvexityViolationError, GenerationError,
                      InvalidInputError)
 from .fields import (CombinationField, LinearField, SphericalBumpField,
                      SupportField, WulffCapField, radii_form)
+from .norms import sym_eig_det
 
 _BACKTRACK_LIMIT = 20
 
@@ -101,9 +103,8 @@ class CapillaryBody:
         self.tau = 0.5 * (raw + np.swapaxes(raw, 1, 2))
         self.shat = self.s / mesh.F_vals
         self.anchor = np.asarray(self.field.anchor, dtype=float)
-        self.detW = np.linalg.det(self.W) if mesh.n > 1 else self.W[:, 0, 0].copy()
-        radii = self.tau_eigs = np.linalg.eigvalsh(self.tau)
-        w_ev = np.linalg.eigvalsh(self.W)
+        w_ev, self.detW = sym_eig_det(self.W)
+        radii = self.tau_eigs = sym_eig_det(self.tau)[0]
         with np.errstate(divide="ignore"):
             self.kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
         self.H = _sigma_means(self.kappa)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (InvalidConfigError, MeshConstructionError,
                      NumericError)
-from .norms import MinkowskiNorm, tangent_basis, unit_rows
+from .norms import MinkowskiNorm, sym_eig_det, tangent_basis, unit_rows
 
 DEFAULT_TOLERANCES = {
     "boundary_residual": 1e-12,
@@ -249,12 +249,11 @@ class CapMesh:
         self.F_vals, self.psi, hess = jet = model.jet(x, 2)
         self.tb = tangent_basis(x)
         self.A = np.einsum("bki,bij,blj->bkl", self.tb, hess, self.tb)
-        ev = np.linalg.eigvalsh(self.A)
+        ev, self.detA = sym_eig_det(self.A)
         if np.any(ev[..., 0] <= 0):
             bad = int(np.argmin(ev[..., 0]))
             raise MeshConstructionError(
                 f"anisotropy matrix not positive definite at node {bad}")
-        self.detA = np.linalg.det(self.A) if self.n > 1 else self.A[:, 0, 0].copy()
         self.anisotropy_condition = float(np.max(ev[..., -1] / ev[..., 0]))
         self.xi = self.psi + self.omega0 * self.EF
         self.G = model.metric_from_jet(jet)
@@ -526,6 +525,9 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     pair_v = faces[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
     pair_u = faces[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
     mates = outside[pair_v] & inside[pair_u]
+    if not np.any(mates):
+        raise MeshConstructionError(f"no mesh edge crosses the region boundary at mesh level "
+                                    f"{config.mesh_level} (omega0 = {omega0:g}); a finer mesh level helps")
     pair_v, pair_u = pair_v[mates], pair_u[mates]
     order = np.lexsort((pair_u, -r[pair_u], pair_v))
     pair_v, pair_u = pair_v[order], pair_u[order]

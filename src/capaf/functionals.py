@@ -35,7 +35,7 @@ from .errors import ConvexityViolationError, InvalidInputError
 from .fields import (SupportField, _geodesic_points, intrinsic_tau, kernel_evaluator,
                      radii_form)
 from .mixdisc import mixed_disc_gradient, mixed_discriminant_batch
-from .norms import tangent_basis
+from .norms import sym_eig_det, tangent_basis
 
 _GUARD = 1e-30
 
@@ -122,8 +122,7 @@ def volume_of_combination(bodies, lambdas) -> float:
     mesh = _require_shared_mesh(bodies)
     s = sum(lam * b.shat_anchored * mesh.F_vals for b, lam in zip(bodies, lambdas))
     w = sum(lam * b.W for b, lam in zip(bodies, lambdas))
-    detw = np.linalg.det(w) if mesh.n > 1 else w[:, 0, 0]
-    return float(np.sum(mesh.weights * s * detw) / (mesh.n + 1))
+    return float(np.sum(mesh.weights * s * sym_eig_det(w)[1]) / (mesh.n + 1))
 
 
 def hull_volume_oracle(body: CapillaryBody, seed: int = 0) -> float:

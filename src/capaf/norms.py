@@ -90,6 +90,17 @@ def _sym3(s, v):
             + s[:, None, :, :] * v[:, :, None, None])
 
 
+def sym_eig_det(m: np.ndarray):
+    """Closed-form ascending eigenvalues (N, n) and determinants (N,) of
+    symmetric stacks (N, n, n), n in {1, 2}; the eigenvalues read the lower
+    triangle, as LAPACK's eigvalsh does: mid -/+ hypot((a00 - a11)/2, a10)."""
+    if m.shape[-1] == 1:
+        return m[:, :, 0].copy(), m[:, 0, 0].copy()
+    a, b, c = m[:, 0, 0], m[:, 1, 0], m[:, 1, 1]
+    mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    return np.stack([mid - rad, mid + rad], axis=-1), a * c - m[:, 0, 1] * b
+
+
 def tangent_basis(x: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the tangent space x^perp.
 
@@ -311,7 +322,8 @@ class MinkowskiNorm(_Homogeneous):
         return _unbatch(self.q_on_wulff(x) / f0[:, None, None, None], batched)
 
     def metric_on_wulff(self, x) -> np.ndarray:
-        """G at the Wulff points DF(x) of Gauss preimages x (B, d)."""
+        """G at the Wulff points DF(x) of Gauss preimages x (B, d), by the
+        Legendre route, which the closed-form families override."""
         return MinkowskiNorm.metric_from_jet(self, self.jet(x, 2))
 
     def metric_from_jet(self, jet) -> np.ndarray:
@@ -486,7 +498,7 @@ class PerturbedNorm(MinkowskiNorm):
             i = int(np.argmin(vals))
             raise ModelInvalidError(f"perturbed norm non-positive at sample node {i}", node=pts[i])
         tb = tangent_basis(pts)
-        ev = np.linalg.eigvalsh(np.einsum("bki,bij,blj->bkl", tb, d2f, tb))
+        ev = sym_eig_det(np.einsum("bki,bij,blj->bkl", tb, d2f, tb))[0]
         if np.any(ev[:, 0] <= 0):
             i = int(np.argmin(ev[:, 0]))
             raise ModelInvalidError(

@@ -237,6 +237,20 @@ def test_thin_cap_stencil_error_names_the_limit(tmp_path, capsys):
         assert part in err, part
 
 
+@pytest.mark.parametrize("command", [["mesh", "info"], ["verify"]])
+def test_coarse_level_near_the_top_of_w0_names_the_level(tmp_path, capsys, command):
+    # near the upper end of the w0 interval no level-0 icosphere edge crosses
+    # the region boundary: a documented error, not a traceback
+    text = MINIMAL.replace("omega0 = 0.0", "omega0 = 0.9") + "\n[mesh]\nlevel = 0\n"
+    path = write(tmp_path, text)
+    out = ["--out", str(tmp_path / "o")] if command[0] == "verify" else []
+    assert main(command + ["--config", path] + out) == 2
+    err = capsys.readouterr().err
+    for part in ("no mesh edge crosses the region boundary", "mesh level 0",
+                 "omega0 = 0.9", "a finer mesh level helps"):
+        assert part in err, part
+
+
 def test_thin_cap_kernel_decay_skips_the_exact_zero(tmp_path):
     # at level 5 the L3 study mesh checks only the pole, where the kernel tau
     # is exactly 0: that level pair shows no ratio, and the check reads L4->L5

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ import capaf.fd as fd
 from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.errors import InvalidInputError, ModelInvalidError
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm, PerturbedNorm,
-                         PerturbTerm, norm_from_descriptor, tangent_basis,
-                         unit_rows)
+                         PerturbTerm, norm_from_descriptor, sym_eig_det,
+                         tangent_basis, unit_rows)
 
 MODELS = ("iso3", "ell3", "pert3")
 
@@ -473,3 +475,48 @@ def test_mesh_evaluates_f_at_its_nodes_in_one_jet(monkeypatch, model_factory):
     at_nodes = [(name, order) for name, x, order in seen
                 if x.shape == mesh.nodes.shape and np.array_equal(x, mesh.nodes)]
     assert at_nodes == [("PerturbedNorm", 2)] + [("PerturbTerm", 2)] * len(model.terms)
+
+
+def _symmetric_stack(kind):
+    """400 symmetric 2x2 matrices of the given kind at each scale 1e-8..1e8."""
+    rng = np.random.default_rng(11)
+    out = []
+    for scale in 10.0 ** np.arange(-8, 9, 2):
+        a = rng.normal(size=(400, 2, 2)) * scale
+        sym = a + np.swapaxes(a, 1, 2)
+        gram = a @ np.swapaxes(a, 1, 2) + 1e-3 * scale**2 * np.eye(2)
+        out.append({"random": sym, "positive": gram, "negative": -gram,
+                    "diagonal": sym * np.eye(2),
+                    "repeated": rng.normal(size=(400, 1, 1)) * scale * np.eye(2),
+                    "indefinite": np.abs(sym) * np.array([[1.0, 1.0], [1.0, -1.0]])}[kind])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("kind", ["random", "positive", "negative", "diagonal", "repeated",
+                                  "indefinite"])
+def test_closed_form_spectrum_matches_lapack(kind):
+    m = _symmetric_stack(kind)
+    eps = np.finfo(float).eps
+    norm = np.linalg.norm(m, ord=2, axis=(1, 2))
+    ev, det = sym_eig_det(m)
+    assert np.all(ev[:, 0] <= ev[:, 1])
+    assert np.all(np.abs(ev - np.linalg.eigvalsh(m)) <= 4 * eps * norm[:, None])
+    exact = np.array([float(Fraction(a[0, 0]) * Fraction(a[1, 1]) - Fraction(a[0, 1]) * Fraction(a[1, 0]))
+                      for a in m])
+    assert np.all(np.abs(det - exact) <= 4 * eps * norm**2)
+    # numpy's det is sign * exp(sum log|u_ii|) of an LU factorization, whose
+    # rounding grows with |log det|
+    lapack = np.linalg.det(m)
+    assert np.all(np.abs(det - lapack) <= 4 * eps * norm**2 * (1.0 + np.abs(np.log(np.abs(exact)))))
+
+
+def test_closed_form_spectrum_reads_the_lower_triangle_and_is_exact_at_n1():
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(50, 2, 2))
+    lower = np.tril(m) + np.swapaxes(np.tril(m, -1), 1, 2)
+    assert np.array_equal(sym_eig_det(m)[0], sym_eig_det(lower)[0])
+    one = rng.normal(size=(50, 1, 1)) * np.logspace(-8, 8, 50)[:, None, None]
+    ev, det = sym_eig_det(one)
+    assert np.array_equal(ev, np.linalg.eigvalsh(one))
+    # the entry itself, as numpy's det, through exp(log |a|), is not exact
+    assert np.array_equal(det, one[:, 0, 0])
