@@ -28,8 +28,7 @@ from .functionals import (InequalityReport, MixedVolumeResult,
                           operator_a_apply, operator_a_energy_check,
                           quermassintegral, quermassintegral_chain_check,
                           steiner_check, symmetry_check, volume)
-from .mixdisc import (SymMatrixTuple, alexandrov_md_check,
-                      md_transform_check, mixed_disc_gradient,
+from .mixdisc import (md_transform_check, mixed_disc_gradient,
                       mixed_discriminant)
 from .norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm,
                     PerturbedNorm, PerturbTerm)

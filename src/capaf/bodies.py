@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .capgeom import CapConfig, CapMesh, build_cap_mesh
+from .capgeom import CapMesh
 # not called here: perfbench's self-test checks that its tracer also wraps a
 # capgeom function imported by value, through this name
 from .capgeom import icosphere_vertices  # noqa: F401
@@ -135,34 +135,9 @@ class CapillaryBody:
         G(T^-1 xi)(X, T^-1 xi); a second route to shat."""
         return np.einsum("bi,bij,bj->b", self.X, self.mesh.G, self.mesh.psi)
 
-    def u_bar(self) -> np.ndarray:
-        """Alternative normalization s_hat / s_hat_o (read-only diagnostic)."""
-        return self.shat / self.mesh.cap_body.shat
-
     def tau_eigs_secondary(self) -> np.ndarray:
         """Radii via the Euclidean route: eigenvalues of W A_F^{-1}."""
         return _eig_pair(self.W, self.mesh.A)
-
-    def anisotropic_curvatures(self, i: int):
-        """(kappa^F, [H_0..H_{n+1}]) at node i."""
-        if self.tau_eigs[i, 0] <= 0:
-            raise ConvexityViolationError(f"nonpositive radii eigenvalue at node {i}")
-        return self.kappa[i], self.H[i]
-
-    def robin_residual(self, i: int):
-        """Boundary condition residual at boundary node i.
-
-        Returns (residual, euclidean_residual, ok) where the first is
-        grad_{mu_F} s_hat - w0 s_hat / (F(nu) <mu, E_d>), the second is
-        <X, E_d> (both vanish together for capillary bodies), and ok is
-        False when the co-normal is numerically vertical-degenerate.
-        """
-        at = np.flatnonzero(self.mesh.boundary_loop == i)
-        if len(at) == 0:
-            raise InvalidInputError(f"node {i} is not a boundary node")
-        b = int(at[0])
-        res, euclid, ok = self.robin_residuals()
-        return float(res[b]), float(euclid[b]), bool(ok[b])
 
     def robin_residuals(self):
         """(residuals, euclid, ok_mask) across the ordered boundary loop."""
@@ -326,26 +301,3 @@ def rebind(body: CapillaryBody, mesh: CapMesh) -> CapillaryBody:
         return body
     return CapillaryBody(mesh, body.field, dict(body.provenance))
 
-
-def body_from_record(record) -> CapillaryBody:
-    """Reconstruct a body from its serialized record.
-
-    Construction is deterministic, so replaying the recorded provenance on
-    a mesh built from the recorded config reproduces every cache bit for bit.
-    """
-    from .norms import norm_from_descriptor
-
-    if isinstance(record, str):
-        record = json.loads(record)
-    mesh = build_cap_mesh(CapConfig(int(record["n"]), float(record["omega0"]),
-                                    norm_from_descriptor(record["norm"]),
-                                    int(record["mesh_level"])))
-    prov = record["provenance"]
-    kind = prov.get("kind")
-    if kind == "wulff-cap":
-        return make_wulff_cap(mesh, float(prov["r0"]),
-                              np.asarray(prov["e_vec"], dtype=float))
-    if kind == "random":
-        return random_capillary_body(mesh, int(prov["seed"]),
-                                     float(prov["amplitude"]))
-    raise InvalidInputError(f"cannot rebuild body of kind {kind!r}")

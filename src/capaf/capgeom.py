@@ -528,6 +528,10 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     if not np.any(mates):
         raise MeshConstructionError(f"no mesh edge crosses the region boundary at mesh level "
                                     f"{config.mesh_level} (omega0 = {omega0:g}); a finer mesh level helps")
+    if np.all(keep):
+        raise MeshConstructionError(f"the region meets every face of the mesh at mesh level "
+                                    f"{config.mesh_level} (omega0 = {omega0:g}), which leaves it no "
+                                    f"boundary; a finer mesh level helps")
     pair_v, pair_u = pair_v[mates], pair_u[mates]
     order = np.lexsort((pair_u, -r[pair_u], pair_v))
     pair_v, pair_u = pair_v[order], pair_u[order]

@@ -262,8 +262,9 @@ def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: floa
     anisotropic curvature; the O(t^3) defect is odd in t, so symmetric
     differences stay second-order after re-projection, a radial rescaling
     onto {F0 = 1}.  Returns ((z_plus, x_plus), (z_minus, x_minus)): the
-    maximizer x of <x, p>/F(x) in the projection's dual solve does not move
-    when p is scaled, so it is the projected point's Gauss preimage.
+    maximizer x of <x, p>/F(x) in the projection's dual solve, warm from
+    the nodes, does not move when p is scaled, so it is the projected
+    point's Gauss preimage.
     """
     z = mesh.psi[idx]
     fr = mesh.frame[idx]
@@ -274,7 +275,7 @@ def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: floa
     acc = -vnorm2[:, None] * z - 0.5 * np.einsum("bl,bld->bd", qvv, fr)
     plus = z + step * v_amb + 0.5 * step**2 * acc
     minus = z - step * v_amb + 0.5 * step**2 * acc
-    solves = (mesh.model.dual_value(p, mesh.nodes[idx], return_argmax=True) for p in (plus, minus))
+    solves = (mesh.model.dual_value(p, mesh.nodes[idx]) for p in (plus, minus))
     return tuple((p / f0[:, None], x) for p, (f0, x) in zip((plus, minus), solves))
 
 

@@ -515,11 +515,6 @@ def _operator_frame(trailing):
     return mesh, den, mesh.weights * mesh.detA * mesh.F_vals * den / ((mesh.n + 1) * f2.shat)
 
 
-def operator_weights(trailing) -> np.ndarray:
-    """L^2 weights d omega = Q(tau_2, tau_2, tau_3, ...)/((n+1) f_2) F dmu."""
-    return _operator_frame(trailing)[2]
-
-
 def _apply_to_tau(tau_f, trailing, den):
     """Nodal values of A f from the radii matrices of f, over the denominator den."""
     num = mixed_discriminant_batch([tau_f] + [b.tau for b in trailing])

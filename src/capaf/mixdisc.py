@@ -18,7 +18,6 @@ when A is proportional to B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -67,34 +66,9 @@ def _as_stack(mats) -> np.ndarray:
     return np.stack(arrs, axis=0), batched
 
 
-@dataclass
-class SymMatrixTuple:
-    """Ordered tuple of n symmetric n x n matrices."""
-
-    mats: tuple
-
-    def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=float) for m in self.mats)
-        n = mats[0].shape[0]
-        if len(mats) != n:
-            raise InvalidInputError(f"need exactly n={n} matrices, got {len(mats)}")
-        for m in mats:
-            if m.shape != (n, n):
-                raise InvalidInputError("matrices must share one square shape")
-            if np.max(np.abs(m - m.T)) > 1e-12:
-                raise InvalidInputError("matrix not symmetric within 1e-12")
-        self.mats = mats
-
-    @property
-    def n(self) -> int:
-        return self.mats[0].shape[0]
-
-
 def mixed_discriminant(mats, route: str = "delta") -> np.ndarray:
-    """Q(A_1, ..., A_n); accepts a SymMatrixTuple, a list of (n, n) matrices,
-    or a list of (B, n, n) batches.  route in {'delta', 'subset'}."""
-    if isinstance(mats, SymMatrixTuple):
-        mats = mats.mats
+    """Q(A_1, ..., A_n) of a list of (n, n) matrices or (B, n, n) batches;
+    route in {'delta', 'subset'}."""
     stack, batched = _as_stack(mats)
     m, b, n, _ = stack.shape
     if m != n:
@@ -147,8 +121,6 @@ def mixed_disc_gradient(mats) -> np.ndarray:
     the single-entry matrix; satisfies sum_ij (A_1)_ij grad_ij = Q and is
     positive definite when all arguments are.
     """
-    if isinstance(mats, SymMatrixTuple):
-        mats = mats.mats
     stack, batched = _as_stack(mats)
     m, b, n, _ = stack.shape
     if m != n:
@@ -177,8 +149,6 @@ def md_transform_check(mats, b_matrix) -> dict:
     per-entry lhs, rhs and relative errors, and passes when every entry does
     (relative error at most 1e-10).
     """
-    if isinstance(mats, SymMatrixTuple):
-        mats = mats.mats
     b_matrix = np.asarray(b_matrix, dtype=float)
     det_b = np.linalg.det(b_matrix)
     if np.any(np.abs(det_b) < 1e-300):
@@ -188,29 +158,6 @@ def md_transform_check(mats, b_matrix) -> dict:
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
     rel = np.abs(lhs - rhs) / scale
     return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "passed": bool(np.all(rel <= 1e-10))}
-
-
-def alexandrov_md_check(a, b, rest=()):
-    """Alexandrov's mixed discriminant inequality as an InequalityReport.
-
-    Q(A, B, rest)^2 >= Q(A, A, rest) Q(B, B, rest) for symmetric A and
-    positive definite B and rest, to tolerance 1e-12; equality iff A = c B.
-    """
-    from .functionals import InequalityReport
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rest = [np.asarray(r, dtype=float) for r in rest]
-    q_ab = mixed_discriminant([a, b, *rest])
-    q_aa = mixed_discriminant([a, a, *rest])
-    q_bb = mixed_discriminant([b, b, *rest])
-    lhs = q_ab**2
-    rhs = q_aa * q_bb
-    # equality detection: is A proportional to B?
-    scale_ab = np.sum(a * b) / max(np.sum(b * b), 1e-300)
-    prop = float(np.max(np.abs(a - scale_ab * b))) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
-    return InequalityReport.inequality("alexandrov-mixed-discriminant", lhs, rhs, 1e-12,
-                                       equality_expected=prop)
 
 
 def mixed_discriminant_batch(mats) -> np.ndarray:

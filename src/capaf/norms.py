@@ -27,13 +27,13 @@ batch (B, d) and reject the zero vector, and each class computes the jet
 nonzero rows (B, d); value/grad/hess/third are its last entry.
 Every family's derivatives are closed form (the perturbed family sums its
 base's and its terms' jets), so no path differences F.
-Every family evaluates its dual norm, and on request the maximizer (the
-Gauss preimage), as dual_value(xi, x_warm=None, return_argmax=False); the
-perturbed family runs a damped Newton ascent on the sphere, from multiple
-coarse starts, or from the approximate Gauss preimages x_warm when given
-(the other families ignore x_warm), and stops at once from an exact one.
-The warm start serves the projections of off-mesh stencil points onto the
-Wulff shape, whose maximizer is then the projected point's preimage.
+Every family evaluates its dual norm together with the maximizer (the
+Gauss preimage) as dual_value(xi, x_warm) -> (F0, x); the perturbed family
+runs a damped Newton ascent on the sphere from the approximate Gauss
+preimages x_warm, one row per xi (the other families ignore x_warm), and
+stops at once from an exact one.  Its one caller projects off-mesh stencil
+points onto the Wulff shape, warm from the mesh nodes they leave, and the
+maximizer is then the projected point's preimage.
 The zonal terms' derivative chain, _zonal, is shared with the bump support
 fields of fields.py.
 
@@ -52,7 +52,6 @@ q_on_wulff(x) take the Gauss preimage x, which every caller already holds
 (the mesh nodes, or a projection solve's maximizer), and solve nothing
 (metric_from_jet reads G from a jet already held); the isotropic and
 ellipsoid families return their constant G and Q = 0.
-metric(xi) and q_tensor(xi) at an arbitrary xi find the preimage first.
 """
 
 from __future__ import annotations
@@ -289,37 +288,16 @@ class MinkowskiNorm(_Homogeneous):
 
     # -- dual side -----------------------------------------------------------
 
-    def dual_value(self, xi, x_warm=None, return_argmax: bool = False):
-        """F0(xi) in closed form (``x_warm`` is ignored), optionally with the
-        maximizer: the Gauss preimage of the projected point xi / F0(xi)."""
+    def dual_value(self, xi, x_warm):
+        """(F0(xi), maximizer) in closed form (``x_warm`` is ignored): the
+        maximizer is the Gauss preimage of the projected point xi / F0(xi)."""
         xi, batched = self._check_nonzero(xi)
         f0 = self._dual(xi)
-        if return_argmax:
-            return _unbatch(f0, batched), _unbatch(self.gauss_preimage(xi / f0[:, None]), batched)
-        return _unbatch(f0, batched)
+        return _unbatch(f0, batched), _unbatch(self.gauss_preimage(xi / f0[:, None]), batched)
 
     def _dual(self, xi) -> np.ndarray:
         """F0 at nonzero rows xi (B, d)."""
         raise NotImplementedError
-
-    def metric(self, xi) -> np.ndarray:
-        """G(xi): Hessian of (1/2) F0^2, shape (..., d, d); 0-homogeneous.
-
-        Public off-shape API: it solves for the Gauss preimage of xi.  No
-        capaf run path calls it; they hold the preimage and call
-        `metric_on_wulff`."""
-        xi, batched = self._check_nonzero(xi)
-        return _unbatch(self.metric_on_wulff(self.gauss_preimage(xi)), batched)
-
-    def q_tensor(self, xi) -> np.ndarray:
-        """Q(xi): third derivative of (1/2) F0^2, shape (..., d, d, d);
-        (-1)-homogeneous, so Q(xi) = Q(xi / F0(xi)) / F0(xi).
-
-        Public off-shape API, like `metric`: no capaf run path calls it; they
-        hold the preimage and call `q_on_wulff`."""
-        xi, batched = self._check_nonzero(xi)
-        f0, x = self.dual_value(xi, return_argmax=True)
-        return _unbatch(self.q_on_wulff(x) / f0[:, None, None, None], batched)
 
     def metric_on_wulff(self, x) -> np.ndarray:
         """G at the Wulff points DF(x) of Gauss preimages x (B, d), by the
@@ -344,11 +322,6 @@ class MinkowskiNorm(_Homogeneous):
         g = MinkowskiNorm.metric_from_jet(self, jet)
         t = f[:, None, None, None] * (_sym3(d2f, df) + f[:, None, None, None] * d3f)
         return -np.einsum("nia,njb,nkc,nabc->nijk", g, g, g, t, optimize=True)
-
-    def gauss_preimage(self, z) -> np.ndarray:
-        """Unit x with DF(x) parallel to z (inverse Cahn-Hoffman direction):
-        the dual solve's maximizer; closed-form families override it."""
-        return self.dual_value(z, return_argmax=True)[1]
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -477,7 +450,6 @@ class PerturbedNorm(MinkowskiNorm):
         self.base = base
         self.terms = tuple(terms)
         self.dim = base.dim
-        self._dual_starts = None
         self.validate()
 
     # primal
@@ -507,32 +479,20 @@ class PerturbedNorm(MinkowskiNorm):
                 node=pts[i],
             )
 
-    # dual: multistart damped Newton ascent of <y, xi>/F(y) over the sphere
-
-    def _coarse_starts(self):
-        if self._dual_starts is None:
-            if self.dim == 3:
-                from .capgeom import icosphere_vertices
-
-                verts = icosphere_vertices(0)  # 12 icosahedron vertices
-                axes = np.concatenate([np.eye(3), -np.eye(3)], axis=0)
-                self._dual_starts = unit_rows(np.concatenate([verts, axes], axis=0))[:20]
-            else:
-                phi = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
-                self._dual_starts = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        return self._dual_starts
+    # dual: damped Newton ascent of <y, xi>/F(y) over the sphere
 
     def _phi(self, y, xi):
         return np.einsum("bi,bi->b", y, xi) / self.value(y)
 
-    def _newton_ascend(self, y, xi, tol, max_iter=60):
-        """Damped Newton on the sphere, batched, stepping only the rows still
-        above tol (gathered, then scattered back); returns (y, residual)."""
+    def _newton_ascend(self, y, xi):
+        """Damped Newton on the sphere, at most 30 steps, batched, stepping
+        only the rows whose relative tangent gradient is still above 1e-12
+        (gathered, then scattered back); returns (y, residual)."""
         y = y.copy()
         scale = np.linalg.norm(xi, axis=-1)
         res = np.full(len(y), np.inf)
         live = np.arange(len(y))
-        for _ in range(max_iter):
+        for _ in range(30):
             yl, xl = y[live], xi[live]
             f, df = self.jet(yl, 1)
             gam = np.einsum("bi,bi->b", yl, xl) / f  # current phi
@@ -540,7 +500,7 @@ class PerturbedNorm(MinkowskiNorm):
             tb = tangent_basis(yl)
             gt = np.einsum("bki,bi->bk", tb, grad_phi)
             res[live] = np.linalg.norm(gt, axis=-1) / np.maximum(scale[live], _EPS)
-            active = res[live] > tol
+            active = res[live] > 1e-12
             if not np.any(active):
                 break
             live = live[active]
@@ -570,43 +530,19 @@ class PerturbedNorm(MinkowskiNorm):
             y[live] = ynew
         return y, res
 
-    def dual_value(self, xi, x_warm=None, return_argmax: bool = False):
-        """F0(xi) by damped Newton ascent, optionally with the maximizer.
-
-        Without ``x_warm`` the ascent runs from the best three of the coarse
-        starts; with it (one row, or one row per xi) a single warm ascent
-        runs from there to a tighter tolerance.
-        """
+    def dual_value(self, xi, x_warm):
+        """(F0(xi), maximizer) by a damped Newton ascent from ``x_warm``, one
+        approximate Gauss preimage per row of xi."""
         xi, batched = self._check_nonzero(xi)
-        if x_warm is None:
-            what = "dual-norm ascent"
-            tol = 1e-10
-            starts = self._coarse_starts()
-            vals = np.stack([self._phi(np.broadcast_to(s, xi.shape).copy(), xi) for s in starts], axis=0)
-            order = np.argsort(-vals, axis=0)
-            best_y = None
-            best_phi = np.full(xi.shape[0], -np.inf)
-            for rank in range(3):
-                y0 = starts[order[rank]]
-                y, res = self._newton_ascend(y0.copy(), xi, tol)
-                phi = self._phi(y, xi)
-                take = phi > best_phi
-                best_phi = np.where(take, phi, best_phi)
-                best_y = y if best_y is None else np.where(take[:, None], y, best_y)
-            yf, res = self._newton_ascend(best_y, xi, tol, max_iter=10)
-        else:
-            what = "warm dual ascent"
-            y0 = np.atleast_2d(np.asarray(x_warm, dtype=float))
-            if y0.shape[0] == 1 and xi.shape[0] > 1:
-                y0 = np.broadcast_to(y0, xi.shape).copy()
-            yf, res = self._newton_ascend(unit_rows(y0), xi, 1e-12, max_iter=30)
+        y0 = _rows(x_warm)[0]
+        if y0.shape != xi.shape:
+            raise InvalidInputError("x_warm needs one row per xi")
+        yf, res = self._newton_ascend(unit_rows(y0), xi)
         phi = self._phi(yf, xi)
         if np.any(res > 1e-6):
-            raise NumericError(f"{what} did not converge",
+            raise NumericError("warm dual ascent did not converge",
                                best_value=float(np.max(phi)), residual=float(np.max(res)))
-        if return_argmax:
-            return _unbatch(phi, batched), _unbatch(yf, batched)
-        return _unbatch(phi, batched)
+        return _unbatch(phi, batched), _unbatch(yf, batched)
 
     def descriptor(self):
         return {
@@ -618,17 +554,3 @@ class PerturbedNorm(MinkowskiNorm):
             ],
         }
 
-
-def norm_from_descriptor(desc: dict) -> MinkowskiNorm:
-    """Rebuild a norm model from its descriptor() dict."""
-    fam = desc["family"]
-    if fam == "isotropic":
-        return IsotropicNorm(dim=int(desc.get("dim", 3)))
-    if fam == "ellipsoid":
-        return EllipsoidNorm(np.asarray(desc["matrix"], dtype=float))
-    if fam == "perturbed":
-        base = norm_from_descriptor(desc["base"])
-        terms = [PerturbTerm(t["kind"], tuple(t["center"]), float(t["width"]), float(t["amplitude"]))
-                 for t in desc["terms"]]
-        return PerturbedNorm(base, terms)
-    raise InvalidInputError(f"unknown norm family {fam!r}")

@@ -441,3 +441,65 @@ def test_mesh_and_body_state_has_a_reader():
                     and isinstance(n.value, ast.Name) and n.value.id == "self"}
         assert len(assigned) > 10, cls
         assert assigned <= read, f"{cls} assigns unread {sorted(assigned - read)}"
+
+
+# Public, and read by no capaf run: independent routes that the tests compare
+# capaf against, and the derivative contract of every homogeneous function
+REFERENCE_ROUTES = {
+    "bodies.CapillaryBody.capillary_support_metric_form",
+    "bodies.CapillaryBody.tau_eigs_secondary",
+    "bodies.CapillaryBody.reconstruction_residual",
+    "fd.central_gradient",
+    "fd.central_hessian",
+    "functionals.hull_volume_oracle",
+    "functionals.integrand_identity_defect",
+    "functionals.quermassintegral_boundary_route",
+    "functionals.quermassintegral_mixed_route",
+    "norms._Homogeneous.third",
+}
+
+
+def _names_read(tree):
+    """Names loaded as a variable or an attribute, outside every def of that name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(getattr(node, "ctx", None), ast.Load) and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_function_has_a_reader():
+    """Every public module-level function and every public method of a capaf
+    class is read by the package (outside its own definition and the
+    re-exports of __init__.py) or by the benchmark harness; the reference
+    routes alone are read only by the tests, and the list of them is exact."""
+    root = Path(__file__).resolve().parents[1]
+    package = [p for p in sorted((root / "src/capaf").glob("*.py")) if p.name != "__init__.py"]
+    harness = [p for p in sorted((root / "perfbench").rglob("*.py"))
+               if "tests" not in p.relative_to(root).parts]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package + harness}
+    read = set().union(*map(_names_read, trees.values()))
+    public = {}  # qualified name -> the name a reader loads
+    for path in package:
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef):
+                members = {node.name: node.name}
+            elif isinstance(node, ast.ClassDef):
+                members = {f"{node.name}.{m.name}": m.name for m in node.body
+                           if isinstance(m, ast.FunctionDef)}
+            else:
+                continue
+            public.update((f"{path.stem}.{qual}", name) for qual, name in members.items()
+                          if not name.startswith("_"))
+    assert len(public) > 100
+    unread = {qual for qual, name in public.items() if name not in read}
+    assert unread == REFERENCE_ROUTES, (f"no reader: {sorted(unread - REFERENCE_ROUTES)}; "
+                                        f"read now: {sorted(REFERENCE_ROUTES - unread)}")

@@ -240,15 +240,20 @@ def test_thin_cap_stencil_error_names_the_limit(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["mesh", "info"], ["verify"]])
 def test_coarse_level_near_the_top_of_w0_names_the_level(tmp_path, capsys, command):
     # near the upper end of the w0 interval no level-0 icosphere edge crosses
-    # the region boundary: a documented error, not a traceback
-    text = MINIMAL.replace("omega0 = 0.0", "omega0 = 0.9") + "\n[mesh]\nlevel = 0\n"
-    path = write(tmp_path, text)
-    out = ["--out", str(tmp_path / "o")] if command[0] == "verify" else []
-    assert main(command + ["--config", path] + out) == 2
-    err = capsys.readouterr().err
-    for part in ("no mesh edge crosses the region boundary", "mesh level 0",
-                 "omega0 = 0.9", "a finer mesh level helps"):
-        assert part in err, part
+    # the region boundary, and up to level 3 the region can meet every face,
+    # which leaves the clipped mesh closed: documented errors, not tracebacks
+    for w0, level, what in ((0.9, 0, "no mesh edge crosses the region boundary"),
+                            (0.9, 1, "the region meets every face of the mesh"),
+                            (0.99, 1, "the region meets every face of the mesh"),
+                            (0.99, 2, "the region meets every face of the mesh"),
+                            (0.99, 3, "the region meets every face of the mesh")):
+        text = MINIMAL.replace("omega0 = 0.0", f"omega0 = {w0}") + f"\n[mesh]\nlevel = {level}\n"
+        path = write(tmp_path, text)
+        out = ["--out", str(tmp_path / "o")] if command[0] == "verify" else []
+        assert main(command + ["--config", path] + out) == 2
+        err = capsys.readouterr().err
+        for part in (what, f"mesh level {level}", f"omega0 = {w0}", "a finer mesh level helps"):
+            assert part in err, (w0, level, part)
 
 
 def test_thin_cap_kernel_decay_skips_the_exact_zero(tmp_path):

@@ -314,7 +314,7 @@ def test_operator_weighted_symmetry_vs_mixed_volume(body_factory):
     # the slot form anchors the multiplier, so they differ by the kernel
     # term's quadrature defect only
     bods = [body_factory("ell3", -0.4, 3, seed=s) for s in (31, 32, 33)]
-    om = fn.operator_weights([bods[1]])
+    om = fn._operator_frame([bods[1]])[2]
     ag = fn.operator_a_apply(bods[2], [bods[1]])
     inner = fn.operator_inner(bods[0].shat, ag, om)
     va = fn._mv_slot([bods[0], bods[2], bods[1]], 0, "anisotropic")

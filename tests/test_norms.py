@@ -12,8 +12,7 @@ import capaf.fd as fd
 from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.errors import InvalidInputError, ModelInvalidError
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm, PerturbedNorm,
-                         PerturbTerm, norm_from_descriptor, sym_eig_det,
-                         tangent_basis, unit_rows)
+                         PerturbTerm, sym_eig_det, tangent_basis, unit_rows)
 
 MODELS = ("iso3", "ell3", "pert3")
 
@@ -21,6 +20,13 @@ MODELS = ("iso3", "ell3", "pert3")
 def sample_dirs(dim, count, seed=0):
     rng = np.random.default_rng(seed)
     return unit_rows(rng.normal(size=(count, dim)))
+
+
+def tilted(x, angle, seed=0):
+    """Unit rows x each turned by the given angle in a random tangent direction."""
+    tb = tangent_basis(x)
+    c = unit_rows(np.random.default_rng(seed).normal(size=tb.shape[:2]))
+    return np.cos(angle) * x + np.sin(angle) * np.einsum("bk,bkd->bd", c, tb)
 
 
 def test_eval_norm_unit_isotropic(model_factory):
@@ -44,7 +50,7 @@ def test_zero_vector_rejected(model_factory):
     with pytest.raises(InvalidInputError):
         model_factory("iso3").value(np.zeros(3))
     with pytest.raises(InvalidInputError):
-        model_factory("ell3").dual_value(np.zeros(3))
+        model_factory("ell3").dual_value(np.zeros(3), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(InvalidInputError):
         model_factory("pert3").hess(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
     # a zonal term shares the norms' point/batch contract, zero check included
@@ -83,12 +89,14 @@ def test_euler_relation(model_factory, name, tol):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_wulff_membership(model_factory, name):
-    # F0(Psi(x)) = 1 on the Wulff shape
+    # F0(Psi(x)) = 1 on the Wulff shape, the perturbed ascent starting 0.1
+    # rad off the preimage x and returning to it
     model = model_factory(name)
     x = sample_dirs(3, 100, seed=4)
     psi = np.asarray(model.cahn_hoffman(x))
-    f0 = np.asarray(model.dual_value(psi))
+    f0, arg = model.dual_value(psi, tilted(x, 0.1, seed=4))
     assert np.max(np.abs(f0 - 1.0)) < 1e-8
+    assert np.max(np.abs(arg - x)) < 1e-8
 
 
 def test_anisotropy_isotropic_identity(model_factory):
@@ -221,16 +229,18 @@ def test_newton_batch_rows_match_solo_solves(model_factory, name):
     model = model_factory(name)
     d = model.dim
     xi = np.array([[0.2, -0.1, 1.1], [-0.5, 0.3, 0.8]])[:, -d:]
-    y0, _ = model._newton_ascend(unit_rows(xi[:1]), xi[:1], 1e-12)
+    y0, _ = model._newton_ascend(unit_rows(xi[:1]), xi[:1])
     warm = np.vstack([y0, unit_rows(xi[1:])])
-    y, res = model._newton_ascend(warm, xi, 1e-12)
-    solo = [model._newton_ascend(warm[i:i + 1], xi[i:i + 1], 1e-12) for i in range(2)]
+    y, res = model._newton_ascend(warm, xi)
+    solo = [model._newton_ascend(warm[i:i + 1], xi[i:i + 1]) for i in range(2)]
     assert np.array_equal(y, np.vstack([s[0] for s in solo]))
     assert np.array_equal(res, np.concatenate([s[1] for s in solo]))
     assert np.array_equal(y[0], warm[0]) and not np.array_equal(y[1], warm[1])
-    phi, arg = model.dual_value(xi, warm, return_argmax=True)
+    phi, arg = model.dual_value(xi, warm)
+    with pytest.raises(InvalidInputError):
+        model.dual_value(xi, warm[:1])
     for i in range(2):
-        phi_i, arg_i = model.dual_value(xi[i:i + 1], warm[i:i + 1], return_argmax=True)
+        phi_i, arg_i = model.dual_value(xi[i:i + 1], warm[i:i + 1])
         assert phi[i] == phi_i[0] and np.array_equal(arg[i], arg_i[0])
 
 
@@ -241,7 +251,9 @@ def test_perturbed_validation_rejects_wild_amplitude():
 
 
 def test_dual_norm_isotropic():
-    assert IsotropicNorm(3).dual_value(np.array([3.0, 4.0, 0.0])) == pytest.approx(5.0)
+    f0, arg = IsotropicNorm(3).dual_value(np.array([3.0, 4.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    assert f0 == pytest.approx(5.0)
+    assert np.allclose(arg, [0.6, 0.8, 0.0])
 
 
 def test_dual_norm_ellipsoid_vs_numeric_sup(model_factory):
@@ -263,28 +275,31 @@ def test_dual_norm_ellipsoid_vs_numeric_sup(model_factory):
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 600})
     numeric_sup = -res.fun
     assert numeric_sup == pytest.approx(0.5, abs=1e-8)
-    assert model.dual_value(xi) == pytest.approx(numeric_sup, abs=1e-8)
+    assert model.dual_value(xi, best)[0] == pytest.approx(numeric_sup, abs=1e-8)
 
 
 @pytest.mark.parametrize("name", MODELS)
 def test_dual_homogeneity(model_factory, name):
+    # both ascents start 0.1 rad off the preimage x of xi
     model = model_factory(name)
-    xi = 1.7 * sample_dirs(3, 20, seed=9)
-    f1 = np.asarray(model.dual_value(xi))
-    f2 = np.asarray(model.dual_value(3.0 * xi))
+    x = sample_dirs(3, 20, seed=9)
+    xi = 1.7 * np.asarray(model.cahn_hoffman(x))
+    warm = tilted(x, 0.1, seed=9)
+    f1, _ = model.dual_value(xi, warm)
+    f2, _ = model.dual_value(3.0 * xi, warm)
     assert np.max(np.abs(f2 / f1 - 3.0)) < 1e-9
 
 
 def test_metric_isotropic_identity(model_factory):
-    g = model_factory("iso3").metric(sample_dirs(3, 4, seed=10))
+    g = model_factory("iso3").metric_on_wulff(sample_dirs(3, 4, seed=10))
     assert np.max(np.abs(g - np.eye(3))) < 1e-14
 
 
 def test_metric_ellipsoid_constant(model_factory):
     model = model_factory("ell3diag")
-    g = np.asarray(model.metric(2.0 * sample_dirs(3, 6, seed=11)))
+    g = np.asarray(model.metric_on_wulff(sample_dirs(3, 6, seed=11)))
     assert np.max(np.abs(g - np.diag([1.0, 1.0, 0.25]))) < 1e-13
-    q = np.asarray(model.q_tensor(sample_dirs(3, 3, seed=12)))
+    q = np.asarray(model.q_on_wulff(sample_dirs(3, 3, seed=12)))
     assert np.max(np.abs(q)) == 0.0
 
 
@@ -323,21 +338,6 @@ def test_metric_tangent_identity_oracle(model_factory):
     assert np.max(np.abs(lhs - a / f[:, None, None])) < 1e-5
 
 
-def test_perturbed_metric_and_q_off_the_wulff_shape(model_factory):
-    # G(xi) and Q(xi) at arbitrary xi take the cold multistart Gauss preimage
-    for name in ("pert3", "pert2"):
-        model = model_factory(name)
-        x = sample_dirs(model.dim, 20, seed=17)
-        z = np.asarray(model.cahn_hoffman(x))
-        g = np.asarray(model.metric(z))
-        assert np.max(np.abs(g - np.asarray(model.metric_on_wulff(x)))) < 1e-10
-        assert np.max(np.abs(np.asarray(model.metric(z[0])) - g[0])) < 1e-10
-        q = np.asarray(model.q_tensor(z))
-        for t in (0.4, 2.5):
-            assert np.max(np.abs(np.asarray(model.metric(t * z)) - g)) < 1e-10
-            assert np.max(np.abs(t * np.asarray(model.q_tensor(t * z)) - q)) < 1e-10
-
-
 def test_q_tensor_radial_contraction_perturbed(model_factory):
     for name in ("pert3", "pert2"):
         model = model_factory(name)
@@ -346,15 +346,6 @@ def test_q_tensor_radial_contraction_perturbed(model_factory):
         q = np.asarray(model.q_on_wulff(x))
         contraction = np.einsum("bijk,bk->bij", q, psi)
         assert np.max(np.abs(contraction)) < 1e-9
-
-
-def test_descriptor_roundtrip(model_factory):
-    for name in MODELS:
-        model = model_factory(name)
-        clone = norm_from_descriptor(model.descriptor())
-        x = sample_dirs(model.dim, 10, seed=16)
-        assert np.allclose(np.asarray(model.value(x)), np.asarray(clone.value(x)),
-                           rtol=0, atol=0)
 
 
 def test_anisotropy_condition_diagnostic(mesh_factory):
@@ -387,7 +378,7 @@ def fd_newton_metric(model, z, x_warm):
 
     def half_dual_sq(pts):
         warm = np.repeat(x_warm, pts.shape[0] // b, axis=0)
-        val = model.dual_value(pts, warm)
+        val, _ = model.dual_value(pts, warm)
         return 0.5 * val * val
 
     hess, _ = fd.central_hessian(half_dual_sq, z, h, richardson=False)
@@ -410,15 +401,19 @@ def test_closed_form_metric_matches_fd_newton_oracle(model_factory, name):
 @pytest.mark.parametrize("name", ("pert3", "pert2"))
 def test_closed_form_q_matches_metric_differences(model_factory, name):
     # Q = DG: central differences of the closed-form G in each ambient axis,
-    # each off-shape point taking its own Gauss preimage
+    # each off-shape point taking its own Gauss preimage by a warm solve from x
+    # (G is 0-homogeneous, so G(z) is G at the Wulff point z / F0(z))
     model = model_factory(name)
     z, x = _wulff_sample(model, 30, seed=18)
     q = np.asarray(model.q_on_wulff(x))
     k = 1e-5
     eye = np.eye(model.dim)
+
+    def metric(p):
+        return np.asarray(model.metric_on_wulff(model.dual_value(p, x)[1]))
+
     for c in range(model.dim):
-        dg = (np.asarray(model.metric(z + k * eye[c]))
-              - np.asarray(model.metric(z - k * eye[c]))) / (2.0 * k)
+        dg = (metric(z + k * eye[c]) - metric(z - k * eye[c])) / (2.0 * k)
         assert np.max(np.abs(q[..., c] - dg)) < 1e-6
 
 
