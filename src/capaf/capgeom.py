@@ -517,7 +517,9 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     keep = np.any(inside[faces], axis=1)
     faces = faces[keep]
     if len(faces) == 0:
-        raise MeshConstructionError("empty parameter region")
+        raise MeshConstructionError(f"empty parameter region: no mesh vertex lies inside it at "
+                                    f"mesh level {config.mesh_level} (omega0 = {omega0:g}); a "
+                                    f"finer mesh level helps")
 
     # snap each outside vertex of a kept face toward its face-mate inside
     # with the largest residual, the lowest index on a tie (every kept face

@@ -19,7 +19,10 @@ others.
 Exit codes: 0 all checks passed, 1 some check failed (or a body could not
 be generated), 2 usage or configuration error.  Identical configs produce
 byte-identical numeric report fields; per-record wall times (JSON only)
-are the single exception.
+are the single exception.  One timer, in `run_suite`, times each suite's
+runner and shares that time evenly among the suite's records (a
+generation-failure record included), so the records' times sum to the
+suites' time; the runners call the checks and time nothing.
 """
 
 from __future__ import annotations
@@ -100,11 +103,6 @@ def _report_record(suite, name, inputs, rep) -> CheckRecord:
                        rep.relative_gap, rep.tolerance, rep.passed)
 
 
-def _timed_record(suite, name, inputs, fn_check) -> CheckRecord:
-    t0 = time.perf_counter()
-    return _timed_since(t0, _report_record(suite, name, inputs, fn_check()))[0]
-
-
 def _ratios(values):
     """Decay ratios prev / cur between consecutive levels; None where either
     side is exactly 0, as such a pair carries no decay information."""
@@ -148,14 +146,6 @@ def _value_record(suite, name, inputs, value, tolerance) -> CheckRecord:
     return CheckRecord(suite, name, digest(inputs), value, tolerance,
                        value - tolerance, value / max(tolerance, 1e-300) - 1.0,
                        tolerance, bool(value <= tolerance))
-
-
-def _timed_since(t0, *records):
-    """Share the wall time since t0 evenly among the records it produced."""
-    dt = (time.perf_counter() - t0) / len(records)
-    for rec in records:
-        rec.wall_time_s = dt
-    return list(records)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +196,6 @@ def _run_mixdisc(ctx: RunContext):
     tol = ctx.cfg.tolerances
     rng = np.random.default_rng(20240)
     count = 200
-    t0 = time.perf_counter()
     worst = {"diag": 0.0, "perm": 0.0, "multi": 0.0, "transform": 0.0,
              "gradient": 0.0, "alexandrov": 0.0}
 
@@ -248,16 +237,14 @@ def _run_mixdisc(ctx: RunContext):
         update("transform", md_transform_check(mats, np.array(bmats))["relative_error"])
         grad = mixed_disc_gradient(mats)
         update("gradient", rel(np.sum((mats[0] * grad).reshape(count, -1), axis=1) - q, q))
-        q_ab = mixed_discriminant([mats[0], mats[1]] + mats[2:n])
-        q_aa = mixed_discriminant([mats[0], mats[0]] + mats[2:n])
-        q_bb = mixed_discriminant([mats[1], mats[1]] + mats[2:n])
-        update("alexandrov", [
-            -fn.InequalityReport.inequality("alexandrov", lhs_k, rhs_k,
-                                            tol["mixdisc"]).relative_gap
-            for lhs_k, rhs_k in zip(q_ab**2, q_aa * q_bb)])
-    return _timed_since(t0, *(
-        _value_record("mixdisc", key, {"n": [2, 3], "count": count}, val, tol["mixdisc"])
-        for key, val in sorted(worst.items())))
+        # Alexandrov: D(A, B, ...)^2 >= D(A, A, ...) D(B, B, ...), as a
+        # relative shortfall (rhs - lhs) / max(|lhs|, |rhs|)
+        lhs = mixed_discriminant([mats[0], mats[1]] + mats[2:n]) ** 2
+        rhs = (mixed_discriminant([mats[0], mats[0]] + mats[2:n])
+               * mixed_discriminant([mats[1], mats[1]] + mats[2:n]))
+        update("alexandrov", (rhs - lhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30))
+    return [_value_record("mixdisc", key, {"n": [2, 3], "count": count}, val, tol["mixdisc"])
+            for key, val in sorted(worst.items())]
 
 
 def _run_routes(ctx: RunContext):
@@ -268,35 +255,31 @@ def _run_routes(ctx: RunContext):
     for seed in cfg.seeds:
         bods = ctx.body_tuple(seed, cfg.n + 1)
         inputs = {"seed": seed, "level": cfg.mesh_level}
-        t0 = time.perf_counter()
         va, ve, vp = (fn.mixed_volume(bods, route=r).value
                       for r in ("anisotropic", "euclidean", "polyfit"))
-        records += _timed_since(
-            t0,
+        records += [
             _report_record("routes", f"aniso-vs-euclid.seed{seed}", inputs,
                            fn.InequalityReport.identity("aniso-vs-euclid", va, ve, route_tol)),
             _report_record("routes", f"polyfit-vs-euclid.seed{seed}", inputs,
                            fn.InequalityReport.identity("polyfit-vs-euclid", vp, ve,
-                                                        tol["routes_polyfit"])))
+                                                        tol["routes_polyfit"]))]
         body = bods[0]
-        records.append(_timed_record(
+        records.append(_report_record(
             "routes", f"diagonal-consistency.seed{seed}", inputs,
-            lambda: fn.InequalityReport.identity(
+            fn.InequalityReport.identity(
                 "diagonal", fn.mixed_volume_value([body] * (cfg.n + 1)),
                 fn.volume(body), route_tol)))
         v = np.zeros(cfg.n + 1)
         v[0] = 0.08
         vt = translate_horizontal(body, v)
-        records.append(_timed_record(
+        records.append(_report_record(
             "routes", f"translation-invariance.seed{seed}", inputs,
-            lambda: fn.InequalityReport.identity(
-                "translation", fn.volume(vt), fn.volume(body), 1e-10)))
+            fn.InequalityReport.identity("translation", fn.volume(vt), fn.volume(body), 1e-10)))
         scaled = minkowski_combine([body], [1.7])
-        records.append(_timed_record(
+        records.append(_report_record(
             "routes", f"scaling.seed{seed}", inputs,
-            lambda: fn.InequalityReport.identity(
-                "scaling", fn.volume(scaled), 1.7 ** (cfg.n + 1) * fn.volume(body),
-                1e-11)))
+            fn.InequalityReport.identity(
+                "scaling", fn.volume(scaled), 1.7 ** (cfg.n + 1) * fn.volume(body), 1e-11)))
     return records
 
 
@@ -307,18 +290,16 @@ def _run_af(ctx: RunContext):
     for seed in cfg.seeds:
         bods = ctx.body_tuple(seed, cfg.n + 1)
         inputs = {"seed": seed, "level": cfg.mesh_level}
-        records.append(_timed_record(
-            "af", f"inequality.seed{seed}", inputs,
-            lambda: fn.af_inequality_check(bods, tol=tol["af_gap"])))
+        records.append(_report_record("af", f"inequality.seed{seed}", inputs,
+                                      fn.af_inequality_check(bods, tol=tol["af_gap"])))
         k2 = bods[1]
         v = np.zeros(cfg.n + 1)
         v[0] = 0.1
         k1 = translate_horizontal(minkowski_combine([k2], [2.0]), v)
-        eq_bodies = [k1, k2] + bods[2:]
-        records.append(_timed_record(
+        records.append(_report_record(
             "af", f"equality-case.seed{seed}", inputs,
-            lambda: fn.af_inequality_check(eq_bodies, tol=tol["af_equality"],
-                                           equality_expected=True)))
+            fn.af_inequality_check([k1, k2] + bods[2:], tol=tol["af_equality"],
+                                   equality_expected=True)))
     return records
 
 
@@ -333,35 +314,31 @@ def _run_chain(ctx: RunContext):
         inputs = {"seed": seed, "level": cfg.mesh_level}
         for k in range(n + 1):
             for l in range(k):
-                records.append(_timed_record(
+                records.append(_report_record(
                     "chain", f"querm-k{k}-l{l}.seed{seed}", inputs,
-                    lambda k=k, l=l: fn.quermassintegral_chain_check(
-                        body, k, l, tol=tol["chain_gap"])))
+                    fn.quermassintegral_chain_check(body, k, l, tol=tol["chain_gap"])))
         others = ctx.body_tuple(seed, n + 1)
         for m in range(2, n + 2):
             trailing = others[2:2 + (n + 1 - m)]
             for i, j, k in itertools.combinations(range(m + 1), 3):
-                records.append(_timed_record(
+                records.append(_report_record(
                     "chain", f"gen-m{m}-i{i}-j{j}-k{k}.seed{seed}", inputs,
-                    lambda m=m, i=i, j=j, k=k, trailing=trailing:
-                    fn.generalized_chain_check(
-                        others[0], others[1], trailing, m, i, j, k,
-                        tol=tol["chain_gap"])))
+                    fn.generalized_chain_check(others[0], others[1], trailing, m, i, j, k,
+                                               tol=tol["chain_gap"])))
     wulff = make_wulff_cap(mesh, 1.3)
-    records.append(_timed_record(
+    records.append(_report_record(
         "chain", "wulff-equality", {"r0": 1.3},
-        lambda: fn.quermassintegral_chain_check(
-            wulff, cfg.n, 0, tol=tol["chain_equality"], equality_expected=True)))
+        fn.quermassintegral_chain_check(wulff, cfg.n, 0, tol=tol["chain_equality"],
+                                        equality_expected=True)))
     k1 = ctx.body(max(cfg.seeds) + 977)
     v = np.zeros(cfg.n + 1)
     v[0] = 0.07
     k0 = translate_horizontal(minkowski_combine([k1], [1.4]), v)
     trailing = ctx.body_tuple(max(cfg.seeds) + 978, cfg.n - 1)
-    records.append(_timed_record(
+    records.append(_report_record(
         "chain", "gen-equality-case", {"a": 1.4},
-        lambda: fn.generalized_chain_check(
-            k0, k1, trailing, 2, 0, 1, 2, tol=tol["chain_equality"],
-            equality_expected=True)))
+        fn.generalized_chain_check(k0, k1, trailing, 2, 0, 1, 2, tol=tol["chain_equality"],
+                                   equality_expected=True)))
     return records
 
 
@@ -371,10 +348,9 @@ def _run_minkowski(ctx: RunContext):
     records = []
     tables = {}
     for k in range(cfg.n):
-        t0 = time.perf_counter()
         agg = [_minkowski_residual(ctx, level, k) for level in levels]
         tables[f"minkowski-k{k}"] = _decay_rows(levels, agg)
-        records += _timed_since(t0, _decay_record(
+        records.append(_decay_record(
             ctx, "minkowski", f"residual-decay-k{k}", {"levels": levels, "k": k},
             agg, cfg.tolerances["minkowski_ratio"], floor=1e-9))
     return records, tables
@@ -383,41 +359,32 @@ def _run_minkowski(ctx: RunContext):
 def _run_symmetry(ctx: RunContext):
     cfg = ctx.cfg
     levels = ctx.levels
-    t0 = time.perf_counter()
     swap_agg, trail_agg = zip(*(_symmetry_deviations(ctx, level) for level in levels))
     tables = {"symmetry-swap": _decay_rows(levels, swap_agg)}
-    records = _timed_since(
-        t0,
+    records = [
         _decay_record(ctx, "symmetry", "swap-decay", {"levels": levels}, swap_agg,
                       cfg.tolerances["symmetry_ratio"], floor=1e-12),
         _value_record("symmetry", "trailing-permutation", {"levels": levels},
-                      max(trail_agg), cfg.tolerances["symmetry_trailing"]))
+                      max(trail_agg), cfg.tolerances["symmetry_trailing"])]
     # diagnostic: symmetry on differences of capillary functions (logged only)
-    t0 = time.perf_counter()
     b = ctx.body_tuple(max(cfg.seeds) + 5, cfg.n + 1)
     diff_bodies = [minkowski_combine([b[0]], [1.0])] + b[1:]
     out = fn.symmetry_check(diff_bodies)
-    rec = CheckRecord("symmetry", "difference-experiment", digest({"note": "diagnostic"}),
-                      out["swap_deviation"], 0.0, out["swap_deviation"],
-                      out["swap_deviation"] / out["scale"], float("nan"), True,
-                      kind="diagnostic")
-    records += _timed_since(t0, rec)
+    records.append(CheckRecord("symmetry", "difference-experiment", digest({"note": "diagnostic"}),
+                               out["swap_deviation"], 0.0, out["swap_deviation"],
+                               out["swap_deviation"] / out["scale"], float("nan"), True,
+                               kind="diagnostic"))
     return records, tables
 
 
 def _run_steiner(ctx: RunContext):
     cfg = ctx.cfg
-    records = []
-    for seed in cfg.seeds:
-        body = ctx.body(seed)
-        records.append(_timed_record(
-            "steiner", f"coefficients.seed{seed}",
-            {"seed": seed, "level": cfg.mesh_level},
-            lambda: fn.steiner_check(body, tol=cfg.tolerances["steiner"])))
-    cap = ctx.mesh().cap_body
-    records.append(_timed_record(
-        "steiner", "cap-binomial", {"level": cfg.mesh_level},
-        lambda: fn.steiner_check(cap, tol=1e-7)))
+    records = [_report_record("steiner", f"coefficients.seed{seed}",
+                              {"seed": seed, "level": cfg.mesh_level},
+                              fn.steiner_check(ctx.body(seed), tol=cfg.tolerances["steiner"]))
+               for seed in cfg.seeds]
+    records.append(_report_record("steiner", "cap-binomial", {"level": cfg.mesh_level},
+                                  fn.steiner_check(ctx.mesh().cap_body, tol=1e-7)))
     return records
 
 
@@ -426,7 +393,6 @@ def _run_kernel(ctx: RunContext):
     levels = ctx.levels
     records = []
     tables = {}
-    t0 = time.perf_counter()
     if ctx.analytic:
         per_level = [_kernel_tau(ctx, level) for level in levels]
         for alpha, decay in enumerate(zip(*per_level)):
@@ -441,13 +407,11 @@ def _run_kernel(ctx: RunContext):
         records += [_value_record("kernel", f"tau-max-E{alpha + 1}-fd-smoke",
                                   {"level": cfg.mesh_level}, val, 1e-2)
                     for alpha, val in enumerate(_kernel_tau(ctx, cfg.mesh_level))]
-    records = _timed_since(t0, *records)
     # generator-route kernels are exactly linear: their Hessian, so tau, is 0
-    t0 = time.perf_counter()
     mesh = ctx.mesh()
     taus = (tau_from_generator(mesh, kernel_field(mesh, alpha))[0] for alpha in range(cfg.n))
     worst = _worst(float(np.max(np.abs(tau))) for tau in taus)
-    records += _timed_since(t0, _value_record(
+    records.append(_value_record(
         "kernel", "generator-route-zero", {"level": cfg.mesh_level}, worst, 1e-10))
     return records, tables
 
@@ -461,28 +425,23 @@ def _run_operator(ctx: RunContext):
     levels = ctx.levels
     for seed in cfg.seeds:
         inputs = {"seed": seed, "level": cfg.mesh_level}
-        t0 = time.perf_counter()
         trailing = ctx.body_tuple(seed, cfg.n - 1)
         f2 = trailing[0]
         ag = fn.operator_a_apply(f2, trailing)
-        records += _timed_since(t0, _value_record(
+        records.append(_value_record(
             "operator", f"eigenfunction-identity.seed{seed}", inputs,
             float(np.max(np.abs(ag - f2.shat))), tol["operator_eigen"]))
-        t0 = time.perf_counter()
-        kern = kernel_field(ctx.mesh(), 0)
-        ak = fn.operator_a_apply(kern, trailing)
-        records += _timed_since(t0, _value_record(
+        ak = fn.operator_a_apply(kernel_field(ctx.mesh(), 0), trailing)
+        records.append(_value_record(
             "operator", f"kernel-annihilation.seed{seed}", inputs,
             float(np.max(np.abs(ak))), 1e-8))
         g = ctx.body(seed + 7919).field - ctx.body(seed + 7920).field
-        records.append(_timed_record(
+        records.append(_report_record(
             "operator", f"energy.seed{seed}", inputs,
-            lambda: fn.operator_a_energy_check(g, trailing,
-                                               tol=tol["operator_energy"])))
+            fn.operator_a_energy_check(g, trailing, tol=tol["operator_energy"])))
     # self-adjointness decay with refinement (aggregate over seeds)
-    t0 = time.perf_counter()
     devs = [_selfadjoint_deviation(ctx, level) for level in levels]
-    records += _timed_since(t0, _decay_record(
+    records.append(_decay_record(
         ctx, "operator", "selfadjoint-decay", {"levels": levels}, devs, 2.0, floor=1e-10))
     return records, {"operator-selfadjoint": _decay_rows(levels, devs)}
 
@@ -507,6 +466,7 @@ def run_suite(cfg: SuiteConfig) -> RunReport:
     for name in SUITE_RUNNERS:
         if name not in cfg.suites:
             continue
+        t0 = time.perf_counter()
         try:
             out = SUITE_RUNNERS[name](ctx)
         except GenerationError as exc:
@@ -514,6 +474,9 @@ def run_suite(cfg: SuiteConfig) -> RunReport:
                                float("nan"), float("nan"), float("nan"),
                                float("nan"), float("nan"), False)]
         records, tables = out if isinstance(out, tuple) else (out, {})
+        dt = time.perf_counter() - t0
+        for rec in records:  # the suite's wall time, shared evenly
+            rec.wall_time_s = dt / len(records)
         report.records.extend(records)
         report.convergence.update(tables)
     report.records.sort(key=lambda r: (r.suite, r.name))

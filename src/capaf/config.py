@@ -112,28 +112,25 @@ def _build_norm(section, dim: int | None, errors: list) -> MinkowskiNorm | None:
                if _matches(key, SECTION_KEYS["norm"]) and not _matches(key, read)]
     if dim is None:
         return None
-    if family == "isotropic":
-        return IsotropicNorm(dim)
-    if family == "ellipsoid":
-        raw = section.get("matrix", "")
+
+    def closed_form(name, key):
+        """The isotropic or ellipsoid norm `name`, its matrix read from `key`."""
+        if name == "isotropic":
+            return IsotropicNorm(dim)
         try:
-            vals = _parse_floats(raw)
-            mat = np.asarray(vals, dtype=float).reshape(dim, dim)
-            return EllipsoidNorm(mat)
+            return EllipsoidNorm(np.asarray(
+                _parse_floats(section.get(key, "")), dtype=float).reshape(dim, dim))
         except Exception as exc:  # noqa: BLE001 - aggregated into error list
-            errors.append(f"norm.matrix: {exc}")
+            errors.append(f"norm.{key}: {exc}")
             return None
-    if base_name == "isotropic":
-        base = IsotropicNorm(dim)
-    elif base_name == "ellipsoid":
-        try:
-            base = EllipsoidNorm(np.asarray(
-                _parse_floats(section.get("base_matrix", "")), dtype=float).reshape(dim, dim))
-        except Exception as exc:  # noqa: BLE001
-            errors.append(f"norm.base_matrix: {exc}")
-            return None
-    else:
+
+    if family != "perturbed":
+        return closed_form(family, "matrix")
+    if base_name not in ("isotropic", "ellipsoid"):
         errors.append(f"norm.base: unknown base family {base_name!r}")
+        return None
+    base = closed_form(base_name, "base_matrix")
+    if base is None:
         return None
     terms = []
     for key in sorted(k for k in section if k.startswith("term")):

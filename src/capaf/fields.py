@@ -20,11 +20,14 @@ Two curvature-radii routes live here:
   fn(z, g) of Wulff-shape points z and the metric there, one column per
   field (kernel_evaluator builds the kernel fields').
 
-Support fields take one point (d,) or a batch (B, d) and answer in kind.
-SupportField owns that contract once, for jet/value/grad/hess; each field
+Support fields are homogeneous functions of the norms' shape: SupportField
+subclasses norms._Homogeneous, whose jet/value/grad/hess take one point (d,)
+or a batch (B, d), reject the zero vector and answer in kind.  Each field
 computes the jet [s, ..., D^order s] (order 0-2) in one method,
-_derivative(x, order), on rows (B, d), and a combination sums its parts'
-jets.  The bump field shares its zonal derivative chain with the norm layer.
+_derivative(x, order), on nonzero rows (B, d); a combination sums its parts'
+jets with the norms' _sum_jets, the Wulff cap scales its norm's
+_derivative, and the bump field shares its zonal derivative chain with the
+norm layer.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .capgeom import CapMesh
 from .errors import InvalidInputError
-from .norms import MinkowskiNorm, _rows, _unbatch, _zonal, unit_rows
+from .norms import MinkowskiNorm, _Homogeneous, _sum_jets, _zonal, unit_rows
 
 
 # ---------------------------------------------------------------------------
@@ -43,30 +46,9 @@ from .norms import MinkowskiNorm, _rows, _unbatch, _zonal, unit_rows
 # ---------------------------------------------------------------------------
 
 
-class SupportField:
-    """1-homogeneous scalar field with gradient and Hessian access.
-
-    Subclasses implement ``_derivative(x, order)`` on rows x (B, d): the
-    jet [D^0, ..., D^order] (order 0-2) of fresh arrays.  jet/value/grad/
-    hess take one point (d,) or a batch (B, d) and answer in kind.
-    """
-
-    def value(self, x) -> np.ndarray:
-        return self.jet(x, 0)[-1]
-
-    def grad(self, x) -> np.ndarray:
-        return self.jet(x, 1)[-1]
-
-    def hess(self, x) -> np.ndarray:
-        return self.jet(x, 2)[-1]
-
-    def jet(self, x, order) -> list:
-        """[value, grad, ...] up to the given order, evaluated together."""
-        x, batched = _rows(x)
-        return [_unbatch(a, batched) for a in self._derivative(x, order)]
-
-    def _derivative(self, x, order) -> list:
-        raise NotImplementedError
+class SupportField(_Homogeneous):
+    """1-homogeneous scalar field; the norms' jet/value/grad/hess contract,
+    with subclasses computing the jet to order 2 in ``_derivative``."""
 
     @property
     def anchor(self) -> np.ndarray:
@@ -101,7 +83,7 @@ class WulffCapField(SupportField):
         self._anchor[-1] = 0.0
 
     def _derivative(self, x, order):
-        jet = [self.r0 * f for f in self.model.jet(x, order)]
+        jet = [self.r0 * f for f in self.model._derivative(x, order)]
         jet[0] += x @ self.shift
         if order > 0:
             jet[1] += self.shift[None, :]
@@ -189,12 +171,8 @@ class CombinationField(SupportField):
         self.dim = fields[0].dim
 
     def _derivative(self, x, order):
-        """c0 f0 + c1 f1 + ..., each order summed left to right in place."""
-        jet = [self.coeffs[0] * a for a in self.fields[0]._derivative(x, order)]
-        for f, c in zip(self.fields[1:], self.coeffs[1:]):
-            for acc, part in zip(jet, f._derivative(x, order)):
-                acc += c * part
-        return jet
+        """c0 f0 + c1 f1 + ..., each order summed left to right."""
+        return _sum_jets(self.fields, self.coeffs, x, order)
 
     @property
     def anchor(self):

@@ -20,13 +20,13 @@ Three families are provided:
 * ellipsoid      F(x) = sqrt(<x, Mx>)   (M symmetric positive definite)
 * perturbed      base family plus smooth zonal terms a * |x| * g(<x^, c>)
 
-F and each zonal term are homogeneous functions of one shape: a private
-base defines jet/value/grad/hess/third, which take one point (d,) or a
-batch (B, d) and reject the zero vector, and each class computes the jet
-[D^0, ..., D^order] (order 0-3) in one pass, _derivative(x, order), on
-nonzero rows (B, d); value/grad/hess/third are its last entry.
-Every family's derivatives are closed form (the perturbed family sums its
-base's and its terms' jets), so no path differences F.
+F, each zonal term and each support field (fields.py) are homogeneous
+functions of one shape: one private base, _Homogeneous, defines
+jet/value/grad/hess for one point (d,) or a batch (B, d), rejecting the zero
+vector; each class computes the jet [D^0, ..., D^order] (order 0-3, 0-2 for
+support fields) in one pass, _derivative(x, order), on nonzero rows (B, d),
+and one in-place sum, _sum_jets, adds the jets of a linear combination.
+Every family's derivatives are closed form, so no path differences F.
 Every family evaluates its dual norm together with the maximizer (the
 Gauss preimage) as dual_value(xi, x_warm) -> (F0, x); the perturbed family
 runs a damped Newton ascent on the sphere from the approximate Gauss
@@ -164,12 +164,13 @@ def _zonal(x, center, amplitude, profile, order):
 
 
 class _Homogeneous:
-    """A homogeneous function on R^d minus the origin, with derivatives to order 3.
+    """A homogeneous function on R^d minus the origin: a norm, a zonal term
+    or a support field.
 
     Subclasses implement ``_derivative(x, order)`` on nonzero rows x (B, d):
-    the jet [D^0, ..., D^order] (order 0-3) of fresh arrays, in one pass.
-    jet/value/grad/hess/third take one point (d,) or a batch (B, d), reject
-    the zero vector and answer in kind.
+    the jet [D^0, ..., D^order] of fresh arrays, in one pass (order 0-3, 0-2
+    for support fields).  jet/value/grad/hess take one point (d,) or a batch
+    (B, d), reject the zero vector and answer in kind.
     """
 
     def value(self, x) -> np.ndarray:
@@ -180,10 +181,6 @@ class _Homogeneous:
 
     def hess(self, x) -> np.ndarray:
         return self.jet(x, 2)[-1]
-
-    def third(self, x) -> np.ndarray:
-        """Third derivative, shape (..., d, d, d)."""
-        return self.jet(x, 3)[-1]
 
     def jet(self, x, order) -> list:
         """[value, grad, ...] up to the given order, evaluated together."""
@@ -198,6 +195,24 @@ class _Homogeneous:
         if np.any(np.linalg.norm(x, axis=-1) < _EPS):
             raise InvalidInputError("norm evaluated at the zero vector")
         return x, batched
+
+
+def _sum_jets(parts, coeffs, x, order):
+    """The jet of c0 f0 + c1 f1 + ... at rows x: each order summed left to
+    right, in place, into the parts' own fresh jets; a part is scaled only
+    when its coefficient is not 1.0 (1.0 * a is exact, so no bit moves)."""
+    jet = None
+    for part, c in zip(parts, coeffs):
+        terms = part._derivative(x, order)
+        if c != 1.0:
+            for a in terms:
+                a *= c
+        if jet is None:
+            jet = terms
+        else:
+            for acc, a in zip(jet, terms):
+                acc += a
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +266,7 @@ class PerturbTerm(_Homogeneous):
 
 class MinkowskiNorm(_Homogeneous):
     """Base class; subclasses implement F's ``_derivative(x, order)`` (order
-    0-3, behind the shared value/grad/hess/third) and the dual side."""
+    0-3, behind the shared jet/value/grad/hess) and the dual side."""
 
     family = "abstract"
     dim: int
@@ -455,13 +470,8 @@ class PerturbedNorm(MinkowskiNorm):
     # primal
 
     def _derivative(self, x, order):
-        """The base's jet plus every term's, each order summed in order, in
-        place (every jet holds fresh arrays)."""
-        jet = self.base._derivative(x, order)
-        for t in self.terms:
-            for acc, part in zip(jet, t._derivative(x, order)):
-                acc += part
-        return jet
+        """The base's jet plus every term's, each order summed in order."""
+        return _sum_jets((self.base,) + self.terms, (1.0,) * (len(self.terms) + 1), x, order)
 
     def validate(self):
         pts = self.validation_sample()

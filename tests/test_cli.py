@@ -256,6 +256,24 @@ def test_coarse_level_near_the_top_of_w0_names_the_level(tmp_path, capsys, comma
             assert part in err, (w0, level, part)
 
 
+@pytest.mark.parametrize("command", [["mesh", "info"], ["verify"]])
+def test_coarse_level_near_the_bottom_of_w0_names_the_level(tmp_path, capsys, command):
+    # near the lower end of the w0 interval the region is a cap so thin that
+    # no level-0 icosphere vertex lies inside it: a documented error naming
+    # the level and the remedy, for the isotropic and the ellipsoid norm
+    isotropic = MINIMAL.replace("omega0 = 0.0", "omega0 = {w0}") + "\n[mesh]\nlevel = 0\n"
+    ellipsoid = (ELLIPSOID.replace("omega0 = -0.4", "omega0 = {w0}")
+                 .replace("level = 2", "level = 0").replace("run = mixdisc", "run = all"))
+    for template, w0 in ((isotropic, -0.9), (ellipsoid, -0.8)):
+        path = write(tmp_path, template.format(w0=w0))
+        out = ["--out", str(tmp_path / "o")] if command[0] == "verify" else []
+        assert main(command + ["--config", path] + out) == 2
+        err = capsys.readouterr().err
+        for part in ("empty parameter region", "mesh level 0", f"omega0 = {w0}",
+                     "a finer mesh level helps"):
+            assert part in err, (template, part)
+
+
 def test_thin_cap_kernel_decay_skips_the_exact_zero(tmp_path):
     # at level 5 the L3 study mesh checks only the pole, where the kernel tau
     # is exactly 0: that level pair shows no ratio, and the check reads L4->L5
@@ -528,6 +546,30 @@ def test_generation_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "generation failed: random body generation exhausted" in capsys.readouterr().err
     assert main(["body", "gen", "--config", path, "--seed", "1"]) == 1
     assert "generation failed" in capsys.readouterr().err
+
+
+def test_record_wall_times_cover_every_suite(tmp_path, monkeypatch):
+    # one timer per suite: each record carries an even share of its suite's
+    # time, so no record reads 0 and the shares sum to the run's time; a
+    # generation failure's record gets its share too
+    import time
+
+    import capaf.cli as cli
+
+    cfg = parse_config(write(tmp_path, ELLIPSOID.replace("run = mixdisc", "run = all")))
+    t0 = time.perf_counter()
+    report = cli.run_suite(cfg)
+    total = time.perf_counter() - t0
+    times = [r.wall_time_s for r in report.records]
+    assert {r.suite for r in report.records} == set(cli.SUITE_RUNNERS)
+    assert min(times) > 0.0
+    assert sum(times) >= 0.9 * total, (sum(times), total)
+
+    monkeypatch.setattr(cli, "random_capillary_body",
+                        functools.partial(cli.random_capillary_body, amplitude=1e9))
+    cfg.suites = ["routes"]
+    (failure,) = cli.run_suite(cfg).records
+    assert failure.name == "generation-failure" and failure.wall_time_s > 0.0
 
 
 # -- shipped configs --------------------------------------------------------------

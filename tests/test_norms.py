@@ -55,7 +55,7 @@ def test_zero_vector_rejected(model_factory):
         model_factory("pert3").hess(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
     # a zonal term shares the norms' point/batch contract, zero check included
     term = PerturbTerm("bump", (0.0, 0.0, 1.0), 0.3, 0.05)
-    for method in (term.value, term.grad, term.hess, term.third):
+    for method in (term.value, term.grad, term.hess, lambda x: term.jet(x, 3)):
         with pytest.raises(InvalidInputError):
             method(np.zeros(3))
 
@@ -143,7 +143,8 @@ def test_perturbed_derivatives_row_independent_of_batch(model_factory):
     for func, d in norms + terms:
         x = np.array([0.05, 0.1, 0.99])[-d:]
         batch = np.stack([x, 3.0 * unit_rows(np.array([1.0, -0.5, 0.3])[:d]), -3.0 * np.eye(d)[-1]])
-        for order, method in enumerate((func.value, func.grad, func.hess, func.third)):
+        for order, method in enumerate((func.value, func.grad, func.hess,
+                                        lambda p: func.jet(p, 3)[3])):
             one, rows = np.asarray(method(x)), np.asarray(method(batch))
             assert one.shape == (d,) * order, (func, order)
             assert rows.shape == (len(batch),) + (d,) * order, (func, order)
@@ -166,17 +167,19 @@ def test_jet_entries_do_not_depend_on_the_order_asked_for(model_factory, name):
             assert jet[j].shape == (len(x),) + (d,) * j
             assert np.array_equal(jet[j], jets[3][j]), (k, j)
     public = func.jet(x, 3)
-    for j, method in enumerate((func.value, func.grad, func.hess, func.third)):
+    for j in range(4):
         assert np.array_equal(public[j], jets[3][j]), j
+    for j, method in enumerate((func.value, func.grad, func.hess)):
         assert np.array_equal(np.asarray(method(x)), jets[3][j]), j
         assert np.array_equal(func.jet(x[0], 3)[j], np.asarray(method(x[0]))), j
 
 
 def test_each_homogeneous_function_has_one_derivative_method():
-    """Only the two bases define the public derivative methods; every
-    concrete norm, zonal term and support field computes its derivatives in
-    one `_derivative(x, order)`, and the composites sum their parts'
-    `_derivative`, never a part's public method."""
+    """One base defines the public derivative methods of norms, zonal terms
+    and support fields alike; every concrete class computes its derivatives
+    in one `_derivative(x, order)`, and the composites, with the jet sum
+    they share, read their parts' `_derivative`, never a part's public
+    method."""
     import ast
     import inspect
     import textwrap
@@ -184,27 +187,30 @@ def test_each_homogeneous_function_has_one_derivative_method():
     import capaf.fields as fields
     import capaf.norms as norms
 
-    public = {"value", "grad", "hess", "third"}
-    bases = {norms._Homogeneous: public, fields.SupportField: public - {"third"}}
-    abstract = set(bases) | {norms.MinkowskiNorm}
+    public = {"value", "grad", "hess", "jet", "third"}
+    base = norms._Homogeneous
+    abstract = {base, norms.MinkowskiNorm, fields.SupportField}
     concrete = set()
     for mod in (norms, fields):
         for cls in vars(mod).values():
             if not (inspect.isclass(cls) and cls.__module__ == mod.__name__
-                    and issubclass(cls, tuple(bases))):
+                    and issubclass(cls, base)):
                 continue
-            assert public & set(vars(cls)) == bases.get(cls, set()), cls.__name__
+            owned = public - {"third"} if cls is base else set()
+            assert public & set(vars(cls)) == owned, cls.__name__
             if cls not in abstract:
                 assert "_derivative" in vars(cls), cls.__name__
                 concrete.add(cls.__name__)
+    assert issubclass(fields.SupportField, base) and not hasattr(base, "third")
     assert concrete == {"IsotropicNorm", "EllipsoidNorm", "PerturbedNorm", "PerturbTerm",
                         "WulffCapField", "LinearField", "SphericalBumpField",
                         "CombinationField"}
-    for cls in (norms.PerturbedNorm, fields.CombinationField):
-        tree = ast.parse(textwrap.dedent(inspect.getsource(cls._derivative)))
+    for func in (norms.PerturbedNorm._derivative, fields.CombinationField._derivative,
+                 fields.WulffCapField._derivative, norms._sum_jets):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
         called = {n.func.attr for n in ast.walk(tree)
                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
-        assert called & public == set(), cls.__name__
+        assert called & public == set(), func.__qualname__
 
 
 @pytest.mark.parametrize("name", ("pert3", "pert2"))
@@ -431,7 +437,7 @@ def test_third_derivative_matches_hessian_differences(model_factory, d, kind):
     x = 1.3 * sample_dirs(d, 25, seed=20 + d)
     k = 1e-5
     eye = np.eye(d)
-    t = np.asarray(obj.third(x))
+    t = obj.jet(x, 3)[3]
     for c in range(d):
         dh = (np.asarray(obj.hess(x + k * eye[c])) - np.asarray(obj.hess(x - k * eye[c]))) / (2.0 * k)
         assert np.max(np.abs(t[..., c] - dh)) < 1e-7
