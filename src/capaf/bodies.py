@@ -1,14 +1,18 @@
 """Capillary convex bodies bound to a cap mesh.
 
-A body is a support field plus per-node caches on one mesh: boundary
-positions X = Ds, the Euclidean radii matrix W = D^2 s restricted to the
-node tangent basis, the anisotropic radii matrix tau in the g-ring frame,
-and the anisotropic principal curvatures and normalized symmetric means.
-The support field is the single source of truth, and s, X, W and the
-generator-route tau are linear in it.  So every constructor builds through
-CapillaryBody: Wulff-cap parts of the mesh's own norm read the mesh's F
-caches, and only the rest of the field is evaluated, in one jet.  The
-spectra of W and tau and det W are closed form (norms.sym_eig_det).
+A body is a support field plus per-node caches on one mesh: the support s
+and the capillary support shat = s/F (also anchored), boundary positions
+X = Ds, the Euclidean radii matrix W = D^2 s restricted to the node tangent
+basis and det W, the anisotropic radii matrix tau in the g-ring frame and
+its asymmetry tau_asym, and the normalized symmetric means H of the
+anisotropic principal curvatures; then the least W and tau eigenvalues and
+the convex and capillary flags.  The spectra of W and tau are closed form
+(norms.sym_eig_det) and not kept, as no run reads them:
+sym_eig_det(body.tau)[0] gives the radii, whose reciprocals are the
+curvatures.  The support field is the single source of truth, and s, X, W
+and the generator-route tau are linear in it.  So every constructor builds
+through CapillaryBody: Wulff-cap parts of the mesh's own norm read the
+mesh's F caches, and only the rest of the field is evaluated, in one jet.
 """
 
 from __future__ import annotations
@@ -104,10 +108,10 @@ class CapillaryBody:
         self.shat = self.s / mesh.F_vals
         self.anchor = np.asarray(self.field.anchor, dtype=float)
         w_ev, self.detW = sym_eig_det(self.W)
-        radii = self.tau_eigs = sym_eig_det(self.tau)[0]
+        radii = sym_eig_det(self.tau)[0]
         with np.errstate(divide="ignore"):
-            self.kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
-        self.H = _sigma_means(self.kappa)
+            kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
+        self.H = _sigma_means(kappa)
         self.shat_anchored = (self.s - x @ self.anchor) / mesh.F_vals
         self.min_w_eig = float(np.min(w_ev[:, 0]))
         self.min_tau_eig = float(np.min(radii[:, 0]))

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import (InvalidConfigError, MeshConstructionError,
                      NumericError)
-from .norms import MinkowskiNorm, sym_eig_det, tangent_basis, unit_rows
+from .norms import (MinkowskiNorm, row_blocks, sym_eig_det, tangent_basis,
+                    unit_rows)
 
 DEFAULT_TOLERANCES = {
     "boundary_residual": 1e-12,
@@ -368,10 +369,21 @@ class CapMesh:
 
     @property
     def q_frame(self) -> np.ndarray:
-        """Q contracted against the frame at every node: (N, n, n, n)."""
-        return self._lazy("q_frame", lambda: np.einsum(
-            "bijk,bpi,bqj,brk->bpqr", self.model.q_on_wulff(self.nodes),
-            self.frame, self.frame, self.frame))
+        """Q contracted against the frame at every node: (N, n, n, n).
+
+        Made in blocks of 512 nodes (norms.row_blocks): the order-3 jets and
+        (N, d, d, d) tensors of a whole fine mesh were a perturbed run's
+        second-largest transient arrays, and Q is row-independent, so the
+        blocks give the whole-batch bits."""
+        return self._lazy("q_frame", self._q_frame)
+
+    def _q_frame(self):
+        q = np.empty((len(self.nodes),) + (self.n,) * 3)
+        for rows in row_blocks(len(q)):
+            frame = self.frame[rows]
+            q[rows] = np.einsum("bijk,bpi,bqj,brk->bpqr", self.model.q_on_wulff(self.nodes[rows]),
+                                frame, frame, frame)
+        return q
 
     @property
     def cap_body(self):

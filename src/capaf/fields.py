@@ -135,20 +135,22 @@ class SphericalBumpField(SupportField):
         if not (0.0 < self.width < 2.0):
             raise InvalidInputError("bump width must lie in (0, 2)")
 
-    def _profile(self, u):
+    def _profile(self, u, order):
+        """[g, g', g''] in u = <x^, c>, up to the given order (0-2)."""
         p = self._POW
         t = (1.0 - u) / self.width
         inside = np.abs(t) < 1.0
         tt = np.where(inside, t, 0.0)
         one = 1.0 - tt * tt
-        gg = one**p
-        dg = -2.0 * p * tt * one ** (p - 1)
-        d2g = -2.0 * p * one ** (p - 1) + 4.0 * p * (p - 1) * tt**2 * one ** (p - 2)
         zero = np.zeros_like(u)
-        g = np.where(inside, gg, zero)
-        g1 = np.where(inside, dg * (-1.0 / self.width), zero)
-        g2 = np.where(inside, d2g / self.width**2, zero)
-        return g, g1, g2
+        prof = [np.where(inside, one**p, zero)]
+        if order > 0:
+            dg = -2.0 * p * tt * one ** (p - 1)
+            prof.append(np.where(inside, dg * (-1.0 / self.width), zero))
+        if order > 1:
+            d2g = -2.0 * p * one ** (p - 1) + 4.0 * p * (p - 1) * tt**2 * one ** (p - 2)
+            prof.append(np.where(inside, d2g / self.width**2, zero))
+        return prof
 
     def _derivative(self, x, order):
         """The zonal chain on the rows within reach of the support cap (a 1e-9

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,18 @@ def body_factory():
 @pytest.fixture(scope="session")
 def model_factory():
     return model_by_name
+
+
+def peak_bytes(make):
+    """Traced (tracemalloc) peak of the bytes allocated while make() runs."""
+    tracemalloc.start()
+    try:
+        make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return peak_bytes

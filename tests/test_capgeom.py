@@ -171,6 +171,21 @@ def test_walk_boundary_rejects_a_broken_boundary(cells, is_boundary, message):
         _walk_boundary(np.array(cells, dtype=np.int64), np.array(is_boundary), nodes)
 
 
+def test_blocked_q_frame_is_the_whole_batch_contraction(mesh_factory):
+    mesh = mesh_factory("pert3", -0.35, 4)
+    assert mesh.node_count > 512
+    whole = np.einsum("bijk,bpi,bqj,brk->bpqr", mesh.model.q_on_wulff(mesh.nodes),
+                      mesh.frame, mesh.frame, mesh.frame)
+    assert np.array_equal(mesh.q_frame, whole)
+
+
+def test_q_frame_peak_memory(traced_peak):
+    # Q is made in row blocks: the whole-batch order-3 jets of the perturbed
+    # config's L4 mesh took about 1.9 MB of transient arrays
+    mesh = build_cap_mesh(parse_config(str(CONFIGS / "perturbed.ini")).cap_config())
+    assert traced_peak(lambda: mesh.q_frame) <= 1.4e6
+
+
 @pytest.mark.parametrize("name", ["isotropic_hemisphere.ini", "ellipsoid.ini"])
 def test_mesh_levels_0_to_7(name):
     cfg = parse_config(str(CONFIGS / name))
@@ -424,23 +439,36 @@ def test_dump_table_format(mesh_factory):
     assert fields[4] in ("interior", "boundary")
 
 
+# State a body keeps though only the tests read it: the stored
+# fault-detection diagnostic of the radii matrices' asymmetry
+TEST_ONLY_STATE = {"CapillaryBody.tau_asym"}
+
+
 def test_mesh_and_body_state_has_a_reader():
-    """Every attribute a CapMesh or CapillaryBody assigns on self is read
-    somewhere in the package, the tests or the benchmark (which reads
-    mesh.diagnostics): state nothing reads is waste on every build."""
+    """Every attribute a CapMesh or CapillaryBody assigns on self is read by
+    a run: by the package or the benchmark harness (which reads
+    mesh.diagnostics), not counting its self-tests.  State nothing runs
+    reads is waste on every build; only TEST_ONLY_STATE, read by the tests,
+    is kept on purpose."""
     root = Path(__file__).resolve().parents[1]
-    files = [p for d in ("src/capaf", "tests", "perfbench") for p in (root / d).rglob("*.py")]
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
-    read = {n.attr for t in trees.values() for n in ast.walk(t)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+    def reads(paths):
+        return {n.attr for p in paths for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+    run_read = reads([*(root / "src/capaf").rglob("*.py"), *(root / "perfbench").glob("*.py")])
+    test_read = reads((root / "tests").rglob("*.py"))
+    unread = set()
     for module, cls in (("capgeom.py", "CapMesh"), ("bodies.py", "CapillaryBody")):
-        tree = trees[root / "src/capaf" / module]
+        tree = ast.parse((root / "src/capaf" / module).read_text(encoding="utf-8"))
         body = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls)
         assigned = {n.attr for n in ast.walk(body)
                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
                     and isinstance(n.value, ast.Name) and n.value.id == "self"}
         assert len(assigned) > 10, cls
-        assert assigned <= read, f"{cls} assigns unread {sorted(assigned - read)}"
+        unread |= {f"{cls}.{name}" for name in assigned - run_read}
+    assert unread == TEST_ONLY_STATE, f"state no run reads: {sorted(unread)}"
+    assert {name.split(".")[1] for name in TEST_ONLY_STATE} <= test_read
 
 
 # Public, and read by no capaf run: independent routes that the tests compare

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from scipy.optimize import minimize
 
 import capaf.fd as fd
 from capaf.capgeom import CapConfig, build_cap_mesh
+from capaf.config import parse_config
 from capaf.errors import InvalidInputError, ModelInvalidError
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm, PerturbedNorm,
                          PerturbTerm, sym_eig_det, tangent_basis, unit_rows)
 
 MODELS = ("iso3", "ell3", "pert3")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def sample_dirs(dim, count, seed=0):
@@ -254,6 +257,41 @@ def test_perturbed_validation_rejects_wild_amplitude():
     with pytest.raises(ModelInvalidError):
         PerturbedNorm(IsotropicNorm(3),
                       [PerturbTerm("bump", (0.0, 0.0, 1.0), 0.05, 0.8)])
+
+
+@pytest.mark.parametrize("amplitude,width,broken", [(0.8, 0.05, "anisotropy matrix"),
+                                                   (-1.5, 0.3, "perturbed norm non-positive")])
+def test_perturbed_validation_past_the_first_block_matches_a_whole_sample_scan(amplitude, width,
+                                                                               broken):
+    # a bump centred on a sample node beyond the first block of rows breaks
+    # A_F > 0 (resp. F > 0) there: the blocked scan names the node and the
+    # eigenvalue a whole-sample scan does
+    base = IsotropicNorm(3)
+    pts = base.validation_sample()
+    term = PerturbTerm("bump", tuple(pts[5000]), width, amplitude)
+    f, _, d2f = (a + b for a, b in zip(base.jet(pts, 2), term.jet(pts, 2)))
+    tb = tangent_basis(pts)
+    lam = sym_eig_det(np.einsum("bki,bij,blj->bkl", tb, d2f, tb))[0][:, 0]
+    if np.any(f <= 0):
+        i = int(np.argmin(f))
+        expected = f"perturbed norm non-positive at sample node {i}"
+    else:
+        i = int(np.argmin(lam))
+        expected = (f"anisotropy matrix not positive definite at sample node {i} "
+                    f"(min eigenvalue {lam[i]:.3e})")
+    assert expected.startswith(broken) and i >= 512
+    with pytest.raises(ModelInvalidError) as err:
+        PerturbedNorm(base, [term])
+    assert str(err.value) == expected
+    assert np.array_equal(err.value.node, pts[i])
+
+
+def test_perturbed_validation_peak_memory(traced_peak):
+    # the validation sample is evaluated in row blocks: its whole-batch jet
+    # and tangent Hessians took about 7 MB of transient arrays
+    model = parse_config(str(CONFIGS / "perturbed.ini")).norm
+    model.validation_sample()  # warm the shared icosphere cache first
+    assert traced_peak(lambda: PerturbedNorm(model.base, model.terms)) <= 1.5e6
 
 
 def test_dual_norm_isotropic():
