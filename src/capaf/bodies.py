@@ -21,14 +21,14 @@ import json
 
 import numpy as np
 
-from .capgeom import CapMesh
+from .capgeom import CapMesh, radii_form
 # not called here: perfbench's self-test checks that its tracer also wraps a
 # capgeom function imported by value, through this name
 from .capgeom import icosphere_vertices  # noqa: F401
 from .errors import (ConvexityViolationError, GenerationError,
                      InvalidInputError)
 from .fields import (CombinationField, LinearField, SphericalBumpField,
-                     SupportField, WulffCapField, radii_form)
+                     SupportField, WulffCapField)
 from .norms import sym_eig_det
 
 _BACKTRACK_LIMIT = 20
@@ -81,11 +81,11 @@ class CapillaryBody:
 
     def _populate(self):
         """Every cache, linear in the support field: a Wulff-cap leaf of the
-        mesh's norm reads the mesh's F, DF, A_F and cap_tau; the other leaves
-        are evaluated together, in one jet, and its Hessian gives both W and
-        the raw radii.  Raw radii matrices are summed before they are
-        symmetrized, so tau_asym is the whole body's asymmetry: round-off,
-        as the closed form is symmetric."""
+        mesh's norm reads the mesh's F, DF, A_F and cap_tau, all from the
+        mesh's one jet of F; the other leaves are evaluated together, in one
+        jet, and its Hessian gives both W and the raw radii.  Raw radii
+        matrices are summed before they are symmetrized, so tau_asym is the
+        whole body's asymmetry: round-off, as the closed form is symmetric."""
         mesh = self.mesh
         x = mesh.nodes
         caps, rest = [], []
@@ -272,8 +272,7 @@ def random_capillary_body(mesh: CapMesh, seed: int, amplitude: float = 0.15) -> 
         amp *= width**2 / 8.0
         bump_specs.append((center, width, amp))
 
-    cap_shat = 1.0 + mesh.omega0 * (mesh.nodes @ mesh.EF) / mesh.F_vals
-    shat_floor = 0.05 * float(np.min(cap_shat))
+    shat_floor = 0.05 * float(np.min(mesh.cap_shat))
     scale = 1.0
     last_err = "no attempts"
     for _ in range(_BACKTRACK_LIMIT + 1):

@@ -17,16 +17,18 @@ operations; only the walk along the boundary loop is a Python loop.  For
 n = 1 the region is a single arc, subdivided uniformly in angle with
 trapezoid weights (the angular measure is exact).
 
-Every node carries caches, read from one jet [F, DF, D^2F] there: Psi(x),
-the anisotropy matrix and its determinant (the pullback density from the
-cap to S), the cap point xi, the ambient metric G at T^{-1} xi, a
-G-orthonormal tangent frame, and the frame's parameter velocities
-A_F^{-1} e_k.  At boundary nodes the frame's last vector is aligned with
-A_F(nu) mu, mu being the Euclidean outward co-normal, and the first vectors
-span the boundary tangent.  Lazy caches, computed once per mesh on first
-use (arrays read-only): q_frame, cap_body and cap_tau, interior_candidates
-and region_complement.  The intrinsic kernel route's stencil is per call and
-not cached, since cached meshes would keep it alive.
+Every node carries caches, read from one jet [F, DF, D^2F] there, the only
+evaluation of F's derivatives at the nodes: Psi(x), the anisotropy matrix
+and its determinant (the pullback density from the cap to S), the cap point
+xi, the ambient metric G at T^{-1} xi, a G-orthonormal tangent frame, the
+frame's parameter velocities A_F^{-1} e_k, and the unit Wulff cap's raw
+radii cap_tau (those of F itself, from the jet's D^2F) and capillary support
+cap_shat = 1 + w0 <x, EF>/F.  At boundary nodes the frame's last vector is
+aligned with A_F(nu) mu, mu being the Euclidean outward co-normal, and the
+first vectors span the boundary tangent.  Lazy caches, computed once per
+mesh on first use (arrays read-only): q_frame, cap_body,
+interior_candidates and region_complement.  The intrinsic kernel route's
+stencil is per call and not cached, since cached meshes would keep it alive.
 """
 
 from __future__ import annotations
@@ -131,6 +133,22 @@ def icosphere_vertices(level: int) -> np.ndarray:
     return icosphere(level)[0]
 
 
+def sphere_sample(dim: int, level: int, count: int) -> np.ndarray:
+    """Fixed sample of the unit sphere in R^dim: the level-`level` icosphere
+    vertices (dim 3) or `count` equally spaced angles (dim 2)."""
+    if dim == 3:
+        return icosphere_vertices(level)
+    phi = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+def signed_area(xy) -> float:
+    """Shoelace area of the closed polygon with vertex rows xy (K, 2),
+    positive when the vertices run counterclockwise."""
+    x, y = xy[:, 0], xy[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
 def spherical_triangle_areas(a, b, c) -> np.ndarray:
     """Solid angles of geodesic triangles with vertex rows a, b, c."""
     triple = np.einsum("bi,bi->b", a, np.cross(b, c))
@@ -174,6 +192,16 @@ def parameter_velocities(frame, tb, a) -> np.ndarray:
     """
     v_t = np.linalg.solve(a, tb @ np.swapaxes(frame, 1, 2))  # columns: A^-1 e_k
     return np.swapaxes(tb, 1, 2) @ v_t
+
+
+def radii_form(hess, frame, g, vel):
+    """Raw radii matrices tau_kl = G(D^2 s . v_k, e_l), (K, n, n).
+
+    hess is D^2 s at K points, frame the frame vectors e_k there (K, n, d),
+    g the metric G and vel the parameter velocities v_k = A_F^{-1} e_k as
+    columns (K, d, n) (see `parameter_velocities`).
+    """
+    return np.swapaxes(frame @ (g @ (hess @ vel)), 1, 2)
 
 
 def region_residual(model: MinkowskiNorm, omega0: float, x) -> np.ndarray:
@@ -247,7 +275,9 @@ class CapMesh:
         x = self.nodes
         self.EF = ef_vector(model, self.omega0)
         # one jet at the unit nodes (so DF is Psi): D^2F serves A_F, G, mu
+        # and the unit cap's radii
         self.F_vals, self.psi, hess = jet = model.jet(x, 2)
+        self.cap_shat = 1.0 + self.omega0 * (x @ self.EF) / self.F_vals
         self.tb = tangent_basis(x)
         self.A = np.einsum("bki,bij,blj->bkl", self.tb, hess, self.tb)
         ev, self.detA = sym_eig_det(self.A)
@@ -263,6 +293,8 @@ class CapMesh:
         self._boundary_geometry(hess[self.boundary_idx])
         self._build_frames()
         self.vel = parameter_velocities(self.frame, self.tb, self.A)
+        # F's own radii: a translation leaves radii unchanged
+        self.cap_tau = radii_form(hess, self.frame, self.G, self.vel)
         self._check_invariants()
 
     def _boundary_geometry(self, hess_b):
@@ -393,14 +425,6 @@ class CapMesh:
         return self._lazy("cap_body", lambda: make_wulff_cap(self, 1.0))
 
     @property
-    def cap_tau(self) -> np.ndarray:
-        """Raw generator-route radii of the unit Wulff cap: those of F itself,
-        as a translation leaves radii unchanged."""
-        from .fields import tau_from_generator
-
-        return self._lazy("cap_tau", lambda: tau_from_generator(self, self.model)[1])
-
-    @property
     def interior_candidates(self) -> np.ndarray:
         """Candidate bump centres for random bodies on this mesh."""
         return self._lazy("interior_candidates", lambda: _interior_candidate_directions(self))
@@ -433,13 +457,8 @@ def _interior_candidate_directions(mesh: CapMesh) -> np.ndarray:
     so the same seed yields the same random body at every mesh level.  It
     makes the lazy `CapMesh.interior_candidates`.
     """
-    model, omega0 = mesh.model, mesh.omega0
-    if mesh.n == 2:
-        sample = icosphere_vertices(2)
-    else:
-        phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        sample = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    r = region_residual(model, omega0, sample)
+    sample = sphere_sample(mesh.dim, 2, 256)
+    r = region_residual(mesh.model, mesh.omega0, sample)
     cut = 0.45 * float(np.max(r))
     cand = sample[r > cut]
     if len(cand) == 0:
@@ -452,13 +471,8 @@ def _region_complement_sample(mesh: CapMesh) -> np.ndarray:
     vertices (n=2) or 2048 angles (n=1) with nonpositive region residual.
     It makes the lazy `CapMesh.region_complement`.
     """
-    model, omega0 = mesh.model, mesh.omega0
-    if mesh.n == 2:
-        sample = icosphere_vertices(4)
-    else:
-        phi = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-        sample = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    return sample[region_residual(model, omega0, sample) <= 0.0]
+    sample = sphere_sample(mesh.dim, 4, 2048)
+    return sample[region_residual(mesh.model, mesh.omega0, sample) <= 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +587,10 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     np.add.at(weights, cells[:, 2], areas / 3.0)
 
     loop = _walk_boundary(cells, is_boundary, nodes)
-    on_loop = np.zeros(len(nodes), dtype=bool)
-    on_loop[loop] = True
-    off_loop = int(np.sum(is_boundary & ~on_loop))
-    is_boundary = on_loop
-
-    diag = {"snapped": int(np.sum(snapped)), "off_loop_boundary": off_loop,
-            "cells": len(cells)}
-    return CapMesh(config, nodes, weights, cells, is_boundary, loop, diag)
+    is_boundary = np.zeros(len(nodes), dtype=bool)
+    is_boundary[loop] = True
+    return CapMesh(config, nodes, weights, cells, is_boundary, loop,
+                   {"snapped": int(np.sum(snapped))})
 
 
 def _walk_boundary(cells, is_boundary, nodes):
@@ -617,9 +627,7 @@ def _walk_boundary(cells, is_boundary, nodes):
     if len(loop) != len(adj):
         raise MeshConstructionError("boundary walk did not close into a single loop")
     loop = np.asarray(loop, dtype=np.int64)
-    xy = nodes[loop][:, :2]
-    signed = 0.5 * float(np.sum(xy[:, 0] * np.roll(xy[:, 1], -1) - np.roll(xy[:, 0], -1) * xy[:, 1]))
-    if signed < 0:
+    if signed_area(nodes[loop][:, :2]) < 0:
         loop = loop[::-1].copy()
     return loop
 
@@ -671,8 +679,7 @@ def _build_mesh_1d(config: CapConfig) -> CapMesh:
     is_boundary = np.zeros(m + 1, dtype=bool)
     is_boundary[0] = is_boundary[-1] = True
     loop = np.array([0, m], dtype=np.int64)
-    diag = {"arc": (float(lo), float(hi)), "cells": m}
-    return CapMesh(config, nodes, weights, cells, is_boundary, loop, diag)
+    return CapMesh(config, nodes, weights, cells, is_boundary, loop, {})
 
 
 def build_cap_mesh(config: CapConfig) -> CapMesh:

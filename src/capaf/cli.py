@@ -13,8 +13,8 @@ case over the config's seeds, and one convergence-table builder.  A
 `RunContext` owns the study schedule, the strictly increasing mesh levels
 every decay study visits: max(1, L-2)..L for `verify` at config level L
 (just 0 at L0), exactly A..B for `study converge --levels A..B`.  It
-generates every random body on the last of them and rebinds it onto the
-others.
+generates every random body on the last of them and rebinds it onto each
+study level's mesh, the last one included.
 
 Exit codes: 0 all checks passed, 1 some check failed (or a body could not
 be generated), 2 usage or configuration error.  Identical configs produce
@@ -62,7 +62,6 @@ class RunContext:
         self.levels = levels
         self._meshes = {}
         self._bodies = {}
-        self._rebound = {}
 
     @property
     def analytic(self) -> bool:
@@ -78,24 +77,25 @@ class RunContext:
             self._meshes[level] = build_cap_mesh(self.cfg.cap_config(level))
         return self._meshes[level]
 
-    def body(self, seed):
-        """Random body `seed`, generated on the default mesh."""
-        if seed not in self._bodies:
-            self._bodies[seed] = random_capillary_body(self.mesh(), seed)
-        return self._bodies[seed]
-
-    def body_tuple(self, seed, count):
-        return [self.body(seed * 101 + j) for j in range(count)]
-
-    def study_body(self, seed, level):
-        """Body `seed` rebound onto the level-`level` mesh."""
+    def body(self, seed, level=None):
+        """Random body `seed`: generated on the default mesh (level None), or
+        that body rebound onto the level-`level` mesh of a study."""
         key = (seed, level)
-        if key not in self._rebound:
-            self._rebound[key] = rebind(self.body(seed), self.mesh(level))
-        return self._rebound[key]
+        if key not in self._bodies:
+            self._bodies[key] = (random_capillary_body(self.mesh(), seed) if level is None
+                                 else rebind(self.body(seed), self.mesh(level)))
+        return self._bodies[key]
 
-    def study_tuple(self, seed, count, level):
-        return [self.study_body(seed * 101 + j, level) for j in range(count)]
+    def bodies(self, seed, count, level=None):
+        """The `count` bodies of a tuple: seeds seed * 101 + j, j < count."""
+        return [self.body(seed * 101 + j, level) for j in range(count)]
+
+
+def _shifted(body, dx):
+    """Body translated by dx along the first horizontal axis."""
+    v = np.zeros(body.mesh.dim)
+    v[0] = dx
+    return translate_horizontal(body, v)
 
 
 def _report_record(suite, name, inputs, rep) -> CheckRecord:
@@ -161,13 +161,13 @@ def _worst(values):
 
 def _minkowski_residual(ctx, level, k):
     """|Residual of the capillary Minkowski formula of order k|."""
-    return _worst(abs(fn.minkowski_formula_residual(ctx.study_body(seed, level), k))
+    return _worst(abs(fn.minkowski_formula_residual(ctx.body(seed, level), k))
                   for seed in ctx.cfg.seeds)
 
 
 def _symmetry_deviations(ctx, level):
     """(swap, trailing-permutation) deviations of the slot form over its scale."""
-    outs = [fn.symmetry_check(ctx.study_tuple(seed, ctx.cfg.n + 1, level))
+    outs = [fn.symmetry_check(ctx.bodies(seed, ctx.cfg.n + 1, level))
             for seed in ctx.cfg.seeds]
     return (_worst(o["swap_deviation"] / o["scale"] for o in outs),
             _worst(o["trailing_deviation"] / o["scale"] for o in outs))
@@ -183,7 +183,7 @@ def _selfadjoint_deviation(ctx, level):
     def deviation(bods):
         return fn.operator_selfadjoint_deviation(bods[0], bods[1], bods[2:])
 
-    return _worst(deviation(ctx.study_tuple(seed, ctx.cfg.n + 1, level))
+    return _worst(deviation(ctx.bodies(seed, ctx.cfg.n + 1, level))
                   for seed in ctx.cfg.seeds)
 
 
@@ -253,7 +253,7 @@ def _run_routes(ctx: RunContext):
     route_tol = tol["routes_analytic"]
     records = []
     for seed in cfg.seeds:
-        bods = ctx.body_tuple(seed, cfg.n + 1)
+        bods = ctx.bodies(seed, cfg.n + 1)
         inputs = {"seed": seed, "level": cfg.mesh_level}
         va, ve, vp = (fn.mixed_volume(bods, route=r).value
                       for r in ("anisotropic", "euclidean", "polyfit"))
@@ -269,12 +269,10 @@ def _run_routes(ctx: RunContext):
             fn.InequalityReport.identity(
                 "diagonal", fn.mixed_volume_value([body] * (cfg.n + 1)),
                 fn.volume(body), route_tol)))
-        v = np.zeros(cfg.n + 1)
-        v[0] = 0.08
-        vt = translate_horizontal(body, v)
         records.append(_report_record(
             "routes", f"translation-invariance.seed{seed}", inputs,
-            fn.InequalityReport.identity("translation", fn.volume(vt), fn.volume(body), 1e-10)))
+            fn.InequalityReport.identity("translation", fn.volume(_shifted(body, 0.08)),
+                                         fn.volume(body), 1e-10)))
         scaled = minkowski_combine([body], [1.7])
         records.append(_report_record(
             "routes", f"scaling.seed{seed}", inputs,
@@ -288,14 +286,12 @@ def _run_af(ctx: RunContext):
     tol = cfg.tolerances
     records = []
     for seed in cfg.seeds:
-        bods = ctx.body_tuple(seed, cfg.n + 1)
+        bods = ctx.bodies(seed, cfg.n + 1)
         inputs = {"seed": seed, "level": cfg.mesh_level}
         records.append(_report_record("af", f"inequality.seed{seed}", inputs,
                                       fn.af_inequality_check(bods, tol=tol["af_gap"])))
         k2 = bods[1]
-        v = np.zeros(cfg.n + 1)
-        v[0] = 0.1
-        k1 = translate_horizontal(minkowski_combine([k2], [2.0]), v)
+        k1 = _shifted(minkowski_combine([k2], [2.0]), 0.1)
         records.append(_report_record(
             "af", f"equality-case.seed{seed}", inputs,
             fn.af_inequality_check([k1, k2] + bods[2:], tol=tol["af_equality"],
@@ -317,7 +313,7 @@ def _run_chain(ctx: RunContext):
                 records.append(_report_record(
                     "chain", f"querm-k{k}-l{l}.seed{seed}", inputs,
                     fn.quermassintegral_chain_check(body, k, l, tol=tol["chain_gap"])))
-        others = ctx.body_tuple(seed, n + 1)
+        others = ctx.bodies(seed, n + 1)
         for m in range(2, n + 2):
             trailing = others[2:2 + (n + 1 - m)]
             for i, j, k in itertools.combinations(range(m + 1), 3):
@@ -331,10 +327,8 @@ def _run_chain(ctx: RunContext):
         fn.quermassintegral_chain_check(wulff, cfg.n, 0, tol=tol["chain_equality"],
                                         equality_expected=True)))
     k1 = ctx.body(max(cfg.seeds) + 977)
-    v = np.zeros(cfg.n + 1)
-    v[0] = 0.07
-    k0 = translate_horizontal(minkowski_combine([k1], [1.4]), v)
-    trailing = ctx.body_tuple(max(cfg.seeds) + 978, cfg.n - 1)
+    k0 = _shifted(minkowski_combine([k1], [1.4]), 0.07)
+    trailing = ctx.bodies(max(cfg.seeds) + 978, cfg.n - 1)
     records.append(_report_record(
         "chain", "gen-equality-case", {"a": 1.4},
         fn.generalized_chain_check(k0, k1, trailing, 2, 0, 1, 2, tol=tol["chain_equality"],
@@ -367,7 +361,7 @@ def _run_symmetry(ctx: RunContext):
         _value_record("symmetry", "trailing-permutation", {"levels": levels},
                       max(trail_agg), cfg.tolerances["symmetry_trailing"])]
     # diagnostic: symmetry on differences of capillary functions (logged only)
-    b = ctx.body_tuple(max(cfg.seeds) + 5, cfg.n + 1)
+    b = ctx.bodies(max(cfg.seeds) + 5, cfg.n + 1)
     diff_bodies = [minkowski_combine([b[0]], [1.0])] + b[1:]
     out = fn.symmetry_check(diff_bodies)
     records.append(CheckRecord("symmetry", "difference-experiment", digest({"note": "diagnostic"}),
@@ -425,7 +419,7 @@ def _run_operator(ctx: RunContext):
     levels = ctx.levels
     for seed in cfg.seeds:
         inputs = {"seed": seed, "level": cfg.mesh_level}
-        trailing = ctx.body_tuple(seed, cfg.n - 1)
+        trailing = ctx.bodies(seed, cfg.n - 1)
         f2 = trailing[0]
         ag = fn.operator_a_apply(f2, trailing)
         records.append(_value_record(
@@ -548,9 +542,8 @@ def _cmd_body_gen(args) -> int:
 def _divergence_residual(ctx, level):
     """Divergence identity residual of body seeds[0] against body seeds[0] + 1."""
     seed = ctx.cfg.seeds[0]
-    trailing = [ctx.study_body(seed + 1, level)] * (ctx.cfg.n - 1)
-    return fn.divergence_identity_check(ctx.study_body(seed, level),
-                                        trailing)["max_residual"]
+    trailing = [ctx.body(seed + 1, level)] * (ctx.cfg.n - 1)
+    return fn.divergence_identity_check(ctx.body(seed, level), trailing)["max_residual"]
 
 
 # study check -> per-level value (ctx, level); minkowski and kernel take the

@@ -10,9 +10,10 @@ the derivative of the boundary map vanishes identically).
 Two curvature-radii routes live here:
 
 * the generator route: tau_kl = G(D_{e_k} X, e_l) with X = Ds, in closed
-  form from the field's Hessian: the parameter velocity of e_k is
-  v_k = A_F^{-1} e_k (chain rule d(xi) = A_F dx), so D_{e_k} X = D^2 s v_k;
-  and
+  form from the field's Hessian (capgeom.radii_form): the parameter
+  velocity of e_k is v_k = A_F^{-1} e_k (chain rule d(xi) = A_F dx), so
+  D_{e_k} X = D^2 s v_k; the mesh applies the same form to F's own Hessian
+  for the unit cap's radii, cap_tau; and
 * the intrinsic route: tau = (covariant Hessian) + f g - Q(., ., grad f)/2
   evaluated by second differences along quadratic geodesic Taylor curves
   re-projected onto the cap, with a caller-chosen step (tied to the mesh
@@ -36,7 +37,7 @@ import itertools
 
 import numpy as np
 
-from .capgeom import CapMesh
+from .capgeom import CapMesh, radii_form
 from .errors import InvalidInputError
 from .norms import MinkowskiNorm, _Homogeneous, _sum_jets, _zonal, unit_rows
 
@@ -200,20 +201,10 @@ def kernel_field(mesh: CapMesh, alpha: int) -> LinearField:
 # ---------------------------------------------------------------------------
 
 
-def radii_form(hess, frame, g, vel):
-    """Raw radii matrices tau_kl = G(D^2 s . v_k, e_l), (K, n, n).
-
-    hess is D^2 s at K points, frame the frame vectors e_k there (K, n, d),
-    g the metric G and vel the parameter velocities v_k = A_F^{-1} e_k as
-    columns (K, d, n) (see `capgeom.parameter_velocities`).
-    """
-    return np.swapaxes(frame @ (g @ (hess @ vel)), 1, 2)
-
-
 def tau_from_generator(mesh: CapMesh, field: SupportField):
     """Radii matrices in the g-ring orthonormal frame at every node.
 
-    The field's Hessian at the nodes through `radii_form`.  Returns
+    The field's Hessian at the nodes through `capgeom.radii_form`.  Returns
     (tau_symmetrized, tau_raw), both (N, n, n).  The route is linear in the
     field, so bodies sum raw parts and symmetrize once.
     """

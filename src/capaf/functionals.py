@@ -30,10 +30,10 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .bodies import CapillaryBody
-from .capgeom import CapMesh, parameter_velocities, region_residual
+from .capgeom import (CapMesh, parameter_velocities, radii_form, region_residual,
+                      signed_area)
 from .errors import ConvexityViolationError, InvalidInputError
-from .fields import (SupportField, _geodesic_points, intrinsic_tau, kernel_evaluator,
-                     radii_form)
+from .fields import SupportField, _geodesic_points, intrinsic_tau, kernel_evaluator
 from .mixdisc import mixed_disc_gradient, mixed_discriminant_batch
 from .norms import sym_eig_det, tangent_basis
 
@@ -189,10 +189,7 @@ def _mv_polyfit(bodies) -> tuple:
     grid_axis = (0.5, 1.0, 1.5, 2.0)
     grid = list(itertools.product(grid_axis, repeat=m))
     rows_needed = min(len(grid), ncoef + 2)
-    stride = max(1, len(grid) // rows_needed)
-    picked = grid[::stride][:rows_needed]
-    if len(picked) < ncoef:
-        picked = grid[:ncoef + 2]
+    picked = grid[::max(1, len(grid) // rows_needed)][:rows_needed]
     a = np.empty((len(picked), ncoef))
     y = np.empty(len(picked))
     for r, lam in enumerate(picked):
@@ -305,9 +302,7 @@ def flat_face_measure(body: CapillaryBody) -> float:
     loop = mesh.boundary_loop
     pts = body.X[loop] - body.anchor[None, :]
     if mesh.n == 2:
-        xy = pts[:, :2]
-        return abs(0.5 * float(np.sum(
-            xy[:, 0] * np.roll(xy[:, 1], -1) - np.roll(xy[:, 0], -1) * xy[:, 1])))
+        return abs(signed_area(pts[:, :2]))
     return float(abs(pts[0, 0] - pts[1, 0]))
 
 
@@ -338,9 +333,7 @@ def minkowski_formula_residual(body: CapillaryBody, k: int) -> float:
     n = mesh.n
     if not 0 <= k <= n - 1:
         raise InvalidInputError(f"k={k} outside [0, {n - 1}]")
-    g_term = 1.0 + mesh.omega0 * (mesh.nodes @ mesh.EF) / mesh.F_vals
-    u_hat = body.shat
-    vals = body.H[:, k] * g_term - body.H[:, k + 1] * u_hat
+    vals = body.H[:, k] * mesh.cap_shat - body.H[:, k + 1] * body.shat
     return float(np.sum(mesh.weights * body.detW * mesh.F_vals * vals))
 
 
@@ -380,15 +373,11 @@ def steiner_check(body: CapillaryBody, t_grid=None, tol: float = 1e-4) -> Inequa
 
 def _stencil_safe_interior(mesh: CapMesh, margin: float):
     """Interior nodes farther than `margin` (arc length) from every boundary
-    node, and the count of interior nodes left out."""
+    node, and the count of interior nodes left out.  The boundary is never
+    empty: both mesh builders fail on a region without one."""
     interior = mesh.interior_idx
-    if len(mesh.boundary_idx):
-        bx = mesh.nodes[mesh.boundary_idx]
-        dots = mesh.nodes[interior] @ bx.T
-        arc = np.arccos(np.clip(np.max(dots, axis=1), -1.0, 1.0))
-        ok = arc > margin
-    else:
-        ok = np.ones(len(interior), dtype=bool)
+    dots = mesh.nodes[interior] @ mesh.nodes[mesh.boundary_idx].T
+    ok = np.arccos(np.clip(np.max(dots, axis=1), -1.0, 1.0)) > margin
     if not np.any(ok):
         raise InvalidInputError(
             f"no interior nodes clear the stencil margin {margin:.3g} (arc length) from "

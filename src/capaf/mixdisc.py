@@ -18,7 +18,8 @@ when A is proportional to B.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 
@@ -28,41 +29,31 @@ _SIGN = {}
 
 
 def _perm_pairs(n: int):
-    """Signed permutation pairs ((sigma, pi), sign) for the delta-sum route."""
+    """Signed permutation pairs ((sigma, pi), sign) for the delta-sum route;
+    a permutation's sign is (-1)^(its inversion count)."""
     if n not in _SIGN:
         perms = list(permutations(range(n)))
-
-        def parity(p):
-            seen = [False] * len(p)
-            sign = 1
-            for i in range(len(p)):
-                if seen[i]:
-                    continue
-                j, cycle = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-                    cycle += 1
-                if cycle % 2 == 0:
-                    sign = -sign
-            return sign
-
-        _SIGN[n] = [(s, p, parity(s) * parity(p)) for s in perms for p in perms]
+        sign = {p: (-1) ** sum(a > b for a, b in combinations(p, 2)) for p in perms}
+        _SIGN[n] = [(s, p, sign[s] * sign[p]) for s in perms for p in perms]
     return _SIGN[n]
 
 
 def _as_stack(mats) -> np.ndarray:
-    """Normalize input to an (m, B, n, n) stack of matrix batches."""
+    """Normalize the n arguments of Q, each an (n, n) matrix or a (B, n, n)
+    batch, to an (n, B, n, n) stack; also whether any argument was a batch."""
     arrs = [np.asarray(a, dtype=float) for a in mats]
-    if any(a.ndim not in (2, 3) for a in arrs):
+    if not arrs or any(a.ndim not in (2, 3) for a in arrs):
         raise InvalidInputError("matrices must have shape (n, n) or (B, n, n)")
+    n = arrs[0].shape[-1]
+    if any(a.shape[-2:] != (n, n) for a in arrs):
+        raise InvalidInputError("matrices must share one size")
+    if len(arrs) != n:
+        raise InvalidInputError(
+            f"mixed discriminant of {n}x{n} matrices needs {n} arguments, got {len(arrs)}")
     batched = any(a.ndim == 3 for a in arrs)
     arrs = [a[None] if a.ndim == 2 else a for a in arrs]
     b = max(a.shape[0] for a in arrs)
     arrs = [np.broadcast_to(a, (b,) + a.shape[1:]) for a in arrs]
-    n = arrs[0].shape[-1]
-    if any(a.shape[-2:] != (n, n) for a in arrs):
-        raise InvalidInputError("matrices must share one size")
     return np.stack(arrs, axis=0), batched
 
 
@@ -70,14 +61,9 @@ def mixed_discriminant(mats, route: str = "delta") -> np.ndarray:
     """Q(A_1, ..., A_n) of a list of (n, n) matrices or (B, n, n) batches;
     route in {'delta', 'subset'}."""
     stack, batched = _as_stack(mats)
-    m, b, n, _ = stack.shape
-    if m != n:
-        raise InvalidInputError(f"mixed discriminant of {n}x{n} matrices needs {n} arguments")
     if route == "subset":
         out = _subset_route(stack)
     elif route == "delta":
-        if n > 3:
-            raise InvalidInputError("delta-sum route implemented for n <= 3")
         out = _delta_route(stack)
     else:
         raise InvalidInputError(f"unknown route {route!r}")
@@ -86,6 +72,8 @@ def mixed_discriminant(mats, route: str = "delta") -> np.ndarray:
 
 def _delta_route(stack: np.ndarray) -> np.ndarray:
     n = stack.shape[-1]
+    if n > 3:
+        raise InvalidInputError("delta-sum route implemented for n <= 3")
     if n == 1:
         return stack[0, :, 0, 0].copy()
     if n == 2:
@@ -108,10 +96,7 @@ def _subset_route(stack: np.ndarray) -> np.ndarray:
         idx = [k for k in range(n) if mask >> k & 1]
         s = stack[idx].sum(axis=0)
         out += (-1.0) ** (n - len(idx)) * np.linalg.det(s)
-    fact = 1.0
-    for k in range(2, n + 1):
-        fact *= k
-    return out / fact
+    return out / factorial(n)
 
 
 def mixed_disc_gradient(mats) -> np.ndarray:
@@ -122,9 +107,7 @@ def mixed_disc_gradient(mats) -> np.ndarray:
     positive definite when all arguments are.
     """
     stack, batched = _as_stack(mats)
-    m, b, n, _ = stack.shape
-    if m != n:
-        raise InvalidInputError("gradient needs the full n-argument tuple")
+    _, b, n, _ = stack.shape
     if n == 1:
         out = np.ones((b, 1, 1))
     elif n == 2:

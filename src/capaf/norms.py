@@ -352,12 +352,9 @@ class MinkowskiNorm(_Homogeneous):
     # -- diagnostics ----------------------------------------------------------
 
     def validation_sample(self) -> np.ndarray:
-        from .capgeom import icosphere_vertices
+        from .capgeom import sphere_sample
 
-        if self.dim == 3:
-            return icosphere_vertices(5)
-        phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        return sphere_sample(self.dim, 5, 4096)
 
     def descriptor(self) -> dict:
         raise NotImplementedError

@@ -373,6 +373,28 @@ def test_bodies_on_one_mesh_reuse_its_parameter_velocities(monkeypatch, model_fa
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name,w0", CASES)
+def test_mesh_and_its_bodies_differentiate_F_at_the_nodes_once(monkeypatch, model_factory,
+                                                                  name, w0):
+    # the mesh's own jet of F serves its caches and the unit cap's radii, so
+    # building a body, the unit cap included, takes no second D^2F there
+    model = model_factory(name)
+    cls = type(model)
+    seen = []
+
+    def recording(self, x, order, real=cls._derivative):
+        seen.append((np.array(x), order))
+        return real(self, x, order)
+
+    monkeypatch.setattr(cls, "_derivative", recording)
+    mesh = build_cap_mesh(CapConfig(2, w0, model, mesh_level=3))
+    random_capillary_body(mesh, 5)
+    assert mesh.cap_body.convex
+    at_nodes = [order for x, order in seen if order >= 2 and x.shape == mesh.nodes.shape
+                and np.array_equal(x, mesh.nodes)]
+    assert at_nodes == [2]
+
+
 def test_kernel_pass_solves_once_per_stencil_point(monkeypatch, mesh_factory):
     # n(n+1) projection solves, warm from the nodes; the metric at each
     # projected point is read at the projection's maximizer, with no solve

@@ -471,6 +471,28 @@ def test_mesh_and_body_state_has_a_reader():
     assert {name.split(".")[1] for name in TEST_ONLY_STATE} <= test_read
 
 
+# capaf's modules in layer order, bottom up, and the imports that reach a
+# layer above: the norm's validation sample and the mesh's unit cap body
+LAYER_ORDER = ("errors", "norms", "fd", "capgeom", "fields", "bodies", "mixdisc",
+               "functionals", "config", "report", "cli")
+UPWARD_IMPORTS = {("norms", "capgeom"), ("capgeom", "bodies")}
+
+
+def test_no_module_imports_a_layer_above_it_but_the_named_two():
+    """Relative imports anywhere in a module, function-level ones included."""
+    root = Path(__file__).resolve().parents[1] / "src/capaf"
+    assert {p.stem for p in root.glob("*.py")} == {"__init__", *LAYER_ORDER}
+    rank = {name: k for k, name in enumerate(LAYER_ORDER)}
+    upward = set()
+    for name in LAYER_ORDER:
+        tree = ast.parse((root / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward |= {(name, t) for t in targets if rank[t] > rank[name]}
+    assert upward == UPWARD_IMPORTS
+
+
 # Public, and read by no capaf run: independent routes that the tests compare
 # capaf against, and what only they read
 REFERENCE_ROUTES = {

@@ -156,6 +156,17 @@ def test_tuple_validation():
         mixed_discriminant([np.eye(2)])
 
 
+def test_every_entry_point_takes_exactly_n_arguments():
+    # three 2x2 stacks once read as Q(I, 2I) = 2 in the batched route, and
+    # two 3x3 stacks stopped there with a bare IndexError
+    eye2 = np.broadcast_to(np.eye(2), (4, 2, 2))
+    eye3 = np.broadcast_to(np.eye(3), (4, 3, 3))
+    for mats in ([eye2, 2.0 * eye2, 5.0 * eye2], [eye3, eye3]):
+        for func in (mixed_discriminant_batch, mixed_discriminant, mixed_disc_gradient):
+            with pytest.raises(InvalidInputError, match="needs"):
+                func(mats)
+
+
 def test_batched_matches_scalar():
     rng = np.random.default_rng(9)
     a = np.stack([spd(rng, 2) for _ in range(6)])
