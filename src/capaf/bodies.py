@@ -116,21 +116,28 @@ class CapillaryBody:
         self.min_w_eig = float(np.min(w_ev[:, 0]))
         self.min_tau_eig = float(np.min(radii[:, 0]))
         self.convex = bool(self.min_w_eig > 0 and self.min_tau_eig > 0)
-        bd = mesh.boundary_idx
-        self.boundary_plane_dev = float(np.max(np.abs(self.X[bd, -1])))
-        halfspace_min = float(np.min(self.X[:, -1]))
-        self.capillary = bool(self.boundary_plane_dev <= 1e-6 * max(1.0, float(np.max(np.abs(self.s))))
-                              and halfspace_min >= -1e-9)
+        # one bound, relative to the body's extent max |X|, for the boundary
+        # plane and the half-space, so a Minkowski multiple of a capillary
+        # body is one (max |s| can be far smaller on a thin cap)
+        self.capillary_bound = 1e-6 * float(np.max(np.linalg.norm(self.X, axis=-1)))
+        self.boundary_plane_dev = float(np.max(np.abs(self.X[mesh.boundary_idx, -1])))
+        self.halfspace_min = float(np.min(self.X[:, -1]))
+        self.capillary = bool(self.boundary_plane_dev <= self.capillary_bound
+                              and self.halfspace_min >= -self.capillary_bound)
 
     def _validate(self):
         if not self.convex:
             raise ConvexityViolationError(
                 f"body not strictly convex (min W eig {self.min_w_eig:.3e}, "
                 f"min tau eig {self.min_tau_eig:.3e})")
+        if self.boundary_plane_dev > self.capillary_bound:
+            raise InvalidInputError(
+                f"body violates the capillary boundary condition: boundary plane deviation "
+                f"{self.boundary_plane_dev:.3e} above the bound {self.capillary_bound:.3e}")
         if not self.capillary:
             raise InvalidInputError(
-                f"body violates the capillary boundary condition "
-                f"(plane deviation {self.boundary_plane_dev:.3e})")
+                f"body leaves the half-space: lowest height {self.halfspace_min:.3e} below "
+                f"-{self.capillary_bound:.3e}")
 
     # ------------------------------------------------------------------ views
 

@@ -653,7 +653,12 @@ def _build_mesh_1d(config: CapConfig) -> CapMesh:
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     roots = sorted(np.concatenate([phis[rv == 0.0], 0.5 * (lo + hi)]).tolist())
     if len(roots) < 2:
-        raise MeshConstructionError(f"expected two region boundary angles, found {len(roots)}")
+        # the scan does not depend on the mesh level: only omega0 can help
+        raise MeshConstructionError(
+            f"expected two region boundary angles, found {len(roots)} at mesh level "
+            f"{config.mesh_level} (omega0 = {omega0:g}); the region or its complement is "
+            f"narrower than the {m0}-angle boundary scan resolves at every mesh level, and an "
+            f"omega0 farther from the ends of its admissible interval helps")
     # pick the arc (cyclically) whose midpoint lies inside the region
     best = None
     for i in range(len(roots)):

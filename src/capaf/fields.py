@@ -233,9 +233,11 @@ def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: floa
     anisotropic curvature; the O(t^3) defect is odd in t, so symmetric
     differences stay second-order after re-projection, a radial rescaling
     onto {F0 = 1}.  Returns ((z_plus, x_plus), (z_minus, x_minus)): the
-    maximizer x of <x, p>/F(x) in the projection's dual solve, warm from
-    the nodes, does not move when p is scaled, so it is the projected
-    point's Gauss preimage.
+    maximizer x of <x, p>/F(x) in the projection's dual solve does not move
+    when p is scaled, so it is the projected point's Gauss preimage.  The
+    solve for z +- t v + (1/2) t^2 a starts from the node's preimage moved to
+    first order in t, x +- t dx, where dx applies the mesh's parameter
+    velocities (CapMesh.vel, columns A_F^-1 e_k) to the frame coefficients.
     """
     z = mesh.psi[idx]
     fr = mesh.frame[idx]
@@ -246,7 +248,9 @@ def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: floa
     acc = -vnorm2[:, None] * z - 0.5 * np.einsum("bl,bld->bd", qvv, fr)
     plus = z + step * v_amb + 0.5 * step**2 * acc
     minus = z - step * v_amb + 0.5 * step**2 * acc
-    solves = (mesh.model.dual_value(p, mesh.nodes[idx]) for p in (plus, minus))
+    dx = step * np.einsum("bdk,bk->bd", mesh.vel[idx], vel)
+    warm = mesh.nodes[idx]
+    solves = (mesh.model.dual_value(p, w) for p, w in ((plus, warm + dx), (minus, warm - dx)))
     return tuple((p / f0[:, None], x) for p, (f0, x) in zip((plus, minus), solves))
 
 

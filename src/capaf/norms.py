@@ -26,16 +26,22 @@ jet/value/grad/hess for one point (d,) or a batch (B, d), rejecting the zero
 vector; each class computes the jet [D^0, ..., D^order] (order 0-3, 0-2 for
 support fields) in one pass, _derivative(x, order), on nonzero rows (B, d),
 and one in-place sum, _sum_jets, adds the jets of a linear combination.
-Every family's derivatives are closed form, so no path differences F.
+Every family's derivatives are closed form, so no path differences F.  The
+single-term zonal chain, _zonal, serves PerturbTerm and the bump support
+fields of fields.py; the perturbed norm does not sum its terms' jets but
+folds all its terms into one closed-form jet (PerturbedNorm._derivative),
+sharing |x|, x^ and the projector, so that each term adds only a few
+elementwise accumulations; the tests check it against PerturbTerm's chain.
 Every family evaluates its dual norm together with the maximizer (the
 Gauss preimage) as dual_value(xi, x_warm) -> (F0, x); the perturbed family
 runs a damped Newton ascent on the sphere from the approximate Gauss
 preimages x_warm, one row per xi (the other families ignore x_warm), and
-stops at once from an exact one.  Its one caller projects off-mesh stencil
-points onto the Wulff shape, warm from the mesh nodes they leave, and the
-maximizer is then the projected point's preimage.
-The zonal terms' derivative chain, _zonal, is shared with the bump support
-fields of fields.py.
+stops at once from an exact one.  The ascent takes one order-2 jet of F per
+step, the accepted candidate's, and reads F0 from the final jet.  Its one
+caller (fields._geodesic_points) projects off-mesh stencil points onto the
+Wulff shape, warm from the nodes' preimages moved to first order along the
+mesh's parameter velocities, and the maximizer is then the projected
+point's preimage.
 
 G and Q are closed form for every family.  (1/2) F^2 and (1/2) F0^2 are
 Legendre conjugates (Rockafellar, Convex Analysis, Thm 26.5), so their
@@ -460,8 +466,8 @@ class EllipsoidNorm(MinkowskiNorm):
 class PerturbedNorm(MinkowskiNorm):
     """Base family plus smooth zonal terms.
 
-    Every derivative of F is the closed-form sum of the base's and the
-    terms' jets; the dual solve, the validation and the base class's G/Q
+    Every derivative of F is the base's jet plus one folded closed-form jet
+    of the zonal terms; the dual solve, the validation and the base class's G/Q
     (Legendre duality at a known Gauss preimage, see the module docstring)
     read them through jet.  Construction validates F > 0 and A_F > 0 on a
     dense sphere sample and fails loudly otherwise.
@@ -473,13 +479,61 @@ class PerturbedNorm(MinkowskiNorm):
         self.base = base
         self.terms = tuple(terms)
         self.dim = base.dim
+        self._centers = np.array([t.center for t in self.terms]).reshape(len(self.terms), self.dim)
         self.validate()
 
     # primal
 
     def _derivative(self, x, order):
-        """The base's jet plus every term's, each order summed in order."""
-        return _sum_jets((self.base,) + self.terms, (1.0,) * (len(self.terms) + 1), x, order)
+        """The base's jet plus one closed-form jet of the zonal sum
+        Z = sum_t a_t |x| g_t(u_t), u_t = <x^, c_t>, p_t = c_t - u_t x^:
+
+            DZ   = alpha x^ + sum_t a_t g1_t c_t,  alpha = sum_t a_t (g_t - u_t g1_t),
+            D^2Z = (alpha P + S) / r,              S = sum_t a_t g2_t p_t p_t^T,
+            D^3Z = (sum_t a_t g3_t p_t p_t p_t - sym_3(P, w + alpha x^)
+                    - sym_3(S, x^)) / r^2,         w = sum_t a_t u_t g2_t p_t,
+
+        where gk_t is the k-th derivative of term t's profile.  r, x^ and P =
+        I - x^ x^T are computed once; each term adds into row-local
+        accumulators, elementwise and in term order, so every order comes out
+        of the same arithmetic.  PerturbTerm._derivative is the per-term chain.
+        """
+        jet = self.base._derivative(x, order)
+        b, d = x.shape
+        r = np.linalg.norm(x, axis=-1)
+        xh = x / r[:, None]
+        u = np.einsum("bi,ti->bt", xh, self._centers)
+        val = np.zeros(b)
+        if order > 0:
+            alpha, tan = np.zeros(b), np.zeros((b, d))
+        if order > 1:
+            s2 = np.zeros((b, d, d))
+        if order > 2:
+            w, t3 = np.zeros((b, d)), np.zeros((b, d, d, d))
+        for k, term in enumerate(self.terms):
+            uk, c = u[:, k], self._centers[k]
+            g = [term.amplitude * gk for gk in term._profile(uk, order)]
+            val += g[0]
+            if order > 0:
+                alpha += g[0] - uk * g[1]
+                tan += g[1][:, None] * c
+            if order > 1:
+                p = c - uk[:, None] * xh
+                pp = p[:, :, None] * p[:, None, :]
+                s2 += g[2][:, None, None] * pp
+            if order > 2:
+                w += (uk * g[2])[:, None] * p
+                t3 += pp[:, :, :, None] * (g[3][:, None] * p)[:, None, None, :]
+        jet[0] += r * val
+        if order > 0:
+            jet[1] += alpha[:, None] * xh + tan
+        if order > 1:
+            proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
+            jet[2] += (alpha[:, None, None] * proj + s2) / r[:, None, None]
+        if order > 2:
+            t3 -= _sym3(proj, w + alpha[:, None] * xh) + _sym3(s2, xh)
+            jet[3] += t3 / r[:, None, None, None] ** 2
+        return jet
 
     def validate(self):
         """F > 0 and A_F > 0 at every node of the validation sample, else a
@@ -505,32 +559,33 @@ class PerturbedNorm(MinkowskiNorm):
                 node=pts[i],
             )
 
-    # dual: damped Newton ascent of <y, xi>/F(y) over the sphere
-
-    def _phi(self, y, xi):
-        return np.einsum("bi,bi->b", y, xi) / self.value(y)
+    # dual: damped Newton ascent of phi(y) = <y, xi>/F(y) over the sphere
 
     def _newton_ascend(self, y, xi):
-        """Damped Newton on the sphere, at most 30 steps, batched, stepping
-        only the rows whose relative tangent gradient is still above 1e-12
-        (gathered, then scattered back); returns (y, residual)."""
-        y = y.copy()
-        scale = np.linalg.norm(xi, axis=-1)
-        res = np.full(len(y), np.inf)
+        """Damped Newton on the sphere, at most 30 steps, batched.  A row
+        steps while its relative tangent gradient is above 1e-12; a converged
+        row is set aside, and the solve carries only the live rows (no gather
+        or scatter while every row is live).  One order-2 jet of F per step:
+        the jet taken at an accepted candidate is the next step's.  Returns
+        (y, phi, residual), phi = <y, xi>/F(y) from the final jet."""
+        y, phi, res = y.copy(), np.empty(len(y)), np.full(len(y), np.inf)
         live = np.arange(len(y))
+        yl, xl, scale = y, xi, np.linalg.norm(xi, axis=-1)
+        f, df, d2f = self._derivative(yl, 2)
         for _ in range(30):
-            yl, xl = y[live], xi[live]
-            f, df, d2f = self.jet(yl, 2)
             gam = np.einsum("bi,bi->b", yl, xl) / f  # current phi
             grad_phi = xl / f[:, None] - gam[:, None] * df / f[:, None]
             tb = tangent_basis(yl)
             gt = np.einsum("bki,bi->bk", tb, grad_phi)
-            res[live] = np.linalg.norm(gt, axis=-1) / np.maximum(scale[live], _EPS)
-            active = res[live] > 1e-12
-            if not np.any(active):
-                break
-            live = live[active]
-            yl, xl, f, df, d2f, gam, tb, gt = (a[active] for a in (yl, xl, f, df, d2f, gam, tb, gt))
+            rl = np.linalg.norm(gt, axis=-1) / np.maximum(scale, _EPS)
+            active = rl > 1e-12
+            if not np.all(active):
+                done = ~active
+                y[live[done]], phi[live[done]], res[live[done]] = yl[done], gam[done], rl[done]
+                if not np.any(active):
+                    return y, phi, res
+                live, yl, xl, scale, f, df, d2f, gam, tb, gt, rl = (
+                    a[active] for a in (live, yl, xl, scale, f, df, d2f, gam, tb, gt, rl))
             h = (
                 -(xl[:, :, None] * df[:, None, :] + df[:, :, None] * xl[:, None, :]) / f[:, None, None] ** 2
                 - gam[:, None, None] * d2f / f[:, None, None]
@@ -542,18 +597,31 @@ class PerturbedNorm(MinkowskiNorm):
                 step = np.linalg.solve(-(ht - reg), gt[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 step = gt
-            # damping: backtrack until phi does not decrease
-            t = np.ones(len(live))
-            ynew = yl.copy()
-            for _ in range(30):
-                cand = unit_rows(yl + np.einsum("bk,bkd->bd", t[:, None] * step, tb))
-                ok = self._phi(cand, xl) >= gam - 1e-15
-                ynew = np.where(ok[:, None], cand, ynew)
+            yl, (f, df, d2f) = self._damped_step(yl, xl, gam, step, tb, [f, df, d2f])
+        y[live], phi[live], res[live] = yl, np.einsum("bi,bi->b", yl, xl) / f, rl
+        return y, phi, res
+
+    def _damped_step(self, y, xi, gam, step, tb, jet):
+        """Rows y moved along their Newton steps, each step halved (at most 30
+        times) until phi does not decrease; a row that never passes stays
+        put.  Returns the new rows and F's order-2 jet there: the ascent test
+        reads the candidate's own jet, so an accepted step costs one jet."""
+        t, rows, out = np.ones(len(y)), slice(None), None
+        for _ in range(30):
+            cand = unit_rows(y[rows] + np.einsum("bk,bkd->bd", t[rows, None] * step[rows], tb[rows]))
+            cjet = self._derivative(cand, 2)
+            ok = np.einsum("bi,bi->b", cand, xi[rows]) / cjet[0] >= gam[rows] - 1e-15
+            if out is None:
                 if np.all(ok):
-                    break
-                t = np.where(ok, t, t * 0.5)
-            y[live] = ynew
-        return y, res
+                    return cand, cjet  # the full step, for every row
+                out, rows = [y.copy()] + [a.copy() for a in jet], np.arange(len(y))
+            for acc, new in zip(out, [cand] + cjet):
+                acc[rows[ok]] = new[ok]
+            rows = rows[~ok]
+            if len(rows) == 0:
+                break
+            t[rows] *= 0.5
+        return out[0], out[1:]
 
     def dual_value(self, xi, x_warm):
         """(F0(xi), maximizer) by a damped Newton ascent from ``x_warm``, one
@@ -562,8 +630,7 @@ class PerturbedNorm(MinkowskiNorm):
         y0 = _rows(x_warm)[0]
         if y0.shape != xi.shape:
             raise InvalidInputError("x_warm needs one row per xi")
-        yf, res = self._newton_ascend(unit_rows(y0), xi)
-        phi = self._phi(yf, xi)
+        yf, phi, res = self._newton_ascend(unit_rows(y0), xi)
         if np.any(res > 1e-6):
             raise NumericError("warm dual ascent did not converge",
                                best_value=float(np.max(phi)), residual=float(np.max(res)))

@@ -12,7 +12,7 @@ from capaf.errors import (ConvexityViolationError, GenerationError,
 from capaf.fields import (CombinationField, LinearField, SphericalBumpField,
                           WulffCapField, intrinsic_tau, kernel_evaluator,
                           kernel_field, tau_from_generator)
-from capaf.norms import PerturbedNorm, sym_eig_det
+from capaf.norms import EllipsoidNorm, PerturbedNorm, sym_eig_det
 
 CASES = [("iso3", 0.0), ("ell3", -0.4), ("pert3", -0.35)]
 
@@ -333,13 +333,15 @@ def test_kernel_pass_matches_per_field_route(mesh_factory):
 
 
 def _record_dual_solves(monkeypatch):
-    """Every PerturbedNorm.dual_value call from now on, as (xi, x_warm)."""
+    """Every PerturbedNorm.dual_value call from now on, as (xi, x_warm,
+    maximizer)."""
     real = PerturbedNorm.dual_value
     calls = []
 
     def recording(self, xi, x_warm):
-        calls.append((np.asarray(xi), np.asarray(x_warm)))
-        return real(self, xi, x_warm)
+        f0, x = real(self, xi, x_warm)
+        calls.append((np.asarray(xi), np.asarray(x_warm), x))
+        return f0, x
 
     monkeypatch.setattr(PerturbedNorm, "dual_value", recording)
     return calls
@@ -396,16 +398,60 @@ def test_mesh_and_its_bodies_differentiate_F_at_the_nodes_once(monkeypatch, mode
 
 
 def test_kernel_pass_solves_once_per_stencil_point(monkeypatch, mesh_factory):
-    # n(n+1) projection solves, warm from the nodes; the metric at each
+    # n(n+1) projection solves, warm from the nodes' preimages moved to first
+    # order along the stencil step: each +/- pair starts symmetric about its
+    # nodes, nearer the maximizer than the nodes are; the metric at each
     # projected point is read at the projection's maximizer, with no solve
     mesh = mesh_factory("pert3", -0.35, 3)
     calls = _record_dual_solves(monkeypatch)
     fn.kernel_tau_intrinsic(mesh)
     n = mesh.n
-    node_rows = {tuple(r) for r in mesh.nodes}
     assert len(calls) == n * (n + 1)
-    for _, warm in calls:
-        assert all(tuple(r) in node_rows for r in warm)
+    for (_, plus, x_plus), (_, minus, x_minus) in zip(calls[::2], calls[1::2]):
+        mid = 0.5 * (plus + minus)
+        nodes = mesh.nodes[np.argmin(np.linalg.norm(mid[:, None] - mesh.nodes[None], axis=-1), axis=1)]
+        assert np.max(np.abs(mid - nodes)) < 1e-15
+        for warm, x in ((plus, x_plus), (minus, x_minus)):
+            assert np.all(np.linalg.norm(x - warm, axis=-1) < np.linalg.norm(x - nodes, axis=-1))
+
+
+def test_dual_solve_takes_one_jet_of_f_per_newton_step(monkeypatch, mesh_factory):
+    # inside the kernel pass's projection solves, F is differentiated once at
+    # the warm start and once per Newton step (the accepted candidate's jet
+    # serves the next step and the ascent test), never at order 0; the
+    # metric reads at the maximizers, outside the solves, are not counted
+    mesh = mesh_factory("pert3", -0.35, 3)
+    inside, orders, steps = [False], [], []
+    real_derivative, real_dual, real_solve = (PerturbedNorm._derivative,
+                                              PerturbedNorm.dual_value, np.linalg.solve)
+
+    def derivative(self, x, order):
+        if inside[0]:
+            orders[-1].append(order)
+        return real_derivative(self, x, order)
+
+    def dual_value(self, xi, x_warm):
+        inside[0] = True
+        orders.append([])
+        steps.append(0)
+        try:
+            return real_dual(self, xi, x_warm)
+        finally:
+            inside[0] = False
+
+    def solve(a, b):  # one linear solve per Newton step
+        if inside[0]:
+            steps[-1] += 1
+        return real_solve(a, b)
+
+    monkeypatch.setattr(PerturbedNorm, "_derivative", derivative)
+    monkeypatch.setattr(PerturbedNorm, "dual_value", dual_value)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    fn.kernel_tau_intrinsic(mesh)
+    assert len(orders) == mesh.n * (mesh.n + 1)
+    for seen, k in zip(orders, steps):
+        assert k > 0 and 0 not in seen
+        assert seen.count(2) <= 1 + k and set(seen) == {2}
 
 
 def test_cap_support_tau_is_identity(mesh_factory):
@@ -424,6 +470,27 @@ def test_reconstruction_identity(body_factory, name, w0):
     assert body.reconstruction_residual() < _tol(name, 1e-9, 1e-6)
     dev = np.abs(np.einsum("bi,bi->b", body.X, body.mesh.nodes) - body.s)
     assert np.max(dev) < 1e-10
+
+
+def test_a_minkowski_multiple_of_a_capillary_body_is_capillary():
+    # one bound, 1e-6 of the body's largest |X|, serves the boundary plane and
+    # the half-space, so it scales with the body; on this thin level-1 cap a
+    # random screen met a body whose 1.7-fold multiple failed the absolute
+    # 1e-9 half-space test that the body itself passed
+    matrix = np.array([0.8615931742952361, -0.20129746526993839, 6.64443166272704e-161,
+                       -0.20129746526993839, 1.2415972240904647, 3.4420941228478797e-161,
+                       6.64443166272704e-161, 3.4420941228478797e-161, 0.7390972240904647])
+    mesh = build_cap_mesh(CapConfig(2, -0.8587769496868798, EllipsoidNorm(matrix.reshape(3, 3)),
+                                    mesh_level=1))
+    body = random_capillary_body(mesh, 450)
+    assert body.capillary and body.boundary_plane_dev > 1e-9
+    for lam in (1e-3, 1.7, 1e3):
+        scaled = minkowski_combine([body], [lam])
+        assert scaled.capillary
+        assert scaled.capillary_bound == pytest.approx(lam * body.capillary_bound, rel=1e-12)
+    lifted = body.field + LinearField(np.array([0.0, 0.0, 1e3 * body.capillary_bound]))
+    with pytest.raises(InvalidInputError, match="boundary plane deviation .* above the bound"):
+        CapillaryBody(mesh, lifted, {"kind": "lifted"})
 
 
 def test_horizontal_translation_covariance(body_factory):

@@ -216,6 +216,34 @@ def test_each_homogeneous_function_has_one_derivative_method():
         assert called & public == set(), func.__qualname__
 
 
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("base_family", ("isotropic", "ellipsoid"))
+def test_folded_zonal_jet_matches_the_per_term_sum(d, base_family):
+    # the perturbed norm folds its zonal terms into one jet; the oracle is the
+    # base's jet plus each term's own chain, order by order, on the
+    # validation sample at scales 1e-2..1e2, to 1e-13 of each row's largest
+    # entry of that order
+    rng = np.random.default_rng(30 + d)
+    base = (IsotropicNorm(d) if base_family == "isotropic"
+            else EllipsoidNorm(np.eye(d) + 0.1 * np.ones((d, d))))
+    kinds = (("bump", 0.4, 0.03), ("linear", 0.0, 0.1), ("quadratic", 0.0, -0.05),
+             ("bump", 0.9, -0.02))
+    terms = [PerturbTerm(kind, tuple(sample_dirs(d, 1, seed=k)[0]), width, amplitude)
+             for k, (kind, width, amplitude) in enumerate(kinds)]
+    model = PerturbedNorm(base, terms)
+    x = model.validation_sample()
+    x = x * 10.0 ** rng.uniform(-2.0, 2.0, size=(len(x), 1))
+    for order in range(4):
+        oracle = base._derivative(x, order)
+        for term in terms:
+            for acc, part in zip(oracle, term._derivative(x, order)):
+                acc += part
+        for j, (got, want) in enumerate(zip(model._derivative(x, order), oracle)):
+            scale = np.max(np.abs(want).reshape(len(x), -1), axis=1)
+            dev = np.max(np.abs(got - want).reshape(len(x), -1), axis=1)
+            assert np.all(dev <= 1e-13 * scale), (order, j, float(np.max(dev / scale)))
+
+
 @pytest.mark.parametrize("name", ("pert3", "pert2"))
 def test_perturbed_derivatives_match_fd_oracle(model_factory, name):
     # capaf.fd, Richardson-extrapolated central differences of F, is the oracle
@@ -238,12 +266,14 @@ def test_newton_batch_rows_match_solo_solves(model_factory, name):
     model = model_factory(name)
     d = model.dim
     xi = np.array([[0.2, -0.1, 1.1], [-0.5, 0.3, 0.8]])[:, -d:]
-    y0, _ = model._newton_ascend(unit_rows(xi[:1]), xi[:1])
+    y0 = model._newton_ascend(unit_rows(xi[:1]), xi[:1])[0]
     warm = np.vstack([y0, unit_rows(xi[1:])])
-    y, res = model._newton_ascend(warm, xi)
+    y, phi_newton, res = model._newton_ascend(warm, xi)
     solo = [model._newton_ascend(warm[i:i + 1], xi[i:i + 1]) for i in range(2)]
-    assert np.array_equal(y, np.vstack([s[0] for s in solo]))
-    assert np.array_equal(res, np.concatenate([s[1] for s in solo]))
+    for k, out in enumerate((y, phi_newton, res)):
+        assert np.array_equal(out, np.concatenate([s[k] for s in solo])), k
+    # phi comes from the final jet, whose value has the bits of F(y)
+    assert np.array_equal(phi_newton, np.einsum("bi,bi->b", y, xi) / model.value(y))
     assert np.array_equal(y[0], warm[0]) and not np.array_equal(y[1], warm[1])
     phi, arg = model.dual_value(xi, warm)
     with pytest.raises(InvalidInputError):
@@ -502,7 +532,8 @@ def test_perturbed_mesh_never_differences_f(monkeypatch, model_factory):
 
 def test_mesh_evaluates_f_at_its_nodes_in_one_jet(monkeypatch, model_factory):
     # F, DF, D^2F and G at the nodes all come from one jet of F's chain:
-    # one pass through the perturbed norm and each of its terms
+    # one pass through the perturbed norm, whose zonal terms are folded into
+    # that jet, with no per-term jet
     model = model_factory("pert3")
     seen = []
     for cls in (PerturbedNorm, PerturbTerm):
@@ -513,7 +544,7 @@ def test_mesh_evaluates_f_at_its_nodes_in_one_jet(monkeypatch, model_factory):
     mesh = build_cap_mesh(CapConfig(2, -0.35, model, mesh_level=3))
     at_nodes = [(name, order) for name, x, order in seen
                 if x.shape == mesh.nodes.shape and np.array_equal(x, mesh.nodes)]
-    assert at_nodes == [("PerturbedNorm", 2)] + [("PerturbTerm", 2)] * len(model.terms)
+    assert at_nodes == [("PerturbedNorm", 2)]
 
 
 def _symmetric_stack(kind):
