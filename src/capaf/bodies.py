@@ -190,17 +190,11 @@ class CapillaryBody:
 # ---------------------------------------------------------------------------
 
 
-def make_wulff_cap(mesh: CapMesh, r0: float, e_vec=None) -> CapillaryBody:
-    """Capillary Wulff cap of radius r0: support r0 (F(x) + w0 <E, x>).
-
-    E defaults to EF; any E with <E, E_d> = 1 keeps the boundary condition
-    and horizontally shifts the body.
-    """
-    ef = mesh.EF
-    e_vec = ef if e_vec is None else np.asarray(e_vec, dtype=float)
-    field = WulffCapField(mesh.model, mesh.omega0, r0, e_vec, ef)
-    prov = {"kind": "wulff-cap", "r0": r0, "e_vec": list(map(float, e_vec))}
-    return CapillaryBody(mesh, field, prov)
+def make_wulff_cap(mesh: CapMesh, r0: float) -> CapillaryBody:
+    """Capillary Wulff cap of radius r0: support r0 (F(x) + w0 <EF, x>),
+    anchored at the origin; translate_horizontal shifts it."""
+    field = WulffCapField(mesh.model, mesh.omega0, r0, mesh.EF)
+    return CapillaryBody(mesh, field, {"kind": "wulff-cap", "r0": r0})
 
 
 def minkowski_combine(bodies, lambdas) -> CapillaryBody:
@@ -283,7 +277,7 @@ def random_capillary_body(mesh: CapMesh, seed: int, amplitude: float = 0.15) -> 
     scale = 1.0
     last_err = "no attempts"
     for _ in range(_BACKTRACK_LIMIT + 1):
-        parts = [WulffCapField(mesh.model, mesh.omega0, 1.0, mesh.EF, mesh.EF)]
+        parts = [WulffCapField(mesh.model, mesh.omega0, 1.0, mesh.EF)]
         if np.linalg.norm(v) > 0:
             parts.append(LinearField(v * scale))
         parts += [SphericalBumpField(c, w, amp * scale) for c, w, amp in bump_specs]

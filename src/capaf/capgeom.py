@@ -405,8 +405,9 @@ class CapMesh:
 
         Made in blocks of 512 nodes (norms.row_blocks): the order-3 jets and
         (N, d, d, d) tensors of a whole fine mesh were a perturbed run's
-        second-largest transient arrays, and Q is row-independent, so the
-        blocks give the whole-batch bits."""
+        second-largest transient arrays.  The blocks give the whole-batch
+        bits where the norm's jet is row-independent, as on the shipped
+        configs (see norms._BLOCK_ROWS)."""
         return self._lazy("q_frame", self._q_frame)
 
     def _q_frame(self):

@@ -175,7 +175,7 @@ def _symmetry_deviations(ctx, level):
 
 def _kernel_tau(ctx, level):
     """Largest intrinsic-route tau entry of each kernel field E_1..E_n."""
-    return fn.kernel_tau_intrinsic(ctx.mesh(level))[0]
+    return fn.kernel_tau_intrinsic(ctx.mesh(level))
 
 
 def _selfadjoint_deviation(ctx, level):
@@ -255,29 +255,27 @@ def _run_routes(ctx: RunContext):
     for seed in cfg.seeds:
         bods = ctx.bodies(seed, cfg.n + 1)
         inputs = {"seed": seed, "level": cfg.mesh_level}
-        va, ve, vp = (fn.mixed_volume(bods, route=r).value
+        va, ve, vp = (fn.mixed_volume(bods, route=r)
                       for r in ("anisotropic", "euclidean", "polyfit"))
         records += [
             _report_record("routes", f"aniso-vs-euclid.seed{seed}", inputs,
-                           fn.InequalityReport.identity("aniso-vs-euclid", va, ve, route_tol)),
+                           fn.InequalityReport.identity(va, ve, route_tol)),
             _report_record("routes", f"polyfit-vs-euclid.seed{seed}", inputs,
-                           fn.InequalityReport.identity("polyfit-vs-euclid", vp, ve,
-                                                        tol["routes_polyfit"]))]
+                           fn.InequalityReport.identity(vp, ve, tol["routes_polyfit"]))]
         body = bods[0]
         records.append(_report_record(
             "routes", f"diagonal-consistency.seed{seed}", inputs,
-            fn.InequalityReport.identity(
-                "diagonal", fn.mixed_volume_value([body] * (cfg.n + 1)),
-                fn.volume(body), route_tol)))
+            fn.InequalityReport.identity(fn.mixed_volume([body] * (cfg.n + 1)),
+                                         fn.volume(body), route_tol)))
         records.append(_report_record(
             "routes", f"translation-invariance.seed{seed}", inputs,
-            fn.InequalityReport.identity("translation", fn.volume(_shifted(body, 0.08)),
+            fn.InequalityReport.identity(fn.volume(_shifted(body, 0.08)),
                                          fn.volume(body), 1e-10)))
         scaled = minkowski_combine([body], [1.7])
         records.append(_report_record(
             "routes", f"scaling.seed{seed}", inputs,
             fn.InequalityReport.identity(
-                "scaling", fn.volume(scaled), 1.7 ** (cfg.n + 1) * fn.volume(body), 1e-11)))
+                fn.volume(scaled), 1.7 ** (cfg.n + 1) * fn.volume(body), 1e-11)))
     return records
 
 
@@ -527,7 +525,7 @@ def _cmd_body_gen(args) -> int:
     cfg = parse_config(args.config)
     mesh = build_cap_mesh(cfg.cap_config())
     body = random_capillary_body(mesh, args.seed)
-    res, euc, ok = body.robin_residuals()
+    res, _, ok = body.robin_residuals()
     print(f"seed {args.seed}: min W eig {body.min_w_eig!r}, min tau eig "
           f"{body.min_tau_eig!r}, min s_hat {float(np.min(body.shat))!r}")
     print(f"robin residual max {float(np.max(np.abs(res)))!r}, "
@@ -543,7 +541,7 @@ def _divergence_residual(ctx, level):
     """Divergence identity residual of body seeds[0] against body seeds[0] + 1."""
     seed = ctx.cfg.seeds[0]
     trailing = [ctx.body(seed + 1, level)] * (ctx.cfg.n - 1)
-    return fn.divergence_identity_check(ctx.body(seed, level), trailing)["max_residual"]
+    return fn.divergence_identity_check(ctx.body(seed, level), trailing)
 
 
 # study check -> per-level value (ctx, level); minkowski and kernel take the

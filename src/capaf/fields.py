@@ -67,21 +67,20 @@ class SupportField(_Homogeneous):
 
 
 class WulffCapField(SupportField):
-    """Support field of a capillary Wulff cap: s(x) = r0 (F(x) + w0 <E, x>)."""
+    """Support field of a capillary Wulff cap: s(x) = r0 (F(x) + w0 <EF, x>).
 
-    def __init__(self, model: MinkowskiNorm, omega0: float, r0: float, e_vec, ef_vec):
+    Its anchor is the zero vector; a horizontally shifted cap is a
+    translate of this one (bodies.translate_horizontal).
+    """
+
+    def __init__(self, model: MinkowskiNorm, omega0: float, r0: float, ef_vec):
         if r0 <= 0:
             raise InvalidInputError("Wulff cap radius must be positive")
-        e_vec = np.asarray(e_vec, dtype=float)
-        if abs(e_vec[-1] - 1.0) > 1e-12:
-            raise InvalidInputError("cap direction must pair to 1 with the vertical axis")
         self.model = model
         self.omega0 = float(omega0)
         self.r0 = float(r0)
         self.dim = model.dim
-        self.shift = self.r0 * self.omega0 * e_vec
-        self._anchor = self.r0 * self.omega0 * (e_vec - np.asarray(ef_vec, dtype=float))
-        self._anchor[-1] = 0.0
+        self.shift = self.r0 * self.omega0 * np.asarray(ef_vec, dtype=float)
 
     def _derivative(self, x, order):
         jet = [self.r0 * f for f in self.model._derivative(x, order)]
@@ -89,10 +88,6 @@ class WulffCapField(SupportField):
         if order > 0:
             jet[1] += self.shift[None, :]
         return jet
-
-    @property
-    def anchor(self):
-        return self._anchor
 
 
 class LinearField(SupportField):

@@ -1,14 +1,14 @@
 """Global functionals and identity/inequality checks for capillary convex bodies.
 
-Mixed volumes are evaluated by three routes:
+A mixed volume is a float, evaluated by one of three routes:
 
-* anisotropic-integral: pull the cap integral back to the parameter region,
+* "anisotropic": pull the cap integral back to the parameter region,
   (1/(n+1)) sum_i w_i s_hat_0 Q(tau_1, ..., tau_n) F(x_i) det A_F(x_i),
   with radii matrices expressed in the g-ring orthonormal frame;
-* euclidean-integral: (1/(n+1)) sum_i w_i s_0 Q(W_1, ..., W_n) over the
+* "euclidean": (1/(n+1)) sum_i w_i s_0 Q(W_1, ..., W_n) over the
   region directly; and
-* polyfit-oracle: volumes of Minkowski combinations on a lambda grid,
-  fitted by the exact multilinear volume polynomial.
+* "polyfit", the oracle: volumes of Minkowski combinations on a lambda
+  grid, fitted by the exact multilinear volume polynomial.
 
 The first two agree pointwise (mixed discriminants transform by det under
 the frame change, absorbing det A_F), the third by polynomiality of the
@@ -19,12 +19,15 @@ symmetry_check measures.
 Volume and the multiplier slot integrate the anchored support
 s - <anchor, x>, the tracked horizontal translate; this is the same value
 mathematically and makes horizontal-translation invariance exact.
+
+Each identity or inequality check returns an InequalityReport, the six
+fields a report record stores.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial, prod
 
 import numpy as np
@@ -47,46 +50,27 @@ _GUARD = 1e-30
 
 @dataclass
 class InequalityReport:
-    """Outcome of one checked identity or inequality."""
+    """Outcome of one checked identity or inequality, as a record stores it."""
 
-    name: str
     lhs: float
     rhs: float
     gap: float
     relative_gap: float
     tolerance: float
     passed: bool
-    equality_expected: bool = False
-    notes: dict = field(default_factory=dict)
 
     @staticmethod
-    def inequality(name, lhs, rhs, tol, equality_expected=False, notes=None):
+    def inequality(lhs, rhs, tol, equality_expected=False):
+        """lhs >= rhs (lhs = rhs if equality is expected), to tol relative to max |side|."""
         lhs, rhs = float(lhs), float(rhs)
         gap = lhs - rhs
         scale = max(abs(lhs), abs(rhs), _GUARD)
-        rel = gap / scale
         ok = abs(gap) <= tol * scale if equality_expected else gap >= -tol * scale
-        return InequalityReport(name, lhs, rhs, gap, rel, tol, bool(ok),
-                                equality_expected, notes or {})
+        return InequalityReport(lhs, rhs, gap, gap / scale, tol, bool(ok))
 
     @staticmethod
-    def identity(name, lhs, rhs, tol, notes=None):
-        return InequalityReport.inequality(name, lhs, rhs, tol, True, notes)
-
-
-@dataclass
-class MixedVolumeResult:
-    """A mixed-volume value with its route tag and error surrogate."""
-
-    value: float
-    route: str
-    mesh_level: int
-    error_estimate: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise InvalidInputError("mixed volume is not finite")
-        self.error_estimate = float(max(self.error_estimate, 0.0))
+    def identity(lhs, rhs, tol):
+        return InequalityReport.inequality(lhs, rhs, tol, True)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +154,12 @@ def _mv_slot(bodies, slot: int, route: str) -> float:
     return float(np.sum(mesh.weights * vals) / (mesh.n + 1))
 
 
-def _mv_polyfit(bodies) -> tuple:
+def _mv_polyfit(bodies) -> float:
     """Coefficient extraction from the volume polynomial (oracle route).
 
     Deduplicates repeated bodies (they are one variable of the polynomial),
     fits the homogeneous degree-(n+1) polynomial on a deterministic lambda
     grid with two redundancy rows, and reads off the requested coefficient.
-    Returns (value, condition_number, fit_residual).
     """
     mesh = _require_shared_mesh(bodies)
     n1 = mesh.n + 1
@@ -195,40 +178,30 @@ def _mv_polyfit(bodies) -> tuple:
     for r, lam in enumerate(picked):
         a[r] = [prod(lam[v] for v in mono) for mono in monomials]
         y[r] = volume_of_combination(distinct, lam)
-    coef, res, rank, sv = np.linalg.lstsq(a, y, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    c_idx = monomials.index(target)
+    coef = np.linalg.lstsq(a, y, rcond=None)[0]
     multinom = factorial(n1) / prod(factorial(target.count(v)) for v in range(m))
-    resid = float(np.sqrt(res[0])) if len(np.atleast_1d(res)) else 0.0
-    return float(coef[c_idx] / multinom), cond, resid
+    return float(coef[monomials.index(target)] / multinom)
 
 
-def mixed_volume(bodies, route: str = "anisotropic") -> MixedVolumeResult:
-    """V(K_0, ..., K_n) by the requested route.
+def mixed_volume(bodies, route: str = "anisotropic") -> float:
+    """V(K_0, ..., K_n) by the requested route ("anisotropic", "euclidean"
+    or "polyfit"); a non-finite value raises InvalidInputError.
 
     The integral routes average over the multiplier slot, which both
     reduces quadrature error and makes equality cases of the
     Alexandrov-Fenchel checks second order in the quadrature defect.
     """
     bodies = list(bodies)
-    mesh = _require_full_tuple(bodies)
-    level = mesh.config.mesh_level
+    _require_full_tuple(bodies)
     if route == "polyfit":
-        value, cond, resid = _mv_polyfit(bodies)
-        return MixedVolumeResult(value, "polyfit-oracle", level,
-                                 max(resid, cond * 1e-16 * abs(value)))
-    if route not in ("anisotropic", "euclidean"):
+        value = _mv_polyfit(bodies)
+    elif route in ("anisotropic", "euclidean"):
+        value = float(np.mean([_mv_slot(bodies, s, route) for s in range(len(bodies))]))
+    else:
         raise InvalidInputError(f"unknown route {route!r}")
-    vals = [_mv_slot(bodies, s, route) for s in range(len(bodies))]
-    value = float(np.mean(vals))
-    spread = float(np.max(np.abs(np.asarray(vals) - value)))
-    tag = "anisotropic-integral" if route == "anisotropic" else "euclidean-integral"
-    return MixedVolumeResult(value, tag, level, spread)
-
-
-def mixed_volume_value(bodies) -> float:
-    """The anisotropic-route mixed volume V(K_0, ..., K_n)."""
-    return mixed_volume(bodies).value
+    if not np.isfinite(value):
+        raise InvalidInputError("mixed volume is not finite")
+    return value
 
 
 def integrand_identity_defect(bodies) -> float:
@@ -262,8 +235,7 @@ def symmetry_check(bodies) -> dict:
         for perm in itertools.permutations(range(len(tail))):
             arranged = [bodies[0]] + [tail[p] for p in perm]
             trail_dev = max(trail_dev, abs(_mv_slot(arranged, 0, "anisotropic") - v01))
-    return {"swap_deviation": swap_dev, "trailing_deviation": trail_dev,
-            "scale": scale, "value": v01}
+    return {"swap_deviation": swap_dev, "trailing_deviation": trail_dev, "scale": scale}
 
 
 # ---------------------------------------------------------------------------
@@ -337,33 +309,21 @@ def minkowski_formula_residual(body: CapillaryBody, k: int) -> float:
     return float(np.sum(mesh.weights * body.detW * mesh.F_vals * vals))
 
 
-def steiner_check(body: CapillaryBody, t_grid=None, tol: float = 1e-4) -> InequalityReport:
-    """Fit |K + t C| as a polynomial in t and compare with the
-    binomial-weighted quermassintegrals."""
+def steiner_check(body: CapillaryBody, tol: float = 1e-4) -> InequalityReport:
+    """Fit |K + t C| as a polynomial in t, on the grid t = 0.5, 1.0, ...,
+    0.5 (n + 3), and compare it with the binomial-weighted
+    quermassintegrals, at the coefficient of the worst relative gap."""
     mesh = body.mesh
     n = mesh.n
     cap = mesh.cap_body
-    if t_grid is None:
-        t_grid = tuple(0.5 * (j + 1) for j in range(n + 3))
-    t_grid = tuple(float(t) for t in t_grid)
-    if len(t_grid) < n + 2:
-        raise InvalidInputError(f"need at least n+2 = {n + 2} grid points")
-    if any(t <= 0 for t in t_grid):
-        raise InvalidInputError("t grid must be positive")
+    t_grid = tuple(0.5 * (j + 1) for j in range(n + 3))
     vols = np.array([volume_of_combination([body, cap], (1.0, t)) for t in t_grid])
     design = np.vander(np.asarray(t_grid), n + 2, increasing=True)
-    coef, _, _, sv = np.linalg.lstsq(design, vols, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    notes = {"condition_number": cond}
-    if cond > 1e8:
-        notes["warning"] = "ill-conditioned Steiner fit; spread the t grid"
+    coef = np.linalg.lstsq(design, vols, rcond=None)[0]
     expected = np.array([comb(n + 1, k) * quermassintegral(body, k) for k in range(n + 2)])
     rel = np.abs(coef - expected) / np.maximum(np.abs(expected), _GUARD)
     worst = int(np.argmax(rel))
-    notes.update({"coefficients": coef.tolist(), "expected": expected.tolist(),
-                  "worst_k": worst})
-    return InequalityReport.identity("steiner-coefficients", float(coef[worst]),
-                                     float(expected[worst]), tol, notes=notes)
+    return InequalityReport.identity(float(coef[worst]), float(expected[worst]), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +333,8 @@ def steiner_check(body: CapillaryBody, t_grid=None, tol: float = 1e-4) -> Inequa
 
 def _stencil_safe_interior(mesh: CapMesh, margin: float):
     """Interior nodes farther than `margin` (arc length) from every boundary
-    node, and the count of interior nodes left out.  The boundary is never
-    empty: both mesh builders fail on a region without one."""
+    node.  The boundary is never empty: both mesh builders fail on a region
+    without one."""
     interior = mesh.interior_idx
     dots = mesh.nodes[interior] @ mesh.nodes[mesh.boundary_idx].T
     ok = np.arccos(np.clip(np.max(dots, axis=1), -1.0, 1.0)) > margin
@@ -383,7 +343,7 @@ def _stencil_safe_interior(mesh: CapMesh, margin: float):
             f"no interior nodes clear the stencil margin {margin:.3g} (arc length) from "
             f"the boundary at mesh level {mesh.config.mesh_level}, omega0 = {mesh.omega0:g}; "
             f"the cap is too thin for this level, and a finer mesh level helps")
-    return interior[ok], int(np.sum(~ok))
+    return interior[ok]
 
 
 def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int,
@@ -419,13 +379,13 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
     return out[0], out[1]
 
 
-def divergence_identity_check(f1_body: CapillaryBody, trailing):
+def divergence_identity_check(f1_body: CapillaryBody, trailing) -> float:
     """Pointwise divergence identity for the mixed-discriminant gradient.
 
     Evaluates sum_j grad_j Q^{ij} grad_i f1 - (1/2) Q^{ij} grad_i f1 Q_jkk
     + (1/2) Q^{ij} grad_l f1 Q_ijl at interior nodes (stencil-safe margin),
-    with the geodesic stencil step 0.2 * 2^-level; returns a dict with the
-    max residual relative to the field scale and the skipped-node count.
+    with the geodesic stencil step 0.2 * 2^-level; returns the max residual
+    relative to the field scale.
     """
     mesh = f1_body.mesh
     n = mesh.n
@@ -433,7 +393,7 @@ def divergence_identity_check(f1_body: CapillaryBody, trailing):
     if len(trailing) != n - 1:
         raise InvalidInputError(f"need n-1 = {n - 1} trailing bodies")
     step = 0.2 * 0.5**mesh.config.mesh_level
-    idx, skipped = _stencil_safe_interior(mesh, 3.0 * step)
+    idx = _stencil_safe_interior(mesh, 3.0 * step)
 
     grad_f1 = np.einsum("bkd,bde,be->bk", mesh.frame[idx], mesh.G[idx], f1_body.X[idx])
     # Q^{ij} = dQ/d(tau_1)_{ij}; Q is linear in tau_1, so f1 only fixes the shape
@@ -458,8 +418,7 @@ def divergence_identity_check(f1_body: CapillaryBody, trailing):
     t3 = 0.5 * np.einsum("bij,bl,bijl->b", qij, grad_f1, qf)
     resid = t1 + t2 + t3
     scale = max(float(np.max(np.abs(qij))) * float(np.max(np.abs(grad_f1))), _GUARD)
-    return {"max_residual": float(np.max(np.abs(resid))) / scale,
-            "skipped": skipped, "checked": int(len(idx)), "step": step}
+    return float(np.max(np.abs(resid))) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +501,8 @@ def operator_a_energy_check(g, trailing, tol: float = 1e-6) -> InequalityReport:
     mass = float(np.sum(om))
     gap = lhs - rhs
     scale = max(abs(lhs), abs(rhs), mass, _GUARD)
-    return InequalityReport(
-        "operator-energy", float(lhs), float(rhs), float(gap), gap / scale,
-        tol, bool(gap >= -tol * scale), False, {"omega_mass": mass})
+    return InequalityReport(float(lhs), float(rhs), float(gap), gap / scale,
+                            tol, bool(gap >= -tol * scale))
 
 
 def operator_selfadjoint_deviation(f, g, trailing) -> float:
@@ -567,13 +525,10 @@ def af_inequality_check(bodies, tol: float = 1e-8,
     bodies = list(bodies)
     _require_full_tuple(bodies)
     k1, k2, rest = bodies[0], bodies[1], bodies[2:]
-    v12 = mixed_volume_value([k1, k2] + rest)
-    v11 = mixed_volume_value([k1, k1] + rest)
-    v22 = mixed_volume_value([k2, k2] + rest)
-    return InequalityReport.inequality(
-        "alexandrov-fenchel", v12 * v12, v11 * v22, tol,
-        equality_expected=equality_expected,
-        notes={"v12": v12, "v11": v11, "v22": v22})
+    v12 = mixed_volume([k1, k2] + rest)
+    v11 = mixed_volume([k1, k1] + rest)
+    v22 = mixed_volume([k2, k2] + rest)
+    return InequalityReport.inequality(v12 * v12, v11 * v22, tol, equality_expected)
 
 
 def quermassintegral_chain_check(body: CapillaryBody, k: int, l: int,
@@ -594,19 +549,16 @@ def quermassintegral_chain_check(body: CapillaryBody, k: int, l: int,
     cap = mesh.cap_body
 
     def querm_mv(j):
-        return mixed_volume_value([body] * (n + 1 - j) + [cap] * j)
+        return mixed_volume([body] * (n + 1 - j) + [cap] * j)
 
-    cap_vol = mixed_volume_value([cap] * (n + 1))
+    cap_vol = mixed_volume([cap] * (n + 1))
     vk = querm_mv(k)
     vl = querm_mv(l)
     if vk <= 0 or vl <= 0 or cap_vol <= 0:
         raise InvalidInputError("chain check requires positive quermassintegrals")
     lhs = (vk / cap_vol) ** (1.0 / (n + 1 - k))
     rhs = (vl / cap_vol) ** (1.0 / (n + 1 - l))
-    return InequalityReport.inequality(
-        f"quermassintegral-chain-k{k}-l{l}", lhs, rhs, tol,
-        equality_expected=equality_expected,
-        notes={"V_k": vk, "V_l": vl, "cap_volume": cap_vol})
+    return InequalityReport.inequality(lhs, rhs, tol, equality_expected)
 
 
 def generalized_chain_check(k0: CapillaryBody, k1: CapillaryBody, trailing,
@@ -624,18 +576,14 @@ def generalized_chain_check(k0: CapillaryBody, k1: CapillaryBody, trailing,
         raise InvalidInputError(f"trailing must hold n+1-m = {n + 1 - m} bodies")
 
     def v_of(cnt):
-        arrangement = [k0] * (m - cnt) + [k1] * cnt + trailing
-        return mixed_volume_value(arrangement)
+        return mixed_volume([k0] * (m - cnt) + [k1] * cnt + trailing)
 
     vi, vj, vk_ = v_of(i), v_of(j), v_of(k)
     if min(vi, vj, vk_) <= 0:
         raise InvalidInputError("generalized chain requires positive mixed volumes")
     lhs = vj ** (k - i)
     rhs = vi ** (k - j) * vk_ ** (j - i)
-    return InequalityReport.inequality(
-        f"generalized-chain-i{i}-j{j}-k{k}-m{m}", lhs, rhs, tol,
-        equality_expected=equality_expected,
-        notes={"V_i": vi, "V_j": vj, "V_k": vk_})
+    return InequalityReport.inequality(lhs, rhs, tol, equality_expected)
 
 
 # ---------------------------------------------------------------------------
@@ -643,17 +591,15 @@ def generalized_chain_check(k0: CapillaryBody, k1: CapillaryBody, trailing,
 # ---------------------------------------------------------------------------
 
 
-def kernel_tau_intrinsic(mesh: CapMesh, alpha: int | None = None):
+def kernel_tau_intrinsic(mesh: CapMesh) -> list:
     """Intrinsic-route tau of the horizontal kernel fields, interior nodes.
 
     Exactly zero in the continuum; the discrete value decays with the
     stencil step 0.3 * 2^-level.  Every field E_1..E_n comes out of one
-    pass over one stencil.  Returns (max_entry, info): the largest |tau|
-    entry of E_{alpha+1}, or with alpha None the list of them for every
-    field.
+    pass over one stencil.  Returns the largest |tau| entry of each field,
+    E_1 first.
     """
     step = 0.3 * 0.5**mesh.config.mesh_level
-    idx, _ = _stencil_safe_interior(mesh, 3.0 * step)
+    idx = _stencil_safe_interior(mesh, 3.0 * step)
     tau, _ = intrinsic_tau(mesh, kernel_evaluator(mesh), idx, step)
-    maxima = [float(v) for v in np.max(np.abs(tau), axis=(0, 2, 3))]
-    return (maxima if alpha is None else maxima[alpha]), {"checked": int(len(idx)), "step": step}
+    return [float(v) for v in np.max(np.abs(tau), axis=(0, 2, 3))]

@@ -70,8 +70,10 @@ from .errors import InvalidInputError, ModelInvalidError, NumericError
 
 _EPS = 1e-14
 # rows per block where a whole batch would set the memory high-water mark
-# (the validation sample, the mesh's Q): every jet is row-independent, so
-# blocking moves no bit
+# (the validation sample, the mesh's Q).  Blocking moves no bit on the shipped
+# configs' norms, but numpy's jets need not be row-independent: on the 2x2
+# I + 0.1, EllipsoidNorm's order-0 einsum gives a lone row other last bits
+# than the same row in a 300-row batch
 _BLOCK_ROWS = 512
 
 

@@ -92,7 +92,7 @@ def test_criterion_02_isotropic_reduction():
     vol_err = abs(vol - 2 * np.pi / 3) / (2 * np.pi / 3)
     m1 = mesh_for("iso2", 0.0, 4, n=1)
     k1, k2 = make_wulff_cap(m1, 1.3), make_wulff_cap(m1, 0.7)
-    mv = fn.mixed_volume_value([k1, k2])
+    mv = fn.mixed_volume([k1, k2])
     mv_err = abs(mv - np.pi / 2 * 1.3 * 0.7) / (np.pi / 2 * 1.3 * 0.7)
     elapsed = time.monotonic() - t0
     _report(2, "isotropic reduction (spherical caps, hemisphere volume, half-disks)",
@@ -110,9 +110,9 @@ def test_criterion_03_route_equivalence():
         pool = [body_for(name, w0, 4, seed=s) for s in range(300, 322)]
         for j in range(20):
             bods = pool[j:j + 3]
-            va = fn.mixed_volume(bods, route="anisotropic").value
-            ve = fn.mixed_volume(bods, route="euclidean").value
-            vp = fn.mixed_volume(bods, route="polyfit").value
+            va = fn.mixed_volume(bods, route="anisotropic")
+            ve = fn.mixed_volume(bods, route="euclidean")
+            vp = fn.mixed_volume(bods, route="polyfit")
             worst_ae = max(worst_ae, abs(va - ve) / abs(ve))
             worst_poly = max(worst_poly, abs(vp - ve) / abs(ve),
                              abs(vp - va) / abs(va))
@@ -152,7 +152,7 @@ def test_criterion_05_kernel_functions():
     worst_l4, worst_ratio = 0.0, np.inf
     for name, w0 in (("iso3", -0.5), ("ell3", -0.4)):
         for alpha in range(2):
-            decay = [fn.kernel_tau_intrinsic(mesh_for(name, w0, L), alpha)[0]
+            decay = [fn.kernel_tau_intrinsic(mesh_for(name, w0, L))[alpha]
                      for L in levels]
             worst_l4 = max(worst_l4, decay[1])
             worst_ratio = min(worst_ratio, decay[0] / decay[1], decay[1] / decay[2])

@@ -26,7 +26,7 @@ def _tol(name, analytic, fallback):
 
 def _support_fields(model):
     ef = np.array([0.0, 0.0, 1.0])
-    cap = WulffCapField(model, -0.3, 1.2, ef, ef)
+    cap = WulffCapField(model, -0.3, 1.2, ef)
     lin = LinearField(np.array([0.1, -0.2, 0.3]))
     bump = SphericalBumpField(np.array([0.1, 0.0, 1.0]), 0.9, 0.05)
     return {"wulff": cap, "linear": lin, "bump": bump,
@@ -110,8 +110,6 @@ def test_wulff_scaling_volume(mesh_factory):
 
 def test_wulff_rejects_bad_direction(mesh_factory):
     mesh = mesh_factory("ell3", -0.4, 2)
-    with pytest.raises(InvalidInputError):
-        make_wulff_cap(mesh, 1.0, e_vec=np.array([0.0, 0.0, 1.5]))
     with pytest.raises(InvalidInputError):
         make_wulff_cap(mesh, -1.0)
 
@@ -284,7 +282,7 @@ def test_newton_maclaurin(body_factory):
 def test_curvature_error_on_nonconvex(mesh_factory):
     mesh = mesh_factory("iso3", 0.0, 2)
     saddle = CombinationField(
-        [WulffCapField(mesh.model, 0.0, 1.0, mesh.EF, mesh.EF),
+        [WulffCapField(mesh.model, 0.0, 1.0, mesh.EF),
          SphericalBumpField(np.array([0.0, 0.0, 1.0]), 0.9, -2.0)], [1.0, 1.0])
     body = CapillaryBody(mesh, saddle, {"kind": "custom"}, validate=False)
     assert not body.convex and body.min_tau_eig <= 0
@@ -328,8 +326,12 @@ def test_kernel_pass_matches_per_field_route(mesh_factory):
         tau_a, grad_a = intrinsic_tau(mesh, single, idx, step=0.05)
         assert np.array_equal(tau_a[:, 0], tau[:, alpha])
         assert np.array_equal(grad_a[:, 0], grad[:, alpha])
-    maxima, _ = fn.kernel_tau_intrinsic(mesh)
-    assert maxima == [fn.kernel_tau_intrinsic(mesh, alpha)[0] for alpha in range(2)]
+    # the check's maxima list E_1, E_2 in field order
+    step = 0.3 * 0.5**mesh.config.mesh_level
+    safe = fn._stencil_safe_interior(mesh, 3.0 * step)
+    tau_run = intrinsic_tau(mesh, kernel_evaluator(mesh), safe, step)[0]
+    assert fn.kernel_tau_intrinsic(mesh) == [float(np.max(np.abs(tau_run[:, a])))
+                                             for a in range(2)]
 
 
 def _record_dual_solves(monkeypatch):
@@ -594,13 +596,14 @@ def _linearity_cases(body_factory, mesh_factory, name, w0):
     mesh = mesh_factory(name, w0, 3)
     body = body_factory(name, w0, 3, seed=21)
     other = body_factory(name, w0, 3, seed=22)
-    e_vec = mesh.EF + np.array([0.1, -0.05, 0.0])
     return {
         "random": body,
         "translated": translate_horizontal(body, np.array([0.05, -0.03, 0.0])),
         "combined": minkowski_combine([body, other], [0.7, 1.4]),
         "rebound": rebind(body_factory(name, w0, 2, seed=21), mesh),
-        "wulff-cap": make_wulff_cap(mesh, 1.4, e_vec),
+        "wulff-cap": make_wulff_cap(mesh, 1.4),
+        "shifted-wulff-cap": translate_horizontal(make_wulff_cap(mesh, 1.4),
+                                                  np.array([0.1, -0.05, 0.0])),
     }
 
 

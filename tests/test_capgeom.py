@@ -545,6 +545,35 @@ def _live_names(package, harness):
         read |= _loads(live)
 
 
+def _package_and_harness():
+    """Parsed modules of the package (without __init__.py) and of the
+    benchmark harness (without its self-tests)."""
+    root = Path(__file__).resolve().parents[1]
+    package = [p for p in sorted((root / "src/capaf").glob("*.py")) if p.name != "__init__.py"]
+    harness = [p for p in sorted((root / "perfbench").rglob("*.py"))
+               if "tests" not in p.relative_to(root).parts]
+    return ({p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package},
+            [ast.parse(p.read_text(encoding="utf-8")) for p in harness])
+
+
+def _public_functions(package):
+    """(qualified name, definition, is a method) of every public module-level
+    function and public method of a class."""
+    out = []
+    for stem, tree in package.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                members = [(f"{node.name}.{m.name}", m, True) for m in node.body
+                           if isinstance(m, ast.FunctionDef)]
+            else:
+                continue
+            out += [(f"{stem}.{qual}", d, method) for qual, d, method in members
+                    if not d.name.startswith("_")]
+    return out
+
+
 def test_every_public_function_has_a_reader():
     """Every public module-level function and every public method of a capaf
     class is read by live code: the package's module-level code, its dunder
@@ -552,25 +581,63 @@ def test_every_public_function_has_a_reader():
     to a fixpoint (the re-exports of __init__.py do not count).  The
     reference routes, and what only they read, are read only by the tests;
     the list of them is exact."""
-    root = Path(__file__).resolve().parents[1]
-    package = [p for p in sorted((root / "src/capaf").glob("*.py")) if p.name != "__init__.py"]
-    harness = [p for p in sorted((root / "perfbench").rglob("*.py"))
-               if "tests" not in p.relative_to(root).parts]
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package + harness}
-    read = _live_names([trees[p] for p in package], [trees[p] for p in harness])
-    public = {}  # qualified name -> the name a reader loads
-    for path in package:
-        for node in trees[path].body:
-            if isinstance(node, ast.FunctionDef):
-                members = {node.name: node.name}
-            elif isinstance(node, ast.ClassDef):
-                members = {f"{node.name}.{m.name}": m.name for m in node.body
-                           if isinstance(m, ast.FunctionDef)}
-            else:
-                continue
-            public.update((f"{path.stem}.{qual}", name) for qual, name in members.items()
-                          if not name.startswith("_"))
+    package, harness = _package_and_harness()
+    read = _live_names(list(package.values()), harness)
+    public = {qual: d.name for qual, d, _ in _public_functions(package)}
     assert len(public) > 100
     unread = {qual for qual, name in public.items() if name not in read}
     assert unread == REFERENCE_ROUTES, (f"no reader: {sorted(unread - REFERENCE_ROUTES)}; "
                                         f"read now: {sorted(REFERENCE_ROUTES - unread)}")
+
+
+# Defaulted parameters no package or harness call sets: the benchmark's
+# self-test forces backtracking through the amplitude, and the rest belong
+# to reference routes
+TEST_ONLY_PARAMETERS = {
+    "bodies.random_capillary_body(amplitude)",
+    "fd.central_gradient(richardson)",
+    "fd.central_hessian(richardson)",
+    "functionals.hull_volume_oracle(seed)",
+}
+
+
+def _callee(call):
+    """The name a call reads its function by: f(...) or obj.f(...)."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _sets(call, position, name) -> bool:
+    """Whether a call may set the parameter `name` at `position` (None for
+    keyword-only): by keyword, by position, or through a * or ** splat."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return position is not None and k <= position
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_set_by_a_run():
+    """Every parameter with a default, of a public function or method, is
+    set by some call in the package or the benchmark harness (not counting
+    its self-tests) to a function of that name; an option only the tests set
+    is a knob no run reads.  The exemptions are exact."""
+    package, harness = _package_and_harness()
+    calls = [n for tree in [*package.values(), *harness] for n in ast.walk(tree)
+             if isinstance(n, ast.Call)]
+    unset = set()
+    for qual, fdef, method in _public_functions(package):
+        bound = method and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in fdef.decorator_list)
+        positional = fdef.args.posonlyargs + fdef.args.args
+        params = [(arg.arg, k - bound)
+                  for k, arg in enumerate(positional)
+                  if k >= len(positional) - len(fdef.args.defaults)]
+        params += [(arg.arg, None) for arg, default
+                   in zip(fdef.args.kwonlyargs, fdef.args.kw_defaults) if default is not None]
+        unset |= {f"{qual}({name})" for name, position in params
+                  if not any(_callee(c) == fdef.name and _sets(c, position, name)
+                             for c in calls)}
+    assert unset == TEST_ONLY_PARAMETERS, (
+        f"set by no run: {sorted(unset - TEST_ONLY_PARAMETERS)}; "
+        f"set now: {sorted(TEST_ONLY_PARAMETERS - unset)}")
