@@ -29,7 +29,7 @@ from .functionals import (InequalityReport, af_inequality_check,
                           quermassintegral_chain_check, steiner_check,
                           symmetry_check, volume)
 from .mixdisc import (md_transform_check, mixed_disc_gradient,
-                      mixed_discriminant)
+                      mixed_discriminant_batch)
 from .norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm,
                     PerturbedNorm, PerturbTerm)
 from .report import RunReport, emit_report

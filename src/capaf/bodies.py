@@ -151,7 +151,7 @@ class CapillaryBody:
         return _eig_pair(self.W, self.mesh.A)
 
     def robin_residuals(self):
-        """(residuals, euclid, ok_mask) across the ordered boundary loop."""
+        """(residuals, ok_mask) across the ordered boundary loop."""
         mesh = self.mesh
         loop = mesh.boundary_loop
         grad_shat = self.X[loop] - self.shat[loop, None] * mesh.psi[loop]
@@ -159,7 +159,7 @@ class CapillaryBody:
         with np.errstate(divide="ignore", invalid="ignore"):
             rhs = mesh.omega0 * self.shat[loop] / (mesh.F_vals[loop] * mesh.mu[:, -1])
         res = np.where(mesh.conormal_ok, lhs - rhs, 0.0)
-        return res, self.X[loop, -1], mesh.conormal_ok.copy()
+        return res, mesh.conormal_ok.copy()
 
     def reconstruction_residual(self) -> float:
         """max |(grad s_hat + s_hat T^-1 xi) - X| over nodes (two routes)."""

@@ -173,15 +173,15 @@ def ef_vector(model: MinkowskiNorm, omega0: float) -> np.ndarray:
     if omega0 == 0.0:
         return e
     if omega0 < 0.0:
-        return np.asarray(model.cahn_hoffman(e)) / float(model.value(e))
-    return -np.asarray(model.cahn_hoffman(-e)) / float(model.value(-e))
+        return model.grad(e[None])[0] / float(model.value(e[None])[0])
+    return -model.grad(-e[None])[0] / float(model.value(-e[None])[0])
 
 
 def admissible_range(model: MinkowskiNorm):
     d = model.dim
     e = np.zeros(d)
     e[-1] = 1.0
-    return -float(model.value(e)), float(model.value(-e))
+    return -float(model.value(e[None])[0]), float(model.value(-e[None])[0])
 
 
 def parameter_velocities(frame, tb, a) -> np.ndarray:
@@ -206,8 +206,7 @@ def radii_form(hess, frame, g, vel):
 
 def region_residual(model: MinkowskiNorm, omega0: float, x) -> np.ndarray:
     """<DF(x), E_d> + omega0; nonnegative exactly on the parameter region."""
-    g = np.asarray(model.grad(np.asarray(x, dtype=float)))
-    return g[..., -1] + omega0
+    return model.grad(x)[:, -1] + omega0
 
 
 @dataclass
@@ -252,8 +251,7 @@ class CapConfig:
 class CapMesh:
     """Immutable discretization of the cap with per-node geometric caches."""
 
-    def __init__(self, config: CapConfig, nodes, weights, cells, is_boundary,
-                 boundary_loop, diagnostics):
+    def __init__(self, config: CapConfig, nodes, weights, cells, boundary_loop, diagnostics):
         self.config = config
         self.n = config.n
         self.dim = config.dim
@@ -262,8 +260,9 @@ class CapMesh:
         self.nodes = nodes
         self.weights = weights
         self.cells = cells
-        self.is_boundary = is_boundary
         self.boundary_loop = boundary_loop
+        self.is_boundary = np.zeros(len(nodes), dtype=bool)
+        self.is_boundary[boundary_loop] = True
         self.diagnostics = dict(diagnostics)
         self._caches = {}
         self._populate_caches()
@@ -588,10 +587,7 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     np.add.at(weights, cells[:, 2], areas / 3.0)
 
     loop = _walk_boundary(cells, is_boundary, nodes)
-    is_boundary = np.zeros(len(nodes), dtype=bool)
-    is_boundary[loop] = True
-    return CapMesh(config, nodes, weights, cells, is_boundary, loop,
-                   {"snapped": int(np.sum(snapped))})
+    return CapMesh(config, nodes, weights, cells, loop, {"snapped": int(np.sum(snapped))})
 
 
 def _walk_boundary(cells, is_boundary, nodes):
@@ -682,10 +678,8 @@ def _build_mesh_1d(config: CapConfig) -> CapMesh:
     weights = np.full(m + 1, dphi)
     weights[0] = weights[-1] = dphi / 2.0
     cells = np.stack([np.arange(m), np.arange(1, m + 1)], axis=-1)
-    is_boundary = np.zeros(m + 1, dtype=bool)
-    is_boundary[0] = is_boundary[-1] = True
     loop = np.array([0, m], dtype=np.int64)
-    return CapMesh(config, nodes, weights, cells, is_boundary, loop, {})
+    return CapMesh(config, nodes, weights, cells, loop, {})
 
 
 def build_cap_mesh(config: CapConfig) -> CapMesh:

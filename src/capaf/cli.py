@@ -41,9 +41,8 @@ from .bodies import (make_wulff_cap, minkowski_combine, random_capillary_body,
 from .capgeom import build_cap_mesh
 from .config import SUITE_NAMES, SuiteConfig, parse_config
 from .errors import CapafError, GenerationError, InvalidConfigError, InvalidInputError
-from .fields import kernel_field, tau_from_generator
-from .mixdisc import (mixed_discriminant, mixed_disc_gradient,
-                      md_transform_check)
+from .fields import CombinationField, kernel_field, tau_from_generator
+from .mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
 from .report import CheckRecord, RunReport, digest, emit_report
 
 
@@ -225,23 +224,23 @@ def _run_mixdisc(ctx: RunContext):
         a_alt = np.array(alts)
         al, be = np.array(als), np.array(bes)
 
-        q = mixed_discriminant(mats)
+        q = mixed_discriminant_batch(mats)
         det0 = np.linalg.det(mats[0])
-        update("diag", rel(mixed_discriminant([mats[0]] * n) - det0, det0))
+        update("diag", rel(mixed_discriminant_batch([mats[0]] * n) - det0, det0))
         permuted = np.swapaxes(stack[np.arange(count)[:, None], np.array(perms)], 0, 1)
-        update("perm", rel(mixed_discriminant(list(permuted)) - q, q))
-        lhs = mixed_discriminant([al[:, None, None] * mats[0] + be[:, None, None] * a_alt]
-                                 + mats[1:])
-        rhs = al * q + be * mixed_discriminant([a_alt] + mats[1:])
+        update("perm", rel(mixed_discriminant_batch(list(permuted)) - q, q))
+        lhs = mixed_discriminant_batch(
+            [al[:, None, None] * mats[0] + be[:, None, None] * a_alt] + mats[1:])
+        rhs = al * q + be * mixed_discriminant_batch([a_alt] + mats[1:])
         update("multi", rel(lhs - rhs, rhs))
         update("transform", md_transform_check(mats, np.array(bmats))["relative_error"])
         grad = mixed_disc_gradient(mats)
         update("gradient", rel(np.sum((mats[0] * grad).reshape(count, -1), axis=1) - q, q))
         # Alexandrov: D(A, B, ...)^2 >= D(A, A, ...) D(B, B, ...), as a
         # relative shortfall (rhs - lhs) / max(|lhs|, |rhs|)
-        lhs = mixed_discriminant([mats[0], mats[1]] + mats[2:n]) ** 2
-        rhs = (mixed_discriminant([mats[0], mats[0]] + mats[2:n])
-               * mixed_discriminant([mats[1], mats[1]] + mats[2:n]))
+        lhs = mixed_discriminant_batch([mats[0], mats[1]] + mats[2:n]) ** 2
+        rhs = (mixed_discriminant_batch([mats[0], mats[0]] + mats[2:n])
+               * mixed_discriminant_batch([mats[1], mats[1]] + mats[2:n]))
         update("alexandrov", (rhs - lhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30))
     return [_value_record("mixdisc", key, {"n": [2, 3], "count": count}, val, tol["mixdisc"])
             for key, val in sorted(worst.items())]
@@ -427,7 +426,8 @@ def _run_operator(ctx: RunContext):
         records.append(_value_record(
             "operator", f"kernel-annihilation.seed{seed}", inputs,
             float(np.max(np.abs(ak))), 1e-8))
-        g = ctx.body(seed + 7919).field - ctx.body(seed + 7920).field
+        g = CombinationField([ctx.body(seed + 7919).field, ctx.body(seed + 7920).field],
+                             [1.0, -1.0])
         records.append(_report_record(
             "operator", f"energy.seed{seed}", inputs,
             fn.operator_a_energy_check(g, trailing, tol=tol["operator_energy"])))
@@ -525,7 +525,7 @@ def _cmd_body_gen(args) -> int:
     cfg = parse_config(args.config)
     mesh = build_cap_mesh(cfg.cap_config())
     body = random_capillary_body(mesh, args.seed)
-    res, _, ok = body.robin_residuals()
+    res, ok = body.robin_residuals()
     print(f"seed {args.seed}: min W eig {body.min_w_eig!r}, min tau eig "
           f"{body.min_tau_eig!r}, min s_hat {float(np.min(body.shat))!r}")
     print(f"robin residual max {float(np.max(np.abs(res)))!r}, "

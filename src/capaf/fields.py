@@ -22,13 +22,13 @@ Two curvature-radii routes live here:
   field (kernel_evaluator builds the kernel fields').
 
 Support fields are homogeneous functions of the norms' shape: SupportField
-subclasses norms._Homogeneous, whose jet/value/grad/hess take one point (d,)
-or a batch (B, d), reject the zero vector and answer in kind.  Each field
-computes the jet [s, ..., D^order s] (order 0-2) in one method,
-_derivative(x, order), on nonzero rows (B, d); a combination sums its parts'
-jets with the norms' _sum_jets, the Wulff cap scales its norm's
-_derivative, and the bump field shares its zonal derivative chain with the
-norm layer.
+subclasses norms._Homogeneous, whose jet/value/grad/hess take rows (B, d)
+and reject the zero vector.  Each field computes the jet [s, ..., D^order s]
+(order 0-2) in one method, _derivative(x, order), on nonzero rows (B, d); a
+combination (CombinationField, which also builds the operator's test fields,
+differences of two bodies' fields) sums its parts' jets with the norms'
+_sum_jets, the Wulff cap scales its norm's _derivative, and the bump field
+shares its zonal derivative chain with the norm layer.
 """
 
 from __future__ import annotations
@@ -55,15 +55,6 @@ class SupportField(_Homogeneous):
     def anchor(self) -> np.ndarray:
         """Tracked horizontal translation component (see volume anchoring)."""
         return np.zeros(self.dim)
-
-    def __add__(self, other):
-        return CombinationField([self, other], [1.0, 1.0])
-
-    def __sub__(self, other):
-        return CombinationField([self, other], [1.0, -1.0])
-
-    def __rmul__(self, c):
-        return CombinationField([self], [float(c)])
 
 
 class WulffCapField(SupportField):
@@ -203,7 +194,7 @@ def tau_from_generator(mesh: CapMesh, field: SupportField):
     (tau_symmetrized, tau_raw), both (N, n, n).  The route is linear in the
     field, so bodies sum raw parts and symmetrize once.
     """
-    tau = radii_form(np.asarray(field.hess(mesh.nodes)), mesh.frame, mesh.G, mesh.vel)
+    tau = radii_form(field.hess(mesh.nodes), mesh.frame, mesh.G, mesh.vel)
     return 0.5 * (tau + np.swapaxes(tau, 1, 2)), tau
 
 

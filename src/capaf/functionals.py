@@ -352,8 +352,8 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
     (`radii_form` with the metric and the velocities at the offset points).
 
     Each point's Gauss preimage comes from its projection solve, and the
-    metric, basis, A_F (so the velocities) and Hessian are all read there.
-    Returns (tau_plus, tau_minus), each (K, n, n).
+    metric, basis, A_F (so the velocities) and Hessian are all read there:
+    G and A_F from one jet of F.  Returns (tau_plus, tau_minus), each (K, n, n).
     """
     n, model = mesh.n, mesh.model
     idx = np.asarray(idx, dtype=np.int64)
@@ -362,10 +362,11 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
     vel[:, direction] = 1.0
     out = []
     for (zs, x_new), sgn in zip(_geodesic_points(mesh, idx, vel, step), (1.0, -1.0)):
-        g_new = np.asarray(model.metric_on_wulff(x_new))
+        jet = model.jet(x_new, 2)
+        g_new = model.metric_from_jet(jet)
         tb_new = tangent_basis(x_new)
-        a_new = np.asarray(model.anisotropy_matrix(x_new, basis=tb_new))
-        hess = np.asarray(body.field.hess(x_new))
+        a_new = np.einsum("bki,bij,blj->bkl", tb_new, jet[2], tb_new)
+        hess = body.field.hess(x_new)
         # first-order parallel transport along e_direction
         fr = mesh.frame[idx]
         q = mesh.q_frame[idx]

@@ -1,8 +1,10 @@
-"""Mixed discriminants of symmetric matrices.
+"""Mixed discriminants of symmetric matrices, batched.
 
 The mixed discriminant Q(A_1, ..., A_n) is the full polarization of the
 determinant: det(sum_k t_k A_k) = sum over index tuples of t_{i_1}...t_{i_n}
-Q(A_{i_1}, ..., A_{i_n}).  Two independent evaluation routes are kept:
+Q(A_{i_1}, ..., A_{i_n}).  Every entry point takes its n arguments as
+aligned (B, n, n) batches and answers one entry per row.  Two independent
+evaluation routes are kept:
 
 * the generalized-Kronecker-delta sum over signed permutation pairs
   (n! squared terms; used for n <= 3, where the expansion is explicit), and
@@ -39,35 +41,28 @@ def _perm_pairs(n: int):
 
 
 def _as_stack(mats) -> np.ndarray:
-    """Normalize the n arguments of Q, each an (n, n) matrix or a (B, n, n)
-    batch, to an (n, B, n, n) stack; also whether any argument was a batch."""
+    """The n arguments of Q, each a (B, n, n) batch, as an (n, B, n, n) stack."""
     arrs = [np.asarray(a, dtype=float) for a in mats]
-    if not arrs or any(a.ndim not in (2, 3) for a in arrs):
-        raise InvalidInputError("matrices must have shape (n, n) or (B, n, n)")
+    if not arrs or any(a.ndim != 3 for a in arrs):
+        raise InvalidInputError("matrices must be (B, n, n) batches")
     n = arrs[0].shape[-1]
-    if any(a.shape[-2:] != (n, n) for a in arrs):
-        raise InvalidInputError("matrices must share one size")
+    if any(a.shape != arrs[0].shape for a in arrs):
+        raise InvalidInputError("matrices must share one batch size and one matrix size")
     if len(arrs) != n:
         raise InvalidInputError(
             f"mixed discriminant of {n}x{n} matrices needs {n} arguments, got {len(arrs)}")
-    batched = any(a.ndim == 3 for a in arrs)
-    arrs = [a[None] if a.ndim == 2 else a for a in arrs]
-    b = max(a.shape[0] for a in arrs)
-    arrs = [np.broadcast_to(a, (b,) + a.shape[1:]) for a in arrs]
-    return np.stack(arrs, axis=0), batched
+    return np.stack(arrs, axis=0)
 
 
-def mixed_discriminant(mats, route: str = "delta") -> np.ndarray:
-    """Q(A_1, ..., A_n) of a list of (n, n) matrices or (B, n, n) batches;
+def mixed_discriminant_batch(mats, route: str = "delta") -> np.ndarray:
+    """Q(A_1, ..., A_n) of aligned (B, n, n) batches, one value per row;
     route in {'delta', 'subset'}."""
-    stack, batched = _as_stack(mats)
+    stack = _as_stack(mats)
     if route == "subset":
-        out = _subset_route(stack)
-    elif route == "delta":
-        out = _delta_route(stack)
-    else:
-        raise InvalidInputError(f"unknown route {route!r}")
-    return out if batched else float(out[0])
+        return _subset_route(stack)
+    if route == "delta":
+        return _delta_route(stack)
+    raise InvalidInputError(f"unknown route {route!r}")
 
 
 def _delta_route(stack: np.ndarray) -> np.ndarray:
@@ -106,7 +101,7 @@ def mixed_disc_gradient(mats) -> np.ndarray:
     the single-entry matrix; satisfies sum_ij (A_1)_ij grad_ij = Q and is
     positive definite when all arguments are.
     """
-    stack, batched = _as_stack(mats)
+    stack = _as_stack(mats)
     _, b, n, _ = stack.shape
     if n == 1:
         out = np.ones((b, 1, 1))
@@ -122,28 +117,24 @@ def mixed_disc_gradient(mats) -> np.ndarray:
         out /= 6.0
     else:
         raise InvalidInputError("gradient implemented for n <= 3")
-    return out if batched else out[0]
+    return out
 
 
 def md_transform_check(mats, b_matrix) -> dict:
     """Verify Q(A_1 B, ..., A_n B) = Q(A_1, ..., A_n) det(B).
 
-    Takes one tuple and one B, or (B, n, n) batches of both; a batch gives
-    per-entry lhs, rhs and relative errors, and passes when every entry does
-    (relative error at most 1e-10).
+    Takes (B, n, n) batches of the tuples and of the transforms, one B per
+    row; gives per-row lhs, rhs and relative errors, and passes when every
+    row does (relative error at most 1e-10).
     """
     b_matrix = np.asarray(b_matrix, dtype=float)
+    if b_matrix.ndim != 3:
+        raise InvalidInputError("transform matrices must be a (B, n, n) batch")
     det_b = np.linalg.det(b_matrix)
     if np.any(np.abs(det_b) < 1e-300):
         raise InvalidInputError("transform matrix must be invertible")
-    lhs = mixed_discriminant([np.asarray(a) @ b_matrix for a in mats], route="subset")
-    rhs = mixed_discriminant(mats, route="subset") * det_b
+    lhs = mixed_discriminant_batch([np.asarray(a) @ b_matrix for a in mats], route="subset")
+    rhs = mixed_discriminant_batch(mats, route="subset") * det_b
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
     rel = np.abs(lhs - rhs) / scale
     return {"lhs": lhs, "rhs": rhs, "relative_error": rel, "passed": bool(np.all(rel <= 1e-10))}
-
-
-def mixed_discriminant_batch(mats) -> np.ndarray:
-    """Batched Q over aligned (B, n, n) arrays; fast delta-route expressions."""
-    stack, _ = _as_stack(mats)
-    return _delta_route(stack)

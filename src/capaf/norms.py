@@ -22,10 +22,11 @@ Three families are provided:
 
 F, each zonal term and each support field (fields.py) are homogeneous
 functions of one shape: one private base, _Homogeneous, defines
-jet/value/grad/hess for one point (d,) or a batch (B, d), rejecting the zero
-vector; each class computes the jet [D^0, ..., D^order] (order 0-3, 0-2 for
-support fields) in one pass, _derivative(x, order), on nonzero rows (B, d),
-and one in-place sum, _sum_jets, adds the jets of a linear combination.
+jet/value/grad/hess on rows (B, d), rejecting the zero vector and any input
+that is not 2-D; each class computes the jet [D^0, ..., D^order] (order 0-3,
+0-2 for support fields) in one pass, _derivative(x, order), on nonzero rows
+(B, d), and one in-place sum, _sum_jets, adds the jets of a linear
+combination.
 Every family's derivatives are closed form, so no path differences F.  The
 single-term zonal chain, _zonal, serves PerturbTerm and the bump support
 fields of fields.py; the perturbed norm does not sum its terms' jets but
@@ -77,18 +78,6 @@ _EPS = 1e-14
 _BLOCK_ROWS = 512
 
 
-def _rows(x):
-    """View input as (B, d); return (array, had_batch_dim)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], False
-    return x, True
-
-
-def _unbatch(val, batched):
-    return val if batched else val[0]
-
-
 def row_blocks(count: int):
     """Slices covering range(count) in consecutive blocks of _BLOCK_ROWS rows."""
     return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, count, _BLOCK_ROWS)]
@@ -122,24 +111,18 @@ def tangent_basis(x: np.ndarray) -> np.ndarray:
 
     Seeds with the coordinate axis least aligned with x, orthonormalizes,
     and (in 3d) completes with the cross product; the fixed seeding and
-    ordering make every downstream cache reproducible.  Returns shape
-    (..., d-1, d) with basis vectors as rows.
+    ordering make every downstream cache reproducible.  Takes rows x (B, d),
+    d in {2, 3}, and returns shape (B, d-1, d) with basis vectors as rows.
     """
-    x, batched = _rows(x)
-    b, d = x.shape
-    if d == 2:
-        t = np.stack([-x[:, 1], x[:, 0]], axis=-1)
-        out = t[:, None, :]
-    elif d == 3:
-        axis = np.argmin(np.abs(x), axis=-1)
-        e = np.eye(3)[axis]
-        u1 = e - (np.sum(e * x, axis=-1, keepdims=True)) * x
-        u1 = unit_rows(u1)
-        u2 = np.cross(x, u1)
-        out = np.stack([u1, u2], axis=1)
-    else:
-        raise InvalidInputError(f"ambient dimension {d} not supported")
-    return out if batched else out[0]
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] not in (2, 3):
+        raise InvalidInputError(f"tangent basis needs rows (B, 2) or (B, 3), got shape {x.shape}")
+    if x.shape[1] == 2:
+        return np.stack([-x[:, 1], x[:, 0]], axis=-1)[:, None, :]
+    axis = np.argmin(np.abs(x), axis=-1)
+    e = np.eye(3)[axis]
+    u1 = unit_rows(e - (np.sum(e * x, axis=-1, keepdims=True)) * x)
+    return np.stack([u1, np.cross(x, u1)], axis=1)
 
 
 def _zonal(x, center, amplitude, profile, order):
@@ -187,8 +170,8 @@ class _Homogeneous:
 
     Subclasses implement ``_derivative(x, order)`` on nonzero rows x (B, d):
     the jet [D^0, ..., D^order] of fresh arrays, in one pass (order 0-3, 0-2
-    for support fields).  jet/value/grad/hess take one point (d,) or a batch
-    (B, d), reject the zero vector and answer in kind.
+    for support fields).  jet/value/grad/hess take rows (B, d) and answer
+    one entry per row; they reject the zero vector and input that is not 2-D.
     """
 
     def value(self, x) -> np.ndarray:
@@ -202,17 +185,19 @@ class _Homogeneous:
 
     def jet(self, x, order) -> list:
         """[value, grad, ...] up to the given order, evaluated together."""
-        x, batched = self._check_nonzero(x)
-        return [_unbatch(a, batched) for a in self._derivative(x, order)]
+        return self._derivative(self._check_nonzero(x), order)
 
     def _derivative(self, x, order) -> list:
         raise NotImplementedError
 
     def _check_nonzero(self, x):
-        x, batched = _rows(x)
+        """x as float rows (B, d), none of them zero."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise InvalidInputError(f"evaluators take rows (B, d), got shape {x.shape}")
         if np.any(np.linalg.norm(x, axis=-1) < _EPS):
             raise InvalidInputError("norm evaluated at the zero vector")
-        return x, batched
+        return x
 
 
 def _sum_jets(parts, coeffs, x, order):
@@ -290,44 +275,14 @@ class MinkowskiNorm(_Homogeneous):
     family = "abstract"
     dim: int
 
-    # -- primal side --------------------------------------------------------
-
-    def cahn_hoffman(self, x) -> np.ndarray:
-        """Gradient map DF at x / |x|; parametrizes the Wulff shape.
-
-        Input off the unit sphere (by more than 1e-12) is normalized first.
-        Equals F(x) x + (spherical gradient of F) for unit x.
-        """
-        x, batched = _rows(x)
-        r = np.linalg.norm(x, axis=-1)
-        if np.any(np.abs(r - 1.0) > 1e-12):
-            x = x / r[:, None]
-        return _unbatch(self.grad(x), batched)
-
-    def anisotropy_matrix(self, x, basis: np.ndarray | None = None) -> np.ndarray:
-        """Tangent restriction of the Hessian of F at unit x.
-
-        ``basis`` is an orthonormal tangent basis shaped like the input: (n, d)
-        for one point, (B, n, d) for a batch; when omitted the deterministic
-        coordinate-seeded basis is used.
-        """
-        x, batched = _rows(x)
-        if basis is None:
-            basis = tangent_basis(x)
-        elif not batched:
-            basis = np.asarray(basis, dtype=float)[None]
-        h = self.hess(x)
-        a = np.einsum("bki,bij,blj->bkl", basis, h, basis)
-        return _unbatch(a, batched)
-
     # -- dual side -----------------------------------------------------------
 
     def dual_value(self, xi, x_warm):
         """(F0(xi), maximizer) in closed form (``x_warm`` is ignored): the
         maximizer is the Gauss preimage of the projected point xi / F0(xi)."""
-        xi, batched = self._check_nonzero(xi)
+        xi = self._check_nonzero(xi)
         f0 = self._dual(xi)
-        return _unbatch(f0, batched), _unbatch(self.gauss_preimage(xi / f0[:, None]), batched)
+        return f0, self.gauss_preimage(xi / f0[:, None])
 
     def _dual(self, xi) -> np.ndarray:
         """F0 at nonzero rows xi (B, d)."""
@@ -400,8 +355,7 @@ class IsotropicNorm(MinkowskiNorm):
         return np.zeros((len(x),) + (self.dim,) * 3)
 
     def gauss_preimage(self, z):
-        z, batched = self._check_nonzero(z)
-        return _unbatch(unit_rows(z), batched)
+        return unit_rows(self._check_nonzero(z))
 
     def descriptor(self):
         return {"family": "isotropic", "dim": self.dim}
@@ -458,8 +412,7 @@ class EllipsoidNorm(MinkowskiNorm):
         return np.zeros((len(x),) + (self.dim,) * 3)
 
     def gauss_preimage(self, z):
-        z, batched = self._check_nonzero(z)
-        return _unbatch(unit_rows(z @ self.matrix_inv), batched)
+        return unit_rows(self._check_nonzero(z) @ self.matrix_inv)
 
     def descriptor(self):
         return {"family": "ellipsoid", "matrix": self.matrix.tolist()}
@@ -628,15 +581,15 @@ class PerturbedNorm(MinkowskiNorm):
     def dual_value(self, xi, x_warm):
         """(F0(xi), maximizer) by a damped Newton ascent from ``x_warm``, one
         approximate Gauss preimage per row of xi."""
-        xi, batched = self._check_nonzero(xi)
-        y0 = _rows(x_warm)[0]
+        xi = self._check_nonzero(xi)
+        y0 = np.asarray(x_warm, dtype=float)
         if y0.shape != xi.shape:
             raise InvalidInputError("x_warm needs one row per xi")
         yf, phi, res = self._newton_ascend(unit_rows(y0), xi)
         if np.any(res > 1e-6):
             raise NumericError("warm dual ascent did not converge",
                                best_value=float(np.max(phi)), residual=float(np.max(res)))
-        return _unbatch(phi, batched), _unbatch(yf, batched)
+        return phi, yf
 
     def descriptor(self):
         return {

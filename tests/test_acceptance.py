@@ -16,8 +16,8 @@ import numpy as np
 import capaf.functionals as fn
 from capaf.bodies import make_wulff_cap, minkowski_combine, rebind, translate_horizontal
 from capaf.cli import main
-from capaf.mixdisc import (mixed_disc_gradient, mixed_discriminant,
-                           mixed_discriminant_batch)
+from capaf.fields import CombinationField
+from capaf.mixdisc import mixed_disc_gradient, mixed_discriminant_batch
 from tests.conftest import body_for, mesh_for
 
 N2_CONFIGS = [("iso3", -0.5), ("iso3", 0.0), ("iso3", 0.5), ("ell3", -0.4),
@@ -62,11 +62,10 @@ def test_criterion_01_mixed_discriminant_algebra():
         tq = mixed_discriminant_batch([m @ bmat for m in mats])
         worst = max(worst, float(np.max(np.abs(tq - q * np.linalg.det(bmat)) /
                                         np.maximum(np.abs(tq), 1e-30))))
-        # gradient contraction (loop a subsample; the gradient API is per-tuple)
-        for i in range(0, b, 50):
-            tup = [m[i] for m in mats]
-            g = mixed_disc_gradient(tup)
-            worst = max(worst, abs(float(np.sum(tup[0] * g)) - q[i]) / scale[i])
+        # gradient contraction sum_ij (A_1)_ij dQ/d(A_1)_ij = Q on every tuple
+        g = mixed_disc_gradient(mats)
+        contraction = np.sum((mats[0] * g).reshape(b, -1), axis=1)
+        worst = max(worst, float(np.max(np.abs(contraction - q) / scale)))
         # Alexandrov inequality
         q12 = mixed_discriminant_batch([mats[0], mats[1]] + mats[2:n])
         q11 = mixed_discriminant_batch([mats[0], mats[0]] + mats[2:n])
@@ -279,8 +278,8 @@ def test_criterion_10_operator():
     # energy inequality on 20 random capillary functions
     worst_energy = 0.0
     for seed in range(860, 880):
-        g = (body_for("ell3", -0.4, 4, seed=seed).field
-             - body_for("ell3", -0.4, 4, seed=seed + 40).field)
+        g = CombinationField([body_for("ell3", -0.4, 4, seed=seed).field,
+                              body_for("ell3", -0.4, 4, seed=seed + 40).field], [1.0, -1.0])
         rep = fn.operator_a_energy_check(g, [f2], tol=1e-6)
         worst_energy = max(worst_energy, -rep.gap)
         assert rep.passed

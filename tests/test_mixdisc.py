@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capaf.errors import InvalidInputError
-from capaf.mixdisc import (md_transform_check, mixed_disc_gradient,
-                           mixed_discriminant, mixed_discriminant_batch)
+from capaf.mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
 
 
 def spd(rng, n):
@@ -15,22 +14,32 @@ def spd(rng, n):
     return a @ a.T + 0.3 * np.eye(n)
 
 
+def one_row(mats):
+    """One tuple of (n, n) matrices as a one-row batch."""
+    return [np.asarray(m, dtype=float)[None] for m in mats]
+
+
+def q_one(mats, route="delta"):
+    """Q of one tuple, evaluated as a one-row batch."""
+    return float(mixed_discriminant_batch(one_row(mats), route=route)[0])
+
+
 def test_diagonal_is_determinant():
     a = np.diag([2.0, 3.0])
-    assert mixed_discriminant([a, a]) == pytest.approx(6.0, abs=1e-14)
+    assert q_one([a, a]) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_two_by_two_example():
     a, b = np.diag([2.0, 3.0]), np.diag([5.0, 7.0])
-    assert mixed_discriminant([a, b]) == pytest.approx(14.5, abs=1e-14)
+    assert q_one([a, b]) == pytest.approx(14.5, abs=1e-14)
 
 
 def test_routes_agree_n3():
     rng = np.random.default_rng(0)
     for _ in range(50):
         mats = [spd(rng, 3) for _ in range(3)]
-        q_delta = mixed_discriminant(mats, route="delta")
-        q_subset = mixed_discriminant(mats, route="subset")
+        q_delta = q_one(mats, route="delta")
+        q_subset = q_one(mats, route="subset")
         assert q_delta == pytest.approx(q_subset, rel=1e-12)
 
 
@@ -38,12 +47,11 @@ def test_symmetry_under_permutation():
     rng = np.random.default_rng(1)
     for n in (2, 3):
         mats = [spd(rng, n) for _ in range(n)]
-        base = mixed_discriminant(mats)
+        base = q_one(mats)
         from itertools import permutations
 
         for perm in permutations(range(n)):
-            assert mixed_discriminant([mats[p] for p in perm]) == pytest.approx(
-                base, rel=1e-12)
+            assert q_one([mats[p] for p in perm]) == pytest.approx(base, rel=1e-12)
 
 
 def test_multilinearity():
@@ -51,13 +59,13 @@ def test_multilinearity():
     for n in (2, 3):
         mats = [spd(rng, n) for _ in range(n)]
         extra = spd(rng, n)
-        lhs = mixed_discriminant([2.0 * mats[0] + 3.0 * extra] + mats[1:])
-        rhs = 2.0 * mixed_discriminant(mats) + 3.0 * mixed_discriminant([extra] + mats[1:])
+        lhs = q_one([2.0 * mats[0] + 3.0 * extra] + mats[1:])
+        rhs = 2.0 * q_one(mats) + 3.0 * q_one([extra] + mats[1:])
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_gradient_identity_all_identity():
-    g = mixed_disc_gradient([np.eye(2), np.eye(2)])
+    g = mixed_disc_gradient(one_row([np.eye(2), np.eye(2)]))
     assert np.allclose(g, 0.5 * np.eye(2), atol=1e-15)
 
 
@@ -65,62 +73,60 @@ def test_gradient_contraction():
     rng = np.random.default_rng(3)
     for n in (2, 3):
         mats = [spd(rng, n) for _ in range(n)]
-        g = mixed_disc_gradient(mats)
-        assert float(np.sum(mats[0] * g)) == pytest.approx(
-            mixed_discriminant(mats), rel=1e-12)
+        g = mixed_disc_gradient(one_row(mats))[0]
+        assert float(np.sum(mats[0] * g)) == pytest.approx(q_one(mats), rel=1e-12)
 
 
 def test_gradient_positive_definite():
     rng = np.random.default_rng(4)
     for n in (2, 3):
         mats = [spd(rng, n) for _ in range(n)]
-        assert mixed_discriminant(mats) > 0
-        assert np.min(np.linalg.eigvalsh(mixed_disc_gradient(mats))) > 0
+        assert q_one(mats) > 0
+        assert np.min(np.linalg.eigvalsh(mixed_disc_gradient(one_row(mats)))) > 0
 
 
 def test_gradient_fd_oracle():
     rng = np.random.default_rng(5)
     mats = [spd(rng, 3) for _ in range(3)]
-    g = mixed_disc_gradient(mats)
+    g = mixed_disc_gradient(one_row(mats))[0]
     h = 1e-6
     for i in range(3):
         for j in range(3):
             e = np.zeros((3, 3))
             e[i, j] = h
-            num = (mixed_discriminant([mats[0] + e] + mats[1:])
-                   - mixed_discriminant([mats[0] - e] + mats[1:])) / (2 * h)
+            num = (q_one([mats[0] + e] + mats[1:]) - q_one([mats[0] - e] + mats[1:])) / (2 * h)
             assert num == pytest.approx(g[i, j], rel=1e-7, abs=1e-9)
 
 
 def test_transform_law():
     rng = np.random.default_rng(6)
     mats = [spd(rng, 2), spd(rng, 2)]
-    assert md_transform_check(mats, np.eye(2))["relative_error"] < 1e-15
-    chk = md_transform_check(mats, 2.0 * np.eye(2))
-    assert chk["passed"] and chk["rhs"] == pytest.approx(
-        4.0 * mixed_discriminant(mats), rel=1e-13)
+    assert md_transform_check(one_row(mats), np.eye(2)[None])["relative_error"][0] < 1e-15
+    chk = md_transform_check(one_row(mats), 2.0 * np.eye(2)[None])
+    assert chk["passed"] and chk["rhs"][0] == pytest.approx(4.0 * q_one(mats), rel=1e-13)
     for n in (2, 3):
         mats = [spd(rng, n) for _ in range(n)]
         b = rng.normal(size=(n, n)) + 2 * np.eye(n)
-        assert md_transform_check(mats, b)["relative_error"] < 1e-10
-    # (B, n, n) batches give the per-entry results
+        assert md_transform_check(one_row(mats), b[None])["relative_error"][0] < 1e-10
+    # a batch gives per-row results, each that of its row alone
     for n in (2, 3):
         tuples = [[spd(rng, n) for _ in range(n)] for _ in range(5)]
         bs = [rng.normal(size=(n, n)) + 2 * np.eye(n) for _ in range(5)]
         chk = md_transform_check(list(np.swapaxes(np.array(tuples), 0, 1)), np.array(bs))
-        single = [md_transform_check(t, b)["relative_error"] for t, b in zip(tuples, bs)]
+        single = [md_transform_check(one_row(t), b[None])["relative_error"][0]
+                  for t, b in zip(tuples, bs)]
         assert chk["passed"] and np.array_equal(chk["relative_error"], single)
 
 
 def test_transform_rejects_singular():
     with pytest.raises(InvalidInputError):
-        md_transform_check([np.eye(2), np.eye(2)], np.zeros((2, 2)))
+        md_transform_check(one_row([np.eye(2), np.eye(2)]), np.zeros((1, 2, 2)))
 
 
 def alexandrov_gap(a, b, rest=()):
     """(gap, relative gap) of Q(A, B, rest)^2 >= Q(A, A, rest) Q(B, B, rest)."""
-    lhs = mixed_discriminant([a, b, *rest]) ** 2
-    rhs = mixed_discriminant([a, a, *rest]) * mixed_discriminant([b, b, *rest])
+    lhs = q_one([a, b, *rest]) ** 2
+    rhs = q_one([a, a, *rest]) * q_one([b, b, *rest])
     return lhs - rhs, (lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
 
@@ -147,13 +153,15 @@ def test_alexandrov_randomized():
 
 
 def test_tuple_validation():
-    # n arguments of one n x n size, each (n, n) or (B, n, n)
+    # n arguments, each a (B, n, n) batch of one shape
     with pytest.raises(InvalidInputError):
-        mixed_discriminant([np.eye(2), np.eye(3)])
+        mixed_discriminant_batch(one_row([np.eye(2), np.eye(3)]))
     with pytest.raises(InvalidInputError):
-        mixed_discriminant([np.ones(2), np.ones(2)])
+        mixed_discriminant_batch([np.ones((1, 2)), np.ones((1, 2))])
     with pytest.raises(InvalidInputError):
-        mixed_discriminant([np.eye(2)])
+        mixed_discriminant_batch(one_row([np.eye(2)]))
+    with pytest.raises(InvalidInputError):
+        mixed_discriminant_batch([np.ones((2, 2, 2)), np.ones((3, 2, 2))])
 
 
 def test_every_entry_point_takes_exactly_n_arguments():
@@ -162,7 +170,7 @@ def test_every_entry_point_takes_exactly_n_arguments():
     eye2 = np.broadcast_to(np.eye(2), (4, 2, 2))
     eye3 = np.broadcast_to(np.eye(3), (4, 3, 3))
     for mats in ([eye2, 2.0 * eye2, 5.0 * eye2], [eye3, eye3]):
-        for func in (mixed_discriminant_batch, mixed_discriminant, mixed_disc_gradient):
+        for func in (mixed_discriminant_batch, mixed_disc_gradient):
             with pytest.raises(InvalidInputError, match="needs"):
                 func(mats)
 
@@ -173,7 +181,7 @@ def test_batched_matches_scalar():
     b = np.stack([spd(rng, 2) for _ in range(6)])
     batch = mixed_discriminant_batch([a, b])
     for i in range(6):
-        assert batch[i] == pytest.approx(mixed_discriminant([a[i], b[i]]), rel=1e-14)
+        assert batch[i] == pytest.approx(q_one([a[i], b[i]]), rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,7 +192,7 @@ def test_property_diagonal_and_symmetry(data, n):
         min_size=n * n * n, max_size=n * n * n))
     raw = np.asarray(entries).reshape(n, n, n)
     mats = [m @ m.T + 0.5 * np.eye(n) for m in raw]
-    q = mixed_discriminant(mats)
-    assert mixed_discriminant(mats[::-1]) == pytest.approx(q, rel=1e-11, abs=1e-13)
-    d = mixed_discriminant([mats[0]] * n)
+    q = q_one(mats)
+    assert q_one(mats[::-1]) == pytest.approx(q, rel=1e-11, abs=1e-13)
+    d = q_one([mats[0]] * n)
     assert d == pytest.approx(float(np.linalg.det(mats[0])), rel=1e-11, abs=1e-13)

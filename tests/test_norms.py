@@ -13,6 +13,8 @@ import capaf.fd as fd
 from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.config import parse_config
 from capaf.errors import InvalidInputError, ModelInvalidError
+from capaf.fields import CombinationField, LinearField, SphericalBumpField, WulffCapField
+from capaf.mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm, PerturbedNorm,
                          PerturbTerm, sym_eig_det, tangent_basis, unit_rows)
 
@@ -32,12 +34,18 @@ def tilted(x, angle, seed=0):
     return np.cos(angle) * x + np.sin(angle) * np.einsum("bk,bkd->bd", c, tb)
 
 
+def anisotropy(model, x, basis):
+    """A_F: the tangent restriction of D^2F at rows x (B, d), in the tangent
+    bases (B, n, d)."""
+    return np.einsum("bki,bij,blj->bkl", basis, model.hess(x), basis)
+
+
 def test_eval_norm_unit_isotropic(model_factory):
-    assert model_factory("iso3").value(np.array([0.0, 0.0, 1.0])) == 1.0
+    assert model_factory("iso3").value(np.array([[0.0, 0.0, 1.0]]))[0] == 1.0
 
 
 def test_eval_norm_ellipsoid_axis(model_factory):
-    assert model_factory("ell3diag").value(np.array([0.0, 0.0, 1.0])) == pytest.approx(2.0)
+    assert model_factory("ell3diag").value(np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -50,42 +58,77 @@ def test_homogeneity(model_factory, name):
 
 
 def test_zero_vector_rejected(model_factory):
-    with pytest.raises(InvalidInputError):
-        model_factory("iso3").value(np.zeros(3))
-    with pytest.raises(InvalidInputError):
-        model_factory("ell3").dual_value(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="zero vector"):
+        model_factory("iso3").value(np.zeros((1, 3)))
+    with pytest.raises(InvalidInputError, match="zero vector"):
+        model_factory("ell3").dual_value(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+    with pytest.raises(InvalidInputError, match="zero vector"):
         model_factory("pert3").hess(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
-    # a zonal term shares the norms' point/batch contract, zero check included
+    # a zonal term shares the norms' rows contract, zero check included
     term = PerturbTerm("bump", (0.0, 0.0, 1.0), 0.3, 0.05)
     for method in (term.value, term.grad, term.hess, lambda x: term.jet(x, 3)):
+        with pytest.raises(InvalidInputError, match="zero vector"):
+            method(np.zeros((1, 3)))
+
+
+def test_every_evaluator_rejects_a_single_point_or_matrix(model_factory):
+    # the evaluators take rows (B, d) and (B, n, n) batches only: one point
+    # (d,) or one matrix (n, n) is an InvalidInputError at every entry, not
+    # an answer in kind
+    point, row = np.array([0.1, 0.2, 0.97]), np.array([[0.1, 0.2, 0.97]])
+    term = PerturbTerm("bump", (0.0, 0.0, 1.0), 0.3, 0.05)
+    funcs = [model_factory(name) for name in MODELS] + [
+        term, WulffCapField(model_factory("ell3"), -0.4, 1.0, [0.0, 0.0, 1.0]),
+        LinearField([0.1, 0.0, 1.0]), SphericalBumpField((0.0, 0.0, 1.0), 0.5, 0.1),
+        CombinationField([LinearField([0.1, 0.0, 1.0])], [2.0])]
+    entries = [tangent_basis]
+    for func in funcs:
+        entries += [func.value, func.grad, func.hess, lambda x, f=func: f.jet(x, 2)[2]]
+    for model in funcs[:len(MODELS)]:
+        entries += [lambda x, m=model: m.dual_value(x, x)[0],
+                    lambda x, m=model: m.dual_value(x, x)[1]]
+    entries += [funcs[0].gauss_preimage, funcs[1].gauss_preimage]
+    for entry in entries:
+        assert np.asarray(entry(row)).shape[0] == 1
         with pytest.raises(InvalidInputError):
-            method(np.zeros(3))
+            entry(point)
+    with pytest.raises(InvalidInputError):
+        model_factory("pert3").dual_value(row, point)
+    mats = [np.eye(2), 2.0 * np.eye(2)]
+    for entry in (mixed_discriminant_batch, mixed_disc_gradient,
+                  lambda m: md_transform_check(m, [np.eye(2)])["relative_error"]):
+        assert np.asarray(entry([m[None] for m in mats])).shape[0] == 1
+        with pytest.raises(InvalidInputError):
+            entry(mats)
+    with pytest.raises(InvalidInputError):
+        md_transform_check([m[None] for m in mats], np.eye(2))
 
 
 def test_cahn_hoffman_isotropic_identity(model_factory):
+    # the Cahn-Hoffman map DF, which parametrizes the Wulff shape
     x = sample_dirs(3, 10, seed=2)
-    psi = model_factory("iso3").cahn_hoffman(x)
+    psi = model_factory("iso3").grad(x)
     assert np.max(np.abs(psi - x)) < 1e-14
 
 
 def test_cahn_hoffman_ellipsoid_axis(model_factory):
-    psi = model_factory("ell3diag").cahn_hoffman(np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(psi, [0.0, 0.0, 2.0], atol=1e-14)
+    psi = model_factory("ell3diag").grad(np.array([[0.0, 0.0, 1.0]]))
+    assert np.allclose(psi, [[0.0, 0.0, 2.0]], atol=1e-14)
 
 
 def test_cahn_hoffman_nonunit_flag(model_factory):
+    # DF is 0-homogeneous: a point off the unit sphere maps as its direction
     model = model_factory("ell3")
-    a = model.cahn_hoffman(np.array([0.0, 0.0, 2.0]))
-    b = model.cahn_hoffman(np.array([0.0, 0.0, 1.0]))
+    a = model.grad(np.array([[0.0, 0.0, 2.0]]))
+    b = model.grad(np.array([[0.0, 0.0, 1.0]]))
     assert np.allclose(a, b)
 
 
-@pytest.mark.parametrize("name,tol", [("iso3", 1e-10), ("ell3", 1e-10), ("pert3", 1e-6)])
+@pytest.mark.parametrize("name,tol", [("iso3", 1e-10), ("ell3", 1e-10), ("pert3", 1e-10)])
 def test_euler_relation(model_factory, name, tol):
     model = model_factory(name)
     x = sample_dirs(3, 50, seed=3)
-    psi = np.asarray(model.cahn_hoffman(x))
+    psi = model.grad(x)
     dev = np.abs(np.einsum("bi,bi->b", psi, x) - np.asarray(model.value(x)))
     assert np.max(dev) < tol
 
@@ -96,27 +139,29 @@ def test_wulff_membership(model_factory, name):
     # rad off the preimage x and returning to it
     model = model_factory(name)
     x = sample_dirs(3, 100, seed=4)
-    psi = np.asarray(model.cahn_hoffman(x))
+    psi = model.grad(x)
     f0, arg = model.dual_value(psi, tilted(x, 0.1, seed=4))
     assert np.max(np.abs(f0 - 1.0)) < 1e-8
     assert np.max(np.abs(arg - x)) < 1e-8
 
 
 def test_anisotropy_isotropic_identity(model_factory):
-    a = model_factory("iso3").anisotropy_matrix(sample_dirs(3, 5, seed=5))
+    x = sample_dirs(3, 5, seed=5)
+    a = anisotropy(model_factory("iso3"), x, tangent_basis(x))
     assert np.max(np.abs(a - np.eye(2))) < 1e-13
 
 
 def test_anisotropy_ellipsoid_axis(model_factory):
-    basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    a = model_factory("ell3diag").anisotropy_matrix(np.array([0.0, 0.0, 1.0]), basis=basis)
+    basis = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    a = anisotropy(model_factory("ell3diag"), np.array([[0.0, 0.0, 1.0]]), basis)
     assert np.allclose(a, 0.5 * np.eye(2), atol=1e-13)
 
 
 @pytest.mark.parametrize("name", MODELS)
 def test_anisotropy_symmetric_positive(model_factory, name):
     model = model_factory(name)
-    a = np.asarray(model.anisotropy_matrix(sample_dirs(3, 40, seed=6)))
+    x = sample_dirs(3, 40, seed=6)
+    a = anisotropy(model, x, tangent_basis(x))
     assert np.max(np.abs(a - np.swapaxes(a, -1, -2))) < 1e-9
     assert np.min(np.linalg.eigvalsh(a)) > 0
 
@@ -137,8 +182,8 @@ def test_perturbed_fd_hessian_step_halving(model_factory):
 
 def test_perturbed_derivatives_row_independent_of_batch(model_factory):
     # every derivative, of every norm family and zonal term kind, works row
-    # by row: no companion can move a row, and one point (d,) answers with
-    # the shape of a batch row
+    # by row: no companion can move a row, so a one-row batch answers with
+    # the bits of the same row in a larger batch
     terms = [(PerturbTerm(kind, (0.3, 0.2, 0.93), 0.3, 0.05), 3)
              for kind in ("bump", "linear", "quadratic")]
     norms = [(model_factory(name), model_factory(name).dim)
@@ -148,10 +193,9 @@ def test_perturbed_derivatives_row_independent_of_batch(model_factory):
         batch = np.stack([x, 3.0 * unit_rows(np.array([1.0, -0.5, 0.3])[:d]), -3.0 * np.eye(d)[-1]])
         for order, method in enumerate((func.value, func.grad, func.hess,
                                         lambda p: func.jet(p, 3)[3])):
-            one, rows = np.asarray(method(x)), np.asarray(method(batch))
-            assert one.shape == (d,) * order, (func, order)
+            one, rows = method(x[None]), method(batch)
             assert rows.shape == (len(batch),) + (d,) * order, (func, order)
-            assert np.array_equal(one, rows[0]), (func, order)
+            assert np.array_equal(one, rows[:1]), (func, order)
 
 
 @pytest.mark.parametrize("name", ("iso3", "iso2", "ell3", "ell2", "pert3", "pert2",
@@ -174,7 +218,7 @@ def test_jet_entries_do_not_depend_on_the_order_asked_for(model_factory, name):
         assert np.array_equal(public[j], jets[3][j]), j
     for j, method in enumerate((func.value, func.grad, func.hess)):
         assert np.array_equal(np.asarray(method(x)), jets[3][j]), j
-        assert np.array_equal(func.jet(x[0], 3)[j], np.asarray(method(x[0]))), j
+        assert np.array_equal(func.jet(x[:1], 3)[j], method(x[:1])), j
 
 
 def test_each_homogeneous_function_has_one_derivative_method():
@@ -325,9 +369,10 @@ def test_perturbed_validation_peak_memory(traced_peak):
 
 
 def test_dual_norm_isotropic():
-    f0, arg = IsotropicNorm(3).dual_value(np.array([3.0, 4.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-    assert f0 == pytest.approx(5.0)
-    assert np.allclose(arg, [0.6, 0.8, 0.0])
+    f0, arg = IsotropicNorm(3).dual_value(np.array([[3.0, 4.0, 0.0]]),
+                                          np.array([[0.0, 0.0, 1.0]]))
+    assert f0[0] == pytest.approx(5.0)
+    assert np.allclose(arg, [[0.6, 0.8, 0.0]])
 
 
 def test_dual_norm_ellipsoid_vs_numeric_sup(model_factory):
@@ -341,7 +386,7 @@ def test_dual_norm_ellipsoid_vs_numeric_sup(model_factory):
     def neg_phi(ang):
         th, ph = ang
         y = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-        return -float(y @ xi) / float(model.value(y))
+        return -float(y @ xi) / float(model.value(y[None])[0])
 
     th0 = np.arccos(np.clip(best[2], -1, 1))
     ph0 = np.arctan2(best[1], best[0])
@@ -349,7 +394,7 @@ def test_dual_norm_ellipsoid_vs_numeric_sup(model_factory):
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 600})
     numeric_sup = -res.fun
     assert numeric_sup == pytest.approx(0.5, abs=1e-8)
-    assert model.dual_value(xi, best)[0] == pytest.approx(numeric_sup, abs=1e-8)
+    assert model.dual_value(xi[None], best[None])[0][0] == pytest.approx(numeric_sup, abs=1e-8)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -357,7 +402,7 @@ def test_dual_homogeneity(model_factory, name):
     # both ascents start 0.1 rad off the preimage x of xi
     model = model_factory(name)
     x = sample_dirs(3, 20, seed=9)
-    xi = 1.7 * np.asarray(model.cahn_hoffman(x))
+    xi = 1.7 * model.grad(x)
     warm = tilted(x, 0.1, seed=9)
     f1, _ = model.dual_value(xi, warm)
     f2, _ = model.dual_value(3.0 * xi, warm)
@@ -393,7 +438,7 @@ def test_metric_identity_on_wulff_perturbed(model_factory):
     for name in ("pert3", "pert2"):
         model = model_factory(name)
         x = sample_dirs(model.dim, 100, seed=13)
-        psi = np.asarray(model.cahn_hoffman(x))
+        psi = model.grad(x)
         g = np.asarray(model.metric_on_wulff(x))
         vals = np.einsum("bi,bij,bj->b", psi, g, psi)
         assert np.max(np.abs(vals - 1.0)) < 1e-10
@@ -404,7 +449,7 @@ def test_metric_tangent_identity_oracle(model_factory):
     model = model_factory("pert3")
     x = sample_dirs(3, 30, seed=14)
     tb = tangent_basis(x)
-    a = np.asarray(model.anisotropy_matrix(x, basis=tb))
+    a = anisotropy(model, x, tb)
     g = np.asarray(model.metric_on_wulff(x))
     f = np.asarray(model.value(x))
     au = np.einsum("bkl,bld->bkd", a, tb)
@@ -416,7 +461,7 @@ def test_q_tensor_radial_contraction_perturbed(model_factory):
     for name in ("pert3", "pert2"):
         model = model_factory(name)
         x = sample_dirs(model.dim, 100, seed=15)
-        psi = np.asarray(model.cahn_hoffman(x))
+        psi = model.grad(x)
         q = np.asarray(model.q_on_wulff(x))
         contraction = np.einsum("bijk,bk->bij", q, psi)
         assert np.max(np.abs(contraction)) < 1e-9
@@ -431,8 +476,8 @@ def test_anisotropy_condition_diagnostic(mesh_factory):
 @given(t=st.floats(min_value=0.01, max_value=50.0))
 def test_homogeneity_property(t):
     model = EllipsoidNorm(np.array([[1.0, 0.0, 0.2], [0.0, 1.2, 0.0], [0.2, 0.0, 0.9]]))
-    x = np.array([0.3, -0.5, 0.81])
-    assert float(model.value(t * x)) == pytest.approx(t * float(model.value(x)), rel=1e-12)
+    x = np.array([[0.3, -0.5, 0.81]])
+    assert model.value(t * x)[0] == pytest.approx(t * model.value(x)[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +506,7 @@ def fd_newton_metric(model, z, x_warm):
 
 def _wulff_sample(model, count, seed):
     x = sample_dirs(model.dim, count, seed=seed)
-    return np.asarray(model.cahn_hoffman(x)), x
+    return model.grad(x), x
 
 
 @pytest.mark.parametrize("name", ("pert3", "pert2"))
