@@ -8,14 +8,14 @@ of Psi(E_d) (resp. -Psi(-E_d), resp. E_d itself) pairing to 1 with E_d.
 
 Meshing: for n = 2 an icosphere is clipped against the region boundary by
 snapping straddling vertices onto {residual = 0} along great circles
-(bisection plus one Newton polish, residual tolerance 1e-12), all straddling
-vertices of a mesh in one batch; quadrature is vertex-lumped
-spherical-triangle area, second-order accurate.  Icospheres are built once
-per level and cached, and the cached arrays are read-only.  Subdivision,
-the choice of snap partners and the boundary edge count are whole-array
-operations; only the walk along the boundary loop is a Python loop.  For
-n = 1 the region is a single arc, subdivided uniformly in angle with
-trapezoid weights (the angular measure is exact).
+(bisection plus one Newton polish), all straddling vertices of a mesh in one
+batch; quadrature is vertex-lumped spherical-triangle area, second-order
+accurate.  Icospheres are built once per level and cached, and the cached
+arrays are read-only.  Subdivision, the choice of snap partners and the
+boundary edge count are whole-array operations; only the walk along the
+boundary loop is a Python loop.  For n = 1 the region is a single arc,
+subdivided uniformly in angle with trapezoid weights (the angular measure
+is exact).
 
 Every node carries caches, read from one jet [F, DF, D^2F] there, the only
 evaluation of F's derivatives at the nodes: Psi(x), the anisotropy matrix
@@ -29,12 +29,17 @@ first vectors span the boundary tangent.  Lazy caches, computed once per
 mesh on first use (arrays read-only): q_frame, cap_body,
 interior_candidates and region_complement.  The intrinsic kernel route's
 stencil is per call and not cached, since cached meshes would keep it alive.
+
+The mesh's guards are constants: BOUNDARY_RESIDUAL bounds the region
+residual of a boundary node (100 times it after a snap), FRAME_ORTHONORMAL
+the frames' G-orthonormality defect, and BOUNDARY_PLANE the height of a
+boundary cap point; a mesh that breaks one raises.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,26 +48,9 @@ from .errors import (InvalidConfigError, MeshConstructionError,
 from .norms import (MinkowskiNorm, row_blocks, sym_eig_det, tangent_basis,
                     unit_rows)
 
-DEFAULT_TOLERANCES = {
-    "boundary_residual": 1e-12,
-    "frame_orthonormal": 1e-10,
-    "boundary_plane": 1e-9,
-    "mixdisc": 1e-10,
-    "routes_analytic": 1e-8,
-    "routes_polyfit": 1e-4,
-    "kernel_max": 1e-4,
-    "kernel_ratio": 2.0,
-    "minkowski_ratio": 2.0,
-    "symmetry_ratio": 2.0,
-    "symmetry_trailing": 1e-12,
-    "steiner": 1e-4,
-    "af_gap": 1e-8,
-    "af_equality": 1e-6,
-    "chain_gap": 1e-7,
-    "chain_equality": 1e-6,
-    "operator_eigen": 1e-8,
-    "operator_energy": 1e-6,
-}
+BOUNDARY_RESIDUAL = 1e-12
+FRAME_ORTHONORMAL = 1e-10
+BOUNDARY_PLANE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +199,16 @@ def region_residual(model: MinkowskiNorm, omega0: float, x) -> np.ndarray:
 
 @dataclass
 class CapConfig:
-    """Geometry configuration: dimension, capillarity constant, norm, mesh."""
+    """Geometry configuration: the norm F on R^(n+1), w0 and the mesh level."""
 
-    n: int
-    omega0: float
     norm: MinkowskiNorm
-    mesh_level: int = 3
-    tolerances: dict = field(default_factory=dict)
+    omega0: float
+    mesh_level: int
 
     def __post_init__(self):
         errors = []
-        if self.n not in (1, 2):
+        if self.dim not in (2, 3):
             errors.append(f"n={self.n} unsupported; meshing is restricted to n in {{1, 2}}")
-        if self.norm.dim != self.n + 1:
-            errors.append(f"norm dimension {self.norm.dim} != n+1 = {self.n + 1}")
         else:
             lo, hi = admissible_range(self.norm)
             if not (lo < self.omega0 < hi):
@@ -234,13 +218,14 @@ class CapConfig:
             errors.append(f"mesh_level={self.mesh_level} out of range [0, 7]")
         if errors:
             raise InvalidConfigError("; ".join(errors), errors=errors)
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(self.tolerances)
-        self.tolerances = tol
 
     @property
     def dim(self) -> int:
-        return self.n + 1
+        return self.norm.dim
+
+    @property
+    def n(self) -> int:
+        return self.dim - 1
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +347,13 @@ class CapMesh:
         self.frame = frame
 
     def _check_invariants(self):
-        tol = self.config.tolerances
         gram = np.einsum("bki,bij,blj->bkl", self.frame, self.G, self.frame)
         dev = np.max(np.abs(gram - np.eye(self.n)[None]))
-        if dev > tol["frame_orthonormal"]:
+        if dev > FRAME_ORTHONORMAL:
             raise NumericError(f"frame orthonormality defect {dev:.3e}", residual=dev)
         self.frame_orthonormal_defect = float(dev)
         plane = np.abs(self.xi[self.boundary_idx, -1])
-        if np.any(plane > tol["boundary_plane"]):
+        if np.any(plane > BOUNDARY_PLANE):
             raise MeshConstructionError(
                 f"boundary cap point off the support plane by {np.max(plane):.3e}")
         r = self.psi[:, -1] + self.omega0  # the region residual, as psi = DF
@@ -480,7 +464,7 @@ def _region_complement_sample(mesh: CapMesh) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _snap_to_boundary(model, omega0, v_out, v_in, tol):
+def _snap_to_boundary(model, omega0, v_out, v_in):
     """Roots of the region residual along the great circles from v_out to v_in.
 
     Batched over rows: every straddling pair is bisected at once (48 steps),
@@ -526,7 +510,7 @@ def _snap_to_boundary(model, omega0, v_out, v_in, tol):
     t = np.where(better, t_new, t)
     r = np.where(better, r_new, r)
     worst = int(np.argmax(np.abs(r)))
-    if abs(r[worst]) > max(tol * 100.0, 1e-10):
+    if abs(r[worst]) > 100.0 * BOUNDARY_RESIDUAL:
         raise MeshConstructionError(f"boundary snap residual {r[worst]:.3e} above tolerance")
     points[live] = unit_rows(gamma(t))
     return points
@@ -534,11 +518,10 @@ def _snap_to_boundary(model, omega0, v_out, v_in, tol):
 
 def _build_mesh_2d(config: CapConfig) -> CapMesh:
     model, omega0 = config.norm, config.omega0
-    tol_b = config.tolerances["boundary_residual"]
     verts, faces = icosphere(config.mesh_level)
     r = region_residual(model, omega0, verts)
-    inside = r > tol_b
-    outside = r < -tol_b
+    inside = r > BOUNDARY_RESIDUAL
+    outside = r < -BOUNDARY_RESIDUAL
 
     keep = np.any(inside[faces], axis=1)
     faces = faces[keep]
@@ -567,7 +550,7 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     out_idx, in_idx = pair_v[best], pair_u[best]
     verts = verts.copy()
     snapped = np.zeros(len(verts), dtype=bool)
-    verts[out_idx] = _snap_to_boundary(model, omega0, verts[out_idx], verts[in_idx], tol_b)
+    verts[out_idx] = _snap_to_boundary(model, omega0, verts[out_idx], verts[in_idx])
     snapped[out_idx] = True
 
     # drop unreferenced vertices and reindex
@@ -578,7 +561,7 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     remap[used] = np.arange(len(used))
     nodes = verts[used]
     cells = remap[faces]
-    is_boundary = (snapped | (np.abs(r) <= tol_b))[used]
+    is_boundary = (snapped | (np.abs(r) <= BOUNDARY_RESIDUAL))[used]
 
     weights = np.zeros(len(nodes))
     areas = spherical_triangle_areas(nodes[cells[:, 0]], nodes[cells[:, 1]], nodes[cells[:, 2]])

@@ -36,8 +36,8 @@ import time
 import numpy as np
 
 from . import functionals as fn
-from .bodies import (make_wulff_cap, minkowski_combine, random_capillary_body,
-                     rebind, translate_horizontal)
+from .bodies import (CapillaryBody, make_wulff_cap, minkowski_combine,
+                     random_capillary_body, rebind, translate_horizontal)
 from .capgeom import build_cap_mesh
 from .config import SUITE_NAMES, SuiteConfig, parse_config
 from .errors import CapafError, GenerationError, InvalidConfigError, InvalidInputError
@@ -187,7 +187,7 @@ def _selfadjoint_deviation(ctx, level):
 
 
 # ---------------------------------------------------------------------------
-# suite runners
+# suite runners: each returns (records, convergence tables by name)
 # ---------------------------------------------------------------------------
 
 
@@ -243,7 +243,7 @@ def _run_mixdisc(ctx: RunContext):
                * mixed_discriminant_batch([mats[1], mats[1]] + mats[2:n]))
         update("alexandrov", (rhs - lhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30))
     return [_value_record("mixdisc", key, {"n": [2, 3], "count": count}, val, tol["mixdisc"])
-            for key, val in sorted(worst.items())]
+            for key, val in sorted(worst.items())], {}
 
 
 def _run_routes(ctx: RunContext):
@@ -275,7 +275,7 @@ def _run_routes(ctx: RunContext):
             "routes", f"scaling.seed{seed}", inputs,
             fn.InequalityReport.identity(
                 fn.volume(scaled), 1.7 ** (cfg.n + 1) * fn.volume(body), 1e-11)))
-    return records
+    return records, {}
 
 
 def _run_af(ctx: RunContext):
@@ -293,7 +293,7 @@ def _run_af(ctx: RunContext):
             "af", f"equality-case.seed{seed}", inputs,
             fn.af_inequality_check([k1, k2] + bods[2:], tol=tol["af_equality"],
                                    equality_expected=True)))
-    return records
+    return records, {}
 
 
 def _run_chain(ctx: RunContext):
@@ -330,7 +330,7 @@ def _run_chain(ctx: RunContext):
         "chain", "gen-equality-case", {"a": 1.4},
         fn.generalized_chain_check(k0, k1, trailing, 2, 0, 1, 2, tol=tol["chain_equality"],
                                    equality_expected=True)))
-    return records
+    return records, {}
 
 
 def _run_minkowski(ctx: RunContext):
@@ -357,10 +357,12 @@ def _run_symmetry(ctx: RunContext):
                       cfg.tolerances["symmetry_ratio"], floor=1e-12),
         _value_record("symmetry", "trailing-permutation", {"levels": levels},
                       max(trail_agg), cfg.tolerances["symmetry_trailing"])]
-    # diagnostic: symmetry on differences of capillary functions (logged only)
-    b = ctx.bodies(max(cfg.seeds) + 5, cfg.n + 1)
-    diff_bodies = [minkowski_combine([b[0]], [1.0])] + b[1:]
-    out = fn.symmetry_check(diff_bodies)
+    # diagnostic (logged only): the swap on a capillary function that is no
+    # support, the difference of two random bodies' fields
+    *b, other = ctx.bodies(max(cfg.seeds) + 5, cfg.n + 2)
+    diff = CapillaryBody(ctx.mesh(), CombinationField([b[0].field, other.field], [1.0, -1.0]),
+                         {"kind": "difference"}, validate=False)
+    out = fn.symmetry_check([diff] + b[1:])
     records.append(CheckRecord("symmetry", "difference-experiment", digest({"note": "diagnostic"}),
                                out["swap_deviation"], 0.0, out["swap_deviation"],
                                out["swap_deviation"] / out["scale"], float("nan"), True,
@@ -376,7 +378,7 @@ def _run_steiner(ctx: RunContext):
                for seed in cfg.seeds]
     records.append(_report_record("steiner", "cap-binomial", {"level": cfg.mesh_level},
                                   fn.steiner_check(ctx.mesh().cap_body, tol=1e-7)))
-    return records
+    return records, {}
 
 
 def _run_kernel(ctx: RunContext):
@@ -460,12 +462,11 @@ def run_suite(cfg: SuiteConfig) -> RunReport:
             continue
         t0 = time.perf_counter()
         try:
-            out = SUITE_RUNNERS[name](ctx)
+            records, tables = SUITE_RUNNERS[name](ctx)
         except GenerationError as exc:
-            out = [CheckRecord(name, "generation-failure", digest(str(exc)),
-                               float("nan"), float("nan"), float("nan"),
-                               float("nan"), float("nan"), False)]
-        records, tables = out if isinstance(out, tuple) else (out, {})
+            nan = float("nan")
+            records, tables = [CheckRecord(name, "generation-failure", digest(str(exc)),
+                                           nan, nan, nan, nan, nan, False)], {}
         dt = time.perf_counter() - t0
         for rec in records:  # the suite's wall time, shared evenly
             rec.wall_time_s = dt / len(records)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capgeom import DEFAULT_TOLERANCES, CapConfig, admissible_range
+from .capgeom import CapConfig, admissible_range
 from .errors import InvalidConfigError
 from .norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm,
                     PerturbedNorm, PerturbTerm)
@@ -43,24 +43,38 @@ SECTION_KEYS = {
     "output": ("dir",),
 }
 
+# the checks' tolerances, each settable as [numerics] tol_<name>
+DEFAULT_TOLERANCES = {
+    "mixdisc": 1e-10,
+    "routes_analytic": 1e-8,
+    "routes_polyfit": 1e-4,
+    "kernel_max": 1e-4,
+    "kernel_ratio": 2.0,
+    "minkowski_ratio": 2.0,
+    "symmetry_ratio": 2.0,
+    "symmetry_trailing": 1e-12,
+    "steiner": 1e-4,
+    "af_gap": 1e-8,
+    "af_equality": 1e-6,
+    "chain_gap": 1e-7,
+    "chain_equality": 1e-6,
+    "operator_eigen": 1e-8,
+    "operator_energy": 1e-6,
+}
+
 
 @dataclass
-class SuiteConfig:
-    """Validated run configuration."""
+class SuiteConfig(CapConfig):
+    """Validated run configuration: the geometry, and what to check it with."""
 
-    n: int
-    omega0: float
-    norm: MinkowskiNorm
-    mesh_level: int
     tolerances: dict
     seeds: list
     suites: list
     out_dir: str
 
     def cap_config(self, level: int | None = None) -> CapConfig:
-        return CapConfig(self.n, self.omega0, self.norm,
-                         self.mesh_level if level is None else level,
-                         dict(self.tolerances))
+        return CapConfig(self.norm, self.omega0,
+                         self.mesh_level if level is None else level)
 
     def echo(self) -> dict:
         return {
@@ -246,6 +260,6 @@ def parse_config(path: str) -> SuiteConfig:
 
     if errors:
         raise InvalidConfigError("; ".join(errors), errors=errors)
-    return SuiteConfig(n=n, omega0=omega0, norm=norm, mesh_level=level,
+    return SuiteConfig(norm=norm, omega0=omega0, mesh_level=level,
                        tolerances=tolerances, seeds=seeds, suites=suites,
                        out_dir=out_dir)

@@ -44,18 +44,17 @@ def model_by_name(name: str):
     return _MODELS[name]
 
 
-def mesh_for(name: str, omega0: float, level: int, n: int = 2):
-    key = (name, omega0, level, n)
+def mesh_for(name: str, omega0: float, level: int):
+    key = (name, omega0, level)
     if key not in _MESHES:
-        cfg = CapConfig(n, omega0, model_by_name(name), mesh_level=level)
-        _MESHES[key] = build_cap_mesh(cfg)
+        _MESHES[key] = build_cap_mesh(CapConfig(model_by_name(name), omega0, level))
     return _MESHES[key]
 
 
-def body_for(name: str, omega0: float, level: int, seed: int, n: int = 2):
-    key = (name, omega0, level, seed, n)
+def body_for(name: str, omega0: float, level: int, seed: int):
+    key = (name, omega0, level, seed)
     if key not in _BODIES:
-        _BODIES[key] = random_capillary_body(mesh_for(name, omega0, level, n), seed)
+        _BODIES[key] = random_capillary_body(mesh_for(name, omega0, level), seed)
     return _BODIES[key]
 
 

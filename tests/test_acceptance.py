@@ -89,7 +89,7 @@ def test_criterion_02_isotropic_reduction():
     cap_dev3 = float(np.max(np.abs(mesh3.nodes[mesh3.boundary_idx][:, 2] - 0.5)))
     vol = fn.volume(make_wulff_cap(mesh, 1.0))
     vol_err = abs(vol - 2 * np.pi / 3) / (2 * np.pi / 3)
-    m1 = mesh_for("iso2", 0.0, 4, n=1)
+    m1 = mesh_for("iso2", 0.0, 4)
     k1, k2 = make_wulff_cap(m1, 1.3), make_wulff_cap(m1, 0.7)
     mv = fn.mixed_volume([k1, k2])
     mv_err = abs(mv - np.pi / 2 * 1.3 * 0.7) / (np.pi / 2 * 1.3 * 0.7)

@@ -13,7 +13,7 @@ from capaf.capgeom import (CapConfig, _icosahedron, _snap_to_boundary, _subdivid
                            icosphere, region_residual, spherical_triangle_areas)
 from capaf.config import parse_config
 from capaf.errors import InvalidConfigError, MeshConstructionError
-from capaf.norms import EllipsoidNorm, tangent_basis, unit_rows
+from capaf.norms import EllipsoidNorm, IsotropicNorm, tangent_basis, unit_rows
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -138,7 +138,7 @@ ARC_MESH_SHA256 = {
 def test_arc_mesh_pinned_bit_for_bit(mesh_factory, name, w0):
     got = []
     for level in range(8):
-        mesh = mesh_factory(name, w0, level, n=1)
+        mesh = mesh_factory(name, w0, level)
         got.append(hashlib.sha256(mesh.nodes.tobytes() + mesh.weights.tobytes()).hexdigest())
     assert got == ARC_MESH_SHA256[(name, w0)]
 
@@ -246,10 +246,10 @@ def test_region_residual_values(model_factory):
 
 
 def test_config_rejects_bad_values(model_factory):
+    with pytest.raises(InvalidConfigError, match="n=3 unsupported"):
+        CapConfig(IsotropicNorm(4), 0.0, 3)
     with pytest.raises(InvalidConfigError):
-        CapConfig(3, 0.0, model_factory("iso3"), 3)
-    with pytest.raises(InvalidConfigError):
-        CapConfig(2, -1.0, model_factory("iso3"), 3)  # omega0 = -F(E3)
+        CapConfig(model_factory("iso3"), -1.0, 3)  # omega0 = -F(E3)
 
 
 def test_hemisphere_area(mesh_factory):
@@ -266,7 +266,7 @@ def test_cap_area_convergence(mesh_factory):
 
 
 def test_arc_measure_n1(mesh_factory):
-    mesh = mesh_factory("iso2", 0.0, 3, n=1)
+    mesh = mesh_factory("iso2", 0.0, 3)
     assert mesh.sigma_total == pytest.approx(np.pi, rel=1e-14)
     assert list(mesh.boundary_loop) == [0, mesh.node_count - 1]
 
@@ -302,15 +302,15 @@ def test_frames_orthonormal_and_normal(mesh_factory, name, w0):
 
 
 def test_frame_determinism(model_factory):
-    cfg = CapConfig(2, -0.4, model_factory("ell3"), 2)
+    cfg = CapConfig(model_factory("ell3"), -0.4, 2)
     m1 = build_cap_mesh(cfg)
-    m2 = build_cap_mesh(CapConfig(2, -0.4, model_factory("ell3"), 2))
+    m2 = build_cap_mesh(CapConfig(model_factory("ell3"), -0.4, 2))
     assert np.array_equal(m1.frame, m2.frame)
     assert np.array_equal(m1.weights, m2.weights)
     assert np.array_equal(m1.nodes, m2.nodes)
 
 
-def _snap_one(model, omega0, v_out, v_in, tol, fd_slope=False):
+def _snap_one(model, omega0, v_out, v_in, fd_slope=False):
     """One-vertex reference for the batched boundary snap (same arithmetic);
     with fd_slope, the Newton polish takes a central-difference slope."""
     ang = float(np.arccos(np.clip(v_out @ v_in, -1.0, 1.0)))
@@ -342,7 +342,7 @@ def _snap_one(model, omega0, v_out, v_in, tol, fd_slope=False):
         t_new = t - res(t) / slope
         if 0.0 <= t_new <= 1.0 and abs(res(t_new)) <= abs(res(t)):
             t = t_new
-    assert abs(res(t)) <= max(tol * 100.0, 1e-10)
+    assert abs(res(t)) <= 100.0 * capgeom.BOUNDARY_RESIDUAL
     return unit_rows(gamma(t)[None, :])[0]
 
 
@@ -353,8 +353,8 @@ def test_snap_batch_matches_one_vertex_reference(model_factory):
     edges = faces[:, [0, 1]]
     edges = edges[(r[edges[:, 0]] < 0) & (r[edges[:, 1]] > 0)]
     v_out, v_in = verts[edges[:, 0]], verts[edges[:, 1]]
-    batch = _snap_to_boundary(model, -0.4, v_out, v_in, 1e-12)
-    ref = [_snap_one(model, -0.4, a, b, 1e-12) for a, b in zip(v_out, v_in)]
+    batch = _snap_to_boundary(model, -0.4, v_out, v_in)
+    ref = [_snap_one(model, -0.4, a, b) for a, b in zip(v_out, v_in)]
     assert len(batch) > 0 and np.array_equal(batch, np.array(ref))
 
 
@@ -364,11 +364,11 @@ def test_snap_slope_builds_the_mesh_of_a_finite_difference_slope(monkeypatch, mo
     # the closed-form slope <D^2F(gamma) gamma', E_d> polishes every snap to
     # the point a central-difference slope of the residual reaches, so the
     # mesh and its caches are bit for bit those of the finite-difference polish
-    cfg = CapConfig(2, omega0, model_factory(name), 3)
+    cfg = CapConfig(model_factory(name), omega0, 3)
     mesh = build_cap_mesh(cfg)
 
-    def fd_snap(model, omega0, v_out, v_in, tol):
-        return np.array([_snap_one(model, omega0, a, b, tol, fd_slope=True)
+    def fd_snap(model, omega0, v_out, v_in):
+        return np.array([_snap_one(model, omega0, a, b, fd_slope=True)
                          for a, b in zip(v_out, v_in)]).reshape(v_out.shape)
 
     monkeypatch.setattr(capgeom, "_snap_to_boundary", fd_snap)
@@ -390,7 +390,7 @@ def test_pullback_density_values(mesh_factory):
     assert np.max(np.abs(m.detA - 1.0)) < 1e-12
     # ellipsoid diag(1,1,4) at E3: det of diag(0.5, 0.5)
     model = EllipsoidNorm(np.diag([1.0, 1.0, 4.0]))
-    mesh = build_cap_mesh(CapConfig(2, 0.0, model, 2))
+    mesh = build_cap_mesh(CapConfig(model, 0.0, 2))
     i = int(np.argmax(mesh.nodes[:, 2]))
     assert mesh.nodes[i, 2] == pytest.approx(1.0)
     assert mesh.detA[i] == pytest.approx(0.25, rel=1e-12)

@@ -101,8 +101,10 @@ def test_parse_tolerance_overrides(tmp_path):
     text = MINIMAL + "\n[numerics]\ntol_af_gap = 1e-7\n"
     cfg = parse_config(write(tmp_path, text))
     assert cfg.tolerances["af_gap"] == 1e-7
-    # routes_fd went with the perturbed family's finite differences
-    for name in ("tol_nonsense", "tol_routes_fd"):
+    # routes_fd went with the perturbed family's finite differences, and the
+    # mesh's three guards are capgeom constants
+    for name in ("tol_nonsense", "tol_routes_fd", "tol_boundary_residual",
+                 "tol_frame_orthonormal", "tol_boundary_plane"):
         bad = MINIMAL + f"\n[numerics]\n{name} = 1\n"
         with pytest.raises(InvalidConfigError, match="unknown tolerance name"):
             parse_config(write(tmp_path, bad))
@@ -725,23 +727,14 @@ class _ReadLog(dict):
         return super().__getitem__(name)
 
 
-def test_every_tolerance_has_a_reader(monkeypatch):
+def test_every_tolerance_has_a_reader():
     """Every suite, on an analytic and on the perturbed config at level 2,
     reads each tolerance name between them: kernel_* is read only on the
     analytic ones."""
     import capaf.cli as cli
-    from capaf.capgeom import DEFAULT_TOLERANCES
-    from capaf.config import SuiteConfig
+    from capaf.config import DEFAULT_TOLERANCES
 
     seen = set()
-    cap_config = SuiteConfig.cap_config
-
-    def logged_cap_config(self, level=None):
-        cap = cap_config(self, level)
-        cap.tolerances = _ReadLog(cap.tolerances, seen)
-        return cap
-
-    monkeypatch.setattr(SuiteConfig, "cap_config", logged_cap_config)
     for name in ("ellipsoid.ini", "perturbed.ini"):
         cfg = parse_config(os.path.join(CONFIGS, name))
         cfg.mesh_level = 2

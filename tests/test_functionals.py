@@ -21,7 +21,7 @@ def test_hemisphere_volume(mesh_factory):
 
 
 def test_halfdisk_volume(mesh_factory):
-    vol = fn.volume(make_wulff_cap(mesh_factory("iso2", 0.0, 4, n=1), 1.0))
+    vol = fn.volume(make_wulff_cap(mesh_factory("iso2", 0.0, 4), 1.0))
     assert vol == pytest.approx(np.pi / 2, rel=1e-6)
 
 
@@ -36,7 +36,7 @@ def test_volume_hull_oracle(body_factory):
 
 
 def test_halfdisk_mixed_volume(mesh_factory):
-    mesh = mesh_factory("iso2", 0.0, 4, n=1)
+    mesh = mesh_factory("iso2", 0.0, 4)
     k1, k2 = make_wulff_cap(mesh, 1.3), make_wulff_cap(mesh, 0.7)
     got = fn.mixed_volume([k1, k2])
     assert got == pytest.approx(np.pi / 2 * 1.3 * 0.7, rel=1e-4)
@@ -307,7 +307,7 @@ def test_operator_weighted_symmetry_vs_mixed_volume(body_factory):
 
 
 def test_operator_requires_n2(mesh_factory):
-    mesh = mesh_factory("iso2", 0.0, 3, n=1)
+    mesh = mesh_factory("iso2", 0.0, 3)
     cap = make_wulff_cap(mesh, 1.0)
     with pytest.raises(InvalidInputError):
         fn.operator_a_apply(cap, [])

@@ -454,7 +454,7 @@ def test_metric_tangent_identity_oracle(model_factory):
     f = np.asarray(model.value(x))
     au = np.einsum("bkl,bld->bkd", a, tb)
     lhs = np.einsum("bkd,bde,ble->bkl", au, g, au)
-    assert np.max(np.abs(lhs - a / f[:, None, None])) < 1e-5
+    assert np.max(np.abs(lhs - a / f[:, None, None])) < 1e-10
 
 
 def test_q_tensor_radial_contraction_perturbed(model_factory):
@@ -570,7 +570,7 @@ def test_perturbed_mesh_never_differences_f(monkeypatch, model_factory):
 
     for name in ("central_gradient", "central_hessian"):
         monkeypatch.setattr(fd, name, counting(getattr(fd, name)))
-    mesh = build_cap_mesh(CapConfig(2, -0.35, model_factory("pert3"), mesh_level=3))
+    mesh = build_cap_mesh(CapConfig(model_factory("pert3"), -0.35, 3))
     assert mesh.q_frame.shape == (mesh.node_count, 2, 2, 2)
     assert calls == []
 
@@ -586,7 +586,7 @@ def test_mesh_evaluates_f_at_its_nodes_in_one_jet(monkeypatch, model_factory):
             seen.append((name, np.array(x), order))
             return real(self, x, order)
         monkeypatch.setattr(cls, "_derivative", recording)
-    mesh = build_cap_mesh(CapConfig(2, -0.35, model, mesh_level=3))
+    mesh = build_cap_mesh(CapConfig(model, -0.35, 3))
     at_nodes = [(name, order) for name, x, order in seen
                 if x.shape == mesh.nodes.shape and np.array_equal(x, mesh.nodes)]
     assert at_nodes == [("PerturbedNorm", 2)]
