@@ -120,7 +120,7 @@ class CapillaryBody:
         # plane and the half-space, so a Minkowski multiple of a capillary
         # body is one (max |s| can be far smaller on a thin cap)
         self.capillary_bound = 1e-6 * float(np.max(np.linalg.norm(self.X, axis=-1)))
-        self.boundary_plane_dev = float(np.max(np.abs(self.X[mesh.boundary_idx, -1])))
+        self.boundary_plane_dev = float(np.max(np.abs(self.X[mesh.boundary_loop, -1])))
         self.halfspace_min = float(np.min(self.X[:, -1]))
         self.capillary = bool(self.boundary_plane_dev <= self.capillary_bound
                               and self.halfspace_min >= -self.capillary_bound)
@@ -197,6 +197,14 @@ def make_wulff_cap(mesh: CapMesh, r0: float) -> CapillaryBody:
     return CapillaryBody(mesh, field, {"kind": "wulff-cap", "r0": r0})
 
 
+def shared_mesh(bodies) -> CapMesh:
+    """The one mesh all the bodies live on; InvalidInputError otherwise."""
+    mesh = bodies[0].mesh
+    if any(b.mesh is not mesh for b in bodies[1:]):
+        raise InvalidInputError("bodies must share one mesh")
+    return mesh
+
+
 def minkowski_combine(bodies, lambdas) -> CapillaryBody:
     """Body with support field sum_i lambda_i s_i (nonnegative weights)."""
     bodies = list(bodies)
@@ -207,9 +215,7 @@ def minkowski_combine(bodies, lambdas) -> CapillaryBody:
         raise InvalidInputError("weights must be nonnegative")
     if sum(lambdas) <= 0:
         raise InvalidInputError("weights must not all vanish")
-    mesh = bodies[0].mesh
-    if any(b.mesh is not mesh for b in bodies):
-        raise InvalidInputError("all bodies must share one mesh")
+    mesh = shared_mesh(bodies)
     field = CombinationField([b.field for b in bodies], lambdas)
     prov = {"kind": "combination", "weights": lambdas,
             "parts": [b.provenance.get("kind", "?") for b in bodies]}

@@ -30,10 +30,13 @@ mesh on first use (arrays read-only): q_frame, cap_body,
 interior_candidates and region_complement.  The intrinsic kernel route's
 stencil is per call and not cached, since cached meshes would keep it alive.
 
-The mesh's guards are constants: BOUNDARY_RESIDUAL bounds the region
-residual of a boundary node (100 times it after a snap), FRAME_ORTHONORMAL
-the frames' G-orthonormality defect, and BOUNDARY_PLANE the height of a
-boundary cap point; a mesh that breaks one raises.
+The admissible geometry is n in SUPPORTED_N, w0 in the open interval
+admissible_range(F) and a mesh level in [0, MAX_MESH_LEVEL]: CapConfig alone
+checks it and words the messages.  The mesh's guards are constants:
+BOUNDARY_RESIDUAL bounds the region residual of a boundary node (100 times
+it after a snap), FRAME_ORTHONORMAL the frames' G-orthonormality defect,
+and BOUNDARY_PLANE the height of a boundary cap point; a mesh that breaks
+one raises.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ from .norms import (MinkowskiNorm, row_blocks, sym_eig_det, tangent_basis,
 BOUNDARY_RESIDUAL = 1e-12
 FRAME_ORTHONORMAL = 1e-10
 BOUNDARY_PLANE = 1e-9
+
+SUPPORTED_N = (1, 2)
+MAX_MESH_LEVEL = 7
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +155,11 @@ def spherical_triangle_areas(a, b, c) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ef_vector(model: MinkowskiNorm, omega0: float) -> np.ndarray:
+def ef_vector(config: CapConfig) -> np.ndarray:
     """Constant vector EF with <EF, E_d> = 1 used to translate the Wulff cap."""
-    d = model.dim
-    e = np.zeros(d)
+    model, omega0 = config.norm, config.omega0
+    e = np.zeros(config.dim)
     e[-1] = 1.0
-    lo, hi = admissible_range(model)
-    if not (lo < omega0 < hi):
-        raise InvalidConfigError(
-            f"omega0={omega0} outside admissible open interval ({lo:.6g}, {hi:.6g})")
     if omega0 == 0.0:
         return e
     if omega0 < 0.0:
@@ -206,18 +208,25 @@ class CapConfig:
     mesh_level: int
 
     def __post_init__(self):
-        errors = []
-        if self.dim not in (2, 3):
-            errors.append(f"n={self.n} unsupported; meshing is restricted to n in {{1, 2}}")
-        else:
-            lo, hi = admissible_range(self.norm)
-            if not (lo < self.omega0 < hi):
-                errors.append(
-                    f"omega0={self.omega0} outside admissible open interval ({lo:.6g}, {hi:.6g})")
-        if self.mesh_level < 0 or self.mesh_level > 7:
-            errors.append(f"mesh_level={self.mesh_level} out of range [0, 7]")
+        errors = self.problems(self.n, self.omega0, self.mesh_level, self.norm)
         if errors:
             raise InvalidConfigError("; ".join(errors), errors=errors)
+
+    @staticmethod
+    def problems(n, omega0, mesh_level, norm) -> list:
+        """One message per broken rule, by config key; w0 needs a supported n and a norm."""
+        errors = []
+        if n not in SUPPORTED_N:
+            errors.append(f"geometry.n: {n} unsupported (meshing restricted to n in "
+                          f"{set(SUPPORTED_N)})")
+        elif norm is not None:
+            lo, hi = admissible_range(norm)
+            if not lo < omega0 < hi:
+                errors.append(f"geometry.omega0: {omega0} outside the admissible open interval "
+                              f"({lo:.6g}, {hi:.6g})")
+        if not 0 <= mesh_level <= MAX_MESH_LEVEL:
+            errors.append(f"mesh.level: {mesh_level} out of range [0, {MAX_MESH_LEVEL}]")
+        return errors
 
     @property
     def dim(self) -> int:
@@ -257,7 +266,7 @@ class CapMesh:
     def _populate_caches(self):
         model = self.model
         x = self.nodes
-        self.EF = ef_vector(model, self.omega0)
+        self.EF = ef_vector(self.config)
         # one jet at the unit nodes (so DF is Psi): D^2F serves A_F, G, mu
         # and the unit cap's radii
         self.F_vals, self.psi, hess = jet = model.jet(x, 2)
@@ -273,8 +282,7 @@ class CapMesh:
         self.xi = self.psi + self.omega0 * self.EF
         self.G = model.metric_from_jet(jet)
         self.interior_idx = np.flatnonzero(~self.is_boundary)
-        self.boundary_idx = np.asarray(self.boundary_loop, dtype=np.int64)
-        self._boundary_geometry(hess[self.boundary_idx])
+        self._boundary_geometry(hess[self.boundary_loop])
         self._build_frames()
         self.vel = parameter_velocities(self.frame, self.tb, self.A)
         # F's own radii: a translation leaves radii unchanged
@@ -352,7 +360,7 @@ class CapMesh:
         if dev > FRAME_ORTHONORMAL:
             raise NumericError(f"frame orthonormality defect {dev:.3e}", residual=dev)
         self.frame_orthonormal_defect = float(dev)
-        plane = np.abs(self.xi[self.boundary_idx, -1])
+        plane = np.abs(self.xi[self.boundary_loop, -1])
         if np.any(plane > BOUNDARY_PLANE):
             raise MeshConstructionError(
                 f"boundary cap point off the support plane by {np.max(plane):.3e}")

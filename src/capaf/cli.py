@@ -38,8 +38,8 @@ import numpy as np
 from . import functionals as fn
 from .bodies import (CapillaryBody, make_wulff_cap, minkowski_combine,
                      random_capillary_body, rebind, translate_horizontal)
-from .capgeom import build_cap_mesh
-from .config import SUITE_NAMES, SuiteConfig, parse_config
+from .capgeom import MAX_MESH_LEVEL, build_cap_mesh
+from .config import SuiteConfig, parse_config, resolve_suites
 from .errors import CapafError, GenerationError, InvalidConfigError, InvalidInputError
 from .fields import CombinationField, kernel_field, tau_from_generator
 from .mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
@@ -54,9 +54,9 @@ class RunContext:
     def __init__(self, cfg: SuiteConfig, levels=None):
         if levels is None:
             levels = list(range(max(1, cfg.mesh_level - 2), cfg.mesh_level + 1)) or [0]
-        elif levels[0] < 0 or levels[-1] > 7:
-            raise InvalidInputError(
-                f"--levels {levels[0]}..{levels[-1]} reaches outside the mesh levels [0, 7]")
+        elif levels[0] < 0 or levels[-1] > MAX_MESH_LEVEL:
+            raise InvalidInputError(f"--levels {levels[0]}..{levels[-1]} reaches outside the "
+                                    f"mesh levels [0, {MAX_MESH_LEVEL}]")
         self.cfg = cfg
         self.levels = levels
         self._meshes = {}
@@ -484,11 +484,10 @@ def run_suite(cfg: SuiteConfig) -> RunReport:
 def _cmd_verify(args) -> int:
     cfg = parse_config(args.config)
     if args.suite:
-        if args.suite not in SUITE_NAMES:
-            raise InvalidInputError(
-                f"unknown suite {args.suite!r}; valid: {', '.join(SUITE_NAMES)}")
-        cfg.suites = ([s for s in SUITE_NAMES if s != "all"]
-                      if args.suite == "all" else [args.suite])
+        errors = []
+        cfg.suites = resolve_suites([args.suite], "--suite", errors)
+        if errors:
+            raise InvalidInputError(errors[0])
     if args.out:
         cfg.out_dir = args.out
     report = run_suite(cfg)
@@ -509,7 +508,7 @@ def _cmd_mesh_info(args) -> int:
     print(f"family: {cfg.norm.family}  n: {cfg.n}  omega0: {cfg.omega0}  "
           f"level: {cfg.mesh_level}")
     print(f"nodes: {mesh.node_count}  interior: {len(mesh.interior_idx)}  "
-          f"boundary: {len(mesh.boundary_idx)}  cells: {len(mesh.cells)}")
+          f"boundary: {len(mesh.boundary_loop)}  cells: {len(mesh.cells)}")
     print(f"sigma(S) quadrature: {mesh.sigma_total!r}")
     print(f"region residual range: [{float(mesh.region_residuals.min())!r}, "
           f"{float(mesh.region_residuals.max())!r}]")

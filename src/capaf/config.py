@@ -6,6 +6,8 @@ full key reference.  Parsing is whole-file: every problem found is
 collected and reported together, not just the first one.  An unknown
 section or key is one such problem; [DEFAULT] is an unknown section.  So
 is a [norm] key that the chosen family does not read, and a repeated seed.
+The geometry's rules (n, w0 and the mesh level) and their messages belong
+to capgeom.CapConfig, whose list of problems joins the file's.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capgeom import CapConfig, admissible_range
+from .capgeom import SUPPORTED_N, CapConfig
 from .errors import InvalidConfigError
 from .norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm,
                     PerturbedNorm, PerturbTerm)
@@ -86,6 +88,14 @@ class SuiteConfig(CapConfig):
             "seeds": list(self.seeds),
             "suites": list(self.suites),
         }
+
+
+def resolve_suites(names, key: str, errors: list) -> list:
+    """The suites `names` run, `all` expanded in SUITE_NAMES order (report.json
+    echoes it); one problem, prefixed by `key`, per unknown name joins errors."""
+    errors += [f"{key}: unknown suite {s!r}; valid names: {', '.join(SUITE_NAMES)}"
+               for s in names if s not in SUITE_NAMES]
+    return [s for s in SUITE_NAMES if s != "all"] if "all" in names else list(names)
 
 
 def _parse_floats(text: str) -> list:
@@ -196,21 +206,12 @@ def parse_config(path: str) -> SuiteConfig:
     omega0 = get("geometry", "omega0", 0.0, float)
     level = get("mesh", "level", 3, int)
 
-    if n not in (1, 2):
-        errors.append(f"geometry.n: {n} unsupported (meshing restricted to n in {{1, 2}})")
-
     norm = None
     if "norm" not in parser:
         errors.append("norm: missing [norm] section")
     else:
-        norm = _build_norm(parser["norm"], n + 1 if n in (1, 2) else None, errors)
-
-    if norm is not None:
-        lo, hi = admissible_range(norm)
-        if not (lo < omega0 < hi):
-            errors.append(
-                f"geometry.omega0: {omega0} outside the admissible open interval "
-                f"({lo:.6g}, {hi:.6g})")
+        norm = _build_norm(parser["norm"], n + 1 if n in SUPPORTED_N else None, errors)
+    errors += CapConfig.problems(n, omega0, level, norm)
 
     tolerances = dict(DEFAULT_TOLERANCES)
     if "numerics" in parser:
@@ -226,13 +227,7 @@ def parse_config(path: str) -> SuiteConfig:
                         errors.append(f"numerics.{key}: {exc}")
 
     suites_raw = get("suites", "run", "all")
-    suites = [s.strip() for s in suites_raw.replace(",", " ").split() if s.strip()]
-    for s in suites:
-        if s not in SUITE_NAMES:
-            errors.append(f"suites.run: unknown suite {s!r}; valid names: "
-                          + ", ".join(SUITE_NAMES))
-    if "all" in suites:
-        suites = [s for s in SUITE_NAMES if s != "all"]
+    suites = resolve_suites(suites_raw.replace(",", " ").split(), "suites.run", errors)
 
     seeds_raw = get("seeds", "seeds", "1 2 3")
     try:
@@ -254,9 +249,6 @@ def parse_config(path: str) -> SuiteConfig:
         int(jobs_raw)
     except ValueError:
         errors.append(f"CAPAF_JOBS: expected an integer worker count, got {jobs_raw!r}")
-
-    if not 0 <= level <= 7:
-        errors.append(f"mesh.level: {level} out of range [0, 7]")
 
     if errors:
         raise InvalidConfigError("; ".join(errors), errors=errors)

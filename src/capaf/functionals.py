@@ -32,7 +32,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .bodies import CapillaryBody
+from .bodies import CapillaryBody, shared_mesh
 from .capgeom import (CapMesh, parameter_velocities, radii_form, region_residual,
                       signed_area)
 from .errors import ConvexityViolationError, InvalidInputError
@@ -78,17 +78,9 @@ class InequalityReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_shared_mesh(bodies) -> CapMesh:
-    mesh = bodies[0].mesh
-    for b in bodies[1:]:
-        if b.mesh is not mesh:
-            raise InvalidInputError("bodies must share one mesh")
-    return mesh
-
-
 def _require_full_tuple(bodies) -> CapMesh:
     """The shared mesh of exactly n + 1 bodies (a mixed-volume argument list)."""
-    mesh = _require_shared_mesh(bodies)
+    mesh = shared_mesh(bodies)
     if len(bodies) != mesh.n + 1:
         raise InvalidInputError(f"need n+1 = {mesh.n + 1} bodies, got {len(bodies)}")
     return mesh
@@ -103,7 +95,7 @@ def volume(body: CapillaryBody) -> float:
 
 def volume_of_combination(bodies, lambdas) -> float:
     """Volume of sum lambda_i K_i straight from cached supports and W."""
-    mesh = _require_shared_mesh(bodies)
+    mesh = shared_mesh(bodies)
     s = sum(lam * b.shat_anchored * mesh.F_vals for b, lam in zip(bodies, lambdas))
     w = sum(lam * b.W for b, lam in zip(bodies, lambdas))
     return float(np.sum(mesh.weights * s * sym_eig_det(w)[1]) / (mesh.n + 1))
@@ -161,7 +153,7 @@ def _mv_polyfit(bodies) -> float:
     fits the homogeneous degree-(n+1) polynomial on a deterministic lambda
     grid with two redundancy rows, and reads off the requested coefficient.
     """
-    mesh = _require_shared_mesh(bodies)
+    mesh = shared_mesh(bodies)
     n1 = mesh.n + 1
     distinct = list({id(b): b for b in bodies}.values())
     m = len(distinct)
@@ -206,7 +198,7 @@ def mixed_volume(bodies, route: str = "anisotropic") -> float:
 
 def integrand_identity_defect(bodies) -> float:
     """max_i |Q(tau_...) det A_F - Q(W_...)| / scale (pointwise route link)."""
-    mesh = _require_shared_mesh(bodies)
+    mesh = shared_mesh(bodies)
     q_tau = mixed_discriminant_batch([b.tau for b in bodies]) * mesh.detA
     q_w = mixed_discriminant_batch([b.W for b in bodies])
     scale = max(float(np.max(np.abs(q_w))), _GUARD)
@@ -336,7 +328,7 @@ def _stencil_safe_interior(mesh: CapMesh, margin: float):
     node.  The boundary is never empty: both mesh builders fail on a region
     without one."""
     interior = mesh.interior_idx
-    dots = mesh.nodes[interior] @ mesh.nodes[mesh.boundary_idx].T
+    dots = mesh.nodes[interior] @ mesh.nodes[mesh.boundary_loop].T
     ok = np.arccos(np.clip(np.max(dots, axis=1), -1.0, 1.0)) > margin
     if not np.any(ok):
         raise InvalidInputError(
@@ -442,7 +434,7 @@ def _operator_mesh(trailing) -> CapMesh:
     """The shared mesh of the trailing bodies f_2, ..., f_n (n >= 2)."""
     if not trailing:
         raise InvalidInputError("the operator needs n >= 2 and trailing bodies")
-    mesh = _require_shared_mesh(trailing)
+    mesh = shared_mesh(trailing)
     if mesh.n < 2:
         raise InvalidInputError("the operator needs n >= 2")
     if len(trailing) != mesh.n - 1:

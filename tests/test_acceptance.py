@@ -83,10 +83,10 @@ def test_criterion_02_isotropic_reduction():
     t0 = time.monotonic()
     mesh = mesh_for("iso3", 0.0, 4)
     # the region is the spherical cap {x3 >= cos theta}; theta = pi/2 here
-    bd = mesh.nodes[mesh.boundary_idx]
+    bd = mesh.nodes[mesh.boundary_loop]
     cap_dev = float(np.max(np.abs(bd[:, 2] - 0.0)))
     mesh3 = mesh_for("iso3", -0.5, 4)
-    cap_dev3 = float(np.max(np.abs(mesh3.nodes[mesh3.boundary_idx][:, 2] - 0.5)))
+    cap_dev3 = float(np.max(np.abs(mesh3.nodes[mesh3.boundary_loop][:, 2] - 0.5)))
     vol = fn.volume(make_wulff_cap(mesh, 1.0))
     vol_err = abs(vol - 2 * np.pi / 3) / (2 * np.pi / 3)
     m1 = mesh_for("iso2", 0.0, 4)

@@ -5,7 +5,9 @@ Hypothesis draws the norm family (an SPD matrix for the ellipsoid, one to
 three small zonal terms on the isotropic base for the perturbed norm), w0
 inside the open admissible interval, n, a mesh level 0-3 and one to three
 seeds, and runs `verify` in-process.  The draw is derandomized, so every run
-screens the same configs.
+screens the same configs.  A second screen breaks one geometry rule (w0 at
+or beyond an end of its interval, mesh level -1 or 8, n = 0 or 3) and
+expects exit 2 with only the README's geometry messages.
 """
 
 from __future__ import annotations
@@ -47,18 +49,34 @@ DOCUMENTED = (
 )
 
 
+# the geometry messages as the README gives them; N, W, lo, hi and L stand
+# for n, w0, the ends of w0's interval and the mesh level
+GEOMETRY_MESSAGES = (
+    "config error: geometry.n: N unsupported (meshing restricted to n in {1, 2})",
+    "config error: geometry.omega0: W outside the admissible open interval (lo, hi)",
+    "config error: mesh.level: L out of range [0, 7]",
+)
+
+
 def _pattern(template):
-    parts = re.split(r"\b([LWMK])\b", template)
+    parts = re.split(r"\b(lo|hi|[LWMKN])\b", template)
     return re.compile("".join(r"\S+?" if k % 2 else re.escape(p)
                               for k, p in enumerate(parts)) + "$")
 
 
 PATTERNS = [_pattern(t) for t in DOCUMENTED]
+GEOMETRY_PATTERNS = [_pattern(t) for t in GEOMETRY_MESSAGES]
 
 
 def test_the_readme_lists_every_documented_message():
     text = " ".join(README.read_text(encoding="utf-8").split())
     for template in DOCUMENTED:
+        assert f"`{template}`" in text, template
+
+
+def test_the_readme_lists_every_geometry_message():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    for template in GEOMETRY_MESSAGES:
         assert f"`{template}`" in text, template
 
 
@@ -157,3 +175,46 @@ def _assert_verify_ends_documented(text):
         assert lines, text
         for line in lines:
             assert any(p.match(line) for p in PATTERNS), (line, text)
+
+
+@st.composite
+def inadmissible_configs(draw):
+    """The config text of one run that breaks one geometry rule."""
+    n = draw(st.sampled_from((1, 2)))
+    d = n + 1
+    if draw(st.booleans()):
+        norm_lines, norm = ["family = isotropic"], IsotropicNorm(d)
+    else:
+        a = np.array(draw(st.lists(_floats(-0.5, 0.5), min_size=d * d, max_size=d * d)))
+        m = a.reshape(d, d) @ a.reshape(d, d).T + draw(_floats(0.3, 1.5)) * np.eye(d)
+        m = 0.5 * (m + m.T)
+        norm_lines = ["family = ellipsoid", "matrix = " + " ".join(map(repr, m.ravel().tolist()))]
+        norm = EllipsoidNorm(m)
+    lo, hi = admissible_range(norm)
+    omega0, level = 0.5 * (lo + hi), draw(st.integers(0, 3))
+    broken = draw(st.sampled_from(("omega0", "level", "n")))
+    if broken == "omega0":
+        beyond = draw(st.sampled_from((0.0, 1e-9, 0.5)))
+        omega0 = draw(st.sampled_from((lo - beyond, hi + beyond)))
+    elif broken == "level":
+        level = draw(st.sampled_from((-1, 8)))
+    else:
+        n = draw(st.sampled_from((0, 3)))
+    return _config_text(n, omega0, norm_lines, level, [1])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(inadmissible_configs())
+def test_inadmissible_geometry_exits_2_with_a_geometry_message(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "screen.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code == 2, text
+    lines = err.getvalue().splitlines()
+    assert lines, text
+    for line in lines:
+        assert any(p.match(line) for p in GEOMETRY_PATTERNS), (line, text)

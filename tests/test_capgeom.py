@@ -209,32 +209,24 @@ def test_spherical_triangle_octant():
 
 def test_ef_vector_zero_omega(model_factory):
     for name in ("iso3", "ell3"):
-        ef = ef_vector(model_factory(name), 0.0)
+        ef = ef_vector(CapConfig(model_factory(name), 0.0, 0))
         assert np.allclose(ef, [0, 0, 1])
 
 
 def test_ef_vector_isotropic_any_omega(model_factory):
     for w0 in (-0.6, 0.4):
-        assert np.allclose(ef_vector(model_factory("iso3"), w0), [0, 0, 1], atol=1e-15)
+        assert np.allclose(ef_vector(CapConfig(model_factory("iso3"), w0, 0)), [0, 0, 1],
+                           atol=1e-15)
 
 
 def test_ef_vector_ellipsoid_pairing():
     # M E3 = (0.3, 0, 1) with F(E3) = 1: EF = (0.3, 0, 1) for negative omega0
     model = EllipsoidNorm(np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.0], [0.3, 0.0, 1.0]]))
-    ef = ef_vector(model, -0.3)
+    ef = ef_vector(CapConfig(model, -0.3, 0))
     assert np.allclose(ef, [0.3, 0.0, 1.0], atol=1e-12)
     assert ef[-1] == pytest.approx(1.0, abs=1e-12)
-    ef_pos = ef_vector(model, 0.3)
+    ef_pos = ef_vector(CapConfig(model, 0.3, 0))
     assert ef_pos[-1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ef_vector_rejects_inadmissible(model_factory):
-    model = model_factory("iso3")
-    lo, hi = admissible_range(model)
-    with pytest.raises(InvalidConfigError):
-        ef_vector(model, lo)  # boundary of the open interval
-    with pytest.raises(InvalidConfigError):
-        ef_vector(model, hi + 0.1)
 
 
 def test_region_residual_values(model_factory):
@@ -246,10 +238,49 @@ def test_region_residual_values(model_factory):
 
 
 def test_config_rejects_bad_values(model_factory):
-    with pytest.raises(InvalidConfigError, match="n=3 unsupported"):
+    with pytest.raises(InvalidConfigError, match=r"^geometry\.n: 3 unsupported \(meshing "
+                       r"restricted to n in \{1, 2\}\)$"):
         CapConfig(IsotropicNorm(4), 0.0, 3)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match=r"^geometry\.omega0: -1\.0 outside the "
+                       r"admissible open interval \(-1, 1\)$"):
         CapConfig(model_factory("iso3"), -1.0, 3)  # omega0 = -F(E3)
+    with pytest.raises(InvalidConfigError, match=r"^mesh\.level: 8 out of range \[0, 7\]$"):
+        CapConfig(model_factory("iso3"), 0.0, 8)
+
+
+ELLIPSOID_MATRIX = np.array([[1.0, 0.0, 0.2], [0.0, 1.2, 0.0], [0.2, 0.0, 0.9]])
+
+
+def _geometry_cases():
+    lo, hi = admissible_range(EllipsoidNorm(ELLIPSOID_MATRIX))
+    cases = {"n3": (3, 0.0, 3)}
+    cases.update({f"omega0-{k}": (2, w0, 3) for k, w0 in
+                  (("lo", lo), ("hi", hi), ("below", lo - 0.5), ("above", hi + 0.5))})
+    cases.update({f"level{level}": (2, -0.4, level) for level in (-1, 8)})
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_geometry_cases()))
+def test_config_file_and_cap_config_give_one_geometry_message(tmp_path, case):
+    """parse_config and CapConfig report an inadmissible n, w0 or mesh level
+    with the same message, since CapConfig alone words them."""
+    n, omega0, level = _geometry_cases()[case]
+    if n == 3:
+        norm, norm_lines = IsotropicNorm(4), ["family = isotropic"]
+    else:
+        norm = EllipsoidNorm(ELLIPSOID_MATRIX)
+        norm_lines = ["family = ellipsoid",
+                      "matrix = " + " ".join(map(repr, ELLIPSOID_MATRIX.ravel().tolist()))]
+    path = tmp_path / "geometry.ini"
+    path.write_text("\n".join(["[geometry]", f"n = {n}", f"omega0 = {omega0!r}", "[norm]",
+                               *norm_lines, "[mesh]", f"level = {level}", ""]),
+                    encoding="utf-8")
+    with pytest.raises(InvalidConfigError) as parsed:
+        parse_config(str(path))
+    with pytest.raises(InvalidConfigError) as direct:
+        CapConfig(norm, omega0, level)
+    assert len(direct.value.errors) == 1
+    assert parsed.value.errors == direct.value.errors
 
 
 def test_hemisphere_area(mesh_factory):
@@ -280,7 +311,7 @@ def test_sigma_self_convergence_anisotropic(mesh_factory):
 
 def test_cap_points(mesh_factory):
     mesh = mesh_factory("ell3", -0.4, 3)
-    bd = mesh.boundary_idx
+    bd = mesh.boundary_loop
     assert np.max(np.abs(mesh.xi[bd, -1])) < 1e-9
     interior = mesh.interior_idx
     assert np.min(mesh.xi[interior, -1]) > 0
@@ -381,7 +412,7 @@ def test_snap_slope_builds_the_mesh_of_a_finite_difference_slope(monkeypatch, mo
 @pytest.mark.parametrize("name,omega0", [("ell3", -0.4), ("pert3", -0.35)])
 def test_boundary_residual_after_snap(mesh_factory, name, omega0):
     mesh = mesh_factory(name, omega0, 3)
-    r = region_residual(mesh.model, mesh.omega0, mesh.nodes[mesh.boundary_idx])
+    r = region_residual(mesh.model, mesh.omega0, mesh.nodes[mesh.boundary_loop])
     assert np.max(np.abs(r)) < 1e-10
 
 
@@ -425,7 +456,7 @@ def test_region_membership_invariant(mesh_factory):
     mesh = mesh_factory("pert3", -0.35, 3)
     r = region_residual(mesh.model, mesh.omega0, mesh.nodes)
     assert np.all(r[mesh.interior_idx] > 0)
-    assert np.max(np.abs(r[mesh.boundary_idx])) < 1e-10
+    assert np.max(np.abs(r[mesh.boundary_loop])) < 1e-10
 
 
 def test_dump_table_format(mesh_factory):
