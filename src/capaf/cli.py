@@ -6,10 +6,11 @@ Subcommands:
   body gen --config P --seed K --out FILE
   study converge --config P --check NAME --levels A..B [--out DIR]
 
-Suites run one after another; --jobs and CAPAF_JOBS are accepted and do
-nothing.  The decay suites (minkowski, symmetry, kernel, operator) and
-`study converge` share one per-level function per check, each the worst
-case over the config's seeds, and one convergence-table builder.  A
+Suites run one after another; --jobs is accepted and does nothing.  The
+checks' tolerances are the constants in config.TOLERANCES.  The decay
+suites (minkowski, symmetry, kernel, operator) and `study converge` share
+one per-level function per check, each the worst case over the config's
+seeds, and one convergence-table builder.  A
 `RunContext` owns the study schedule, the strictly increasing mesh levels
 every decay study visits: max(1, L-2)..L for `verify` at config level L
 (just 0 at L0), exactly A..B for `study converge --levels A..B`.  It
@@ -39,7 +40,7 @@ from . import functionals as fn
 from .bodies import (CapillaryBody, make_wulff_cap, minkowski_combine,
                      random_capillary_body, rebind, translate_horizontal)
 from .capgeom import MAX_MESH_LEVEL, build_cap_mesh
-from .config import SuiteConfig, parse_config, resolve_suites
+from .config import TOLERANCES, SuiteConfig, parse_config, resolve_suites
 from .errors import CapafError, GenerationError, InvalidConfigError, InvalidInputError
 from .fields import CombinationField, kernel_field, tau_from_generator
 from .mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
@@ -192,7 +193,6 @@ def _selfadjoint_deviation(ctx, level):
 
 
 def _run_mixdisc(ctx: RunContext):
-    tol = ctx.cfg.tolerances
     rng = np.random.default_rng(20240)
     count = 200
     worst = {"diag": 0.0, "perm": 0.0, "multi": 0.0, "transform": 0.0,
@@ -233,7 +233,7 @@ def _run_mixdisc(ctx: RunContext):
             [al[:, None, None] * mats[0] + be[:, None, None] * a_alt] + mats[1:])
         rhs = al * q + be * mixed_discriminant_batch([a_alt] + mats[1:])
         update("multi", rel(lhs - rhs, rhs))
-        update("transform", md_transform_check(mats, np.array(bmats))["relative_error"])
+        update("transform", md_transform_check(mats, np.array(bmats)))
         grad = mixed_disc_gradient(mats)
         update("gradient", rel(np.sum((mats[0] * grad).reshape(count, -1), axis=1) - q, q))
         # Alexandrov: D(A, B, ...)^2 >= D(A, A, ...) D(B, B, ...), as a
@@ -242,14 +242,14 @@ def _run_mixdisc(ctx: RunContext):
         rhs = (mixed_discriminant_batch([mats[0], mats[0]] + mats[2:n])
                * mixed_discriminant_batch([mats[1], mats[1]] + mats[2:n]))
         update("alexandrov", (rhs - lhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30))
-    return [_value_record("mixdisc", key, {"n": [2, 3], "count": count}, val, tol["mixdisc"])
+    return [_value_record("mixdisc", key, {"n": [2, 3], "count": count}, val,
+                          TOLERANCES["mixdisc"])
             for key, val in sorted(worst.items())], {}
 
 
 def _run_routes(ctx: RunContext):
     cfg = ctx.cfg
-    tol = cfg.tolerances
-    route_tol = tol["routes_analytic"]
+    route_tol = TOLERANCES["routes_analytic"]
     records = []
     for seed in cfg.seeds:
         bods = ctx.bodies(seed, cfg.n + 1)
@@ -260,7 +260,7 @@ def _run_routes(ctx: RunContext):
             _report_record("routes", f"aniso-vs-euclid.seed{seed}", inputs,
                            fn.InequalityReport.identity(va, ve, route_tol)),
             _report_record("routes", f"polyfit-vs-euclid.seed{seed}", inputs,
-                           fn.InequalityReport.identity(vp, ve, tol["routes_polyfit"]))]
+                           fn.InequalityReport.identity(vp, ve, TOLERANCES["routes_polyfit"]))]
         body = bods[0]
         records.append(_report_record(
             "routes", f"diagonal-consistency.seed{seed}", inputs,
@@ -280,25 +280,23 @@ def _run_routes(ctx: RunContext):
 
 def _run_af(ctx: RunContext):
     cfg = ctx.cfg
-    tol = cfg.tolerances
     records = []
     for seed in cfg.seeds:
         bods = ctx.bodies(seed, cfg.n + 1)
         inputs = {"seed": seed, "level": cfg.mesh_level}
         records.append(_report_record("af", f"inequality.seed{seed}", inputs,
-                                      fn.af_inequality_check(bods, tol=tol["af_gap"])))
+                                      fn.af_inequality_check(bods, tol=TOLERANCES["af_gap"])))
         k2 = bods[1]
         k1 = _shifted(minkowski_combine([k2], [2.0]), 0.1)
         records.append(_report_record(
             "af", f"equality-case.seed{seed}", inputs,
-            fn.af_inequality_check([k1, k2] + bods[2:], tol=tol["af_equality"],
+            fn.af_inequality_check([k1, k2] + bods[2:], tol=TOLERANCES["af_equality"],
                                    equality_expected=True)))
     return records, {}
 
 
 def _run_chain(ctx: RunContext):
     cfg = ctx.cfg
-    tol = cfg.tolerances
     n = cfg.n
     records = []
     mesh = ctx.mesh()
@@ -309,7 +307,7 @@ def _run_chain(ctx: RunContext):
             for l in range(k):
                 records.append(_report_record(
                     "chain", f"querm-k{k}-l{l}.seed{seed}", inputs,
-                    fn.quermassintegral_chain_check(body, k, l, tol=tol["chain_gap"])))
+                    fn.quermassintegral_chain_check(body, k, l, tol=TOLERANCES["chain_gap"])))
         others = ctx.bodies(seed, n + 1)
         for m in range(2, n + 2):
             trailing = others[2:2 + (n + 1 - m)]
@@ -317,18 +315,18 @@ def _run_chain(ctx: RunContext):
                 records.append(_report_record(
                     "chain", f"gen-m{m}-i{i}-j{j}-k{k}.seed{seed}", inputs,
                     fn.generalized_chain_check(others[0], others[1], trailing, m, i, j, k,
-                                               tol=tol["chain_gap"])))
+                                               tol=TOLERANCES["chain_gap"])))
     wulff = make_wulff_cap(mesh, 1.3)
     records.append(_report_record(
         "chain", "wulff-equality", {"r0": 1.3},
-        fn.quermassintegral_chain_check(wulff, cfg.n, 0, tol=tol["chain_equality"],
+        fn.quermassintegral_chain_check(wulff, cfg.n, 0, tol=TOLERANCES["chain_equality"],
                                         equality_expected=True)))
     k1 = ctx.body(max(cfg.seeds) + 977)
     k0 = _shifted(minkowski_combine([k1], [1.4]), 0.07)
     trailing = ctx.bodies(max(cfg.seeds) + 978, cfg.n - 1)
     records.append(_report_record(
         "chain", "gen-equality-case", {"a": 1.4},
-        fn.generalized_chain_check(k0, k1, trailing, 2, 0, 1, 2, tol=tol["chain_equality"],
+        fn.generalized_chain_check(k0, k1, trailing, 2, 0, 1, 2, tol=TOLERANCES["chain_equality"],
                                    equality_expected=True)))
     return records, {}
 
@@ -343,7 +341,7 @@ def _run_minkowski(ctx: RunContext):
         tables[f"minkowski-k{k}"] = _decay_rows(levels, agg)
         records.append(_decay_record(
             ctx, "minkowski", f"residual-decay-k{k}", {"levels": levels, "k": k},
-            agg, cfg.tolerances["minkowski_ratio"], floor=1e-9))
+            agg, TOLERANCES["minkowski_ratio"], floor=1e-9))
     return records, tables
 
 
@@ -354,9 +352,9 @@ def _run_symmetry(ctx: RunContext):
     tables = {"symmetry-swap": _decay_rows(levels, swap_agg)}
     records = [
         _decay_record(ctx, "symmetry", "swap-decay", {"levels": levels}, swap_agg,
-                      cfg.tolerances["symmetry_ratio"], floor=1e-12),
+                      TOLERANCES["symmetry_ratio"], floor=1e-12),
         _value_record("symmetry", "trailing-permutation", {"levels": levels},
-                      max(trail_agg), cfg.tolerances["symmetry_trailing"])]
+                      max(trail_agg), TOLERANCES["symmetry_trailing"])]
     # diagnostic (logged only): the swap on a capillary function that is no
     # support, the difference of two random bodies' fields
     *b, other = ctx.bodies(max(cfg.seeds) + 5, cfg.n + 2)
@@ -374,7 +372,7 @@ def _run_steiner(ctx: RunContext):
     cfg = ctx.cfg
     records = [_report_record("steiner", f"coefficients.seed{seed}",
                               {"seed": seed, "level": cfg.mesh_level},
-                              fn.steiner_check(ctx.body(seed), tol=cfg.tolerances["steiner"]))
+                              fn.steiner_check(ctx.body(seed), tol=TOLERANCES["steiner"]))
                for seed in cfg.seeds]
     records.append(_report_record("steiner", "cap-binomial", {"level": cfg.mesh_level},
                                   fn.steiner_check(ctx.mesh().cap_body, tol=1e-7)))
@@ -393,9 +391,9 @@ def _run_kernel(ctx: RunContext):
             records += [
                 _value_record("kernel", f"tau-max-E{alpha + 1}", {"levels": levels},
                               decay[-1] * (4.0 ** (levels[-1] - 4)),  # normalized to level 4
-                              cfg.tolerances["kernel_max"]),
+                              TOLERANCES["kernel_max"]),
                 _decay_record(ctx, "kernel", f"tau-decay-E{alpha + 1}", {"levels": levels},
-                              decay, cfg.tolerances["kernel_ratio"], floor=1e-11)]
+                              decay, TOLERANCES["kernel_ratio"], floor=1e-11)]
     else:
         records += [_value_record("kernel", f"tau-max-E{alpha + 1}-fd-smoke",
                                   {"level": cfg.mesh_level}, val, 1e-2)
@@ -411,7 +409,6 @@ def _run_kernel(ctx: RunContext):
 
 def _run_operator(ctx: RunContext):
     cfg = ctx.cfg
-    tol = cfg.tolerances
     records = []
     if cfg.n < 2:
         return records, {}
@@ -423,7 +420,7 @@ def _run_operator(ctx: RunContext):
         ag = fn.operator_a_apply(f2, trailing)
         records.append(_value_record(
             "operator", f"eigenfunction-identity.seed{seed}", inputs,
-            float(np.max(np.abs(ag - f2.shat))), tol["operator_eigen"]))
+            float(np.max(np.abs(ag - f2.shat))), TOLERANCES["operator_eigen"]))
         ak = fn.operator_a_apply(kernel_field(ctx.mesh(), 0), trailing)
         records.append(_value_record(
             "operator", f"kernel-annihilation.seed{seed}", inputs,
@@ -432,7 +429,7 @@ def _run_operator(ctx: RunContext):
                              [1.0, -1.0])
         records.append(_report_record(
             "operator", f"energy.seed{seed}", inputs,
-            fn.operator_a_energy_check(g, trailing, tol=tol["operator_energy"])))
+            fn.operator_a_energy_check(g, trailing, tol=TOLERANCES["operator_energy"])))
     # self-adjointness decay with refinement (aggregate over seeds)
     devs = [_selfadjoint_deviation(ctx, level) for level in levels]
     records.append(_decay_record(

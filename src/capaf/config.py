@@ -1,11 +1,12 @@
 """Config file parsing for the verification tool.
 
 INI-style configuration with sections [geometry], [norm], [mesh],
-[numerics], [suites], [seeds], [output]; see the repository README for the
-full key reference.  Parsing is whole-file: every problem found is
-collected and reported together, not just the first one.  An unknown
-section or key is one such problem; [DEFAULT] is an unknown section.  So
-is a [norm] key that the chosen family does not read, and a repeated seed.
+[suites], [seeds], [output]; see the repository README for the full key
+reference.  The checks' tolerances are the constants in TOLERANCES, which
+no config sets.  Parsing is whole-file: every problem found is collected
+and reported together, not just the first one.  An unknown section or key
+is one such problem; [DEFAULT] is an unknown section.  So is a [norm] key
+that the chosen family does not read, and a repeated seed.
 The geometry's rules (n, w0 and the mesh level) and their messages belong
 to capgeom.CapConfig, whose list of problems joins the file's.
 """
@@ -34,19 +35,18 @@ NORM_KEYS = {
     "perturbed": ("family", "base", "base_matrix", "term*"),
 }
 
-# the keys of each section, as patterns: only termK and tol_<name> use a *
+# the keys of each section, as patterns: only termK uses a *
 SECTION_KEYS = {
     "geometry": ("n", "omega0"),
     "norm": tuple(dict.fromkeys(k for keys in NORM_KEYS.values() for k in keys)),
     "mesh": ("level",),
-    "numerics": ("tol_*",),
     "suites": ("run",),
     "seeds": ("seeds",),
     "output": ("dir",),
 }
 
-# the checks' tolerances, each settable as [numerics] tol_<name>
-DEFAULT_TOLERANCES = {
+# the checks' tolerances, which report.json echoes
+TOLERANCES = {
     "mixdisc": 1e-10,
     "routes_analytic": 1e-8,
     "routes_polyfit": 1e-4,
@@ -67,9 +67,8 @@ DEFAULT_TOLERANCES = {
 
 @dataclass
 class SuiteConfig(CapConfig):
-    """Validated run configuration: the geometry, and what to check it with."""
+    """Validated run configuration: the geometry, the suites and their seeds."""
 
-    tolerances: dict
     seeds: list
     suites: list
     out_dir: str
@@ -84,7 +83,7 @@ class SuiteConfig(CapConfig):
             "omega0": self.omega0,
             "norm": self.norm.descriptor(),
             "mesh_level": self.mesh_level,
-            "tolerances": dict(sorted(self.tolerances.items())),
+            "tolerances": dict(sorted(TOLERANCES.items())),
             "seeds": list(self.seeds),
             "suites": list(self.suites),
         }
@@ -213,19 +212,6 @@ def parse_config(path: str) -> SuiteConfig:
         norm = _build_norm(parser["norm"], n + 1 if n in SUPPORTED_N else None, errors)
     errors += CapConfig.problems(n, omega0, level, norm)
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    if "numerics" in parser:
-        for key, raw in parser["numerics"].items():
-            if key.startswith("tol_"):
-                name = key[4:]
-                if name not in DEFAULT_TOLERANCES:
-                    errors.append(f"numerics.{key}: unknown tolerance name {name!r}")
-                else:
-                    try:
-                        tolerances[name] = float(raw)
-                    except ValueError as exc:
-                        errors.append(f"numerics.{key}: {exc}")
-
     suites_raw = get("suites", "run", "all")
     suites = resolve_suites(suites_raw.replace(",", " ").split(), "suites.run", errors)
 
@@ -243,15 +229,8 @@ def parse_config(path: str) -> SuiteConfig:
                    for s in sorted({s for s in seeds if seeds.count(s) > 1})]
 
     out_dir = os.environ.get("CAPAF_OUT") or get("output", "dir", "capaf-out")
-    # CAPAF_JOBS is accepted and ignored (suites run serially), but must be an integer
-    jobs_raw = os.environ.get("CAPAF_JOBS", "1")
-    try:
-        int(jobs_raw)
-    except ValueError:
-        errors.append(f"CAPAF_JOBS: expected an integer worker count, got {jobs_raw!r}")
 
     if errors:
         raise InvalidConfigError("; ".join(errors), errors=errors)
     return SuiteConfig(norm=norm, omega0=omega0, mesh_level=level,
-                       tolerances=tolerances, seeds=seeds, suites=suites,
-                       out_dir=out_dir)
+                       seeds=seeds, suites=suites, out_dir=out_dir)

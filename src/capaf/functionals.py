@@ -301,7 +301,7 @@ def minkowski_formula_residual(body: CapillaryBody, k: int) -> float:
     return float(np.sum(mesh.weights * body.detW * mesh.F_vals * vals))
 
 
-def steiner_check(body: CapillaryBody, tol: float = 1e-4) -> InequalityReport:
+def steiner_check(body: CapillaryBody, tol: float) -> InequalityReport:
     """Fit |K + t C| as a polynomial in t, on the grid t = 0.5, 1.0, ...,
     0.5 (n + 3), and compare it with the binomial-weighted
     quermassintegrals, at the coefficient of the worst relative gap."""
@@ -476,7 +476,7 @@ def operator_inner(f_vals, g_vals, omega) -> float:
     return float(np.sum(f_vals * g_vals * omega))
 
 
-def operator_a_energy_check(g, trailing, tol: float = 1e-6) -> InequalityReport:
+def operator_a_energy_check(g, trailing, tol: float) -> InequalityReport:
     """<A g, A g>_omega >= <g, A g>_omega - tol.
 
     The pointwise mixed-discriminant inequality bounds <A g, A g> below by
@@ -512,8 +512,7 @@ def operator_selfadjoint_deviation(f, g, trailing) -> float:
 # ---------------------------------------------------------------------------
 
 
-def af_inequality_check(bodies, tol: float = 1e-8,
-                        equality_expected: bool = False) -> InequalityReport:
+def af_inequality_check(bodies, tol: float, equality_expected: bool = False) -> InequalityReport:
     """V(K1,K2,rest)^2 >= V(K1,K1,rest) V(K2,K2,rest)."""
     bodies = list(bodies)
     _require_full_tuple(bodies)
@@ -524,8 +523,7 @@ def af_inequality_check(bodies, tol: float = 1e-8,
     return InequalityReport.inequality(v12 * v12, v11 * v22, tol, equality_expected)
 
 
-def quermassintegral_chain_check(body: CapillaryBody, k: int, l: int,
-                                 tol: float = 1e-7,
+def quermassintegral_chain_check(body: CapillaryBody, k: int, l: int, tol: float,
                                  equality_expected: bool = False) -> InequalityReport:
     """(V_k/|C|)^{1/(n+1-k)} >= (V_l/|C|)^{1/(n+1-l)} for 0 <= l <= k <= n.
 
@@ -555,8 +553,7 @@ def quermassintegral_chain_check(body: CapillaryBody, k: int, l: int,
 
 
 def generalized_chain_check(k0: CapillaryBody, k1: CapillaryBody, trailing,
-                            m: int, i: int, j: int, k: int,
-                            tol: float = 1e-7,
+                            m: int, i: int, j: int, k: int, tol: float,
                             equality_expected: bool = False) -> InequalityReport:
     """V_(j)^{k-i} >= V_(i)^{k-j} V_(k)^{j-i} for the substitution family
     V_(i) = V(K0 ... K0, K1 ... K1, trailing) with i copies of K1."""
