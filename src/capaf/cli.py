@@ -7,23 +7,25 @@ Subcommands:
   study converge --config P --check NAME --levels A..B [--out DIR]
 
 Suites run one after another; --jobs is accepted and does nothing.  The
-checks' tolerances are the constants in config.TOLERANCES.  The decay
-suites (minkowski, symmetry, kernel, operator) and `study converge` share
-one per-level function per check, each the worst case over the config's
-seeds, and one convergence-table builder.  A
-`RunContext` owns the study schedule, the strictly increasing mesh levels
-every decay study visits: max(1, L-2)..L for `verify` at config level L
-(just 0 at L0), exactly A..B for `study converge --levels A..B`.  It
-generates every random body on the last of them and rebinds it onto each
-study level's mesh, the last one included.
+runners write no threshold: every tolerance, decay ratio and floor a
+record applies is a constant in config.TOLERANCES.  The decay suites
+(minkowski, symmetry, kernel, operator) and `study converge` share one
+per-level function per check, each the worst case over the config's
+seeds, and one convergence-table builder.  A `RunContext` owns the study
+schedule, the strictly increasing mesh levels every decay study visits:
+max(1, L-2)..L for `verify` at config level L (just 0 at L0), exactly
+A..B for `study converge --levels A..B`.  It generates every random body
+on the last of them and rebinds it onto each study level's mesh, the
+last one included.
 
 Exit codes: 0 all checks passed, 1 some check failed (or a body could not
-be generated), 2 usage or configuration error.  Identical configs produce
-byte-identical numeric report fields; per-record wall times (JSON only)
-are the single exception.  One timer, in `run_suite`, times each suite's
-runner and shares that time evenly among the suite's records (a
-generation-failure record included), so the records' times sum to the
-suites' time; the runners call the checks and time nothing.
+be generated), 2 usage or configuration error, or an output path that
+cannot be written.  Identical configs produce byte-identical numeric
+report fields; per-record wall times (JSON only) are the single
+exception.  One timer, in `run_suite`, times each suite's runner and
+shares that time evenly among the suite's records (a generation-failure
+record included), so the records' times sum to the suites' time; the
+runners call the checks and time nothing.
 """
 
 from __future__ import annotations
@@ -249,7 +251,6 @@ def _run_mixdisc(ctx: RunContext):
 
 def _run_routes(ctx: RunContext):
     cfg = ctx.cfg
-    route_tol = TOLERANCES["routes_analytic"]
     records = []
     for seed in cfg.seeds:
         bods = ctx.bodies(seed, cfg.n + 1)
@@ -258,23 +259,24 @@ def _run_routes(ctx: RunContext):
                       for r in ("anisotropic", "euclidean", "polyfit"))
         records += [
             _report_record("routes", f"aniso-vs-euclid.seed{seed}", inputs,
-                           fn.InequalityReport.identity(va, ve, route_tol)),
+                           fn.InequalityReport.identity(va, ve, TOLERANCES["routes_analytic"])),
             _report_record("routes", f"polyfit-vs-euclid.seed{seed}", inputs,
                            fn.InequalityReport.identity(vp, ve, TOLERANCES["routes_polyfit"]))]
         body = bods[0]
         records.append(_report_record(
             "routes", f"diagonal-consistency.seed{seed}", inputs,
             fn.InequalityReport.identity(fn.mixed_volume([body] * (cfg.n + 1)),
-                                         fn.volume(body), route_tol)))
+                                         fn.volume(body), TOLERANCES["routes_analytic"])))
         records.append(_report_record(
             "routes", f"translation-invariance.seed{seed}", inputs,
             fn.InequalityReport.identity(fn.volume(_shifted(body, 0.08)),
-                                         fn.volume(body), 1e-10)))
+                                         fn.volume(body), TOLERANCES["routes_translation"])))
         scaled = minkowski_combine([body], [1.7])
         records.append(_report_record(
             "routes", f"scaling.seed{seed}", inputs,
             fn.InequalityReport.identity(
-                fn.volume(scaled), 1.7 ** (cfg.n + 1) * fn.volume(body), 1e-11)))
+                fn.volume(scaled), 1.7 ** (cfg.n + 1) * fn.volume(body),
+                TOLERANCES["routes_scaling"])))
     return records, {}
 
 
@@ -341,7 +343,7 @@ def _run_minkowski(ctx: RunContext):
         tables[f"minkowski-k{k}"] = _decay_rows(levels, agg)
         records.append(_decay_record(
             ctx, "minkowski", f"residual-decay-k{k}", {"levels": levels, "k": k},
-            agg, TOLERANCES["minkowski_ratio"], floor=1e-9))
+            agg, TOLERANCES["minkowski_ratio"], TOLERANCES["minkowski_floor"]))
     return records, tables
 
 
@@ -352,7 +354,7 @@ def _run_symmetry(ctx: RunContext):
     tables = {"symmetry-swap": _decay_rows(levels, swap_agg)}
     records = [
         _decay_record(ctx, "symmetry", "swap-decay", {"levels": levels}, swap_agg,
-                      TOLERANCES["symmetry_ratio"], floor=1e-12),
+                      TOLERANCES["symmetry_ratio"], TOLERANCES["symmetry_floor"]),
         _value_record("symmetry", "trailing-permutation", {"levels": levels},
                       max(trail_agg), TOLERANCES["symmetry_trailing"])]
     # diagnostic (logged only): the swap on a capillary function that is no
@@ -375,7 +377,8 @@ def _run_steiner(ctx: RunContext):
                               fn.steiner_check(ctx.body(seed), tol=TOLERANCES["steiner"]))
                for seed in cfg.seeds]
     records.append(_report_record("steiner", "cap-binomial", {"level": cfg.mesh_level},
-                                  fn.steiner_check(ctx.mesh().cap_body, tol=1e-7)))
+                                  fn.steiner_check(ctx.mesh().cap_body,
+                                                   tol=TOLERANCES["steiner_cap"])))
     return records, {}
 
 
@@ -393,17 +396,18 @@ def _run_kernel(ctx: RunContext):
                               decay[-1] * (4.0 ** (levels[-1] - 4)),  # normalized to level 4
                               TOLERANCES["kernel_max"]),
                 _decay_record(ctx, "kernel", f"tau-decay-E{alpha + 1}", {"levels": levels},
-                              decay, TOLERANCES["kernel_ratio"], floor=1e-11)]
+                              decay, TOLERANCES["kernel_ratio"], TOLERANCES["kernel_floor"])]
     else:
         records += [_value_record("kernel", f"tau-max-E{alpha + 1}-fd-smoke",
-                                  {"level": cfg.mesh_level}, val, 1e-2)
+                                  {"level": cfg.mesh_level}, val, TOLERANCES["kernel_smoke"])
                     for alpha, val in enumerate(_kernel_tau(ctx, cfg.mesh_level))]
     # generator-route kernels are exactly linear: their Hessian, so tau, is 0
     mesh = ctx.mesh()
     taus = (tau_from_generator(mesh, kernel_field(mesh, alpha))[0] for alpha in range(cfg.n))
     worst = _worst(float(np.max(np.abs(tau))) for tau in taus)
     records.append(_value_record(
-        "kernel", "generator-route-zero", {"level": cfg.mesh_level}, worst, 1e-10))
+        "kernel", "generator-route-zero", {"level": cfg.mesh_level}, worst,
+        TOLERANCES["kernel_generator"]))
     return records, tables
 
 
@@ -424,7 +428,7 @@ def _run_operator(ctx: RunContext):
         ak = fn.operator_a_apply(kernel_field(ctx.mesh(), 0), trailing)
         records.append(_value_record(
             "operator", f"kernel-annihilation.seed{seed}", inputs,
-            float(np.max(np.abs(ak))), 1e-8))
+            float(np.max(np.abs(ak))), TOLERANCES["operator_annihilation"]))
         g = CombinationField([ctx.body(seed + 7919).field, ctx.body(seed + 7920).field],
                              [1.0, -1.0])
         records.append(_report_record(
@@ -433,7 +437,8 @@ def _run_operator(ctx: RunContext):
     # self-adjointness decay with refinement (aggregate over seeds)
     devs = [_selfadjoint_deviation(ctx, level) for level in levels]
     records.append(_decay_record(
-        ctx, "operator", "selfadjoint-decay", {"levels": levels}, devs, 2.0, floor=1e-10))
+        ctx, "operator", "selfadjoint-decay", {"levels": levels}, devs,
+        TOLERANCES["operator_ratio"], TOLERANCES["operator_floor"]))
     return records, {"operator-selfadjoint": _decay_rows(levels, devs)}
 
 
@@ -631,7 +636,7 @@ def main(argv=None) -> int:
     except GenerationError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 1
-    except CapafError as exc:
+    except (CapafError, OSError) as exc:  # an OSError names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

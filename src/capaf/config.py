@@ -2,11 +2,12 @@
 
 INI-style configuration with sections [geometry], [norm], [mesh],
 [suites], [seeds], [output]; see the repository README for the full key
-reference.  The checks' tolerances are the constants in TOLERANCES, which
-no config sets.  Parsing is whole-file: every problem found is collected
-and reported together, not just the first one.  An unknown section or key
-is one such problem; [DEFAULT] is an unknown section.  So is a [norm] key
-that the chosen family does not read, and a repeated seed.
+reference.  TOLERANCES holds every bound a `verify` record applies (each
+tolerance, decay ratio and floor) as constants that no config sets.
+Parsing is whole-file: every problem found is collected and reported
+together, not just the first one.  An unknown section or key is one such
+problem; [DEFAULT] is an unknown section.  So is a [norm] key that the
+chosen family does not read, and a repeated seed.
 The geometry's rules (n, w0 and the mesh level) and their messages belong
 to capgeom.CapConfig, whose list of problems joins the file's.
 """
@@ -45,23 +46,36 @@ SECTION_KEYS = {
     "output": ("dir",),
 }
 
-# the checks' tolerances, which report.json echoes
+# every bound a verify record applies, which report.json echoes: a
+# tolerance, or for a decay record its minimum ratio (*_ratio) and the
+# floor below which its last value passes it (*_floor)
 TOLERANCES = {
     "mixdisc": 1e-10,
     "routes_analytic": 1e-8,
     "routes_polyfit": 1e-4,
+    "routes_translation": 1e-10,
+    "routes_scaling": 1e-11,
     "kernel_max": 1e-4,
     "kernel_ratio": 2.0,
+    "kernel_floor": 1e-11,
+    "kernel_smoke": 1e-2,
+    "kernel_generator": 1e-10,
     "minkowski_ratio": 2.0,
+    "minkowski_floor": 1e-9,
     "symmetry_ratio": 2.0,
+    "symmetry_floor": 1e-12,
     "symmetry_trailing": 1e-12,
     "steiner": 1e-4,
+    "steiner_cap": 1e-7,
     "af_gap": 1e-8,
     "af_equality": 1e-6,
     "chain_gap": 1e-7,
     "chain_equality": 1e-6,
     "operator_eigen": 1e-8,
+    "operator_annihilation": 1e-8,
     "operator_energy": 1e-6,
+    "operator_ratio": 2.0,
+    "operator_floor": 1e-10,
 }
 
 

@@ -69,7 +69,7 @@ def digest(obj) -> str:
 def emit_report(report: RunReport, out_dir: str) -> dict:
     """Write report.json plus flat tables; returns the path map."""
     os.makedirs(out_dir, exist_ok=True)
-    records = sorted(report.records, key=lambda r: (r.suite, r.name))
+    records = report.records  # in run_suite's (suite, name) order
     payload = {
         "tool": {"name": "capaf", "version": TOOL_VERSION},
         "config": report.config_echo,

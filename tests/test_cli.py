@@ -247,6 +247,24 @@ def test_exit_code_failure(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--out", "{file}/sub"],
+    ["mesh", "info", "--dump", "{missing}/x.txt"],
+    ["body", "gen", "--seed", "7", "--out", "{missing}/b.json"],
+    ["study", "converge", "--check", "area", "--levels", "0..1", "--out", "{file}/sub"],
+], ids=["verify", "mesh-info", "body-gen", "study-converge"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    """An output path under a file or a missing directory is exit 2 with one
+    `error:` line naming it, not a traceback and not exit 1."""
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    argv = [a.format(file=tmp_path / "file", missing=tmp_path / "missing") for a in argv]
+    assert main([*argv, "--config", write(tmp_path, ELLIPSOID)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert argv[-1] in err
+
+
 def test_thin_cap_stencil_error_names_the_limit(tmp_path, capsys):
     # near the lower end of the w0 interval the kernel study's coarse levels
     # leave no node clear of the boundary: a documented error, not a traceback
@@ -747,8 +765,9 @@ class _ReadLog(dict):
 
 def test_every_tolerance_has_a_reader(monkeypatch):
     """Every suite, on an analytic and on the perturbed config at level 2,
-    reads each tolerance name between them: kernel_* is read only on the
-    analytic ones."""
+    reads each tolerance name between them: kernel_smoke is read only on
+    the perturbed config, kernel_max, kernel_ratio and kernel_floor only on
+    the analytic ones, and kernel_generator on both."""
     import capaf.cli as cli
 
     seen = set()
@@ -758,3 +777,40 @@ def test_every_tolerance_has_a_reader(monkeypatch):
         cfg.mesh_level = 2
         cli.run_suite(cfg)
     assert sorted(set(TOLERANCES) - seen) == []
+
+
+def test_runners_write_no_threshold():
+    """Every threshold a record applies in cli.py is a `TOLERANCES[...]`
+    entry: _value_record's tolerance, _decay_record's min_ratio and floor,
+    the tol of InequalityReport.identity / inequality and every `tol=`."""
+    import ast
+    import inspect
+
+    import capaf.cli as cli
+    from capaf.functionals import InequalityReport
+
+    thresholds = {  # callee -> (its parameter names, the thresholds among them)
+        name: (list(inspect.signature(func).parameters), params)
+        for name, func, params in (
+            ("_value_record", cli._value_record, {"tolerance"}),
+            ("_decay_record", cli._decay_record, {"min_ratio", "floor"}),
+            ("identity", InequalityReport.identity, {"tol"}),
+            ("inequality", InequalityReport.inequality, {"tol"}))}
+    seen, offenders = set(), []
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        names, params = thresholds.get(callee, ([], set()))
+        args = [(kw.arg, kw.value) for kw in node.keywords]
+        args += [(name, arg) for name, arg in zip(names, node.args)]
+        for name, arg in args:
+            if name not in params | {"tol"}:
+                continue
+            seen.add(callee if name in params else "tol=")
+            if not (isinstance(arg, ast.Subscript) and isinstance(arg.value, ast.Name)
+                    and arg.value.id == "TOLERANCES"):
+                offenders.append((arg.lineno, f"{callee} {name}={ast.unparse(arg)}"))
+    assert seen == {"_value_record", "_decay_record", "identity", "tol="}
+    assert not offenders, "thresholds not read from TOLERANCES:\n" + "\n".join(
+        f"cli.py:{line} {text}" for line, text in sorted(offenders))
