@@ -32,6 +32,5 @@ from .mixdisc import (md_transform_check, mixed_disc_gradient,
                       mixed_discriminant_batch)
 from .norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm,
                     PerturbedNorm, PerturbTerm)
+from .report import TOOL_VERSION as __version__
 from .report import RunReport, emit_report
-
-__version__ = "0.1.0"

@@ -358,7 +358,7 @@ class CapMesh:
         gram = np.einsum("bki,bij,blj->bkl", self.frame, self.G, self.frame)
         dev = np.max(np.abs(gram - np.eye(self.n)[None]))
         if dev > FRAME_ORTHONORMAL:
-            raise NumericError(f"frame orthonormality defect {dev:.3e}", residual=dev)
+            raise NumericError(f"frame orthonormality defect {dev:.3e}")
         self.frame_orthonormal_defect = float(dev)
         plane = np.abs(self.xi[self.boundary_loop, -1])
         if np.any(plane > BOUNDARY_PLANE):

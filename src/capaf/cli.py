@@ -6,6 +6,9 @@ Subcommands:
   body gen --config P --seed K --out FILE
   study converge --config P --check NAME --levels A..B [--out DIR]
 
+`--out` alone names the output directory: `capaf-out` by default for
+`verify`, and none for `study converge`, which then writes no file.  Both
+make it before they build any mesh, so an unwritable path costs no run.
 Suites run one after another; --jobs is accepted and does nothing.  The
 runners write no threshold: every tolerance, decay ratio and floor a
 record applies is a constant in config.TOLERANCES.  The decay suites
@@ -490,10 +493,9 @@ def _cmd_verify(args) -> int:
         cfg.suites = resolve_suites([args.suite], "--suite", errors)
         if errors:
             raise InvalidInputError(errors[0])
-    if args.out:
-        cfg.out_dir = args.out
+    os.makedirs(args.out, exist_ok=True)
     report = run_suite(cfg)
-    paths = emit_report(report, cfg.out_dir)
+    paths = emit_report(report, args.out)
     s = report.summary
     print(f"checks: {s['total']}  passed: {s['passed']}  failed: {s['failed']}  "
           f"diagnostics: {s['diagnostics']}")
@@ -572,6 +574,8 @@ def _cmd_study(args) -> int:
     if args.check == "operator_adjoint" and cfg.n < 2:
         raise InvalidInputError("operator study needs n >= 2")
     ctx = RunContext(cfg, list(range(lo, hi + 1)))
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     values = [STUDIES[args.check](ctx, level) for level in ctx.levels]
     residuals = None
     if args.check == "area":
@@ -581,7 +585,6 @@ def _cmd_study(args) -> int:
     lines += [",".join(map(repr, row)) for row in _decay_rows(ctx.levels, values, residuals)]
     print("\n".join(lines))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"study-{args.check}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -597,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("--config", required=True)
     pv.add_argument("--suite", default=None)
-    pv.add_argument("--out", default=None)
+    pv.add_argument("--out", default="capaf-out")
     pv.add_argument("--jobs", type=int, default=None)
 
     pm = sub.add_parser("mesh", help="mesh utilities")

@@ -1,13 +1,15 @@
 """Config file parsing for the verification tool.
 
 INI-style configuration with sections [geometry], [norm], [mesh],
-[suites], [seeds], [output]; see the repository README for the full key
-reference.  TOLERANCES holds every bound a `verify` record applies (each
-tolerance, decay ratio and floor) as constants that no config sets.
+[suites] and [seeds]; see the repository README for the full key
+reference.  The file alone fixes the configuration; the output directory
+is the command line's (`--out`).  TOLERANCES holds every bound a `verify`
+record applies (each tolerance, decay ratio and floor) as constants that
+no config sets.
 Parsing is whole-file: every problem found is collected and reported
 together, not just the first one.  An unknown section or key is one such
 problem; [DEFAULT] is an unknown section.  So is a [norm] key that the
-chosen family does not read, and a repeated seed.
+chosen family does not read, and a repeated seed or suite.
 The geometry's rules (n, w0 and the mesh level) and their messages belong
 to capgeom.CapConfig, whose list of problems joins the file's.
 """
@@ -43,7 +45,6 @@ SECTION_KEYS = {
     "mesh": ("level",),
     "suites": ("run",),
     "seeds": ("seeds",),
-    "output": ("dir",),
 }
 
 # every bound a verify record applies, which report.json echoes: a
@@ -85,7 +86,6 @@ class SuiteConfig(CapConfig):
 
     seeds: list
     suites: list
-    out_dir: str
 
     def cap_config(self, level: int | None = None) -> CapConfig:
         return CapConfig(self.norm, self.omega0,
@@ -105,9 +105,12 @@ class SuiteConfig(CapConfig):
 
 def resolve_suites(names, key: str, errors: list) -> list:
     """The suites `names` run, `all` expanded in SUITE_NAMES order (report.json
-    echoes it); one problem, prefixed by `key`, per unknown name joins errors."""
+    echoes it); one problem, prefixed by `key`, per unknown name and per
+    repeated one joins errors."""
     errors += [f"{key}: unknown suite {s!r}; valid names: {', '.join(SUITE_NAMES)}"
                for s in names if s not in SUITE_NAMES]
+    errors += [f"{key}: suite {s} is repeated; each suite runs once"
+               for s in dict.fromkeys(s for s in names if names.count(s) > 1)]
     return [s for s in SUITE_NAMES if s != "all"] if "all" in names else list(names)
 
 
@@ -242,9 +245,7 @@ def parse_config(path: str) -> SuiteConfig:
         errors += [f"seeds.seeds: seed {s} is repeated; each seed runs once"
                    for s in sorted({s for s in seeds if seeds.count(s) > 1})]
 
-    out_dir = os.environ.get("CAPAF_OUT") or get("output", "dir", "capaf-out")
-
     if errors:
         raise InvalidConfigError("; ".join(errors), errors=errors)
     return SuiteConfig(norm=norm, omega0=omega0, mesh_level=level,
-                       seeds=seeds, suites=suites, out_dir=out_dir)
+                       seeds=seeds, suites=suites)

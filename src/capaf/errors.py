@@ -29,16 +29,8 @@ class ModelInvalidError(CapafError):
 
 
 class NumericError(CapafError):
-    """An iterative solve failed to reach tolerance.
-
-    Carries the best value and residual seen so the caller can decide
-    whether the partial result is still usable.
-    """
-
-    def __init__(self, message, best_value=None, residual=None):
-        super().__init__(message)
-        self.best_value = best_value
-        self.residual = residual
+    """An iterative solve or a numerical invariant missed its bound; the
+    message names the residual and the bound."""
 
 
 class MeshConstructionError(CapafError):

@@ -587,8 +587,9 @@ class PerturbedNorm(MinkowskiNorm):
             raise InvalidInputError("x_warm needs one row per xi")
         yf, phi, res = self._newton_ascend(unit_rows(y0), xi)
         if np.any(res > 1e-6):
-            raise NumericError("warm dual ascent did not converge",
-                               best_value=float(np.max(phi)), residual=float(np.max(res)))
+            raise NumericError(f"warm dual ascent did not converge: {np.sum(res > 1e-6)} of "
+                               f"{len(res)} rows above the residual bound 1e-06, worst "
+                               f"{np.max(res):.3e}")
         return phi, yf
 
     def descriptor(self):

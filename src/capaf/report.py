@@ -67,8 +67,8 @@ def digest(obj) -> str:
 
 
 def emit_report(report: RunReport, out_dir: str) -> dict:
-    """Write report.json plus flat tables; returns the path map."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write report.json plus flat tables into the existing directory
+    out_dir (the caller makes it); returns the path map."""
     records = report.records  # in run_suite's (suite, name) order
     payload = {
         "tool": {"name": "capaf", "version": TOOL_VERSION},

@@ -49,6 +49,16 @@ def write(tmp_path, text, name="cfg.ini"):
     return str(path)
 
 
+def assert_config_error_in_every_subcommand(tmp_path, capsys, path, error):
+    """Each of the four subcommands exits 2 with the one line `config error: error`."""
+    for argv in (["verify", "--out", str(tmp_path / "o")], ["mesh", "info"],
+                 ["body", "gen", "--seed", "7"],
+                 ["study", "converge", "--check", "area", "--levels", "0..1"]):
+        capsys.readouterr()
+        assert main([*argv, "--config", path]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {error}"], argv
+
+
 # -- parsing --------------------------------------------------------------------
 
 
@@ -98,24 +108,22 @@ run = bogus
     assert len(err.value.errors) >= 3
 
 
-@pytest.mark.parametrize("name", ["tol_af_gap", "tol_nonsense", "tol_routes_fd",
-                                  "tol_boundary_residual", "tol_frame_orthonormal",
-                                  "tol_boundary_plane"])
-def test_no_config_sets_a_tolerance(tmp_path, capsys, name):
-    """The tolerances are constants: a [numerics] section is an unknown
-    section in every subcommand, whatever tolerance it names."""
-    path = write(tmp_path, MINIMAL + f"\n[numerics]\n{name} = inf\n")
+@pytest.mark.parametrize("section,name", [
+    *(pytest.param("numerics", name, id=name)
+      for name in ("tol_af_gap", "tol_nonsense", "tol_routes_fd", "tol_boundary_residual",
+                   "tol_frame_orthonormal", "tol_boundary_plane")),
+    pytest.param("output", "dir", id="output-dir"),
+])
+def test_no_config_sets_a_tolerance(tmp_path, capsys, section, name):
+    """The tolerances are constants and `--out` alone names the output
+    directory: a [numerics] section, whatever tolerance it names, and an
+    [output] section are unknown sections in every subcommand."""
+    path = write(tmp_path, MINIMAL + f"\n[{section}]\n{name} = inf\n")
     with pytest.raises(InvalidConfigError) as err:
         parse_config(path)
     assert len(err.value.errors) == 1
-    assert err.value.errors[0].startswith(f"numerics: unknown section (keys {name} not read)")
-    for argv in (["verify", "--out", str(tmp_path / "o")], ["mesh", "info"],
-                 ["body", "gen", "--seed", "7"],
-                 ["study", "converge", "--check", "area", "--levels", "0..1"]):
-        capsys.readouterr()
-        assert main([*argv, "--config", path]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"config error: {err.value.errors[0]}"], argv
+    assert err.value.errors[0].startswith(f"{section}: unknown section (keys {name} not read)")
+    assert_config_error_in_every_subcommand(tmp_path, capsys, path, err.value.errors[0])
 
 
 def test_readme_documents_every_section_and_tolerance():
@@ -133,13 +141,13 @@ def test_readme_documents_every_section_and_tolerance():
 def test_parse_names_every_unknown_key(tmp_path, capsys):
     """Typos and keys nothing reads are errors, not silent defaults."""
     text = (ELLIPSOID.replace("omega0 =", "omega =").replace("level =", "levle =")
-            + "\n[output]\nfd_step = 1e-4\n")
+            + "fd_step = 1e-4\n")
     path = write(tmp_path, text)
     with pytest.raises(InvalidConfigError) as err:
         parse_config(path)
     errors = err.value.errors
     assert len(errors) == 3
-    for key, error in zip(("geometry.omega", "mesh.levle", "output.fd_step"), errors):
+    for key, error in zip(("geometry.omega", "mesh.levle", "suites.fd_step"), errors):
         assert error.startswith(key + ": unknown key")
     assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.count("unknown key") == 3
@@ -185,6 +193,16 @@ def test_seeds_must_be_a_nonempty_nonnegative_list(tmp_path, capsys, seeds, suit
     err = capsys.readouterr().err
     assert "config error: seeds.seeds: " in err
     assert {"": "no seeds given", "2 1 2": "seed 2 is repeated"}.get(seeds, "is negative") in err
+
+
+def test_repeated_suite_is_a_config_error(tmp_path, capsys):
+    """A suite runs once, so naming it twice is an error, as for a seed."""
+    path = write(tmp_path, ELLIPSOID.replace("run = mixdisc", "run = af mixdisc af"))
+    with pytest.raises(InvalidConfigError) as err:
+        parse_config(path)
+    assert err.value.errors == ["suites.run: suite af is repeated; each suite runs once"]
+    assert_config_error_in_every_subcommand(tmp_path, capsys, path, err.value.errors[0])
+    assert not (tmp_path / "o").exists()
 
 
 def test_body_gen_rejects_negative_seed(tmp_path, capsys):
@@ -263,6 +281,26 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert argv[-1] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["study", "converge", "--check", "area", "--levels", "3..4"],
+], ids=["verify", "study-converge"])
+def test_unwritable_out_fails_before_any_mesh(tmp_path, capsys, monkeypatch, argv):
+    """`verify` and `study converge` make the output directory before they
+    build a mesh, so an unwritable `--out` costs no run."""
+    import capaf.cli as cli
+
+    def refuse(config):
+        raise AssertionError(f"built the level-{config.mesh_level} mesh")
+
+    monkeypatch.setattr(cli, "build_cap_mesh", refuse)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    path = write(tmp_path, ELLIPSOID.replace("run = mixdisc", "run = all"))
+    assert main([*argv, "--config", path, "--out", str(tmp_path / "file" / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_thin_cap_stencil_error_names_the_limit(tmp_path, capsys):
@@ -389,13 +427,17 @@ def test_report_determinism_under_jobs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_env_override_out_dir(tmp_path, monkeypatch):
+def test_verify_reads_no_environment(tmp_path, monkeypatch):
+    """CAPAF_OUT and CAPAF_JOBS are read by nothing: `verify --out D` writes
+    under D alone, whatever they hold."""
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("CAPAF_OUT", str(tmp_path / "env-out"))
-    cfg = parse_config(write(tmp_path, MINIMAL))
-    assert cfg.out_dir == str(tmp_path / "env-out")
-    # CAPAF_JOBS is read by nothing
     monkeypatch.setenv("CAPAF_JOBS", "abc")
-    assert main(["verify", "--config", write(tmp_path, ELLIPSOID)]) == 0
+    path = write(tmp_path, ELLIPSOID)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "d")]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["cfg.ini", "d"]
+    assert sorted(os.listdir(tmp_path / "d")) == [
+        "convergence.csv", "gaps.csv", "records.csv", "report.json"]
 
 
 # -- other subcommands -------------------------------------------------------------
@@ -814,3 +856,38 @@ def test_runners_write_no_threshold():
     assert seen == {"_value_record", "_decay_record", "identity", "tol="}
     assert not offenders, "thresholds not read from TOLERANCES:\n" + "\n".join(
         f"cli.py:{line} {text}" for line, text in sorted(offenders))
+
+
+def test_package_reads_no_environment():
+    """The config file and the command line alone fix a run: no module of
+    the package reads os.environ or os.getenv."""
+    import ast
+
+    import capaf
+
+    src = os.path.dirname(capaf.__file__)
+    reads = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and {a.name for a in node.names} & {"environ", "getenv"}):
+                reads.append(f"{name}:{node.lineno}")
+    assert not reads, "environment read at " + ", ".join(reads)
+
+
+def test_version_is_pyproject_version():
+    """One version string: capaf.__version__ is report.TOOL_VERSION, which
+    report.json writes, and it matches pyproject.toml."""
+    import capaf
+    from capaf.report import TOOL_VERSION
+
+    pyproject = open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"),
+                     encoding="utf-8").read()
+    project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    assert capaf.__version__ == TOOL_VERSION
+    assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [TOOL_VERSION]

@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 import capaf.fd as fd
 from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.config import parse_config
-from capaf.errors import InvalidInputError, ModelInvalidError
+from capaf.errors import InvalidInputError, ModelInvalidError, NumericError
 from capaf.fields import CombinationField, LinearField, SphericalBumpField, WulffCapField
 from capaf.mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm, PerturbedNorm,
@@ -635,3 +635,22 @@ def test_closed_form_spectrum_reads_the_lower_triangle_and_is_exact_at_n1():
     assert np.array_equal(ev, np.linalg.eigvalsh(one))
     # the entry itself, as numpy's det, through exp(log |a|), is not exact
     assert np.array_equal(det, one[:, 0, 0])
+
+
+def test_dual_ascent_error_names_its_residual(model_factory, monkeypatch):
+    """An unconverged dual ascent says how many rows missed the 1e-6 bound
+    and by how much."""
+    model = model_factory("pert3")
+    ascend = PerturbedNorm._newton_ascend
+
+    def stalled(self, y, xi):
+        y, phi, res = ascend(self, y, xi)
+        res[1] = 1e-3
+        return y, phi, res
+
+    monkeypatch.setattr(PerturbedNorm, "_newton_ascend", stalled)
+    rows = np.array([[0.1, 0.2, 0.97], [0.0, 0.3, 0.95], [-0.2, 0.1, 0.9]])
+    with pytest.raises(NumericError) as err:
+        model.dual_value(rows, rows)
+    message = str(err.value)
+    assert "1 of 3 rows" in message and "1e-06" in message and "1.000e-03" in message
