@@ -279,7 +279,7 @@ def random_capillary_body(mesh: CapMesh, seed: int, amplitude: float = 0.15) -> 
         amp *= width**2 / 8.0
         bump_specs.append((center, width, amp))
 
-    shat_floor = 0.05 * float(np.min(mesh.cap_shat))
+    shat_floor = 0.05 * float(np.min(mesh.cap_body.shat))
     scale = 1.0
     last_err = "no attempts"
     for _ in range(_BACKTRACK_LIMIT + 1):

@@ -7,28 +7,27 @@ Wulff shape lying in the closed upper half-space; EF is the unique multiple
 of Psi(E_d) (resp. -Psi(-E_d), resp. E_d itself) pairing to 1 with E_d.
 
 Meshing: for n = 2 an icosphere is clipped against the region boundary by
-snapping straddling vertices onto {residual = 0} along great circles
-(bisection plus one Newton polish), all straddling vertices of a mesh in one
-batch; quadrature is vertex-lumped spherical-triangle area, second-order
-accurate.  Icospheres are built once per level and cached, and the cached
-arrays are read-only.  Subdivision, the choice of snap partners and the
-boundary edge count are whole-array operations; only the walk along the
-boundary loop is a Python loop.  For n = 1 the region is a single arc,
-subdivided uniformly in angle with trapezoid weights (the angular measure
-is exact).
+snapping straddling vertices onto {residual = 0} along great circles by
+bisection, all straddling vertices of a mesh in one batch; quadrature is
+vertex-lumped spherical-triangle area, second-order accurate.  Icospheres
+are built once per level and cached, and the cached arrays are read-only.
+Subdivision, the choice of snap partners and the boundary edge count are
+whole-array operations; only the walk along the boundary loop is a Python
+loop.  For n = 1 the region is a single arc, subdivided uniformly in angle
+with trapezoid weights (the angular measure is exact).
 
 Every node carries caches, read from one jet [F, DF, D^2F] there, the only
 evaluation of F's derivatives at the nodes: Psi(x), the anisotropy matrix
 and its determinant (the pullback density from the cap to S), the cap point
 xi, the ambient metric G at T^{-1} xi, a G-orthonormal tangent frame, the
 frame's parameter velocities A_F^{-1} e_k, and the unit Wulff cap's raw
-radii cap_tau (those of F itself, from the jet's D^2F) and capillary support
-cap_shat = 1 + w0 <x, EF>/F.  At boundary nodes the frame's last vector is
-aligned with A_F(nu) mu, mu being the Euclidean outward co-normal, and the
-first vectors span the boundary tangent.  Lazy caches, computed once per
-mesh on first use (arrays read-only): q_frame, cap_body,
-interior_candidates and region_complement.  The intrinsic kernel route's
-stencil is per call and not cached, since cached meshes would keep it alive.
+radii cap_tau (those of F itself, from the jet's D^2F).  At boundary nodes
+the frame's last vector is aligned with A_F(nu) mu, mu being the Euclidean
+outward co-normal, and the first vectors span the boundary tangent.  Lazy
+caches, computed once per mesh on first use (arrays read-only): q_frame,
+cap_body, interior_candidates and region_complement.  The intrinsic kernel
+route's stencil is per call and not cached, since cached meshes would keep
+it alive.
 
 The admissible geometry is n in SUPPORTED_N, w0 in the open interval
 admissible_range(F) and a mesh level in [0, MAX_MESH_LEVEL]: CapConfig alone
@@ -270,7 +269,6 @@ class CapMesh:
         # one jet at the unit nodes (so DF is Psi): D^2F serves A_F, G, mu
         # and the unit cap's radii
         self.F_vals, self.psi, hess = jet = model.jet(x, 2)
-        self.cap_shat = 1.0 + self.omega0 * (x @ self.EF) / self.F_vals
         self.tb = tangent_basis(x)
         self.A = np.einsum("bki,bij,blj->bkl", self.tb, hess, self.tb)
         ev, self.detA = sym_eig_det(self.A)
@@ -397,8 +395,8 @@ class CapMesh:
         Made in blocks of 512 nodes (norms.row_blocks): the order-3 jets and
         (N, d, d, d) tensors of a whole fine mesh were a perturbed run's
         second-largest transient arrays.  The blocks give the whole-batch
-        bits where the norm's jet is row-independent, as on the shipped
-        configs (see norms._BLOCK_ROWS)."""
+        bits by construction, as every norm's jet is row-independent (see
+        norms._BLOCK_ROWS)."""
         return self._lazy("q_frame", self._q_frame)
 
     def _q_frame(self):
@@ -476,8 +474,8 @@ def _snap_to_boundary(model, omega0, v_out, v_in):
     """Roots of the region residual along the great circles from v_out to v_in.
 
     Batched over rows: every straddling pair is bisected at once (48 steps),
-    then polished by one Newton step with the closed-form slope
-    <D^2F(gamma) gamma', E_d> of the residual along the circle.
+    and each root is the midpoint of its last interval; no derivative of F
+    beyond the residual's own gradient is taken.
     """
     # row dots as stacked (1, d) @ (d, 1) products: BLAS dot, as a 1-D `@`
     # uses, so a batch snaps each row bit for bit as a one-row call does
@@ -505,18 +503,7 @@ def _snap_to_boundary(model, omega0, v_out, v_in):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
-    velocity = ang[:, None] * (np.cos(t * ang)[:, None] * axis_b
-                               - np.cos((1.0 - t) * ang)[:, None] * axis_a) / np.sin(ang)[:, None]
-    d2f_last = np.asarray(model.hess(gamma(t)))[:, -1]
-    slope = (d2f_last[:, None, :] @ velocity[:, :, None])[:, 0, 0]
     r = res(t)
-    moves = slope != 0.0
-    t_new = t.copy()
-    t_new[moves] = t[moves] - r[moves] / slope[moves]
-    r_new = res(t_new)
-    better = moves & (t_new >= 0.0) & (t_new <= 1.0) & (np.abs(r_new) <= np.abs(r))
-    t = np.where(better, t_new, t)
-    r = np.where(better, r_new, r)
     worst = int(np.argmax(np.abs(r)))
     if abs(r[worst]) > 100.0 * BOUNDARY_RESIDUAL:
         raise MeshConstructionError(f"boundary snap residual {r[worst]:.3e} above tolerance")

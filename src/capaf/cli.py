@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  verify --config P [--suite S] [--out DIR] [--jobs N]
+  verify --config P [--out DIR] [--jobs N]
   mesh info --config P [--dump FILE]
   body gen --config P --seed K --out FILE
   study converge --config P --check NAME --levels A..B [--out DIR]
@@ -9,12 +9,13 @@ Subcommands:
 `--out` alone names the output directory: `capaf-out` by default for
 `verify`, and none for `study converge`, which then writes no file.  Both
 make it before they build any mesh, so an unwritable path costs no run.
-Suites run one after another; --jobs is accepted and does nothing.  The
-runners write no threshold: every tolerance, decay ratio and floor a
-record applies is a constant in config.TOLERANCES.  The decay suites
-(minkowski, symmetry, kernel, operator) and `study converge` share one
-per-level function per check, each the worst case over the config's
-seeds, and one convergence-table builder.  A `RunContext` owns the study
+The config's `[suites] run` alone names the suites `verify` runs, and
+report.json echoes it.  Suites run one after another; --jobs is accepted
+and does nothing.  The runners write no threshold: every tolerance, decay
+ratio and floor a record applies is a constant in config.TOLERANCES.  The
+decay suites (minkowski, symmetry, kernel, operator) and `study converge`
+share one per-level function per check, each the worst case over the
+config's seeds, and one convergence-table builder.  A `RunContext` owns the study
 schedule, the strictly increasing mesh levels every decay study visits:
 max(1, L-2)..L for `verify` at config level L (just 0 at L0), exactly
 A..B for `study converge --levels A..B`.  It generates every random body
@@ -45,7 +46,7 @@ from . import functionals as fn
 from .bodies import (CapillaryBody, make_wulff_cap, minkowski_combine,
                      random_capillary_body, rebind, translate_horizontal)
 from .capgeom import MAX_MESH_LEVEL, build_cap_mesh
-from .config import TOLERANCES, SuiteConfig, parse_config, resolve_suites
+from .config import TOLERANCES, SuiteConfig, parse_config
 from .errors import CapafError, GenerationError, InvalidConfigError, InvalidInputError
 from .fields import CombinationField, kernel_field, tau_from_generator
 from .mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
@@ -488,11 +489,6 @@ def run_suite(cfg: SuiteConfig) -> RunReport:
 
 def _cmd_verify(args) -> int:
     cfg = parse_config(args.config)
-    if args.suite:
-        errors = []
-        cfg.suites = resolve_suites([args.suite], "--suite", errors)
-        if errors:
-            raise InvalidInputError(errors[0])
     os.makedirs(args.out, exist_ok=True)
     report = run_suite(cfg)
     paths = emit_report(report, args.out)
@@ -599,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("--config", required=True)
-    pv.add_argument("--suite", default=None)
     pv.add_argument("--out", default="capaf-out")
     pv.add_argument("--jobs", type=int, default=None)
 

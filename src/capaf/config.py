@@ -103,13 +103,13 @@ class SuiteConfig(CapConfig):
         }
 
 
-def resolve_suites(names, key: str, errors: list) -> list:
+def resolve_suites(names, errors: list) -> list:
     """The suites `names` run, `all` expanded in SUITE_NAMES order (report.json
-    echoes it); one problem, prefixed by `key`, per unknown name and per
-    repeated one joins errors."""
-    errors += [f"{key}: unknown suite {s!r}; valid names: {', '.join(SUITE_NAMES)}"
+    echoes it); one `suites.run` problem per unknown name and per repeated one
+    joins errors."""
+    errors += [f"suites.run: unknown suite {s!r}; valid names: {', '.join(SUITE_NAMES)}"
                for s in names if s not in SUITE_NAMES]
-    errors += [f"{key}: suite {s} is repeated; each suite runs once"
+    errors += [f"suites.run: suite {s} is repeated; each suite runs once"
                for s in dict.fromkeys(s for s in names if names.count(s) > 1)]
     return [s for s in SUITE_NAMES if s != "all"] if "all" in names else list(names)
 
@@ -230,7 +230,7 @@ def parse_config(path: str) -> SuiteConfig:
     errors += CapConfig.problems(n, omega0, level, norm)
 
     suites_raw = get("suites", "run", "all")
-    suites = resolve_suites(suites_raw.replace(",", " ").split(), "suites.run", errors)
+    suites = resolve_suites(suites_raw.replace(",", " ").split(), errors)
 
     seeds_raw = get("seeds", "seeds", "1 2 3")
     try:

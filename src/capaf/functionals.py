@@ -88,9 +88,7 @@ def _require_full_tuple(bodies) -> CapMesh:
 
 def volume(body: CapillaryBody) -> float:
     """|K| = (1/(n+1)) int s det W over the region (anchored support)."""
-    mesh = body.mesh
-    vals = body.shat_anchored * mesh.F_vals * body.detW
-    return float(np.sum(mesh.weights * vals) / (mesh.n + 1))
+    return volume_of_combination([body], [1.0])
 
 
 def volume_of_combination(bodies, lambdas) -> float:
@@ -132,17 +130,16 @@ def hull_volume_oracle(body: CapillaryBody, seed: int = 0) -> float:
 
 
 def _mv_slot(bodies, slot: int, route: str) -> float:
-    """Raw single-slot mixed volume with bodies[slot] as the multiplier."""
+    """Raw single-slot mixed volume with bodies[slot] as the multiplier, by
+    the "anisotropic" route or else the "euclidean" one."""
     mesh = bodies[0].mesh
     others = [b for k, b in enumerate(bodies) if k != slot]
     if route == "anisotropic":
         q = mixed_discriminant_batch([b.tau for b in others])
         vals = bodies[slot].shat_anchored * q * mesh.F_vals * mesh.detA
-    elif route == "euclidean":
+    else:
         q = mixed_discriminant_batch([b.W for b in others])
         vals = (bodies[slot].shat_anchored * mesh.F_vals) * q
-    else:
-        raise InvalidInputError(f"unknown slot route {route!r}")
     return float(np.sum(mesh.weights * vals) / (mesh.n + 1))
 
 
@@ -297,7 +294,7 @@ def minkowski_formula_residual(body: CapillaryBody, k: int) -> float:
     n = mesh.n
     if not 0 <= k <= n - 1:
         raise InvalidInputError(f"k={k} outside [0, {n - 1}]")
-    vals = body.H[:, k] * mesh.cap_shat - body.H[:, k + 1] * body.shat
+    vals = body.H[:, k] * mesh.cap_body.shat - body.H[:, k + 1] * body.shat
     return float(np.sum(mesh.weights * body.detW * mesh.F_vals * vals))
 
 

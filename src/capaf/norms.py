@@ -71,10 +71,9 @@ from .errors import InvalidInputError, ModelInvalidError, NumericError
 
 _EPS = 1e-14
 # rows per block where a whole batch would set the memory high-water mark
-# (the validation sample, the mesh's Q).  Blocking moves no bit on the shipped
-# configs' norms, but numpy's jets need not be row-independent: on the 2x2
-# I + 0.1, EllipsoidNorm's order-0 einsum gives a lone row other last bits
-# than the same row in a 300-row batch
+# (the validation sample, the mesh's Q).  Blocking moves no bit by
+# construction: every family's jet works row by row, so a row has the same
+# bits in any batch (tests/test_norms.py pins it)
 _BLOCK_ROWS = 512
 
 
@@ -383,11 +382,11 @@ class EllipsoidNorm(MinkowskiNorm):
         self.dim = m.shape[0]
 
     def _derivative(self, x, order):
-        jet = [np.sqrt(np.einsum("bi,ij,bj->b", x, self.matrix, x))]  # its own contraction
+        mx = x @ self.matrix
+        jet = [np.sqrt(np.einsum("bi,bi->b", x, mx))]
         if order == 0:
             return jet
-        mx = x @ self.matrix
-        f = np.sqrt(np.einsum("bi,bi->b", x, mx))
+        f = jet[0]
         jet.append(mx / f[:, None])
         if order > 1:
             jet.append(self.matrix[None] / f[:, None, None]
@@ -400,7 +399,7 @@ class EllipsoidNorm(MinkowskiNorm):
         return jet
 
     def _dual(self, xi):
-        return np.sqrt(np.einsum("bi,ij,bj->b", xi, self.matrix_inv, xi))
+        return np.sqrt(np.einsum("bi,bi->b", xi, xi @ self.matrix_inv))
 
     def metric_on_wulff(self, x):
         return np.broadcast_to(self.matrix_inv, (len(x), self.dim, self.dim)).copy()

@@ -187,9 +187,9 @@ def test_parse_rejects_unknown_and_default_sections(tmp_path):
 @pytest.mark.parametrize("seeds", ["", "-3", "1 -2", "2 1 2"])
 @pytest.mark.parametrize("suite", ["af", "chain", "symmetry"])
 def test_seeds_must_be_a_nonempty_nonnegative_list(tmp_path, capsys, seeds, suite):
-    path = write(tmp_path, ELLIPSOID.replace("seeds = 1 2", f"seeds = {seeds}"))
-    assert main(["verify", "--config", path, "--suite", suite,
-                 "--out", str(tmp_path / "o")]) == 2
+    path = write(tmp_path, ELLIPSOID.replace("seeds = 1 2", f"seeds = {seeds}")
+                 .replace("run = mixdisc", f"run = {suite}"))
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error: seeds.seeds: " in err
     assert {"": "no seeds given", "2 1 2": "seed 2 is repeated"}.get(seeds, "is negative") in err
@@ -237,9 +237,19 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 
 def test_exit_code_unknown_suite(tmp_path, capsys):
+    path = write(tmp_path, ELLIPSOID.replace("run = mixdisc", "run = bogus"))
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: suites.run: unknown suite 'bogus'" in capsys.readouterr().err
+
+
+def test_suite_option_is_a_usage_error(tmp_path, capsys):
+    """The config's `run =` line alone names the suites; `--suite` is no option."""
     path = write(tmp_path, ELLIPSOID)
-    assert main(["verify", "--config", path, "--suite", "bogus",
-                 "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", path, "--suite", "af", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --suite af" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mixdisc_suite_runs_fast_and_passes(tmp_path):
@@ -247,8 +257,7 @@ def test_mixdisc_suite_runs_fast_and_passes(tmp_path):
     import time
 
     t0 = time.time()
-    code = main(["verify", "--config", path, "--suite", "mixdisc",
-                 "--out", str(tmp_path / "out")])
+    code = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 0
     assert time.time() - t0 < 5.0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -260,8 +269,7 @@ def test_exit_code_failure(tmp_path, monkeypatch):
     # force a failure with an absurd tolerance
     monkeypatch.setitem(TOLERANCES, "mixdisc", 1e-30)
     path = write(tmp_path, ELLIPSOID)
-    code = main(["verify", "--config", path, "--suite", "mixdisc",
-                 "--out", str(tmp_path / "out")])
+    code = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 1
 
 
@@ -306,9 +314,9 @@ def test_unwritable_out_fails_before_any_mesh(tmp_path, capsys, monkeypatch, arg
 def test_thin_cap_stencil_error_names_the_limit(tmp_path, capsys):
     # near the lower end of the w0 interval the kernel study's coarse levels
     # leave no node clear of the boundary: a documented error, not a traceback
-    path = write(tmp_path, MINIMAL.replace("omega0 = 0.0", "omega0 = -0.99"))
-    assert main(["verify", "--config", path, "--suite", "kernel",
-                 "--out", str(tmp_path / "o")]) == 2
+    path = write(tmp_path, MINIMAL.replace("omega0 = 0.0", "omega0 = -0.99")
+                 + "\n[suites]\nrun = kernel\n")
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     for part in ("stencil margin 0.45", "mesh level 1", "omega0 = -0.99",
                  "a finer mesh level helps"):
@@ -356,9 +364,9 @@ def test_thin_cap_kernel_decay_skips_the_exact_zero(tmp_path):
     # at level 5 the L3 study mesh checks only the pole, where the kernel tau
     # is exactly 0: that level pair shows no ratio, and the check reads L4->L5
     path = write(tmp_path, MINIMAL.replace("omega0 = 0.0", "omega0 = -0.99")
-                 + "\n[mesh]\nlevel = 5\n")
+                 + "\n[mesh]\nlevel = 5\n\n[suites]\nrun = kernel\n")
     out = tmp_path / "o"
-    assert main(["verify", "--config", path, "--suite", "kernel", "--out", str(out)]) == 0
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
     records = {r[1]: r for r in (line.split(",") for line in
                                  (out / "records.csv").read_text().splitlines()[1:])}
     for alpha in (1, 2):
@@ -390,8 +398,7 @@ def test_decay_record_skips_pairs_with_an_exact_zero(values, passed):
 def test_report_files_written(tmp_path):
     path = write(tmp_path, ELLIPSOID)
     out = tmp_path / "out"
-    assert main(["verify", "--config", path, "--suite", "mixdisc",
-                 "--out", str(out)]) == 0
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
     for name in ("report.json", "records.csv", "gaps.csv", "convergence.csv"):
         assert (out / name).exists()
     header = (out / "records.csv").read_text().splitlines()[0]
@@ -779,15 +786,15 @@ def test_benchmark_layer_groups_name_capaf_definitions():
 def test_no_capaf_process_imports_numpy_ma(tmp_path):
     """numpy.ma costs about 20-40 ms and 3.5 MB to import, and np.unique
     without optional outputs imports it on first use: no capaf step may."""
-    path = os.path.join(CONFIGS, "perturbed.ini")
+    text = open(os.path.join(CONFIGS, "perturbed.ini"), encoding="utf-8").read()
+    path = write(tmp_path, text.replace("run = all", "run = mixdisc"), "perturbed.ini")
     script = "\n".join([
         "import sys",
         "from capaf.capgeom import build_cap_mesh",
         "from capaf.cli import main",
         "from capaf.config import parse_config",
         f"build_cap_mesh(parse_config({path!r}).cap_config())",
-        f"assert main(['verify', '--config', {path!r}, '--suite', 'mixdisc',"
-        f" '--out', {str(tmp_path)!r}]) == 0",
+        f"assert main(['verify', '--config', {path!r}, '--out', {str(tmp_path)!r}]) == 0",
         "print('numpy.ma' in sys.modules)",
     ])
     assert _fresh_python(script) == "False"

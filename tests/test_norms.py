@@ -198,6 +198,27 @@ def test_perturbed_derivatives_row_independent_of_batch(model_factory):
             assert np.array_equal(one, rows[:1]), (func, order)
 
 
+def test_ellipsoid_jets_and_dual_row_independent_of_batch():
+    # on the 2x2 I + 0.1, contracting x, M and x in one einsum gives some
+    # lone rows other last bits than inside a 300-row batch; one x @ M per
+    # jet, then a row dot, gives each of 300 standard-normal rows the bits of
+    # the whole batch, at every order, in the closed-form dual, and under a
+    # perturbed norm on that base
+    base = EllipsoidNorm(np.eye(2) + 0.1)
+    pert = PerturbedNorm(base, [PerturbTerm("bump", (0.4, 0.92), 0.3, 0.05),
+                                PerturbTerm("quadratic", (0.0, 1.0), 0.0, 0.06)])
+    x = np.random.default_rng(0).normal(size=(300, 2))
+    jets = [model.jet(x, 3) for model in (base, pert)]
+    f0, arg = base.dual_value(x, x)
+    for i in range(len(x)):
+        row = x[i:i + 1]
+        for model, jet in zip((base, pert), jets):
+            for order, (one, whole) in enumerate(zip(model.jet(row, 3), jet)):
+                assert np.array_equal(one, whole[i:i + 1]), (model.family, order, i)
+        one_f0, one_arg = base.dual_value(row, row)
+        assert one_f0[0] == f0[i] and np.array_equal(one_arg[0], arg[i]), i
+
+
 @pytest.mark.parametrize("name", ("iso3", "iso2", "ell3", "ell2", "pert3", "pert2",
                                   "bump", "linear", "quadratic"))
 def test_jet_entries_do_not_depend_on_the_order_asked_for(model_factory, name):
