@@ -530,23 +530,27 @@ def quermassintegral_chain_check(body: CapillaryBody, k: int, l: int, tol: float
     symmetry/pointwise-Alexandrov structure; the interior-formula route
     agrees with it at the quadrature order and is checked separately.
     """
-    mesh = body.mesh
-    n = mesh.n
-    if not 0 <= l <= k <= n:
-        raise InvalidInputError(f"require 0 <= l <= k <= n, got l={l}, k={k}")
-    cap = mesh.cap_body
+    return quermassintegral_chain_family(body, [(k, l)], tol, equality_expected)[k, l]
 
-    def querm_mv(j):
-        return mixed_volume([body] * (n + 1 - j) + [cap] * j)
 
+def quermassintegral_chain_family(body: CapillaryBody, pairs, tol: float,
+                                  equality_expected: bool = False) -> dict:
+    """The quermassintegral chain report of every (k, l) in `pairs`, keyed by
+    (k, l): the cap volume and each V_j a pair names are evaluated once."""
+    n = body.mesh.n
+    for k, l in pairs:
+        if not 0 <= l <= k <= n:
+            raise InvalidInputError(f"require 0 <= l <= k <= n, got l={l}, k={k}")
+    cap = body.mesh.cap_body
     cap_vol = mixed_volume([cap] * (n + 1))
-    vk = querm_mv(k)
-    vl = querm_mv(l)
-    if vk <= 0 or vl <= 0 or cap_vol <= 0:
+    querm = {j: mixed_volume([body] * (n + 1 - j) + [cap] * j)
+             for j in sorted({j for pair in pairs for j in pair})}
+    if cap_vol <= 0 or any(v <= 0 for v in querm.values()):
         raise InvalidInputError("chain check requires positive quermassintegrals")
-    lhs = (vk / cap_vol) ** (1.0 / (n + 1 - k))
-    rhs = (vl / cap_vol) ** (1.0 / (n + 1 - l))
-    return InequalityReport.inequality(lhs, rhs, tol, equality_expected)
+    return {(k, l): InequalityReport.inequality((querm[k] / cap_vol) ** (1.0 / (n + 1 - k)),
+                                                (querm[l] / cap_vol) ** (1.0 / (n + 1 - l)),
+                                                tol, equality_expected)
+            for k, l in pairs}
 
 
 def generalized_chain_check(k0: CapillaryBody, k1: CapillaryBody, trailing,
@@ -554,23 +558,28 @@ def generalized_chain_check(k0: CapillaryBody, k1: CapillaryBody, trailing,
                             equality_expected: bool = False) -> InequalityReport:
     """V_(j)^{k-i} >= V_(i)^{k-j} V_(k)^{j-i} for the substitution family
     V_(i) = V(K0 ... K0, K1 ... K1, trailing) with i copies of K1."""
-    mesh = k0.mesh
-    n = mesh.n
+    return generalized_chain_family(k0, k1, trailing, m, [(i, j, k)], tol,
+                                    equality_expected)[i, j, k]
+
+
+def generalized_chain_family(k0: CapillaryBody, k1: CapillaryBody, trailing, m: int,
+                             triples, tol: float, equality_expected: bool = False) -> dict:
+    """The generalized chain report of every (i, j, k) in `triples`, keyed by
+    (i, j, k): each V_(c) a triple names is evaluated once."""
+    n = k0.mesh.n
     trailing = list(trailing)
-    if not 0 <= i < j < k <= m <= n + 1:
+    if not all(0 <= i < j < k <= m <= n + 1 for i, j, k in triples):
         raise InvalidInputError("require 0 <= i < j < k <= m <= n+1")
     if m + len(trailing) != n + 1:
         raise InvalidInputError(f"trailing must hold n+1-m = {n + 1 - m} bodies")
-
-    def v_of(cnt):
-        return mixed_volume([k0] * (m - cnt) + [k1] * cnt + trailing)
-
-    vi, vj, vk_ = v_of(i), v_of(j), v_of(k)
-    if min(vi, vj, vk_) <= 0:
+    v = {c: mixed_volume([k0] * (m - c) + [k1] * c + trailing)
+         for c in sorted({c for triple in triples for c in triple})}
+    if any(vc <= 0 for vc in v.values()):
         raise InvalidInputError("generalized chain requires positive mixed volumes")
-    lhs = vj ** (k - i)
-    rhs = vi ** (k - j) * vk_ ** (j - i)
-    return InequalityReport.inequality(lhs, rhs, tol, equality_expected)
+    return {(i, j, k): InequalityReport.inequality(v[j] ** (k - i),
+                                                   v[i] ** (k - j) * v[k] ** (j - i),
+                                                   tol, equality_expected)
+            for i, j, k in triples}
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import capaf.functionals as fn
-from capaf.bodies import (CapillaryBody, make_wulff_cap, minkowski_combine,
-                          random_capillary_body, rebind, translate_horizontal)
-from capaf.capgeom import CapConfig, build_cap_mesh
+from capaf.bodies import (CapillaryBody, _leaves, _sigma_means, make_wulff_cap,
+                          minkowski_combine, random_capillary_body, rebind,
+                          translate_horizontal)
+from capaf.capgeom import CapConfig, build_cap_mesh, radii_form
 from capaf.errors import (ConvexityViolationError, GenerationError,
                           InvalidInputError)
 from capaf.fields import (CombinationField, LinearField, SphericalBumpField,
                           WulffCapField, intrinsic_tau, kernel_evaluator,
                           kernel_field, tau_from_generator)
-from capaf.norms import EllipsoidNorm, PerturbedNorm, sym_eig_det
+from capaf.norms import EllipsoidNorm, PerturbedNorm, _zonal, sym_eig_det
 
 CASES = [("iso3", 0.0), ("ell3", -0.4), ("pert3", -0.35)]
 
@@ -69,20 +70,96 @@ def test_support_field_jets_do_not_depend_on_the_order_asked_for(model_factory):
 
 def test_body_evaluates_each_non_cap_leaf_once(monkeypatch, mesh_factory):
     # s, Ds and D^2s of the leaves that are not the mesh's own Wulff cap come
-    # from one jet; the cap leaf reads the mesh's caches
+    # from one evaluation each, a bump's through its live-row jet; the cap
+    # leaf reads the mesh's caches
     mesh = mesh_factory("pert3", -0.35, 3)
     field = CombinationField([random_capillary_body(mesh, 2).field,
                               LinearField(np.array([0.05, -0.02, 0.0]))], [1.0, 1.0])
     leaves = field.fields[0].fields + field.fields[1:]
     assert isinstance(leaves[0], WulffCapField) and len(leaves) >= 4
+    assert any(isinstance(leaf, SphericalBumpField) for leaf in leaves)
     calls = {id(leaf): 0 for leaf in leaves}
     for leaf in leaves:
-        def counting(x, order, real=leaf._derivative, key=id(leaf)):
-            calls[key] += 1
-            return real(x, order)
-        monkeypatch.setattr(leaf, "_derivative", counting)
+        for entry in ("_derivative", "_live_jet"):
+            if not hasattr(leaf, entry):
+                continue
+            def counting(x, order, real=getattr(leaf, entry), key=id(leaf)):
+                calls[key] += 1
+                return real(x, order)
+            monkeypatch.setattr(leaf, entry, counting)
     CapillaryBody(mesh, field, {"kind": "test"}, validate=False)
     assert [calls[id(leaf)] for leaf in leaves] == [0] + [1] * (len(leaves) - 1)
+
+
+def test_bump_live_jet_is_its_dense_jet_on_the_live_rows(mesh_factory):
+    # the zonal chain on every row is exactly 0 off the live rows, and on
+    # them it has the bits of the live-row jet, which _derivative scatters
+    mesh = mesh_factory("ell3", -0.4, 3)
+    x = mesh.nodes
+    for center, width in ((mesh.nodes[7], 0.4), (np.array([0.1, 0.0, 1.0]), 0.2)):
+        bump = SphericalBumpField(center, width, -0.05)
+        live, part = bump._live_jet(x, 2)
+        off = np.ones(len(x), dtype=bool)
+        off[live] = False
+        assert 0 < len(live) < len(x)
+        dense = _zonal(x, bump.center, bump.amplitude, bump._profile, 2)
+        for k, (d, p, scattered) in enumerate(zip(dense, part, bump._derivative(x, 2))):
+            assert np.array_equal(p, d[live]), k
+            assert np.all(d[off] == 0.0) and np.all(scattered[off] == 0.0), k
+            assert np.array_equal(scattered[live], p), k
+
+
+def _dense_caches(mesh, field):
+    """Oracle for a body's caches: the leaves that are not the mesh's own
+    Wulff cap evaluated on every row in one combination jet, W and the raw
+    radii taken on every row, and the caches derived from their sums."""
+    x = mesh.nodes
+    caps, rest = [], []
+    for leaf, w in _leaves(field, 1.0):
+        own_cap = isinstance(leaf, WulffCapField) and leaf.model is mesh.model
+        (caps if own_cap else rest).append((leaf, w))
+    parts = [(w * cap.r0 * mesh.F_vals + x @ (w * cap.shift), w * cap.r0 * mesh.psi + w * cap.shift,
+              w * cap.r0 * mesh.A, w * cap.r0 * mesh.cap_tau) for cap, w in caps]
+    if rest:
+        s, ds, hess = CombinationField([f for f, _ in rest], [w for _, w in rest]).jet(x, 2)
+        parts.append((s, ds, np.einsum("bki,bij,blj->bkl", mesh.tb, hess, mesh.tb),
+                      radii_form(hess, mesh.frame, mesh.G, mesh.vel)))
+    s, big_x, w_mat, raw = (sum(col[1:], col[0]) for col in zip(*parts))
+    tau = 0.5 * (raw + np.swapaxes(raw, 1, 2))
+    radii = sym_eig_det(tau)[0]
+    with np.errstate(divide="ignore"):
+        kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
+    return {"s": s, "X": big_x, "W": w_mat, "tau": tau,
+            "tau_asym": np.max(np.abs(raw - np.swapaxes(raw, 1, 2)), axis=(1, 2)),
+            "shat": s / mesh.F_vals, "shat_anchored": (s - x @ field.anchor) / mesh.F_vals,
+            "H": _sigma_means(kappa), "detW": sym_eig_det(w_mat)[1]}
+
+
+@pytest.mark.parametrize("name,w0,level", [(n, w0, 3) for n, w0 in CASES] + [("ell2", 0.3, 4)])
+def test_body_caches_match_the_dense_oracle_bit_for_bit(mesh_factory, name, w0, level):
+    # bumps evaluated on their live rows, and W and the raw radii on the rows
+    # some curved leaf touches, give the bits of evaluating everything on
+    # every row; a bump live on one row alone covers the lone-row einsum
+    mesh = mesh_factory(name, w0, level)
+    b0, b1, b2 = (random_capillary_body(mesh, seed) for seed in (3, 4, 5))
+    shift = np.zeros(mesh.dim)
+    shift[0] = 0.06
+    bodies = {"random": b0, "random-2": b2,
+              "combined": minkowski_combine([b0, b1], [0.7, 1.4]),
+              "translated": translate_horizontal(b1, shift),
+              "difference": CombinationField([b0.field, b1.field], [1.0, -1.0]),
+              "kernel-test-field": kernel_field(mesh, 0)}
+    cap = mesh.cap_body.field
+    rng = np.random.default_rng(0)
+    for j, node in enumerate(mesh.interior_idx[::max(1, len(mesh.interior_idx) // 24)]):
+        lone = SphericalBumpField(mesh.nodes[node] + 1e-4 * rng.normal(size=mesh.dim), 3e-7, 1e-3)
+        assert len(lone._live_jet(mesh.nodes, 0)[0]) == 1
+        bodies[f"lone-row-{j}"] = CombinationField([cap, lone], [1.0, 1.0])
+    for kind, body in bodies.items():
+        if not isinstance(body, CapillaryBody):  # an operator test field
+            body = CapillaryBody(mesh, body, {"kind": "operator-test-field"}, validate=False)
+        for key, want in _dense_caches(mesh, body.field).items():
+            assert np.array_equal(getattr(body, key), want, equal_nan=True), (kind, key)
 
 
 # -- Wulff caps ---------------------------------------------------------------

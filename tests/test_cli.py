@@ -698,6 +698,29 @@ def test_shipped_config_verifies(tmp_path, monkeypatch, name):
         assert r["tolerance"] == TOLERANCES["routes_analytic"], r["name"]
 
 
+def test_chain_suite_evaluates_each_volume_of_a_family_once(tmp_path, monkeypatch):
+    """On an n = 2 config with three seeds the chain suite takes 39 mixed
+    volumes: per seed 4 for its quermassintegral family and 3 + 4 for its two
+    generalized families, and 3 for each of the two equality records.  One
+    check per inequality took 78."""
+    import capaf.cli as cli
+    import capaf.functionals as fn
+
+    cfg = parse_config(_shipped_at_level_2(tmp_path, "ellipsoid.ini", "chain"))
+    assert cfg.n == 2 and len(cfg.seeds) == 3
+    calls = []
+    real = fn.mixed_volume
+
+    def counting(bodies, route="anisotropic"):
+        calls.append(route)
+        return real(bodies, route)
+
+    monkeypatch.setattr(fn, "mixed_volume", counting)
+    records, _ = cli._run_chain(cli.RunContext(cfg))
+    assert len(records) == 3 * (3 + 1 + 4) + 2
+    assert calls == ["anisotropic"] * 39
+
+
 def _shipped_at_level_2(tmp_path, name, suites="all"):
     text = open(os.path.join(CONFIGS, name), encoding="utf-8").read()
     return write(tmp_path, text.replace("level = 4", "level = 2")
@@ -728,15 +751,48 @@ def test_ellipsoid_at_level_2_studies_levels_1_and_2(tmp_path):
     assert len(tables) == 6 and set(map(tuple, tables.values())) == {(1, 2)}
 
 
-def _fresh_python(script):
-    """Run `script` in a new interpreter on this checkout's src/."""
+def _fresh_process(*argv):
+    """Run `python argv...` in a new interpreter on this checkout's src/."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+def _fresh_python(script):
+    """Run `script` in a new interpreter; its last line of output."""
+    proc = _fresh_process("-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+def test_module_entry_point_exits_with_the_status_of_main(tmp_path):
+    """`python -m capaf.cli` freezes the heap after main() returns, so the
+    interpreter skips its collection at exit; its exit code is main()'s, and
+    its reports are those of an in-process run, whole."""
+    path = write(tmp_path, ELLIPSOID.replace("run = mixdisc", "run = mixdisc routes"))
+    proc = _fresh_process("-m", "capaf.cli", "verify", "--config", path,
+                          "--out", str(tmp_path / "child"))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "here")]) == 0
+    for name in ("records.csv", "gaps.csv", "convergence.csv"):
+        assert ((tmp_path / "child" / name).read_bytes()
+                == (tmp_path / "here" / name).read_bytes()), name
+    proc = _fresh_process("-m", "capaf.cli", "verify", "--config", str(tmp_path / "none.ini"),
+                          "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2 and proc.stderr.startswith("config error:"), proc.stderr
+
+
+def test_main_leaves_the_collector_on_and_freezes_nothing(tmp_path):
+    """Only the module entry point freezes; tests and library callers of
+    main() keep collecting."""
+    import gc
+
+    frozen = gc.get_freeze_count()
+    path = write(tmp_path, ELLIPSOID)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
 
 
 def test_import_loads_fd_module():

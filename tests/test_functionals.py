@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -377,6 +379,29 @@ def test_generalized_chain(body_factory):
                     assert rep.passed, (m, i, j, k, rep.relative_gap)
     with pytest.raises(InvalidInputError):
         fn.generalized_chain_check(bods[0], bods[1], [bods[2]], 2, 0, 2, 1, tol=1e-7)
+
+
+def test_chain_families_match_the_single_checks_bit_for_bit(body_factory):
+    # a family evaluates each volume once and builds every report from them
+    bods = [body_factory("ell3", -0.4, 3, seed=s) for s in (90, 91, 92)]
+    pairs = [(k, l) for k in range(3) for l in range(k + 1)]
+    for eq in (False, True):
+        family = fn.quermassintegral_chain_family(bods[0], pairs, 1e-7, eq)
+        assert list(family) == pairs
+        for k, l in pairs:
+            assert family[k, l] == fn.quermassintegral_chain_check(bods[0], k, l, 1e-7, eq)
+        for m in (2, 3):
+            trailing = bods[2:2 + (3 - m)]
+            triples = list(itertools.combinations(range(m + 1), 3))
+            family = fn.generalized_chain_family(bods[0], bods[1], trailing, m, triples, 1e-7, eq)
+            assert list(family) == triples
+            for i, j, k in triples:
+                assert family[i, j, k] == fn.generalized_chain_check(
+                    bods[0], bods[1], trailing, m, i, j, k, 1e-7, eq)
+    with pytest.raises(InvalidInputError, match="0 <= l <= k <= n"):
+        fn.quermassintegral_chain_family(bods[0], [(1, 0), (0, 1)], 1e-7)
+    with pytest.raises(InvalidInputError, match="0 <= i < j < k <= m"):
+        fn.generalized_chain_family(bods[0], bods[1], [bods[2]], 2, [(0, 1, 2), (0, 2, 1)], 1e-7)
 
 
 def test_generalized_chain_equality(body_factory):
