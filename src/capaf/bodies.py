@@ -12,9 +12,9 @@ sym_eig_det(body.tau)[0] gives the radii, whose reciprocals are the
 curvatures.  The support field is the single source of truth, and s, X, W
 and the generator-route tau are linear in it.  So every constructor builds
 through CapillaryBody: Wulff-cap parts of the mesh's own norm read the
-mesh's F caches, and the other leaves are evaluated once each, a bump on the
-rows its support reaches only; W and the raw radii of those leaves are taken
-only on the rows where one of them other than a linear leaf has a Hessian.
+mesh's F caches, and only the rest of the field is evaluated, in one jet;
+W and the raw radii of that rest are taken only on the rows where its
+Hessian is nonzero (most rows miss every bump, and a linear leaf has none).
 """
 
 from __future__ import annotations
@@ -84,11 +84,9 @@ class CapillaryBody:
     def _populate(self):
         """Every cache, linear in the support field: a Wulff-cap leaf of the
         mesh's norm reads the mesh's F, DF, A_F and cap_tau, all from the
-        mesh's one jet of F.  The other leaves' jets are summed in leaf order,
-        as norms._sum_jets sums them: a bump adds its jet on its live rows
-        only, any other leaf on every row.  A linear leaf has no Hessian, so
-        W and the raw radii of these leaves are taken only on the rows some
-        other leaf touches, and are exact zeros elsewhere.  Raw radii
+        mesh's one jet of F; the other leaves are evaluated together, in one
+        jet, and its Hessian gives both W and the raw radii, taken on the
+        rows where it is nonzero and exact zeros elsewhere.  Raw radii
         matrices are summed before they are symmetrized, so tau_asym is the
         whole body's asymmetry: round-off, as the closed form is symmetric."""
         mesh = self.mesh
@@ -103,25 +101,15 @@ class CapillaryBody:
             parts.append((r * mesh.F_vals + x @ shift, r * mesh.psi + shift,
                           r * mesh.A, r * mesh.cap_tau))
         if rest:
-            jet = [np.zeros((len(x),) + (mesh.dim,) * k) for k in range(3)]
-            curved = np.zeros(len(x), dtype=bool)
-            for leaf, w in rest:
-                if isinstance(leaf, SphericalBumpField):
-                    rows, terms = leaf._live_jet(x, 2)
-                else:
-                    rows, terms = slice(None), leaf._derivative(x, 2)
-                for acc, a in zip(jet, terms):
-                    acc[rows] += a if w == 1.0 else w * a
-                if not isinstance(leaf, LinearField):
-                    curved[rows] = True
-            idx = np.flatnonzero(curved)
+            field = CombinationField([f for f, _ in rest], [w for _, w in rest])
+            s, ds, hess = field.jet(x, 2)
+            idx = np.flatnonzero(np.any(hess != 0, axis=(1, 2)))
             if len(idx) == 1:  # a lone row takes another einsum loop, with other last bits
                 idx = np.repeat(idx, 2)
-            hess = jet[2][idx]
             w_rest, raw_rest = np.zeros((2, len(x), mesh.n, mesh.n))
-            w_rest[idx] = np.einsum("bki,bij,blj->bkl", mesh.tb[idx], hess, mesh.tb[idx])
-            raw_rest[idx] = radii_form(hess, mesh.frame[idx], mesh.G[idx], mesh.vel[idx])
-            parts.append((jet[0], jet[1], w_rest, raw_rest))
+            w_rest[idx] = np.einsum("bki,bij,blj->bkl", mesh.tb[idx], hess[idx], mesh.tb[idx])
+            raw_rest[idx] = radii_form(hess[idx], mesh.frame[idx], mesh.G[idx], mesh.vel[idx])
+            parts.append((s, ds, w_rest, raw_rest))
         self.s, self.X, self.W, raw = (sum(col[1:], col[0]) for col in zip(*parts))
         self.tau_asym = np.max(np.abs(raw - np.swapaxes(raw, 1, 2)), axis=(1, 2))
         self.tau = 0.5 * (raw + np.swapaxes(raw, 1, 2))

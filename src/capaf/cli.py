@@ -32,9 +32,9 @@ record included), so the records' times sum to the suites' time; the
 runners call the checks and time nothing.  The chain suite checks each
 body's chain inequalities by families, which take each mixed volume once.
 
-Run as `python -m capaf.cli`, the module freezes the heap (gc.freeze) once
-main() has returned and every report is closed, so the interpreter skips
-its collection at exit; main() itself freezes nothing.
+`python -m capaf.cli` and the `capaf` script both run `entry`, the one
+exit path: main(), then gc.freeze() once every report is closed, so the
+interpreter skips its collection at exit; main() itself freezes nothing.
 """
 
 from __future__ import annotations
@@ -644,7 +644,13 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def entry() -> int:
+    """main() for a process that exits with its status: the reports are
+    closed, so freeze the heap and skip the collection at interpreter exit."""
     status = main()
-    gc.freeze()  # the reports are closed: skip the collection at interpreter exit
-    sys.exit(status)
+    gc.freeze()
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(entry())

@@ -139,21 +139,13 @@ class SphericalBumpField(SupportField):
             prof.append(np.where(inside, d2g / self.width**2, zero))
         return prof
 
-    def _live_jet(self, x, order):
-        """(live, jet): the indices of the nonzero rows x (B, d) within reach
-        of the support cap (a 1e-9 margin in the cosine), and the zonal chain
-        on those rows alone.  The field is exactly 0 on every other row, and
-        most rows miss a bump."""
-        live = np.flatnonzero(x @ self.center
-                              > (1.0 - self.width - 1e-9) * np.linalg.norm(x, axis=-1))
-        return live, _zonal(x[live], self.center, self.amplitude, self._profile, order)
-
     def _derivative(self, x, order):
-        """The live-row jet scattered into exact zeros."""
-        live, part = self._live_jet(x, order)
+        """The zonal chain on the rows within reach of the support cap (a 1e-9
+        margin in the cosine), exact zeros elsewhere: most rows miss a bump."""
+        live = x @ self.center > (1.0 - self.width - 1e-9) * np.linalg.norm(x, axis=-1)
         jet = [np.zeros((len(x),) + (self.dim,) * k) for k in range(order + 1)]
-        for out, p in zip(jet, part):
-            out[live] = p
+        for out, part in zip(jet, _zonal(x[live], self.center, self.amplitude, self._profile, order)):
+            out[live] = part
         return jet
 
 

@@ -13,7 +13,7 @@ from capaf.errors import (ConvexityViolationError, GenerationError,
 from capaf.fields import (CombinationField, LinearField, SphericalBumpField,
                           WulffCapField, intrinsic_tau, kernel_evaluator,
                           kernel_field, tau_from_generator)
-from capaf.norms import EllipsoidNorm, PerturbedNorm, _zonal, sym_eig_det
+from capaf.norms import EllipsoidNorm, PerturbedNorm, sym_eig_det
 
 CASES = [("iso3", 0.0), ("ell3", -0.4), ("pert3", -0.35)]
 
@@ -70,43 +70,20 @@ def test_support_field_jets_do_not_depend_on_the_order_asked_for(model_factory):
 
 def test_body_evaluates_each_non_cap_leaf_once(monkeypatch, mesh_factory):
     # s, Ds and D^2s of the leaves that are not the mesh's own Wulff cap come
-    # from one evaluation each, a bump's through its live-row jet; the cap
-    # leaf reads the mesh's caches
+    # from one jet; the cap leaf reads the mesh's caches
     mesh = mesh_factory("pert3", -0.35, 3)
     field = CombinationField([random_capillary_body(mesh, 2).field,
                               LinearField(np.array([0.05, -0.02, 0.0]))], [1.0, 1.0])
     leaves = field.fields[0].fields + field.fields[1:]
     assert isinstance(leaves[0], WulffCapField) and len(leaves) >= 4
-    assert any(isinstance(leaf, SphericalBumpField) for leaf in leaves)
     calls = {id(leaf): 0 for leaf in leaves}
     for leaf in leaves:
-        for entry in ("_derivative", "_live_jet"):
-            if not hasattr(leaf, entry):
-                continue
-            def counting(x, order, real=getattr(leaf, entry), key=id(leaf)):
-                calls[key] += 1
-                return real(x, order)
-            monkeypatch.setattr(leaf, entry, counting)
+        def counting(x, order, real=leaf._derivative, key=id(leaf)):
+            calls[key] += 1
+            return real(x, order)
+        monkeypatch.setattr(leaf, "_derivative", counting)
     CapillaryBody(mesh, field, {"kind": "test"}, validate=False)
     assert [calls[id(leaf)] for leaf in leaves] == [0] + [1] * (len(leaves) - 1)
-
-
-def test_bump_live_jet_is_its_dense_jet_on_the_live_rows(mesh_factory):
-    # the zonal chain on every row is exactly 0 off the live rows, and on
-    # them it has the bits of the live-row jet, which _derivative scatters
-    mesh = mesh_factory("ell3", -0.4, 3)
-    x = mesh.nodes
-    for center, width in ((mesh.nodes[7], 0.4), (np.array([0.1, 0.0, 1.0]), 0.2)):
-        bump = SphericalBumpField(center, width, -0.05)
-        live, part = bump._live_jet(x, 2)
-        off = np.ones(len(x), dtype=bool)
-        off[live] = False
-        assert 0 < len(live) < len(x)
-        dense = _zonal(x, bump.center, bump.amplitude, bump._profile, 2)
-        for k, (d, p, scattered) in enumerate(zip(dense, part, bump._derivative(x, 2))):
-            assert np.array_equal(p, d[live]), k
-            assert np.all(d[off] == 0.0) and np.all(scattered[off] == 0.0), k
-            assert np.array_equal(scattered[live], p), k
 
 
 def _dense_caches(mesh, field):
@@ -137,9 +114,9 @@ def _dense_caches(mesh, field):
 
 @pytest.mark.parametrize("name,w0,level", [(n, w0, 3) for n, w0 in CASES] + [("ell2", 0.3, 4)])
 def test_body_caches_match_the_dense_oracle_bit_for_bit(mesh_factory, name, w0, level):
-    # bumps evaluated on their live rows, and W and the raw radii on the rows
-    # some curved leaf touches, give the bits of evaluating everything on
-    # every row; a bump live on one row alone covers the lone-row einsum
+    # W and the raw radii taken only on the rows where the Hessian of the
+    # non-cap leaves is nonzero give the bits of taking them on every row; a
+    # bump whose Hessian is nonzero on one row alone covers the lone-row einsum
     mesh = mesh_factory(name, w0, level)
     b0, b1, b2 = (random_capillary_body(mesh, seed) for seed in (3, 4, 5))
     shift = np.zeros(mesh.dim)
@@ -153,7 +130,7 @@ def test_body_caches_match_the_dense_oracle_bit_for_bit(mesh_factory, name, w0, 
     rng = np.random.default_rng(0)
     for j, node in enumerate(mesh.interior_idx[::max(1, len(mesh.interior_idx) // 24)]):
         lone = SphericalBumpField(mesh.nodes[node] + 1e-4 * rng.normal(size=mesh.dim), 3e-7, 1e-3)
-        assert len(lone._live_jet(mesh.nodes, 0)[0]) == 1
+        assert np.count_nonzero(np.any(lone.hess(mesh.nodes) != 0, axis=(1, 2))) == 1
         bodies[f"lone-row-{j}"] = CombinationField([cap, lone], [1.0, 1.0])
     for kind, body in bodies.items():
         if not isinstance(body, CapillaryBody):  # an operator test field

@@ -768,9 +768,8 @@ def _fresh_python(script):
 
 
 def test_module_entry_point_exits_with_the_status_of_main(tmp_path):
-    """`python -m capaf.cli` freezes the heap after main() returns, so the
-    interpreter skips its collection at exit; its exit code is main()'s, and
-    its reports are those of an in-process run, whole."""
+    """`python -m capaf.cli` exits with main()'s code, and its reports are
+    those of an in-process run, whole."""
     path = write(tmp_path, ELLIPSOID.replace("run = mixdisc", "run = mixdisc routes"))
     proc = _fresh_process("-m", "capaf.cli", "verify", "--config", path,
                           "--out", str(tmp_path / "child"))
@@ -784,9 +783,38 @@ def test_module_entry_point_exits_with_the_status_of_main(tmp_path):
     assert proc.returncode == 2 and proc.stderr.startswith("config error:"), proc.stderr
 
 
+def _console_script_target():
+    """The `module:function` that [project.scripts] capaf names."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        return re.search(r'(?m)^capaf\s*=\s*"([^"]+)"$', fh.read()).group(1)
+
+
+@pytest.mark.parametrize("launch", [
+    # what the console-script wrapper of [project.scripts] capaf runs
+    "from {module} import {name}\nsys.exit({name}())",
+    # what `python -m capaf.cli` runs
+    "import runpy\nrunpy.run_module('capaf.cli', run_name='__main__', alter_sys=True)",
+], ids=["console-script", "module"])
+def test_both_entry_points_exit_through_entry_and_freeze(tmp_path, launch):
+    """The `capaf` script and `python -m capaf.cli` share one exit path,
+    cli.entry: main()'s status, with the heap frozen before the
+    interpreter's collection at exit."""
+    assert _console_script_target() == "capaf.cli:entry"
+    module, name = _console_script_target().split(":")
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+             + launch.format(module=module, name=name))
+    for config, status in ((write(tmp_path, ELLIPSOID), 0), (str(tmp_path / "none.ini"), 2)):
+        proc = _fresh_process("-c", probe, "verify", "--config", config,
+                              "--out", str(tmp_path / "out"))
+        assert proc.returncode == status, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen True"
+
+
 def test_main_leaves_the_collector_on_and_freezes_nothing(tmp_path):
-    """Only the module entry point freezes; tests and library callers of
-    main() keep collecting."""
+    """Only cli.entry freezes; tests and library callers of main() keep
+    collecting."""
     import gc
 
     frozen = gc.get_freeze_count()
