@@ -12,9 +12,10 @@ sym_eig_det(body.tau)[0] gives the radii, whose reciprocals are the
 curvatures.  The support field is the single source of truth, and s, X, W
 and the generator-route tau are linear in it.  So every constructor builds
 through CapillaryBody: Wulff-cap parts of the mesh's own norm read the
-mesh's F caches, and only the rest of the field is evaluated, in one jet;
-W and the raw radii of that rest are taken only on the rows where its
-Hessian is nonzero (most rows miss every bump, and a linear leaf has none).
+mesh's F caches, and only the rest of the field is evaluated, in one jet,
+whose Hessian gives W (norms.tangent_form) and the raw radii on the rows
+where it is nonzero, each with the bits of any batch: most rows miss every
+bump, and a linear leaf has none.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (ConvexityViolationError, GenerationError,
                      InvalidInputError)
 from .fields import (CombinationField, LinearField, SphericalBumpField,
                      SupportField, WulffCapField)
-from .norms import sym_eig_det
+from .norms import sym_eig_det, tangent_form
 
 _BACKTRACK_LIMIT = 20
 
@@ -85,8 +86,8 @@ class CapillaryBody:
         """Every cache, linear in the support field: a Wulff-cap leaf of the
         mesh's norm reads the mesh's F, DF, A_F and cap_tau, all from the
         mesh's one jet of F; the other leaves are evaluated together, in one
-        jet, and its Hessian gives both W and the raw radii, taken on the
-        rows where it is nonzero and exact zeros elsewhere.  Raw radii
+        jet, whose Hessian gives W (norms.tangent_form) and the raw radii on
+        the rows where it is nonzero, exact zeros elsewhere.  Raw radii
         matrices are summed before they are symmetrized, so tau_asym is the
         whole body's asymmetry: round-off, as the closed form is symmetric."""
         mesh = self.mesh
@@ -104,10 +105,8 @@ class CapillaryBody:
             field = CombinationField([f for f, _ in rest], [w for _, w in rest])
             s, ds, hess = field.jet(x, 2)
             idx = np.flatnonzero(np.any(hess != 0, axis=(1, 2)))
-            if len(idx) == 1:  # a lone row takes another einsum loop, with other last bits
-                idx = np.repeat(idx, 2)
             w_rest, raw_rest = np.zeros((2, len(x), mesh.n, mesh.n))
-            w_rest[idx] = np.einsum("bki,bij,blj->bkl", mesh.tb[idx], hess[idx], mesh.tb[idx])
+            w_rest[idx] = tangent_form(mesh.tb[idx], hess[idx])
             raw_rest[idx] = radii_form(hess[idx], mesh.frame[idx], mesh.G[idx], mesh.vel[idx])
             parts.append((s, ds, w_rest, raw_rest))
         self.s, self.X, self.W, raw = (sum(col[1:], col[0]) for col in zip(*parts))

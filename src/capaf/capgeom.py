@@ -48,7 +48,7 @@ import numpy as np
 from .errors import (InvalidConfigError, MeshConstructionError,
                      NumericError)
 from .norms import (MinkowskiNorm, row_blocks, sym_eig_det, tangent_basis,
-                    unit_rows)
+                    tangent_form, unit_rows)
 
 BOUNDARY_RESIDUAL = 1e-12
 FRAME_ORTHONORMAL = 1e-10
@@ -270,7 +270,7 @@ class CapMesh:
         # and the unit cap's radii
         self.F_vals, self.psi, hess = jet = model.jet(x, 2)
         self.tb = tangent_basis(x)
-        self.A = np.einsum("bki,bij,blj->bkl", self.tb, hess, self.tb)
+        self.A = tangent_form(self.tb, hess)
         ev, self.detA = sym_eig_det(self.A)
         if np.any(ev[..., 0] <= 0):
             bad = int(np.argmin(ev[..., 0]))
@@ -353,7 +353,7 @@ class CapMesh:
         self.frame = frame
 
     def _check_invariants(self):
-        gram = np.einsum("bki,bij,blj->bkl", self.frame, self.G, self.frame)
+        gram = tangent_form(self.frame, self.G)
         dev = np.max(np.abs(gram - np.eye(self.n)[None]))
         if dev > FRAME_ORTHONORMAL:
             raise NumericError(f"frame orthonormality defect {dev:.3e}")
@@ -395,8 +395,8 @@ class CapMesh:
         Made in blocks of 512 nodes (norms.row_blocks): the order-3 jets and
         (N, d, d, d) tensors of a whole fine mesh were a perturbed run's
         second-largest transient arrays.  The blocks give the whole-batch
-        bits by construction, as every norm's jet is row-independent (see
-        norms._BLOCK_ROWS)."""
+        bits, as every batched evaluator gives a row the same bits in a batch
+        of any size (see norms._BLOCK_ROWS)."""
         return self._lazy("q_frame", self._q_frame)
 
     def _q_frame(self):

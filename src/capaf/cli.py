@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  verify --config P [--out DIR] [--jobs N]
+  verify --config P [--out DIR]
   mesh info --config P [--dump FILE]
   body gen --config P --seed K --out FILE
   study converge --config P --check NAME --levels A..B [--out DIR]
@@ -10,17 +10,16 @@ Subcommands:
 `verify`, and none for `study converge`, which then writes no file.  Both
 make it before they build any mesh, so an unwritable path costs no run.
 The config's `[suites] run` alone names the suites `verify` runs, and
-report.json echoes it.  Suites run one after another; --jobs is accepted
-and does nothing.  The runners write no threshold: every tolerance, decay
-ratio and floor a record applies is a constant in config.TOLERANCES.  The
-decay suites (minkowski, symmetry, kernel, operator) and `study converge`
-share one per-level function per check, each the worst case over the
-config's seeds, and one convergence-table builder.  A `RunContext` owns the study
-schedule, the strictly increasing mesh levels every decay study visits:
-max(1, L-2)..L for `verify` at config level L (just 0 at L0), exactly
-A..B for `study converge --levels A..B`.  It generates every random body
-on the last of them and rebinds it onto each study level's mesh, the
-last one included.
+report.json echoes it.  Suites run one after another.  The runners write no
+threshold: every tolerance, decay ratio and floor a record applies is a
+constant in config.TOLERANCES.  The decay suites (minkowski, symmetry,
+kernel, operator) and `study converge` share one per-level function per
+check, each the worst case over the config's seeds, and one
+convergence-table builder.  A `RunContext` owns the study schedule, the
+strictly increasing mesh levels every decay study visits: max(1, L-2)..L
+for `verify` at config level L (just 0 at L0), exactly A..B for
+`study converge --levels A..B`.  It generates every random body on the last
+of them and rebinds it onto each study level's mesh, the last one included.
 
 Exit codes: 0 all checks passed, 1 some check failed (or a body could not
 be generated), 2 usage or configuration error, or an output path that
@@ -601,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("--config", required=True)
     pv.add_argument("--out", default="capaf-out")
-    pv.add_argument("--jobs", type=int, default=None)
 
     pm = sub.add_parser("mesh", help="mesh utilities")
     pm_sub = pm.add_subparsers(dest="mesh_command", required=True)

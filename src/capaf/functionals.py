@@ -38,7 +38,7 @@ from .capgeom import (CapMesh, parameter_velocities, radii_form, region_residual
 from .errors import ConvexityViolationError, InvalidInputError
 from .fields import SupportField, _geodesic_points, intrinsic_tau, kernel_evaluator
 from .mixdisc import mixed_disc_gradient, mixed_discriminant_batch
-from .norms import sym_eig_det, tangent_basis
+from .norms import sym_eig_det, tangent_basis, tangent_form
 
 _GUARD = 1e-30
 
@@ -354,7 +354,7 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
         jet = model.jet(x_new, 2)
         g_new = model.metric_from_jet(jet)
         tb_new = tangent_basis(x_new)
-        a_new = np.einsum("bki,bij,blj->bkl", tb_new, jet[2], tb_new)
+        a_new = tangent_form(tb_new, jet[2])
         hess = body.field.hess(x_new)
         # first-order parallel transport along e_direction
         fr = mesh.frame[idx]

@@ -33,16 +33,17 @@ fields of fields.py; the perturbed norm does not sum its terms' jets but
 folds all its terms into one closed-form jet (PerturbedNorm._derivative),
 sharing |x|, x^ and the projector, so that each term adds only a few
 elementwise accumulations; the tests check it against PerturbTerm's chain.
-Every family evaluates its dual norm together with the maximizer (the
-Gauss preimage) as dual_value(xi, x_warm) -> (F0, x); the perturbed family
-runs a damped Newton ascent on the sphere from the approximate Gauss
-preimages x_warm, one row per xi (the other families ignore x_warm), and
-stops at once from an exact one.  The ascent takes one order-2 jet of F per
-step, the accepted candidate's, and reads F0 from the final jet.  Its one
-caller (fields._geodesic_points) projects off-mesh stencil points onto the
-Wulff shape, warm from the nodes' preimages moved to first order along the
-mesh's parameter velocities, and the maximizer is then the projected
-point's preimage.
+Every family evaluates its dual norm together with the maximizer (the Gauss
+preimage) as dual_value(xi, x_warm) -> (F0, x); the perturbed family runs a
+damped Newton ascent on the sphere from the approximate Gauss preimages
+x_warm, one row per xi (the other families ignore x_warm), and stops at once
+from an exact one.  The ascent takes one order-2 jet of F per step, the
+accepted candidate's, and reads F0 from the final jet; tangent_form, the
+owner of the lone-row rule, gives its tangent Hessians, so the solve gives a
+row the bits of any batch.  Its one caller (fields._geodesic_points)
+projects off-mesh stencil points onto the Wulff shape, warm from the nodes'
+preimages moved to first order along the mesh's parameter velocities, and
+the maximizer is then the projected point's preimage.
 
 G and Q are closed form for every family.  (1/2) F^2 and (1/2) F0^2 are
 Legendre conjugates (Rockafellar, Convex Analysis, Thm 26.5), so their
@@ -71,9 +72,8 @@ from .errors import InvalidInputError, ModelInvalidError, NumericError
 
 _EPS = 1e-14
 # rows per block where a whole batch would set the memory high-water mark
-# (the validation sample, the mesh's Q).  Blocking moves no bit by
-# construction: every family's jet works row by row, so a row has the same
-# bits in any batch (tests/test_norms.py pins it)
+# (the validation sample, the mesh's Q).  Blocking moves no bit: a row has
+# the same bits in a batch of any size (tangent_form; tests/test_norms.py)
 _BLOCK_ROWS = 512
 
 
@@ -103,6 +103,14 @@ def sym_eig_det(m: np.ndarray):
     a, b, c = m[:, 0, 0], m[:, 1, 0], m[:, 1, 1]
     mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
     return np.stack([mid - rad, mid + rad], axis=-1), a * c - m[:, 0, 1] * b
+
+
+def tangent_form(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """basis m basis^T row by row, (B, k, d), (B, d, d) -> (B, k, k).  The lone-row
+    rule: one row runs as two copies, as einsum gives a 2-d row alone other bits."""
+    if len(basis) == 1:
+        return tangent_form(np.repeat(basis, 2, axis=0), np.repeat(m, 2, axis=0))[:1]
+    return np.einsum("bki,bij,blj->bkl", basis, m, basis)
 
 
 def tangent_basis(x: np.ndarray) -> np.ndarray:
@@ -501,7 +509,7 @@ class PerturbedNorm(MinkowskiNorm):
         for rows in row_blocks(len(pts)):
             vals[rows], _, d2f = self.jet(pts[rows], 2)
             tb = tangent_basis(pts[rows])
-            lam[rows] = sym_eig_det(np.einsum("bki,bij,blj->bkl", tb, d2f, tb))[0][:, 0]
+            lam[rows] = sym_eig_det(tangent_form(tb, d2f))[0][:, 0]
         if np.any(vals <= 0):
             i = int(np.argmin(vals))
             raise ModelInvalidError(f"perturbed norm non-positive at sample node {i}", node=pts[i])
@@ -545,7 +553,7 @@ class PerturbedNorm(MinkowskiNorm):
                 - gam[:, None, None] * d2f / f[:, None, None]
                 + 2.0 * gam[:, None, None] * df[:, :, None] * df[:, None, :] / f[:, None, None] ** 2
             )
-            ht = np.einsum("bki,bij,blj->bkl", tb, h, tb)
+            ht = tangent_form(tb, h)
             reg = 1e-12 * np.eye(y.shape[1] - 1)
             try:
                 step = np.linalg.solve(-(ht - reg), gt[..., None])[..., 0]

@@ -116,7 +116,8 @@ def _dense_caches(mesh, field):
 def test_body_caches_match_the_dense_oracle_bit_for_bit(mesh_factory, name, w0, level):
     # W and the raw radii taken only on the rows where the Hessian of the
     # non-cap leaves is nonzero give the bits of taking them on every row; a
-    # bump whose Hessian is nonzero on one row alone covers the lone-row einsum
+    # bump whose Hessian is nonzero on one row alone covers the lone-row rule
+    # (norms.tangent_form) and radii_form on one row
     mesh = mesh_factory(name, w0, level)
     b0, b1, b2 = (random_capillary_body(mesh, seed) for seed in (3, 4, 5))
     shift = np.zeros(mesh.dim)

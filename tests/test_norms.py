@@ -16,7 +16,7 @@ from capaf.errors import InvalidInputError, ModelInvalidError, NumericError
 from capaf.fields import CombinationField, LinearField, SphericalBumpField, WulffCapField
 from capaf.mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm, PerturbedNorm,
-                         PerturbTerm, sym_eig_det, tangent_basis, unit_rows)
+                         PerturbTerm, sym_eig_det, tangent_basis, tangent_form, unit_rows)
 
 MODELS = ("iso3", "ell3", "pert3")
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -217,6 +217,55 @@ def test_ellipsoid_jets_and_dual_row_independent_of_batch():
                 assert np.array_equal(one, whole[i:i + 1]), (model.family, order, i)
         one_f0, one_arg = base.dual_value(row, row)
         assert one_f0[0] == f0[i] and np.array_equal(one_arg[0], arg[i]), i
+
+
+@pytest.mark.parametrize("base", (IsotropicNorm(2), EllipsoidNorm(np.eye(2) + 0.1)),
+                         ids=("iso", "ell"))
+def test_perturbed_dual_row_independent_of_batch(base):
+    # the ascent's tangent Hessians are 2-d forms, and a row whose solve runs
+    # alone for its last steps still gets the bits of the whole batch: each
+    # of 300 standard-normal rows, warm from itself, solves to the whole
+    # batch's F0 and maximizer
+    pert = PerturbedNorm(base, [PerturbTerm("bump", (0.4, 0.92), 0.3, 0.05),
+                                PerturbTerm("quadratic", (0.0, 1.0), 0.0, 0.06)])
+    x = np.random.default_rng(0).normal(size=(300, 2))
+    f0, arg = pert.dual_value(x, x)
+    for i in range(len(x)):
+        one_f0, one_arg = pert.dual_value(x[i:i + 1], x[i:i + 1])
+        assert one_f0[0] == f0[i] and np.array_equal(one_arg[0], arg[i]), i
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_tangent_form_is_the_einsum_and_row_independent_of_batch(d):
+    # on rows of two or more it is the literal three-operand einsum, bit for
+    # bit; a lone row gets the bits it has inside the 300-row batch
+    rng = np.random.default_rng(1)
+    x = unit_rows(rng.normal(size=(300, d)))
+    m = rng.normal(size=(300, d, d))
+    basis = tangent_basis(x)
+    whole = tangent_form(basis, m)
+    assert np.array_equal(whole, np.einsum("bki,bij,blj->bkl", basis, m, basis))
+    assert np.array_equal(tangent_form(basis[:2], m[:2]),
+                          np.einsum("bki,bij,blj->bkl", basis[:2], m[:2], basis[:2]))
+    assert tangent_form(basis[:0], m[:0]).shape == (0, d - 1, d - 1)
+    for i in range(len(x)):
+        one = tangent_form(basis[i:i + 1], m[i:i + 1])
+        assert one.shape == (1, d - 1, d - 1) and np.array_equal(one, whole[i:i + 1]), i
+
+
+def test_tangent_form_is_the_one_restriction_to_row_bases():
+    """The row-basis restriction `bki,bij,blj->bkl` is written once in the
+    package, in norms.tangent_form, so its lone-row rule has one owner."""
+    import inspect
+
+    import capaf
+    import capaf.norms as norms
+
+    subscripts = "bki,bij,blj->bkl"
+    counts = {path.name: path.read_text(encoding="utf-8").count(subscripts)
+              for path in Path(capaf.__file__).parent.glob("*.py")}
+    assert {name: c for name, c in counts.items() if c} == {"norms.py": 1}
+    assert subscripts in inspect.getsource(norms.tangent_form)
 
 
 @pytest.mark.parametrize("name", ("iso3", "iso2", "ell3", "ell2", "pert3", "pert2",
