@@ -29,7 +29,7 @@ exception.  One timer, in `run_suite`, times each suite's runner and
 shares that time evenly among the suite's records (a generation-failure
 record included), so the records' times sum to the suites' time; the
 runners call the checks and time nothing.  The chain suite checks each
-body's chain inequalities by families, which take each mixed volume once.
+body's chain inequalities by families, which take each slot sum once.
 
 `python -m capaf.cli` and the `capaf` script both run `entry`, the one
 exit path: main(), then gc.freeze() once every report is closed, so the

@@ -14,7 +14,8 @@ The first two agree pointwise (mixed discriminants transform by det under
 the frame change, absorbing det A_F), the third by polynomiality of the
 volume.  The integral routes are slot-symmetrized (averaged over which
 argument occupies the multiplier slot); the raw single-slot form is what
-symmetry_check measures.
+symmetry_check measures.  Every check reads its mixed volumes as index
+tuples over one family of bodies, whose slot sums are each taken once.
 
 Volume and the multiplier slot integrate the anchored support
 s - <anchor, x>, the tracked horizontal translate; this is the same value
@@ -26,6 +27,7 @@ fields a report record stores.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial, prod
@@ -129,18 +131,33 @@ def hull_volume_oracle(body: CapillaryBody, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mv_slot(bodies, slot: int, route: str) -> float:
-    """Raw single-slot mixed volume with bodies[slot] as the multiplier, by
-    the "anisotropic" route or else the "euclidean" one."""
-    mesh = bodies[0].mesh
-    others = [b for k, b in enumerate(bodies) if k != slot]
-    if route == "anisotropic":
-        q = mixed_discriminant_batch([b.tau for b in others])
-        vals = bodies[slot].shat_anchored * q * mesh.F_vals * mesh.detA
-    else:
-        q = mixed_discriminant_batch([b.W for b in others])
-        vals = (bodies[slot].shat_anchored * mesh.F_vals) * q
-    return float(np.sum(mesh.weights * vals) / (mesh.n + 1))
+def _slot_sums(family, route: str = "anisotropic"):
+    """r(i, others), taken once per key: the raw single-slot sum with
+    family[i] as the multiplier and the bodies at the index tuple `others`,
+    in that order, in the other slots, by the "anisotropic" route or else
+    the "euclidean" one.  Keys stay ordered, not sorted: the trailing
+    permutations of symmetry_check measure what argument order moves."""
+    mesh = shared_mesh(family)
+    aniso = route == "anisotropic"
+
+    @functools.cache
+    def r(i: int, others: tuple) -> float:
+        q = mixed_discriminant_batch([family[k].tau if aniso else family[k].W for k in others])
+        if aniso:
+            vals = family[i].shat_anchored * q * mesh.F_vals * mesh.detA
+        else:
+            vals = (family[i].shat_anchored * mesh.F_vals) * q
+        return float(np.sum(mesh.weights * vals) / (mesh.n + 1))
+    return r
+
+
+def _volume(r, t: tuple) -> float:
+    """V of the family's bodies at the index tuple t, the mean of t's slot sums
+    in t's own order; InvalidInputError if it is not finite."""
+    value = float(np.mean([r(t[p], t[:p] + t[p + 1:]) for p in range(len(t))]))
+    if not np.isfinite(value):
+        raise InvalidInputError("mixed volume is not finite")
+    return value
 
 
 def _mv_polyfit(bodies) -> float:
@@ -182,15 +199,11 @@ def mixed_volume(bodies, route: str = "anisotropic") -> float:
     """
     bodies = list(bodies)
     _require_full_tuple(bodies)
-    if route == "polyfit":
-        value = _mv_polyfit(bodies)
-    elif route in ("anisotropic", "euclidean"):
-        value = float(np.mean([_mv_slot(bodies, s, route) for s in range(len(bodies))]))
-    else:
-        raise InvalidInputError(f"unknown route {route!r}")
-    if not np.isfinite(value):
-        raise InvalidInputError("mixed volume is not finite")
-    return value
+    if route == "polyfit":  # a one-slot "family": the guard sees the value itself
+        return _volume(lambda i, others: _mv_polyfit(bodies), (0,))
+    if route in ("anisotropic", "euclidean"):
+        return _volume(_slot_sums(bodies, route), tuple(range(len(bodies))))
+    raise InvalidInputError(f"unknown route {route!r}")
 
 
 def integrand_identity_defect(bodies) -> float:
@@ -203,7 +216,8 @@ def integrand_identity_defect(bodies) -> float:
 
 
 def symmetry_check(bodies) -> dict:
-    """Swap and trailing-permutation deviations of the raw slot form.
+    """Swap and trailing-permutation deviations of the raw slot form, read
+    from the bodies' slot sums (the identity permutation is v01 itself).
 
     The first-two-argument swap moves a derivative across the integral and
     vanishes only at the quadrature's O(h^2); trailing permutations only
@@ -212,19 +226,12 @@ def symmetry_check(bodies) -> dict:
     """
     bodies = list(bodies)
     _require_full_tuple(bodies)
-    v01 = _mv_slot(bodies, 0, "anisotropic")
-    swapped = [bodies[1], bodies[0]] + bodies[2:]
-    v10 = _mv_slot(swapped, 0, "anisotropic")
-    scale = max(abs(v01), abs(v10), _GUARD)
-    swap_dev = abs(v01 - v10)
-
-    trail_dev = 0.0
-    tail = bodies[1:]
-    if len(tail) > 1:
-        for perm in itertools.permutations(range(len(tail))):
-            arranged = [bodies[0]] + [tail[p] for p in perm]
-            trail_dev = max(trail_dev, abs(_mv_slot(arranged, 0, "anisotropic") - v01))
-    return {"swap_deviation": swap_dev, "trailing_deviation": trail_dev, "scale": scale}
+    r = _slot_sums(bodies)
+    tail = tuple(range(1, len(bodies)))
+    v01, v10 = r(0, tail), r(1, (0,) + tail[1:])
+    trail_dev = max(abs(r(0, perm) - v01) for perm in itertools.permutations(tail))
+    return {"swap_deviation": abs(v01 - v10), "trailing_deviation": trail_dev,
+            "scale": max(abs(v01), abs(v10), _GUARD)}
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +286,7 @@ def quermassintegral_mixed_route(body: CapillaryBody, k: int) -> float:
         raise InvalidInputError(f"k={k} outside [0, {n + 1}]")
     if k == 0:
         return volume(body)
-    cap = mesh.cap_body
-    arrangement = [cap] + [body] * (n + 1 - k) + [cap] * (k - 1)
-    return _mv_slot(arrangement, 0, "anisotropic")
+    return _slot_sums([body, mesh.cap_body])(1, (0,) * (n + 1 - k) + (1,) * (k - 1))
 
 
 def minkowski_formula_residual(body: CapillaryBody, k: int) -> float:
@@ -513,10 +518,8 @@ def af_inequality_check(bodies, tol: float, equality_expected: bool = False) -> 
     """V(K1,K2,rest)^2 >= V(K1,K1,rest) V(K2,K2,rest)."""
     bodies = list(bodies)
     _require_full_tuple(bodies)
-    k1, k2, rest = bodies[0], bodies[1], bodies[2:]
-    v12 = mixed_volume([k1, k2] + rest)
-    v11 = mixed_volume([k1, k1] + rest)
-    v22 = mixed_volume([k2, k2] + rest)
+    r, rest = _slot_sums(bodies), tuple(range(2, len(bodies)))
+    v12, v11, v22 = (_volume(r, pair + rest) for pair in ((0, 1), (0, 0), (1, 1)))
     return InequalityReport.inequality(v12 * v12, v11 * v22, tol, equality_expected)
 
 
@@ -536,14 +539,15 @@ def quermassintegral_chain_check(body: CapillaryBody, k: int, l: int, tol: float
 def quermassintegral_chain_family(body: CapillaryBody, pairs, tol: float,
                                   equality_expected: bool = False) -> dict:
     """The quermassintegral chain report of every (k, l) in `pairs`, keyed by
-    (k, l): the cap volume and each V_j a pair names are evaluated once."""
+    (k, l): the cap volume and each V_j a pair names are index tuples over
+    the family [body, cap], whose slot sums are each taken once."""
     n = body.mesh.n
     for k, l in pairs:
         if not 0 <= l <= k <= n:
             raise InvalidInputError(f"require 0 <= l <= k <= n, got l={l}, k={k}")
-    cap = body.mesh.cap_body
-    cap_vol = mixed_volume([cap] * (n + 1))
-    querm = {j: mixed_volume([body] * (n + 1 - j) + [cap] * j)
+    r = _slot_sums([body, body.mesh.cap_body])
+    cap_vol = _volume(r, (1,) * (n + 1))
+    querm = {j: _volume(r, (0,) * (n + 1 - j) + (1,) * j)
              for j in sorted({j for pair in pairs for j in pair})}
     if cap_vol <= 0 or any(v <= 0 for v in querm.values()):
         raise InvalidInputError("chain check requires positive quermassintegrals")
@@ -565,14 +569,16 @@ def generalized_chain_check(k0: CapillaryBody, k1: CapillaryBody, trailing,
 def generalized_chain_family(k0: CapillaryBody, k1: CapillaryBody, trailing, m: int,
                              triples, tol: float, equality_expected: bool = False) -> dict:
     """The generalized chain report of every (i, j, k) in `triples`, keyed by
-    (i, j, k): each V_(c) a triple names is evaluated once."""
+    (i, j, k): each V_(c) a triple names is an index tuple over the family
+    [k0, k1, *trailing], whose slot sums are each taken once."""
     n = k0.mesh.n
     trailing = list(trailing)
     if not all(0 <= i < j < k <= m <= n + 1 for i, j, k in triples):
         raise InvalidInputError("require 0 <= i < j < k <= m <= n+1")
     if m + len(trailing) != n + 1:
         raise InvalidInputError(f"trailing must hold n+1-m = {n + 1 - m} bodies")
-    v = {c: mixed_volume([k0] * (m - c) + [k1] * c + trailing)
+    r, rest = _slot_sums([k0, k1] + trailing), tuple(range(2, 2 + len(trailing)))
+    v = {c: _volume(r, (0,) * (m - c) + (1,) * c + rest)
          for c in sorted({c for triple in triples for c in triple})}
     if any(vc <= 0 for vc in v.values()):
         raise InvalidInputError("generalized chain requires positive mixed volumes")

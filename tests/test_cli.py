@@ -692,26 +692,23 @@ def test_shipped_config_verifies(tmp_path, monkeypatch, name):
 
 
 def test_chain_suite_evaluates_each_volume_of_a_family_once(tmp_path, monkeypatch):
-    """On an n = 2 config with three seeds the chain suite takes 39 mixed
-    volumes: per seed 4 for its quermassintegral family and 3 + 4 for its two
-    generalized families, and 3 for each of the two equality records.  One
-    check per inequality took 78."""
+    """On an n = 2 config with three seeds the chain suite takes 68 mixed
+    discriminants, one per slot sum of a family: per seed 6 for its
+    quermassintegral family [body, cap] and 7 + 6 for its two generalized
+    families, then 4 and 7 for the two equality records.  Taking every
+    volume's three slot sums afresh took 117 (39 volumes)."""
     import capaf.cli as cli
     import capaf.functionals as fn
 
     cfg = parse_config(_shipped_at_level_2(tmp_path, "ellipsoid.ini", "chain"))
     assert cfg.n == 2 and len(cfg.seeds) == 3
     calls = []
-    real = fn.mixed_volume
-
-    def counting(bodies, route="anisotropic"):
-        calls.append(route)
-        return real(bodies, route)
-
-    monkeypatch.setattr(fn, "mixed_volume", counting)
+    real = fn.mixed_discriminant_batch
+    monkeypatch.setattr(fn, "mixed_discriminant_batch",
+                        lambda mats: calls.append(len(mats)) or real(mats))
     records, _ = cli._run_chain(cli.RunContext(cfg))
     assert len(records) == 3 * (3 + 1 + 4) + 2
-    assert calls == ["anisotropic"] * 39
+    assert calls == [2] * (3 * (6 + 7 + 6) + 4 + 7)
 
 
 def _shipped_at_level_2(tmp_path, name, suites="all"):

@@ -115,12 +115,26 @@ def test_symmetry_trailing_roundoff(body_factory):
 
 
 def test_symmetry_check_evaluates_each_slot_form_once(body_factory, monkeypatch):
-    # v01, v10 and the two trailing permutations; v01 is the permutation base
+    # v01, v10 and the one non-identity trailing permutation: one discriminant
+    # per slot sum, and the identity permutation is v01 itself
     calls = []
-    real = fn._mv_slot
-    monkeypatch.setattr(fn, "_mv_slot", lambda *a: calls.append(a) or real(*a))
+    real = fn.mixed_discriminant_batch
+    monkeypatch.setattr(fn, "mixed_discriminant_batch",
+                        lambda mats: calls.append(mats) or real(mats))
     fn.symmetry_check([body_factory("ell3", -0.4, 3, seed=s) for s in (7, 8, 9)])
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+def test_slot_sums_keep_the_argument_order(body_factory, monkeypatch):
+    # a planted discriminant that depends on argument order must show in the
+    # trailing deviation; sorted memo keys would hide it (it would read 0.0)
+    from capaf.config import TOLERANCES
+
+    real = fn.mixed_discriminant_batch
+    monkeypatch.setattr(fn, "mixed_discriminant_batch",
+                        lambda mats: real(mats) + 1e-3 * mats[0][:, 0, 0] * mats[1][:, 1, 1])
+    out = fn.symmetry_check([body_factory("ell3", -0.4, 3, seed=s) for s in (7, 8, 9)])
+    assert out["trailing_deviation"] / out["scale"] > TOLERANCES["symmetry_trailing"]
 
 
 def test_symmetry_swap_converges(body_factory, mesh_factory):
@@ -304,7 +318,7 @@ def test_operator_weighted_symmetry_vs_mixed_volume(body_factory):
     om = fn._operator_frame([bods[1]])[2]
     ag = fn.operator_a_apply(bods[2], [bods[1]])
     inner = fn.operator_inner(bods[0].shat, ag, om)
-    va = fn._mv_slot([bods[0], bods[2], bods[1]], 0, "anisotropic")
+    va = fn._slot_sums(bods)(0, (2, 1))
     assert inner == pytest.approx(va, rel=1e-4)
 
 
@@ -404,6 +418,51 @@ def test_chain_families_match_the_single_checks_bit_for_bit(body_factory):
         fn.generalized_chain_family(bods[0], bods[1], [bods[2]], 2, [(0, 1, 2), (0, 2, 1)], 1e-7)
 
 
+@pytest.mark.parametrize("name,w0", [("ell2", 0.3), ("ell3", -0.4)])
+def test_family_volumes_are_mixed_volumes_bit_for_bit(body_factory, monkeypatch, name, w0):
+    # every volume af and the chain families read off a family's slot sums,
+    # in the order they read them, is mixed_volume of the explicit body list
+    bods = [body_factory(name, w0, 3, seed=s) for s in (90, 91, 92)]
+    n = bods[0].mesh.n
+    k0, k1, rest, cap = bods[0], bods[1], bods[2:n + 1], bods[0].mesh.cap_body
+    seen = []
+    real = fn._volume
+    monkeypatch.setattr(fn, "_volume", lambda r, t: seen.append(real(r, t)) or seen[-1])
+    fn.af_inequality_check([k0, k1] + rest, 1e-8)
+    fn.af_inequality_check([k0] * (n + 1), 1e-8)
+    explicit = [[k0, k1] + rest, [k0, k0] + rest, [k1, k1] + rest] + [[k0] * (n + 1)] * 3
+    fn.quermassintegral_chain_family(k0, [(k, l) for k in range(n + 1) for l in range(k + 1)],
+                                     1e-7)
+    explicit += [[cap] * (n + 1)] + [[k0] * (n + 1 - j) + [cap] * j for j in range(n + 1)]
+    for m in range(2, n + 2):
+        trailing = bods[2:2 + n + 1 - m]
+        fn.generalized_chain_family(k0, k1, trailing, m,
+                                    list(itertools.combinations(range(m + 1), 3)), 1e-7)
+        explicit += [[k0] * (m - c) + [k1] * c + trailing for c in range(m + 1)]
+    monkeypatch.undo()
+    assert seen == [fn.mixed_volume(bodies) for bodies in explicit]
+
+
+def test_slot_sums_are_the_one_mixed_volume_assembly():
+    """In functionals only volume_of_combination and the slot sums read a
+    body's anchored support, and no definition reads mixed_volume (or the
+    old _mv_slot): every check reads its family's slot sums."""
+    import ast
+    import inspect
+
+    readers, assemblers = set(), set()
+    for node in ast.parse(inspect.getsource(fn)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and sub.attr == "shat_anchored":
+                    readers.add(node.name)
+                if isinstance(sub, ast.Name) and sub.id in ("mixed_volume", "_mv_slot"):
+                    assemblers.add(node.name)
+    assert readers == {"volume_of_combination", "_slot_sums"}
+    assert assemblers == set()
+    assert not hasattr(fn, "_mv_slot")
+
+
 def test_generalized_chain_equality(body_factory):
     k1 = body_factory("ell3", -0.4, 3, seed=93)
     k0 = translate_horizontal(minkowski_combine([k1], [1.5]),
@@ -450,10 +509,17 @@ def test_inequality_report_holds_the_six_record_fields():
 
 def test_mixed_volume_rejects_a_non_finite_value(body_factory, monkeypatch):
     bods = [body_factory("ell3", -0.4, 3, seed=s) for s in (2, 3, 4)]
-    monkeypatch.setattr(fn, "_mv_slot", lambda *a: float("nan"))
+    monkeypatch.setattr(fn, "mixed_discriminant_batch",
+                        lambda mats: np.full(len(mats[0]), np.nan))
     for route in ("anisotropic", "euclidean"):
         with pytest.raises(InvalidInputError, match="mixed volume is not finite"):
             fn.mixed_volume(bods, route=route)
+    for check in (lambda: fn.af_inequality_check(bods, 1e-8),
+                  lambda: fn.quermassintegral_chain_family(bods[0], [(1, 0)], 1e-7),
+                  lambda: fn.generalized_chain_family(bods[0], bods[1], [bods[2]], 2,
+                                                      [(0, 1, 2)], 1e-7)):
+        with pytest.raises(InvalidInputError, match="mixed volume is not finite"):
+            check()
     monkeypatch.setattr(fn, "_mv_polyfit", lambda b: float("inf"))
     with pytest.raises(InvalidInputError, match="mixed volume is not finite"):
         fn.mixed_volume(bods, route="polyfit")
