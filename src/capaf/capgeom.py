@@ -324,11 +324,8 @@ class CapMesh:
         tb = self.tb
         n, d = self.n, self.dim
 
-        def gdot(u, v):
-            return np.einsum("bi,bij,bj->b", u, g, v)
-
-        def gdot_at(idx, u, v):
-            return np.einsum("bi,bij,bj->b", u, g[idx], v)
+        def gdot(u, v, rows=slice(None)):
+            return np.einsum("bi,bij,bj->b", u, g[rows], v)
 
         frame = np.zeros((len(self.nodes), n, d))
         u1 = tb[:, 0]
@@ -341,9 +338,9 @@ class CapMesh:
         loop = self.boundary_loop
         if n == 2:
             t_hat = self.boundary_tangent
-            eb1 = t_hat / np.sqrt(gdot_at(loop, t_hat, t_hat))[:, None]
-            w = self.muF - gdot_at(loop, eb1, self.muF)[:, None] * eb1
-            eb2 = w / np.sqrt(gdot_at(loop, w, w))[:, None]
+            eb1 = t_hat / np.sqrt(gdot(t_hat, t_hat, loop))[:, None]
+            w = self.muF - gdot(eb1, self.muF, loop)[:, None] * eb1
+            eb2 = w / np.sqrt(gdot(w, w, loop))[:, None]
             frame[loop, 0] = eb1
             frame[loop, 1] = eb2
         else:

@@ -15,11 +15,15 @@ threshold: every tolerance, decay ratio and floor a record applies is a
 constant in config.TOLERANCES.  The decay suites (minkowski, symmetry,
 kernel, operator) and `study converge` share one per-level function per
 check, each the worst case over the config's seeds, and one
-convergence-table builder.  A `RunContext` owns the study schedule, the
-strictly increasing mesh levels every decay study visits: max(1, L-2)..L
-for `verify` at config level L (just 0 at L0), exactly A..B for
-`study converge --levels A..B`.  It generates every random body on the last
-of them and rebinds it onto each study level's mesh, the last one included.
+convergence-table builder.  The kernel suite takes one path for every norm
+family: its tau-max records read the Richardson-extrapolated maxima on the
+last study level, its decay records and tables (and `study converge
+--check kernel`) the raw step-h maxima on every level.  A `RunContext`
+owns the study schedule, the strictly increasing mesh levels every decay
+study visits: max(1, L-2)..L for `verify` at config level L (just 0 at
+L0), exactly A..B for `study converge --levels A..B`.  It generates every
+random body on the last of them and rebinds it onto each study level's
+mesh, the last one included.
 
 Exit codes: 0 all checks passed, 1 some check failed (or a body could not
 be generated), 2 usage or configuration error, or an output path that
@@ -77,9 +81,9 @@ class RunContext:
     @property
     def analytic(self) -> bool:
         """False for the perturbed norm family.  Its derivatives are closed
-        form too, but its decay records stay diagnostics and its kernel check
-        a smoke test, because the benchmark (perfbench/run.py) pins
-        `verify-perturbed` at 70 checks."""
+        form too, and its kernel check takes the one kernel path, but its
+        decay records stay diagnostics, because the benchmark
+        (perfbench/run.py) pins `verify-perturbed` at 70 checks."""
         return self.cfg.norm.family != "perturbed"
 
     def mesh(self, level=None):
@@ -185,8 +189,9 @@ def _symmetry_deviations(ctx, level):
 
 
 def _kernel_tau(ctx, level):
-    """Largest intrinsic-route tau entry of each kernel field E_1..E_n."""
-    return fn.kernel_tau_intrinsic(ctx.mesh(level))
+    """Largest intrinsic-route tau entry of each kernel field E_1..E_n, from
+    the one step-h pass whose second-order decay the study reads."""
+    return fn.kernel_tau_raw(ctx.mesh(level))
 
 
 def _selfadjoint_deviation(ctx, level):
@@ -395,20 +400,16 @@ def _run_kernel(ctx: RunContext):
     levels = ctx.levels
     records = []
     tables = {}
-    if ctx.analytic:
-        per_level = [_kernel_tau(ctx, level) for level in levels]
-        for alpha, decay in enumerate(zip(*per_level)):
-            tables[f"kernel-E{alpha + 1}"] = _decay_rows(levels, decay)
-            records += [
-                _value_record("kernel", f"tau-max-E{alpha + 1}", {"levels": levels},
-                              decay[-1] * (4.0 ** (levels[-1] - 4)),  # normalized to level 4
-                              TOLERANCES["kernel_max"]),
-                _decay_record(ctx, "kernel", f"tau-decay-E{alpha + 1}", {"levels": levels},
-                              decay, TOLERANCES["kernel_ratio"], TOLERANCES["kernel_floor"])]
-    else:
-        records += [_value_record("kernel", f"tau-max-E{alpha + 1}-fd-smoke",
-                                  {"level": cfg.mesh_level}, val, TOLERANCES["kernel_smoke"])
-                    for alpha, val in enumerate(_kernel_tau(ctx, cfg.mesh_level))]
+    per_level = [_kernel_tau(ctx, level) for level in levels]
+    top = fn.kernel_tau_intrinsic(ctx.mesh())
+    for alpha, decay in enumerate(zip(*per_level)):
+        tables[f"kernel-E{alpha + 1}"] = _decay_rows(levels, decay)
+        records += [
+            _value_record("kernel", f"tau-max-E{alpha + 1}", {"levels": levels},
+                          top[alpha] * (4.0 ** (levels[-1] - 4)),  # scaled to level 4
+                          TOLERANCES["kernel_max"]),
+            _decay_record(ctx, "kernel", f"tau-decay-E{alpha + 1}", {"levels": levels},
+                          decay, TOLERANCES["kernel_ratio"], TOLERANCES["kernel_floor"])]
     # generator-route kernels are exactly linear: their Hessian, so tau, is 0
     mesh = ctx.mesh()
     taus = (tau_from_generator(mesh, kernel_field(mesh, alpha))[0] for alpha in range(cfg.n))

@@ -59,7 +59,6 @@ TOLERANCES = {
     "kernel_max": 1e-4,
     "kernel_ratio": 2.0,
     "kernel_floor": 1e-11,
-    "kernel_smoke": 1e-2,
     "kernel_generator": 1e-10,
     "minkowski_ratio": 2.0,
     "minkowski_floor": 1e-9,

@@ -29,8 +29,8 @@ class ModelInvalidError(CapafError):
 
 
 class NumericError(CapafError):
-    """An iterative solve or a numerical invariant missed its bound; the
-    message names the residual and the bound."""
+    """A numerical invariant of a mesh (its frames' G-orthonormality) missed
+    its bound; the message names the defect."""
 
 
 class MeshConstructionError(CapafError):

@@ -15,11 +15,12 @@ Two curvature-radii routes live here:
   D_{e_k} X = D^2 s v_k; the mesh applies the same form to F's own Hessian
   for the unit cap's radii, cap_tau; and
 * the intrinsic route: tau = (covariant Hessian) + f g - Q(., ., grad f)/2
-  evaluated by second differences along quadratic geodesic Taylor curves
-  re-projected onto the cap, with a caller-chosen step (tied to the mesh
-  level in convergence studies).  The fields enter as one plain function
-  fn(z, g) of Wulff-shape points z and the metric there, one column per
-  field (kernel_evaluator builds the kernel fields').
+  evaluated by second differences along curves on the Wulff shape that
+  match the geodesics to second order, built as DF of curves on the unit
+  sphere of Gauss preimages (no solve), with a caller-chosen step (tied to
+  the mesh level in convergence studies).  The fields enter as one plain
+  function fn(z, g) of Wulff-shape points z and the metric there, one
+  column per field (kernel_evaluator builds the kernel fields').
 
 Support fields are homogeneous functions of the norms' shape: SupportField
 subclasses norms._Homogeneous, whose jet/value/grad/hess take rows (B, d)
@@ -210,34 +211,32 @@ def kernel_evaluator(mesh: CapMesh):
     return lambda z, g: np.einsum("bij,bi->bj", g, z)[:, : mesh.n]
 
 
-def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: float):
-    """Quadratic geodesic Taylor points on the Wulff shape, both signs.
+def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: float, d3f):
+    """The stencil points at +step and -step of a curve on the Wulff shape
+    that matches a g-ring geodesic to second order, built on the unit
+    sphere of Gauss preimages with no solve.
 
-    vel holds frame coefficients (K, n) of the initial velocity.  The
-    acceleration of a g-ring geodesic in ambient coordinates is
-    -g(v, v) z - (1/2) Q(v, v, e_l) e_l, from the Gauss formula with unit
-    anisotropic curvature; the O(t^3) defect is odd in t, so symmetric
-    differences stay second-order after re-projection, a radial rescaling
-    onto {F0 = 1}.  Returns ((z_plus, x_plus), (z_minus, x_minus)): the
-    maximizer x of <x, p>/F(x) in the projection's dual solve does not move
-    when p is scaled, so it is the projected point's Gauss preimage.  The
-    solve for z +- t v + (1/2) t^2 a starts from the node's preimage moved to
-    first order in t, x +- t dx, where dx applies the mesh's parameter
-    velocities (CapMesh.vel, columns A_F^-1 e_k) to the frame coefficients.
+    vel holds frame coefficients (K, n) of the initial velocity v.  The
+    preimage curve x(t) = unit(x + t dx + (1/2) t^2 w) starts at the node x;
+    dx = sum_k vel_k v_k applies the mesh's parameter velocities
+    (CapMesh.vel, columns v_k = A_F^-1 e_k), so that D^2F dx = v.  The Wulff
+    curve DF(x(t)) lies on {F0 = 1} exactly, and its tangential acceleration
+    G(D^2F w + D^3F[dx, dx], e_l) is the geodesic's a_l = -(1/2) Q(v, v, e_l)
+    for w = sum_l (a_l - t_l) v_l, t_l = G(D^3F[dx, dx], e_l); its normal
+    part follows from staying on the shape.  Symmetric differences along
+    the curve are second-order.  d3f is D^3F at the nodes (K, d, d, d), one
+    order-3 jet that every stencil through them shares; each point takes
+    one order-2 jet, whose DF is its Wulff point.  Returns
+    ((x_plus, jet_plus), (x_minus, jet_minus)), jets [F, DF, D^2F].
     """
-    z = mesh.psi[idx]
-    fr = mesh.frame[idx]
-    qf = mesh.q_frame[idx]
-    v_amb = np.einsum("bk,bkd->bd", vel, fr)
-    vnorm2 = np.einsum("bk,bk->b", vel, vel)
-    qvv = np.einsum("bijl,bi,bj->bl", qf, vel, vel)
-    acc = -vnorm2[:, None] * z - 0.5 * np.einsum("bl,bld->bd", qvv, fr)
-    plus = z + step * v_amb + 0.5 * step**2 * acc
-    minus = z - step * v_amb + 0.5 * step**2 * acc
-    dx = step * np.einsum("bdk,bk->bd", mesh.vel[idx], vel)
-    warm = mesh.nodes[idx]
-    solves = (mesh.model.dual_value(p, w) for p, w in ((plus, warm + dx), (minus, warm - dx)))
-    return tuple((p / f0[:, None], x) for p, (f0, x) in zip((plus, minus), solves))
+    model, x, pvel = mesh.model, mesh.nodes[idx], mesh.vel[idx]
+    dx = np.einsum("bdk,bk->bd", pvel, vel)
+    d3f_dxdx = np.einsum("bdef,be,bf->bd", d3f, dx, dx)
+    t = np.einsum("bd,bde,ble->bl", d3f_dxdx, mesh.G[idx], mesh.frame[idx])
+    a = -0.5 * np.einsum("bijl,bi,bj->bl", mesh.q_frame[idx], vel, vel)
+    w = np.einsum("bdk,bk->bd", pvel, a - t)
+    points = (unit_rows(x + sgn * step * dx + 0.5 * step**2 * w) for sgn in (1.0, -1.0))
+    return tuple((p, model.jet(p, 2)) for p in points)
 
 
 def intrinsic_tau(mesh: CapMesh, fn, idx, step: float):
@@ -245,8 +244,9 @@ def intrinsic_tau(mesh: CapMesh, fn, idx, step: float):
 
     ``fn(z, g)`` evaluates m fields at Wulff-shape points z with metric g
     there, as columns (K, m) (see kernel_evaluator); one stencil serves all.
-    g is the mesh's G at the nodes; an off-node point costs one projection
-    solve, whose maximizer is the Gauss preimage the metric is read at.
+    g is the mesh's G at the nodes; at an off-node point it is read from
+    the point's own jet of F (norms.metric_from_jet).  One order-3 jet at
+    the nodes serves every stencil.
     Covariant second derivatives come from geodesic second differences;
     off-diagonal entries by polarization along e_i + e_j.  Returns (tau,
     grad), shapes (K, m, n, n) and (K, m, n).
@@ -257,11 +257,12 @@ def intrinsic_tau(mesh: CapMesh, fn, idx, step: float):
     grad = np.empty(f0.shape + (n,))
     hess = np.empty(f0.shape + (n, n))
     second = {}
+    d3f = mesh.model.jet(mesh.nodes[idx], 3)[3]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         vel = np.zeros((len(idx), n))
         vel[:, [i, j]] = 1.0
-        fp, fm = (fn(z, mesh.model.metric_on_wulff(x))
-                  for z, x in _geodesic_points(mesh, idx, vel, step))
+        fp, fm = (fn(jet[1], mesh.model.metric_from_jet(jet))
+                  for _, jet in _geodesic_points(mesh, idx, vel, step, d3f))
         if i == j:
             grad[..., i] = (fp - fm) / (2.0 * step)
         second[i, j] = (fp - 2.0 * f0 + fm) / step**2

@@ -1,5 +1,5 @@
-"""Minkowski-norm calculus: F, its derivatives, the dual norm, and the
-metric structure of the Wulff shape.
+"""Minkowski-norm calculus: F, its derivatives, and the metric structure of
+the Wulff shape.
 
 A Minkowski norm is a positive 1-homogeneous function F on R^d (d = n+1),
 smooth away from the origin, whose restriction of the Euclidean Hessian to
@@ -33,17 +33,9 @@ fields of fields.py; the perturbed norm does not sum its terms' jets but
 folds all its terms into one closed-form jet (PerturbedNorm._derivative),
 sharing |x|, x^ and the projector, so that each term adds only a few
 elementwise accumulations; the tests check it against PerturbTerm's chain.
-Every family evaluates its dual norm together with the maximizer (the Gauss
-preimage) as dual_value(xi, x_warm) -> (F0, x); the perturbed family runs a
-damped Newton ascent on the sphere from the approximate Gauss preimages
-x_warm, one row per xi (the other families ignore x_warm), and stops at once
-from an exact one.  The ascent takes one order-2 jet of F per step, the
-accepted candidate's, and reads F0 from the final jet; tangent_form, the
-owner of the lone-row rule, gives its tangent Hessians, so the solve gives a
-row the bits of any batch.  Its one caller (fields._geodesic_points)
-projects off-mesh stencil points onto the Wulff shape, warm from the nodes'
-preimages moved to first order along the mesh's parameter velocities, and
-the maximizer is then the projected point's preimage.
+Nothing evaluates F0 or solves for a Gauss preimage: every caller builds
+its Wulff points as DF of unit points it holds (the mesh its nodes, the
+kernel stencil points on the sphere, fields._geodesic_points).
 
 G and Q are closed form for every family.  (1/2) F^2 and (1/2) F0^2 are
 Legendre conjugates (Rockafellar, Convex Analysis, Thm 26.5), so their
@@ -57,9 +49,9 @@ whose Legendre point is x / F(x),
 where sym_3 sums the three placements of the vector index and the factor
 F(x) is the (-1)-homogeneity of D^3(F^2/2).  metric_on_wulff(x) and
 q_on_wulff(x) take the Gauss preimage x, which every caller already holds
-(the mesh nodes, or a projection solve's maximizer), and solve nothing
-(metric_from_jet reads G from a jet already held); the isotropic and
-ellipsoid families return their constant G and Q = 0.
+(the mesh nodes, or a stencil point), and solve nothing (metric_from_jet
+reads G from a jet already held); the isotropic and ellipsoid families
+return their constant G and Q = 0.
 """
 
 from __future__ import annotations
@@ -68,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ModelInvalidError, NumericError
+from .errors import InvalidInputError, ModelInvalidError
 
 _EPS = 1e-14
 # rows per block where a whole batch would set the memory high-water mark
@@ -277,23 +269,11 @@ class PerturbTerm(_Homogeneous):
 
 class MinkowskiNorm(_Homogeneous):
     """Base class; subclasses implement F's ``_derivative(x, order)`` (order
-    0-3, behind the shared jet/value/grad/hess) and the dual side."""
+    0-3, behind the shared jet/value/grad/hess); G and Q go by the Legendre
+    route unless a family overrides them in closed form."""
 
     family = "abstract"
     dim: int
-
-    # -- dual side -----------------------------------------------------------
-
-    def dual_value(self, xi, x_warm):
-        """(F0(xi), maximizer) in closed form (``x_warm`` is ignored): the
-        maximizer is the Gauss preimage of the projected point xi / F0(xi)."""
-        xi = self._check_nonzero(xi)
-        f0 = self._dual(xi)
-        return f0, self.gauss_preimage(xi / f0[:, None])
-
-    def _dual(self, xi) -> np.ndarray:
-        """F0 at nonzero rows xi (B, d)."""
-        raise NotImplementedError
 
     def metric_on_wulff(self, x) -> np.ndarray:
         """G at the Wulff points DF(x) of Gauss preimages x (B, d), by the
@@ -349,9 +329,6 @@ class IsotropicNorm(MinkowskiNorm):
             jet.append(-_sym3(proj, xh) / r[:, None, None, None] ** 2)
         return jet
 
-    def _dual(self, xi):
-        return np.linalg.norm(xi, axis=-1)
-
     def metric_on_wulff(self, x):
         return np.broadcast_to(np.eye(self.dim), (len(x), self.dim, self.dim)).copy()
 
@@ -360,9 +337,6 @@ class IsotropicNorm(MinkowskiNorm):
 
     def q_on_wulff(self, x):
         return np.zeros((len(x),) + (self.dim,) * 3)
-
-    def gauss_preimage(self, z):
-        return unit_rows(self._check_nonzero(z))
 
     def descriptor(self):
         return {"family": "isotropic", "dim": self.dim}
@@ -406,9 +380,6 @@ class EllipsoidNorm(MinkowskiNorm):
             jet.append(-_sym3(m, mx) / f**3 + 3.0 * mmm / f**5)
         return jet
 
-    def _dual(self, xi):
-        return np.sqrt(np.einsum("bi,bi->b", xi, xi @ self.matrix_inv))
-
     def metric_on_wulff(self, x):
         return np.broadcast_to(self.matrix_inv, (len(x), self.dim, self.dim)).copy()
 
@@ -418,9 +389,6 @@ class EllipsoidNorm(MinkowskiNorm):
     def q_on_wulff(self, x):
         return np.zeros((len(x),) + (self.dim,) * 3)
 
-    def gauss_preimage(self, z):
-        return unit_rows(self._check_nonzero(z) @ self.matrix_inv)
-
     def descriptor(self):
         return {"family": "ellipsoid", "matrix": self.matrix.tolist()}
 
@@ -429,7 +397,7 @@ class PerturbedNorm(MinkowskiNorm):
     """Base family plus smooth zonal terms.
 
     Every derivative of F is the base's jet plus one folded closed-form jet
-    of the zonal terms; the dual solve, the validation and the base class's G/Q
+    of the zonal terms; the validation and the base class's G/Q
     (Legendre duality at a known Gauss preimage, see the module docstring)
     read them through jet.  Construction validates F > 0 and A_F > 0 on a
     dense sphere sample and fails loudly otherwise.
@@ -520,84 +488,6 @@ class PerturbedNorm(MinkowskiNorm):
                 f"(min eigenvalue {lam[i]:.3e})",
                 node=pts[i],
             )
-
-    # dual: damped Newton ascent of phi(y) = <y, xi>/F(y) over the sphere
-
-    def _newton_ascend(self, y, xi):
-        """Damped Newton on the sphere, at most 30 steps, batched.  A row
-        steps while its relative tangent gradient is above 1e-12; a converged
-        row is set aside, and the solve carries only the live rows (no gather
-        or scatter while every row is live).  One order-2 jet of F per step:
-        the jet taken at an accepted candidate is the next step's.  Returns
-        (y, phi, residual), phi = <y, xi>/F(y) from the final jet."""
-        y, phi, res = y.copy(), np.empty(len(y)), np.full(len(y), np.inf)
-        live = np.arange(len(y))
-        yl, xl, scale = y, xi, np.linalg.norm(xi, axis=-1)
-        f, df, d2f = self._derivative(yl, 2)
-        for _ in range(30):
-            gam = np.einsum("bi,bi->b", yl, xl) / f  # current phi
-            grad_phi = xl / f[:, None] - gam[:, None] * df / f[:, None]
-            tb = tangent_basis(yl)
-            gt = np.einsum("bki,bi->bk", tb, grad_phi)
-            rl = np.linalg.norm(gt, axis=-1) / np.maximum(scale, _EPS)
-            active = rl > 1e-12
-            if not np.all(active):
-                done = ~active
-                y[live[done]], phi[live[done]], res[live[done]] = yl[done], gam[done], rl[done]
-                if not np.any(active):
-                    return y, phi, res
-                live, yl, xl, scale, f, df, d2f, gam, tb, gt, rl = (
-                    a[active] for a in (live, yl, xl, scale, f, df, d2f, gam, tb, gt, rl))
-            h = (
-                -(xl[:, :, None] * df[:, None, :] + df[:, :, None] * xl[:, None, :]) / f[:, None, None] ** 2
-                - gam[:, None, None] * d2f / f[:, None, None]
-                + 2.0 * gam[:, None, None] * df[:, :, None] * df[:, None, :] / f[:, None, None] ** 2
-            )
-            ht = tangent_form(tb, h)
-            reg = 1e-12 * np.eye(y.shape[1] - 1)
-            try:
-                step = np.linalg.solve(-(ht - reg), gt[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                step = gt
-            yl, (f, df, d2f) = self._damped_step(yl, xl, gam, step, tb, [f, df, d2f])
-        y[live], phi[live], res[live] = yl, np.einsum("bi,bi->b", yl, xl) / f, rl
-        return y, phi, res
-
-    def _damped_step(self, y, xi, gam, step, tb, jet):
-        """Rows y moved along their Newton steps, each step halved (at most 30
-        times) until phi does not decrease; a row that never passes stays
-        put.  Returns the new rows and F's order-2 jet there: the ascent test
-        reads the candidate's own jet, so an accepted step costs one jet."""
-        t, rows, out = np.ones(len(y)), slice(None), None
-        for _ in range(30):
-            cand = unit_rows(y[rows] + np.einsum("bk,bkd->bd", t[rows, None] * step[rows], tb[rows]))
-            cjet = self._derivative(cand, 2)
-            ok = np.einsum("bi,bi->b", cand, xi[rows]) / cjet[0] >= gam[rows] - 1e-15
-            if out is None:
-                if np.all(ok):
-                    return cand, cjet  # the full step, for every row
-                out, rows = [y.copy()] + [a.copy() for a in jet], np.arange(len(y))
-            for acc, new in zip(out, [cand] + cjet):
-                acc[rows[ok]] = new[ok]
-            rows = rows[~ok]
-            if len(rows) == 0:
-                break
-            t[rows] *= 0.5
-        return out[0], out[1:]
-
-    def dual_value(self, xi, x_warm):
-        """(F0(xi), maximizer) by a damped Newton ascent from ``x_warm``, one
-        approximate Gauss preimage per row of xi."""
-        xi = self._check_nonzero(xi)
-        y0 = np.asarray(x_warm, dtype=float)
-        if y0.shape != xi.shape:
-            raise InvalidInputError("x_warm needs one row per xi")
-        yf, phi, res = self._newton_ascend(unit_rows(y0), xi)
-        if np.any(res > 1e-6):
-            raise NumericError(f"warm dual ascent did not converge: {np.sum(res > 1e-6)} of "
-                               f"{len(res)} rows above the residual bound 1e-06, worst "
-                               f"{np.max(res):.3e}")
-        return phi, yf
 
     def descriptor(self):
         return {

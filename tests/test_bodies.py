@@ -11,9 +11,9 @@ from capaf.capgeom import CapConfig, build_cap_mesh, radii_form
 from capaf.errors import (ConvexityViolationError, GenerationError,
                           InvalidInputError)
 from capaf.fields import (CombinationField, LinearField, SphericalBumpField,
-                          WulffCapField, intrinsic_tau, kernel_evaluator,
-                          kernel_field, tau_from_generator)
-from capaf.norms import EllipsoidNorm, PerturbedNorm, sym_eig_det
+                          WulffCapField, _geodesic_points, intrinsic_tau,
+                          kernel_evaluator, kernel_field, tau_from_generator)
+from capaf.norms import EllipsoidNorm, PerturbedNorm, sym_eig_det, unit_rows
 
 CASES = [("iso3", 0.0), ("ell3", -0.4), ("pert3", -0.35)]
 
@@ -359,8 +359,10 @@ def test_kernel_tau_intrinsic_route(mesh_factory):
 
 def test_kernel_pass_matches_per_field_route(mesh_factory):
     # one pass over every kernel field gives, bit for bit, what one pass per
-    # field gives with the metric evaluated afresh at every stencil point
+    # field gives with the metric evaluated afresh at every stencil point, at
+    # its Gauss preimage (for the ellipsoid x ~ M^-1 z)
     mesh = mesh_factory("ell3", -0.4, 3)
+    model = mesh.model
     idx = mesh.interior_idx[:80]
     tau, grad = intrinsic_tau(mesh, kernel_evaluator(mesh), idx, step=0.05)
     assert tau.shape == (len(idx), 2, 2, 2) and grad.shape == (len(idx), 2, 2)
@@ -368,41 +370,62 @@ def test_kernel_pass_matches_per_field_route(mesh_factory):
         e = np.eye(3)[alpha]
 
         def single(z, g):
-            g = mesh.model.metric_on_wulff(mesh.model.gauss_preimage(z))
+            g = model.metric_on_wulff(unit_rows(z @ model.matrix_inv))
             return np.einsum("bij,bi,j->b", g, z, e)[:, None]
 
         tau_a, grad_a = intrinsic_tau(mesh, single, idx, step=0.05)
         assert np.array_equal(tau_a[:, 0], tau[:, alpha])
         assert np.array_equal(grad_a[:, 0], grad[:, alpha])
-    # the check's maxima list E_1, E_2 in field order
+    # the raw maxima are the step-h pass's and the check's extrapolate the
+    # passes at h and h/2 on the same nodes, E_1, E_2 in field order
     step = 0.3 * 0.5**mesh.config.mesh_level
     safe = fn._stencil_safe_interior(mesh, 3.0 * step)
-    tau_run = intrinsic_tau(mesh, kernel_evaluator(mesh), safe, step)[0]
-    assert fn.kernel_tau_intrinsic(mesh) == [float(np.max(np.abs(tau_run[:, a])))
-                                             for a in range(2)]
+    tau_h, tau_half = (intrinsic_tau(mesh, kernel_evaluator(mesh), safe, s)[0]
+                       for s in (step, 0.5 * step))
+
+    def maxima(t):
+        return [float(np.max(np.abs(t[:, a]))) for a in range(2)]
+
+    assert fn.kernel_tau_raw(mesh) == maxima(tau_h)
+    assert fn.kernel_tau_intrinsic(mesh) == maxima((4.0 * tau_half - tau_h) / 3.0)
 
 
-def _record_dual_solves(monkeypatch):
-    """Every PerturbedNorm.dual_value call from now on, as (xi, x_warm,
-    maximizer)."""
-    real = PerturbedNorm.dual_value
-    calls = []
+@pytest.mark.parametrize("name,w0", [("ell3", -0.4), ("pert3", -0.35)])
+def test_stencil_curve_matches_the_geodesic_to_second_order(mesh_factory, name, w0):
+    # at random interior nodes and velocities v, each stencil point's jet is
+    # F's at its unit preimage, so its Wulff point is DF there; over three
+    # steps h, (z+ - z-)/2h tends to v and the G-tangential part of
+    # (z+ - 2z + z-)/h^2 to a geodesic's -Q(v, v, .)/2, both at O(h^2)
+    mesh = mesh_factory(name, w0, 3)
+    rng = np.random.default_rng(37)
+    idx = rng.choice(mesh.interior_idx, 20, replace=False)
+    vel = rng.normal(size=(len(idx), mesh.n))
+    z, g, frame = mesh.psi[idx], mesh.G[idx], mesh.frame[idx]
+    v = np.einsum("bk,bkd->bd", vel, frame)
+    acc = -0.5 * np.einsum("bijl,bi,bj->bl", mesh.q_frame[idx], vel, vel)
+    d3f = mesh.model.jet(mesh.nodes[idx], 3)[3]
+    errors = []
+    for h in (0.04, 0.02, 0.01):
+        (xp, jp), (xm, jm) = _geodesic_points(mesh, idx, vel, h, d3f)
+        for x, jet in ((xp, jp), (xm, jm)):
+            assert np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) < 1e-15
+            for got, want in zip(jet, mesh.model.jet(x, 2)):
+                assert np.array_equal(got, want)
+        velocity = (jp[1] - jm[1]) / (2.0 * h) - v
+        tangential = np.einsum("bd,bde,ble->bl", (jp[1] - 2.0 * z + jm[1]) / h**2, g, frame)
+        errors.append((np.max(np.abs(velocity)), np.max(np.abs(tangential - acc))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert all(c / f > 3.5 for c, f in zip(coarse, fine)), errors
 
-    def recording(self, xi, x_warm):
-        f0, x = real(self, xi, x_warm)
-        calls.append((np.asarray(xi), np.asarray(x_warm), x))
-        return f0, x
 
-    monkeypatch.setattr(PerturbedNorm, "dual_value", recording)
-    return calls
-
-
-def test_mesh_reads_g_and_q_at_its_nodes_without_a_solve(monkeypatch, model_factory):
-    # the nodes are the Gauss preimages of the mesh's Wulff points
-    calls = _record_dual_solves(monkeypatch)
+def test_mesh_reads_g_and_q_at_its_nodes_without_a_solve(model_factory):
+    # the nodes are the Gauss preimages of the mesh's Wulff points: G and Q
+    # are read there by the Legendre route, blocking moving no bit
     mesh = build_cap_mesh(CapConfig(model_factory("pert3"), -0.35, 3))
-    mesh.q_frame
-    assert calls == []
+    model, frame = mesh.model, mesh.frame
+    assert np.array_equal(mesh.G, model.metric_on_wulff(mesh.nodes))
+    q = np.einsum("bijk,bpi,bqj,brk->bpqr", model.q_on_wulff(mesh.nodes), frame, frame, frame)
+    assert np.array_equal(mesh.q_frame, q)
 
 
 def test_bodies_on_one_mesh_reuse_its_parameter_velocities(monkeypatch, model_factory):
@@ -447,61 +470,65 @@ def test_mesh_and_its_bodies_differentiate_F_at_the_nodes_once(monkeypatch, mode
     assert at_nodes == [2]
 
 
+def _record_jets(monkeypatch):
+    """Every PerturbedNorm jet from now on, as (x, order)."""
+    real = PerturbedNorm._derivative
+    seen = []
+
+    def recording(self, x, order):
+        seen.append((np.array(x), order))
+        return real(self, x, order)
+
+    monkeypatch.setattr(PerturbedNorm, "_derivative", recording)
+    return seen
+
+
 def test_kernel_pass_solves_once_per_stencil_point(monkeypatch, mesh_factory):
-    # n(n+1) projection solves, warm from the nodes' preimages moved to first
-    # order along the stencil step: each +/- pair starts symmetric about its
-    # nodes, nearer the maximizer than the nodes are; the metric at each
-    # projected point is read at the projection's maximizer, with no solve
+    # each of the n(n+1) stencil points of a pass is placed once, in closed
+    # form on the unit sphere, and read by one order-2 jet of F; no linear
+    # solve is made.  Each +/- pair is symmetric about its nodes to second
+    # order: halving the step (the h/2 pass, same nodes and directions)
+    # brings the pair's midpoint nearer the nodes by about four
     mesh = mesh_factory("pert3", -0.35, 3)
-    calls = _record_dual_solves(monkeypatch)
+    mesh.q_frame
+    seen = _record_jets(monkeypatch)
+    real_solve, solves = np.linalg.solve, []
+
+    def solve(a, b):
+        solves.append(np.shape(b))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
     fn.kernel_tau_intrinsic(mesh)
+    assert solves == []
     n = mesh.n
-    assert len(calls) == n * (n + 1)
-    for (_, plus, x_plus), (_, minus, x_minus) in zip(calls[::2], calls[1::2]):
-        mid = 0.5 * (plus + minus)
-        nodes = mesh.nodes[np.argmin(np.linalg.norm(mid[:, None] - mesh.nodes[None], axis=-1), axis=1)]
-        assert np.max(np.abs(mid - nodes)) < 1e-15
-        for warm, x in ((plus, x_plus), (minus, x_minus)):
-            assert np.all(np.linalg.norm(x - warm, axis=-1) < np.linalg.norm(x - nodes, axis=-1))
+    safe = mesh.nodes[fn._stencil_safe_interior(mesh, 3.0 * 0.3 * 0.5**mesh.config.mesh_level)]
+    points = [x for x, order in seen if order == 2]
+    assert len(points) == 2 * n * (n + 1)
+    for x in points:
+        assert x.shape == safe.shape and np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) < 1e-15
+    drift = [np.max(np.linalg.norm(0.5 * (plus + minus) - safe, axis=-1))
+             for plus, minus in zip(points[::2], points[1::2])]
+    half = n * (n + 1) // 2
+    for coarse, fine in zip(drift[:half], drift[half:]):
+        assert coarse / fine > 3.5, drift
 
 
 def test_dual_solve_takes_one_jet_of_f_per_newton_step(monkeypatch, mesh_factory):
-    # inside the kernel pass's projection solves, F is differentiated once at
-    # the warm start and once per Newton step (the accepted candidate's jet
-    # serves the next step and the ascent test), never at order 0; the
-    # metric reads at the maximizers, outside the solves, are not counted
+    # the Gauss preimages the kernel pass needs are built in closed form, so
+    # no Newton step is taken: F is differentiated once per pass at order 3
+    # at its nodes (the same nodes at h and h/2), which its n(n+1)/2 stencils
+    # share, then once at order 2 per stencil point, never at order 0 or 1
     mesh = mesh_factory("pert3", -0.35, 3)
-    inside, orders, steps = [False], [], []
-    real_derivative, real_dual, real_solve = (PerturbedNorm._derivative,
-                                              PerturbedNorm.dual_value, np.linalg.solve)
-
-    def derivative(self, x, order):
-        if inside[0]:
-            orders[-1].append(order)
-        return real_derivative(self, x, order)
-
-    def dual_value(self, xi, x_warm):
-        inside[0] = True
-        orders.append([])
-        steps.append(0)
-        try:
-            return real_dual(self, xi, x_warm)
-        finally:
-            inside[0] = False
-
-    def solve(a, b):  # one linear solve per Newton step
-        if inside[0]:
-            steps[-1] += 1
-        return real_solve(a, b)
-
-    monkeypatch.setattr(PerturbedNorm, "_derivative", derivative)
-    monkeypatch.setattr(PerturbedNorm, "dual_value", dual_value)
-    monkeypatch.setattr(np.linalg, "solve", solve)
+    mesh.q_frame
+    seen = _record_jets(monkeypatch)
     fn.kernel_tau_intrinsic(mesh)
-    assert len(orders) == mesh.n * (mesh.n + 1)
-    for seen, k in zip(orders, steps):
-        assert k > 0 and 0 not in seen
-        assert seen.count(2) <= 1 + k and set(seen) == {2}
+    n = mesh.n
+    assert [order for _, order in seen] == ([3] + [2, 2] * (n * (n + 1) // 2)) * 2
+    safe = mesh.nodes[fn._stencil_safe_interior(mesh, 3.0 * 0.3 * 0.5**mesh.config.mesh_level)]
+    for k, (x, order) in enumerate(seen):
+        if order == 3:
+            assert np.array_equal(x, safe), k
 
 
 def test_cap_support_tau_is_identity(mesh_factory):

@@ -494,6 +494,30 @@ def test_no_module_imports_a_layer_above_it_but_the_named_two():
     assert upward == UPWARD_IMPORTS
 
 
+# The one import a module reads none of: bodies.py imports capgeom's
+# icosphere_vertices by value for the benchmark harness's self-test
+UNREAD_IMPORTS = {"bodies.icosphere_vertices"}
+
+
+def test_every_imported_name_is_read_in_its_module():
+    """Every name a capaf module imports, at module level or in a function,
+    is read in that module; the re-exports of __init__.py are exempt, and
+    UNREAD_IMPORTS is exact."""
+    root = Path(__file__).resolve().parents[1] / "src/capaf"
+    unread = set()
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(a.asname or a.name).split(".")[0] for n in ast.walk(tree)
+                    if isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", None)
+                    != "__future__" for a in n.names}
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread |= {f"{path.stem}.{name}" for name in imported - loaded}
+    assert unread == UNREAD_IMPORTS, f"imported, never read: {sorted(unread - UNREAD_IMPORTS)}"
+
+
 # Public, and read by no capaf run: independent routes that the tests compare
 # capaf against, and what only they read
 REFERENCE_ROUTES = {

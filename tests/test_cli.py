@@ -888,9 +888,9 @@ class _ReadLog(dict):
 
 def test_every_tolerance_has_a_reader(monkeypatch):
     """Every suite, on an analytic and on the perturbed config at level 2,
-    reads each tolerance name between them: kernel_smoke is read only on
-    the perturbed config, kernel_max, kernel_ratio and kernel_floor only on
-    the analytic ones, and kernel_generator on both."""
+    reads each tolerance name between them: the kernel suite takes one path
+    for every norm family, so kernel_max, kernel_ratio, kernel_floor and
+    kernel_generator are read on both."""
     import capaf.cli as cli
 
     seen = set()

@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 import capaf.fd as fd
 from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.config import parse_config
-from capaf.errors import InvalidInputError, ModelInvalidError, NumericError
+from capaf.errors import InvalidInputError, ModelInvalidError
 from capaf.fields import CombinationField, LinearField, SphericalBumpField, WulffCapField
 from capaf.mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm, PerturbedNorm,
@@ -32,6 +32,29 @@ def tilted(x, angle, seed=0):
     tb = tangent_basis(x)
     c = unit_rows(np.random.default_rng(seed).normal(size=tb.shape[:2]))
     return np.cos(angle) * x + np.sin(angle) * np.einsum("bk,bkd->bd", c, tb)
+
+
+def dual_norm(model, xi, x_warm, steps=12):
+    """Test oracle for the dual norm F0(xi) = max_y <y, xi>/F(y) and its
+    maximizer y, the Gauss preimage of xi / F0(xi): plain Newton steps on
+    the unit sphere from x_warm, each row on its own, on the tangential
+    gradient of phi(y) = <y, xi>/F(y).  Fails unless every row converges."""
+    y = unit_rows(x_warm)
+    for k in range(steps + 1):
+        f, df, d2f = model.jet(y, 2)
+        phi = np.einsum("bi,bi->b", y, xi) / f
+        grad = (xi - phi[:, None] * df) / f[:, None]
+        tb = tangent_basis(y)
+        gt = np.einsum("bkd,bd->bk", tb, grad)
+        if k == steps:
+            break
+        hess = -(df[:, :, None] * grad[:, None, :] + grad[:, :, None] * df[:, None, :]
+                 + phi[:, None, None] * d2f) / f[:, None, None]
+        step = np.linalg.solve(np.einsum("bki,bij,blj->bkl", tb, hess, tb), -gt[..., None])
+        y = unit_rows(y + np.einsum("bk,bkd->bd", step[..., 0], tb))
+    res = np.linalg.norm(gt, axis=-1) * f / np.linalg.norm(xi, axis=-1)
+    assert np.all(res < 1e-12), float(np.max(res))
+    return phi, y
 
 
 def anisotropy(model, x, basis):
@@ -61,7 +84,7 @@ def test_zero_vector_rejected(model_factory):
     with pytest.raises(InvalidInputError, match="zero vector"):
         model_factory("iso3").value(np.zeros((1, 3)))
     with pytest.raises(InvalidInputError, match="zero vector"):
-        model_factory("ell3").dual_value(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+        model_factory("ell3").jet(np.zeros((1, 3)), 3)
     with pytest.raises(InvalidInputError, match="zero vector"):
         model_factory("pert3").hess(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
     # a zonal term shares the norms' rows contract, zero check included
@@ -84,16 +107,10 @@ def test_every_evaluator_rejects_a_single_point_or_matrix(model_factory):
     entries = [tangent_basis]
     for func in funcs:
         entries += [func.value, func.grad, func.hess, lambda x, f=func: f.jet(x, 2)[2]]
-    for model in funcs[:len(MODELS)]:
-        entries += [lambda x, m=model: m.dual_value(x, x)[0],
-                    lambda x, m=model: m.dual_value(x, x)[1]]
-    entries += [funcs[0].gauss_preimage, funcs[1].gauss_preimage]
     for entry in entries:
         assert np.asarray(entry(row)).shape[0] == 1
         with pytest.raises(InvalidInputError):
             entry(point)
-    with pytest.raises(InvalidInputError):
-        model_factory("pert3").dual_value(row, point)
     mats = [np.eye(2), 2.0 * np.eye(2)]
     for entry in (mixed_discriminant_batch, mixed_disc_gradient,
                   lambda m: md_transform_check(m, [np.eye(2)])):
@@ -135,12 +152,12 @@ def test_euler_relation(model_factory, name, tol):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_wulff_membership(model_factory, name):
-    # F0(Psi(x)) = 1 on the Wulff shape, the perturbed ascent starting 0.1
-    # rad off the preimage x and returning to it
+    # F0(Psi(x)) = 1 on the Wulff shape: the oracle's ascent starts 0.1 rad
+    # off the preimage x and returns to it
     model = model_factory(name)
     x = sample_dirs(3, 100, seed=4)
     psi = model.grad(x)
-    f0, arg = model.dual_value(psi, tilted(x, 0.1, seed=4))
+    f0, arg = dual_norm(model, psi, tilted(x, 0.1, seed=4))
     assert np.max(np.abs(f0 - 1.0)) < 1e-8
     assert np.max(np.abs(arg - x)) < 1e-8
 
@@ -202,37 +219,38 @@ def test_ellipsoid_jets_and_dual_row_independent_of_batch():
     # on the 2x2 I + 0.1, contracting x, M and x in one einsum gives some
     # lone rows other last bits than inside a 300-row batch; one x @ M per
     # jet, then a row dot, gives each of 300 standard-normal rows the bits of
-    # the whole batch, at every order, in the closed-form dual, and under a
-    # perturbed norm on that base
+    # the whole batch, at every order, in the dual metric G that the Legendre
+    # route reads from the jet, and under a perturbed norm on that base
     base = EllipsoidNorm(np.eye(2) + 0.1)
     pert = PerturbedNorm(base, [PerturbTerm("bump", (0.4, 0.92), 0.3, 0.05),
                                 PerturbTerm("quadratic", (0.0, 1.0), 0.0, 0.06)])
     x = np.random.default_rng(0).normal(size=(300, 2))
     jets = [model.jet(x, 3) for model in (base, pert)]
-    f0, arg = base.dual_value(x, x)
+    metrics = [MinkowskiNorm.metric_from_jet(model, jet) for model, jet in zip((base, pert), jets)]
     for i in range(len(x)):
         row = x[i:i + 1]
-        for model, jet in zip((base, pert), jets):
-            for order, (one, whole) in enumerate(zip(model.jet(row, 3), jet)):
-                assert np.array_equal(one, whole[i:i + 1]), (model.family, order, i)
-        one_f0, one_arg = base.dual_value(row, row)
-        assert one_f0[0] == f0[i] and np.array_equal(one_arg[0], arg[i]), i
+        for model, jet, g in zip((base, pert), jets, metrics):
+            one = model.jet(row, 3)
+            for order, whole in enumerate(jet):
+                assert np.array_equal(one[order], whole[i:i + 1]), (model.family, order, i)
+            assert np.array_equal(MinkowskiNorm.metric_from_jet(model, one), g[i:i + 1]), i
 
 
 @pytest.mark.parametrize("base", (IsotropicNorm(2), EllipsoidNorm(np.eye(2) + 0.1)),
                          ids=("iso", "ell"))
 def test_perturbed_dual_row_independent_of_batch(base):
-    # the ascent's tangent Hessians are 2-d forms, and a row whose solve runs
-    # alone for its last steps still gets the bits of the whole batch: each
-    # of 300 standard-normal rows, warm from itself, solves to the whole
-    # batch's F0 and maximizer
+    # the dual side of the perturbed norm is its metric G and tensor Q at the
+    # Gauss preimages, the Hessian and third derivative of (1/2) F0^2 by the
+    # Legendre route: each of 300 standard-normal rows, alone, gets the bits
+    # it has in the whole batch
     pert = PerturbedNorm(base, [PerturbTerm("bump", (0.4, 0.92), 0.3, 0.05),
                                 PerturbTerm("quadratic", (0.0, 1.0), 0.0, 0.06)])
     x = np.random.default_rng(0).normal(size=(300, 2))
-    f0, arg = pert.dual_value(x, x)
+    g, q = pert.metric_on_wulff(x), pert.q_on_wulff(x)
     for i in range(len(x)):
-        one_f0, one_arg = pert.dual_value(x[i:i + 1], x[i:i + 1])
-        assert one_f0[0] == f0[i] and np.array_equal(one_arg[0], arg[i]), i
+        row = x[i:i + 1]
+        assert np.array_equal(pert.metric_on_wulff(row), g[i:i + 1]), i
+        assert np.array_equal(pert.q_on_wulff(row), q[i:i + 1]), i
 
 
 @pytest.mark.parametrize("d", (2, 3))
@@ -373,30 +391,6 @@ def test_perturbed_derivatives_match_fd_oracle(model_factory, name):
     assert np.max(np.abs(np.asarray(model.hess(x)) - h)) < 1e-6
 
 
-@pytest.mark.parametrize("name", ["pert3", "pert2"])
-def test_newton_batch_rows_match_solo_solves(model_factory, name):
-    # a converged row is not stepped again, and the rows still ascending step
-    # as they would alone: the batch equals the two solo solves bit for bit
-    model = model_factory(name)
-    d = model.dim
-    xi = np.array([[0.2, -0.1, 1.1], [-0.5, 0.3, 0.8]])[:, -d:]
-    y0 = model._newton_ascend(unit_rows(xi[:1]), xi[:1])[0]
-    warm = np.vstack([y0, unit_rows(xi[1:])])
-    y, phi_newton, res = model._newton_ascend(warm, xi)
-    solo = [model._newton_ascend(warm[i:i + 1], xi[i:i + 1]) for i in range(2)]
-    for k, out in enumerate((y, phi_newton, res)):
-        assert np.array_equal(out, np.concatenate([s[k] for s in solo])), k
-    # phi comes from the final jet, whose value has the bits of F(y)
-    assert np.array_equal(phi_newton, np.einsum("bi,bi->b", y, xi) / model.value(y))
-    assert np.array_equal(y[0], warm[0]) and not np.array_equal(y[1], warm[1])
-    phi, arg = model.dual_value(xi, warm)
-    with pytest.raises(InvalidInputError):
-        model.dual_value(xi, warm[:1])
-    for i in range(2):
-        phi_i, arg_i = model.dual_value(xi[i:i + 1], warm[i:i + 1])
-        assert phi[i] == phi_i[0] and np.array_equal(arg[i], arg_i[0])
-
-
 def test_perturbed_validation_rejects_wild_amplitude():
     with pytest.raises(ModelInvalidError):
         PerturbedNorm(IsotropicNorm(3),
@@ -439,14 +433,16 @@ def test_perturbed_validation_peak_memory(traced_peak):
 
 
 def test_dual_norm_isotropic():
-    f0, arg = IsotropicNorm(3).dual_value(np.array([[3.0, 4.0, 0.0]]),
-                                          np.array([[0.0, 0.0, 1.0]]))
+    # the tests' dual-norm oracle: F0 = |xi|, maximized at xi / |xi|
+    f0, arg = dual_norm(IsotropicNorm(3), np.array([[3.0, 4.0, 0.0]]),
+                        np.array([[0.5, 0.5, 0.7]]))
     assert f0[0] == pytest.approx(5.0)
     assert np.allclose(arg, [[0.6, 0.8, 0.0]])
 
 
 def test_dual_norm_ellipsoid_vs_numeric_sup(model_factory):
-    # independent oracle: dense sample plus derivative-free polish
+    # the tests' dual-norm oracle against a dense sample plus derivative-free
+    # polish
     model = model_factory("ell3diag")
     xi = np.array([0.0, 0.0, 1.0])
     dirs = sample_dirs(3, 4000, seed=8)
@@ -464,18 +460,19 @@ def test_dual_norm_ellipsoid_vs_numeric_sup(model_factory):
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 600})
     numeric_sup = -res.fun
     assert numeric_sup == pytest.approx(0.5, abs=1e-8)
-    assert model.dual_value(xi[None], best[None])[0][0] == pytest.approx(numeric_sup, abs=1e-8)
+    assert dual_norm(model, xi[None], best[None])[0][0] == pytest.approx(numeric_sup, abs=1e-8)
 
 
 @pytest.mark.parametrize("name", MODELS)
 def test_dual_homogeneity(model_factory, name):
-    # both ascents start 0.1 rad off the preimage x of xi
+    # the tests' dual-norm oracle: both ascents start 0.1 rad off the
+    # preimage x of xi
     model = model_factory(name)
     x = sample_dirs(3, 20, seed=9)
     xi = 1.7 * model.grad(x)
     warm = tilted(x, 0.1, seed=9)
-    f1, _ = model.dual_value(xi, warm)
-    f2, _ = model.dual_value(3.0 * xi, warm)
+    f1, _ = dual_norm(model, xi, warm)
+    f2, _ = dual_norm(model, 3.0 * xi, warm)
     assert np.max(np.abs(f2 / f1 - 3.0)) < 1e-9
 
 
@@ -559,7 +556,7 @@ def fd_newton_metric(model, z, x_warm):
     """Independent oracle for G: FD Hessian of (1/2) F0^2 over warm Newton solves.
 
     One unextrapolated central-difference Hessian stencil; every stencil
-    point runs its own warm dual ascent from the matching x_warm row.
+    point runs the tests' dual-norm oracle from the matching x_warm row.
     """
     b = z.shape[0]
     h0 = 1e-4
@@ -567,7 +564,7 @@ def fd_newton_metric(model, z, x_warm):
 
     def half_dual_sq(pts):
         warm = np.repeat(x_warm, pts.shape[0] // b, axis=0)
-        val, _ = model.dual_value(pts, warm)
+        val, _ = dual_norm(model, pts, warm)
         return 0.5 * val * val
 
     hess, _ = fd.central_hessian(half_dual_sq, z, h, richardson=False)
@@ -590,7 +587,8 @@ def test_closed_form_metric_matches_fd_newton_oracle(model_factory, name):
 @pytest.mark.parametrize("name", ("pert3", "pert2"))
 def test_closed_form_q_matches_metric_differences(model_factory, name):
     # Q = DG: central differences of the closed-form G in each ambient axis,
-    # each off-shape point taking its own Gauss preimage by a warm solve from x
+    # each off-shape point taking its own Gauss preimage from the tests'
+    # dual-norm oracle, warm from x
     # (G is 0-homogeneous, so G(z) is G at the Wulff point z / F0(z))
     model = model_factory(name)
     z, x = _wulff_sample(model, 30, seed=18)
@@ -599,7 +597,7 @@ def test_closed_form_q_matches_metric_differences(model_factory, name):
     eye = np.eye(model.dim)
 
     def metric(p):
-        return np.asarray(model.metric_on_wulff(model.dual_value(p, x)[1]))
+        return np.asarray(model.metric_on_wulff(dual_norm(model, p, x)[1]))
 
     for c in range(model.dim):
         dg = (metric(z + k * eye[c]) - metric(z - k * eye[c])) / (2.0 * k)
@@ -706,21 +704,3 @@ def test_closed_form_spectrum_reads_the_lower_triangle_and_is_exact_at_n1():
     # the entry itself, as numpy's det, through exp(log |a|), is not exact
     assert np.array_equal(det, one[:, 0, 0])
 
-
-def test_dual_ascent_error_names_its_residual(model_factory, monkeypatch):
-    """An unconverged dual ascent says how many rows missed the 1e-6 bound
-    and by how much."""
-    model = model_factory("pert3")
-    ascend = PerturbedNorm._newton_ascend
-
-    def stalled(self, y, xi):
-        y, phi, res = ascend(self, y, xi)
-        res[1] = 1e-3
-        return y, phi, res
-
-    monkeypatch.setattr(PerturbedNorm, "_newton_ascend", stalled)
-    rows = np.array([[0.1, 0.2, 0.97], [0.0, 0.3, 0.95], [-0.2, 0.1, 0.9]])
-    with pytest.raises(NumericError) as err:
-        model.dual_value(rows, rows)
-    message = str(err.value)
-    assert "1 of 3 rows" in message and "1e-06" in message and "1.000e-03" in message
