@@ -23,9 +23,9 @@ from .fields import (CombinationField, LinearField, SphericalBumpField,
                      SupportField, WulffCapField, kernel_field)
 from .functionals import (InequalityReport, af_inequality_check,
                           divergence_identity_check, generalized_chain_check,
-                          hull_volume_oracle, minkowski_formula_residual,
-                          mixed_volume, operator_a_apply,
-                          operator_a_energy_check, quermassintegral,
+                          minkowski_formula_residual, mixed_volume,
+                          operator_a_apply, operator_a_energy_check,
+                          polytope_mixed_volume, quermassintegral,
                           quermassintegral_chain_check, steiner_check,
                           symmetry_check, volume)
 from .mixdisc import (md_transform_check, mixed_disc_gradient,

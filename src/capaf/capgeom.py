@@ -25,9 +25,10 @@ radii cap_tau (those of F itself, from the jet's D^2F).  At boundary nodes
 the frame's last vector is aligned with A_F(nu) mu, mu being the Euclidean
 outward co-normal, and the first vectors span the boundary tangent.  Lazy
 caches, computed once per mesh on first use (arrays read-only): q_frame,
-cap_body, interior_candidates and region_complement.  The intrinsic kernel
-route's stencil is per call and not cached, since cached meshes would keep
-it alive.
+cap_body, interior_candidates, region_complement, and the tau of each
+intrinsic kernel pass, keyed by its step fraction.  The kernel route's
+stencil is per call and not cached, since cached meshes would keep it
+alive; only each pass's (K, n, n, n) result is kept.
 
 The admissible geometry is n in SUPPORTED_N, w0 in the open interval
 admissible_range(F) and a mesh level in [0, MAX_MESH_LEVEL]: CapConfig alone

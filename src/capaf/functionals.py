@@ -12,9 +12,10 @@ A mixed volume is a float, evaluated by one of three routes:
 
 The first two agree pointwise (mixed discriminants transform by det under
 the frame change, absorbing det A_F), the third by polynomiality of the
-volume.  The integral routes are slot-symmetrized (averaged over which
-argument occupies the multiplier slot); the raw single-slot form is what
-symmetry_check measures.  Every check reads its mixed volumes as index
+volume.  polytope_mixed_volume, a Hessian-free oracle, reads the polytopes
+inscribed in the bodies and agrees at second order.  The integral routes
+are slot-symmetrized (averaged over which argument occupies the multiplier
+slot); the raw single-slot form is what symmetry_check measures.  Every check reads its mixed volumes as index
 tuples over one family of bodies, whose slot sums are each taken once.
 
 Volume and the multiplier slot integrate the anchored support
@@ -39,8 +40,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .bodies import CapillaryBody, shared_mesh
-from .capgeom import (CapMesh, parameter_velocities, radii_form, region_residual,
-                      signed_area)
+from .capgeom import CapMesh, parameter_velocities, radii_form, signed_area
 from .errors import ConvexityViolationError, InvalidInputError
 from .fields import SupportField, _geodesic_points, intrinsic_tau, kernel_evaluator
 from .mixdisc import mixed_disc_gradient, mixed_discriminant_batch
@@ -105,29 +105,17 @@ def volume_of_combination(bodies, lambdas) -> float:
     return float(np.sum(mesh.weights * s * sym_eig_det(w)[1]) / (mesh.n + 1))
 
 
-def hull_volume_oracle(body: CapillaryBody, seed: int = 0) -> float:
-    """Convex-hull volume of 12000 sampled boundary points (independent route)."""
-    from scipy.spatial import ConvexHull
-
-    mesh = body.mesh
-    rng = np.random.default_rng(seed)
-    pts = [body.X - body.anchor[None, :]]
-    d = mesh.dim
-    need = max(0, 12000 - len(pts[0]))
-    batch = []
-    while sum(len(a) for a in batch) < need:
-        cand = rng.normal(size=(4 * need, d))
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        keep = cand[region_residual(mesh.model, mesh.omega0, cand) > 0]
-        batch.append(keep)
-        if not len(keep):
-            break
-    if batch:
-        extra = np.concatenate(batch, axis=0)[:need]
-        if len(extra):
-            pts.append(np.asarray(body.field.grad(extra)) - body.anchor[None, :])
-    cloud = np.concatenate(pts, axis=0)
-    return float(ConvexHull(cloud).volume)
+def polytope_mixed_volume(bodies) -> float:
+    """V(K_0, ..., K_n) of the polytopes inscribed in the bodies, a Hessian-free
+    oracle: each body's boundary points X over the mesh's cells, closed by
+    the flat face, which lies in {x_d = 0} with the origin and so adds
+    nothing.  The mixed discriminant of the cells' (n+1) x (n+1) vertex
+    matrices polarizes det, so [K] * (n+1) gives the polytope's volume; the
+    cells' signed cones are summed, and the value tends to V at second order."""
+    bodies = list(bodies)
+    mesh = _require_full_tuple(bodies)
+    cells = mixed_discriminant_batch([b.X[mesh.cells] for b in bodies])
+    return float(np.sum(cells)) / factorial(mesh.n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +590,13 @@ def generalized_chain_family(k0: CapillaryBody, k1: CapillaryBody, trailing, m: 
 def _kernel_passes(mesh: CapMesh, steps) -> list:
     """Intrinsic-route tau of the horizontal kernel fields at the interior
     nodes clear of the boundary by three times the step 0.3 * 2^-level, one
-    pass over one stencil per step in `steps` (fractions of that step)."""
+    pass over one stencil per step in `steps` (fractions of that step), each
+    kept in the mesh's lazy caches under its fraction, so kernel_tau_raw and
+    kernel_tau_intrinsic share the step-h pass."""
     step = 0.3 * 0.5**mesh.config.mesh_level
     idx = _stencil_safe_interior(mesh, 3.0 * step)
-    return [intrinsic_tau(mesh, kernel_evaluator(mesh), idx, s * step)[0] for s in steps]
+    return [mesh._lazy(f"kernel_tau({s})", lambda s=s: intrinsic_tau(
+        mesh, kernel_evaluator(mesh), idx, s * step)[0]) for s in steps]
 
 
 def _field_maxima(tau) -> list:

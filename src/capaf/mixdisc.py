@@ -1,10 +1,11 @@
-"""Mixed discriminants of symmetric matrices, batched.
+"""Mixed discriminants of square matrices, batched.
 
 The mixed discriminant Q(A_1, ..., A_n) is the full polarization of the
 determinant: det(sum_k t_k A_k) = sum over index tuples of t_{i_1}...t_{i_n}
 Q(A_{i_1}, ..., A_{i_n}).  Every entry point takes its n arguments as
-aligned (B, n, n) batches and answers one entry per row.  Two independent
-evaluation routes are kept:
+aligned (B, n, n) batches, symmetric or not (the transform check and the
+inscribed polytope's vertex matrices are not), and answers one entry per
+row.  Two independent evaluation routes are kept:
 
 * the generalized-Kronecker-delta sum over signed permutation pairs
   (n! squared terms; used for n <= 3, where the expansion is explicit), and

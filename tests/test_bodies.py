@@ -390,6 +390,19 @@ def test_kernel_pass_matches_per_field_route(mesh_factory):
     assert fn.kernel_tau_intrinsic(mesh) == maxima((4.0 * tau_half - tau_h) / 3.0)
 
 
+def test_kernel_passes_are_kept_on_the_mesh(monkeypatch, model_factory):
+    # each pass's tau is kept under its step fraction: the raw maxima and the
+    # extrapolation take the h and h/2 passes once each, whatever the order
+    mesh = build_cap_mesh(CapConfig(model_factory("ell3"), -0.4, 3))
+    real, steps = fn.intrinsic_tau, []
+    monkeypatch.setattr(fn, "intrinsic_tau",
+                        lambda *args: steps.append(args[-1]) or real(*args))
+    raw, check = fn.kernel_tau_raw(mesh), fn.kernel_tau_intrinsic(mesh)
+    assert (fn.kernel_tau_raw(mesh), fn.kernel_tau_intrinsic(mesh)) == (raw, check)
+    h = 0.3 * 0.5**mesh.config.mesh_level
+    assert steps == [h, 0.5 * h]
+
+
 @pytest.mark.parametrize("name,w0", [("ell3", -0.4), ("pert3", -0.35)])
 def test_stencil_curve_matches_the_geodesic_to_second_order(mesh_factory, name, w0):
     # at random interior nodes and velocities v, each stencil point's jet is
@@ -483,13 +496,15 @@ def _record_jets(monkeypatch):
     return seen
 
 
-def test_kernel_pass_solves_once_per_stencil_point(monkeypatch, mesh_factory):
+def test_kernel_pass_places_symmetric_stencil_points_without_a_solve(monkeypatch,
+                                                                     model_factory):
     # each of the n(n+1) stencil points of a pass is placed once, in closed
     # form on the unit sphere, and read by one order-2 jet of F; no linear
     # solve is made.  Each +/- pair is symmetric about its nodes to second
     # order: halving the step (the h/2 pass, same nodes and directions)
-    # brings the pair's midpoint nearer the nodes by about four
-    mesh = mesh_factory("pert3", -0.35, 3)
+    # brings the pair's midpoint nearer the nodes by about four.  A fresh
+    # mesh: a cached one may already keep its passes
+    mesh = build_cap_mesh(CapConfig(model_factory("pert3"), -0.35, 3))
     mesh.q_frame
     seen = _record_jets(monkeypatch)
     real_solve, solves = np.linalg.solve, []
@@ -514,12 +529,14 @@ def test_kernel_pass_solves_once_per_stencil_point(monkeypatch, mesh_factory):
         assert coarse / fine > 3.5, drift
 
 
-def test_dual_solve_takes_one_jet_of_f_per_newton_step(monkeypatch, mesh_factory):
-    # the Gauss preimages the kernel pass needs are built in closed form, so
-    # no Newton step is taken: F is differentiated once per pass at order 3
-    # at its nodes (the same nodes at h and h/2), which its n(n+1)/2 stencils
-    # share, then once at order 2 per stencil point, never at order 0 or 1
-    mesh = mesh_factory("pert3", -0.35, 3)
+def test_kernel_pass_takes_one_order_3_jet_and_an_order_2_jet_per_point(monkeypatch,
+                                                                        model_factory):
+    # the Gauss preimages the kernel pass needs are built in closed form:
+    # F is differentiated once per pass at order 3 at its nodes (the same
+    # nodes at h and h/2), which its n(n+1)/2 stencils share, then once at
+    # order 2 per stencil point, never at order 0 or 1.  A fresh mesh: a
+    # cached one may already keep its passes
+    mesh = build_cap_mesh(CapConfig(model_factory("pert3"), -0.35, 3))
     mesh.q_frame
     seen = _record_jets(monkeypatch)
     fn.kernel_tau_intrinsic(mesh)

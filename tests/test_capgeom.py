@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +496,38 @@ def test_no_module_imports_a_layer_above_it_but_the_named_two():
     assert upward == UPWARD_IMPORTS
 
 
+def _third_party_imports(paths, local) -> set:
+    """Top-level names of every absolute import in `paths`, function-level
+    ones included, less the standard library and the names in `local`."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - set(local)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_third_party_imports_are_the_declared_dependencies():
+    """The package imports exactly its [project] dependencies, function-level
+    imports included, and the tests nothing outside them and the test extra."""
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", r).group(0).lower().replace("-", "_") for r in requirements}
+
+    runtime = names(project["dependencies"])
+    assert _third_party_imports((root / "src/capaf").glob("*.py"), {"capaf"}) == runtime
+    tests = sorted((root / "tests").glob("*.py"))
+    allowed = runtime | names(project["optional-dependencies"]["test"])
+    assert _third_party_imports(tests, {"capaf", "tests", *(p.stem for p in tests)}) <= allowed
+
+
 # The one import a module reads none of: bodies.py imports capgeom's
 # icosphere_vertices by value for the benchmark harness's self-test
 UNREAD_IMPORTS = {"bodies.icosphere_vertices"}
@@ -527,8 +561,8 @@ REFERENCE_ROUTES = {
     "fd.central_gradient",
     "fd.central_hessian",
     "functionals.flat_face_measure",
-    "functionals.hull_volume_oracle",
     "functionals.integrand_identity_defect",
+    "functionals.polytope_mixed_volume",
     "functionals.quermassintegral_boundary_route",
     "functionals.quermassintegral_mixed_route",
 }
@@ -622,7 +656,6 @@ TEST_ONLY_PARAMETERS = {
     "bodies.random_capillary_body(amplitude)",
     "fd.central_gradient(richardson)",
     "fd.central_hessian(richardson)",
-    "functionals.hull_volume_oracle(seed)",
 }
 
 

@@ -380,6 +380,21 @@ def test_thin_cap_kernel_decay_skips_the_exact_zero(tmp_path):
         assert float(l3) == 0.0 and np.isnan(float(r3)) and np.isnan(float(r4))
 
 
+def test_kernel_suite_takes_each_stencil_pass_once(tmp_path, monkeypatch):
+    # the top level's step-h pass serves both its decay-table row and the
+    # extrapolated maximum: one pass per study level, then the one h/2 pass
+    import capaf.functionals as fn
+
+    real, passes = fn.intrinsic_tau, []
+    monkeypatch.setattr(fn, "intrinsic_tau", lambda mesh, *args: passes.append(
+        (mesh.config.mesh_level, args[-1])) or real(mesh, *args))
+    path = write(tmp_path, ELLIPSOID.replace("level = 2", "level = 3")
+                 .replace("run = mixdisc", "run = kernel"))
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    steps = {level: 0.3 * 0.5**level for level in (1, 2, 3)}
+    assert passes == [(1, steps[1]), (2, steps[2]), (3, steps[3]), (3, 0.5 * steps[3])]
+
+
 @pytest.mark.parametrize("values,passed", [
     ([0.0, 1e-3, 4e-4], True),   # the 0 pair is skipped; 2.5 >= 2
     ([0.0, 1e-3, 9e-4], False),  # every readable ratio must still reach 2

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import capaf.functionals as fn
-from capaf.bodies import (make_wulff_cap, minkowski_combine, rebind,
-                          translate_horizontal)
+from capaf.bodies import (make_wulff_cap, minkowski_combine, random_capillary_body,
+                          rebind, translate_horizontal)
+from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.errors import InvalidInputError
 from capaf.fields import CombinationField, kernel_field
 
@@ -27,11 +29,50 @@ def test_halfdisk_volume(mesh_factory):
     assert vol == pytest.approx(np.pi / 2, rel=1e-6)
 
 
-def test_volume_hull_oracle(body_factory):
-    body = body_factory("ell3", -0.4, 4, seed=3)
-    v = fn.volume(body)
-    hull = fn.hull_volume_oracle(body, seed=1)
-    assert abs(hull - v) / v < 5e-3
+# -- the inscribed-polytope oracle ---------------------------------------------
+
+
+def _polytope_gaps(model, w0, levels, weight_scale=1.0):
+    """Per level, the polytope oracle's relative differences from mixed_volume
+    (bodies 101..103) and from volume (body 101), on fresh meshes whose
+    quadrature weights are then scaled by weight_scale."""
+    gaps = []
+    for level in levels:
+        mesh = build_cap_mesh(CapConfig(model, w0, level))
+        bodies = [random_capillary_body(mesh, seed) for seed in (101, 102, 103)]
+        mesh.weights = mesh.weights * weight_scale
+        mv, vol = fn.mixed_volume(bodies), fn.volume(bodies[0])
+        gaps.append((abs(fn.polytope_mixed_volume(bodies) - mv) / abs(mv),
+                     abs(fn.polytope_mixed_volume([bodies[0]] * 3) - vol) / vol))
+    return gaps
+
+
+@pytest.mark.parametrize("name,w0", [("ell3", -0.4), ("pert3", -0.35)])
+def test_polytope_oracle_agrees_at_second_order(model_factory, name, w0):
+    # the inscribed polytopes' mixed volume and volume tend to the quadrature
+    # routes' at O(h^2): the difference falls by about 4 per level
+    gaps = _polytope_gaps(model_factory(name), w0, (3, 4, 5))
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert all(c / f > 3.5 for c, f in zip(coarse, fine)), gaps
+
+
+@pytest.mark.parametrize("name,w0", [("ell3", -0.4), ("pert3", -0.35)])
+def test_polytope_oracle_sees_a_planted_weight_defect(model_factory, name, w0):
+    # every quadrature weight 1% too large: the difference stalls near 1%
+    (coarse_mv, coarse_vol), (fine_mv, fine_vol) = _polytope_gaps(
+        model_factory(name), w0, (4, 5), weight_scale=1.01)
+    assert coarse_mv / fine_mv < 2 and coarse_vol / fine_vol < 2
+
+
+@pytest.mark.parametrize("name,w0", [("ell3", -0.4), ("pert2", -0.2)])
+def test_polytope_oracle_volume_is_the_cells_determinant_sum(model_factory, name, w0):
+    # the diagonal case is the polytope's volume, the cones over its cells
+    mesh = build_cap_mesh(CapConfig(model_factory(name), w0, 3))
+    body = random_capillary_body(mesh, 101)
+    n1 = mesh.n + 1
+    dets = np.linalg.det(body.X[mesh.cells])
+    assert fn.polytope_mixed_volume([body] * n1) == pytest.approx(
+        abs(np.sum(dets)) / math.factorial(n1), rel=1e-14, abs=0.0)
 
 
 # -- mixed volumes ---------------------------------------------------------------
