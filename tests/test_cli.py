@@ -832,8 +832,83 @@ def test_import_loads_fd_module():
     """No capaf path differences F any more, but the traced benchmark's
     install() (perfbench/layers.py) looks up sys.modules["capaf.fd"] after
     `import capaf.cli`; ROADMAP item F removes both that lookup and the
-    import that keeps it working."""
+    import that keeps it working.  So fd is the one submodule that
+    `import capaf` loads eagerly; every export resolves on first use."""
     assert _fresh_python("import sys\nimport capaf.cli\nprint('capaf.fd' in sys.modules)") == "True"
+
+
+def test_setup_path_loads_only_its_layers():
+    """The benchmark's set-up probe (import capaf, parse a config, build its
+    mesh) loads the layers the mesh needs and no other: every module it
+    imports is compiled in each benchmark child."""
+    script = "\n".join([
+        "import json, sys",
+        "import capaf",
+        "from capaf.capgeom import build_cap_mesh",
+        "from capaf.config import parse_config",
+        f"build_cap_mesh(parse_config({os.path.join(CONFIGS, 'ellipsoid.ini')!r}).cap_config())",
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'capaf')))",
+    ])
+    assert set(json.loads(_fresh_python(script))) == {
+        "capaf", "capaf.fd", "capaf.errors", "capaf.norms", "capaf.capgeom", "capaf.config"}
+
+
+def test_every_export_resolves_to_its_owner():
+    """Each name of the package's export table is its owning module's own
+    object, __all__ is the table, dir() lists it, `from capaf import *`
+    binds it, and an unknown name is an AttributeError that names it."""
+    import importlib
+
+    import capaf
+
+    for name, owner in capaf._EXPORTS.items():
+        module = importlib.import_module(f"capaf.{owner}")
+        assert getattr(capaf, name) is vars(module)[name], name
+        assert getattr(capaf, owner) is module
+    assert capaf.__version__ is importlib.import_module("capaf.report").TOOL_VERSION
+    assert sorted(capaf.__all__) == sorted(capaf._EXPORTS)
+    assert {*capaf.__all__, *capaf._EXPORTS.values(), "fd", "__version__"} <= set(dir(capaf))
+    namespace = {}
+    exec("from capaf import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(capaf.__all__)
+    with pytest.raises(AttributeError, match="'no_such_export'"):
+        capaf.no_such_export
+
+
+def test_submodule_resolves_without_an_import():
+    """`capaf.bodies` loads bodies on first read, in a fresh interpreter
+    where nothing has imported it yet."""
+    script = "\n".join([
+        "import sys",
+        "import capaf",
+        "before = 'capaf.bodies' in sys.modules",
+        "print(before, capaf.bodies is sys.modules['capaf.bodies'])",
+    ])
+    assert _fresh_python(script) == "False True"
+
+
+def test_export_table_names_module_level_definitions():
+    """Each entry of the export table is a class, function or assignment at
+    the top level of its owner, not a name the owner imports: a rename fails
+    here, not at a user's import."""
+    import ast
+
+    import capaf
+
+    src = os.path.dirname(capaf.__file__)
+
+    def defined(owner):
+        with open(os.path.join(src, f"{owner}.py"), encoding="utf-8") as fh:
+            body = ast.parse(fh.read()).body
+        names = {n.name for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+        return names | {t.id for n in body if isinstance(n, ast.Assign)
+                        for t in n.targets if isinstance(t, ast.Name)}
+
+    owners = {owner: defined(owner) for owner in set(capaf._EXPORTS.values())}
+    missing = [f"{owner}.{name}" for name, owner in capaf._EXPORTS.items()
+               if name not in owners[owner]]
+    assert not missing, missing
+    assert "TOOL_VERSION" in owners["report"]
 
 
 def test_benchmark_layer_groups_name_capaf_definitions():
