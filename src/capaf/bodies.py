@@ -4,22 +4,25 @@ A body is a support field plus per-node caches on one mesh: the support s
 and the capillary support shat = s/F (also anchored), boundary positions
 X = Ds, the Euclidean radii matrix W = D^2 s restricted to the node tangent
 basis and det W, the anisotropic radii matrix tau in the g-ring frame and
-its asymmetry tau_asym, and the normalized symmetric means H of the
-anisotropic principal curvatures; then the least W and tau eigenvalues and
-the convex and capillary flags.  The spectra of W and tau are closed form
-(norms.sym_eig_det) and not kept, as no run reads them:
-sym_eig_det(body.tau)[0] gives the radii, whose reciprocals are the
+its asymmetry tau_asym; then the least W and tau eigenvalues and the
+convex and capillary flags.  The normalized symmetric means H of the
+anisotropic principal curvatures are computed on first read, as only the
+quermassintegrals and the Minkowski formulae read them.  The spectra of W
+and tau are closed form (norms.sym_eig_det) and not kept, as no run reads
+them: sym_eig_det(body.tau)[0] gives the radii, whose reciprocals are the
 curvatures.  The support field is the single source of truth, and s, X, W
 and the generator-route tau are linear in it.  So every constructor builds
 through CapillaryBody: Wulff-cap parts of the mesh's own norm read the
-mesh's F caches, and only the rest of the field is evaluated, in one jet,
-whose Hessian gives W (norms.tangent_form) and the raw radii on the rows
-where it is nonzero, each with the bits of any batch: most rows miss every
-bump, and a linear leaf has none.
+mesh's F caches, and only the rest of the field is evaluated, in one jet
+(its bump leaves in one zonal pass over their stacked live rows, see
+fields.CombinationField), whose Hessian gives W (norms.tangent_form) and
+the raw radii on the rows where it is nonzero, each with the bits of any
+batch: most rows miss every bump, and a linear leaf has none.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -86,10 +89,11 @@ class CapillaryBody:
         """Every cache, linear in the support field: a Wulff-cap leaf of the
         mesh's norm reads the mesh's F, DF, A_F and cap_tau, all from the
         mesh's one jet of F; the other leaves are evaluated together, in one
-        jet, whose Hessian gives W (norms.tangent_form) and the raw radii on
-        the rows where it is nonzero, exact zeros elsewhere.  Raw radii
-        matrices are summed before they are symmetrized, so tau_asym is the
-        whole body's asymmetry: round-off, as the closed form is symmetric."""
+        jet (the bumps in one zonal pass), whose Hessian gives W
+        (norms.tangent_form) and the raw radii on the rows where it is
+        nonzero, exact zeros elsewhere.  Raw radii matrices are summed before
+        they are symmetrized, so tau_asym is the whole body's asymmetry:
+        round-off, as the closed form is symmetric."""
         mesh = self.mesh
         x = mesh.nodes
         caps, rest = [], []
@@ -103,22 +107,19 @@ class CapillaryBody:
                           r * mesh.A, r * mesh.cap_tau))
         if rest:
             field = CombinationField([f for f, _ in rest], [w for _, w in rest])
-            s, ds, hess = field.jet(x, 2)
-            idx = np.flatnonzero(np.any(hess != 0, axis=(1, 2)))
+            s, ds, hess = field._derivative(x, 2)  # the nodes are unit rows
+            idx = np.flatnonzero((hess != 0).reshape(len(x), -1).any(axis=1))
             w_rest, raw_rest = np.zeros((2, len(x), mesh.n, mesh.n))
             w_rest[idx] = tangent_form(mesh.tb[idx], hess[idx])
             raw_rest[idx] = radii_form(hess[idx], mesh.frame[idx], mesh.G[idx], mesh.vel[idx])
             parts.append((s, ds, w_rest, raw_rest))
         self.s, self.X, self.W, raw = (sum(col[1:], col[0]) for col in zip(*parts))
-        self.tau_asym = np.max(np.abs(raw - np.swapaxes(raw, 1, 2)), axis=(1, 2))
+        self.tau_asym = np.abs(raw - np.swapaxes(raw, 1, 2)).reshape(len(x), -1).max(axis=1)
         self.tau = 0.5 * (raw + np.swapaxes(raw, 1, 2))
         self.shat = self.s / mesh.F_vals
         self.anchor = np.asarray(self.field.anchor, dtype=float)
         w_ev, self.detW = sym_eig_det(self.W)
         radii = sym_eig_det(self.tau)[0]
-        with np.errstate(divide="ignore"):
-            kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
-        self.H = _sigma_means(kappa)
         self.shat_anchored = (self.s - x @ self.anchor) / mesh.F_vals
         self.min_w_eig = float(np.min(w_ev[:, 0]))
         self.min_tau_eig = float(np.min(radii[:, 0]))
@@ -131,6 +132,17 @@ class CapillaryBody:
         self.halfspace_min = float(np.min(self.X[:, -1]))
         self.capillary = bool(self.boundary_plane_dev <= self.capillary_bound
                               and self.halfspace_min >= -self.capillary_bound)
+
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        """The normalized symmetric means H of the anisotropic principal
+        curvatures, the reciprocal radii (inf where a radius is not
+        positive), (N, n + 2).  Computed on first read: only the
+        quermassintegrals and the Minkowski formulae read it."""
+        radii = sym_eig_det(self.tau)[0]
+        with np.errstate(divide="ignore"):
+            kappa = np.where(radii > 0, 1.0 / radii, np.inf)[:, ::-1]
+        return _sigma_means(kappa)
 
     def _validate(self):
         if not self.convex:

@@ -25,9 +25,11 @@ radii cap_tau (those of F itself, from the jet's D^2F).  At boundary nodes
 the frame's last vector is aligned with A_F(nu) mu, mu being the Euclidean
 outward co-normal, and the first vectors span the boundary tangent.  Lazy
 caches, computed once per mesh on first use (arrays read-only): q_frame,
-cap_body, interior_candidates, region_complement, and the tau of each
-intrinsic kernel pass, keyed by its step fraction.  The kernel route's
-stencil is per call and not cached, since cached meshes would keep it
+cap_body, interior_candidates, region_complement, the tau of each
+intrinsic kernel pass, keyed by its step fraction, and the one order-3 jet
+of F at a stencil's nodes (D^3F there), keyed by their margin from the
+boundary, which the passes at h and h/2 share.  The kernel route's stencil
+points are per call and not cached, since cached meshes would keep them
 alive; only each pass's (K, n, n, n) result is kept.
 
 The admissible geometry is n in SUPPORTED_N, w0 in the open interval
@@ -394,15 +396,15 @@ class CapMesh:
         (N, d, d, d) tensors of a whole fine mesh were a perturbed run's
         second-largest transient arrays.  The blocks give the whole-batch
         bits, as every batched evaluator gives a row the same bits in a batch
-        of any size (see norms._BLOCK_ROWS)."""
+        of any size (see norms._BLOCK_ROWS).  Q is contracted into the frame
+        as it is made (MinkowskiNorm.q_on_wulff with a basis), by three
+        pairwise contractions."""
         return self._lazy("q_frame", self._q_frame)
 
     def _q_frame(self):
         q = np.empty((len(self.nodes),) + (self.n,) * 3)
         for rows in row_blocks(len(q)):
-            frame = self.frame[rows]
-            q[rows] = np.einsum("bijk,bpi,bqj,brk->bpqr", self.model.q_on_wulff(self.nodes[rows]),
-                                frame, frame, frame)
+            q[rows] = self.model.q_on_wulff(self.nodes[rows], self.frame[rows])
         return q
 
     @property

@@ -29,8 +29,9 @@ class ModelInvalidError(CapafError):
 
 
 class NumericError(CapafError):
-    """A numerical invariant of a mesh (its frames' G-orthonormality) missed
-    its bound; the message names the defect."""
+    """A numerical invariant missed its bound: a mesh's frames'
+    G-orthonormality, or the positive definiteness of the Legendre matrix
+    that G inverts; the message names the defect."""
 
 
 class MeshConstructionError(CapafError):

@@ -27,9 +27,12 @@ subclasses norms._Homogeneous, whose jet/value/grad/hess take rows (B, d)
 and reject the zero vector.  Each field computes the jet [s, ..., D^order s]
 (order 0-2) in one method, _derivative(x, order), on nonzero rows (B, d); a
 combination (CombinationField, which also builds the operator's test fields,
-differences of two bodies' fields) sums its parts' jets with the norms'
-_sum_jets, the Wulff cap scales its norm's _derivative, and the bump field
-shares its zonal derivative chain with the norm layer.
+differences of two bodies' fields) sums its parts' jets in place, the Wulff
+cap scales its norm's _derivative, and the bump field shares its zonal
+derivative chain with the norm layer.  A combination evaluates all its
+bump parts in one zonal pass over their stacked live rows (_bump_jets),
+each row with its own bump's parameters, so each row gets the bits of the
+bump's own pass.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .capgeom import CapMesh, radii_form
 from .errors import InvalidInputError
-from .norms import MinkowskiNorm, _Homogeneous, _sum_jets, _zonal, unit_rows
+from .norms import MinkowskiNorm, _Homogeneous, _zonal, unit_rows
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +126,56 @@ class SphericalBumpField(SupportField):
         if not (0.0 < self.width < 2.0):
             raise InvalidInputError("bump width must lie in (0, 2)")
 
-    def _profile(self, u, order):
-        """[g, g', g''] in u = <x^, c>, up to the given order (0-2)."""
-        p = self._POW
-        t = (1.0 - u) / self.width
-        inside = np.abs(t) < 1.0
-        tt = np.where(inside, t, 0.0)
-        one = 1.0 - tt * tt
-        zero = np.zeros_like(u)
-        prof = [np.where(inside, one**p, zero)]
-        if order > 0:
-            dg = -2.0 * p * tt * one ** (p - 1)
-            prof.append(np.where(inside, dg * (-1.0 / self.width), zero))
-        if order > 1:
-            d2g = -2.0 * p * one ** (p - 1) + 4.0 * p * (p - 1) * tt**2 * one ** (p - 2)
-            prof.append(np.where(inside, d2g / self.width**2, zero))
-        return prof
+    def _live(self, x, r):
+        """Indices of the rows of x (B, d), |x| = r, within reach of the
+        support cap (a 1e-9 margin in the cosine): most rows miss a bump."""
+        return np.flatnonzero(x @ self.center > (1.0 - self.width - 1e-9) * r)
 
     def _derivative(self, x, order):
-        """The zonal chain on the rows within reach of the support cap (a 1e-9
-        margin in the cosine), exact zeros elsewhere: most rows miss a bump."""
-        live = x @ self.center > (1.0 - self.width - 1e-9) * np.linalg.norm(x, axis=-1)
+        """The zonal chain on the live rows, exact zeros elsewhere."""
         jet = [np.zeros((len(x),) + (self.dim,) * k) for k in range(order + 1)]
-        for out, part in zip(jet, _zonal(x[live], self.center, self.amplitude, self._profile, order)):
-            out[live] = part
+        ((rows, part),) = _bump_jets([self], x, order)
+        for out, a in zip(jet, part):
+            out[rows] = a
         return jet
+
+
+def _bump_profile(u, order, width, neg_inv_width, width_sq):
+    """The bump profile [g, g', g''] in u = <x^, c>, up to the given order
+    (0-2), with the width w, -1/w and w^2 given one entry per u."""
+    p = SphericalBumpField._POW
+    t = (1.0 - u) / width
+    inside = np.abs(t) < 1.0
+    tt = np.where(inside, t, 0.0)
+    one = 1.0 - tt * tt
+    zero = np.zeros_like(u)
+    prof = [np.where(inside, one**p, zero)]
+    if order > 0:
+        one_p1 = one ** (p - 1)
+        dg = -2.0 * p * tt * one_p1
+        prof.append(np.where(inside, dg * neg_inv_width, zero))
+    if order > 1:
+        d2g = -2.0 * p * one_p1 + 4.0 * p * (p - 1) * tt**2 * one ** (p - 2)
+        prof.append(np.where(inside, d2g / width_sq, zero))
+    return prof
+
+
+def _bump_jets(bumps, x, order):
+    """[(rows, jet)] of each bump at its live rows of x (B, d), from one
+    zonal pass over the bumps' stacked live rows: each row with its own
+    bump's center, amplitude and profile scalars (width, -1/width and
+    width^2, each computed once per bump), so a row gets the bits of a pass
+    over its bump alone."""
+    r = np.linalg.norm(x, axis=-1)
+    rows = [b._live(x, r) for b in bumps]
+    counts = [len(i) for i in rows]
+    per_row = [np.repeat(v, counts) for v in zip(*((b.width, -1.0 / b.width, b.width**2)
+                                                   for b in bumps))]
+    jet = _zonal(x[np.concatenate(rows)], [b.center for b in bumps],
+                 [b.amplitude for b in bumps],
+                 lambda u, k: _bump_profile(u, k, *per_row), order, counts)
+    bounds = np.cumsum([0] + counts)
+    return [(i, [a[lo:hi] for a in jet]) for i, lo, hi in zip(rows, bounds[:-1], bounds[1:])]
 
 
 class CombinationField(SupportField):
@@ -161,8 +189,26 @@ class CombinationField(SupportField):
         self.dim = fields[0].dim
 
     def _derivative(self, x, order):
-        """c0 f0 + c1 f1 + ..., each order summed left to right."""
-        return _sum_jets(self.fields, self.coeffs, x, order)
+        """c0 f0 + c1 f1 + ..., each order summed left to right, in place,
+        into zeros.  The bump parts are evaluated together, in one zonal
+        pass over their live rows (_bump_jets), and each is added on its
+        live rows only (elsewhere it is an exact zero); the other parts are
+        evaluated by their own _derivative.  A part is scaled only when its
+        coefficient is not 1.0 (1.0 * a is exact)."""
+        bumps = [f for f in self.fields if isinstance(f, SphericalBumpField)]
+        bump_jets = iter(_bump_jets(bumps, x, order) if bumps else ())
+        jet = [np.zeros((len(x),) + (self.dim,) * k) for k in range(order + 1)]
+        for part, c in zip(self.fields, self.coeffs):
+            if isinstance(part, SphericalBumpField):
+                rows, terms = next(bump_jets)
+            else:
+                rows, terms = slice(None), part._derivative(x, order)
+            if c != 1.0:
+                for a in terms:
+                    a *= c
+            for acc, a in zip(jet, terms):
+                acc[rows] += a
+        return jet
 
     @property
     def anchor(self):
@@ -211,24 +257,27 @@ def kernel_evaluator(mesh: CapMesh):
     return lambda z, g: np.einsum("bij,bi->bj", g, z)[:, : mesh.n]
 
 
-def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: float, d3f):
+def _geodesic_points(mesh: CapMesh, nodes, vel: np.ndarray, step: float):
     """The stencil points at +step and -step of a curve on the Wulff shape
     that matches a g-ring geodesic to second order, built on the unit
     sphere of Gauss preimages with no solve.
 
-    vel holds frame coefficients (K, n) of the initial velocity v.  The
-    preimage curve x(t) = unit(x + t dx + (1/2) t^2 w) starts at the node x;
+    nodes is the pair (idx, d3f): node indices (K,) and D^3F there (K, d,
+    d, d), one order-3 jet that every stencil through them shares
+    (functionals._stencil_nodes); vel holds frame
+    coefficients (K, n) of the initial velocity v.  The preimage curve
+    x(t) = unit(x + t dx + (1/2) t^2 w) starts at the node x;
     dx = sum_k vel_k v_k applies the mesh's parameter velocities
     (CapMesh.vel, columns v_k = A_F^-1 e_k), so that D^2F dx = v.  The Wulff
     curve DF(x(t)) lies on {F0 = 1} exactly, and its tangential acceleration
     G(D^2F w + D^3F[dx, dx], e_l) is the geodesic's a_l = -(1/2) Q(v, v, e_l)
     for w = sum_l (a_l - t_l) v_l, t_l = G(D^3F[dx, dx], e_l); its normal
     part follows from staying on the shape.  Symmetric differences along
-    the curve are second-order.  d3f is D^3F at the nodes (K, d, d, d), one
-    order-3 jet that every stencil through them shares; each point takes
-    one order-2 jet, whose DF is its Wulff point.  Returns
-    ((x_plus, jet_plus), (x_minus, jet_minus)), jets [F, DF, D^2F].
+    the curve are second-order.  Each point takes one order-2 jet, whose DF
+    is its Wulff point.  Returns ((x_plus, jet_plus), (x_minus, jet_minus)),
+    jets [F, DF, D^2F].
     """
+    idx, d3f = nodes
     model, x, pvel = mesh.model, mesh.nodes[idx], mesh.vel[idx]
     dx = np.einsum("bdk,bk->bd", pvel, vel)
     d3f_dxdx = np.einsum("bdef,be,bf->bd", d3f, dx, dx)
@@ -239,30 +288,30 @@ def _geodesic_points(mesh: CapMesh, idx: np.ndarray, vel: np.ndarray, step: floa
     return tuple((p, model.jet(p, 2)) for p in points)
 
 
-def intrinsic_tau(mesh: CapMesh, fn, idx, step: float):
+def intrinsic_tau(mesh: CapMesh, fn, nodes, step: float):
     """Radii matrices via the intrinsic formula tau = Hess + f g - Q(grad)/2.
 
     ``fn(z, g)`` evaluates m fields at Wulff-shape points z with metric g
     there, as columns (K, m) (see kernel_evaluator); one stencil serves all.
-    g is the mesh's G at the nodes; at an off-node point it is read from
-    the point's own jet of F (norms.metric_from_jet).  One order-3 jet at
-    the nodes serves every stencil.
+    nodes is the pair (idx, d3f) of _geodesic_points, whose one order-3 jet
+    every stencil through the nodes shares, at any step.  g is the mesh's
+    G at the nodes; at an off-node point it is read from the point's own
+    jet of F (norms.metric_from_jet).
     Covariant second derivatives come from geodesic second differences;
     off-diagonal entries by polarization along e_i + e_j.  Returns (tau,
     grad), shapes (K, m, n, n) and (K, m, n).
     """
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = nodes[0]
     n = mesh.n
     f0 = fn(mesh.psi[idx], mesh.G[idx])
     grad = np.empty(f0.shape + (n,))
     hess = np.empty(f0.shape + (n, n))
     second = {}
-    d3f = mesh.model.jet(mesh.nodes[idx], 3)[3]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         vel = np.zeros((len(idx), n))
         vel[:, [i, j]] = 1.0
         fp, fm = (fn(jet[1], mesh.model.metric_from_jet(jet))
-                  for _, jet in _geodesic_points(mesh, idx, vel, step, d3f))
+                  for _, jet in _geodesic_points(mesh, nodes, vel, step))
         if i == j:
             grad[..., i] = (fp - fm) / (2.0 * step)
         second[i, j] = (fp - 2.0 * f0 + fm) / step**2

@@ -332,10 +332,22 @@ def _stencil_safe_interior(mesh: CapMesh, margin: float):
     return interior[ok]
 
 
-def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int,
+def _stencil_nodes(mesh: CapMesh, margin: float):
+    """(idx, d3f): the interior nodes clear of the boundary by `margin` and
+    D^3F there, kept on the mesh per margin, so the mesh takes one order-3
+    jet at them, which every pass and offset through them shares."""
+    def make():
+        idx = _stencil_safe_interior(mesh, margin)
+        return idx, mesh.model.jet(mesh.nodes[idx], 3)[3]
+
+    return mesh._lazy(f"stencil_nodes({margin!r})", make)
+
+
+def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, nodes, direction: int,
                          step: float):
-    """tau of a body at geodesic offsets, in first-order transported frames
-    (`radii_form` with the metric and the velocities at the offset points).
+    """tau of a body at geodesic offsets from the stencil nodes (idx, d3f),
+    in first-order transported frames (`radii_form` with the metric and the
+    velocities at the offset points).
 
     Each stencil point is built at its Gauss preimage, where the metric,
     basis, A_F (so the velocities) and Hessian are all read: its Wulff
@@ -343,13 +355,12 @@ def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, idx, direction: int
     tau_minus), each (K, n, n).
     """
     n, model = mesh.n, mesh.model
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = nodes[0]
     k = len(idx)
     vel = np.zeros((k, n))
     vel[:, direction] = 1.0
-    d3f = model.jet(mesh.nodes[idx], 3)[3]
     out = []
-    for (x_new, jet), sgn in zip(_geodesic_points(mesh, idx, vel, step, d3f), (1.0, -1.0)):
+    for (x_new, jet), sgn in zip(_geodesic_points(mesh, nodes, vel, step), (1.0, -1.0)):
         zs = jet[1]
         g_new = model.metric_from_jet(jet)
         tb_new = tangent_basis(x_new)
@@ -382,7 +393,8 @@ def divergence_identity_check(f1_body: CapillaryBody, trailing) -> float:
     if len(trailing) != n - 1:
         raise InvalidInputError(f"need n-1 = {n - 1} trailing bodies")
     step = 0.2 * 0.5**mesh.config.mesh_level
-    idx = _stencil_safe_interior(mesh, 3.0 * step)
+    nodes = _stencil_nodes(mesh, 3.0 * step)
+    idx = nodes[0]
 
     grad_f1 = np.einsum("bkd,bde,be->bk", mesh.frame[idx], mesh.G[idx], f1_body.X[idx])
     # Q^{ij} = dQ/d(tau_1)_{ij}; Q is linear in tau_1, so f1 only fixes the shape
@@ -395,7 +407,7 @@ def divergence_identity_check(f1_body: CapillaryBody, trailing) -> float:
     dq = np.zeros((len(idx), n, n, n))  # (node, m, i, j)
     for m_dir in range(n):
         for t_i, b in enumerate(trailing):
-            tp, tm = _tau_form_at_offsets(mesh, b, idx, m_dir, step)
+            tp, tm = _tau_form_at_offsets(mesh, b, nodes, m_dir, step)
             slots = list(taus)
             slots[t_i] = (tp - tm) / (2.0 * step)
             dq[:, m_dir] += mixed_disc_gradient(head + slots)
@@ -592,11 +604,12 @@ def _kernel_passes(mesh: CapMesh, steps) -> list:
     nodes clear of the boundary by three times the step 0.3 * 2^-level, one
     pass over one stencil per step in `steps` (fractions of that step), each
     kept in the mesh's lazy caches under its fraction, so kernel_tau_raw and
-    kernel_tau_intrinsic share the step-h pass."""
+    kernel_tau_intrinsic share the step-h pass; every pass shares the
+    mesh's one order-3 jet at those nodes (_stencil_nodes)."""
     step = 0.3 * 0.5**mesh.config.mesh_level
-    idx = _stencil_safe_interior(mesh, 3.0 * step)
+    nodes = _stencil_nodes(mesh, 3.0 * step)
     return [mesh._lazy(f"kernel_tau({s})", lambda s=s: intrinsic_tau(
-        mesh, kernel_evaluator(mesh), idx, s * step)[0]) for s in steps]
+        mesh, kernel_evaluator(mesh), nodes, s * step)[0]) for s in steps]
 
 
 def _field_maxima(tau) -> list:

@@ -25,11 +25,11 @@ functions of one shape: one private base, _Homogeneous, defines
 jet/value/grad/hess on rows (B, d), rejecting the zero vector and any input
 that is not 2-D; each class computes the jet [D^0, ..., D^order] (order 0-3,
 0-2 for support fields) in one pass, _derivative(x, order), on nonzero rows
-(B, d), and one in-place sum, _sum_jets, adds the jets of a linear
-combination.
+(B, d).
 Every family's derivatives are closed form, so no path differences F.  The
-single-term zonal chain, _zonal, serves PerturbTerm and the bump support
-fields of fields.py; the perturbed norm does not sum its terms' jets but
+zonal chain, _zonal, serves PerturbTerm and the bump support fields of
+fields.py, whose combinations stack all their bumps' rows into one call;
+the perturbed norm does not sum its terms' jets but
 folds all its terms into one closed-form jet (PerturbedNorm._derivative),
 sharing |x|, x^ and the projector, so that each term adds only a few
 elementwise accumulations; the tests check it against PerturbTerm's chain.
@@ -51,7 +51,12 @@ F(x) is the (-1)-homogeneity of D^3(F^2/2).  metric_on_wulff(x) and
 q_on_wulff(x) take the Gauss preimage x, which every caller already holds
 (the mesh nodes, or a stencil point), and solve nothing (metric_from_jet
 reads G from a jet already held); the isotropic and ellipsoid families
-return their constant G and Q = 0.
+return their constant G and Q = 0.  The small stacks are closed form, with
+no LAPACK call per point: the inverse is the adjugate over the determinant
+(spd_inverse, which rejects a row that is not positive definite), and Q,
+or Q contracted into row bases (q_on_wulff(x, basis), the mesh's q_frame),
+is three pairwise contractions, each slot taking its G and basis vector at
+once (_contract3); sym_eig_det gives the spectra of 1x1 and 2x2 stacks.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ModelInvalidError
+from .errors import InvalidInputError, ModelInvalidError, NumericError
 
 _EPS = 1e-14
 # rows per block where a whole batch would set the memory high-water mark
@@ -97,6 +102,42 @@ def sym_eig_det(m: np.ndarray):
     return np.stack([mid - rad, mid + rad], axis=-1), a * c - m[:, 0, 1] * b
 
 
+def spd_inverse(m: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of symmetric positive definite stacks (B, d, d), d
+    in {2, 3}: the adjugate over the determinant, reading the upper
+    triangle, symmetric.  A row whose leading minors are not all positive
+    (singular or indefinite) raises NumericError naming the first one."""
+    if m.shape[1:] == (2, 2):
+        a, b, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
+        det = a * d - b * b
+        minors = (a, det)
+        adj = [[d, -b], [-b, a]]
+    elif m.shape[1:] == (3, 3):
+        a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
+        d, e, f = m[:, 1, 1], m[:, 1, 2], m[:, 2, 2]
+        c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+        c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+        det = a * c00 + b * c01 + c * c02
+        minors = (a, c22, det)
+        adj = [[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]
+    else:
+        raise InvalidInputError(f"spd_inverse takes stacks (B, 2, 2) or (B, 3, 3), got {m.shape}")
+    bad = np.flatnonzero(~np.all(np.stack(minors) > 0, axis=0))
+    if len(bad):
+        raise NumericError(f"Legendre matrix DF DF^T + F D^2F not positive definite at row "
+                           f"{int(bad[0])} (determinant {float(det[bad[0]]):.3e})")
+    return np.stack([np.stack(row, axis=-1) for row in adj], axis=-2) / det[:, None, None]
+
+
+def _contract3(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """t_abc e_pa e_qb e_rc row by row, (B, d, d, d), (B, k, d) -> (B, k, k, k):
+    three pairwise contractions, one index each, every row on its own."""
+    rows, k, d = e.shape
+    t = (e @ t.reshape(rows, d, d * d)).reshape(rows, k, d, d)  # [p, b, c]
+    t = t @ np.swapaxes(e, 1, 2)[:, None]  # [p, b, r]
+    return e[:, None] @ t  # [p, q, r]
+
+
 def tangent_form(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
     """basis m basis^T row by row, (B, k, d), (B, d, d) -> (B, k, k).  The lone-row
     rule: one row runs as two copies, as einsum gives a 2-d row alone other bits."""
@@ -124,37 +165,52 @@ def tangent_basis(x: np.ndarray) -> np.ndarray:
     return np.stack([u1, np.cross(x, u1)], axis=1)
 
 
-def _zonal(x, center, amplitude, profile, order):
+def _zonal(x, center, amplitude, profile, order, counts=None):
     """Jet [D^0, ..., D^order] (order 0-3) of a |x| g(<x^, c>) at rows x (B, d).
 
     ``profile(u, k)`` returns [g(u), g'(u), ..., g^(k)(u)]; the value keeps
     its own u = x @ c / r and asks for g alone, so its bits do not depend on
     the order.  The zonal perturbation terms of F and the bump fields share
-    this.
+    this.  One call serves several terms stacked: with counts, x holds
+    counts[t] rows of term t after those of the terms before it, center
+    (T, d) and amplitude (T,) one entry per term, and profile reads each
+    row's own parameters.  Every row goes through its own term's
+    operations, its dots with c included (taken as a @ c on the term's
+    rows), so a stacked row gets the bits of a one-term call.
     """
-    c = np.asarray(center)
+    if counts is None:
+        center, amplitude, counts = [center], [amplitude], [len(x)]
+    centers = np.asarray(center, dtype=float)
+    bounds = np.cumsum([0] + list(counts))
+
+    def dot(a):
+        return np.concatenate([a[lo:hi] @ c for lo, hi, c in zip(bounds[:-1], bounds[1:], centers)])
+
+    c = np.repeat(centers, counts, axis=0)
+    amp = np.repeat(np.asarray(amplitude, dtype=float), counts)
     r = np.linalg.norm(x, axis=-1)
-    jet = [amplitude * r * profile(x @ c / r, 0)[0]]
+    jet = [amp * r * profile(dot(x) / r, 0)[0]]
     if order == 0:
         return jet
     d = x.shape[1]
     xh = x / r[:, None]
-    u = xh @ c
+    u = dot(xh)
     prof = profile(u, order)
     g, g1 = prof[0], prof[1]
-    p = c[None, :] - u[:, None] * xh
-    jet.append(amplitude * (g[:, None] * xh + g1[:, None] * p))
+    p = c - u[:, None] * xh
+    jet.append(amp[:, None] * (g[:, None] * xh + g1[:, None] * p))
     if order > 1:
-        g2, pp = prof[2], p[:, :, None] * p[:, None, :]
+        g2 = prof[2]
         proj = np.eye(d)[None] - xh[:, :, None] * xh[:, None, :]
         h = (g - u * g1)[:, None, None] * proj + g2[:, None, None] * p[:, :, None] * p[:, None, :]
-        jet.append(amplitude * h / r[:, None, None])
+        jet.append(amp[:, None, None] * h / r[:, None, None])
     if order > 2:
+        pp = p[:, :, None] * p[:, None, :]
         t = (-(u * g2)[:, None, None, None] * _sym3(proj, p)
              - (g - u * g1)[:, None, None, None] * _sym3(proj, xh)
              - g2[:, None, None, None] * _sym3(pp, xh)
              + prof[3][:, None, None, None] * pp[:, :, :, None] * p[:, None, None, :])
-        jet.append(amplitude * t / r[:, None, None, None] ** 2)
+        jet.append(amp[:, None, None, None] * t / r[:, None, None, None] ** 2)
     return jet
 
 
@@ -197,24 +253,6 @@ class _Homogeneous:
         if np.any(np.linalg.norm(x, axis=-1) < _EPS):
             raise InvalidInputError("norm evaluated at the zero vector")
         return x
-
-
-def _sum_jets(parts, coeffs, x, order):
-    """The jet of c0 f0 + c1 f1 + ... at rows x: each order summed left to
-    right, in place, into the parts' own fresh jets; a part is scaled only
-    when its coefficient is not 1.0 (1.0 * a is exact, so no bit moves)."""
-    jet = None
-    for part, c in zip(parts, coeffs):
-        terms = part._derivative(x, order)
-        if c != 1.0:
-            for a in terms:
-                a *= c
-        if jet is None:
-            jet = terms
-        else:
-            for acc, a in zip(jet, terms):
-                acc += a
-    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +320,25 @@ class MinkowskiNorm(_Homogeneous):
 
     def metric_from_jet(self, jet) -> np.ndarray:
         """G from the jet [F, DF, D^2F, ...] at Gauss preimages (B, d):
-        [D^2(F^2/2)]^-1 = [DF DF^T + F D^2F]^-1, 0-homogeneous."""
+        [D^2(F^2/2)]^-1 = [DF DF^T + F D^2F]^-1, 0-homogeneous (spd_inverse)."""
         f, df, d2f = jet[:3]
-        return np.linalg.inv(df[:, :, None] * df[:, None, :] + f[:, None, None] * d2f)
+        return spd_inverse(df[:, :, None] * df[:, None, :] + f[:, None, None] * d2f)
 
-    def q_on_wulff(self, x) -> np.ndarray:
+    def q_on_wulff(self, x, basis=None) -> np.ndarray:
         """Q at the Wulff points DF(x) of Gauss preimages x (B, d):
-        -G G G : F(x) D^3(F^2/2)(x), 0-homogeneous in x.
+        -G G G : F(x) D^3(F^2/2)(x), 0-homogeneous in x; with row bases
+        basis (B, k, d), Q contracted into them, (B, k, k, k).
 
         Differentiating G(D(F^2/2)(y)) D^2(F^2/2)(y) = I in y gives
-        -G G G : D^3(F^2/2)(y) at the Legendre point y = x / F(x).
+        -G G G : D^3(F^2/2)(y) at the Legendre point y = x / F(x).  Each
+        slot takes its G and basis vector at once, e = basis G (or G), so
+        the contraction is three pairwise ones (_contract3).
         """
         jet = self.jet(x, 3)
         f, df, d2f, d3f = jet
         g = MinkowskiNorm.metric_from_jet(self, jet)
         t = f[:, None, None, None] * (_sym3(d2f, df) + f[:, None, None, None] * d3f)
-        return -np.einsum("nia,njb,nkc,nabc->nijk", g, g, g, t, optimize=True)
+        return -_contract3(t, g if basis is None else basis @ g)
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -335,8 +376,8 @@ class IsotropicNorm(MinkowskiNorm):
     def metric_from_jet(self, jet):
         return self.metric_on_wulff(jet[0])
 
-    def q_on_wulff(self, x):
-        return np.zeros((len(x),) + (self.dim,) * 3)
+    def q_on_wulff(self, x, basis=None):
+        return np.zeros((len(x),) + (self.dim if basis is None else basis.shape[1],) * 3)
 
     def descriptor(self):
         return {"family": "isotropic", "dim": self.dim}
@@ -386,8 +427,8 @@ class EllipsoidNorm(MinkowskiNorm):
     def metric_from_jet(self, jet):
         return self.metric_on_wulff(jet[0])
 
-    def q_on_wulff(self, x):
-        return np.zeros((len(x),) + (self.dim,) * 3)
+    def q_on_wulff(self, x, basis=None):
+        return np.zeros((len(x),) + (self.dim if basis is None else basis.shape[1],) * 3)
 
     def descriptor(self):
         return {"family": "ellipsoid", "matrix": self.matrix.tolist()}

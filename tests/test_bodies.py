@@ -70,26 +70,51 @@ def test_support_field_jets_do_not_depend_on_the_order_asked_for(model_factory):
 
 def test_body_evaluates_each_non_cap_leaf_once(monkeypatch, mesh_factory):
     # s, Ds and D^2s of the leaves that are not the mesh's own Wulff cap come
-    # from one jet; the cap leaf reads the mesh's caches
+    # from one jet: the bump leaves from one zonal pass over their stacked
+    # live rows, each linear leaf from its own _derivative, once; the cap
+    # leaf reads the mesh's caches
+    import capaf.fields as fields
+
     mesh = mesh_factory("pert3", -0.35, 3)
     field = CombinationField([random_capillary_body(mesh, 2).field,
                               LinearField(np.array([0.05, -0.02, 0.0]))], [1.0, 1.0])
     leaves = field.fields[0].fields + field.fields[1:]
-    assert isinstance(leaves[0], WulffCapField) and len(leaves) >= 4
+    assert isinstance(leaves[0], WulffCapField)
+    kinds = [type(leaf) for leaf in leaves[1:]]
+    assert kinds.count(LinearField) == 2 and kinds.count(SphericalBumpField) >= 2
     calls = {id(leaf): 0 for leaf in leaves}
     for leaf in leaves:
         def counting(x, order, real=leaf._derivative, key=id(leaf)):
             calls[key] += 1
             return real(x, order)
         monkeypatch.setattr(leaf, "_derivative", counting)
+    passes = []
+    real_zonal = fields._zonal
+    monkeypatch.setattr(fields, "_zonal", lambda x, *args: passes.append(len(x))
+                        or real_zonal(x, *args))
     CapillaryBody(mesh, field, {"kind": "test"}, validate=False)
-    assert [calls[id(leaf)] for leaf in leaves] == [0] + [1] * (len(leaves) - 1)
+    assert [calls[id(leaf)] for leaf in leaves] == [0] + [int(k is LinearField) for k in kinds]
+    live = [len(leaf._live(mesh.nodes, np.linalg.norm(mesh.nodes, axis=-1)))
+            for leaf in leaves if isinstance(leaf, SphericalBumpField)]
+    assert passes == [sum(live)] and 0 < sum(live) < len(live) * mesh.node_count
+
+
+def _per_leaf_jet(leaves, x, order):
+    """The per-leaf route: each (leaf, weight) evaluated alone, by its own
+    _derivative on every row, scaled and summed left to right."""
+    jet = None
+    for leaf, w in leaves:
+        terms = leaf._derivative(x, order)
+        if w != 1.0:
+            terms = [w * a for a in terms]
+        jet = terms if jet is None else [acc + a for acc, a in zip(jet, terms)]
+    return jet
 
 
 def _dense_caches(mesh, field):
     """Oracle for a body's caches: the leaves that are not the mesh's own
-    Wulff cap evaluated on every row in one combination jet, W and the raw
-    radii taken on every row, and the caches derived from their sums."""
+    Wulff cap evaluated on every row, each alone (_per_leaf_jet), W and the
+    raw radii taken on every row, and the caches derived from their sums."""
     x = mesh.nodes
     caps, rest = [], []
     for leaf, w in _leaves(field, 1.0):
@@ -98,7 +123,7 @@ def _dense_caches(mesh, field):
     parts = [(w * cap.r0 * mesh.F_vals + x @ (w * cap.shift), w * cap.r0 * mesh.psi + w * cap.shift,
               w * cap.r0 * mesh.A, w * cap.r0 * mesh.cap_tau) for cap, w in caps]
     if rest:
-        s, ds, hess = CombinationField([f for f, _ in rest], [w for _, w in rest]).jet(x, 2)
+        s, ds, hess = _per_leaf_jet(rest, x, 2)
         parts.append((s, ds, np.einsum("bki,bij,blj->bkl", mesh.tb, hess, mesh.tb),
                       radii_form(hess, mesh.frame, mesh.G, mesh.vel)))
     s, big_x, w_mat, raw = (sum(col[1:], col[0]) for col in zip(*parts))
@@ -138,6 +163,37 @@ def test_body_caches_match_the_dense_oracle_bit_for_bit(mesh_factory, name, w0, 
             body = CapillaryBody(mesh, body, {"kind": "operator-test-field"}, validate=False)
         for key, want in _dense_caches(mesh, body.field).items():
             assert np.array_equal(getattr(body, key), want, equal_nan=True), (kind, key)
+
+
+@pytest.mark.parametrize("name,w0", CASES)
+def test_one_zonal_pass_gives_the_per_leaf_caches(mesh_factory, name, w0):
+    # a body's bump leaves, evaluated in one zonal pass over their stacked
+    # live rows, give the caches of evaluating each leaf alone, bit for bit:
+    # random bodies, a Minkowski combination (whose bumps overlap), a
+    # translate, an operator test field and a body rebound from a coarser
+    # mesh; H is not computed until it is read, and then it is the eager
+    # means of the oracle
+    mesh, coarse = mesh_factory(name, w0, 3), mesh_factory(name, w0, 2)
+    b0, b1 = random_capillary_body(mesh, 6), random_capillary_body(mesh, 7)
+    shift = np.zeros(mesh.dim)
+    shift[1] = -0.05
+    combined = minkowski_combine([b0, b1], [0.3, 1.1])
+    bodies = {"random": b0, "combined": combined,
+              "translated": translate_horizontal(b1, shift),
+              "difference": CapillaryBody(mesh, CombinationField([b0.field, b1.field], [1.0, -1.0]),
+                                          {"kind": "operator-test-field"}, validate=False),
+              "rebound": rebind(random_capillary_body(coarse, 8), mesh)}
+    r = np.linalg.norm(mesh.nodes, axis=-1)
+    live = np.zeros(mesh.node_count, dtype=int)
+    for leaf, _ in _leaves(combined.field, 1.0):
+        if isinstance(leaf, SphericalBumpField):
+            live[leaf._live(mesh.nodes, r)] += 1
+    assert np.max(live) >= 2
+    for kind, body in bodies.items():
+        assert "H" not in vars(body), kind
+        for key, want in _dense_caches(mesh, body.field).items():
+            assert np.array_equal(getattr(body, key), want, equal_nan=True), (kind, key)
+        assert "H" in vars(body), kind
 
 
 # -- Wulff caps ---------------------------------------------------------------
@@ -349,11 +405,16 @@ def test_kernel_tau_generator_route(mesh_factory, name, w0):
         assert np.max(np.abs(tau)) < 1e-12
 
 
+def _with_d3f(mesh, idx):
+    """The stencil nodes idx with D^3F there, the pair intrinsic_tau takes."""
+    return idx, mesh.model.jet(mesh.nodes[idx], 3)[3]
+
+
 def test_kernel_tau_intrinsic_route(mesh_factory):
     mesh = mesh_factory("ell3", -0.4, 3)
     ev = kernel_evaluator(mesh)
-    idx = mesh.interior_idx[:50]
-    tau, _ = intrinsic_tau(mesh, ev, idx, step=0.02)
+    nodes = _with_d3f(mesh, mesh.interior_idx[:50])
+    tau, _ = intrinsic_tau(mesh, ev, nodes, step=0.02)
     assert np.max(np.abs(tau[:, 0])) < 5e-4
 
 
@@ -364,7 +425,8 @@ def test_kernel_pass_matches_per_field_route(mesh_factory):
     mesh = mesh_factory("ell3", -0.4, 3)
     model = mesh.model
     idx = mesh.interior_idx[:80]
-    tau, grad = intrinsic_tau(mesh, kernel_evaluator(mesh), idx, step=0.05)
+    nodes = _with_d3f(mesh, idx)
+    tau, grad = intrinsic_tau(mesh, kernel_evaluator(mesh), nodes, step=0.05)
     assert tau.shape == (len(idx), 2, 2, 2) and grad.shape == (len(idx), 2, 2)
     for alpha in range(2):
         e = np.eye(3)[alpha]
@@ -373,13 +435,13 @@ def test_kernel_pass_matches_per_field_route(mesh_factory):
             g = model.metric_on_wulff(unit_rows(z @ model.matrix_inv))
             return np.einsum("bij,bi,j->b", g, z, e)[:, None]
 
-        tau_a, grad_a = intrinsic_tau(mesh, single, idx, step=0.05)
+        tau_a, grad_a = intrinsic_tau(mesh, single, nodes, step=0.05)
         assert np.array_equal(tau_a[:, 0], tau[:, alpha])
         assert np.array_equal(grad_a[:, 0], grad[:, alpha])
     # the raw maxima are the step-h pass's and the check's extrapolate the
     # passes at h and h/2 on the same nodes, E_1, E_2 in field order
     step = 0.3 * 0.5**mesh.config.mesh_level
-    safe = fn._stencil_safe_interior(mesh, 3.0 * step)
+    safe = _with_d3f(mesh, fn._stencil_safe_interior(mesh, 3.0 * step))
     tau_h, tau_half = (intrinsic_tau(mesh, kernel_evaluator(mesh), safe, s)[0]
                        for s in (step, 0.5 * step))
 
@@ -416,10 +478,10 @@ def test_stencil_curve_matches_the_geodesic_to_second_order(mesh_factory, name, 
     z, g, frame = mesh.psi[idx], mesh.G[idx], mesh.frame[idx]
     v = np.einsum("bk,bkd->bd", vel, frame)
     acc = -0.5 * np.einsum("bijl,bi,bj->bl", mesh.q_frame[idx], vel, vel)
-    d3f = mesh.model.jet(mesh.nodes[idx], 3)[3]
+    nodes = _with_d3f(mesh, idx)
     errors = []
     for h in (0.04, 0.02, 0.01):
-        (xp, jp), (xm, jm) = _geodesic_points(mesh, idx, vel, h, d3f)
+        (xp, jp), (xm, jm) = _geodesic_points(mesh, nodes, vel, h)
         for x, jet in ((xp, jp), (xm, jm)):
             assert np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) < 1e-15
             for got, want in zip(jet, mesh.model.jet(x, 2)):
@@ -433,12 +495,17 @@ def test_stencil_curve_matches_the_geodesic_to_second_order(mesh_factory, name, 
 
 def test_mesh_reads_g_and_q_at_its_nodes_without_a_solve(model_factory):
     # the nodes are the Gauss preimages of the mesh's Wulff points: G and Q
-    # are read there by the Legendre route, blocking moving no bit
+    # are read there by the Legendre route, G in closed form (norms.spd_inverse)
+    # and Q contracted into the frame as it is made, blocking moving no bit;
+    # the pairwise contraction is within 1e-15 max|Q| of contracting the
+    # ambient Q by one four-operand einsum
     mesh = build_cap_mesh(CapConfig(model_factory("pert3"), -0.35, 3))
     model, frame = mesh.model, mesh.frame
     assert np.array_equal(mesh.G, model.metric_on_wulff(mesh.nodes))
-    q = np.einsum("bijk,bpi,bqj,brk->bpqr", model.q_on_wulff(mesh.nodes), frame, frame, frame)
-    assert np.array_equal(mesh.q_frame, q)
+    assert np.array_equal(mesh.q_frame, model.q_on_wulff(mesh.nodes, frame))
+    q = model.q_on_wulff(mesh.nodes)
+    four = np.einsum("bijk,bpi,bqj,brk->bpqr", q, frame, frame, frame)
+    assert np.max(np.abs(mesh.q_frame - four)) <= 1e-15 * np.max(np.abs(q))
 
 
 def test_bodies_on_one_mesh_reuse_its_parameter_velocities(monkeypatch, model_factory):
@@ -532,16 +599,17 @@ def test_kernel_pass_places_symmetric_stencil_points_without_a_solve(monkeypatch
 def test_kernel_pass_takes_one_order_3_jet_and_an_order_2_jet_per_point(monkeypatch,
                                                                         model_factory):
     # the Gauss preimages the kernel pass needs are built in closed form:
-    # F is differentiated once per pass at order 3 at its nodes (the same
-    # nodes at h and h/2), which its n(n+1)/2 stencils share, then once at
-    # order 2 per stencil point, never at order 0 or 1.  A fresh mesh: a
-    # cached one may already keep its passes
+    # F is differentiated once per mesh at order 3 at the passes' nodes (the
+    # same nodes at h and h/2), which both passes and their n(n+1)/2
+    # stencils each share, then once at order 2 per stencil point, never at
+    # order 0 or 1.  A fresh mesh: a cached one may already keep its passes
     mesh = build_cap_mesh(CapConfig(model_factory("pert3"), -0.35, 3))
     mesh.q_frame
     seen = _record_jets(monkeypatch)
     fn.kernel_tau_intrinsic(mesh)
+    fn.kernel_tau_raw(mesh)
     n = mesh.n
-    assert [order for _, order in seen] == ([3] + [2, 2] * (n * (n + 1) // 2)) * 2
+    assert [order for _, order in seen] == [3] + [2, 2] * (n * (n + 1) // 2) * 2
     safe = mesh.nodes[fn._stencil_safe_interior(mesh, 3.0 * 0.3 * 0.5**mesh.config.mesh_level)]
     for k, (x, order) in enumerate(seen):
         if order == 3:

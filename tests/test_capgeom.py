@@ -174,11 +174,16 @@ def test_walk_boundary_rejects_a_broken_boundary(cells, is_boundary, message):
 
 
 def test_blocked_q_frame_is_the_whole_batch_contraction(mesh_factory):
+    # made in 512-row blocks, q_frame is the whole batch's pairwise
+    # contraction bit for bit, and within 1e-15 max|Q| of contracting the
+    # ambient Q into the frame by one four-operand einsum
     mesh = mesh_factory("pert3", -0.35, 4)
     assert mesh.node_count > 512
-    whole = np.einsum("bijk,bpi,bqj,brk->bpqr", mesh.model.q_on_wulff(mesh.nodes),
-                      mesh.frame, mesh.frame, mesh.frame)
-    assert np.array_equal(mesh.q_frame, whole)
+    frame = mesh.frame
+    assert np.array_equal(mesh.q_frame, mesh.model.q_on_wulff(mesh.nodes, frame))
+    q = mesh.model.q_on_wulff(mesh.nodes)
+    four = np.einsum("bijk,bpi,bqj,brk->bpqr", q, frame, frame, frame)
+    assert np.max(np.abs(mesh.q_frame - four)) <= 1e-15 * np.max(np.abs(q))
 
 
 def test_q_frame_peak_memory(traced_peak):
@@ -472,6 +477,65 @@ def test_mesh_and_body_state_has_a_reader():
         unread |= {f"{cls}.{name}" for name in assigned - run_read}
     assert unread == TEST_ONLY_STATE, f"state no run reads: {sorted(unread)}"
     assert {name.split(".")[1] for name in TEST_ONLY_STATE} <= test_read
+
+
+# Every call capaf makes into LAPACK (np.linalg, less norm, a plain
+# reduction), by module, enclosing definition and routine: the independent
+# oracles (the mixed discriminant's subset route and transform check, the
+# mixdisc suite's diagonal determinant, tau_eigs_secondary's W A_F^-1 and
+# the polyfit and Steiner fits) and what a run solves once, on a mesh or a
+# norm (the parameter velocities, the ellipsoid's M^-1 and its check).  A
+# per-point path takes its small stacks in closed form (norms.sym_eig_det,
+# norms.spd_inverse): batched LAPACK on 2x2 and 3x3 stacks costs more in
+# set-up than in arithmetic.
+LAPACK_SITES = {
+    ("bodies", "_eig_pair", "solve"),
+    ("capgeom", "parameter_velocities", "solve"),
+    ("cli", "_run_mixdisc", "det"),
+    ("functionals", "_mv_polyfit", "lstsq"),
+    ("functionals", "steiner_check", "lstsq"),
+    ("mixdisc", "_subset_route", "det"),
+    ("mixdisc", "md_transform_check", "det"),
+    ("norms", "EllipsoidNorm.__init__", "eigvalsh"),
+    ("norms", "EllipsoidNorm.__init__", "inv"),
+}
+
+
+def _lapack_sites(tree, module):
+    """(module, enclosing qualified name, routine) of every np.linalg or
+    numpy.linalg attribute read in `tree` but norm; an import of
+    numpy.linalg or its names shows as the routine '<import>'."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Attribute)
+                  and child.value.attr == "linalg" and isinstance(child.value.value, ast.Name)
+                  and child.value.value.id in ("np", "numpy") and child.attr != "norm"):
+                sites.add((module, scope, child.attr))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [getattr(child, "module", None) or ""] + [a.name for a in child.names]
+                if any("linalg" in name for name in names):
+                    sites.add((module, scope, "<import>"))
+            visit(child, inner)
+
+    visit(tree, "")
+    return sites
+
+
+def test_lapack_is_called_only_at_its_listed_sites():
+    """LAPACK_SITES is exact: a new np.linalg call (inv, solve, det, eig...)
+    anywhere in the package, say on a per-point path, fails here, and so
+    does a listed site that no longer calls it."""
+    root = Path(__file__).resolve().parents[1] / "src/capaf"
+    sites = set()
+    for path in sorted(root.glob("*.py")):
+        sites |= _lapack_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sites == LAPACK_SITES, (f"unlisted: {sorted(sites - LAPACK_SITES)}; "
+                                   f"gone: {sorted(LAPACK_SITES - sites)}")
 
 
 # capaf's modules in layer order, bottom up, and the imports that reach a

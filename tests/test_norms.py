@@ -12,11 +12,12 @@ from scipy.optimize import minimize
 import capaf.fd as fd
 from capaf.capgeom import CapConfig, build_cap_mesh
 from capaf.config import parse_config
-from capaf.errors import InvalidInputError, ModelInvalidError
+from capaf.errors import InvalidInputError, ModelInvalidError, NumericError
 from capaf.fields import CombinationField, LinearField, SphericalBumpField, WulffCapField
 from capaf.mixdisc import md_transform_check, mixed_disc_gradient, mixed_discriminant_batch
 from capaf.norms import (EllipsoidNorm, IsotropicNorm, MinkowskiNorm, PerturbedNorm,
-                         PerturbTerm, sym_eig_det, tangent_basis, tangent_form, unit_rows)
+                         PerturbTerm, spd_inverse, sym_eig_det, tangent_basis, tangent_form,
+                         unit_rows)
 
 MODELS = ("iso3", "ell3", "pert3")
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -254,6 +255,41 @@ def test_perturbed_dual_row_independent_of_batch(base):
 
 
 @pytest.mark.parametrize("d", (2, 3))
+def test_closed_form_metric_is_the_lapack_inverse(d, mesh_factory):
+    # G = [DF DF^T + F D^2F]^-1 is the adjugate over the determinant: it
+    # matches LAPACK's inverse to 1e-13 of each row's largest entry, on 10^4
+    # random symmetric positive definite stacks and on the perturbed norm's
+    # jets at the nodes of a level-4 mesh, and it is exactly symmetric
+    rng = np.random.default_rng(40 + d)
+    a = rng.normal(size=(10_000, d, d))
+    m = a @ np.swapaxes(a, 1, 2) + np.eye(d)
+    mesh = mesh_factory("pert3", -0.35, 4) if d == 3 else mesh_factory("pert2", -0.2, 4)
+    f, df, d2f = mesh.model.jet(mesh.nodes, 2)
+    legendre = df[:, :, None] * df[:, None, :] + f[:, None, None] * d2f
+    for stack, g in ((m, spd_inverse(m)),
+                     (legendre, MinkowskiNorm.metric_from_jet(mesh.model, [f, df, d2f]))):
+        want = np.linalg.inv(stack)
+        rel = np.max(np.abs(g - want), axis=(1, 2)) / np.max(np.abs(want), axis=(1, 2))
+        assert np.max(rel) <= 1e-13
+        assert np.array_equal(g, np.swapaxes(g, 1, 2))
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_closed_form_metric_rejects_a_stack_that_is_not_positive_definite(d):
+    # a singular row, or an indefinite one (also one of positive
+    # determinant, two negative eigenvalues in 3d), raises NumericError
+    # naming the first such row
+    good = np.broadcast_to(np.eye(d) + 0.1, (5, d, d)).copy()
+    singular = np.ones((d, d))
+    indefinite = np.diag([1.0, -1.0, -1.0][:d])
+    for row, bad in ((3, singular), (1, indefinite), (4, -np.eye(d))):
+        stack = good.copy()
+        stack[row] = bad
+        with pytest.raises(NumericError, match=f"not positive definite at row {row} "):
+            spd_inverse(stack)
+
+
+@pytest.mark.parametrize("d", (2, 3))
 def test_tangent_form_is_the_einsum_and_row_independent_of_batch(d):
     # on rows of two or more it is the literal three-operand einsum, bit for
     # bit; a lone row gets the bits it has inside the 300-row batch
@@ -312,9 +348,9 @@ def test_jet_entries_do_not_depend_on_the_order_asked_for(model_factory, name):
 def test_each_homogeneous_function_has_one_derivative_method():
     """One base defines the public derivative methods of norms, zonal terms
     and support fields alike; every concrete class computes its derivatives
-    in one `_derivative(x, order)`, and the composites, with the jet sum
-    they share, read their parts' `_derivative`, never a part's public
-    method."""
+    in one `_derivative(x, order)`, and the composites, with the stacked
+    bump pass a combination takes, read their parts' `_derivative` or
+    zonal chain, never a part's public method."""
     import ast
     import inspect
     import textwrap
@@ -341,7 +377,7 @@ def test_each_homogeneous_function_has_one_derivative_method():
                         "WulffCapField", "LinearField", "SphericalBumpField",
                         "CombinationField"}
     for func in (norms.PerturbedNorm._derivative, fields.CombinationField._derivative,
-                 fields.WulffCapField._derivative, norms._sum_jets):
+                 fields.WulffCapField._derivative, fields._bump_jets):
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
         called = {n.func.attr for n in ast.walk(tree)
                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
