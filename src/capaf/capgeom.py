@@ -14,7 +14,11 @@ are built once per level and cached, and the cached arrays are read-only.
 Subdivision, the choice of snap partners and the boundary edge count are
 whole-array operations; only the walk along the boundary loop is a Python
 loop.  For n = 1 the region is a single arc, subdivided uniformly in angle
-with trapezoid weights (the angular measure is exact).
+with trapezoid weights (the angular measure is exact).  Only these builders
+turn the mesh level L into geometry: each sets the nominal spacing
+CapMesh.spacing = h = 0.5**L, an exact power of two that the checks' steps
+and scales read (icosphere edges are 1.1 h to 1.33 h in arc length, and the
+arc's node gap is its length / 16 times h).
 
 Every node carries caches, read from one jet [F, DF, D^2F] there, the only
 evaluation of F's derivatives at the nodes: Psi(x), the anisotropy matrix
@@ -247,8 +251,10 @@ class CapConfig:
 class CapMesh:
     """Immutable discretization of the cap with per-node geometric caches."""
 
-    def __init__(self, config: CapConfig, nodes, weights, cells, boundary_loop, diagnostics):
+    def __init__(self, config: CapConfig, spacing: float, nodes, weights, cells,
+                 boundary_loop, diagnostics):
         self.config = config
+        self.spacing = spacing
         self.n = config.n
         self.dim = config.dim
         self.omega0 = config.omega0
@@ -521,9 +527,7 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     keep = np.any(inside[faces], axis=1)
     faces = faces[keep]
     if len(faces) == 0:
-        raise MeshConstructionError(f"empty parameter region: no mesh vertex lies inside it at "
-                                    f"mesh level {config.mesh_level} (omega0 = {omega0:g}); a "
-                                    f"finer mesh level helps")
+        raise _too_coarse(config, "empty parameter region: no mesh vertex lies inside it")
 
     # snap each outside vertex of a kept face toward its face-mate inside
     # with the largest residual, the lowest index on a tie (every kept face
@@ -532,12 +536,10 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     pair_u = faces[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
     mates = outside[pair_v] & inside[pair_u]
     if not np.any(mates):
-        raise MeshConstructionError(f"no mesh edge crosses the region boundary at mesh level "
-                                    f"{config.mesh_level} (omega0 = {omega0:g}); a finer mesh level helps")
+        raise _too_coarse(config, "no mesh edge crosses the region boundary")
     if np.all(keep):
-        raise MeshConstructionError(f"the region meets every face of the mesh at mesh level "
-                                    f"{config.mesh_level} (omega0 = {omega0:g}), which leaves it no "
-                                    f"boundary; a finer mesh level helps")
+        raise _too_coarse(config, "the region meets every face of the mesh",
+                          ", which leaves it no boundary")
     pair_v, pair_u = pair_v[mates], pair_u[mates]
     order = np.lexsort((pair_u, -r[pair_u], pair_v))
     pair_v, pair_u = pair_v[order], pair_u[order]
@@ -564,11 +566,18 @@ def _build_mesh_2d(config: CapConfig) -> CapMesh:
     np.add.at(weights, cells[:, 1], areas / 3.0)
     np.add.at(weights, cells[:, 2], areas / 3.0)
 
-    loop = _walk_boundary(cells, is_boundary, nodes)
-    return CapMesh(config, nodes, weights, cells, loop, {"snapped": int(np.sum(snapped))})
+    loop = _walk_boundary(cells, is_boundary, nodes, config)
+    return CapMesh(config, 0.5**config.mesh_level, nodes, weights, cells, loop,
+                   {"snapped": int(np.sum(snapped))})
 
 
-def _walk_boundary(cells, is_boundary, nodes):
+def _too_coarse(config: CapConfig, what: str, why: str = "") -> MeshConstructionError:
+    """The documented error of a mesh level too coarse for the region."""
+    return MeshConstructionError(f"{what} at mesh level {config.mesh_level} (omega0 = "
+                                 f"{config.omega0:g}){why}; a finer mesh level helps")
+
+
+def _walk_boundary(cells, is_boundary, nodes, config):
     """Ordered boundary loop (counterclockwise seen from +E3)."""
     from collections import defaultdict
 
@@ -586,9 +595,8 @@ def _walk_boundary(cells, is_boundary, nodes):
     for a, b in zip(lo[once].tolist(), hi[once].tolist()):
         adj[a].append(b)
         adj[b].append(a)
-    for v, nb in adj.items():
-        if len(nb) != 2:
-            raise MeshConstructionError(f"boundary node {v} has degree {len(nb)}")
+    if any(len(nb) != 2 for nb in adj.values()):
+        raise _too_coarse(config, "the region's boundary pinches at a mesh vertex")
     start = min(adj)
     loop = [start]
     prev, cur = -1, start
@@ -657,7 +665,7 @@ def _build_mesh_1d(config: CapConfig) -> CapMesh:
     weights[0] = weights[-1] = dphi / 2.0
     cells = np.stack([np.arange(m), np.arange(1, m + 1)], axis=-1)
     loop = np.array([0, m], dtype=np.int64)
-    return CapMesh(config, nodes, weights, cells, loop, {})
+    return CapMesh(config, 0.5**config.mesh_level, nodes, weights, cells, loop, {})
 
 
 def build_cap_mesh(config: CapConfig) -> CapMesh:

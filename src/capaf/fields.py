@@ -17,10 +17,10 @@ Two curvature-radii routes live here:
 * the intrinsic route: tau = (covariant Hessian) + f g - Q(., ., grad f)/2
   evaluated by second differences along curves on the Wulff shape that
   match the geodesics to second order, built as DF of curves on the unit
-  sphere of Gauss preimages (no solve), with a caller-chosen step (tied to
-  the mesh level in convergence studies).  The fields enter as one plain
-  function fn(z, g) of Wulff-shape points z and the metric there, one
-  column per field (kernel_evaluator builds the kernel fields').
+  sphere of Gauss preimages (no solve), with a caller-chosen step (a
+  multiple of the mesh spacing in convergence studies).  The fields enter
+  as one plain function fn(z, g) of Wulff-shape points z and the metric
+  there, one column per field (kernel_evaluator builds the kernel fields').
 
 Support fields are homogeneous functions of the norms' shape: SupportField
 subclasses norms._Homogeneous, whose jet/value/grad/hess take rows (B, d)

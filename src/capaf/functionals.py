@@ -332,15 +332,15 @@ def _stencil_safe_interior(mesh: CapMesh, margin: float):
     return interior[ok]
 
 
-def _stencil_nodes(mesh: CapMesh, margin: float):
-    """(idx, d3f): the interior nodes clear of the boundary by `margin` and
-    D^3F there, kept on the mesh per margin, so the mesh takes one order-3
-    jet at them, which every pass and offset through them shares."""
+def _stencil_nodes(mesh: CapMesh, step: float):
+    """(idx, d3f): the interior nodes clear of the boundary by three stencil
+    steps and D^3F there, kept on the mesh per step: one order-3 jet, which
+    every pass and offset through those nodes shares."""
     def make():
-        idx = _stencil_safe_interior(mesh, margin)
+        idx = _stencil_safe_interior(mesh, 3.0 * step)
         return idx, mesh.model.jet(mesh.nodes[idx], 3)[3]
 
-    return mesh._lazy(f"stencil_nodes({margin!r})", make)
+    return mesh._lazy(f"stencil_nodes({step!r})", make)
 
 
 def _tau_form_at_offsets(mesh: CapMesh, body: CapillaryBody, nodes, direction: int,
@@ -384,16 +384,16 @@ def divergence_identity_check(f1_body: CapillaryBody, trailing) -> float:
 
     Evaluates sum_j grad_j Q^{ij} grad_i f1 - (1/2) Q^{ij} grad_i f1 Q_jkk
     + (1/2) Q^{ij} grad_l f1 Q_ijl at interior nodes (stencil-safe margin),
-    with the geodesic stencil step 0.2 * 2^-level; returns the max residual
-    relative to the field scale.
+    with the geodesic stencil step 0.2 * mesh.spacing; returns the max
+    residual relative to the field scale.
     """
     mesh = f1_body.mesh
     n = mesh.n
     trailing = list(trailing)
     if len(trailing) != n - 1:
         raise InvalidInputError(f"need n-1 = {n - 1} trailing bodies")
-    step = 0.2 * 0.5**mesh.config.mesh_level
-    nodes = _stencil_nodes(mesh, 3.0 * step)
+    step = 0.2 * mesh.spacing
+    nodes = _stencil_nodes(mesh, step)
     idx = nodes[0]
 
     grad_f1 = np.einsum("bkd,bde,be->bk", mesh.frame[idx], mesh.G[idx], f1_body.X[idx])
@@ -600,14 +600,13 @@ def generalized_chain_family(k0: CapillaryBody, k1: CapillaryBody, trailing, m: 
 
 
 def _kernel_passes(mesh: CapMesh, steps) -> list:
-    """Intrinsic-route tau of the horizontal kernel fields at the interior
-    nodes clear of the boundary by three times the step 0.3 * 2^-level, one
-    pass over one stencil per step in `steps` (fractions of that step), each
-    kept in the mesh's lazy caches under its fraction, so kernel_tau_raw and
-    kernel_tau_intrinsic share the step-h pass; every pass shares the
-    mesh's one order-3 jet at those nodes (_stencil_nodes)."""
-    step = 0.3 * 0.5**mesh.config.mesh_level
-    nodes = _stencil_nodes(mesh, 3.0 * step)
+    """Intrinsic-route tau of the horizontal kernel fields at the stencil
+    nodes of the step h = 0.3 * mesh.spacing (_stencil_nodes), one pass per
+    step in `steps` (fractions of h), each kept in the mesh's lazy caches
+    under its fraction, so kernel_tau_raw and kernel_tau_intrinsic share the
+    step-h pass; every pass shares the nodes' one order-3 jet."""
+    step = 0.3 * mesh.spacing
+    nodes = _stencil_nodes(mesh, step)
     return [mesh._lazy(f"kernel_tau({s})", lambda s=s: intrinsic_tau(
         mesh, kernel_evaluator(mesh), nodes, s * step)[0]) for s in steps]
 
@@ -619,8 +618,8 @@ def _field_maxima(tau) -> list:
 
 def kernel_tau_raw(mesh: CapMesh) -> list:
     """Largest intrinsic-route tau entry of each kernel field, E_1 first,
-    from one pass at the step h = 0.3 * 2^-level: the stencil's own O(h^2)
-    error, whose decay per level the kernel tables read."""
+    from one pass at the step h = 0.3 * mesh.spacing: the stencil's own
+    O(h^2) error, whose decay per level the kernel tables read."""
     return _field_maxima(_kernel_passes(mesh, (1.0,))[0])
 
 
@@ -628,7 +627,7 @@ def kernel_tau_intrinsic(mesh: CapMesh) -> list:
     """Intrinsic-route tau of the horizontal kernel fields, interior nodes.
 
     Exactly zero in the continuum.  Two passes on the same nodes, at the
-    steps h = 0.3 * 2^-level and h/2, are Richardson-extrapolated,
+    steps h = 0.3 * mesh.spacing and h/2, are Richardson-extrapolated,
     (4 tau(h/2) - tau(h)) / 3, which cancels the stencil's h^2 term, so the
     value decays at fourth order.  Every field E_1..E_n comes out of one
     pass per step.  Returns the largest |tau| entry of each field, E_1

@@ -42,6 +42,8 @@ DOCUMENTED = (
     "error: no interior nodes clear the stencil margin M (arc length) from the boundary "
     "at mesh level L, omega0 = W; the cap is too thin for this level, and a finer mesh "
     "level helps",
+    "error: the region's boundary pinches at a mesh vertex at mesh level L (omega0 = W); "
+    "a finer mesh level helps",
     "error: interior node with nonpositive region residual",
     "error: expected two region boundary angles, found K at mesh level L (omega0 = W); the "
     "region or its complement is narrower than the 4096-angle boundary scan resolves at every "
@@ -139,8 +141,9 @@ def test_admissible_inputs_verify_without_a_traceback(text):
 
 # inputs a random screen met: a level-1 ellipsoid whose random body, scaled
 # by 1.7 in the routes suite, failed the capillary test that the body itself
-# passed; and an n = 1 ellipsoid one rounding unit above the lower end of its
-# w0 interval, whose region is a single point to round-off
+# passed; an n = 1 ellipsoid one rounding unit above the lower end of its w0
+# interval, whose region is a single point to round-off; and a perturbed
+# norm whose clipped L2 region has two boundary arcs meeting at one vertex
 PINNED = {
     "scaled-body": _config_text(
         2, -0.8587769496868798,
@@ -151,6 +154,13 @@ PINNED = {
         1, -0.5757888719701958,
         ["family = ellipsoid", "matrix = 0.30293909627347015 0.006807275839073186 "
          "0.006807275839073186 0.3315328250847106"], 0, [1]),
+    "pinched-boundary": _config_text(
+        2, 0.9459408767015521,
+        ["family = perturbed", "base = isotropic",
+         "term1 = bump -0.13396650817075487 -0.962644744391816 0.2353042090217481 "
+         "1.061412730124159 -0.021299008470781894",
+         "term2 = quadratic 0.4508657908583355 0.8853866580736849 -0.11318349852694709 "
+         "0.0 -0.05898587192085565"], 2, [84703, 50600, 16772]),
 }
 
 

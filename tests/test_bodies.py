@@ -440,7 +440,7 @@ def test_kernel_pass_matches_per_field_route(mesh_factory):
         assert np.array_equal(grad_a[:, 0], grad[:, alpha])
     # the raw maxima are the step-h pass's and the check's extrapolate the
     # passes at h and h/2 on the same nodes, E_1, E_2 in field order
-    step = 0.3 * 0.5**mesh.config.mesh_level
+    step = 0.3 * mesh.spacing
     safe = _with_d3f(mesh, fn._stencil_safe_interior(mesh, 3.0 * step))
     tau_h, tau_half = (intrinsic_tau(mesh, kernel_evaluator(mesh), safe, s)[0]
                        for s in (step, 0.5 * step))
@@ -461,7 +461,7 @@ def test_kernel_passes_are_kept_on_the_mesh(monkeypatch, model_factory):
                         lambda *args: steps.append(args[-1]) or real(*args))
     raw, check = fn.kernel_tau_raw(mesh), fn.kernel_tau_intrinsic(mesh)
     assert (fn.kernel_tau_raw(mesh), fn.kernel_tau_intrinsic(mesh)) == (raw, check)
-    h = 0.3 * 0.5**mesh.config.mesh_level
+    h = 0.3 * mesh.spacing
     assert steps == [h, 0.5 * h]
 
 
@@ -584,7 +584,7 @@ def test_kernel_pass_places_symmetric_stencil_points_without_a_solve(monkeypatch
     fn.kernel_tau_intrinsic(mesh)
     assert solves == []
     n = mesh.n
-    safe = mesh.nodes[fn._stencil_safe_interior(mesh, 3.0 * 0.3 * 0.5**mesh.config.mesh_level)]
+    safe = mesh.nodes[fn._stencil_safe_interior(mesh, 3.0 * 0.3 * mesh.spacing)]
     points = [x for x, order in seen if order == 2]
     assert len(points) == 2 * n * (n + 1)
     for x in points:
@@ -610,7 +610,7 @@ def test_kernel_pass_takes_one_order_3_jet_and_an_order_2_jet_per_point(monkeypa
     fn.kernel_tau_raw(mesh)
     n = mesh.n
     assert [order for _, order in seen] == [3] + [2, 2] * (n * (n + 1) // 2) * 2
-    safe = mesh.nodes[fn._stencil_safe_interior(mesh, 3.0 * 0.3 * 0.5**mesh.config.mesh_level)]
+    safe = mesh.nodes[fn._stencil_safe_interior(mesh, 3.0 * 0.3 * mesh.spacing)]
     for k, (x, order) in enumerate(seen):
         if order == 3:
             assert np.array_equal(x, safe), k

@@ -145,6 +145,10 @@ def test_arc_mesh_pinned_bit_for_bit(mesh_factory, name, w0):
     assert got == ARC_MESH_SHA256[(name, w0)]
 
 
+# the geometry a boundary walk's messages name
+WALK_CONFIG = CapConfig(IsotropicNorm(3), 0.0, 2)
+
+
 def _fan(clockwise):
     """Six rim nodes 1..6 around an interior hub 0, with cells (0, i, i+1)."""
     theta = np.arange(6) * np.pi / 3.0 * (-1.0 if clockwise else 1.0)
@@ -157,20 +161,22 @@ def _fan(clockwise):
 def test_walk_boundary_fan():
     # the walk starts at the lowest boundary node and leaves along its first
     # boundary edge; a clockwise walk is reversed, so it then ends there
-    assert _walk_boundary(*_fan(clockwise=False)).tolist() == [1, 2, 3, 4, 5, 6]
-    assert _walk_boundary(*_fan(clockwise=True)).tolist() == [6, 5, 4, 3, 2, 1]
+    assert _walk_boundary(*_fan(clockwise=False), WALK_CONFIG).tolist() == [1, 2, 3, 4, 5, 6]
+    assert _walk_boundary(*_fan(clockwise=True), WALK_CONFIG).tolist() == [6, 5, 4, 3, 2, 1]
 
 
 @pytest.mark.parametrize("cells,is_boundary,message", [
     ([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], [True] * 4, "no boundary edges found"),
     ([[0, 1, 2], [3, 4, 5]], [True] * 6, "did not close into a single loop"),
-    ([[0, 1, 2], [0, 3, 4]], [True] * 5, "boundary node 0 has degree 4"),
+    ([[0, 1, 2], [0, 3, 4]], [True] * 5, r"^the region's boundary pinches at a mesh vertex "
+     r"at mesh level 2 \(omega0 = 0\); a finer mesh level helps$"),
     ([[0, 1, 2]], [True, True, False], "boundary edge with interior endpoint"),
 ], ids=["closed", "two-triangles", "bow-tie", "interior-endpoint"])
 def test_walk_boundary_rejects_a_broken_boundary(cells, is_boundary, message):
     nodes = np.zeros((len(is_boundary), 3))
     with pytest.raises(MeshConstructionError, match=message):
-        _walk_boundary(np.array(cells, dtype=np.int64), np.array(is_boundary), nodes)
+        _walk_boundary(np.array(cells, dtype=np.int64), np.array(is_boundary), nodes,
+                       WALK_CONFIG)
 
 
 def test_blocked_q_frame_is_the_whole_batch_contraction(mesh_factory):
@@ -193,15 +199,20 @@ def test_q_frame_peak_memory(traced_peak):
     assert traced_peak(lambda: mesh.q_frame) <= 1.4e6
 
 
-@pytest.mark.parametrize("name", ["isotropic_hemisphere.ini", "ellipsoid.ini"])
+@pytest.mark.parametrize("name", ["isotropic_hemisphere.ini", "ellipsoid.ini",
+                                  "halfdisk_n1.ini"])
 def test_mesh_levels_0_to_7(name):
     cfg = parse_config(str(CONFIGS / name))
     meshes = [build_cap_mesh(cfg.cap_config(level)) for level in range(8)]
+    # the nominal spacing is the exact power of two the level names
+    assert [m.spacing for m in meshes] == [0.5**level for level in range(8)]
     counts = [m.node_count for m in meshes]
     assert all(a < b for a, b in zip(counts, counts[1:])), counts
     sigma = np.array([m.sigma_total for m in meshes])
-    if name == "isotropic_hemisphere.ini":
-        assert np.max(np.abs(sigma - 2.0 * np.pi)) <= 1e-12
+    # isotropic at omega0 = 0: the upper hemisphere, or the upper half circle
+    exact = {"isotropic_hemisphere.ini": 2.0 * np.pi, "halfdisk_n1.ini": np.pi}
+    if name in exact:
+        assert np.max(np.abs(sigma - exact[name])) <= 1e-12
     else:
         steps = np.abs(np.diff(sigma))
         assert np.all(steps[1:] < steps[:-1]), steps
@@ -536,6 +547,30 @@ def test_lapack_is_called_only_at_its_listed_sites():
         sites |= _lapack_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sites == LAPACK_SITES, (f"unlisted: {sorted(sites - LAPACK_SITES)}; "
                                    f"gone: {sorted(LAPACK_SITES - sites)}")
+
+
+def _powers_of_a_level(tree) -> list:
+    """Lines of the `**` expressions whose exponent reads a name or an
+    attribute containing `level`."""
+    def reads_level(node):
+        return any(isinstance(sub, ast.Name) and "level" in sub.id
+                   or isinstance(sub, ast.Attribute) and "level" in sub.attr
+                   for sub in ast.walk(node))
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and reads_level(node.right)]
+
+
+def test_only_the_mesh_builders_raise_a_power_to_the_mesh_level():
+    """A mesh's resolution has one owner: the builders in capgeom turn the
+    level into CapMesh.spacing, and every other module reads the spacing, so
+    a step or a scale written as a power of the level fails here."""
+    root = Path(__file__).resolve().parents[1] / "src/capaf"
+    found = [f"{path.name}:{line}" for path in sorted(root.glob("*.py"))
+             if path.stem != "capgeom"
+             for line in _powers_of_a_level(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
 
 
 # capaf's modules in layer order, bottom up, and the imports that reach a

@@ -402,11 +402,14 @@ def test_kernel_suite_takes_each_stencil_pass_once(tmp_path, monkeypatch):
     ([1e-3, 0.0, 1e-12], True),  # no ratio to read, below the floor
 ])
 def test_decay_record_skips_pairs_with_an_exact_zero(values, passed):
+    # a diagnostic (the perturbed norm's decay records) stores its own
+    # outcome too; only its kind keeps it out of the tallies
     from capaf.cli import _decay_record
 
-    ctx = type("Ctx", (), {"analytic": True})()
-    rec = _decay_record(ctx, "kernel", "decay", {}, values, 2.0, floor=1e-11)
-    assert rec.passed is passed
+    for analytic, kind in ((True, "check"), (False, "diagnostic")):
+        ctx = type("Ctx", (), {"analytic": analytic})()
+        rec = _decay_record(ctx, "kernel", "decay", {}, values, 2.0, floor=1e-11)
+        assert rec.passed is passed and rec.kind == kind, analytic
 
 
 # -- report artifacts -------------------------------------------------------------
